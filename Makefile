@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint ltlint lint-fix-baseline vet bench crash chaos cluster-chaos ci clean
+.PHONY: all build test race lint ltlint lint-fix-baseline vet bench bench-e2e loc crash chaos cluster-chaos ci clean
 
 all: build lint test
 
@@ -38,6 +38,16 @@ lint-fix-baseline:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
+# does (BENCHMARK.json); benchmark/README.md explains what it prints.
+bench-e2e:
+	bash benchmark/run.sh
+
+# loc prints the number CHANGES.md tracks per ROADMAP item 3: lines of
+# non-test, non-testdata Go outside benchmark/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.*' -print0 | xargs -0 cat | wc -l
 
 # crash runs the crash-at-every-barrier harness once with the default seed;
 # CI's crash-harness job runs it -count=5 across seeds 1..3.

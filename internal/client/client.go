@@ -27,6 +27,7 @@ import (
 
 	"littletable/internal/core"
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 	"littletable/internal/wire"
 )
@@ -101,15 +102,10 @@ func (o Options) withDefaults() Options {
 
 // Stats count the client's resilience events; read them with atomic Loads.
 type Stats struct {
-	// Dials counts successful connection handshakes.
-	Dials atomic.Int64
-	// Reconnects counts connections torn down as broken or dead; the next
-	// request redials.
-	Reconnects atomic.Int64
-	// Retries counts request attempts beyond each request's first.
-	Retries atomic.Int64
-	// Overloaded counts Overloaded refusals observed from the server.
-	Overloaded atomic.Int64
+	Dials      atomic.Int64 `metric:"dials" help:"Successful connection handshakes"`
+	Reconnects atomic.Int64 `metric:"reconnects" help:"Connections torn down as broken or dead; the next request redials"`
+	Retries    atomic.Int64 `metric:"retries" help:"Request attempts beyond each request's first"`
+	Overloaded atomic.Int64 `metric:"overloaded" help:"Overloaded refusals observed from the server"`
 }
 
 // RemoteError is an error reported by the server.
@@ -236,48 +232,13 @@ func (c *Client) Close() error {
 	return cause
 }
 
-// msgIdempotency classifies every request type: true means the request
-// may be re-sent even when a prior attempt's fate is unknown (it reached
-// the wire but the connection broke before a response). Reads and
-// flushes are idempotent; inserts, deletes, and schema changes are not,
-// and blind re-sends could apply them twice. Every wire request constant
-// must have an entry — ltlint's msgexhaustive rule flags omissions, and
-// retrysafe checks the deny side, so drift here is a build failure
-// rather than a replayed write.
-var msgIdempotency = map[wire.MsgType]bool{
-	wire.MsgHello:       true,
-	wire.MsgCreateTable: false, // re-send could race a concurrent create
-	wire.MsgDropTable:   false, // second drop reports a missing table
-	wire.MsgListTables:  true,
-	wire.MsgGetSchema:   true,
-	wire.MsgInsert:      false, // duplicate rows under duplicate timestamps
-	wire.MsgQuery:       true,
-	wire.MsgLatestRow:   true,
-	wire.MsgDelete:      false, // TTL clock advances between attempts
-	wire.MsgAlterTTL:    false, // schema change
-	wire.MsgAddColumn:   false, // schema change
-	wire.MsgWidenColumn: false, // schema change
-	wire.MsgStats:       true,
-	wire.MsgServerStats: true,
-	wire.MsgFlushTable:  true,
-	// Scatter reads are plain reads. Migration begin/fetch/end are
-	// idempotent by construction: begin refreshes the pin set, fetch is a
-	// positioned read, end releases pins that may already be released.
-	// MigrateInstall is NOT idempotent — a replayed chunk breaks the
-	// staging offset discipline, so its driver restarts at offset 0.
-	wire.MsgScatterQuery:   true,
-	wire.MsgMigrateBegin:   true,
-	wire.MsgMigrateFetch:   true,
-	wire.MsgMigrateInstall: false,
-	wire.MsgMigrateEnd:     true,
-	wire.MsgMigrateTable:   false, // router-side move is a write workflow
-	wire.MsgRouterStats:    true,
-	wire.MsgAggQuery:       true, // pure read: folds rows into aggregates
-}
-
-// retryAfterSend consults the classification table above.
+// retryAfterSend reports whether a request that may have reached the
+// server can be re-sent: only when wire.Requests classifies its type
+// idempotent. ltlint's retrysafe rule checks every send primitive is
+// driven by this, so a replayed write is a build failure.
 func retryAfterSend(t wire.MsgType) bool {
-	return msgIdempotency[t]
+	req := wire.RequestOf(t)
+	return req != nil && req.Idempotent
 }
 
 // do sends one request with the retry policy, translating MsgError into
@@ -432,14 +393,24 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-func expectOK(mt wire.MsgType, _ []byte, err error) error {
+// call is do for the typed methods: it also checks that the response is
+// the type wire.Requests promises for t, and returns just the payload.
+// The raw Do the router relays through skips the check.
+func (c *Client) call(ctx context.Context, t wire.MsgType, payload []byte) ([]byte, error) {
+	mt, resp, err := c.do(ctx, t, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if mt != wire.MsgOK {
-		return fmt.Errorf("client: unexpected response type %d", mt)
+	if mt != wire.RequestOf(t).Response {
+		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
-	return nil
+	return resp, nil
+}
+
+// callOK is call for requests whose success carries no payload.
+func (c *Client) callOK(ctx context.Context, t wire.MsgType, payload []byte) error {
+	_, err := c.call(ctx, t, payload)
+	return err
 }
 
 // ListTables returns the server's table names.
@@ -449,12 +420,9 @@ func (c *Client) ListTables() ([]string, error) {
 
 // ListTablesCtx is ListTables with a caller deadline.
 func (c *Client) ListTablesCtx(ctx context.Context) ([]string, error) {
-	mt, resp, err := c.do(ctx, wire.MsgListTables, nil)
+	resp, err := c.call(ctx, wire.MsgListTables, nil)
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgTableList {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	m, err := wire.DecodeTableList(resp)
 	if err != nil {
@@ -465,15 +433,12 @@ func (c *Client) ListTablesCtx(ctx context.Context) ([]string, error) {
 
 // ServerStats fetches the server's connection-level counters: active
 // conns, in-flight requests, shed requests, drain time.
-func (c *Client) ServerStats(ctx context.Context) (*wire.ServerStatsResult, error) {
-	mt, resp, err := c.do(ctx, wire.MsgServerStats, nil)
+func (c *Client) ServerStats(ctx context.Context) (metric.List, error) {
+	resp, err := c.call(ctx, wire.MsgServerStats, nil)
 	if err != nil {
 		return nil, err
 	}
-	if mt != wire.MsgServerStatsResult {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
-	}
-	return wire.DecodeServerStatsResult(resp)
+	return wire.DecodeStats(resp)
 }
 
 // CreateTable creates a table with the given schema and TTL (microseconds;
@@ -484,13 +449,13 @@ func (c *Client) CreateTable(name string, sc *schema.Schema, ttl int64) error {
 	if err != nil {
 		return err
 	}
-	return expectOK(c.do(background(), wire.MsgCreateTable, payload))
+	return c.callOK(background(), wire.MsgCreateTable, payload)
 }
 
 // DropTable removes a table and its data.
 func (c *Client) DropTable(name string) error {
 	m := &wire.TableName{Name: name}
-	return expectOK(c.do(background(), wire.MsgDropTable, m.Encode()))
+	return c.callOK(background(), wire.MsgDropTable, m.Encode())
 }
 
 // Table is a handle on one remote table, carrying its cached schema.
@@ -525,12 +490,9 @@ func (c *Client) OpenTable(name string) (*Table, error) {
 // RefreshSchema re-fetches the schema, e.g. after a stale-schema error.
 func (t *Table) RefreshSchema() error {
 	m := &wire.TableName{Name: t.name}
-	mt, resp, err := t.c.do(background(), wire.MsgGetSchema, m.Encode())
+	resp, err := t.c.call(background(), wire.MsgGetSchema, m.Encode())
 	if err != nil {
 		return err
-	}
-	if mt != wire.MsgSchema {
-		return fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	sr, err := wire.DecodeSchemaResp(resp)
 	if err != nil {
@@ -600,7 +562,7 @@ func (t *Table) FlushCtx(ctx context.Context) error {
 	serverTs := t.ServerTimestamps
 	t.mu.Unlock()
 	m := wire.NewInsert(t.name, sc, serverTs, rows)
-	if err := expectOK(t.c.do(ctx, wire.MsgInsert, m.Encode())); err != nil {
+	if err := t.c.callOK(ctx, wire.MsgInsert, m.Encode()); err != nil {
 		return &UnsentError{Rows: len(rows), Err: err}
 	}
 	return nil
@@ -618,7 +580,7 @@ func (t *Table) InsertNowCtx(ctx context.Context, rows []schema.Row) error {
 	serverTs := t.ServerTimestamps
 	t.mu.Unlock()
 	m := wire.NewInsert(t.name, sc, serverTs, rows)
-	return expectOK(t.c.do(ctx, wire.MsgInsert, m.Encode()))
+	return t.c.callOK(ctx, wire.MsgInsert, m.Encode())
 }
 
 // Query mirrors core.Query on the client side.
@@ -711,12 +673,9 @@ func (r *Rows) fetch() error {
 		}
 		wq.Limit = uint32(remaining)
 	}
-	mt, resp, err := r.t.c.do(r.ctx, wire.MsgQuery, wq.Encode())
+	resp, err := r.t.c.call(r.ctx, wire.MsgQuery, wq.Encode())
 	if err != nil {
 		return err
-	}
-	if mt != wire.MsgRows {
-		return fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	m, err := wire.DecodeRows(resp, r.sc)
 	if err != nil {
@@ -773,12 +732,9 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 // LatestRowCtx is LatestRow with a caller deadline.
 func (t *Table) LatestRowCtx(ctx context.Context, prefix []ltval.Value) (schema.Row, bool, error) {
 	m := &wire.LatestRow{Table: t.name, Prefix: prefix}
-	mt, resp, err := t.c.do(ctx, wire.MsgLatestRow, m.Encode())
+	resp, err := t.c.call(ctx, wire.MsgLatestRow, m.Encode())
 	if err != nil {
 		return nil, false, err
-	}
-	if mt != wire.MsgRowResult {
-		return nil, false, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	rr, err := wire.DecodeRowResult(resp, t.Schema())
 	if err != nil {
@@ -802,12 +758,9 @@ func (t *Table) DeleteRange(q Query) (int64, error) {
 		MinTs:    q.MinTs,
 		MaxTs:    q.MaxTs,
 	}
-	mt, resp, err := t.c.do(background(), wire.MsgDelete, m.Encode())
+	resp, err := t.c.call(background(), wire.MsgDelete, m.Encode())
 	if err != nil {
 		return 0, err
-	}
-	if mt != wire.MsgDeleteResult {
-		return 0, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	dr, err := wire.DecodeDeleteResult(resp)
 	if err != nil {
@@ -819,7 +772,7 @@ func (t *Table) DeleteRange(q Query) (int64, error) {
 // AlterTTL changes the table's TTL.
 func (t *Table) AlterTTL(ttl int64) error {
 	m := &wire.AlterTTL{Table: t.name, TTL: ttl}
-	if err := expectOK(t.c.do(background(), wire.MsgAlterTTL, m.Encode())); err != nil {
+	if err := t.c.callOK(background(), wire.MsgAlterTTL, m.Encode()); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -831,7 +784,7 @@ func (t *Table) AlterTTL(ttl int64) error {
 // AddColumn appends a column and refreshes the cached schema.
 func (t *Table) AddColumn(name string, typ ltval.Type, def ltval.Value) error {
 	m := &wire.AddColumn{Table: t.name, Name: name, Type: typ, Default: def}
-	if err := expectOK(t.c.do(background(), wire.MsgAddColumn, m.Encode())); err != nil {
+	if err := t.c.callOK(background(), wire.MsgAddColumn, m.Encode()); err != nil {
 		return err
 	}
 	return t.RefreshSchema()
@@ -840,7 +793,7 @@ func (t *Table) AddColumn(name string, typ ltval.Type, def ltval.Value) error {
 // WidenColumn widens an int32 column and refreshes the cached schema.
 func (t *Table) WidenColumn(name string) error {
 	m := &wire.WidenColumn{Table: t.name, Name: name}
-	if err := expectOK(t.c.do(background(), wire.MsgWidenColumn, m.Encode())); err != nil {
+	if err := t.c.callOK(background(), wire.MsgWidenColumn, m.Encode()); err != nil {
 		return err
 	}
 	return t.RefreshSchema()
@@ -851,18 +804,16 @@ func (t *Table) WidenColumn(name string) error {
 // are durable.
 func (t *Table) FlushTable() error {
 	m := &wire.TableName{Name: t.name}
-	return expectOK(t.c.do(background(), wire.MsgFlushTable, m.Encode()))
+	return t.c.callOK(background(), wire.MsgFlushTable, m.Encode())
 }
 
-// Stats fetches the table's server-side counters.
-func (t *Table) Stats() (*wire.StatsResult, error) {
+// Stats fetches the table's server-side metrics: the list core.Table's
+// Metrics returns, keyed by name.
+func (t *Table) Stats() (metric.List, error) {
 	m := &wire.TableName{Name: t.name}
-	mt, resp, err := t.c.do(background(), wire.MsgStats, m.Encode())
+	resp, err := t.c.call(background(), wire.MsgStats, m.Encode())
 	if err != nil {
 		return nil, err
 	}
-	if mt != wire.MsgStatsResult {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
-	}
-	return wire.DecodeStatsResult(resp)
+	return wire.DecodeStats(resp)
 }

@@ -380,7 +380,7 @@ func TestStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RowsInserted != 10 || st.RowsReturned != 10 || st.RowEstimate != 10 {
+	if st.Get("rows_inserted") != 10 || st.Get("rows_returned") != 10 || st.Get("row_estimate") != 10 {
 		t.Errorf("stats: %+v", st)
 	}
 }

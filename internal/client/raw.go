@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 
 	"littletable/internal/wire"
 )
@@ -21,12 +20,9 @@ func (c *Client) Do(ctx context.Context, t wire.MsgType, payload []byte) (wire.M
 // server (MsgScatterQuery); the router fans this out per shard and
 // merges the sections.
 func (c *Client) ScatterQuery(ctx context.Context, q *wire.ScatterQuery) (*wire.ScatterRows, error) {
-	mt, resp, err := c.do(ctx, wire.MsgScatterQuery, q.Encode())
+	resp, err := c.call(ctx, wire.MsgScatterQuery, q.Encode())
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgScatterRows {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	return wire.DecodeScatterRows(resp)
 }
@@ -37,12 +33,9 @@ func (c *Client) ScatterQuery(ctx context.Context, q *wire.ScatterQuery) (*wire.
 // rows. Against a router, the partials have already been merged across
 // shards. Use agg.Finalize to turn the mergeable states into values.
 func (c *Client) AggQuery(ctx context.Context, q *wire.AggQuery) (*wire.AggResult, error) {
-	mt, resp, err := c.do(ctx, wire.MsgAggQuery, q.Encode())
+	resp, err := c.call(ctx, wire.MsgAggQuery, q.Encode())
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgAggResult {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	return wire.DecodeAggResult(resp)
 }
@@ -51,12 +44,9 @@ func (c *Client) AggQuery(ctx context.Context, q *wire.AggQuery) (*wire.AggResul
 // and returns the manifest to copy. Pair with MigrateEnd.
 func (c *Client) MigrateBegin(ctx context.Context, table string) (*wire.MigrateManifest, error) {
 	m := &wire.MigrateBegin{Table: table}
-	mt, resp, err := c.do(ctx, wire.MsgMigrateBegin, m.Encode())
+	resp, err := c.call(ctx, wire.MsgMigrateBegin, m.Encode())
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgMigrateManifest {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	return wire.DecodeMigrateManifest(resp)
 }
@@ -65,12 +55,9 @@ func (c *Client) MigrateBegin(ctx context.Context, table string) (*wire.MigrateM
 // given offset. The returned chunk carries the file's total size.
 func (c *Client) MigrateFetch(ctx context.Context, table, file string, off int64, maxBytes uint32) (*wire.MigrateChunk, error) {
 	m := &wire.MigrateFetch{Table: table, File: file, Offset: off, MaxBytes: maxBytes}
-	mt, resp, err := c.do(ctx, wire.MsgMigrateFetch, m.Encode())
+	resp, err := c.call(ctx, wire.MsgMigrateFetch, m.Encode())
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgMigrateChunk {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	return wire.DecodeMigrateChunk(resp)
 }
@@ -81,26 +68,23 @@ func (c *Client) MigrateFetch(ctx context.Context, table, file string, off int64
 // chunk would corrupt the offset discipline; the driver restarts the
 // file at offset 0 instead.
 func (c *Client) MigrateInstall(ctx context.Context, m *wire.MigrateInstall) error {
-	return expectOK(c.do(ctx, wire.MsgMigrateInstall, m.Encode()))
+	return c.callOK(ctx, wire.MsgMigrateInstall, m.Encode())
 }
 
 // MigrateEnd releases the export pins taken by MigrateBegin (source
 // side) and any staged install buffers for the table (target side).
 func (c *Client) MigrateEnd(ctx context.Context, table string) error {
 	m := &wire.MigrateEnd{Table: table}
-	return expectOK(c.do(ctx, wire.MsgMigrateEnd, m.Encode()))
+	return c.callOK(ctx, wire.MsgMigrateEnd, m.Encode())
 }
 
 // RouterStats fetches a router's routing counters and per-shard health
 // (MsgRouterStats). The message is router-only: a plain server bounces
 // it as an unknown type, so call this on a connection to a router.
 func (c *Client) RouterStats(ctx context.Context) (*wire.RouterStatsResult, error) {
-	mt, resp, err := c.do(ctx, wire.MsgRouterStats, nil)
+	resp, err := c.call(ctx, wire.MsgRouterStats, nil)
 	if err != nil {
 		return nil, err
-	}
-	if mt != wire.MsgRouterStatsResult {
-		return nil, fmt.Errorf("client: unexpected response type %d", mt)
 	}
 	return wire.DecodeRouterStatsResult(resp)
 }

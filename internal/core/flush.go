@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 
+	"littletable/internal/period"
 	"littletable/internal/tablet"
 )
 
@@ -297,21 +299,44 @@ func (t *Table) FlushBefore(ts int64) error {
 		t.mu.Unlock()
 		return ErrTableClosed
 	}
-	var doomed []*fillingTablet
-	for _, ft := range t.filling {
+	t.sealFillingLocked(func(ft *fillingTablet) bool {
 		if ft.mt.Empty() {
-			continue
+			return false
 		}
 		lo, _ := ft.mt.Timespan()
-		if lo < ts {
-			doomed = append(doomed, ft)
-		}
-	}
-	for _, ft := range doomed {
-		t.sealLocked(ft)
-	}
+		return lo < ts
+	})
 	t.mu.Unlock()
 	return t.drainPending()
+}
+
+// periodBefore orders periods oldest first; End breaks the tie between a
+// 4-hour period and the day that starts with it.
+func periodBefore(a, b period.Period) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.End < b.End
+}
+
+// sealFillingLocked seals every filling tablet that want accepts (nil =
+// all), oldest period first. t.filling is a map, and sealing in its
+// iteration order would let tablet sequence numbers and flush grouping
+// differ between two runs of the same inserts whenever rows straddle
+// periods. Caller holds t.mu.
+func (t *Table) sealFillingLocked(want func(*fillingTablet) bool) {
+	var fts []*fillingTablet // usually empty on a Tick: nothing has aged out
+	for _, ft := range t.filling {
+		if want == nil || want(ft) {
+			fts = append(fts, ft)
+		}
+	}
+	if len(fts) > 1 {
+		sort.Slice(fts, func(i, j int) bool { return periodBefore(fts[i].per, fts[j].per) })
+	}
+	for _, ft := range fts {
+		t.sealLocked(ft) // a no-op for one an earlier seal's closure took
+	}
 }
 
 // flushPending seals all filling tablets and drains pending groups.
@@ -322,9 +347,7 @@ func (t *Table) flushPending() error {
 		t.mu.Unlock()
 		return ErrTableClosed
 	}
-	for _, ft := range t.filling {
-		t.sealLocked(ft)
-	}
+	t.sealFillingLocked(nil)
 	t.mu.Unlock()
 	return t.drainPending()
 }
@@ -352,11 +375,9 @@ func (t *Table) Tick() error {
 		t.mu.Unlock()
 		return ErrTableClosed
 	}
-	for _, ft := range t.filling {
-		if !ft.mt.Empty() && now-ft.mt.CreatedAt() >= t.opts.FlushAge {
-			t.sealLocked(ft)
-		}
-	}
+	t.sealFillingLocked(func(ft *fillingTablet) bool {
+		return !ft.mt.Empty() && now-ft.mt.CreatedAt() >= t.opts.FlushAge
+	})
 	hasPending := len(t.pending) > 0
 	async := t.flushKick != nil
 	if hasPending && async {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -520,4 +521,55 @@ func TestEightTableAsyncStress(t *testing.T) {
 		}
 	}
 	checkGoroutineCount(t, baseline)
+}
+
+// TestSealOrderIsDeterministic: one batch whose rows straddle three
+// periods, newest first, so each older tablet depends on the newer one
+// before it. Which filling tablet is sealed first decides how the
+// dependency closure splits into flush groups and therefore every
+// tablet's Seq; sealing in map order made that differ run to run. All
+// three entry points that seal the whole filling set must produce the
+// same tablets every time.
+func TestSealOrderIsDeterministic(t *testing.T) {
+	flushers := map[string]func(*testTable) error{
+		"FlushAll":    func(tt *testTable) error { return tt.FlushAll() },
+		"FlushBefore": func(tt *testTable) error { return tt.FlushBefore(TsMax) },
+		"Tick": func(tt *testTable) error {
+			tt.clk.Advance(DefaultFlushAge)
+			return tt.Tick()
+		},
+	}
+	for name, flush := range flushers {
+		t.Run(name, func(t *testing.T) {
+			var first string
+			for run := 0; run < 50; run++ {
+				tt := newTestTable(t, Options{})
+				now := tt.clk.Now()
+				mustInsert(t, tt.Table,
+					usageRow(1, 1, now, 1, 0),
+					usageRow(1, 1, now-2*clock.Day, 2, 1),
+					usageRow(1, 1, now-3*clock.Week, 3, 2),
+				)
+				if err := flush(tt); err != nil {
+					t.Fatal(err)
+				}
+				var got string
+				tt.mu.Lock()
+				n := len(tt.disk)
+				for _, dt := range tt.disk {
+					got += fmt.Sprintf("seq %d minTs %d rows %d; ", dt.rec.Seq, dt.rec.MinTs, dt.rec.RowCount)
+				}
+				tt.mu.Unlock()
+				tt.Close()
+				if n != 3 {
+					t.Fatalf("run %d: want 3 tablets, one per period, got: %s", run, got)
+				}
+				if run == 0 {
+					first = got
+				} else if got != first {
+					t.Fatalf("run %d sealed in a different order:\n got %s\nwant %s", run, got, first)
+				}
+			}
+		})
+	}
 }

@@ -4,80 +4,94 @@ import (
 	"sync/atomic"
 
 	"littletable/internal/block"
+	"littletable/internal/metric"
 )
 
-// Stats are per-table counters, exported for the production-metrics
-// reproduction (§5.2): scan efficiency (Figure 9), insert/query rates
-// (§5.2.3), and merge write amplification (§5.1.3).
-type Stats struct {
-	RowsInserted   atomic.Int64
-	InsertBatches  atomic.Int64
-	RowsReturned   atomic.Int64
-	RowsScanned    atomic.Int64
-	Queries        atomic.Int64
-	TabletsFlushed atomic.Int64
-	BytesFlushed   atomic.Int64
-	Merges         atomic.Int64
-	BytesMerged    atomic.Int64 // bytes written by merges (rewrite cost)
-	RowsRewritten  atomic.Int64 // rows rewritten by merges
-	TabletsExpired atomic.Int64
-	UniqueFastNew  atomic.Int64 // uniqueness via newest-timestamp fast path
-	UniqueFastKey  atomic.Int64 // uniqueness via largest-key fast path
-	UniqueBloom    atomic.Int64 // uniqueness resolved by Bloom filters alone
-	UniqueProbes   atomic.Int64 // uniqueness requiring a point read
+// statFields is the per-table counter list, exported for the
+// production-metrics reproduction (§5.2): scan efficiency (Figure 9),
+// insert/query rates (§5.2.3), and merge write amplification (§5.1.3).
+// Each counter is declared here and nowhere else: the tag carries the
+// name, help text and kind that the snapshot, the wire payload, /metrics
+// and SHOW STATS are all derived from (see internal/metric). Adding a
+// counter is one line in this struct plus its increment sites.
+type statFields[T any] struct {
+	RowsInserted   T `metric:"rows_inserted" help:"Rows inserted"`
+	RowsReturned   T `metric:"rows_returned" help:"Rows returned to queries"`
+	RowsScanned    T `metric:"rows_scanned" help:"Rows scanned by queries"`
+	Queries        T `metric:"queries" help:"Queries executed"`
+	TabletsFlushed T `metric:"tablets_flushed" help:"Memtables flushed to disk tablets"`
+	Merges         T `metric:"merges" help:"Tablet merges performed"`
+	RowsRewritten  T `metric:"rows_rewritten" help:"Rows rewritten by merges"`
+	UniqueFastNew  T `metric:"unique_fast_newest" help:"Uniqueness via newest-timestamp fast path"`
+	UniqueFastKey  T `metric:"unique_fast_key" help:"Uniqueness via largest-key fast path"`
+	UniqueBloom    T `metric:"unique_bloom" help:"Uniqueness resolved by Bloom filters alone"`
+	UniqueProbes   T `metric:"unique_probes" help:"Uniqueness requiring a point read"`
+	BytesFlushed   T `metric:"bytes_flushed" help:"Bytes written by flushes"`
+	BytesMerged    T `metric:"bytes_merged" help:"Bytes written by merges"`
+	TabletsExpired T `metric:"tablets_expired" help:"Tablets reclaimed by TTL"`
 
-	// Robustness counters: how the table has coped with bad storage.
-	TabletsQuarantined atomic.Int64 // tablets set aside as corrupt at open
-	FlushFailures      atomic.Int64 // flush attempts that returned an error
-	MergeFailures      atomic.Int64 // merge attempts that returned an error
-	MergeRetries       atomic.Int64 // merge attempts made after a failure
-	FaultRecoveries    atomic.Int64 // flush/merge successes after >=1 failure
-	ReadErrors         atomic.Int64 // query-time tablet read errors surfaced
+	// Robustness: how the table has coped with bad storage.
+	TabletsQuarantined T `metric:"tablets_quarantined" help:"Corrupt tablets set aside at open"`
+	FlushFailures      T `metric:"flush_failures" help:"Flush attempts that failed"`
+	MergeFailures      T `metric:"merge_failures" help:"Merge attempts that failed"`
+	MergeRetries       T `metric:"merge_retries" help:"Merge attempts made after a failure"`
+	FaultRecoveries    T `metric:"fault_recoveries" help:"Flush/merge successes after failures"`
+	ReadErrors         T `metric:"read_errors" help:"Query-time tablet read errors"`
 
-	// Parallel read-path counters.
-	BlocksRead    atomic.Int64 // blocks obtained by query cursors
-	PrefetchHits  atomic.Int64 // blocks served by a prefetch pipeline
-	ParallelOpens atomic.Int64 // tablet sources opened by a query worker pool
+	// Parallel read path.
+	BlocksRead    T `metric:"blocks_read" help:"Blocks obtained by query cursors"`
+	PrefetchHits  T `metric:"prefetch_hits" help:"Blocks served by prefetch pipelines"`
+	ParallelOpens T `metric:"parallel_opens" help:"Tablet sources opened by query worker pools"`
 
-	// Write-pipeline counters.
-	GroupCommits       atomic.Int64 // insert-lock acquisitions that applied >=1 queued batch
-	TabletsSealed      atomic.Int64 // memtables sealed (frozen + swapped for a fresh one)
-	AsyncFlushes       atomic.Int64 // flush groups written by background workers
-	BackpressureStalls atomic.Int64 // inserts that blocked on the unflushed-bytes cap
-	CommitFailures     atomic.Int64 // descriptor commits that failed, losing sealed rows
-	RowsLost           atomic.Int64 // rows dropped by failed descriptor commits
+	// Write pipeline: group commit, seal/flush, backpressure.
+	InsertBatches      T `metric:"insert_batches" help:"Insert batches applied"`
+	GroupCommits       T `metric:"group_commits" help:"Insert-lock acquisitions that applied queued batches"`
+	TabletsSealed      T `metric:"tablets_sealed" help:"Memtables sealed for flushing"`
+	AsyncFlushes       T `metric:"async_flushes" help:"Flush groups written by background workers"`
+	BackpressureStalls T `metric:"backpressure_stalls" help:"Inserts stalled on the unflushed backlog caps"`
+	CommitFailures     T `metric:"commit_failures" help:"Descriptor commits that failed, losing sealed rows"`
+	RowsLost           T `metric:"rows_lost" help:"Rows dropped by failed descriptor commits"`
 
-	// Maintenance-scheduler counters.
-	MergesInFlight            atomic.Int64 // gauge: merges currently running
-	MergeWaitNs               atomic.Int64 // ns merge-eligible periods waited for a worker
-	ExpiriesInFlight          atomic.Int64 // gauge: TTL expiry rounds currently running
-	ExpiryWaitNs              atomic.Int64 // ns due expiry work waited for a worker
-	ExpiryRuns                atomic.Int64 // expiry rounds that reclaimed >=1 tablet
-	MaintenanceBytesThrottled atomic.Int64 // maintenance I/O bytes delayed by the budget
-	MaintenanceThrottleNs     atomic.Int64 // ns maintenance spent blocked in the budget
+	// Maintenance scheduler: queue delay and I/O-budget throttling.
+	MergeWaitNs               T `metric:"merge_wait_ns" help:"Nanoseconds merge-eligible periods waited for a worker"`
+	ExpiryWaitNs              T `metric:"expiry_wait_ns" help:"Nanoseconds due TTL expiry waited for a worker"`
+	ExpiryRuns                T `metric:"expiry_runs" help:"TTL expiry rounds that reclaimed tablets"`
+	MaintenanceBytesThrottled T `metric:"maintenance_bytes_throttled" help:"Maintenance I/O bytes delayed by the budget"`
+	MaintenanceThrottleNs     T `metric:"maintenance_throttle_ns" help:"Nanoseconds maintenance spent blocked in the I/O budget"`
 
-	// Migration counters (sealed-tablet shipping between shards).
-	TabletsInstalled atomic.Int64 // tablets received from another shard and published
-	BytesInstalled   atomic.Int64 // bytes of those tablets
+	// Migration: sealed tablets shipped in from another shard.
+	TabletsInstalled T `metric:"tablets_installed" help:"Sealed tablets received from another shard and published"`
+	BytesInstalled   T `metric:"bytes_installed" help:"Bytes of tablets received from another shard"`
 
-	// Block-encoding counters (flush + merge + retention rewrites).
-	BlocksEncoded         atomic.Int64 // blocks finished by tablet writers
-	BlocksEncodedColumnar atomic.Int64 // blocks that chose the columnar layout
-	BytesBeforeEncode     atomic.Int64 // legacy-image bytes before codec selection
-	BytesAfterEncode      atomic.Int64 // bytes of the chosen block images
-	ColumnsDeltaEncoded   atomic.Int64 // columns written delta-of-delta
-	ColumnsXOREncoded     atomic.Int64 // columns written as XOR bitstreams
-	ColumnsDictEncoded    atomic.Int64 // columns written dictionary/lzf
-	ColumnsPlainEncoded   atomic.Int64 // columns that fell back to plain
+	// Block encoding, across flushes, merges and retention rewrites.
+	BlocksEncoded         T `metric:"blocks_encoded" help:"Blocks finished by tablet writers"`
+	BlocksEncodedColumnar T `metric:"blocks_encoded_columnar" help:"Blocks that chose the columnar layout"`
+	BytesBeforeEncode     T `metric:"bytes_before_encode" help:"Legacy-image bytes before codec selection"`
+	BytesAfterEncode      T `metric:"bytes_after_encode" help:"Bytes of the chosen block images"`
+	ColumnsDeltaEncoded   T `metric:"columns_delta_encoded" help:"Columns written delta-of-delta"`
+	ColumnsXOREncoded     T `metric:"columns_xor_encoded" help:"Columns written as XOR bitstreams"`
+	ColumnsDictEncoded    T `metric:"columns_dict_encoded" help:"Columns written dictionary or lzf"`
+	ColumnsPlainEncoded   T `metric:"columns_plain_encoded" help:"Columns that fell back to plain encoding"`
 
-	// Aggregation + downsampling counters (ROADMAP item 3). Agg* count
-	// the MsgAggQuery read path per scanned table; Rollup* count the
-	// continuous-downsampling jobs with this table as the source.
-	AggQueries        atomic.Int64 // agg queries that scanned this table
-	AggRowsFolded     atomic.Int64 // rows folded into group states by agg queries
-	RollupRuns        atomic.Int64 // rollup job runs that wrote >=1 bucket
-	RollupRowsWritten atomic.Int64 // rows written into rollup destinations
+	// Aggregation and downsampling. Agg* count the MsgAggQuery read path per
+	// scanned table; Rollup* count the continuous-downsampling jobs with this
+	// table as the source.
+	AggQueries        T `metric:"agg_queries" help:"Aggregation queries that scanned this table"`
+	AggRowsFolded     T `metric:"agg_rows_folded" help:"Rows folded into group states by aggregation queries"`
+	RollupRuns        T `metric:"rollup_runs" help:"Rollup job runs that wrote buckets from this table"`
+	RollupRowsWritten T `metric:"rollup_rows_written" help:"Rows written into rollup destination tables"`
+
+	// Gauges the maintenance workers keep.
+	MergesInFlight   T `metric:"merges_in_flight" help:"Merges running right now" kind:"gauge"`
+	ExpiriesInFlight T `metric:"expiries_in_flight" help:"TTL expiry rounds running right now" kind:"gauge"`
 }
+
+// Stats are a table's live counters; increment with Add, read one with
+// Load or all of them with Snapshot.
+type Stats statFields[atomic.Int64]
+
+// StatsSnapshot is a plain copy of the counters at one instant.
+type StatsSnapshot statFields[int64]
 
 // addEncode folds a tablet writer's encoder report into the counters.
 func (s *Stats) addEncode(e block.EncodeStats) {
@@ -91,130 +105,11 @@ func (s *Stats) addEncode(e block.EncodeStats) {
 	s.ColumnsPlainEncoded.Add(e.ColsPlain)
 }
 
-// StatsSnapshot is a plain copy of the counters at one instant.
-type StatsSnapshot struct {
-	RowsInserted   int64
-	InsertBatches  int64
-	RowsReturned   int64
-	RowsScanned    int64
-	Queries        int64
-	TabletsFlushed int64
-	BytesFlushed   int64
-	Merges         int64
-	BytesMerged    int64
-	RowsRewritten  int64
-	TabletsExpired int64
-	UniqueFastNew  int64
-	UniqueFastKey  int64
-	UniqueBloom    int64
-	UniqueProbes   int64
-
-	TabletsQuarantined int64
-	FlushFailures      int64
-	MergeFailures      int64
-	MergeRetries       int64
-	FaultRecoveries    int64
-	ReadErrors         int64
-
-	BlocksRead    int64
-	PrefetchHits  int64
-	ParallelOpens int64
-
-	GroupCommits       int64
-	TabletsSealed      int64
-	AsyncFlushes       int64
-	BackpressureStalls int64
-	CommitFailures     int64
-	RowsLost           int64
-
-	MergesInFlight            int64
-	MergeWaitNs               int64
-	ExpiriesInFlight          int64
-	ExpiryWaitNs              int64
-	ExpiryRuns                int64
-	MaintenanceBytesThrottled int64
-	MaintenanceThrottleNs     int64
-
-	TabletsInstalled int64
-	BytesInstalled   int64
-
-	BlocksEncoded         int64
-	BlocksEncodedColumnar int64
-	BytesBeforeEncode     int64
-	BytesAfterEncode      int64
-	ColumnsDeltaEncoded   int64
-	ColumnsXOREncoded     int64
-	ColumnsDictEncoded    int64
-	ColumnsPlainEncoded   int64
-
-	AggQueries        int64
-	AggRowsFolded     int64
-	RollupRuns        int64
-	RollupRowsWritten int64
-}
-
 // Snapshot copies the counters.
 func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		RowsInserted:   s.RowsInserted.Load(),
-		InsertBatches:  s.InsertBatches.Load(),
-		RowsReturned:   s.RowsReturned.Load(),
-		RowsScanned:    s.RowsScanned.Load(),
-		Queries:        s.Queries.Load(),
-		TabletsFlushed: s.TabletsFlushed.Load(),
-		BytesFlushed:   s.BytesFlushed.Load(),
-		Merges:         s.Merges.Load(),
-		BytesMerged:    s.BytesMerged.Load(),
-		RowsRewritten:  s.RowsRewritten.Load(),
-		TabletsExpired: s.TabletsExpired.Load(),
-		UniqueFastNew:  s.UniqueFastNew.Load(),
-		UniqueFastKey:  s.UniqueFastKey.Load(),
-		UniqueBloom:    s.UniqueBloom.Load(),
-		UniqueProbes:   s.UniqueProbes.Load(),
-
-		TabletsQuarantined: s.TabletsQuarantined.Load(),
-		FlushFailures:      s.FlushFailures.Load(),
-		MergeFailures:      s.MergeFailures.Load(),
-		MergeRetries:       s.MergeRetries.Load(),
-		FaultRecoveries:    s.FaultRecoveries.Load(),
-		ReadErrors:         s.ReadErrors.Load(),
-
-		BlocksRead:    s.BlocksRead.Load(),
-		PrefetchHits:  s.PrefetchHits.Load(),
-		ParallelOpens: s.ParallelOpens.Load(),
-
-		GroupCommits:       s.GroupCommits.Load(),
-		TabletsSealed:      s.TabletsSealed.Load(),
-		AsyncFlushes:       s.AsyncFlushes.Load(),
-		BackpressureStalls: s.BackpressureStalls.Load(),
-		CommitFailures:     s.CommitFailures.Load(),
-		RowsLost:           s.RowsLost.Load(),
-
-		MergesInFlight:            s.MergesInFlight.Load(),
-		MergeWaitNs:               s.MergeWaitNs.Load(),
-		ExpiriesInFlight:          s.ExpiriesInFlight.Load(),
-		ExpiryWaitNs:              s.ExpiryWaitNs.Load(),
-		ExpiryRuns:                s.ExpiryRuns.Load(),
-		MaintenanceBytesThrottled: s.MaintenanceBytesThrottled.Load(),
-		MaintenanceThrottleNs:     s.MaintenanceThrottleNs.Load(),
-
-		TabletsInstalled: s.TabletsInstalled.Load(),
-		BytesInstalled:   s.BytesInstalled.Load(),
-
-		BlocksEncoded:         s.BlocksEncoded.Load(),
-		BlocksEncodedColumnar: s.BlocksEncodedColumnar.Load(),
-		BytesBeforeEncode:     s.BytesBeforeEncode.Load(),
-		BytesAfterEncode:      s.BytesAfterEncode.Load(),
-		ColumnsDeltaEncoded:   s.ColumnsDeltaEncoded.Load(),
-		ColumnsXOREncoded:     s.ColumnsXOREncoded.Load(),
-		ColumnsDictEncoded:    s.ColumnsDictEncoded.Load(),
-		ColumnsPlainEncoded:   s.ColumnsPlainEncoded.Load(),
-
-		AggQueries:        s.AggQueries.Load(),
-		AggRowsFolded:     s.AggRowsFolded.Load(),
-		RollupRuns:        s.RollupRuns.Load(),
-		RollupRowsWritten: s.RollupRowsWritten.Load(),
-	}
+	var out StatsSnapshot
+	metric.Snapshot(&out, s)
+	return out
 }
 
 // ScanRatio returns rows scanned / rows returned across all queries so far,
@@ -234,3 +129,36 @@ func (s StatsSnapshot) WriteAmplification() float64 {
 	}
 	return float64(s.BytesFlushed+s.BytesMerged) / float64(s.BytesFlushed)
 }
+
+// tableGauges are the metrics read off the table's state when someone
+// asks, rather than counted as events happen.
+type tableGauges struct {
+	SealedBytes      int64 `metric:"sealed_bytes" help:"Sealed-but-unflushed memtable bytes" kind:"gauge"`
+	FlushQueueDepth  int64 `metric:"flush_queue_depth" help:"Sealed flush groups awaiting commit" kind:"gauge"`
+	DiskTablets      int64 `metric:"disk_tablets" help:"On-disk tablets" kind:"gauge"`
+	MemTablets       int64 `metric:"mem_tablets" help:"In-memory tablets" kind:"gauge"`
+	DiskBytes        int64 `metric:"disk_bytes" help:"On-disk size" kind:"gauge"`
+	RowEstimate      int64 `metric:"row_estimate" help:"Approximate row count" kind:"gauge"`
+	BlockCacheHits   int64 `metric:"block_cache_hits" help:"Block cache hits"`
+	BlockCacheMisses int64 `metric:"block_cache_misses" help:"Block cache misses"`
+}
+
+// Metrics returns everything the table reports — its counters, then the
+// gauges computed from its current state — in one list. The server's
+// stats message, /metrics and SHOW STATS are loops over it.
+func (t *Table) Metrics() metric.List {
+	g := tableGauges{
+		SealedBytes:     t.SealedBytes(),
+		FlushQueueDepth: int64(t.FlushQueueDepth()),
+		DiskTablets:     int64(t.DiskTabletCount()),
+		MemTablets:      int64(t.MemTabletCount()),
+		DiskBytes:       t.DiskBytes(),
+		RowEstimate:     t.RowEstimate(),
+	}
+	g.BlockCacheHits, g.BlockCacheMisses = t.BlockCacheStats()
+	return metric.Read(&t.stats, &g)
+}
+
+// MetricFamilies is the list Metrics returns with every value zero: what
+// an exporter describes while no table exists yet.
+func MetricFamilies() metric.List { return metric.Read(&Stats{}, &tableGauges{}) }

@@ -714,7 +714,7 @@ func (t *Table) sealLocked(ft *fillingTablet) {
 	// update is atomic), but flushing older periods first keeps the disk
 	// list closer to sorted.
 	for i := 1; i < len(group); i++ {
-		for j := i; j > 0 && group[j].per.Start < group[j-1].per.Start; j-- {
+		for j := i; j > 0 && periodBefore(group[j].per, group[j-1].per); j-- {
 			group[j], group[j-1] = group[j-1], group[j]
 		}
 	}
@@ -841,9 +841,7 @@ func (t *Table) alterSchema(f func(*schema.Schema) (*schema.Schema, error)) erro
 	t.sc = next
 	// In-memory filling tablets hold rows of the old schema; seal them so
 	// subsequent inserts (new arity) start fresh tablets.
-	for _, ft := range t.filling {
-		t.sealLocked(ft)
-	}
+	t.sealFillingLocked(nil)
 	if err := t.writeDescriptorLocked(); err != nil {
 		t.sc = old
 		return err

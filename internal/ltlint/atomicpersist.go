@@ -2,6 +2,7 @@ package ltlint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -157,4 +158,30 @@ func embedsVfsFS(pkg *Package, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// structType finds the named struct type's declaration in the package's
+// non-test files.
+func structType(pkg *Package, typeName string) *ast.StructType {
+	for _, f := range pkg.Files {
+		if f.IsTest {
+			continue
+		}
+		for _, decl := range f.AST.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != typeName {
+					continue
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					return st
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -161,8 +161,8 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("unexpected SARIF shell: version=%q runs=%d", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "ltlint" || len(run.Tool.Driver.Rules) != 10 {
-		t.Fatalf("driver: name=%q rules=%d, want ltlint with 10 rules", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "ltlint" || len(run.Tool.Driver.Rules) != 8 {
+		t.Fatalf("driver: name=%q rules=%d, want ltlint with 8 rules", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 2 || run.Results[0].RuleID != "gotrack" || run.Results[0].Level != "error" {
 		t.Fatalf("unexpected results: %+v", run.Results)

@@ -4,15 +4,15 @@
 // and crash recovery without a WAL; those proofs hold only if every byte of
 // file I/O flows through internal/vfs (so FaultFS and the crash harness see
 // it), every sync/rename/descriptor-commit error is checked, query contexts
-// are threaded core→tablet→vfs, no goroutine blocks on a channel while
-// holding the table mutex, and the stats/wire/metrics counter triple stays
-// in lockstep. Generic linters cannot express these rules; ltlint can.
+// are threaded core→tablet→vfs, and no goroutine blocks on a channel while
+// holding the table mutex. Generic linters cannot express these rules;
+// ltlint can.
 //
 // The package mirrors the spirit of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, testdata fixtures with want comments) but is
 // self-contained on the standard library, because the repository carries no
 // module dependencies. Unlike go/analysis, a Pass sees the whole parsed
-// program at once — two of the five rules (counterssync, vfsonly) are
+// program at once — rules such as vfsonly, retrysafe and lockorder are
 // inherently cross-package, which the per-package go/analysis model makes
 // awkward and the whole-program model makes trivial.
 //
@@ -268,18 +268,18 @@ func RunAll(prog *Program, analyzers []*Analyzer) (*Result, error) {
 	return &Result{Diags: out, Ignores: directives}, nil
 }
 
-// All returns the full analyzer suite in stable order: the five
-// AST-local rules from the single-node era, then the five whole-program
-// invariants guarding the distributed layer (PRs 6–8).
+// All returns the full analyzer suite in stable order: the four
+// AST-local rules from the single-node era, then the four whole-program
+// invariants guarding the distributed layer (PRs 6–8). Counter and
+// wire-message drift, which two more rules used to police, cannot happen
+// any more: each is declared once (internal/metric, wire.Requests).
 func All() []*Analyzer {
 	return []*Analyzer{
 		VfsOnly,
 		BarrierCheck,
-		CountersSync,
 		CtxProp,
 		LockHold,
 		RetrySafe,
-		MsgExhaustive,
 		LockOrder,
 		AtomicPersist,
 		GoTrack,

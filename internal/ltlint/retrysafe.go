@@ -8,75 +8,41 @@ import (
 
 // RetrySafe guards the PR 6 retry contract: a request that may have
 // reached the socket is only ever re-sent when its message type is
-// classified idempotent in the client's classification table. The bug
+// classified idempotent in wire.Requests, the one request table. The bug
 // this kills is the worst kind the wire layer can grow — a duplicated
 // insert after a connection break looks like success everywhere and
 // corrupts data silently (DESIGN §12's "sent inserts are never blindly
 // replayed").
 //
-// Four checks:
+// Two checks (that the table itself never classifies a mutating type
+// idempotent is a unit test beside it, in internal/wire):
 //
-//  1. internal/client must declare exactly one idempotency table: a
-//     package-level map[wire.MsgType]bool literal. The table is the
-//     single source of truth msgexhaustive audits for completeness.
-//  2. Message types that are structurally non-idempotent — inserts,
-//     deletes, schema changes, migration installs and cutovers — must
-//     not be classified true. The analyzer carries that deny-list so a
-//     one-line edit flipping MsgInsert to true is a finding, not a
-//     code review hope.
-//  3. Every send primitive (a function that both writes and reads a wire
-//     message on a connection) must be driven by the classification:
-//     some direct caller consults the table (directly or through one
-//     helper like retryAfterSend). A primitive whose writes are all
-//     hard-coded idempotent types (the pool's Hello health probe) is
-//     exempt. This is what keeps a future "quick resend loop" from
-//     bypassing the policy.
-//  4. Migration installs restart from offset 0: a MigrateInstall call
+//  1. Every send primitive in internal/client (a function that both
+//     writes and reads a wire message on a connection) must be driven by
+//     the classification: it or some direct caller reads a row's
+//     Idempotent field (directly or through one helper like
+//     retryAfterSend). A primitive whose writes are all hard-coded
+//     idempotent types (the pool's Hello health probe) is exempt. This is
+//     what keeps a future "quick resend loop" from bypassing the policy.
+//  2. Migration installs restart from offset 0: a MigrateInstall call
 //     inside a retry loop must have its offset variable reset in the
 //     body of that outer loop, never carried across attempts — a
 //     replayed chunk corrupts the staging offset on the target.
 var RetrySafe = &Analyzer{
 	Name: "retrysafe",
-	Doc: "requests that reached the socket are re-sent only when the client's " +
-		"idempotency table says so; migration installs restart at offset 0 (DESIGN §12)",
+	Doc: "requests that reached the socket are re-sent only when wire.Requests " +
+		"says so; migration installs restart at offset 0 (DESIGN §12)",
 	Run: runRetrySafe,
 }
 
-// retryNonIdempotent are the message types whose blind replay mutates
-// state twice. Keep in sync with the wire protocol's write operations.
-var retryNonIdempotent = []string{
-	"MsgInsert",
-	"MsgDelete",
-	"MsgCreateTable",
-	"MsgDropTable",
-	"MsgAlterTTL",
-	"MsgAddColumn",
-	"MsgWidenColumn",
-	"MsgMigrateInstall",
-	"MsgMigrateTable",
-}
+// classifiedField is the Request field the retry policy must consult.
+const classifiedField = "Idempotent"
 
-// msgClassification is the client's idempotency table as found in source.
-type msgClassification struct {
-	pkg     *Package
-	entries map[string]classEntry // wire constant name → entry
-	varName string                // the table's identifier
-	pos     token.Pos
-}
-
-type classEntry struct {
-	value bool
-	pos   token.Pos
-}
-
-// findMsgClassification locates the package-level map[wire.MsgType]bool
-// literal in internal/client, or returns nil.
-func findMsgClassification(prog *Program) *msgClassification {
-	pkg := prog.Package(prog.ModPath + "/internal/client")
-	if pkg == nil {
-		return nil
-	}
-	for _, f := range pkg.Files {
+// idempotentRequests reads the request table out of internal/wire's
+// source — the package-level []Request literal — and returns the constant
+// names of the rows marked Idempotent: true, or nil without a table.
+func idempotentRequests(wirePkg *Package) map[string]bool {
+	for _, f := range wirePkg.Files {
 		if f.IsTest {
 			continue
 		}
@@ -87,78 +53,76 @@ func findMsgClassification(prog *Program) *msgClassification {
 			}
 			for _, spec := range gd.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
+				if !ok || len(vs.Values) != 1 {
 					continue
 				}
 				cl, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok || !isMsgTypeBoolMap(cl.Type) {
+				if !ok || !isRequestSlice(cl.Type) {
 					continue
 				}
-				mc := &msgClassification{
-					pkg:     pkg,
-					entries: make(map[string]classEntry),
-					varName: vs.Names[0].Name,
-					pos:     vs.Names[0].Pos(),
+				idem := make(map[string]bool)
+				for _, row := range cl.Elts {
+					if name, yes := requestRow(row); yes {
+						idem[name] = true
+					}
 				}
-				for _, elt := range cl.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					sel, ok := kv.Key.(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					val := false
-					if id, ok := kv.Value.(*ast.Ident); ok {
-						val = id.Name == "true"
-					}
-					mc.entries[sel.Sel.Name] = classEntry{value: val, pos: kv.Pos()}
-				}
-				return mc
+				return idem
 			}
 		}
 	}
 	return nil
 }
 
-// isMsgTypeBoolMap matches the type expression map[wire.MsgType]bool
-// (modulo the wire import's local name).
-func isMsgTypeBoolMap(t ast.Expr) bool {
-	mt, ok := t.(*ast.MapType)
+// requestRow reads one row of the table literal: the constant its Type
+// field names and whether its Idempotent field is the literal true.
+func requestRow(row ast.Expr) (name string, idempotent bool) {
+	rl, ok := row.(*ast.CompositeLit)
 	if !ok {
+		return "", false
+	}
+	for _, elt := range rl.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		key, _ := kv.Key.(*ast.Ident)
+		val, _ := kv.Value.(*ast.Ident)
+		if key == nil || val == nil {
+			continue
+		}
+		switch key.Name {
+		case "Type":
+			name = val.Name
+		case classifiedField:
+			idempotent = val.Name == "true"
+		}
+	}
+	return name, idempotent
+}
+
+// isRequestSlice matches the type expression []Request.
+func isRequestSlice(t ast.Expr) bool {
+	at, ok := t.(*ast.ArrayType)
+	if !ok || at.Len != nil {
 		return false
 	}
-	key, ok := mt.Key.(*ast.SelectorExpr)
-	if !ok || key.Sel.Name != "MsgType" {
-		return false
-	}
-	val, ok := mt.Value.(*ast.Ident)
-	return ok && val.Name == "bool"
+	id, ok := at.Elt.(*ast.Ident)
+	return ok && id.Name == "Request"
 }
 
 func runRetrySafe(p *Pass) error {
 	mod := p.Prog.ModPath
 	clientPkg := p.Prog.Package(mod + "/internal/client")
-	if clientPkg == nil {
-		return nil
-	}
-
-	mc := findMsgClassification(p.Prog)
-	if mc == nil {
-		p.Reportf(clientPkg.Files[0].AST.Package,
-			"internal/client declares no idempotency table (a package-level map[wire.MsgType]bool); "+
-				"the retry policy has no source of truth to consult")
-	} else {
-		for _, name := range retryNonIdempotent {
-			if e, present := mc.entries[name]; present && e.value {
-				p.Reportf(e.pos, "wire.%s is classified idempotent, but replaying it after an unacknowledged "+
-					"send mutates state twice (a duplicated insert looks like success everywhere)", name)
-			}
+	wirePkg := p.Prog.Package(mod + "/internal/wire")
+	if clientPkg != nil && wirePkg != nil {
+		if idem := idempotentRequests(wirePkg); idem == nil {
+			p.Reportf(wirePkg.Files[0].AST.Package,
+				"internal/wire declares no request table (a package-level []Request literal); "+
+					"the retry policy has no source of truth to consult")
+		} else {
+			checkSendPrimitives(p, clientPkg, idem)
 		}
-		checkSendPrimitives(p, clientPkg, mc)
 	}
-
 	checkInstallOffsets(p)
 	return nil
 }
@@ -166,9 +130,9 @@ func runRetrySafe(p *Pass) error {
 // checkSendPrimitives finds functions in internal/client that both write
 // and read a wire message and verifies each is driven by the
 // classification table.
-func checkSendPrimitives(p *Pass, pkg *Package, mc *msgClassification) {
+func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 	// refsTable: function name (local key "Name" or "Recv.Name") →
-	// whether its body mentions the table identifier.
+	// whether its body reads a request row's Idempotent field.
 	refsTable := make(map[string]bool)
 	type primitive struct {
 		fd        *ast.FuncDecl
@@ -197,8 +161,8 @@ func checkSendPrimitives(p *Pass, pkg *Package, mc *msgClassification) {
 			refs := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch e := n.(type) {
-				case *ast.Ident:
-					if e.Name == mc.varName {
+				case *ast.SelectorExpr:
+					if e.Sel.Name == classifiedField {
 						refs = true
 					}
 				case *ast.CallExpr:
@@ -263,7 +227,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, mc *msgClassification) {
 				allHardcodedIdempotent = false
 				break
 			}
-			if e, present := mc.entries[sel.Sel.Name]; !present || !e.value {
+			if !idempotent[sel.Sel.Name] {
 				allHardcodedIdempotent = false
 				break
 			}
@@ -301,8 +265,8 @@ func checkSendPrimitives(p *Pass, pkg *Package, mc *msgClassification) {
 		}
 		if !driven {
 			p.Reportf(prim.fd.Name.Pos(), "%s sends and receives wire messages but neither it nor any caller "+
-				"consults the idempotency table (%s); a retry through this path can replay a non-idempotent request",
-				prim.fd.Name.Name, mc.varName)
+				"consults the request table's %s classification; a retry through this path can replay a non-idempotent request",
+				prim.fd.Name.Name, classifiedField)
 		}
 	}
 }

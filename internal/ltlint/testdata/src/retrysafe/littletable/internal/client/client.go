@@ -4,15 +4,6 @@ import (
 	"littletable/internal/wire"
 )
 
-// msgIdempotency is the classification table retrysafe audits: the deny
-// list (inserts, deletes, schema changes, installs) must never be true.
-var msgIdempotency = map[wire.MsgType]bool{
-	wire.MsgHello:  true,
-	wire.MsgQuery:  true,
-	wire.MsgInsert: true, // want `wire\.MsgInsert is classified idempotent`
-	wire.MsgDelete: false,
-}
-
 type conn struct{}
 
 func (c *conn) WriteMsg(t wire.MsgType, p []byte) error { return nil }
@@ -23,7 +14,7 @@ type Client struct {
 }
 
 // retryAfterSend is the one-helper level callers may consult through.
-func retryAfterSend(t wire.MsgType) bool { return msgIdempotency[t] }
+func retryAfterSend(t wire.MsgType) bool { return wire.RequestOf(t).Idempotent }
 
 // once is the send primitive; it is driven because do, its caller,
 // consults the classification via retryAfterSend.
@@ -45,8 +36,8 @@ func (c *Client) do(t wire.MsgType, p []byte) ([]byte, error) {
 }
 
 // rawSend bypasses the retry policy entirely: nothing between it and the
-// wire consults the table, so a caller looping on it replays anything.
-func (c *Client) rawSend(t wire.MsgType, p []byte) ([]byte, error) { // want `rawSend sends and receives wire messages but neither it nor any caller consults the idempotency table`
+// wire consults the classification, so a caller looping on it replays anything.
+func (c *Client) rawSend(t wire.MsgType, p []byte) ([]byte, error) { // want `rawSend sends and receives wire messages but neither it nor any caller consults the request table's Idempotent classification`
 	c.c.WriteMsg(t, p)
 	_, resp, err := c.c.ReadMsg()
 	return resp, err

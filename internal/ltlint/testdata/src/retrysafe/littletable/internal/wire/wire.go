@@ -10,6 +10,23 @@ const (
 	MsgMigrateInstall
 )
 
+// Request is one row of the request table retrysafe reads.
+type Request struct {
+	Type       MsgType
+	Idempotent bool
+}
+
+var Requests = []Request{
+	{Type: MsgHello, Idempotent: true},
+	{Type: MsgInsert},
+	{Type: MsgDelete},
+	{Type: MsgQuery, Idempotent: true},
+	{Type: MsgMigrateInstall},
+}
+
+// RequestOf returns t's row.
+func RequestOf(t MsgType) *Request { return &Requests[t-1] }
+
 // MigrateInstall ships one chunk of a tablet image.
 type MigrateInstall struct {
 	Table  string

@@ -110,7 +110,7 @@ func (r *Router) probeOnce(sh *shard) {
 		var st, serr = cl.ServerStats(ctx)
 		err = serr
 		if serr == nil {
-			draining = st.Draining != 0
+			draining = st.Get("draining") != 0
 		}
 	}
 	if err != nil {

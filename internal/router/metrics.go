@@ -10,21 +10,7 @@ import (
 // Prometheus text exposition format, mirroring the server's /metrics.
 func (r *Router) WriteMetrics(w io.Writer) {
 	st := r.statsResult()
-	counters := []struct {
-		name, help string
-		value      int64
-	}{
-		{"littletable_router_routed_inserts_total", "Insert requests routed to shards", st.RoutedInserts},
-		{"littletable_router_routed_queries_total", "Query requests routed to shards", st.RoutedQueries},
-		{"littletable_router_scatter_fanout_total", "Per-shard requests issued by scatter-gather operations", st.ScatterFanout},
-		{"littletable_router_shard_down_total", "Shard up-to-down health transitions observed", st.ShardDown},
-		{"littletable_router_rate_limited_total", "Requests refused by per-tenant rate limits", st.RateLimited},
-		{"littletable_router_migrations_completed_total", "Table migrations completed", st.MigrationsCompleted},
-		{"littletable_router_migrated_bytes_total", "Sealed-tablet bytes shipped by migrations", st.MigratedBytes},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
+	st.Counters.WriteProm(w, "littletable_router_")
 	fmt.Fprintf(w, "# HELP littletable_router_shard_state Shard health as probed (0 up, 1 draining, 2 down)\n")
 	fmt.Fprintf(w, "# TYPE littletable_router_shard_state gauge\n")
 	for _, sh := range st.Shards {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"littletable/internal/client"
+	"littletable/internal/metric"
 	"littletable/internal/vfs"
 	"littletable/internal/wire"
 )
@@ -114,15 +115,16 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats count the router's work; read with atomic Loads. These are
-// router-local (each instance counts its own traffic).
+// router-local (each instance counts its own traffic). Each field is
+// declared once, tag included; see internal/metric.
 type Stats struct {
-	RoutedInserts       atomic.Int64
-	RoutedQueries       atomic.Int64
-	ScatterFanout       atomic.Int64
-	ShardDown           atomic.Int64
-	RateLimited         atomic.Int64
-	MigrationsCompleted atomic.Int64
-	MigratedBytes       atomic.Int64
+	RoutedInserts       atomic.Int64 `metric:"routed_inserts" help:"Insert requests routed to shards"`
+	RoutedQueries       atomic.Int64 `metric:"routed_queries" help:"Query requests routed to shards"`
+	ScatterFanout       atomic.Int64 `metric:"scatter_fanout" help:"Per-shard requests issued by scatter-gather operations"`
+	ShardDown           atomic.Int64 `metric:"shard_down" help:"Shard up-to-down health transitions observed"`
+	RateLimited         atomic.Int64 `metric:"rate_limited" help:"Requests refused by per-tenant rate limits"`
+	MigrationsCompleted atomic.Int64 `metric:"migrations_completed" help:"Table migrations completed"`
+	MigratedBytes       atomic.Int64 `metric:"migrated_bytes" help:"Sealed-tablet bytes shipped by migrations"`
 }
 
 // Router routes table-scoped requests to shards and fans out the rest.
@@ -436,15 +438,7 @@ func (r *Router) Close() error {
 
 // statsResult snapshots the router counters plus shard health.
 func (r *Router) statsResult() *wire.RouterStatsResult {
-	res := &wire.RouterStatsResult{
-		RoutedInserts:       r.stats.RoutedInserts.Load(),
-		RoutedQueries:       r.stats.RoutedQueries.Load(),
-		ScatterFanout:       r.stats.ScatterFanout.Load(),
-		ShardDown:           r.stats.ShardDown.Load(),
-		RateLimited:         r.stats.RateLimited.Load(),
-		MigrationsCompleted: r.stats.MigrationsCompleted.Load(),
-		MigratedBytes:       r.stats.MigratedBytes.Load(),
-	}
+	res := &wire.RouterStatsResult{Counters: metric.Read(&r.stats)}
 	for _, sh := range r.shards {
 		res.Shards = append(res.Shards, wire.RouterShardInfo{
 			Addr:  sh.addr,

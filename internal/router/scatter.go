@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"littletable/internal/client"
+	"littletable/internal/metric"
 	"littletable/internal/wire"
 )
 
@@ -110,7 +111,7 @@ func (r *Router) handleListTables(wc *wire.Conn) error {
 func (r *Router) handleServerStats(wc *wire.Conn) error {
 	up, _ := r.upShards()
 	r.stats.ScatterFanout.Add(int64(len(up)))
-	results := make([]*wire.ServerStatsResult, len(up))
+	results := make([]metric.List, len(up))
 	idx := make(map[*shard]int, len(up))
 	for i, sh := range up {
 		idx[sh] = i
@@ -126,17 +127,11 @@ func (r *Router) handleServerStats(wc *wire.Conn) error {
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
-	var sum wire.ServerStatsResult
+	var sum metric.List
 	for _, st := range results {
-		sum.ConnsActive += st.ConnsActive
-		sum.RequestsInFlight += st.RequestsInFlight
-		sum.ConnsDroppedDeadline += st.ConnsDroppedDeadline
-		sum.ConnsDroppedOversize += st.ConnsDroppedOversize
-		sum.RequestsShed += st.RequestsShed
-		sum.Draining += st.Draining
-		sum.DrainNs += st.DrainNs
+		sum = sum.Add(st)
 	}
-	return wc.WriteMsg(wire.MsgServerStatsResult, sum.Encode())
+	return wc.WriteMsg(wire.MsgServerStatsResult, wire.EncodeStats(sum))
 }
 
 // handleScatterQuery fans a prefix query out to every shard and merges

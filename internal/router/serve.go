@@ -126,18 +126,6 @@ func (r *Router) sendOverloaded(wc *wire.Conn, msg string) error {
 	return wc.WriteMsg(wire.MsgOverloaded, m.Encode())
 }
 
-// rateLimited reports whether mt spends a token from the table's tenant
-// bucket. Only data-path operations are limited; schema management and
-// monitoring always pass.
-func rateLimited(mt wire.MsgType) bool {
-	switch mt {
-	case wire.MsgInsert, wire.MsgQuery, wire.MsgLatestRow, wire.MsgDelete,
-		wire.MsgScatterQuery, wire.MsgAggQuery:
-		return true
-	}
-	return false
-}
-
 func (r *Router) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
 	switch mt {
 	case wire.MsgHello:
@@ -167,30 +155,26 @@ func (r *Router) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 
 	case wire.MsgMigrateTable:
 		return r.handleMigrateTable(wc, payload)
-
-	case wire.MsgCreateTable, wire.MsgDropTable, wire.MsgGetSchema,
-		wire.MsgInsert, wire.MsgQuery, wire.MsgLatestRow, wire.MsgAlterTTL,
-		wire.MsgAddColumn, wire.MsgWidenColumn, wire.MsgFlushTable,
-		wire.MsgDelete, wire.MsgStats,
-		wire.MsgMigrateBegin, wire.MsgMigrateFetch, wire.MsgMigrateEnd,
-		wire.MsgMigrateInstall:
-		return r.forwardTable(wc, mt, payload)
-
-	default:
-		return r.sendErr(wc, fmt.Errorf("router: unknown message type %d", mt))
 	}
+	// Everything else is relayed by table name or unknown; wire.Requests
+	// says which, so a new table-scoped request needs no line here.
+	if req := wire.RequestOf(mt); req != nil && req.Route == wire.RouteTable {
+		return r.forwardTable(wc, req, payload)
+	}
+	return r.sendErr(wc, fmt.Errorf("router: unknown message type %d", mt))
 }
 
 // forwardTable proxies one table-scoped request to the shard owning the
 // table, relaying the response verbatim. The payload is never decoded
 // beyond its leading table name, so the router works for every
 // table-scoped request type — including ones newer than it.
-func (r *Router) forwardTable(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
+func (r *Router) forwardTable(wc *wire.Conn, req *wire.Request, payload []byte) error {
+	mt := req.Type
 	table, err := wire.PeekTable(payload)
 	if err != nil {
 		return r.sendErr(wc, fmt.Errorf("router: bad request: %v", err))
 	}
-	if rateLimited(mt) && !r.limiter.allow(tenantOf(table), time.Now()) {
+	if req.RateLimited && !r.limiter.allow(tenantOf(table), time.Now()) {
 		r.stats.RateLimited.Add(1)
 		return r.sendOverloaded(wc, "router: tenant rate limit exceeded; back off and retry")
 	}

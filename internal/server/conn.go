@@ -276,80 +276,10 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
-		st := t.Stats().Snapshot()
-		resp := &wire.StatsResult{
-			RowsInserted:   st.RowsInserted,
-			RowsReturned:   st.RowsReturned,
-			RowsScanned:    st.RowsScanned,
-			Queries:        st.Queries,
-			DiskTablets:    int64(t.DiskTabletCount()),
-			DiskBytes:      t.DiskBytes(),
-			MemTablets:     int64(t.MemTabletCount()),
-			TabletsFlushed: st.TabletsFlushed,
-			Merges:         st.Merges,
-			BytesFlushed:   st.BytesFlushed,
-			BytesMerged:    st.BytesMerged,
-			RowsRewritten:  st.RowsRewritten,
-			RowEstimate:    t.RowEstimate(),
-			TabletsExpired: st.TabletsExpired,
-
-			UniqueFastNew: st.UniqueFastNew,
-			UniqueFastKey: st.UniqueFastKey,
-			UniqueBloom:   st.UniqueBloom,
-			UniqueProbes:  st.UniqueProbes,
-
-			TabletsQuarantined: st.TabletsQuarantined,
-			FlushFailures:      st.FlushFailures,
-			MergeFailures:      st.MergeFailures,
-			MergeRetries:       st.MergeRetries,
-			FaultRecoveries:    st.FaultRecoveries,
-			ReadErrors:         st.ReadErrors,
-
-			BlocksRead:    st.BlocksRead,
-			PrefetchHits:  st.PrefetchHits,
-			ParallelOpens: st.ParallelOpens,
-
-			InsertBatches:      st.InsertBatches,
-			GroupCommits:       st.GroupCommits,
-			TabletsSealed:      st.TabletsSealed,
-			AsyncFlushes:       st.AsyncFlushes,
-			SealedBytes:        t.SealedBytes(),
-			FlushQueueDepth:    int64(t.FlushQueueDepth()),
-			BackpressureStalls: st.BackpressureStalls,
-			CommitFailures:     st.CommitFailures,
-			RowsLost:           st.RowsLost,
-
-			MergesInFlight:            st.MergesInFlight,
-			MergeWaitNs:               st.MergeWaitNs,
-			ExpiriesInFlight:          st.ExpiriesInFlight,
-			ExpiryWaitNs:              st.ExpiryWaitNs,
-			ExpiryRuns:                st.ExpiryRuns,
-			MaintenanceBytesThrottled: st.MaintenanceBytesThrottled,
-			MaintenanceThrottleNs:     st.MaintenanceThrottleNs,
-
-			TabletsInstalled: st.TabletsInstalled,
-			BytesInstalled:   st.BytesInstalled,
-
-			BlocksEncoded:         st.BlocksEncoded,
-			BlocksEncodedColumnar: st.BlocksEncodedColumnar,
-			BytesBeforeEncode:     st.BytesBeforeEncode,
-			BytesAfterEncode:      st.BytesAfterEncode,
-			ColumnsDeltaEncoded:   st.ColumnsDeltaEncoded,
-			ColumnsXOREncoded:     st.ColumnsXOREncoded,
-			ColumnsDictEncoded:    st.ColumnsDictEncoded,
-			ColumnsPlainEncoded:   st.ColumnsPlainEncoded,
-
-			AggQueries:        st.AggQueries,
-			AggRowsFolded:     st.AggRowsFolded,
-			RollupRuns:        st.RollupRuns,
-			RollupRowsWritten: st.RollupRowsWritten,
-		}
-		resp.BlockCacheHits, resp.BlockCacheMisses = t.BlockCacheStats()
-		return wc.WriteMsg(wire.MsgStatsResult, resp.Encode())
+		return wc.WriteMsg(wire.MsgStatsResult, wire.EncodeStats(t.Metrics()))
 
 	case wire.MsgServerStats:
-		resp := s.serverStatsResult()
-		return wc.WriteMsg(wire.MsgServerStatsResult, resp.Encode())
+		return wc.WriteMsg(wire.MsgServerStatsResult, wire.EncodeStats(s.Metrics()))
 
 	case wire.MsgScatterQuery:
 		return s.handleScatterQuery(wc, payload)

@@ -7,188 +7,29 @@ import (
 	"sort"
 
 	"littletable/internal/core"
+	"littletable/internal/metric"
 )
 
-// WriteMetrics renders every table's counters in the Prometheus text
-// exposition format, for the daemon's optional /metrics endpoint. Meraki
-// monitors shard load to decide splits (§2.2); these are the numbers that
-// decision needs.
+// WriteMetrics renders every table's metrics, then the server-level ones,
+// in the Prometheus text exposition format, for the daemon's optional
+// /metrics endpoint. Meraki monitors shard load to decide splits (§2.2);
+// these are the numbers that decision needs.
 func (s *Server) WriteMetrics(w io.Writer) {
 	tables := s.snapshotTables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
-	snaps := make([]core.StatsSnapshot, len(tables))
+	lists := make([]metric.List, len(tables))
 	for i, t := range tables {
-		snaps[i] = t.Stats().Snapshot()
+		lists[i] = t.Metrics()
 	}
-
-	type metric struct {
-		name, help, typ string
-		value           func(i int) int64
-	}
-	metrics := []metric{
-		{"littletable_rows_inserted_total", "Rows inserted", "counter",
-			func(i int) int64 { return snaps[i].RowsInserted }},
-		{"littletable_rows_returned_total", "Rows returned to queries", "counter",
-			func(i int) int64 { return snaps[i].RowsReturned }},
-		{"littletable_rows_scanned_total", "Rows scanned by queries", "counter",
-			func(i int) int64 { return snaps[i].RowsScanned }},
-		{"littletable_queries_total", "Queries executed", "counter",
-			func(i int) int64 { return snaps[i].Queries }},
-		{"littletable_tablets_flushed_total", "Memtables flushed to disk tablets", "counter",
-			func(i int) int64 { return snaps[i].TabletsFlushed }},
-		{"littletable_merges_total", "Tablet merges performed", "counter",
-			func(i int) int64 { return snaps[i].Merges }},
-		{"littletable_rows_rewritten_total", "Rows rewritten by merges", "counter",
-			func(i int) int64 { return snaps[i].RowsRewritten }},
-		{"littletable_unique_fast_newest_total", "Uniqueness via newest-timestamp fast path", "counter",
-			func(i int) int64 { return snaps[i].UniqueFastNew }},
-		{"littletable_unique_fast_key_total", "Uniqueness via largest-key fast path", "counter",
-			func(i int) int64 { return snaps[i].UniqueFastKey }},
-		{"littletable_unique_bloom_total", "Uniqueness resolved by Bloom filters alone", "counter",
-			func(i int) int64 { return snaps[i].UniqueBloom }},
-		{"littletable_unique_probes_total", "Uniqueness requiring a point read", "counter",
-			func(i int) int64 { return snaps[i].UniqueProbes }},
-		{"littletable_bytes_flushed_total", "Bytes written by flushes", "counter",
-			func(i int) int64 { return snaps[i].BytesFlushed }},
-		{"littletable_bytes_merged_total", "Bytes written by merges", "counter",
-			func(i int) int64 { return snaps[i].BytesMerged }},
-		{"littletable_tablets_expired_total", "Tablets reclaimed by TTL", "counter",
-			func(i int) int64 { return snaps[i].TabletsExpired }},
-		{"littletable_tablets_quarantined_total", "Corrupt tablets set aside at open", "counter",
-			func(i int) int64 { return snaps[i].TabletsQuarantined }},
-		{"littletable_flush_failures_total", "Flush attempts that failed", "counter",
-			func(i int) int64 { return snaps[i].FlushFailures }},
-		{"littletable_merge_failures_total", "Merge attempts that failed", "counter",
-			func(i int) int64 { return snaps[i].MergeFailures }},
-		{"littletable_merge_retries_total", "Merge attempts made after a failure", "counter",
-			func(i int) int64 { return snaps[i].MergeRetries }},
-		{"littletable_fault_recoveries_total", "Flush/merge successes after failures", "counter",
-			func(i int) int64 { return snaps[i].FaultRecoveries }},
-		{"littletable_read_errors_total", "Query-time tablet read errors", "counter",
-			func(i int) int64 { return snaps[i].ReadErrors }},
-		{"littletable_blocks_read_total", "Blocks obtained by query cursors", "counter",
-			func(i int) int64 { return snaps[i].BlocksRead }},
-		{"littletable_prefetch_hits_total", "Blocks served by prefetch pipelines", "counter",
-			func(i int) int64 { return snaps[i].PrefetchHits }},
-		{"littletable_parallel_opens_total", "Tablet sources opened by query worker pools", "counter",
-			func(i int) int64 { return snaps[i].ParallelOpens }},
-		{"littletable_block_cache_hits_total", "Block cache hits", "counter",
-			func(i int) int64 { h, _ := tables[i].BlockCacheStats(); return h }},
-		{"littletable_block_cache_misses_total", "Block cache misses", "counter",
-			func(i int) int64 { _, m := tables[i].BlockCacheStats(); return m }},
-		{"littletable_insert_batches_total", "Insert batches applied", "counter",
-			func(i int) int64 { return snaps[i].InsertBatches }},
-		{"littletable_group_commits_total", "Insert-lock acquisitions that applied queued batches", "counter",
-			func(i int) int64 { return snaps[i].GroupCommits }},
-		{"littletable_tablets_sealed_total", "Memtables sealed for flushing", "counter",
-			func(i int) int64 { return snaps[i].TabletsSealed }},
-		{"littletable_async_flushes_total", "Flush groups written by background workers", "counter",
-			func(i int) int64 { return snaps[i].AsyncFlushes }},
-		{"littletable_backpressure_stalls_total", "Inserts stalled on the unflushed backlog caps", "counter",
-			func(i int) int64 { return snaps[i].BackpressureStalls }},
-		{"littletable_commit_failures_total", "Descriptor commits that failed, losing sealed rows", "counter",
-			func(i int) int64 { return snaps[i].CommitFailures }},
-		{"littletable_rows_lost_total", "Rows dropped by failed descriptor commits", "counter",
-			func(i int) int64 { return snaps[i].RowsLost }},
-		{"littletable_merge_wait_ns_total", "Nanoseconds merge-eligible periods waited for a worker", "counter",
-			func(i int) int64 { return snaps[i].MergeWaitNs }},
-		{"littletable_expiry_wait_ns_total", "Nanoseconds due TTL expiry waited for a worker", "counter",
-			func(i int) int64 { return snaps[i].ExpiryWaitNs }},
-		{"littletable_expiry_runs_total", "TTL expiry rounds that reclaimed tablets", "counter",
-			func(i int) int64 { return snaps[i].ExpiryRuns }},
-		{"littletable_maintenance_bytes_throttled_total", "Maintenance I/O bytes delayed by the budget", "counter",
-			func(i int) int64 { return snaps[i].MaintenanceBytesThrottled }},
-		{"littletable_maintenance_throttle_ns_total", "Nanoseconds maintenance spent blocked in the I/O budget", "counter",
-			func(i int) int64 { return snaps[i].MaintenanceThrottleNs }},
-		{"littletable_tablets_installed_total", "Sealed tablets received from another shard and published", "counter",
-			func(i int) int64 { return snaps[i].TabletsInstalled }},
-		{"littletable_bytes_installed_total", "Bytes of tablets received from another shard", "counter",
-			func(i int) int64 { return snaps[i].BytesInstalled }},
-		{"littletable_blocks_encoded_total", "Blocks finished by tablet writers", "counter",
-			func(i int) int64 { return snaps[i].BlocksEncoded }},
-		{"littletable_blocks_encoded_columnar_total", "Blocks that chose the columnar layout", "counter",
-			func(i int) int64 { return snaps[i].BlocksEncodedColumnar }},
-		{"littletable_bytes_before_encode_total", "Legacy-image bytes before codec selection", "counter",
-			func(i int) int64 { return snaps[i].BytesBeforeEncode }},
-		{"littletable_bytes_after_encode_total", "Bytes of the chosen block images", "counter",
-			func(i int) int64 { return snaps[i].BytesAfterEncode }},
-		{"littletable_columns_delta_encoded_total", "Columns written delta-of-delta", "counter",
-			func(i int) int64 { return snaps[i].ColumnsDeltaEncoded }},
-		{"littletable_columns_xor_encoded_total", "Columns written as XOR bitstreams", "counter",
-			func(i int) int64 { return snaps[i].ColumnsXOREncoded }},
-		{"littletable_columns_dict_encoded_total", "Columns written dictionary or lzf", "counter",
-			func(i int) int64 { return snaps[i].ColumnsDictEncoded }},
-		{"littletable_columns_plain_encoded_total", "Columns that fell back to plain encoding", "counter",
-			func(i int) int64 { return snaps[i].ColumnsPlainEncoded }},
-		{"littletable_agg_queries_total", "Aggregation queries that scanned this table", "counter",
-			func(i int) int64 { return snaps[i].AggQueries }},
-		{"littletable_agg_rows_folded_total", "Rows folded into group states by aggregation queries", "counter",
-			func(i int) int64 { return snaps[i].AggRowsFolded }},
-		{"littletable_rollup_runs_total", "Rollup job runs that wrote buckets from this table", "counter",
-			func(i int) int64 { return snaps[i].RollupRuns }},
-		{"littletable_rollup_rows_written_total", "Rows written into rollup destination tables", "counter",
-			func(i int) int64 { return snaps[i].RollupRowsWritten }},
-		{"littletable_merges_in_flight", "Merges running right now", "gauge",
-			func(i int) int64 { return snaps[i].MergesInFlight }},
-		{"littletable_expiries_in_flight", "TTL expiry rounds running right now", "gauge",
-			func(i int) int64 { return snaps[i].ExpiriesInFlight }},
-		{"littletable_sealed_bytes", "Sealed-but-unflushed memtable bytes", "gauge",
-			func(i int) int64 { return tables[i].SealedBytes() }},
-		{"littletable_flush_queue_depth", "Sealed flush groups awaiting commit", "gauge",
-			func(i int) int64 { return int64(tables[i].FlushQueueDepth()) }},
-		{"littletable_disk_tablets", "On-disk tablets", "gauge",
-			func(i int) int64 { return int64(tables[i].DiskTabletCount()) }},
-		{"littletable_mem_tablets", "In-memory tablets", "gauge",
-			func(i int) int64 { return int64(tables[i].MemTabletCount()) }},
-		{"littletable_disk_bytes", "On-disk size", "gauge",
-			func(i int) int64 { return tables[i].DiskBytes() }},
-		{"littletable_row_estimate", "Approximate row count", "gauge",
-			func(i int) int64 { return tables[i].RowEstimate() }},
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+	// One family per metric, one sample per table; every list has the
+	// families' order because all come from the same declaration.
+	for j, f := range core.MetricFamilies() {
+		name := f.WriteHeader(w, "littletable_")
 		for i, t := range tables {
-			fmt.Fprintf(w, "%s{table=%q} %d\n", m.name, t.Name(), m.value(i))
+			fmt.Fprintf(w, "%s{table=%q} %d\n", name, t.Name(), lists[i][j].Value)
 		}
 	}
-
-	// Server-level connection counters (no table label).
-	s.mu.Lock()
-	connsActive := int64(len(s.conns))
-	s.mu.Unlock()
-	var draining int64
-	if s.draining.Load() {
-		draining = 1
-	}
-	serverMetrics := []struct {
-		name, help, typ string
-		value           int64
-	}{
-		{"littletable_conns_dropped_deadline_total",
-			"Connections dropped on read/write deadline expiry", "counter",
-			s.stats.ConnsDroppedDeadline.Load()},
-		{"littletable_conns_dropped_oversize_total",
-			"Connections dropped for oversized request frames", "counter",
-			s.stats.ConnsDroppedOversize.Load()},
-		{"littletable_requests_shed_total",
-			"Requests refused Overloaded at the max-in-flight admission gate", "counter",
-			s.stats.RequestsShed.Load()},
-		{"littletable_drain_ns_total",
-			"Nanoseconds spent draining in-flight requests during Shutdown", "counter",
-			s.stats.DrainNs.Load()},
-		{"littletable_requests_in_flight",
-			"Requests past the admission gate right now", "gauge",
-			s.stats.RequestsInFlight.Load()},
-		{"littletable_conns_active",
-			"Open client connections", "gauge",
-			connsActive},
-		{"littletable_draining",
-			"1 while the server is draining for graceful shutdown", "gauge",
-			draining},
-	}
-	for _, m := range serverMetrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.value)
-	}
+	s.Metrics().WriteProm(w, "littletable_")
 }
 
 // MetricsHandler returns an http.Handler serving /metrics and /healthz for

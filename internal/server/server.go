@@ -19,9 +19,9 @@ import (
 
 	"littletable/internal/clock"
 	"littletable/internal/core"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 	"littletable/internal/vfs"
-	"littletable/internal/wire"
 )
 
 // Options configure a Server.
@@ -71,23 +71,20 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 }
 
-// ServerStats count connection-level robustness events.
+// ServerStats count connection-level robustness events. Each field is
+// declared once, tag included; see internal/metric.
 type ServerStats struct {
-	// ConnsDroppedDeadline counts connections closed because a read or
-	// write deadline expired.
-	ConnsDroppedDeadline atomic.Int64
-	// ConnsDroppedOversize counts connections closed for sending a frame
-	// larger than MaxRequestBytes.
-	ConnsDroppedOversize atomic.Int64
-	// RequestsShed counts requests refused with Overloaded at the
-	// MaxInFlight admission gate, without being processed.
-	RequestsShed atomic.Int64
-	// RequestsInFlight is a gauge of requests past the admission gate
-	// right now.
-	RequestsInFlight atomic.Int64
-	// DrainNs accumulates nanoseconds spent draining in-flight requests
-	// during graceful Shutdown.
-	DrainNs atomic.Int64
+	ConnsDroppedDeadline atomic.Int64 `metric:"conns_dropped_deadline" help:"Connections dropped on read/write deadline expiry"`
+	ConnsDroppedOversize atomic.Int64 `metric:"conns_dropped_oversize" help:"Connections dropped for oversized request frames"`
+	RequestsShed         atomic.Int64 `metric:"requests_shed" help:"Requests refused Overloaded at the max-in-flight admission gate"`
+	DrainNs              atomic.Int64 `metric:"drain_ns" help:"Nanoseconds spent draining in-flight requests during Shutdown"`
+	RequestsInFlight     atomic.Int64 `metric:"requests_in_flight" help:"Requests past the admission gate right now" kind:"gauge"`
+}
+
+// serverGauges are the server-level metrics computed when asked for.
+type serverGauges struct {
+	ConnsActive int64 `metric:"conns_active" help:"Open client connections" kind:"gauge"`
+	Draining    int64 `metric:"draining" help:"1 while the server is draining for graceful shutdown" kind:"gauge"`
 }
 
 var tableNameRE = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]{0,127}$`)
@@ -467,25 +464,19 @@ func (s *Server) closeTablesLocked() {
 // Stats exposes the server's connection-level counters.
 func (s *Server) Stats() *ServerStats { return &s.stats }
 
-// serverStatsResult snapshots server-level counters for the wire. The
+// Metrics returns the server-level (not per-table) counters and gauges:
+// the MsgServerStats payload and the unlabelled part of /metrics. The
+// shard router reads them to judge shard health. Asked over the wire, the
 // in-flight gauge includes the stats request itself, so it reads >= 1.
-func (s *Server) serverStatsResult() *wire.ServerStatsResult {
+func (s *Server) Metrics() metric.List {
+	var g serverGauges
 	s.mu.Lock()
-	conns := len(s.conns)
+	g.ConnsActive = int64(len(s.conns))
 	s.mu.Unlock()
-	var draining int64
 	if s.draining.Load() {
-		draining = 1
+		g.Draining = 1
 	}
-	return &wire.ServerStatsResult{
-		ConnsActive:          int64(conns),
-		RequestsInFlight:     s.stats.RequestsInFlight.Load(),
-		ConnsDroppedDeadline: s.stats.ConnsDroppedDeadline.Load(),
-		ConnsDroppedOversize: s.stats.ConnsDroppedOversize.Load(),
-		RequestsShed:         s.stats.RequestsShed.Load(),
-		Draining:             draining,
-		DrainNs:              s.stats.DrainNs.Load(),
-	}
+	return metric.Read(&s.stats, &g)
 }
 
 // FlushAllTables flushes every table's memtables; used at orderly shutdown

@@ -7,6 +7,7 @@ import (
 	"littletable/internal/clock"
 	"littletable/internal/core"
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 	"littletable/internal/server"
 )
@@ -73,22 +74,7 @@ func (st *serverTable) Latest(prefix []ltval.Value) (schema.Row, bool, error) {
 func (st *serverTable) Delete(q core.Query, filter func(schema.Row) bool) (int64, error) {
 	return st.t.DeleteWhere(q, filter)
 }
-func (st *serverTable) Stats() (TableStats, error) {
-	s := st.t.Stats().Snapshot()
-	return TableStats{
-		RowsInserted: s.RowsInserted,
-		RowsReturned: s.RowsReturned,
-		RowsScanned:  s.RowsScanned,
-		Queries:      s.Queries,
-		DiskTablets:  int64(st.t.DiskTabletCount()),
-		MemTablets:   int64(st.t.MemTabletCount()),
-		DiskBytes:    st.t.DiskBytes(),
-		RowEstimate:  st.t.RowEstimate(),
-		Merges:       s.Merges,
-		BytesFlushed: s.BytesFlushed,
-		BytesMerged:  s.BytesMerged,
-	}, nil
-}
+func (st *serverTable) Stats() (metric.List, error)       { return st.t.Metrics(), nil }
 func (st *serverTable) AddColumn(col schema.Column) error { return st.t.AddColumn(col) }
 func (st *serverTable) WidenColumn(name string) error     { return st.t.WidenColumn(name) }
 func (st *serverTable) AlterTTL(ttl int64) error          { return st.t.AlterTTL(ttl) }
@@ -166,25 +152,7 @@ func (ct *clientTable) Delete(q core.Query, filter func(schema.Row) bool) (int64
 		MinTs: q.MinTs, MaxTs: q.MaxTs,
 	})
 }
-func (ct *clientTable) Stats() (TableStats, error) {
-	s, err := ct.t.Stats()
-	if err != nil {
-		return TableStats{}, err
-	}
-	return TableStats{
-		RowsInserted: s.RowsInserted,
-		RowsReturned: s.RowsReturned,
-		RowsScanned:  s.RowsScanned,
-		Queries:      s.Queries,
-		DiskTablets:  s.DiskTablets,
-		MemTablets:   s.MemTablets,
-		DiskBytes:    s.DiskBytes,
-		RowEstimate:  s.RowEstimate,
-		Merges:       s.Merges,
-		BytesFlushed: s.BytesFlushed,
-		BytesMerged:  s.BytesMerged,
-	}, nil
-}
+func (ct *clientTable) Stats() (metric.List, error) { return ct.t.Stats() }
 func (ct *clientTable) AddColumn(col schema.Column) error {
 	return ct.t.AddColumn(col.Name, col.Type, col.Default)
 }

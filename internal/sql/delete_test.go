@@ -176,6 +176,31 @@ func TestSQLOverWireParity(t *testing.T) {
 			}
 		}
 	}
+
+	// SHOW STATS lists the table's full metric list on both backends: the
+	// same names in the same order (values move between the two calls),
+	// still including the eleven the statement printed when each backend
+	// hand-picked its rows.
+	a := mustExec(t, se, "SHOW STATS usage")
+	b := mustExec(t, ce, "SHOW STATS usage")
+	if len(a.Rows) != len(b.Rows) || len(a.Rows) < 50 {
+		t.Fatalf("SHOW STATS: %d rows in-process, %d over the wire", len(a.Rows), len(b.Rows))
+	}
+	names := make(map[string]bool)
+	for i := range a.Rows {
+		if a.Rows[i][0].Compare(b.Rows[i][0]) != 0 {
+			t.Errorf("SHOW STATS row %d: %v in-process, %v over the wire", i, a.Rows[i][0], b.Rows[i][0])
+		}
+		names[string(a.Rows[i][0].Bytes)] = true
+	}
+	for _, n := range []string{
+		"rows_inserted", "rows_returned", "rows_scanned", "queries", "disk_tablets", "mem_tablets",
+		"disk_bytes", "row_estimate", "merges", "bytes_flushed", "bytes_merged",
+	} {
+		if !names[n] {
+			t.Errorf("SHOW STATS no longer lists %s", n)
+		}
+	}
 }
 
 func TestShowStats(t *testing.T) {

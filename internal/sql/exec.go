@@ -7,6 +7,7 @@ import (
 
 	"littletable/internal/core"
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
 
@@ -33,8 +34,9 @@ type Table interface {
 	// holds, returning the count. Backends without server-side filtering
 	// reject a non-nil filter.
 	Delete(q core.Query, filter func(schema.Row) bool) (int64, error)
-	// Stats reports the table's operational counters.
-	Stats() (TableStats, error)
+	// Stats reports the table's full metric list (core.Table.Metrics);
+	// SHOW STATS prints one row per entry.
+	Stats() (metric.List, error)
 	AddColumn(col schema.Column) error
 	WidenColumn(name string) error
 	AlterTTL(ttl int64) error
@@ -46,23 +48,6 @@ type RowIter interface {
 	Row() schema.Row
 	Err() error
 	Close() error
-}
-
-// TableStats are the operational counters SHOW STATS renders; both
-// backends fill them (in-process from core.Stats, remote from the wire
-// stats message).
-type TableStats struct {
-	RowsInserted int64
-	RowsReturned int64
-	RowsScanned  int64
-	Queries      int64
-	DiskTablets  int64
-	MemTablets   int64
-	DiskBytes    int64
-	RowEstimate  int64
-	Merges       int64
-	BytesFlushed int64
-	BytesMerged  int64
 }
 
 // Result is a statement's materialized output.
@@ -121,22 +106,11 @@ func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 			return nil, err
 		}
 		res := &Result{Columns: []string{"metric", "value"}}
-		add := func(name string, v int64) {
+		for _, m := range st {
 			res.Rows = append(res.Rows, []ltval.Value{
-				ltval.NewString(name), ltval.NewInt64(v),
+				ltval.NewString(m.Name), ltval.NewInt64(m.Value),
 			})
 		}
-		add("rows_inserted", st.RowsInserted)
-		add("rows_returned", st.RowsReturned)
-		add("rows_scanned", st.RowsScanned)
-		add("queries", st.Queries)
-		add("disk_tablets", st.DiskTablets)
-		add("mem_tablets", st.MemTablets)
-		add("disk_bytes", st.DiskBytes)
-		add("row_estimate", st.RowEstimate)
-		add("merges", st.Merges)
-		add("bytes_flushed", st.BytesFlushed)
-		add("bytes_merged", st.BytesMerged)
 		return res, nil
 	case *ShowTablesStmt:
 		names, err := e.b.ListTables()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
 
@@ -36,7 +37,9 @@ func FuzzDecoders(f *testing.F) {
 	f.Add(mf)
 	f.Add((&MigrateFetch{Table: "t", File: "000000000001.tab", Offset: 64, MaxBytes: 1 << 20}).Encode())
 	f.Add((&MigrateInstall{Table: "t", File: "000000000001.tab", Total: 3, RowCount: 1, Commit: true, Data: []byte{1, 2, 3}}).Encode())
-	f.Add((&RouterStatsResult{RoutedInserts: 7, Shards: []RouterShardInfo{{Addr: "127.0.0.1:9155", State: 2}}}).Encode())
+	stats := metric.List{{Name: "rows_inserted", Value: 7}, {Name: "disk_bytes", Value: 1 << 40}}
+	f.Add(EncodeStats(stats))
+	f.Add((&RouterStatsResult{Counters: stats, Shards: []RouterShardInfo{{Addr: "127.0.0.1:9155", State: 2}}}).Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 
@@ -54,8 +57,7 @@ func FuzzDecoders(f *testing.F) {
 		DecodeErrorMsg(payload)
 		DecodeTableList(payload)
 		DecodeSchemaResp(payload)
-		DecodeStatsResult(payload)
-		DecodeServerStatsResult(payload)
+		DecodeStats(payload)
 		DecodeRows(payload, sc)
 		DecodeRowResult(payload, sc)
 		DecodeScatterQuery(payload)

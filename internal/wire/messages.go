@@ -2,6 +2,7 @@ package wire
 
 import (
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
 
@@ -444,191 +445,56 @@ func DecodeRowResult(p []byte, sc *schema.Schema) (*RowResult, error) {
 	return m, d.Done()
 }
 
-// StatsResult carries a table's counters for monitoring and the benchmark
-// harness.
-type StatsResult struct {
-	RowsInserted   int64
-	RowsReturned   int64
-	RowsScanned    int64
-	Queries        int64
-	DiskTablets    int64
-	DiskBytes      int64
-	MemTablets     int64
-	TabletsFlushed int64
-	Merges         int64
-	BytesFlushed   int64
-	BytesMerged    int64
-	RowsRewritten  int64
-	RowEstimate    int64
-	TabletsExpired int64
+// statEntryMin is the smallest encoding of one stat list entry: an empty
+// name's length prefix plus the value.
+const statEntryMin = 4 + 8
 
-	// Uniqueness-check resolution counters: how inserts proved a key new
-	// (§3.2's fast paths versus Bloom filters versus point reads).
-	UniqueFastNew int64
-	UniqueFastKey int64
-	UniqueBloom   int64
-	UniqueProbes  int64
-
-	// Robustness counters: bad-storage events the table absorbed.
-	TabletsQuarantined int64
-	FlushFailures      int64
-	MergeFailures      int64
-	MergeRetries       int64
-	FaultRecoveries    int64
-	ReadErrors         int64
-
-	// Parallel read-path counters: block traffic and cache effectiveness.
-	BlocksRead       int64
-	PrefetchHits     int64
-	ParallelOpens    int64
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-
-	// Write-pipeline counters: group commit, seal/flush pipeline state,
-	// and backpressure.
-	InsertBatches      int64
-	GroupCommits       int64
-	TabletsSealed      int64
-	AsyncFlushes       int64
-	SealedBytes        int64 // gauge: sealed-but-unflushed bytes right now
-	FlushQueueDepth    int64 // gauge: pending flush groups right now
-	BackpressureStalls int64
-	CommitFailures     int64 // descriptor commits that failed, losing sealed rows
-	RowsLost           int64 // rows dropped by failed descriptor commits
-
-	// Maintenance-scheduler counters: parallel merge/expiry progress,
-	// queue delay (priority aging), and I/O-budget throttling.
-	MergesInFlight            int64 // gauge: merges running right now
-	MergeWaitNs               int64
-	ExpiriesInFlight          int64 // gauge: expiry rounds running right now
-	ExpiryWaitNs              int64
-	ExpiryRuns                int64
-	MaintenanceBytesThrottled int64
-	MaintenanceThrottleNs     int64
-
-	// Migration counters: sealed tablets received from another shard.
-	TabletsInstalled int64
-	BytesInstalled   int64
-
-	// Block-encoding counters: columnar codec adoption and the bytes it
-	// saves, across flushes, merges, and retention rewrites.
-	BlocksEncoded         int64
-	BlocksEncodedColumnar int64
-	BytesBeforeEncode     int64
-	BytesAfterEncode      int64
-	ColumnsDeltaEncoded   int64
-	ColumnsXOREncoded     int64
-	ColumnsDictEncoded    int64
-	ColumnsPlainEncoded   int64
-
-	// Aggregation + downsampling counters: the MsgAggQuery read path and
-	// the continuous-downsampling rollup jobs sourced from this table.
-	AggQueries        int64
-	AggRowsFolded     int64
-	RollupRuns        int64
-	RollupRowsWritten int64
+// Stats appends a stat list: a count, then (name, value) pairs. It is the
+// payload of MsgStatsResult and MsgServerStatsResult and the counter part
+// of MsgRouterStatsResult. Entries are keyed by name, so either side may
+// add a metric without the other noticing; help text and kind stay in the
+// declaring process.
+func (b *Buf) Stats(l metric.List) {
+	b.U32(uint32(len(l)))
+	for _, s := range l {
+		b.String(s.Name)
+		b.I64(s.Value)
+	}
 }
 
-// Encode serializes the message payload.
-func (m *StatsResult) Encode() []byte {
-	var b Buf
-	for _, v := range []int64{
-		m.RowsInserted, m.RowsReturned, m.RowsScanned, m.Queries,
-		m.DiskTablets, m.DiskBytes, m.MemTablets, m.TabletsFlushed, m.Merges,
-		m.BytesFlushed, m.BytesMerged, m.RowsRewritten, m.RowEstimate, m.TabletsExpired,
-		m.UniqueFastNew, m.UniqueFastKey, m.UniqueBloom, m.UniqueProbes,
-		m.TabletsQuarantined, m.FlushFailures, m.MergeFailures,
-		m.MergeRetries, m.FaultRecoveries, m.ReadErrors,
-		m.BlocksRead, m.PrefetchHits, m.ParallelOpens,
-		m.BlockCacheHits, m.BlockCacheMisses,
-		m.InsertBatches, m.GroupCommits, m.TabletsSealed,
-		m.AsyncFlushes, m.SealedBytes, m.FlushQueueDepth,
-		m.BackpressureStalls, m.CommitFailures, m.RowsLost,
-		m.MergesInFlight, m.MergeWaitNs,
-		m.ExpiriesInFlight, m.ExpiryWaitNs, m.ExpiryRuns,
-		m.MaintenanceBytesThrottled, m.MaintenanceThrottleNs,
-		m.TabletsInstalled, m.BytesInstalled,
-		m.BlocksEncoded, m.BlocksEncodedColumnar,
-		m.BytesBeforeEncode, m.BytesAfterEncode,
-		m.ColumnsDeltaEncoded, m.ColumnsXOREncoded,
-		m.ColumnsDictEncoded, m.ColumnsPlainEncoded,
-		m.AggQueries, m.AggRowsFolded,
-		m.RollupRuns, m.RollupRowsWritten,
-	} {
-		b.I64(v)
+// Stats reads a stat list. A count the remaining payload cannot hold is
+// corrupt and rejected before anything is allocated for it; so is a name
+// that appears twice, which by-name readers would otherwise half-see.
+func (d *Dec) Stats() metric.List {
+	n := int(d.U32())
+	if d.Err != nil || n > (len(d.B)-d.off)/statEntryMin {
+		d.fail("stats count")
+		return nil
 	}
+	l := make(metric.List, 0, n)
+	seen := make(map[string]bool, n)
+	for i := 0; i < n && d.Err == nil; i++ {
+		s := metric.Sample{Name: d.String(), Value: d.I64()}
+		if seen[s.Name] {
+			d.fail("duplicate stat " + s.Name)
+			return nil
+		}
+		seen[s.Name] = true
+		l = append(l, s)
+	}
+	return l
+}
+
+// EncodeStats serializes a whole-payload stat list.
+func EncodeStats(l metric.List) []byte {
+	var b Buf
+	b.Stats(l)
 	return b.B
 }
 
-// DecodeStatsResult parses a StatsResult payload.
-func DecodeStatsResult(p []byte) (*StatsResult, error) {
+// DecodeStats parses a whole-payload stat list.
+func DecodeStats(p []byte) (metric.List, error) {
 	d := Dec{B: p}
-	m := &StatsResult{}
-	for _, f := range []*int64{
-		&m.RowsInserted, &m.RowsReturned, &m.RowsScanned, &m.Queries,
-		&m.DiskTablets, &m.DiskBytes, &m.MemTablets, &m.TabletsFlushed, &m.Merges,
-		&m.BytesFlushed, &m.BytesMerged, &m.RowsRewritten, &m.RowEstimate, &m.TabletsExpired,
-		&m.UniqueFastNew, &m.UniqueFastKey, &m.UniqueBloom, &m.UniqueProbes,
-		&m.TabletsQuarantined, &m.FlushFailures, &m.MergeFailures,
-		&m.MergeRetries, &m.FaultRecoveries, &m.ReadErrors,
-		&m.BlocksRead, &m.PrefetchHits, &m.ParallelOpens,
-		&m.BlockCacheHits, &m.BlockCacheMisses,
-		&m.InsertBatches, &m.GroupCommits, &m.TabletsSealed,
-		&m.AsyncFlushes, &m.SealedBytes, &m.FlushQueueDepth,
-		&m.BackpressureStalls, &m.CommitFailures, &m.RowsLost,
-		&m.MergesInFlight, &m.MergeWaitNs,
-		&m.ExpiriesInFlight, &m.ExpiryWaitNs, &m.ExpiryRuns,
-		&m.MaintenanceBytesThrottled, &m.MaintenanceThrottleNs,
-		&m.TabletsInstalled, &m.BytesInstalled,
-		&m.BlocksEncoded, &m.BlocksEncodedColumnar,
-		&m.BytesBeforeEncode, &m.BytesAfterEncode,
-		&m.ColumnsDeltaEncoded, &m.ColumnsXOREncoded,
-		&m.ColumnsDictEncoded, &m.ColumnsPlainEncoded,
-		&m.AggQueries, &m.AggRowsFolded,
-		&m.RollupRuns, &m.RollupRowsWritten,
-	} {
-		*f = d.I64()
-	}
-	return m, d.Done()
-}
-
-// ServerStatsResult carries server-level (not per-table) counters: the
-// connection hardening drops, the admission gate's shed count, and drain
-// progress. The shard router (ROADMAP item 2) reads these to judge shard
-// health.
-type ServerStatsResult struct {
-	ConnsActive          int64 // gauge: live client connections
-	RequestsInFlight     int64 // gauge: requests past the admission gate right now
-	ConnsDroppedDeadline int64
-	ConnsDroppedOversize int64
-	RequestsShed         int64 // requests refused with MsgOverloaded
-	Draining             int64 // gauge: 1 while a graceful Shutdown is in progress
-	DrainNs              int64 // total ns spent draining in Shutdown
-}
-
-// Encode serializes the message payload.
-func (m *ServerStatsResult) Encode() []byte {
-	var b Buf
-	for _, v := range []int64{
-		m.ConnsActive, m.RequestsInFlight,
-		m.ConnsDroppedDeadline, m.ConnsDroppedOversize,
-		m.RequestsShed, m.Draining, m.DrainNs,
-	} {
-		b.I64(v)
-	}
-	return b.B
-}
-
-// DecodeServerStatsResult parses a ServerStatsResult payload.
-func DecodeServerStatsResult(p []byte) (*ServerStatsResult, error) {
-	d := Dec{B: p}
-	m := &ServerStatsResult{}
-	for _, f := range []*int64{
-		&m.ConnsActive, &m.RequestsInFlight,
-		&m.ConnsDroppedDeadline, &m.ConnsDroppedOversize,
-		&m.RequestsShed, &m.Draining, &m.DrainNs,
-	} {
-		*f = d.I64()
-	}
-	return m, d.Done()
+	l := d.Stats()
+	return l, d.Done()
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
 
@@ -374,25 +375,14 @@ type RouterShardInfo struct {
 
 // RouterStatsResult carries the router's counters and per-shard health.
 type RouterStatsResult struct {
-	RoutedInserts       int64
-	RoutedQueries       int64
-	ScatterFanout       int64
-	ShardDown           int64
-	RateLimited         int64
-	MigrationsCompleted int64
-	MigratedBytes       int64
-	Shards              []RouterShardInfo
+	Counters metric.List
+	Shards   []RouterShardInfo
 }
 
 // Encode serializes the message payload.
 func (m *RouterStatsResult) Encode() []byte {
 	var b Buf
-	for _, v := range []int64{
-		m.RoutedInserts, m.RoutedQueries, m.ScatterFanout, m.ShardDown,
-		m.RateLimited, m.MigrationsCompleted, m.MigratedBytes,
-	} {
-		b.I64(v)
-	}
+	b.Stats(m.Counters)
 	b.U32(uint32(len(m.Shards)))
 	for _, s := range m.Shards {
 		b.String(s.Addr)
@@ -404,13 +394,7 @@ func (m *RouterStatsResult) Encode() []byte {
 // DecodeRouterStatsResult parses a RouterStatsResult payload.
 func DecodeRouterStatsResult(p []byte) (*RouterStatsResult, error) {
 	d := Dec{B: p}
-	m := &RouterStatsResult{}
-	for _, f := range []*int64{
-		&m.RoutedInserts, &m.RoutedQueries, &m.ScatterFanout, &m.ShardDown,
-		&m.RateLimited, &m.MigrationsCompleted, &m.MigratedBytes,
-	} {
-		*f = d.I64()
-	}
+	m := &RouterStatsResult{Counters: d.Stats()}
 	n := int(d.U32())
 	if d.Err == nil && n > len(d.B) {
 		d.fail("router shards count")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"littletable/internal/ltval"
+	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
 
@@ -138,8 +139,7 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 
 func TestRouterStatsResultRoundTrip(t *testing.T) {
 	m := &RouterStatsResult{
-		RoutedInserts: 1, RoutedQueries: 2, ScatterFanout: 3, ShardDown: 4,
-		RateLimited: 5, MigrationsCompleted: 6, MigratedBytes: 7,
+		Counters: metric.List{{Name: "routed_inserts", Value: 1}, {Name: "migrated_bytes", Value: 7}},
 		Shards: []RouterShardInfo{
 			{Addr: "127.0.0.1:9155", State: 0},
 			{Addr: "127.0.0.1:9156", State: 2},

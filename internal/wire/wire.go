@@ -25,7 +25,8 @@ const MaxFrame = 64 << 20
 // MsgType identifies a protocol message.
 type MsgType uint8
 
-// Client→server message types.
+// Client→server message types. Each has exactly one row in Requests
+// (requests.go), which says how clients, servers and the router treat it.
 const (
 	MsgHello MsgType = iota + 1
 	MsgListTables
@@ -49,13 +50,15 @@ const (
 	MsgMigrateFetch   // read a chunk of a pinned tablet file
 	MsgMigrateEnd     // release the export snapshot and maintenance hold
 	MsgMigrateInstall // ship a sealed-tablet chunk into the target shard
-	MsgMigrateTable   // router-only: move a table to another shard
-	MsgRouterStats    // router-only: routing counters + shard health
+	MsgMigrateTable   // move a table to another shard
+	MsgRouterStats    // routing counters + shard health
 	// MsgAggQuery is a server-side aggregation over every table matching a
 	// prefix: rows fold into (time-bucket × key-prefix) groups as the merge
 	// cursor yields them, so only O(groups) partial aggregates cross the
 	// wire (see internal/agg and agg.go in this package).
 	MsgAggQuery
+
+	msgRequestEnd // one past the last request type; new requests go above
 )
 
 // Server→client message types.
@@ -80,10 +83,13 @@ const (
 	MsgMigrateChunk      // tablet bytes answering MsgMigrateFetch
 	MsgRouterStatsResult // counters + shard health answering MsgRouterStats
 	MsgAggResult         // mergeable partial aggregates answering MsgAggQuery
+
+	msgResponseEnd // one past the last response type; new responses go above
 )
 
-// ProtocolVersion guards client/server compatibility in Hello.
-const ProtocolVersion = 1
+// ProtocolVersion guards client/server compatibility in Hello. Version 2
+// made the three stats results self-describing (name, value) lists.
+const ProtocolVersion = 2
 
 // Errors returned by the codec.
 var (
