@@ -124,13 +124,13 @@ func (w *Writer) Finish() ([]byte, Encoding) {
 }
 
 // Block is a parsed, read-only block, in either encoding: legacy blocks
-// keep the raw image and decode rows on demand; columnar blocks hold fully
-// decoded per-column value vectors.
+// keep the raw image and decode rows on demand; columnar blocks hold one
+// fully decoded typed vector per column.
 type Block struct {
 	sc   *schema.Schema
-	data []byte // full block image
-	dir  []byte // legacy: the offset directory region
-	cols [][]ltval.Value
+	data []byte   // full block image
+	dir  []byte   // legacy: the offset directory region
+	cols []column // columnar
 	n    int
 }
 
@@ -163,55 +163,65 @@ func (b *Block) offset(i int) uint32 { return readU32(b.dir[4*i:]) }
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return b.n }
 
-// Row decodes row i. Byte-valued cells alias the block image.
-func (b *Block) Row(i int) (schema.Row, error) {
+// Row decodes row i into a fresh row. Byte-valued cells alias the block
+// image.
+func (b *Block) Row(i int) (schema.Row, error) { return b.RowInto(nil, i) }
+
+// RowInto decodes row i into dst, reusing its storage when it is wide
+// enough, and returns the row. Byte-valued cells alias the block image.
+func (b *Block) RowInto(dst schema.Row, i int) (schema.Row, error) {
 	if i < 0 || i >= b.n {
 		return nil, fmt.Errorf("block: row %d out of range [0,%d)", i, b.n)
 	}
-	if b.cols != nil {
-		row := make(schema.Row, len(b.cols))
-		for c := range b.cols {
-			row[c] = b.cols[c][i]
-		}
-		return row, nil
+	if ncols := len(b.sc.Columns); cap(dst) < ncols {
+		dst = make(schema.Row, ncols)
+	} else {
+		dst = dst[:ncols]
 	}
-	row, _, err := b.sc.DecodeRow(b.data[b.offset(i):])
-	return row, err
+	if b.cols == nil {
+		_, err := b.sc.DecodeRowInto(dst, b.data[b.offset(i):])
+		return dst, err
+	}
+	for c := range b.cols {
+		dst[c] = b.cols[c].value(i)
+	}
+	return dst, nil
 }
 
 // Search returns the index of the first row whose key is >= key (treating a
 // short key as a prefix), in [0, Len()]. This is the in-block binary search
 // of §3.2.
-func (b *Block) Search(key []ltval.Value) (int, error) {
-	lo, hi := 0, b.n
-	var decodeErr error
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		row, err := b.Row(mid)
-		if err != nil {
-			return 0, err
-		}
-		if b.sc.CompareRowToKey(row, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, decodeErr
-}
+func (b *Block) Search(key []ltval.Value) (int, error) { return b.search(key, false) }
 
 // SearchAfter returns the index of the first row whose key is strictly
 // greater than key (with prefix semantics): the upper bound of the equal
 // range. Descending scans start at SearchAfter(key)-1.
-func (b *Block) SearchAfter(key []ltval.Value) (int, error) {
+func (b *Block) SearchAfter(key []ltval.Value) (int, error) { return b.search(key, true) }
+
+// search binary-searches for the first row whose key is >= key, or > key
+// when after is set. Columnar blocks compare the key columns in place;
+// legacy blocks decode each probed row into one scratch row.
+func (b *Block) search(key []ltval.Value, after bool) (int, error) {
+	if len(key) > len(b.sc.Key) {
+		key = key[:len(b.sc.Key)]
+	}
+	var scratch schema.Row
 	lo, hi := 0, b.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		row, err := b.Row(mid)
-		if err != nil {
-			return 0, err
+		c := 0
+		if b.cols != nil {
+			for j := 0; j < len(key) && c == 0; j++ {
+				c = b.cols[b.sc.Key[j]].value(mid).Compare(key[j])
+			}
+		} else {
+			var err error
+			if scratch, err = b.RowInto(scratch, mid); err != nil {
+				return 0, err
+			}
+			c = b.sc.CompareRowToKey(scratch, key)
 		}
-		if b.sc.CompareRowToKey(row, key) <= 0 {
+		if c < 0 || (after && c == 0) {
 			lo = mid + 1
 		} else {
 			hi = mid

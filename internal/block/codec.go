@@ -8,6 +8,7 @@
 package block
 
 import (
+	"encoding/binary"
 	"math/bits"
 )
 
@@ -153,24 +154,26 @@ type bitReader struct {
 	pos int // absolute bit position
 }
 
-func (r *bitReader) readBit() (uint64, bool) {
-	idx := r.pos >> 3
-	if idx >= len(r.b) {
+// readBits reads the next n <= 64 bits, most significant first.
+func (r *bitReader) readBits(n uint) (uint64, bool) {
+	if r.pos+int(n) > 8*len(r.b) {
 		return 0, false
 	}
-	bit := uint64(r.b[idx]>>(7-uint(r.pos&7))) & 1
-	r.pos++
-	return bit, true
-}
-
-func (r *bitReader) readBits(n uint) (uint64, bool) {
+	idx, used := r.pos>>3, uint(r.pos&7)
+	if idx+9 <= len(r.b) {
+		// Nine bytes from idx always cover used+n <= 71 bits: one shifted
+		// load instead of a byte loop. (A shift by 64, for n = 0, is 0.)
+		r.pos += int(n)
+		w := binary.BigEndian.Uint64(r.b[idx:])<<used | uint64(r.b[idx+8])>>(8-used)
+		return w >> (64 - n), true
+	}
 	var v uint64
-	for i := uint(0); i < n; i++ {
-		bit, ok := r.readBit()
-		if !ok {
-			return 0, false
-		}
-		v = v<<1 | bit
+	for n > 0 { // the stream's last bytes, a byte's worth at a time
+		avail := 8 - uint(r.pos&7)
+		take := min(avail, n)
+		v = v<<take | uint64(r.b[r.pos>>3])>>(avail-take)&(1<<take-1)
+		r.pos += int(take)
+		n -= take
 	}
 	return v, true
 }

@@ -16,11 +16,7 @@ func intVals(t *testing.T, typ ltval.Type, enc []byte, n int) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = v.Int
-	}
-	return out
+	return vals
 }
 
 func TestDeltaRoundTripExtremes(t *testing.T) {
@@ -100,8 +96,8 @@ func TestXORRoundTripSpecials(t *testing.T) {
 			t.Fatalf("case %d: %v", ci, err)
 		}
 		for i := range vals {
-			if math.Float64bits(got[i].Float) != math.Float64bits(vals[i]) {
-				t.Fatalf("case %d: value %d = %v, want %v", ci, i, got[i].Float, vals[i])
+			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("case %d: value %d = %v, want %v", ci, i, got[i], vals[i])
 			}
 		}
 	}
@@ -139,8 +135,8 @@ func TestDictRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range c.ends {
-		if string(vals[i].Bytes) != string(c.cell(i)) {
-			t.Fatalf("cell %d = %q, want %q", i, vals[i].Bytes, c.cell(i))
+		if got := vals.value(i).Bytes; string(got) != string(c.cell(i)) {
+			t.Fatalf("cell %d = %q, want %q", i, got, c.cell(i))
 		}
 	}
 }
@@ -161,7 +157,7 @@ func TestDictHighCardinalityFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range cells {
-		if string(vals[i].Bytes) != cells[i] {
+		if string(vals.value(i).Bytes) != cells[i] {
 			t.Fatalf("cell %d mismatch via codec %d", i, codec)
 		}
 	}

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -10,9 +11,34 @@ import (
 	"littletable/internal/schema"
 )
 
+// column is one decoded column of a columnar block: a typed vector chosen
+// by the column's class, the decode-side twin of colAcc. Numeric cells
+// cost 8 bytes of pointer-free memory each; a byte cell costs two offsets
+// into buf, which is the block image itself (plain and dictionary columns)
+// or the column's decompressed bytes (lzf).
+type column struct {
+	typ    ltval.Type
+	ints   []int64   // ClassInt
+	floats []float64 // ClassFloat
+	buf    []byte    // ClassBytes: cell i is buf[spans[2i]:spans[2i+1]]
+	spans  []uint32
+}
+
+// value boxes cell i. Byte cells alias buf.
+func (c *column) value(i int) ltval.Value {
+	switch schema.ClassOf(c.typ) {
+	case schema.ClassInt:
+		return ltval.Value{Type: c.typ, Int: c.ints[i]}
+	case schema.ClassFloat:
+		return ltval.Value{Type: c.typ, Float: c.floats[i]}
+	default:
+		return ltval.Value{Type: c.typ, Bytes: c.buf[c.spans[2*i]:c.spans[2*i+1]]}
+	}
+}
+
 // Decode parses a block image whose top-level encoding enc was recorded in
 // the tablet footer. Legacy images go through Parse; columnar images are
-// decoded into per-column value vectors.
+// decoded into per-column typed vectors.
 func Decode(sc *schema.Schema, enc Encoding, data []byte) (*Block, error) {
 	switch enc {
 	case EncLegacy:
@@ -49,9 +75,10 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 	r = r[w:]
 	// A value costs at least one bit in the cheapest codec (XOR repeats),
 	// so any genuine image bounds rowCount by its own size. Reject larger
-	// claims before allocating anything proportional to them.
-	if ncols != uint64(len(sc.Columns)) || rowCount > uint64(8*len(data)+64) {
-		return nil, fmt.Errorf("%w: claims %d rows × %d cols", ErrCorrupt, rowCount, ncols)
+	// claims before allocating anything proportional to them. Byte cells
+	// are addressed by 32-bit offsets, so an image must also fit in them.
+	if ncols != uint64(len(sc.Columns)) || rowCount > uint64(8*len(data)+64) || uint64(len(data)) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: claims %d rows × %d cols in %d bytes", ErrCorrupt, rowCount, ncols, len(data))
 	}
 	n := int(rowCount)
 	if len(r) < int(ncols) {
@@ -59,7 +86,7 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 	}
 	codecs := r[:ncols]
 	r = r[ncols:]
-	cols := make([][]ltval.Value, ncols)
+	cols := make([]column, ncols)
 	for i := range cols {
 		encLen, w := uvarint(r)
 		if w <= 0 || encLen > uint64(len(r)-w) {
@@ -67,11 +94,11 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 		}
 		colEnc := r[w : w+int(encLen)]
 		r = r[w+int(encLen):]
-		vals, err := decodeColumn(sc.Columns[i].Type, Codec(codecs[i]), colEnc, n)
+		col, err := decodeColumn(sc.Columns[i].Type, Codec(codecs[i]), colEnc, n)
 		if err != nil {
 			return nil, fmt.Errorf("column %d (%s): %w", i, sc.Columns[i].Name, err)
 		}
-		cols[i] = vals
+		cols[i] = col
 	}
 	if len(r) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r))
@@ -81,59 +108,92 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 
 // decodeColumn dispatches one column's bytes to its codec, checking the
 // codec is legal for the column's class.
-func decodeColumn(t ltval.Type, codec Codec, enc []byte, n int) ([]ltval.Value, error) {
+func decodeColumn(t ltval.Type, codec Codec, enc []byte, n int) (column, error) {
 	class := schema.ClassOf(t)
+	col := column{typ: t}
+	var err error
 	switch codec {
 	case CodecPlain:
 		return decodePlain(t, enc, n)
 	case CodecDelta:
 		if class != schema.ClassInt {
-			return nil, fmt.Errorf("%w: delta codec on %v column", ErrCorrupt, t)
+			return col, fmt.Errorf("%w: delta codec on %v column", ErrCorrupt, t)
 		}
-		return decodeDelta(t, enc, n)
+		col.ints, err = decodeDelta(t, enc, n)
 	case CodecXOR:
 		if class != schema.ClassFloat {
-			return nil, fmt.Errorf("%w: xor codec on %v column", ErrCorrupt, t)
+			return col, fmt.Errorf("%w: xor codec on %v column", ErrCorrupt, t)
 		}
-		return decodeXOR(enc, n)
+		col.floats, err = decodeXOR(enc, n)
 	case CodecDict:
 		if class != schema.ClassBytes {
-			return nil, fmt.Errorf("%w: dict codec on %v column", ErrCorrupt, t)
+			return col, fmt.Errorf("%w: dict codec on %v column", ErrCorrupt, t)
 		}
 		return decodeDict(t, enc, n)
 	case CodecLZF:
 		if class != schema.ClassBytes {
-			return nil, fmt.Errorf("%w: lzf codec on %v column", ErrCorrupt, t)
+			return col, fmt.Errorf("%w: lzf codec on %v column", ErrCorrupt, t)
 		}
 		return decodeLZF(t, enc, n)
 	default:
-		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
+		err = fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
+	return col, err
 }
 
 // decodePlain decodes n concatenated ltval encodings, requiring exact
 // consumption.
-func decodePlain(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
-	for i := 0; i < n; i++ {
-		v, w, err := ltval.Decode(t, enc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+func decodePlain(t ltval.Type, enc []byte, n int) (column, error) {
+	col := column{typ: t}
+	if schema.ClassOf(t) == schema.ClassBytes {
+		col.buf = enc
+		col.spans = make([]uint32, 0, 2*capHint(n, len(enc)))
+		off := 0
+		for i := 0; i < n; i++ {
+			l, w := uvarint(enc[off:])
+			if w <= 0 || l > uint64(len(enc)-off-w) {
+				return col, fmt.Errorf("%w: truncated %v cell", ErrCorrupt, t)
+			}
+			off += w
+			col.spans = append(col.spans, uint32(off), uint32(off+int(l)))
+			off += int(l)
 		}
-		enc = enc[w:]
-		vals = append(vals, v)
+		if off != len(enc) {
+			return col, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc)-off)
+		}
+		return col, nil
 	}
-	if len(enc) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
+	// Fixed-width cells: exact consumption is a length check. n is bounded
+	// by the image size, so the product cannot overflow.
+	width := fixedWidth(t)
+	if len(enc) != n*width {
+		return col, fmt.Errorf("%w: %d bytes for %d %v cells", ErrCorrupt, len(enc), n, t)
 	}
-	return vals, nil
+	switch {
+	case t == ltval.Double:
+		col.floats = make([]float64, n)
+		for i := range col.floats {
+			col.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(enc[8*i:]))
+		}
+	case width == 4:
+		col.ints = make([]int64, n)
+		for i := range col.ints {
+			col.ints[i] = int64(int32(readU32(enc[4*i:])))
+		}
+	default:
+		col.ints = make([]int64, n)
+		for i := range col.ints {
+			col.ints[i] = int64(binary.LittleEndian.Uint64(enc[8*i:]))
+		}
+	}
+	return col, nil
 }
 
 // decodeDelta reverses encodeDelta with the same wrapping arithmetic.
 // Int32 columns additionally require every value to fit in 32 bits: a
 // flipped delta that walks out of range is corruption, not a new value.
-func decodeDelta(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+func decodeDelta(t ltval.Type, enc []byte, n int) ([]int64, error) {
+	vals := make([]int64, 0, capHint(n, len(enc)))
 	var prev, prevDelta uint64
 	for i := 0; i < n; i++ {
 		u, w := uvarint(enc)
@@ -151,7 +211,7 @@ func decodeDelta(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
 		if t == ltval.Int32 && v != int64(int32(v)) {
 			return nil, fmt.Errorf("%w: delta value overflows int32", ErrCorrupt)
 		}
-		vals = append(vals, ltval.Value{Type: t, Int: v})
+		vals = append(vals, v)
 	}
 	if len(enc) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
@@ -162,8 +222,8 @@ func decodeDelta(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
 // decodeXOR reverses encodeXOR. The bitstream must end within the final
 // byte and its padding bits must be zero, so every encoding is canonical
 // and trailing garbage is detected.
-func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+func decodeXOR(enc []byte, n int) ([]float64, error) {
+	vals := make([]float64, 0, capHint(n, len(enc)))
 	if n == 0 {
 		if len(enc) != 0 {
 			return nil, fmt.Errorf("%w: bytes in empty xor column", ErrCorrupt)
@@ -175,19 +235,19 @@ func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 	}
-	vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+	vals = append(vals, math.Float64frombits(prev))
 	winLZ := uint(255)
 	winTZ := uint(0)
 	for i := 1; i < n; i++ {
-		ctrl, ok := r.readBit()
+		ctrl, ok := r.readBits(1)
 		if !ok {
 			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
 		if ctrl == 0 {
-			vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+			vals = append(vals, math.Float64frombits(prev))
 			continue
 		}
-		reuse, ok := r.readBit()
+		reuse, ok := r.readBits(1)
 		if !ok {
 			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
@@ -196,16 +256,16 @@ func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
 				return nil, fmt.Errorf("%w: xor window reused before set", ErrCorrupt)
 			}
 		} else {
-			lz, ok1 := r.readBits(5)
-			sigm1, ok2 := r.readBits(6)
-			if !ok1 || !ok2 {
+			hdr, ok := r.readBits(11) // 5-bit leading-zero count, 6-bit length-1
+			if !ok {
 				return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 			}
-			if uint(lz)+uint(sigm1)+1 > 64 {
+			lz, sigm1 := uint(hdr>>6), uint(hdr&63)
+			if lz+sigm1+1 > 64 {
 				return nil, fmt.Errorf("%w: xor window wider than 64 bits", ErrCorrupt)
 			}
-			winLZ = uint(lz)
-			winTZ = 64 - winLZ - (uint(sigm1) + 1)
+			winLZ = lz
+			winTZ = 64 - winLZ - (sigm1 + 1)
 		}
 		sig := 64 - winLZ - winTZ
 		bits, ok := r.readBits(sig)
@@ -213,67 +273,67 @@ func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
 			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
 		prev ^= bits << winTZ
-		vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+		vals = append(vals, math.Float64frombits(prev))
 	}
 	// Exact consumption: the stream must end inside the last byte, with
 	// zero padding bits.
 	if (r.pos+7)/8 != len(enc) {
 		return nil, fmt.Errorf("%w: %d trailing xor bytes", ErrCorrupt, len(enc)-(r.pos+7)/8)
 	}
-	for r.pos%8 != 0 {
-		bit, _ := r.readBit()
-		if bit != 0 {
-			return nil, fmt.Errorf("%w: nonzero xor padding", ErrCorrupt)
-		}
+	if pad, _ := r.readBits(uint(-r.pos) & 7); pad != 0 {
+		return nil, fmt.Errorf("%w: nonzero xor padding", ErrCorrupt)
 	}
 	return vals, nil
 }
 
-// decodeDict reverses encodeDict. Entries alias the block image; indices
-// must stay within the declared dictionary.
-func decodeDict(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
+// decodeDict reverses encodeDict. Cells alias the dictionary entries in
+// the block image; indices must stay within the declared dictionary.
+func decodeDict(t ltval.Type, enc []byte, n int) (column, error) {
+	col := column{typ: t, buf: enc}
 	count, w := uvarint(enc)
 	if w <= 0 || count > maxDictEntries {
-		return nil, fmt.Errorf("%w: bad dictionary size", ErrCorrupt)
+		return col, fmt.Errorf("%w: bad dictionary size", ErrCorrupt)
 	}
-	enc = enc[w:]
-	entries := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, w := uvarint(enc)
-		if w <= 0 || l > uint64(len(enc)-w) {
-			return nil, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
+	off := w
+	var entries [2 * maxDictEntries]uint32 // entry id's span, as in column.spans
+	for i := 0; i < int(count); i++ {
+		l, w := uvarint(enc[off:])
+		if w <= 0 || l > uint64(len(enc)-off-w) {
+			return col, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
 		}
-		entries = append(entries, enc[w:w+int(l)])
-		enc = enc[w+int(l):]
+		off += w
+		entries[2*i], entries[2*i+1] = uint32(off), uint32(off+int(l))
+		off += int(l)
 	}
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+	enc = enc[off:]
+	col.spans = make([]uint32, 0, 2*capHint(n, len(enc)))
 	for i := 0; i < n; i++ {
 		id, w := uvarint(enc)
-		if w <= 0 || id >= uint64(len(entries)) {
-			return nil, fmt.Errorf("%w: bad dictionary index", ErrCorrupt)
+		if w <= 0 || id >= count {
+			return col, fmt.Errorf("%w: bad dictionary index", ErrCorrupt)
 		}
 		enc = enc[w:]
-		vals = append(vals, ltval.Value{Type: t, Bytes: entries[id]})
+		col.spans = append(col.spans, entries[2*id], entries[2*id+1])
 	}
 	if len(enc) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
+		return col, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
 	}
-	return vals, nil
+	return col, nil
 }
 
 // decodeLZF decompresses the plain byte vector and decodes it. The raw
 // length claim is capped so corruption cannot force a huge allocation.
-func decodeLZF(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
+func decodeLZF(t ltval.Type, enc []byte, n int) (column, error) {
 	rawLen, w := uvarint(enc)
 	// Beyond the absolute cap, bound the claim by lzf's maximum expansion
 	// (255 output bytes per input byte), so a corrupt length cannot size a
 	// large zeroed buffer even when the image checksum has been forged.
 	if w <= 0 || rawLen > maxColumnBytes || rawLen > uint64(255*(len(enc)-w)+64) {
-		return nil, fmt.Errorf("%w: bad lzf length", ErrCorrupt)
+		return column{typ: t}, fmt.Errorf("%w: bad lzf length", ErrCorrupt)
 	}
 	raw, err := lzf.Decompress(make([]byte, rawLen), enc[w:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return column{typ: t}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return decodePlain(t, raw, n)
 }

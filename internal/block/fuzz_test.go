@@ -47,8 +47,8 @@ func FuzzDeltaTimestamps(f *testing.F) {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 		for i := range vals {
-			if got[i].Int != vals[i] {
-				t.Fatalf("value %d = %d, want %d", i, got[i].Int, vals[i])
+			if got[i] != vals[i] {
+				t.Fatalf("value %d = %d, want %d", i, got[i], vals[i])
 			}
 		}
 		// Arbitrary bytes as a delta stream: error or success, no panic;
@@ -78,7 +78,7 @@ func FuzzXORFloats(f *testing.F) {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 		for i := range vals {
-			if math.Float64bits(got[i].Float) != math.Float64bits(vals[i]) {
+			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
 				t.Fatalf("value %d bits differ", i)
 			}
 		}
@@ -115,7 +115,7 @@ func FuzzDictStrings(f *testing.F) {
 				t.Fatalf("round trip rejected: %v", err)
 			}
 			for i := range c.ends {
-				if string(got[i].Bytes) != string(c.cell(i)) {
+				if string(got.value(i).Bytes) != string(c.cell(i)) {
 					t.Fatalf("cell %d mismatch", i)
 				}
 			}
@@ -127,7 +127,7 @@ func FuzzDictStrings(f *testing.F) {
 			t.Fatalf("chooser round trip rejected (codec %d): %v", codec, err)
 		}
 		for i := range c.ends {
-			if string(got[i].Bytes) != string(c.cell(i)) {
+			if string(got.value(i).Bytes) != string(c.cell(i)) {
 				t.Fatalf("chooser cell %d mismatch (codec %d)", i, codec)
 			}
 		}

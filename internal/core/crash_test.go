@@ -107,8 +107,8 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 			return
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "workload %s seed %d barriers %d\n", w.name, crashSeed(), len(snaps))
 		snapMu.Lock()
+		fmt.Fprintf(&b, "workload %s seed %d barriers %d\n", w.name, crashSeed(), len(snaps))
 		for i, s := range snaps {
 			fmt.Fprintf(&b, "%4d %-8s %s\n", i, s.op, s.path)
 		}
@@ -125,14 +125,20 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 
 	inserted, allFlushed := w.run(t, tab, clk)
 	mem.SetBarrierHook(nil)
+	// A background flush that read the hook before it was cleared may
+	// still be running it, so take the lock for the final snapshot and
+	// check a copy of the slice header: a late append cannot touch it.
+	snapMu.Lock()
 	snaps = append(snaps, snap{fs: mem.CrashClone(), op: "final", path: ""})
+	all := snaps
+	snapMu.Unlock()
 
-	if len(snaps) < 5 {
-		t.Fatalf("workload produced only %d durability barriers; not exercising the harness", len(snaps))
+	if len(all) < 5 {
+		t.Fatalf("workload produced only %d durability barriers; not exercising the harness", len(all))
 	}
 
-	for i, s := range snaps {
-		label := fmt.Sprintf("crash %d/%d after %s %s", i+1, len(snaps), s.op, s.path)
+	for i, s := range all {
+		label := fmt.Sprintf("crash %d/%d after %s %s", i+1, len(all), s.op, s.path)
 		re, err := OpenTable("/db", "usage", Options{
 			Clock:      clock.NewFake(clk.Now()),
 			FS:         s.fs,
@@ -160,7 +166,7 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 			re.Close()
 			t.Fatalf("%s: %d tablets quarantined; a pure power cut must never corrupt a synced tablet", label, q)
 		}
-		if i == len(snaps)-1 && allFlushed && len(rows) != inserted {
+		if i == len(all)-1 && allFlushed && len(rows) != inserted {
 			re.Close()
 			t.Fatalf("final crash state recovered %d rows, want all %d (workload flushed everything)", len(rows), inserted)
 		}

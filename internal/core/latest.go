@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 
 	"littletable/internal/ltval"
@@ -126,7 +125,7 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 func (t *Table) latestInGroup(sc *schema.Schema, group []latestSpan, prefix []ltval.Value, tsOrderedWithin bool, expireLT int64) (schema.Row, bool, error) {
 	var scanned int64
 	q := latestQuery(prefix)
-	h := &mergeHeap{sc: sc, asc: false}
+	m := merger{sc: sc, asc: false}
 	var srcs []rowSource
 	defer func() {
 		for _, s := range srcs {
@@ -148,31 +147,20 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []latestSpan, prefix []lt
 			src = s.ms
 		}
 		srcs = append(srcs, src)
-		if row, ok := src.next(); ok {
-			heap.Push(h, heapItem{row: row, src: src, ord: ord})
-		} else if err := src.err(); err != nil {
+		if err := m.add(src, ord); err != nil {
 			return nil, false, err
 		}
 	}
 	var best schema.Row
 	var bestTs int64
-	var lastKey schema.Row
-	for h.Len() > 0 {
-		top := h.item[0]
-		row := top.row
-		if next, ok := top.src.next(); ok {
-			h.item[0].row = next
-			heap.Fix(h, 0)
-		} else {
-			if err := top.src.err(); err != nil {
-				return nil, false, err
-			}
-			heap.Pop(h)
+	for {
+		row, err := m.next()
+		if err != nil {
+			return nil, false, err
 		}
-		if lastKey != nil && sc.CompareKeys(row, lastKey) == 0 {
-			continue
+		if row == nil {
+			break
 		}
-		lastKey = row
 		ts := sc.Ts(row)
 		if ts < expireLT {
 			continue

@@ -48,6 +48,8 @@ func NewQuery() Query {
 // rowSource yields rows of the table's current schema in key order.
 type rowSource interface {
 	// next advances and returns the next row, or ok=false when exhausted.
+	// A source may reuse one row buffer: the row is valid only until the
+	// following next.
 	next() (schema.Row, bool)
 	err() error
 	close()
@@ -130,20 +132,11 @@ type diskSource struct {
 }
 
 func newDiskSource(cur *schema.Schema, tab *tablet.Tablet, q *Query, scanned *int64, ro tablet.ReadOptions) (*diskSource, error) {
-	asc := !q.Descending
-	start := q.Lower
-	if !asc {
-		start = q.Upper
-	}
-	var c *tablet.Cursor
-	var err error
-	if start == nil {
-		c = tab.CursorOpts(asc, ro)
-	} else {
-		c, err = tab.SeekOpts(start, asc, ro)
-		if err != nil {
-			return nil, err
-		}
+	// The query's key box bounds the cursor at both ends, so it (and its
+	// prefetch pipeline) reads only blocks that can hold an in-range row.
+	c, err := tab.SeekRange(q.Lower, q.Upper, !q.Descending, ro)
+	if err != nil {
+		return nil, err
 	}
 	return &diskSource{cur: cur, tabSc: tab.Schema(), c: c, q: q, scanned: scanned}, nil
 }
@@ -188,40 +181,95 @@ func (d *diskSource) next() (schema.Row, bool) {
 func (d *diskSource) err() error { return d.c.Err() }
 func (d *diskSource) close()     { d.c.Close() }
 
-// mergeHeap merge-sorts rowSources by primary key (§3.2: "merge-sorts the
+// merger merge-sorts rowSources by primary key (§3.2: "merge-sorts the
 // resulting streams to form a single result stream ordered by primary
-// key").
-type mergeHeap struct {
-	sc   *schema.Schema
-	asc  bool
-	item []heapItem
+// key"). Duplicate keys across sources cannot arise from correct inserts,
+// but they are suppressed defensively: the newest source's row surfaces
+// and the rest are dropped.
+//
+// Sources reuse their row buffers, so a source is stepped only once the
+// row it last yielded is dead — at the start of the following next — and
+// the last key is remembered as a copy, never as a reference to a row.
+type merger struct {
+	sc      *schema.Schema
+	asc     bool
+	item    []mergeItem   // a heap, ordered by Less
+	stepTop bool          // item[0]'s row was yielded: step its source first
+	lastKey []ltval.Value // the last yielded row's key
+	keyBuf  []byte        // backs lastKey's byte cells
 }
 
-type heapItem struct {
+type mergeItem struct {
 	row schema.Row
 	src rowSource
 	ord int // source index, breaking ties deterministically (newer first)
 }
 
-func (h *mergeHeap) Len() int { return len(h.item) }
-func (h *mergeHeap) Less(i, j int) bool {
-	c := h.sc.CompareKeys(h.item[i].row, h.item[j].row)
+func (m *merger) Len() int { return len(m.item) }
+func (m *merger) Less(i, j int) bool {
+	c := m.sc.CompareKeys(m.item[i].row, m.item[j].row)
 	if c == 0 {
-		return h.item[i].ord > h.item[j].ord // newer source wins ties
+		return m.item[i].ord > m.item[j].ord // newer source wins ties
 	}
-	if h.asc {
+	if m.asc {
 		return c < 0
 	}
 	return c > 0
 }
-func (h *mergeHeap) Swap(i, j int)      { h.item[i], h.item[j] = h.item[j], h.item[i] }
-func (h *mergeHeap) Push(x interface{}) { h.item = append(h.item, x.(heapItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.item
-	n := len(old)
-	it := old[n-1]
-	h.item = old[:n-1]
+func (m *merger) Swap(i, j int)      { m.item[i], m.item[j] = m.item[j], m.item[i] }
+func (m *merger) Push(x interface{}) { m.item = append(m.item, x.(mergeItem)) }
+func (m *merger) Pop() interface{} {
+	n := len(m.item) - 1
+	it := m.item[n]
+	m.item = m.item[:n]
 	return it
+}
+
+// add enters src into the merge at its first row; on equal keys the
+// source with the higher ord (the newer one) wins.
+func (m *merger) add(src rowSource, ord int) error {
+	if row, ok := src.next(); ok {
+		heap.Push(m, mergeItem{row: row, src: src, ord: ord})
+		return nil
+	}
+	return src.err()
+}
+
+// next returns the next row in key order, or nil when the sources are
+// exhausted. The row is valid until the following next.
+func (m *merger) next() (schema.Row, error) {
+	for {
+		if m.stepTop {
+			top := &m.item[0]
+			if row, ok := top.src.next(); ok {
+				top.row = row
+				heap.Fix(m, 0)
+			} else if err := top.src.err(); err != nil {
+				return nil, err
+			} else {
+				heap.Pop(m)
+			}
+			m.stepTop = false
+		}
+		if len(m.item) == 0 {
+			return nil, nil
+		}
+		row := m.item[0].row
+		m.stepTop = true
+		if m.lastKey != nil && m.sc.CompareRowToKey(row, m.lastKey) == 0 {
+			continue
+		}
+		m.lastKey, m.keyBuf = m.lastKey[:0], m.keyBuf[:0]
+		for _, k := range m.sc.Key {
+			v := row[k]
+			if v.Bytes != nil {
+				m.keyBuf = append(m.keyBuf, v.Bytes...)
+				v.Bytes = m.keyBuf[len(m.keyBuf)-len(v.Bytes):]
+			}
+			m.lastKey = append(m.lastKey, v)
+		}
+		return row, nil
+	}
 }
 
 // Iterator streams a query's result rows. The merge itself runs on the
@@ -239,7 +287,7 @@ type Iterator struct {
 	// mu serializes Next against Close; all fields below are guarded by
 	// it once the iterator is returned to the caller.
 	mu       sync.Mutex
-	h        *mergeHeap
+	m        merger
 	sources  []rowSource
 	disks    []*diskTablet
 	row      schema.Row
@@ -247,7 +295,6 @@ type Iterator struct {
 	scanned  int64
 	firstErr error
 	closed   bool
-	lastKey  schema.Row // for duplicate suppression across sources
 }
 
 // Query opens an iterator over the bounding box q. The iterator sees a
@@ -299,7 +346,7 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 		ctx:      qctx,
 		cancel:   cancel,
 		expireLT: expireBefore(t.opts.Clock.Now(), ttl),
-		h:        &mergeHeap{sc: sc, asc: !q.Descending},
+		m:        merger{sc: sc, asc: !q.Descending},
 	}
 	var disks []*diskTablet
 	for _, dt := range t.disk {
@@ -405,9 +452,7 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 
 func (it *Iterator) push(src rowSource, ord int) {
 	it.sources = append(it.sources, src)
-	if row, ok := src.next(); ok {
-		heap.Push(it.h, heapItem{row: row, src: src, ord: ord})
-	} else if err := src.err(); err != nil && it.firstErr == nil {
+	if err := it.m.add(src, ord); err != nil && it.firstErr == nil {
 		it.firstErr = err
 		it.t.stats.ReadErrors.Add(1)
 	}
@@ -423,30 +468,20 @@ func (it *Iterator) Next() bool {
 	if it.q.Limit > 0 && it.returned >= it.q.Limit {
 		return false
 	}
-	for it.h.Len() > 0 {
-		top := it.h.item[0]
-		row := top.row
-		if next, ok := top.src.next(); ok {
-			it.h.item[0].row = next
-			heap.Fix(it.h, 0)
-		} else {
-			if err := top.src.err(); err != nil && it.firstErr == nil {
-				it.firstErr = err
-				if !errors.Is(err, context.Canceled) {
-					// Cancellation surfacing mid-merge (a concurrent
-					// Close, a server timeout) is not a storage fault.
-					it.t.stats.ReadErrors.Add(1)
-				}
-				return false
+	for {
+		row, err := it.m.next()
+		if err != nil {
+			it.firstErr = err
+			if !errors.Is(err, context.Canceled) {
+				// Cancellation surfacing mid-merge (a concurrent
+				// Close, a server timeout) is not a storage fault.
+				it.t.stats.ReadErrors.Add(1)
 			}
-			heap.Pop(it.h)
+			return false
 		}
-		// Duplicate keys across tablets cannot arise from correct inserts,
-		// but suppress them defensively; the newest source surfaced first.
-		if it.lastKey != nil && it.sc.CompareKeys(row, it.lastKey) == 0 {
-			continue
+		if row == nil {
+			return false
 		}
-		it.lastKey = row
 		ts := it.sc.Ts(row)
 		if ts < it.q.MinTs || ts > it.q.MaxTs {
 			continue // outside the box's time bounds (§3.2)
@@ -458,11 +493,11 @@ func (it *Iterator) Next() bool {
 		it.returned++
 		return true
 	}
-	return false
 }
 
-// Row returns the current row; valid after Next reports true, until the
-// following Next call.
+// Row returns the current row, valid after Next reports true; its storage
+// belongs to the source it came from and is overwritten by the following
+// Next, so callers that keep a row clone it (schema.CloneRow).
 func (it *Iterator) Row() schema.Row {
 	it.mu.Lock()
 	defer it.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"littletable/internal/race"
 )
 
 func TestHeadlineShape(t *testing.T) {
@@ -43,7 +45,7 @@ func TestFig2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("throughput shapes are noise under the race detector")
 	}
 	batch := res.Series[0].Points

@@ -29,16 +29,26 @@ func (s *Schema) EncodedRowSize(row Row) int {
 // Byte-slice cells alias b.
 func (s *Schema) DecodeRow(b []byte) (Row, int, error) {
 	row := make(Row, len(s.Columns))
+	n, err := s.DecodeRowInto(row, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return row, n, nil
+}
+
+// DecodeRowInto is DecodeRow into a caller-owned row of the schema's
+// width, for callers that reuse one row buffer or carve rows from a slab.
+func (s *Schema) DecodeRowInto(row Row, b []byte) (int, error) {
 	off := 0
 	for i, c := range s.Columns {
 		v, n, err := ltval.Decode(c.Type, b[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("schema: row column %q: %w", c.Name, err)
+			return 0, fmt.Errorf("schema: row column %q: %w", c.Name, err)
 		}
 		row[i] = v
 		off += n
 	}
-	return row, off, nil
+	return off, nil
 }
 
 // AppendKey appends the encoding of just the primary-key cells of row, in

@@ -372,18 +372,18 @@ func (s *Server) handleQuery(wc *wire.Conn, payload []byte) error {
 		return s.sendErr(wc, err)
 	}
 	defer it.Close()
+	// Each row is encoded the moment the cursor yields it: the iterator
+	// reuses its row, and nothing but the payload outlives the loop.
 	sc := t.Schema()
-	resp := &wire.Rows{SchemaVersion: sc.Version}
-	for len(resp.Rows) < limit && it.Next() {
-		resp.Rows = append(resp.Rows, schema.CloneRow(it.Row()))
+	resp := wire.NewRowsWriter(sc, sc.Version)
+	for resp.Len() < limit && it.Next() {
+		resp.Append(it.Row())
 	}
 	if err := it.Err(); err != nil {
 		return s.sendErr(wc, err)
 	}
-	if len(resp.Rows) == limit && it.Next() {
-		resp.More = true
-	}
-	return wc.WriteMsg(wire.MsgRows, resp.Encode(sc))
+	more := resp.Len() == limit && it.Next()
+	return wc.WriteMsg(wire.MsgRows, resp.Finish(more))
 }
 
 func (s *Server) handleLatestRow(wc *wire.Conn, payload []byte) error {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"littletable/internal/core"
-	"littletable/internal/schema"
 	"littletable/internal/wire"
 )
 
@@ -27,11 +26,11 @@ func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 			matched = append(matched, n)
 		}
 	}
-	resp := &wire.ScatterRows{}
-	if m.MaxTables > 0 && len(matched) > int(m.MaxTables) {
+	truncated := m.MaxTables > 0 && len(matched) > int(m.MaxTables)
+	if truncated {
 		matched = matched[:m.MaxTables]
-		resp.Truncated = true
 	}
+	resp := wire.NewScatterRowsWriter(truncated)
 	limit := s.opts.QueryRowLimit
 	if m.PerTableLimit > 0 && int(m.PerTableLimit) < limit {
 		limit = int(m.PerTableLimit)
@@ -54,42 +53,37 @@ func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 			// snapshot, not a transaction. Skip it.
 			continue
 		}
-		sec, err := s.scanOneTable(t, q, limit)
-		if err != nil {
-			if errors.Is(err, core.ErrBadQuery) {
-				// The key bounds don't fit this table's schema. Prefix
-				// scatter assumes same-shaped tables by convention (§2.2,
-				// one table per customer/device-class); a differently
-				// shaped namesake is skipped, not fatal.
-				continue
-			}
+		if err := s.scanOneTable(resp, name, t, q, limit); err != nil {
 			return s.sendErr(wc, err)
 		}
-		sec.Table = name
-		resp.Tables = append(resp.Tables, sec)
 	}
-	b, err := resp.Encode()
+	return wc.WriteMsg(wire.MsgScatterRows, resp.Finish())
+}
+
+// scanOneTable appends table t's section to resp, encoding each row as the
+// cursor yields it. A table the query does not fit gets no section.
+func (s *Server) scanOneTable(resp *wire.ScatterRowsWriter, name string, t *core.Table, q core.Query, limit int) error {
+	it, err := t.QueryCtx(s.baseCtx, q)
+	if errors.Is(err, core.ErrBadQuery) {
+		// The key bounds don't fit this table's schema. Prefix scatter
+		// assumes same-shaped tables by convention (§2.2, one table per
+		// customer/device-class); a differently shaped namesake is
+		// skipped, not fatal.
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	return wc.WriteMsg(wire.MsgScatterRows, b)
-}
-
-func (s *Server) scanOneTable(t *core.Table, q core.Query, limit int) (wire.ScatterTableRows, error) {
-	sec := wire.ScatterTableRows{Schema: t.Schema()}
-	it, err := t.QueryCtx(s.baseCtx, q)
-	if err != nil {
-		return sec, err
-	}
 	defer it.Close()
-	for len(sec.Rows) < limit && it.Next() {
-		sec.Rows = append(sec.Rows, schema.CloneRow(it.Row()))
+	if err := resp.BeginTable(name, t.Schema()); err != nil {
+		return err
+	}
+	for resp.Len() < limit && it.Next() {
+		resp.Append(it.Row())
 	}
 	if err := it.Err(); err != nil {
-		return sec, err
+		return err
 	}
-	if len(sec.Rows) == limit && it.Next() {
-		sec.More = true
-	}
-	return sec, nil
+	resp.EndTable(resp.Len() == limit && it.Next())
+	return nil
 }

@@ -21,22 +21,25 @@ type ReadOptions struct {
 }
 
 // Cursor iterates a tablet's rows in key order. It decodes one block at a
-// time; Row is valid until the next call to Next. Cursors are not safe for
-// concurrent use, but many cursors may read one Tablet concurrently. A
-// cursor opened with a PrefetchDepth owns a goroutine; Close reaps it
-// (Close is a no-op otherwise, and always idempotent).
+// time into a row buffer it owns. Cursors are not safe for concurrent use,
+// but many cursors may read one Tablet concurrently. A cursor opened with
+// a PrefetchDepth owns a goroutine; Close reaps it (Close is a no-op
+// otherwise, and always idempotent).
 type Cursor struct {
-	t      *Tablet
-	asc    bool
-	ro     ReadOptions
-	blkIdx int
-	rowIdx int
-	blk    *block.Block
-	row    schema.Row
-	err    error
-	done   bool
-	closed bool
-	pf     *prefetcher
+	t   *Tablet
+	asc bool
+	ro  ReadOptions
+	// Blocks outside [loBlk, hiBlk] cannot hold a row inside the cursor's
+	// key range; neither the cursor nor its prefetcher reads them.
+	loBlk, hiBlk int
+	blkIdx       int
+	rowIdx       int // -2: the last row of block blkIdx, resolved on load
+	blk          *block.Block
+	row          schema.Row
+	err          error
+	done         bool
+	closed       bool
+	pf           *prefetcher
 
 	// BlocksRead counts block loads, for scan-efficiency accounting
 	// (Figure 9) and the disk-model benches.
@@ -49,22 +52,7 @@ type Cursor struct {
 
 // Cursor returns an iterator over the entire tablet.
 func (t *Tablet) Cursor(asc bool) *Cursor {
-	return t.CursorOpts(asc, ReadOptions{})
-}
-
-// CursorOpts is Cursor with explicit read options.
-func (t *Tablet) CursorOpts(asc bool, ro ReadOptions) *Cursor {
-	c := &Cursor{t: t, asc: asc, ro: ro}
-	if asc {
-		c.blkIdx, c.rowIdx = 0, 0
-	} else {
-		c.blkIdx = len(t.ft.blocks) - 1
-		c.rowIdx = -2 // resolved to last row of the block on first load
-	}
-	if len(t.ft.blocks) == 0 {
-		c.done = true
-	}
-	c.startPrefetch()
+	c, _ := t.SeekRange(nil, nil, asc, ReadOptions{}) // no bound, so no index search to fail
 	return c
 }
 
@@ -75,134 +63,100 @@ func (t *Tablet) CursorOpts(asc bool, ro ReadOptions) *Cursor {
 //     probe as a prefix count as equal, so descending lands on the last
 //     row of the equal range).
 func (t *Tablet) Seek(probe []ltval.Value, asc bool) (*Cursor, error) {
-	return t.SeekOpts(probe, asc, ReadOptions{})
+	if asc {
+		return t.SeekRange(probe, nil, true, ReadOptions{})
+	}
+	return t.SeekRange(nil, probe, false, ReadOptions{})
 }
 
-// SeekOpts is Seek with explicit read options.
-func (t *Tablet) SeekOpts(probe []ltval.Value, asc bool, ro ReadOptions) (*Cursor, error) {
-	c, err := t.seekOpts(probe, asc, ro)
-	if err != nil {
-		return nil, err
+// SeekRange returns a cursor over the key range [lower, upper] (prefix
+// semantics, nil = unbounded), positioned as Seek positions it on the
+// bound the direction starts from. The far bound limits which blocks are
+// read, not which rows are yielded: the footer's last-key index names the
+// last block that can hold an in-range row, the cursor and its prefetch
+// pipeline end there, and rows of that block past the bound are the
+// caller's to stop at.
+func (t *Tablet) SeekRange(lower, upper []ltval.Value, asc bool, ro ReadOptions) (*Cursor, error) {
+	c := &Cursor{t: t, asc: asc, ro: ro, hiBlk: len(t.ft.blocks) - 1}
+	var err error
+	if lower != nil {
+		// Every row of a block whose last key is < lower is out of range.
+		if c.loBlk, err = t.searchBlocks(lower); err != nil {
+			return nil, err
+		}
+	}
+	if upper != nil {
+		// The first block whose last key is > upper may still begin with
+		// in-range rows; every later block starts past it.
+		hi, err := t.searchBlocksAfter(upper)
+		if err != nil {
+			return nil, err
+		}
+		c.hiBlk = min(hi, c.hiBlk)
+	}
+	if c.loBlk > c.hiBlk {
+		c.done = true
+		return c, nil
+	}
+	start := lower
+	c.blkIdx = c.loBlk
+	if !asc {
+		start = upper
+		c.blkIdx, c.rowIdx = c.hiBlk, -2
+	}
+	if start != nil {
+		// Position inside the first block. A landing spot just outside it
+		// (descending with every row > upper, or a corrupt index) is fine:
+		// Next steps to the adjacent block.
+		if c.blk, err = t.loadBlockCtx(ro.Ctx, c.blkIdx); err != nil {
+			return nil, err
+		}
+		c.BlocksRead++
+		if asc {
+			c.rowIdx, err = c.blk.Search(start)
+		} else {
+			c.rowIdx, err = c.blk.SearchAfter(start)
+			c.rowIdx--
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	c.startPrefetch()
 	return c, nil
 }
 
-func (t *Tablet) seekOpts(probe []ltval.Value, asc bool, ro ReadOptions) (*Cursor, error) {
-	c := &Cursor{t: t, asc: asc, ro: ro}
-	if len(t.ft.blocks) == 0 {
-		c.done = true
-		return c, nil
-	}
-	if asc {
-		bi, err := t.searchBlocks(probe)
-		if err != nil {
-			return nil, err
-		}
-		if bi == len(t.ft.blocks) {
-			c.done = true
-			return c, nil
-		}
-		blk, err := t.loadBlockCtx(ro.Ctx, bi)
-		if err != nil {
-			return nil, err
-		}
-		c.BlocksRead++
-		ri, err := blk.Search(probe)
-		if err != nil {
-			return nil, err
-		}
-		// probe <= lastKey of this block, so ri < blk.Len() always; guard
-		// anyway for corrupt indexes.
-		if ri >= blk.Len() {
-			bi++
-			if bi == len(t.ft.blocks) {
-				c.done = true
-				return c, nil
-			}
-			blk, err = t.loadBlockCtx(ro.Ctx, bi)
-			if err != nil {
-				return nil, err
-			}
-			c.BlocksRead++
-			ri = 0
-		}
-		c.blk, c.blkIdx, c.rowIdx = blk, bi, ri
-		return c, nil
-	}
-	// Descending: find the first block whose lastKey > probe; the target
-	// row is there (before the upper bound) or in the previous block.
-	bi, err := t.searchBlocksAfter(probe)
-	if err != nil {
-		return nil, err
-	}
-	if bi == len(t.ft.blocks) {
-		// Every key <= probe: start at the very last row.
-		c.blkIdx = len(t.ft.blocks) - 1
-		c.rowIdx = -2
-		return c, nil
-	}
-	blk, err := t.loadBlockCtx(ro.Ctx, bi)
-	if err != nil {
-		return nil, err
-	}
-	c.BlocksRead++
-	ri, err := blk.SearchAfter(probe)
-	if err != nil {
-		return nil, err
-	}
-	if ri == 0 {
-		// All rows in this block are > probe; the answer is the previous
-		// block's last row.
-		if bi == 0 {
-			c.done = true
-			return c, nil
-		}
-		c.blkIdx = bi - 1
-		c.rowIdx = -2
-		return c, nil
-	}
-	c.blk, c.blkIdx, c.rowIdx = blk, bi, ri-1
-	return c, nil
-}
-
-// startPrefetch launches the block prefetch pipeline, beginning at the
-// first block this cursor has not yet loaded.
+// startPrefetch launches the block prefetch pipeline over the blocks of
+// the cursor's range it has not yet loaded.
 func (c *Cursor) startPrefetch() {
-	if c.ro.PrefetchDepth <= 0 || c.done {
+	if c.ro.PrefetchDepth <= 0 {
 		return
 	}
 	start := c.blkIdx
 	if c.blk != nil {
 		if c.asc {
-			start = c.blkIdx + 1
+			start++
 		} else {
-			start = c.blkIdx - 1
+			start--
 		}
 	}
-	if start < 0 || start >= len(c.t.ft.blocks) {
+	if start < c.loBlk || start > c.hiBlk {
 		return
 	}
-	c.pf = newPrefetcher(c.t, c.ro, start, c.asc)
+	c.pf = newPrefetcher(c, start)
 }
 
-// fetchBlock returns block i, from the prefetch pipeline when one is
-// running, synchronously otherwise.
+// fetchBlock returns block i: the next one off the prefetch pipeline when
+// one is running (it yields exactly the cursor's remaining blocks, in the
+// cursor's order), a synchronous load otherwise.
 func (c *Cursor) fetchBlock(i int) (*block.Block, error) {
 	if c.pf != nil {
-		for res := range c.pf.ch {
-			if res.err != nil {
-				c.pf = nil // the pipeline stopped after an error
-				return nil, res.err
-			}
-			if res.idx == i {
+		if res, ok := <-c.pf.ch; ok {
+			if res.err == nil {
 				c.PrefetchHits++
-				return res.blk, nil
 			}
-			// Blocks are produced and consumed in the same order, so a
-			// mismatch cannot happen; tolerate it by skipping.
+			return res.blk, res.err
 		}
-		c.pf = nil // pipeline exhausted its range
 	}
 	return c.t.loadBlockCtx(c.ro.Ctx, i)
 }
@@ -214,7 +168,7 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	if c.blk == nil {
-		if c.blkIdx < 0 || c.blkIdx >= len(c.t.ft.blocks) {
+		if c.blkIdx < c.loBlk || c.blkIdx > c.hiBlk {
 			c.done = true
 			return false
 		}
@@ -241,12 +195,9 @@ func (c *Cursor) Next() bool {
 		}
 		return c.Next()
 	}
-	row, err := c.blk.Row(c.rowIdx)
-	if err != nil {
-		c.err = err
+	if c.row, c.err = c.blk.RowInto(c.row, c.rowIdx); c.err != nil {
 		return false
 	}
-	c.row = row
 	if c.asc {
 		c.rowIdx++
 	} else {
@@ -255,8 +206,9 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// Row returns the current row; valid after Next reports true and until the
-// following Next call. Byte-valued cells alias the block buffer.
+// Row returns the current row, valid after Next reports true; the cursor
+// reuses it, so it is overwritten by the following Next, and byte-valued
+// cells alias the block buffer.
 func (c *Cursor) Row() schema.Row { return c.row }
 
 // Err returns the first I/O or corruption error the cursor hit.
@@ -280,7 +232,6 @@ func (c *Cursor) Close() {
 // fetchResult is one prefetched block (or the error that ended the
 // pipeline).
 type fetchResult struct {
-	idx int
 	blk *block.Block
 	err error
 }
@@ -297,23 +248,28 @@ type prefetcher struct {
 	done chan struct{}
 }
 
-func newPrefetcher(t *Tablet, ro ReadOptions, start int, asc bool) *prefetcher {
+// newPrefetcher starts a pipeline over c's blocks from start to the end
+// of its range, in its direction. The goroutine exits at the range end,
+// on the first load error (a cancelled ReadOptions.Ctx is one), or on
+// Close.
+func newPrefetcher(c *Cursor, start int) *prefetcher {
 	p := &prefetcher{
-		ch:   make(chan fetchResult, ro.PrefetchDepth),
+		ch:   make(chan fetchResult, c.ro.PrefetchDepth), // the read-ahead bound
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	t, ctx, lo, hi := c.t, c.ro.Ctx, c.loBlk, c.hiBlk
 	step := 1
-	if !asc {
+	if !c.asc {
 		step = -1
 	}
 	go func() {
 		defer close(p.done)
 		defer close(p.ch)
-		for i := start; i >= 0 && i < len(t.ft.blocks); i += step {
-			blk, err := t.loadBlockCtx(ro.Ctx, i)
+		for i := start; i >= lo && i <= hi; i += step {
+			blk, err := t.loadBlockCtx(ctx, i)
 			select {
-			case p.ch <- fetchResult{idx: i, blk: blk, err: err}:
+			case p.ch <- fetchResult{blk: blk, err: err}:
 				if err != nil {
 					return
 				}

@@ -210,7 +210,8 @@ func (t *Tablet) loadBlockCtx(ctx context.Context, i int) (*block.Block, error) 
 }
 
 // readParseBlock does the physical read, verification, and parse of block
-// i, reporting the parsed block and its in-memory (uncompressed) size.
+// i, reporting the parsed block and the length of its encoded image — what
+// the block cache charges for it, not what the decoded vectors occupy.
 func (t *Tablet) readParseBlock(ctx context.Context, i int) (*block.Block, int64, error) {
 	bm := &t.ft.blocks[i]
 	payload, _, err := readRecord(vfs.CtxReaderAt{Ctx: ctx, R: t.f}, bm.offset, t.size)

@@ -399,11 +399,38 @@ type Rows struct {
 
 // Encode serializes the message payload under sc.
 func (m *Rows) Encode(sc *schema.Schema) []byte {
-	var b Buf
-	b.U32(m.SchemaVersion)
-	b.Bool(m.More)
-	b.Rows(sc, m.Rows)
-	return b.B
+	w := NewRowsWriter(sc, m.SchemaVersion)
+	for _, r := range m.Rows {
+		w.Append(r)
+	}
+	return w.Finish(m.More)
+}
+
+// RowsWriter builds a Rows payload a row at a time, so a server can encode
+// each row as its cursor yields it instead of collecting copies first.
+type RowsWriter struct {
+	b  Buf
+	rb rowBatch
+}
+
+// NewRowsWriter starts a Rows payload of rows encoded under sc.
+func NewRowsWriter(sc *schema.Schema, schemaVersion uint32) *RowsWriter {
+	w := &RowsWriter{}
+	w.b.U32(schemaVersion)
+	w.rb = w.b.beginRowBatch(sc)
+	return w
+}
+
+// Append encodes row; the caller may reuse it afterwards.
+func (w *RowsWriter) Append(row schema.Row) { w.rb.append(&w.b, row) }
+
+// Len returns the number of rows appended.
+func (w *RowsWriter) Len() int { return w.rb.n }
+
+// Finish sets the more-available flag and returns the payload.
+func (w *RowsWriter) Finish(more bool) []byte {
+	w.rb.end(&w.b, more)
+	return w.b.B
 }
 
 // DecodeRows parses a Rows payload under sc.

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
 	"littletable/internal/schema"
@@ -91,19 +93,61 @@ type ScatterRows struct {
 
 // Encode serializes the message payload.
 func (m *ScatterRows) Encode() ([]byte, error) {
-	var b Buf
-	b.Bool(m.Truncated)
-	b.U32(uint32(len(m.Tables)))
+	w := NewScatterRowsWriter(m.Truncated)
 	for i := range m.Tables {
 		s := &m.Tables[i]
-		b.String(s.Table)
-		if err := b.Schema(s.Schema); err != nil {
+		if err := w.BeginTable(s.Table, s.Schema); err != nil {
 			return nil, err
 		}
-		b.Bool(s.More)
-		b.Rows(s.Schema, s.Rows)
+		for _, r := range s.Rows {
+			w.Append(r)
+		}
+		w.EndTable(s.More)
 	}
-	return b.B, nil
+	return w.Finish(), nil
+}
+
+// ScatterRowsWriter builds a ScatterRows payload a section and a row at a
+// time, for the same reason RowsWriter exists.
+type ScatterRowsWriter struct {
+	b      Buf
+	tables uint32
+	rb     rowBatch // the open section's rows
+}
+
+// NewScatterRowsWriter starts a ScatterRows payload.
+func NewScatterRowsWriter(truncated bool) *ScatterRowsWriter {
+	w := &ScatterRowsWriter{}
+	w.b.Bool(truncated)
+	w.b.U32(0) // section count, patched by Finish
+	return w
+}
+
+// BeginTable opens table's section; its rows are encoded under sc.
+func (w *ScatterRowsWriter) BeginTable(table string, sc *schema.Schema) error {
+	w.b.String(table)
+	if err := w.b.Schema(sc); err != nil {
+		return err
+	}
+	w.rb = w.b.beginRowBatch(sc)
+	w.tables++
+	return nil
+}
+
+// Append encodes row into the open section; the caller may reuse it
+// afterwards.
+func (w *ScatterRowsWriter) Append(row schema.Row) { w.rb.append(&w.b, row) }
+
+// Len returns the number of rows in the open section.
+func (w *ScatterRowsWriter) Len() int { return w.rb.n }
+
+// EndTable closes the open section with its more-available flag.
+func (w *ScatterRowsWriter) EndTable(more bool) { w.rb.end(&w.b, more) }
+
+// Finish returns the payload.
+func (w *ScatterRowsWriter) Finish() []byte {
+	binary.LittleEndian.PutUint32(w.b.B[1:], w.tables)
+	return w.b.B
 }
 
 // DecodeScatterRows parses a ScatterRows payload.

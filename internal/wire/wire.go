@@ -10,6 +10,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -349,8 +350,45 @@ func (b *Buf) Rows(sc *schema.Schema, rows []schema.Row) {
 	}
 }
 
-// Rows decodes a batch encoded under sc. Rows alias the payload; callers
-// needing longer lifetimes clone.
+// rowBatch streams a row batch whose length is only known once a cursor
+// has been drained: each row is encoded straight into the payload — the
+// cursor may reuse the row afterwards — and end patches in the count and
+// the more-available flag that precedes it. Both row-carrying responses
+// (Rows and each ScatterRows section) end in this [more][count][rows]
+// tail.
+type rowBatch struct {
+	sc *schema.Schema
+	at int // payload offset of the more flag; the count follows it
+	n  int
+}
+
+func (b *Buf) beginRowBatch(sc *schema.Schema) rowBatch {
+	rb := rowBatch{sc: sc, at: len(b.B)}
+	b.Bool(false)
+	b.U32(0)
+	return rb
+}
+
+func (rb *rowBatch) append(b *Buf, row schema.Row) {
+	b.B = rb.sc.AppendRow(b.B, row)
+	rb.n++
+}
+
+func (rb *rowBatch) end(b *Buf, more bool) {
+	if more {
+		b.B[rb.at] = 1
+	}
+	binary.LittleEndian.PutUint32(b.B[rb.at+1:], uint32(rb.n))
+}
+
+// rowSlabRows is how many rows' cells Dec.Rows allocates at a time: one
+// allocation per slab instead of one per row, small enough that a corrupt
+// row count cannot size more than a slab beyond what the payload decodes.
+const rowSlabRows = 256
+
+// Rows decodes a batch encoded under sc. Rows alias the payload, and
+// neighbouring rows share one backing array of cells; each stays valid for
+// as long as it is referenced.
 func (d *Dec) Rows(sc *schema.Schema) []schema.Row {
 	n := int(d.U32())
 	if d.Err != nil || n < 0 {
@@ -364,12 +402,19 @@ func (d *Dec) Rows(sc *schema.Schema) []schema.Row {
 		return nil
 	}
 	rows := make([]schema.Row, 0, n)
+	ncols := len(sc.Columns)
+	var slab []ltval.Value
 	for i := 0; i < n; i++ {
 		if d.off > len(d.B) {
 			d.fail("rows")
 			return nil
 		}
-		row, used, err := sc.DecodeRow(d.B[d.off:])
+		if len(slab) < ncols {
+			slab = make([]ltval.Value, ncols*min(n-i, rowSlabRows))
+		}
+		row := schema.Row(slab[:ncols:ncols])
+		slab = slab[ncols:]
+		used, err := sc.DecodeRowInto(row, d.B[d.off:])
 		if err != nil {
 			d.Err = err
 			return nil

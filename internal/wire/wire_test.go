@@ -249,6 +249,36 @@ func TestRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowsWriterReusedRowAcrossSlabs streams a page the way the server
+// does — one row buffer, overwritten between appends — and decodes it the
+// way the client does, into rows carved from shared slabs. Every row must
+// come back whole, and stay whole when a neighbour is appended to.
+func TestRowsWriterReusedRowAcrossSlabs(t *testing.T) {
+	sc := testSchema(t)
+	const n = 2*rowSlabRows + 7
+	w := NewRowsWriter(sc, sc.Version)
+	row := make(schema.Row, 4)
+	name := []byte("dev-000")
+	for i := 0; i < n; i++ {
+		name[6] = byte('0' + i%10)
+		row[0], row[1], row[2], row[3] = ltval.NewInt64(int64(i)), ltval.NewTimestamp(int64(10*i)), ltval.Value{Type: ltval.String, Bytes: name}, ltval.NewDouble(float64(i)/2)
+		w.Append(row)
+	}
+	if w.Len() != n {
+		t.Fatalf("Len = %d", w.Len())
+	}
+	got, err := DecodeRows(w.Finish(true), sc)
+	if err != nil || !got.More || got.SchemaVersion != sc.Version || len(got.Rows) != n {
+		t.Fatalf("decoded %d rows, more=%v: %v", len(got.Rows), got.More, err)
+	}
+	_ = append(got.Rows[0], ltval.NewInt64(-1)) // must not spill into row 1
+	for i, r := range got.Rows {
+		if len(r) != 4 || r[0].Int != int64(i) || r[1].Int != int64(10*i) || string(r[2].Bytes) != "dev-00"+string(rune('0'+i%10)) || r[3].Float != float64(i)/2 {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+}
+
 func TestRowResultRoundTrip(t *testing.T) {
 	sc := testSchema(t)
 	m := &RowResult{Found: true, Row: schema.Row{
