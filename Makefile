@@ -37,11 +37,11 @@ lint-fix-baseline:
 	$(GO) run ./cmd/ltlint -write-baseline .ltlint-baseline.json ./...
 
 # bench runs the root package's benchmarks, then the read path's two inner
-# loops (block decode, tablet range scan): their B/op is bytes per block
-# and per 100-row range.
+# loops (block decode, tablet range scan) and the tablet writer: their B/op
+# is bytes per block, per 100-row range and per row written.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan' -benchmem ./internal/block ./internal/tablet
+	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|TabletWrite' -benchmem ./internal/block ./internal/tablet
 
 # bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
 # does (BENCHMARK.json); benchmark/README.md explains what it prints.

@@ -25,14 +25,18 @@ var ErrCorrupt = errors.New("block: corrupt block")
 // Writer accumulates rows into one uncompressed block image. In ModeAuto
 // it additionally accumulates per-column vectors and, at Finish, emits the
 // columnar image when trial encoding shows it is smaller than the legacy
-// row-major one.
+// row-major one. Every buffer it uses — the legacy image, the columnar
+// image, the column accumulators and the encoder's trial buffers — is
+// reused from block to block, so a long-lived Writer allocates only while
+// its buffers grow to the largest block it has seen.
 type Writer struct {
 	sc      *schema.Schema
 	mode    Mode
 	buf     []byte
 	offsets []uint32
-	cols    []colAcc // auto mode only
-	cbuf    []byte   // reusable columnar image buffer
+	cols    []colAcc   // auto mode only
+	cbuf    []byte     // reusable columnar image buffer
+	enc     encScratch // auto mode only
 	stats   EncodeStats
 }
 
@@ -94,10 +98,7 @@ func (w *Writer) Finish() ([]byte, Encoding) {
 	}
 	w.buf = appendU32(w.buf, uint32(n))
 	legacy := w.buf
-	w.buf = w.buf[len(w.buf):]
-	if cap(w.buf) < TargetSize {
-		w.buf = make([]byte, 0, TargetSize+1024)
-	}
+	w.buf = w.buf[:0]
 	w.offsets = w.offsets[:0]
 	w.stats.Blocks++
 	w.stats.BytesBefore += int64(len(legacy))
@@ -106,7 +107,7 @@ func (w *Writer) Finish() ([]byte, Encoding) {
 		return legacy, EncLegacy
 	}
 	var colStats EncodeStats
-	img := encodeColumnar(w.cbuf[:0], w.sc, w.cols, n, &colStats)
+	img := encodeColumnar(w.cbuf[:0], w.sc, w.cols, n, &colStats, &w.enc)
 	w.cbuf = img[:0]
 	for i := range w.cols {
 		w.cols[i].reset()

@@ -1,6 +1,9 @@
 package block
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"littletable/internal/ltval"
@@ -182,6 +185,87 @@ func TestWriterReuse(t *testing.T) {
 			t.Errorf("mode %v: writer reuse corrupted blocks", mode)
 		}
 	}
+}
+
+// TestWriterReuseIsByteIdentical writes blocks whose codec choices change
+// from one block to the next — the key's string column goes dictionary →
+// LZF → LZF → plain and back, the counter delta → plain and back — through one
+// long-lived Writer and through a fresh Writer per block. The images must
+// be equal byte for byte and decode to their rows: a trial buffer reused
+// while an earlier trial is still being compared would corrupt one.
+func TestWriterReuseIsByteIdentical(t *testing.T) {
+	sc := schema.MustNew([]schema.Column{
+		{Name: "name", Type: ltval.String},
+		{Name: "ts", Type: ltval.Timestamp},
+		{Name: "n", Type: ltval.Int64},
+	}, []string{"name", "ts"})
+	rng := rand.New(rand.NewSource(7))
+	const perBlock = 600
+	phase := []struct {
+		nameCodec, nCodec Codec
+		name              func(i int) string
+		n                 func(i int) int64
+	}{
+		{CodecDict, CodecDelta, func(i int) string { return string(rune('a' + 3*i/perBlock)) }, func(i int) int64 { return int64(i) }},
+		// 250 one-byte names: the dictionary trial succeeds but loses, so
+		// the plain trial it is compared with must still be intact.
+		{CodecLZF, CodecDelta, func(i int) string { return string([]byte{byte(i * 250 / perBlock)}) }, func(i int) int64 { return int64(i) }},
+		{CodecLZF, CodecPlain, func(i int) string { return fmt.Sprintf("device-%06d-gigabitethernet", i) }, func(int) int64 { return rng.Int63() }},
+		{CodecPlain, CodecPlain, func(i int) string {
+			b := make([]byte, 30)
+			rng.Read(b)
+			return string(append([]byte{byte(i >> 8), byte(i)}, b...))
+		}, func(int) int64 { return rng.Int63() }},
+	}
+	long := NewWriter(sc)
+	for blk := 0; blk < 2*len(phase); blk++ {
+		ph := phase[blk%len(phase)]
+		fresh := NewWriter(sc)
+		var rows []schema.Row
+		for i := 0; i < perBlock; i++ {
+			r := schema.Row{ltval.NewString(ph.name(i)), ltval.NewTimestamp(int64(i) * 60_000_000), ltval.NewInt64(ph.n(i))}
+			rows = append(rows, r)
+			long.Append(r)
+			fresh.Append(r)
+		}
+		img, enc := long.Finish()
+		want, wantEnc := fresh.Finish()
+		if enc != EncColumnar || wantEnc != EncColumnar {
+			t.Fatalf("block %d: encodings %v / %v, want columnar", blk, enc, wantEnc)
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatalf("block %d: long-lived writer's image differs from a fresh writer's", blk)
+		}
+		if got := columnCodecs(t, img); got[0] != ph.nameCodec || got[2] != ph.nCodec {
+			t.Fatalf("block %d: codecs %v, want name %v and n %v", blk, got, ph.nameCodec, ph.nCodec)
+		}
+		b, err := Decode(sc, enc, img)
+		if err != nil {
+			t.Fatalf("block %d: %v", blk, err)
+		}
+		for i, r := range rows {
+			got, err := b.Row(i)
+			if err != nil || !sameCells(got, r) {
+				t.Fatalf("block %d row %d: got %v (%v), want %v", blk, i, got, err, r)
+			}
+		}
+	}
+}
+
+// columnCodecs reads the per-column codec ids from a columnar image's
+// header: version, CRC, row count, column count, then one id per column.
+func columnCodecs(t *testing.T, img []byte) []Codec {
+	t.Helper()
+	_, w := uvarint(img[5:])
+	ncols, w2 := uvarint(img[5+w:])
+	if w <= 0 || w2 <= 0 {
+		t.Fatal("bad columnar header")
+	}
+	var out []Codec
+	for _, c := range img[5+w+w2:][:ncols] {
+		out = append(out, Codec(c))
+	}
+	return out
 }
 
 func TestSizeBytesTracksFinish(t *testing.T) {

@@ -126,7 +126,7 @@ func bytesAcc(cells ...string) *colAcc {
 
 func TestDictRoundTrip(t *testing.T) {
 	c := bytesAcc("wan1", "wan2", "wan1", "", "wan1", "wan2")
-	enc, ok := encodeDict(nil, c)
+	enc, ok := encodeDict(nil, c, new(encScratch))
 	if !ok {
 		t.Fatal("low-cardinality column rejected")
 	}
@@ -147,11 +147,11 @@ func TestDictHighCardinalityFallsBack(t *testing.T) {
 		cells[i] = fmt.Sprintf("interface-%d", i)
 	}
 	c := bytesAcc(cells...)
-	if _, ok := encodeDict(nil, c); ok {
+	if _, ok := encodeDict(nil, c, new(encScratch)); ok {
 		t.Error("dictionary accepted past the entry cap")
 	}
 	// The column-level chooser must still round-trip via LZF or plain.
-	enc, codec := encodeBytesColumn(nil, c)
+	enc, codec := encodeBytesColumn(c, new(encScratch))
 	vals, err := decodeColumn(ltval.String, codec, enc, len(c.ends))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestDictHighCardinalityFallsBack(t *testing.T) {
 
 func TestDictBadIndexRejected(t *testing.T) {
 	c := bytesAcc("a", "b", "a")
-	enc, _ := encodeDict(nil, c)
+	enc, _ := encodeDict(nil, c, new(encScratch))
 	// Point the last row at a nonexistent entry.
 	enc[len(enc)-1] = 7
 	if _, err := decodeDict(ltval.String, enc, 3); err == nil {

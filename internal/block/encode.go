@@ -63,10 +63,24 @@ func (c *colAcc) cell(i int) []byte {
 	return c.flat[start:c.ends[i]]
 }
 
+// encScratch is the encoder's working memory, owned by one Writer and
+// reused for every block it finishes. Each trial that may still be
+// compared against another has its own buffer — the plain (or delta, XOR)
+// trial, the dictionary trial and the LZF trial never share storage — and
+// every buffer is stored back after use so its capacity carries over.
+type encScratch struct {
+	trial   []byte
+	dict    []byte
+	lzf     []byte
+	entries []dictEntry
+	order   []int // row index of each dictionary entry's first occurrence
+	idx     []int // dictionary id of each row
+}
+
 // encodeColumnar builds the columnar image for the accumulated columns,
 // appending to dst, and reports per-column codec choices into st. rowCount
 // is the number of rows in every column.
-func encodeColumnar(dst []byte, sc *schema.Schema, cols []colAcc, rowCount int, st *EncodeStats) []byte {
+func encodeColumnar(dst []byte, sc *schema.Schema, cols []colAcc, rowCount int, st *EncodeStats, s *encScratch) []byte {
 	start := len(dst)
 	dst = append(dst, colFormatVersion, 0, 0, 0, 0) // CRC patched below
 	dst = appendUvarint(dst, uint64(rowCount))
@@ -75,18 +89,19 @@ func encodeColumnar(dst []byte, sc *schema.Schema, cols []colAcc, rowCount int, 
 	for range cols {
 		dst = append(dst, byte(CodecPlain))
 	}
-	var scratch []byte
 	for i := range cols {
 		c := &cols[i]
 		var enc []byte
 		var codec Codec
 		switch c.class {
 		case schema.ClassInt:
-			enc, codec = encodeIntColumn(scratch[:0], c.ints, sc.Columns[i].Type)
+			enc, codec = encodeIntColumn(s.trial[:0], c.ints, sc.Columns[i].Type)
+			s.trial = enc
 		case schema.ClassFloat:
-			enc, codec = encodeFloatColumn(scratch[:0], c.floats)
+			enc, codec = encodeFloatColumn(s.trial[:0], c.floats)
+			s.trial = enc
 		default:
-			enc, codec = encodeBytesColumn(scratch[:0], c)
+			enc, codec = encodeBytesColumn(c, s)
 		}
 		switch codec {
 		case CodecDelta:
@@ -101,7 +116,6 @@ func encodeColumnar(dst []byte, sc *schema.Schema, cols []colAcc, rowCount int, 
 		dst[codecAt+i] = byte(codec)
 		dst = appendUvarint(dst, uint64(len(enc)))
 		dst = append(dst, enc...)
-		scratch = enc // reuse the trial buffer for the next column
 	}
 	crc := crc32.Checksum(dst[start+5:], castagnoli)
 	dst[start+1] = byte(crc)
@@ -134,14 +148,19 @@ func encodeFloatColumn(dst []byte, vals []float64) ([]byte, Codec) {
 
 // encodeBytesColumn trial-encodes a byte-class column: dictionary when
 // cardinality permits, LZF over the plain vector otherwise, plain if
-// neither shrinks it.
-func encodeBytesColumn(dst []byte, c *colAcc) ([]byte, Codec) {
-	plain := encodePlainBytes(dst, c)
-	if dict, ok := encodeDict(nil, c); ok && len(dict) < len(plain) {
+// neither shrinks it. The result lives in one of s's buffers and is valid
+// until the next call with s.
+func encodeBytesColumn(c *colAcc, s *encScratch) ([]byte, Codec) {
+	plain := encodePlainBytes(s.trial[:0], c)
+	s.trial = plain
+	dict, ok := encodeDict(s.dict[:0], c, s)
+	s.dict = dict
+	if ok && len(dict) < len(plain) {
 		return dict, CodecDict
 	}
-	compressed := appendUvarint(nil, uint64(len(plain)))
+	compressed := appendUvarint(s.lzf[:0], uint64(len(plain)))
 	compressed = lzf.Compress(compressed, plain)
+	s.lzf = compressed
 	if len(compressed) < len(plain) {
 		return compressed, CodecLZF
 	}
@@ -206,14 +225,17 @@ func encodeXOR(dst []byte, vals []float64) []byte {
 	return w.b
 }
 
+// dictEntry is one distinct value in encodeDict's hash chains.
+type dictEntry struct {
+	id   int
+	next int // index into entries, -1 = end of chain
+}
+
 // encodeDict writes a dictionary column: distinct values in first-seen
-// order, then one uvarint index per row. Returns ok=false past
+// order, then one uvarint index per row, using s's entries, order and idx
+// as working memory. Returns ok=false, and dst unextended, past
 // maxDictEntries — the LZF fallback handles high-cardinality blocks.
-func encodeDict(dst []byte, c *colAcc) ([]byte, bool) {
-	type entry struct {
-		id   int
-		next int // index into entries, -1 = end of chain
-	}
+func encodeDict(dst []byte, c *colAcc, s *encScratch) ([]byte, bool) {
 	// A tiny open-chained hash keyed on FNV of the cell, to avoid
 	// string-allocating a map key per row.
 	const buckets = 512
@@ -221,9 +243,7 @@ func encodeDict(dst []byte, c *colAcc) ([]byte, bool) {
 	for i := range head {
 		head[i] = -1
 	}
-	entries := make([]entry, 0, maxDictEntries)
-	order := make([]int, 0, maxDictEntries) // row index of each entry's first occurrence
-	idx := make([]int, len(c.ends))
+	entries, order, idx := s.entries[:0], s.order[:0], s.idx[:0]
 	for i := range c.ends {
 		cell := c.cell(i)
 		h := fnv32(cell) & (buckets - 1)
@@ -237,15 +257,17 @@ func encodeDict(dst []byte, c *colAcc) ([]byte, bool) {
 		}
 		if found == -1 {
 			if len(entries) >= maxDictEntries {
-				return nil, false
+				s.entries, s.order, s.idx = entries, order, idx
+				return dst, false
 			}
 			found = len(entries)
-			entries = append(entries, entry{id: found, next: head[h]})
+			entries = append(entries, dictEntry{id: found, next: head[h]})
 			head[h] = len(entries) - 1
 			order = append(order, i)
 		}
-		idx[i] = found
+		idx = append(idx, found)
 	}
+	s.entries, s.order, s.idx = entries, order, idx
 	dst = appendUvarint(dst, uint64(len(order)))
 	for _, row := range order {
 		cell := c.cell(row)

@@ -109,7 +109,7 @@ func FuzzDictStrings(f *testing.F) {
 			c.flat = append(c.flat, data[off:end]...)
 			c.ends = append(c.ends, len(c.flat))
 		}
-		if enc, ok := encodeDict(nil, c); ok {
+		if enc, ok := encodeDict(nil, c, new(encScratch)); ok {
 			got, err := decodeDict(ltval.String, enc, len(c.ends))
 			if err != nil {
 				t.Fatalf("round trip rejected: %v", err)
@@ -121,7 +121,7 @@ func FuzzDictStrings(f *testing.F) {
 			}
 		}
 		// The full chooser (dict/lzf/plain) must also round-trip.
-		enc, codec := encodeBytesColumn(nil, c)
+		enc, codec := encodeBytesColumn(c, new(encScratch))
 		got, err := decodeColumn(ltval.String, codec, enc, len(c.ends))
 		if err != nil {
 			t.Fatalf("chooser round trip rejected (codec %d): %v", codec, err)

@@ -75,7 +75,7 @@ func bothImages(sc *schema.Schema, rows []schema.Row) (legacy, columnar []byte, 
 	}
 	img, _ := lw.Finish()
 	legacy = append([]byte(nil), img...)
-	columnar = encodeColumnar(nil, sc, cw.cols, len(rows), &st)
+	columnar = encodeColumnar(nil, sc, cw.cols, len(rows), &st, new(encScratch))
 	return legacy, columnar, st
 }
 
@@ -217,7 +217,7 @@ func TestWriterPicksEachCodec(t *testing.T) {
 		{[]string{"a", "b", "c"}, CodecPlain},
 	} {
 		c := bytesAcc(tc.cells...)
-		enc, codec := encodeBytesColumn(nil, c)
+		enc, codec := encodeBytesColumn(c, new(encScratch))
 		if codec != tc.want {
 			t.Errorf("%d cells like %q: codec %d, want %d", len(tc.cells), tc.cells[0], codec, tc.want)
 		}

@@ -138,14 +138,7 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 	var out *diskTablet
 	if kept > 0 {
 		path := filepath.Join(t.dir, tabletFileName(seq))
-		w, err := tablet.Create(path, sc, tablet.WriterOptions{
-			BlockSize:          t.opts.BlockSize,
-			DisableCompression: t.opts.DisableCompression,
-			DisableBloom:       t.opts.DisableBloom,
-			Encoding:           t.opts.BlockEncoding,
-			Sync:               t.opts.SyncWrites,
-			FS:                 t.opts.FS,
-		})
+		w, err := tablet.Create(path, sc, t.opts.tabletWriter(t.opts.FS, kept))
 		if err != nil {
 			return 0, err
 		}

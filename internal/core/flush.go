@@ -114,14 +114,7 @@ func (t *Table) writeGroup(g *flushGroup, now int64) ([]*diskTablet, error) {
 			continue
 		}
 		path := filepath.Join(t.dir, tabletFileName(g.seqs[i]))
-		w, err := tablet.Create(path, ft.mt.Schema(), tablet.WriterOptions{
-			BlockSize:          t.opts.BlockSize,
-			DisableCompression: t.opts.DisableCompression,
-			DisableBloom:       t.opts.DisableBloom,
-			Encoding:           t.opts.BlockEncoding,
-			Sync:               t.opts.SyncWrites,
-			FS:                 t.opts.FS,
-		})
+		w, err := tablet.Create(path, ft.mt.Schema(), t.opts.tabletWriter(t.opts.FS, int64(ft.mt.Len())))
 		if err != nil {
 			t.abortDisks(newDisks)
 			return nil, err

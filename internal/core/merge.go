@@ -232,15 +232,12 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 	if t.ioBudget != nil {
 		writeFS = budgetFS{FS: t.opts.FS, b: t.ioBudget}
 	}
+	var rows int64 // an upper bound: duplicates and expired rows drop out
+	for _, dt := range inputs {
+		rows += dt.tab.RowCount()
+	}
 	path := filepath.Join(t.dir, tabletFileName(seq))
-	w, err := tablet.Create(path, sc, tablet.WriterOptions{
-		BlockSize:          t.opts.BlockSize,
-		DisableCompression: t.opts.DisableCompression,
-		DisableBloom:       t.opts.DisableBloom,
-		Encoding:           t.opts.BlockEncoding,
-		Sync:               t.opts.SyncWrites,
-		FS:                 writeFS,
-	})
+	w, err := tablet.Create(path, sc, t.opts.tabletWriter(writeFS, rows))
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"littletable/internal/block"
 	"littletable/internal/clock"
+	"littletable/internal/tablet"
 	"littletable/internal/vfs"
 )
 
@@ -242,6 +243,21 @@ func (o Options) withDefaults() Options {
 		o.Logf = log.Printf
 	}
 	return o
+}
+
+// tabletWriter returns the options every tablet the table writes is
+// created with: written through fsys, with rows (an upper bound on the
+// rows it will hold) presizing the writer's Bloom hash buffer.
+func (o Options) tabletWriter(fsys vfs.FS, rows int64) tablet.WriterOptions {
+	return tablet.WriterOptions{
+		BlockSize:          o.BlockSize,
+		DisableCompression: o.DisableCompression,
+		DisableBloom:       o.DisableBloom,
+		Encoding:           o.BlockEncoding,
+		Sync:               o.SyncWrites,
+		FS:                 fsys,
+		RowsHint:           int(rows),
+	}
 }
 
 // queryParallelism returns the effective worker count (>= 1).

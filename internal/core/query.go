@@ -259,15 +259,7 @@ func (m *merger) next() (schema.Row, error) {
 		if m.lastKey != nil && m.sc.CompareRowToKey(row, m.lastKey) == 0 {
 			continue
 		}
-		m.lastKey, m.keyBuf = m.lastKey[:0], m.keyBuf[:0]
-		for _, k := range m.sc.Key {
-			v := row[k]
-			if v.Bytes != nil {
-				m.keyBuf = append(m.keyBuf, v.Bytes...)
-				v.Bytes = m.keyBuf[len(m.keyBuf)-len(v.Bytes):]
-			}
-			m.lastKey = append(m.lastKey, v)
-		}
+		m.lastKey, m.keyBuf = m.sc.CopyKey(m.lastKey, m.keyBuf, row)
 		return row, nil
 	}
 }

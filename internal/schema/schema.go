@@ -236,6 +236,23 @@ func (s *Schema) KeyOf(row Row) []ltval.Value {
 	return out
 }
 
+// CopyKey sets key to row's primary-key values, in key order, copying
+// byte cells into buf, and returns both for reuse on the next call. The
+// copy stays valid however row's storage is reused afterwards, and once
+// key and buf have grown to the widest key seen it allocates nothing.
+func (s *Schema) CopyKey(key []ltval.Value, buf []byte, row Row) ([]ltval.Value, []byte) {
+	key, buf = key[:0], buf[:0]
+	for _, k := range s.Key {
+		v := row[k]
+		if v.Bytes != nil {
+			buf = append(buf, v.Bytes...)
+			v.Bytes = buf[len(buf)-len(v.Bytes):]
+		}
+		key = append(key, v)
+	}
+	return key, buf
+}
+
 // String renders the schema like a CREATE TABLE body.
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -54,28 +54,30 @@ var (
 
 // appendRecord frames payload (compressing it when that helps) and appends
 // the record to dst, returning the extended slice and the on-disk record
-// length.
+// length. The payload is compressed straight into dst, after a header
+// patched once the body is known, so with dst's capacity reserved
+// (recordHeaderSize + lzf.MaxCompressedLen) framing allocates nothing.
 func appendRecord(dst, payload []byte, tryCompress bool) ([]byte, int) {
-	var body []byte
+	start := len(dst)
+	dst = append(dst, make([]byte, recordHeaderSize)...)
 	var flags byte
 	if tryCompress {
-		comp := lzf.Compress(make([]byte, 0, lzf.MaxCompressedLen(len(payload))), payload)
-		if len(comp) < len(payload) {
-			body = comp
+		dst = lzf.Compress(dst, payload)
+		if len(dst)-start-recordHeaderSize < len(payload) {
 			flags = flagCompressed
+		} else {
+			dst = dst[:start+recordHeaderSize]
 		}
 	}
-	if body == nil {
-		body = payload
+	if flags == 0 {
+		dst = append(dst, payload...)
 	}
-	crc := crc32.Checksum(body, crcTable)
-	hdr := [recordHeaderSize]byte{flags}
+	hdr, body := dst[start:], dst[start+recordHeaderSize:]
+	hdr[0] = flags
 	putU32(hdr[1:], uint32(len(payload)))
 	putU32(hdr[5:], uint32(len(body)))
-	putU32(hdr[9:], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, body...)
-	return dst, recordHeaderSize + len(body)
+	putU32(hdr[9:], crc32.Checksum(body, crcTable))
+	return dst, len(dst) - start
 }
 
 // readRecord reads and verifies the record at off, returning its
@@ -129,11 +131,6 @@ func putU32(b []byte, u uint32) {
 
 func getU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, u uint64) {
-	putU32(b, uint32(u))
-	putU32(b[4:], uint32(u>>32))
 }
 
 func getU64(b []byte) uint64 {

@@ -1,14 +1,20 @@
 package tablet
 
 import (
-	"bufio"
 	"fmt"
 
 	"littletable/internal/block"
 	"littletable/internal/bloom"
+	"littletable/internal/ltval"
+	"littletable/internal/lzf"
 	"littletable/internal/schema"
 	"littletable/internal/vfs"
 )
+
+// outBufSize bounds the writer's output buffer: records are framed into
+// it and it is written out before it would pass 1 MB, so a large tablet
+// costs about one write call per MB and a small one never holds a full MB.
+const outBufSize = 1 << 20
 
 // WriterOptions tune tablet creation. The zero value gives the paper's
 // defaults.
@@ -35,6 +41,11 @@ type WriterOptions struct {
 	// FS abstracts filesystem access; nil means the real OS filesystem.
 	// Tests inject fault-injecting or crash-simulating implementations.
 	FS vfs.FS
+
+	// RowsHint is how many rows the caller expects to append, or an upper
+	// bound on it; zero means unknown. It only presizes the Bloom filter's
+	// hash buffer and never changes the output.
+	RowsHint int
 }
 
 func (o *WriterOptions) fsys() vfs.FS {
@@ -66,23 +77,29 @@ type Info struct {
 // file. The file is written under a temporary name and atomically renamed
 // into place on Close, so a crash mid-flush leaves no partial tablet
 // visible (§3.2's descriptor update makes it durable).
+//
+// A Writer owns all of its working memory for the tablet's life: Append
+// copies what it keeps of a row (the key, the block's cells), so the
+// caller may reuse the row's storage as soon as Append returns, and it
+// allocates nothing per row once its buffers have grown.
 type Writer struct {
 	path    string
 	tmpPath string
 	fsys    vfs.FS
 	f       vfs.File
-	w       *bufio.Writer
 	opts    WriterOptions
 	sc      *schema.Schema
 
 	bw      *block.Writer
 	ft      footer
-	off     int64
-	lastRow schema.Row
+	off     int64  // file offset of the next record
+	out     []byte // framed records not yet written to f; see reserve
+	lastKey []ltval.Value
+	keyBuf  []byte // backs lastKey's byte cells
+	keyEnc  []byte // AppendKey encoding of the last row appended
 	blkMin  int64
 	blkMax  int64
 	hashes  []uint64 // h1,h2 pairs for the bloom filter
-	scratch []byte
 	closed  bool
 }
 
@@ -98,17 +115,20 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 	if opts.Encoding == block.ModeLegacy {
 		ftVersion = formatVersionV1
 	}
-	return &Writer{
+	w := &Writer{
 		path:    path,
 		tmpPath: tmp,
 		fsys:    fsys,
 		f:       f,
-		w:       bufio.NewWriterSize(f, 1<<20),
 		opts:    opts,
 		sc:      sc,
 		bw:      block.NewWriterMode(sc, opts.Encoding),
 		ft:      footer{sc: sc, version: ftVersion},
-	}, nil
+	}
+	if !opts.DisableBloom && opts.RowsHint > 0 {
+		w.hashes = make([]uint64, 0, 2*opts.RowsHint)
+	}
+	return w, nil
 }
 
 // Append adds row, which must be in strictly ascending key order relative
@@ -117,8 +137,8 @@ func (w *Writer) Append(row schema.Row) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.lastRow != nil && w.sc.CompareKeys(w.lastRow, row) >= 0 {
-		return fmt.Errorf("%w: key %v after %v", ErrOutOfOrder, w.sc.KeyOf(row), w.sc.KeyOf(w.lastRow))
+	if w.ft.rowCount > 0 && w.sc.CompareRowToKey(row, w.lastKey) <= 0 {
+		return fmt.Errorf("%w: key %v after %v", ErrOutOfOrder, w.sc.KeyOf(row), w.lastKey)
 	}
 	ts := w.sc.Ts(row)
 	if w.ft.rowCount == 0 {
@@ -143,13 +163,14 @@ func (w *Writer) Append(row schema.Row) error {
 	}
 	w.bw.Append(row)
 	w.ft.rowCount++
+	// One key encoding feeds the Bloom hash and, if this row ends the
+	// block, the block's last-key index entry.
+	w.keyEnc = w.sc.AppendKey(w.keyEnc[:0], row)
 	if !w.opts.DisableBloom {
-		h1, h2 := bloom.Hash(w.sc.AppendKey(w.scratch[:0], row))
+		h1, h2 := bloom.Hash(w.keyEnc)
 		w.hashes = append(w.hashes, h1, h2)
 	}
-	// Retain a copy of the last row for order checking and the block's
-	// last-key index entry; row contents may alias caller buffers.
-	w.lastRow = schema.CloneRow(row)
+	w.lastKey, w.keyBuf = w.sc.CopyKey(w.lastKey, w.keyBuf, row)
 	if w.bw.SizeBytes() >= w.opts.blockSize() {
 		return w.flushBlock()
 	}
@@ -162,22 +183,59 @@ func (w *Writer) flushBlock() error {
 	}
 	rowCount := w.bw.Count()
 	img, enc := w.bw.Finish()
-	rec, diskLen := appendRecord(nil, img, !w.opts.DisableCompression)
-	if _, err := w.w.Write(rec); err != nil {
+	off := w.off
+	diskLen, err := w.writeRecord(img)
+	if err != nil {
 		return err
 	}
 	w.ft.blocks = append(w.ft.blocks, blockMeta{
-		offset:   w.off,
+		offset:   off,
 		diskLen:  int32(diskLen),
 		rawLen:   int32(len(img)),
 		rowCount: int32(rowCount),
 		enc:      enc,
 		minTs:    w.blkMin,
 		maxTs:    w.blkMax,
-		lastKey:  w.sc.AppendKey(nil, w.lastRow),
+		lastKey:  append([]byte(nil), w.keyEnc...),
 	})
-	w.off += int64(diskLen)
 	return nil
+}
+
+// writeRecord frames payload as the next record of the file, in place at
+// the end of the output buffer, and returns its on-disk length.
+func (w *Writer) writeRecord(payload []byte) (int, error) {
+	if err := w.reserve(recordHeaderSize + lzf.MaxCompressedLen(len(payload))); err != nil {
+		return 0, err
+	}
+	var n int
+	w.out, n = appendRecord(w.out, payload, !w.opts.DisableCompression)
+	w.off += int64(n)
+	return n, nil
+}
+
+// reserve makes room for n more bytes in the output buffer. It writes the
+// buffer out first when n more would take it past outBufSize, and grows
+// it by doubling up to that bound, so the buffer never exceeds the larger
+// of outBufSize and one record.
+func (w *Writer) reserve(n int) error {
+	if len(w.out) > 0 && len(w.out)+n > outBufSize {
+		if err := w.writeOut(); err != nil {
+			return err
+		}
+	}
+	if len(w.out)+n > cap(w.out) {
+		grown := make([]byte, len(w.out), max(len(w.out)+n, min(2*cap(w.out), outBufSize)))
+		copy(grown, w.out)
+		w.out = grown
+	}
+	return nil
+}
+
+// writeOut writes the output buffer to the file and empties it.
+func (w *Writer) writeOut() error {
+	_, err := w.f.Write(w.out)
+	w.out = w.out[:0]
+	return err
 }
 
 // RowCount returns the number of rows appended so far.
@@ -211,21 +269,18 @@ func (w *Writer) Close() (*Info, error) {
 		}
 	}
 	footerOff := w.off
-	rec, diskLen := appendRecord(nil, w.ft.marshal(), !w.opts.DisableCompression)
-	if _, err := w.w.Write(rec); err != nil {
+	if _, err := w.writeRecord(w.ft.marshal()); err != nil {
 		w.cleanup()
 		return nil, err
 	}
-	w.off += int64(diskLen)
-	var tr [trailerSize]byte
-	putU64(tr[:], uint64(footerOff))
-	putU64(tr[8:], magic)
-	if _, err := w.w.Write(tr[:]); err != nil {
+	if err := w.reserve(trailerSize); err != nil {
 		w.cleanup()
 		return nil, err
 	}
+	w.out = appendU64(w.out, uint64(footerOff))
+	w.out = appendU64(w.out, magic)
 	w.off += trailerSize
-	if err := w.w.Flush(); err != nil {
+	if err := w.writeOut(); err != nil {
 		w.cleanup()
 		return nil, err
 	}

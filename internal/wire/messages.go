@@ -89,9 +89,14 @@ func NewInsert(table string, sc *schema.Schema, serverTs bool, rows []schema.Row
 	return &Insert{Table: table, SchemaVersion: sc.Version, ServerTimestamps: serverTs, Rows: rows, sc: sc}
 }
 
-// Encode serializes the message payload.
+// Encode serializes the message payload into one buffer sized exactly
+// from the batch, so encoding a batch is one allocation.
 func (m *Insert) Encode() []byte {
-	var b Buf
+	n := 4 + len(m.Table) + 4 + 1 + 4 // table, schema version, flag, row count
+	for _, r := range m.Rows {
+		n += m.sc.EncodedRowSize(r)
+	}
+	b := Buf{B: make([]byte, 0, n)}
 	b.String(m.Table)
 	b.U32(m.SchemaVersion)
 	b.Bool(m.ServerTimestamps)

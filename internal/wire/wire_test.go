@@ -218,6 +218,9 @@ func TestInsertRoundTrip(t *testing.T) {
 	}
 	m := NewInsert("usage", sc, true, rows)
 	payload := m.Encode()
+	if len(payload) != cap(payload) {
+		t.Errorf("Encode sized its buffer %d for a %d-byte payload", cap(payload), len(payload))
+	}
 	got, d, err := DecodeInsertHeader(payload)
 	if err != nil {
 		t.Fatal(err)
