@@ -2,6 +2,7 @@ package tablet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -15,13 +16,17 @@ import (
 	"littletable/internal/schema"
 )
 
-// The golden fixtures under testdata/ are tablets written by the
-// pre-columnar (footer version 1) format. They are checked in, never
-// regenerated implicitly, and pin two compatibility promises:
+// The golden fixtures under testdata/ are checked in, never regenerated
+// implicitly. The v1 fixtures were written by the pre-columnar (footer
+// version 1) format; v2_auto.tab by the auto-mode columnar writer. They
+// pin three compatibility promises:
 //
 //  1. today's reader parses yesterday's tablets, row for row;
 //  2. today's legacy-mode writer still emits yesterday's bytes, so a
-//     fleet mixing old and new binaries can share tablet files.
+//     fleet mixing old and new binaries can share tablet files;
+//  3. today's auto-mode writer still emits yesterday's columnar bytes —
+//     every codec's bit layout (XOR, delta, dictionary) included — so an
+//     encoder optimisation cannot silently change what lands on disk.
 //
 // Regenerate (only after a deliberate, reader-compatible format change)
 // with: go test ./internal/tablet -run TestGoldenFixtures -regen-golden
@@ -31,6 +36,7 @@ const (
 	goldenCompressed = "testdata/v1_compressed.tab"
 	goldenPlain      = "testdata/v1_plain.tab"
 	goldenCorrupt    = "testdata/v1_corrupt.tab"
+	goldenAuto       = "testdata/v2_auto.tab"
 	goldenRowCount   = 600
 )
 
@@ -100,6 +106,7 @@ func TestGoldenFixtures(t *testing.T) {
 		}
 		writeGoldenTablet(t, goldenCompressed, WriterOptions{Encoding: block.ModeLegacy})
 		writeGoldenTablet(t, goldenPlain, WriterOptions{Encoding: block.ModeLegacy, DisableCompression: true})
+		writeGoldenTablet(t, goldenAuto, WriterOptions{Encoding: block.ModeAuto})
 		raw, err := os.ReadFile(goldenCompressed)
 		if err != nil {
 			t.Fatal(err)
@@ -110,15 +117,23 @@ func TestGoldenFixtures(t *testing.T) {
 		t.Logf("regenerated golden fixtures under testdata/")
 	}
 
-	for _, path := range []string{goldenCompressed, goldenPlain} {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			tab, err := Open(path)
+	fixtures := []struct {
+		path    string
+		version uint32
+	}{
+		{goldenCompressed, formatVersionV1},
+		{goldenPlain, formatVersionV1},
+		{goldenAuto, formatVersion},
+	}
+	for _, fx := range fixtures {
+		t.Run(filepath.Base(fx.path), func(t *testing.T) {
+			tab, err := Open(fx.path)
 			if err != nil {
 				t.Fatalf("open golden fixture: %v", err)
 			}
 			defer tab.Close()
-			if v := tab.FormatVersion(); v != formatVersionV1 {
-				t.Fatalf("golden fixture parsed as footer version %d, want %d", v, formatVersionV1)
+			if v := tab.FormatVersion(); v != fx.version {
+				t.Fatalf("golden fixture parsed as footer version %d, want %d", v, fx.version)
 			}
 			want := goldenRows()
 			c := tab.Cursor(true)
@@ -143,6 +158,63 @@ func TestGoldenFixtures(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("auto_writer_byte_identical", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "fresh.tab")
+		writeGoldenTablet(t, path, WriterOptions{Encoding: block.ModeAuto})
+		fresh, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(goldenAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh, golden) {
+			t.Fatalf("auto-mode writer output drifted from golden fixture %s: %d bytes vs %d",
+				goldenAuto, len(fresh), len(golden))
+		}
+		tab, err := Open(goldenAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tab.Close()
+		codecs := columnCodecs(t, tab)
+		for _, c := range []block.Codec{block.CodecXOR, block.CodecDelta, block.CodecDict} {
+			if !codecs[c] {
+				t.Errorf("auto fixture has no column encoded with codec %d; codecs seen: %v", c, codecs)
+			}
+		}
+	})
+}
+
+// columnCodecs reads every columnar block of tab and reports which column
+// codecs its image headers name: u8 version, u32 CRC, uvarint rowCount,
+// uvarint ncols, then one codec byte per column.
+func columnCodecs(t *testing.T, tab *Tablet) map[block.Codec]bool {
+	t.Helper()
+	seen := make(map[block.Codec]bool)
+	for i, bm := range tab.ft.blocks {
+		if bm.enc != block.EncColumnar {
+			continue
+		}
+		img, _, err := readRecord(tab.f, bm.offset, tab.size)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		r := img[5:]
+		for range 2 { // rowCount, ncols
+			_, w := binary.Uvarint(r)
+			if w <= 0 {
+				t.Fatalf("block %d: bad columnar header", i)
+			}
+			r = r[w:]
+		}
+		for _, c := range r[:len(tab.Schema().Columns)] {
+			seen[block.Codec(c)] = true
+		}
+	}
+	return seen
 }
 
 // TestGoldenLegacyWriterByteIdentical pins the legacy encoding mode to the
