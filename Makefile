@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint ltlint lint-fix-baseline vet bench bench-e2e loc crash chaos cluster-chaos ci clean
+.PHONY: all build test race lint ltlint lint-fix-baseline vet bench bench-e2e leakcheck loc crash chaos cluster-chaos ci clean
 
 all: build lint test
 
@@ -37,16 +37,27 @@ lint-fix-baseline:
 	$(GO) run ./cmd/ltlint -write-baseline .ltlint-baseline.json ./...
 
 # bench runs the root package's benchmarks, then the read path's two inner
-# loops (block decode, tablet range scan) and the tablet writer: their B/op
-# is bytes per block, per 100-row range and per row written.
+# loops (block decode, tablet range scan), the XOR float encoder and the
+# tablet writer: their B/op is bytes per block, per 100-row range, per
+# 1,000-value series and per row written.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|TabletWrite' -benchmem ./internal/block ./internal/tablet
+	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|EncodeXOR|TabletWrite' -benchmem ./internal/block ./internal/tablet
 
 # bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
 # does (BENCHMARK.json); benchmark/README.md explains what it prints.
 bench-e2e:
 	bash benchmark/run.sh
+
+# leakcheck fails if a benchmark, daemon, router or test process is still
+# running: nothing a command starts may outlive it. Run it on its own after
+# the last benchmark and test: a shell whose command line also names those
+# programs matches. Bracketing one character of each pattern keeps pgrep
+# from matching the shell make starts for it.
+leakcheck:
+	@if pgrep -fl '[l]tbenchmark|[l]ittletabled|[l]ittletable-router|[l]tbench|[g]o test|\.tes[t]$$'; then \
+		echo "leakcheck: the processes above outlived their command" >&2; exit 1; \
+	fi
 
 # loc prints the number CHANGES.md tracks per ROADMAP item 3: lines of
 # non-test, non-testdata Go outside benchmark/.

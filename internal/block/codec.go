@@ -123,29 +123,55 @@ func uvarint(b []byte) (uint64, int) {
 }
 
 // bitWriter packs bits MSB-first into a byte slice, for the XOR float
-// codec.
+// codec. Bits collect in a 64-bit accumulator and leave it as whole bytes,
+// so fewer than 8 bits are pending between calls and a write of up to 64
+// bits costs a few shifts and one 8-byte store (two if it must split).
 type bitWriter struct {
-	b    []byte
-	nbit uint8 // bits used in the final byte (0 = full)
+	b   []byte
+	acc uint64 // pending bits in the low n bits; higher bits are stale
+	n   uint   // pending bit count, < 8 between calls
 }
 
-func (w *bitWriter) writeBit(bit uint64) {
-	if w.nbit == 0 {
-		w.b = append(w.b, 0)
-		w.nbit = 8
-	}
-	w.nbit--
-	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.nbit
-	}
-}
-
-// writeBits writes the low n bits of v, most significant first.
+// writeBits writes the low n <= 64 bits of v, most significant first.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		n--
-		w.writeBit((v >> n) & 1)
+	if w.n+n > 64 {
+		// At most 7 bits pend, so the top n-32 bits fit the accumulator
+		// now and the low 32 bits fit once those have left it.
+		w.writeBits(v>>32, n-32)
+		n = 32
 	}
+	w.acc = w.acc<<n | v<<(64-n)>>(64-n) // (a shift by 64 is 0)
+	w.n += n
+	if w.n < 8 {
+		return
+	}
+	// Left-align the pending bits and store all eight bytes, then keep
+	// only the complete ones: the rest is rewritten by the next store.
+	full := w.n &^ 7
+	l := len(w.b)
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc<<(64-w.n))[:l+int(full/8)]
+	w.n -= full
+}
+
+// writeTagged writes the low tn bits of tag, then v as n bits, in one
+// writeBits call when both fit a word. v must have no bits above n.
+func (w *bitWriter) writeTagged(tag uint64, tn uint, v uint64, n uint) {
+	if tn+n <= 64 {
+		w.writeBits(tag<<n|v, tn+n)
+		return
+	}
+	w.writeBits(tag, tn)
+	w.writeBits(v, n)
+}
+
+// finish flushes the pending bits as a final byte zero-padded on the
+// right, and returns the stream.
+func (w *bitWriter) finish() []byte {
+	if w.n > 0 {
+		w.b = append(w.b, byte(w.acc<<(8-w.n)))
+		w.n = 0
+	}
+	return w.b
 }
 
 // bitReader consumes bits MSB-first from a byte slice.

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -73,6 +74,9 @@ func FuzzXORFloats(f *testing.F) {
 			vals = append(vals, math.Float64frombits(uint64(u)))
 		}
 		enc := encodeXOR(nil, vals)
+		if !bytes.Equal(enc, refEncodeXOR(nil, vals)) {
+			t.Fatalf("encodeXOR differs from the bit-at-a-time reference")
+		}
 		got, err := decodeXOR(enc, len(vals))
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)

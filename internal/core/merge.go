@@ -283,11 +283,9 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 			break
 		}
 	}
-	if w.RowCount() == 0 {
-		// Everything expired: still produce the (empty) tablet so the
-		// inputs can be dropped; the TTL reaper will delete it promptly.
-		// Simpler than a special-case descriptor path.
-	}
+	// If everything expired, the merge still writes an empty tablet so the
+	// inputs can be dropped; the TTL reaper deletes it promptly. That is
+	// simpler than a special-case descriptor path.
 	info, err := w.Close()
 	if err != nil {
 		return nil, err
