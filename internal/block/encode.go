@@ -190,8 +190,7 @@ func encodeDelta(dst []byte, vals []int64) []byte {
 // the first value, then per value a 0 bit (repeat), '10' + significant bits
 // in the previous window, or '11' + 5-bit leading-zero count + 6-bit
 // (length-1) + significant bits. Each changed value goes out in one
-// writeBits call, or two when it exceeds a 64-bit word; the 0 bits of the
-// repeats before it are held back and lead its control bits.
+// writeBits call, or two when it exceeds a 64-bit word.
 func encodeXOR(dst []byte, vals []float64) []byte {
 	if len(vals) == 0 {
 		return dst
@@ -201,31 +200,24 @@ func encodeXOR(dst []byte, vals []float64) []byte {
 	w.writeBits(prev, 64)
 	prevLZ := uint(255) // sentinel: no window yet, force a '11' control
 	prevTZ := uint(0)
-	run := uint(0) // repeats not yet written, < 32 so run+13 bits fit a word
 	for _, v := range vals[1:] {
 		cur := math.Float64bits(v)
 		x := cur ^ prev
 		prev = cur
 		if x == 0 {
-			run++
-			if run == 32 {
-				w.writeBits(0, run)
-				run = 0
-			}
+			w.writeBits(0, 1)
 			continue
 		}
 		lz := leadingZeros64(x)
 		tz := uint(bits.TrailingZeros64(x))
 		if lz >= prevLZ && tz >= prevTZ {
-			w.writeTagged(0b10, run+2, x>>prevTZ, 64-prevLZ-prevTZ)
+			w.writeTagged(0b10, 2, x>>prevTZ, 64-prevLZ-prevTZ)
 		} else {
 			sig := 64 - lz - tz
-			w.writeTagged(0b11<<11|uint64(lz)<<6|uint64(sig-1), run+13, x>>tz, sig)
+			w.writeTagged(0b11<<11|uint64(lz)<<6|uint64(sig-1), 13, x>>tz, sig)
 			prevLZ, prevTZ = lz, tz
 		}
-		run = 0
 	}
-	w.writeBits(0, run)
 	return w.finish()
 }
 

@@ -141,8 +141,8 @@ func xorCases() map[string][]float64 {
 		noise[i] = math.Float64frombits(rng.Uint64())
 	}
 	cases["gauge"], cases["rate"], cases["noise"], cases["constant"] = gauge, rate, noise, constant
-	// Runs of 0..70 repeats between changes, so the held-back repeat bits
-	// join every kind of control, and the series ends mid-run.
+	// Runs of 0..70 repeats between changes, so repeat bits sit at every
+	// offset before every kind of control, and the series ends mid-run.
 	var runs []float64
 	for len(runs) < 2000 {
 		v := noise[rng.Intn(len(noise))]
