@@ -252,133 +252,6 @@ func BenchmarkPublicAPIInsertQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryParallel measures the parallel read path against the
-// serial baseline over a modeled-latency disk: cold-cache and warm-cache
-// merge scans at 1–64 tablets. The cold parallel/serial ratio is the
-// headline (≥2x on 16+ tablets); BENCH_2.json records a captured run.
-func BenchmarkQueryParallel(b *testing.B) {
-	for _, tablets := range []int{1, 16, 64} {
-		b.Run(fmt.Sprintf("tablets=%d", tablets), func(b *testing.B) {
-			cfg := ltbench.ParallelConfig{
-				TabletCounts:  []int{tablets},
-				RowsPerTablet: 500,
-				Dir:           b.TempDir(),
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := ltbench.RunParallel(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series[0].Points[0].Y, "rows/s-cold-serial")
-				b.ReportMetric(res.Series[1].Points[0].Y, "rows/s-cold-parallel")
-				b.ReportMetric(res.Series[2].Points[0].Y, "rows/s-warm")
-			}
-		})
-	}
-}
-
-// BenchmarkInsertPipelined measures the batched/pipelined write path
-// against the serialized baseline over a modeled-latency disk: rows per
-// second to durable at 0 (serial) and 4 flush workers, with one inserter
-// and with four concurrent inserters driving the group-commit queue. The
-// pipelined/serial ratio is the headline (≥2x with workers); BENCH_3.json
-// records a captured run.
-func BenchmarkInsertPipelined(b *testing.B) {
-	for _, workers := range []int{0, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := ltbench.WriteloadConfig{
-				Rows:         6000,
-				WorkerCounts: []int{workers},
-				Dir:          b.TempDir(),
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := ltbench.RunWriteload(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series[0].Points[0].Y, "rows/s-1-inserter")
-				b.ReportMetric(res.Series[1].Points[0].Y, "rows/s-4-inserters")
-			}
-		})
-	}
-}
-
-// BenchmarkNetload measures acked-insert goodput through the pooled wire
-// client on a clean link and through a 2%-drop netfault proxy. Every row
-// counted was acknowledged end-to-end; the lossy/clean ratio shows what
-// retries and reconnects cost.
-func BenchmarkNetload(b *testing.B) {
-	for _, pool := range []int{1, 4} {
-		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
-			cfg := ltbench.NetloadConfig{
-				Rows:      4000,
-				PoolSizes: []int{pool},
-				Dir:       b.TempDir(),
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := ltbench.RunNetload(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series[0].Points[0].Y, "rows/s-clean")
-				b.ReportMetric(res.Series[1].Points[0].Y, "rows/s-lossy")
-			}
-		})
-	}
-}
-
-// BenchmarkRouterScatter measures multi-table reads through the shard
-// router at reduced scale: the same rows read one table at a time versus
-// one scatter-gather prefix query the router fans out to every shard,
-// on loopback and on a latency-injected shard link. Scatter beating the
-// per-table baseline on the slow link is the headline; BENCH_8.json
-// records a captured run.
-func BenchmarkRouterScatter(b *testing.B) {
-	cfg := ltbench.RouterScatterConfig{
-		Tables:       8,
-		RowsPerTable: 100,
-		Queries:      10,
-		Dir:          b.TempDir(),
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := ltbench.RunRouterScatter(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Series[0].Points[1].Y, "rows/s-per-table-slow-link")
-		b.ReportMetric(res.Series[1].Points[0].Y, "rows/s-scatter-loopback")
-		b.ReportMetric(res.Series[1].Points[1].Y, "rows/s-scatter-slow-link")
-	}
-}
-
-// BenchmarkMergeParallel measures the concurrent maintenance scheduler
-// over a modeled-latency disk: time to merge a backlog of disjoint
-// merge-eligible periods to steady state at 1, 2, and 8 workers, plus the
-// foreground insert p99 while maintenance runs. Convergence at 8 workers
-// vs 1 is the headline (≥2x on 8 periods); BENCH_5.json records a
-// captured run.
-func BenchmarkMergeParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := ltbench.MaintainConfig{
-				TabletsPerPeriod: 4,
-				RowsPerTablet:    200,
-				WorkerCounts:     []int{workers},
-				ForegroundRows:   500,
-				Dir:              b.TempDir(),
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := ltbench.RunMaintain(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series[0].Points[0].Y*1000, "convergence-ms")
-				b.ReportMetric(res.Series[1].Points[0].Y, "insert-p99-us")
-			}
-		})
-	}
-}
-
 // BenchmarkAblations measures the two design-choice ablations (period-aware
 // merging and Bloom filters) against their baselines.
 func BenchmarkAblations(b *testing.B) {
@@ -393,48 +266,5 @@ func BenchmarkAblations(b *testing.B) {
 		}
 		b.ReportMetric(res.Series[0].Points[0].Y, "scan-ratio-littletable")
 		b.ReportMetric(res.Series[0].Points[1].Y, "scan-ratio-baseline")
-	}
-}
-
-// BenchmarkBlockEncode runs the per-column encoding workload at a reduced
-// row count: the same datasets under the legacy and auto block layouts,
-// reporting the dense-numeric bytes/row for both so a codec-selection
-// regression (auto suddenly falling back to legacy) is visible in CI.
-func BenchmarkBlockEncode(b *testing.B) {
-	cfg := ltbench.EncodeConfig{Rows: 4000, Dir: b.TempDir()}
-	for i := 0; i < b.N; i++ {
-		res, err := ltbench.RunEncode(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytesPerRow := res.Series[0].Points
-		b.ReportMetric(bytesPerRow[0].Y, "dense-legacy-B/row")
-		b.ReportMetric(bytesPerRow[1].Y, "dense-auto-B/row")
-	}
-}
-
-// BenchmarkRollup measures the server-side aggregation economics at
-// reduced scale: one dashboard window read as raw rows versus one
-// AggQuery shipping O(groups) mergeable states, plus the continuous
-// rollup fold into a downsampled table. The bytes-to-client reduction
-// (≥5x raw/agg) is the headline; BENCH_10.json records a captured run.
-func BenchmarkRollup(b *testing.B) {
-	cfg := ltbench.RollupConfig{
-		Networks:     2,
-		Devices:      4,
-		Buckets:      6,
-		RowsPerGroup: 40,
-		Queries:      5,
-		Dir:          b.TempDir(),
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := ltbench.RunRollup(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes := res.Series[0].Points
-		b.ReportMetric(bytes[0].Y/bytes[1].Y, "raw/agg-bytes-ratio")
-		b.ReportMetric(bytes[0].Y/bytes[2].Y, "raw/rollup-bytes-ratio")
-		b.ReportMetric(res.Series[2].Points[0].Y, "rollup-rows/s")
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	ltbench headline
 //	ltbench fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10
-//	ltbench rates | appendix
+//	ltbench rates | appendix | ablations
 //	ltbench all
 //	ltbench -full fig5     # paper-scale parameters (slow)
 package main
@@ -50,8 +50,6 @@ func main() {
 		names = []string{
 			"headline", "fig2", "fig3", "fig4", "fig5", "fig6",
 			"fig7", "fig8", "fig9", "fig10", "rates", "appendix", "ablations",
-			"parallel", "writeload", "maintain", "netload", "encode",
-			"routerscatter", "rollup",
 		}
 	}
 	for _, name := range names {
@@ -145,62 +143,6 @@ func dispatch(name string, full bool) (*ltbench.Result, error) {
 			cfg.Flushes = 512
 		}
 		return ltbench.RunAppendix(cfg)
-	case "parallel":
-		cfg := ltbench.ParallelConfig{}
-		if full {
-			cfg.RowsPerTablet = 8000
-			cfg.TabletCounts = []int{1, 4, 16, 64, 128}
-		}
-		return ltbench.RunParallel(cfg)
-	case "writeload":
-		cfg := ltbench.WriteloadConfig{}
-		if full {
-			cfg.Rows = 48000
-			cfg.WorkerCounts = []int{0, 1, 2, 4, 8}
-		}
-		return ltbench.RunWriteload(cfg)
-	case "netload":
-		cfg := ltbench.NetloadConfig{}
-		if full {
-			cfg.Rows = 32000
-			cfg.PoolSizes = []int{1, 2, 4, 8, 16}
-			cfg.Inserters = 8
-		}
-		return ltbench.RunNetload(cfg)
-	case "encode":
-		cfg := ltbench.EncodeConfig{}
-		if full {
-			cfg.Rows = 200000
-		}
-		return ltbench.RunEncode(cfg)
-	case "routerscatter":
-		cfg := ltbench.RouterScatterConfig{}
-		if full {
-			cfg.Shards = 5
-			cfg.Tables = 50
-			cfg.RowsPerTable = 1000
-			cfg.Queries = 100
-		}
-		return ltbench.RunRouterScatter(cfg)
-	case "rollup":
-		cfg := ltbench.RollupConfig{}
-		if full {
-			cfg.Networks = 8
-			cfg.Devices = 16
-			cfg.Buckets = 30
-			cfg.RowsPerGroup = 40
-			cfg.Queries = 50
-		}
-		return ltbench.RunRollup(cfg)
-	case "maintain":
-		cfg := ltbench.MaintainConfig{}
-		if full {
-			cfg.Periods = 16
-			cfg.TabletsPerPeriod = 8
-			cfg.RowsPerTablet = 1000
-			cfg.WorkerCounts = []int{1, 2, 4, 8, 16}
-		}
-		return ltbench.RunMaintain(cfg)
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
@@ -210,5 +152,5 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `ltbench regenerates the paper's evaluation figures.
 
 usage: ltbench [-full] <experiment>...
-experiments: headline fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 rates appendix ablations parallel writeload maintain netload encode routerscatter rollup all`)
+experiments: headline fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 rates appendix ablations all`)
 }

@@ -212,27 +212,3 @@ func TestAblationShapes(t *testing.T) {
 		t.Errorf("bloom filters only cut probes from %.0f to %.0f", noBloom, withBloom)
 	}
 }
-
-func TestEncodeShape(t *testing.T) {
-	res, err := RunEncode(EncodeConfig{Rows: 4000, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytesPerRow := map[string]float64{}
-	for _, p := range res.Series[0].Points {
-		bytesPerRow[p.Label] = p.Y
-	}
-	// The tentpole claim: dense numeric data shrinks at least 3x under
-	// per-column codecs versus the legacy LZF-only layout.
-	if r := bytesPerRow["dense-numeric/legacy"] / bytesPerRow["dense-numeric/auto"]; r < 3 {
-		t.Errorf("dense-numeric reduction = %.2fx, want >= 3x", r)
-	}
-	// The chooser emits whichever image is smaller, so auto must never
-	// lose to legacy on any dataset.
-	for _, ds := range []string{"dense-numeric", "sparse-string", "mixed"} {
-		if bytesPerRow[ds+"/auto"] > bytesPerRow[ds+"/legacy"] {
-			t.Errorf("%s: auto %.2f B/row exceeds legacy %.2f", ds,
-				bytesPerRow[ds+"/auto"], bytesPerRow[ds+"/legacy"])
-		}
-	}
-}

@@ -48,16 +48,14 @@ func RunFig5(cfg Fig5Config) (*Result, error) {
 	}
 	small := Series{Name: "128 kB readahead (MB/s)"}
 	large := Series{Name: "1 MB readahead (MB/s)"}
+	// One scratch tree per run, holding one tablet count's table at a
+	// time: each count's tablets are removed once it has been measured.
+	dir, err := scratchDir(cfg.Dir, "fig5")
+	if err != nil {
+		return nil, err
+	}
+	defer scratchRemove(dir)
 	for _, count := range cfg.TabletCounts {
-		dir := cfg.Dir
-		if dir == "" {
-			d, err := scratchDir("", "fig5")
-			if err != nil {
-				return nil, err
-			}
-			defer scratchRemove(d)
-			dir = d
-		}
 		sub, err := scratchDir(dir, fmt.Sprintf("t%d-", count))
 		if err != nil {
 			return nil, err
@@ -75,6 +73,7 @@ func RunFig5(cfg Fig5Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		scratchRemove(sub)
 		tagged := toTagged(trace)
 		simSmall := diskmodel.Replay(diskmodel.Paper(), sizes, tagged)
 		simLarge := diskmodel.Replay(diskmodel.Paper().WithReadahead(1<<20), sizes, tagged)

@@ -1,18 +1,23 @@
 package ltbench
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 func TestFig5Shape(t *testing.T) {
 	// Tablets must stay larger than the readahead window for the figure's
 	// regime (the paper's are 16 MB); 32 MB over ≤16 tablets keeps ≥2 MB.
+	dir := t.TempDir()
 	res, err := RunFig5(Fig5Config{
 		TotalBytes:   32 << 20,
 		TabletCounts: []int{1, 4, 16},
-		Dir:          t.TempDir(),
+		Dir:          dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertScratchRemoved(t, dir)
 	small := res.Series[0].Points
 	large := res.Series[1].Points
 	// Monotone decline with tablet count.
@@ -36,14 +41,16 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
+	dir := t.TempDir()
 	res, err := RunFig6(Fig6Config{
 		TabletCounts: []int{1, 4, 8, 16},
 		TabletBytes:  1 << 20,
-		Dir:          t.TempDir(),
+		Dir:          dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertScratchRemoved(t, dir)
 	first := res.Series[0].Points
 	second := res.Series[1].Points
 	// Latency grows with tablet count; first query costlier than second.
@@ -66,5 +73,19 @@ func TestFig6Shape(t *testing.T) {
 	}
 	if ratio := s1 / s2; ratio < 2 || ratio > 5 {
 		t.Errorf("slope ratio %.1f, want ≈3-4", ratio)
+	}
+}
+
+// assertScratchRemoved fails the test if a figure left anything in dir:
+// each tablet count's table must be removed once measured, so peak disk
+// use is one count's table.
+func assertScratchRemoved(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("scratch entry %s left behind in %s", e.Name(), dir)
 	}
 }

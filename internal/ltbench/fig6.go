@@ -47,16 +47,14 @@ func RunFig6(cfg Fig6Config) (*Result, error) {
 	}
 	firstQ := Series{Name: "first query (ms)"}
 	secondQ := Series{Name: "second query (ms)"}
+	// One scratch tree per run, holding one tablet count's table at a
+	// time: each count's tablets are removed once it has been measured.
+	dir, err := scratchDir(cfg.Dir, "fig6")
+	if err != nil {
+		return nil, err
+	}
+	defer scratchRemove(dir)
 	for _, count := range cfg.TabletCounts {
-		dir := cfg.Dir
-		if dir == "" {
-			d, err := scratchDir("", "fig6")
-			if err != nil {
-				return nil, err
-			}
-			defer scratchRemove(d)
-			dir = d
-		}
 		sub, err := scratchDir(dir, fmt.Sprintf("t%d-", count))
 		if err != nil {
 			return nil, err
@@ -74,6 +72,7 @@ func RunFig6(cfg Fig6Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		scratchRemove(sub)
 		firstQ.Points = append(firstQ.Points, Point{
 			X: float64(count), Y: ms1, Label: fmt.Sprintf("%d tablets", count)})
 		secondQ.Points = append(secondQ.Points, Point{

@@ -4,32 +4,15 @@ import (
 	"time"
 )
 
-// LatencyFS wraps an FS, delaying file I/O by fixed amounts. It models
-// device latency (a seek-dominated spinning disk, a network volume) on
-// hosts whose page cache makes real I/O near-instant, so benchmarks
-// measure latency hiding — parallel opens, block prefetch, asynchronous
-// flushing — rather than this machine's SSD.
+// LatencyFS wraps an FS, delaying every write to a file opened with
+// Create by a fixed amount. It models device write latency on an FS whose
+// writes are otherwise near-instant (MemFS, a page cache), so a test can
+// hold several background merges mid-write at once.
 type LatencyFS struct {
 	FS
-	// ReadDelay is added to every File.ReadAt call.
-	ReadDelay time.Duration
 	// WriteDelay is added to every File.Write call on files opened with
-	// Create (modeling per-operation device write latency on the flush
-	// path).
+	// Create.
 	WriteDelay time.Duration
-	// WriteBytesPerSec, when non-zero, additionally delays each write in
-	// proportion to its size — the sequential-transfer half of the §5.1.1
-	// disk model, which is what makes a 16 MB flush cost real wall time.
-	WriteBytesPerSec int64
-}
-
-// Open implements FS, wrapping the file so its reads are delayed.
-func (l LatencyFS) Open(name string) (File, error) {
-	f, err := l.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencyFile{File: f, readDelay: l.ReadDelay}, nil
 }
 
 // Create implements FS, wrapping the file so its writes are delayed.
@@ -38,30 +21,17 @@ func (l LatencyFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &latencyFile{File: f, writeDelay: l.WriteDelay, writeBps: l.WriteBytesPerSec}, nil
+	return &latencyFile{File: f, writeDelay: l.WriteDelay}, nil
 }
 
 type latencyFile struct {
 	File
-	readDelay  time.Duration
 	writeDelay time.Duration
-	writeBps   int64
-}
-
-func (f *latencyFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.readDelay > 0 {
-		time.Sleep(f.readDelay)
-	}
-	return f.File.ReadAt(p, off)
 }
 
 func (f *latencyFile) Write(p []byte) (int, error) {
-	d := f.writeDelay
-	if f.writeBps > 0 {
-		d += time.Duration(int64(len(p)) * int64(time.Second) / f.writeBps)
-	}
-	if d > 0 {
-		time.Sleep(d)
+	if f.writeDelay > 0 {
+		time.Sleep(f.writeDelay)
 	}
 	return f.File.Write(p)
 }
