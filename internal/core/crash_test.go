@@ -45,6 +45,13 @@ type crashWorkload struct {
 	// crash clone is taken; workloads use it to observe in-flight state
 	// at the exact instants the harness kills the process.
 	onBarrier func()
+	// setup, when set, runs before the first crash image is taken, so
+	// every image holds the rows it inserted and flushed.
+	setup func(t *testing.T, tab *Table, clk *clock.Fake)
+	// check, when set, replaces the insertion-order-prefix checks on each
+	// reopened image; final marks the image taken after run returned.
+	// The prefix property does not hold once rows are deleted.
+	check func(t *testing.T, label string, re *Table, rows []schema.Row, final bool)
 }
 
 // crashSeed returns the workload perturbation seed, set by the CI crash
@@ -78,6 +85,10 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 		t.Fatal(err)
 	}
 	defer tab.Close()
+
+	if w.setup != nil {
+		w.setup(t, tab, clk)
+	}
 
 	// Snapshot only after the table exists: before the first descriptor
 	// commit there is no table to recover. With asynchronous flush workers
@@ -153,6 +164,15 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 			re.Close()
 			t.Fatalf("%s: query failed: %v", label, err)
 		}
+		if q := re.Stats().TabletsQuarantined.Load(); q != 0 {
+			re.Close()
+			t.Fatalf("%s: %d tablets quarantined; a pure power cut must never corrupt a synced tablet", label, q)
+		}
+		if w.check != nil {
+			w.check(t, label, re, rows, i == len(all)-1)
+			re.Close()
+			continue
+		}
 		if !isPrefixSet(seqsOf(rows)) {
 			re.Close()
 			t.Fatalf("%s: recovered %d rows, not an insertion-order prefix: %v",
@@ -161,10 +181,6 @@ func runCrashHarness(t *testing.T, w crashWorkload) {
 		if len(rows) > inserted {
 			re.Close()
 			t.Fatalf("%s: recovered %d rows, more than the %d inserted", label, len(rows), inserted)
-		}
-		if q := re.Stats().TabletsQuarantined.Load(); q != 0 {
-			re.Close()
-			t.Fatalf("%s: %d tablets quarantined; a pure power cut must never corrupt a synced tablet", label, q)
 		}
 		if i == len(all)-1 && allFlushed && len(rows) != inserted {
 			re.Close()
@@ -388,4 +404,132 @@ func TestCrashAtEveryBarrierParallelMaintenance(t *testing.T) {
 	if got := maxInFlight.Load(); got < 2 {
 		t.Fatalf("never observed >= 2 merges in flight at a durability barrier (max %d); harness is not killing mid-parallel-maintenance", got)
 	}
+}
+
+// rewriteWorkload inserts rows for six devices across three coarse
+// periods, two flushed tablets per period, in setup, so every crash image
+// starts from the same durable rows; run then rewrites or relocates those
+// tablets. It returns the workload with its inserted rows by seq.
+func rewriteWorkload(name string) (crashWorkload, map[int64]schema.Row) {
+	inserted := make(map[int64]schema.Row)
+	return crashWorkload{
+		name: name,
+		setup: func(t *testing.T, tab *Table, clk *clock.Fake) {
+			now := clk.Now()
+			rng := rand.New(rand.NewSource(crashSeed()))
+			n := int64(0)
+			for p := int64(0); p < 3; p++ {
+				base := now - (4+p)*7*clock.Day
+				for b := int64(0); b < 2; b++ {
+					per := 8 + rng.Int63n(8)
+					for i := int64(0); i < per; i++ {
+						row := usageRow(1, n%6, base+b*clock.Hour+i, float64(n), n)
+						if err := tab.Insert([]schema.Row{row}); err != nil {
+							t.Fatal(err)
+						}
+						inserted[n] = row
+						n++
+					}
+					if err := tab.FlushAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		},
+	}, inserted
+}
+
+// checkRows fails unless every recovered row is one that was inserted,
+// unchanged and at most once, and every row gone does not match doomed.
+func checkRows(t *testing.T, label string, inserted map[int64]schema.Row, rows []schema.Row, doomed func(schema.Row) bool) {
+	t.Helper()
+	sc := usageSchema()
+	seen := make(map[int64]bool, len(rows))
+	for _, r := range rows {
+		seq := r[4].Int
+		want, ok := inserted[seq]
+		if !ok || sc.CompareKeys(r, want) != 0 || r[3].Float != want[3].Float {
+			t.Fatalf("%s: recovered row %v was never inserted", label, r)
+		}
+		if seen[seq] {
+			t.Fatalf("%s: row seq %d recovered twice", label, seq)
+		}
+		seen[seq] = true
+	}
+	for seq, r := range inserted {
+		if !seen[seq] && !doomed(r) {
+			t.Fatalf("%s: row seq %d outside the delete box is missing", label, seq)
+		}
+	}
+}
+
+// TestCrashAtEveryBarrierDuringDelete: DeleteWhere rewrites every tablet
+// its box and filter touch, one descriptor commit per tablet. Crashes land
+// between a rewritten tablet's rename and the commit that swaps it in, so
+// an image may hold the old tablet, the new one, or (as an orphan) both.
+// Every row outside the box must survive exactly once; in-box rows may or
+// may not, and after the delete returns they must all be gone.
+func TestCrashAtEveryBarrierDuringDelete(t *testing.T) {
+	w, inserted := rewriteWorkload("delete")
+	var box Query
+	sc := usageSchema()
+	doomed := func(r schema.Row) bool { return box.inBox(sc, r) && r[4].Int%2 == 0 }
+	w.run = func(t *testing.T, tab *Table, clk *clock.Fake) (int, bool) {
+		// Devices 2..3 over the two older periods, even seqs only.
+		box = NewQuery()
+		box.Lower, box.Upper = key(1, 2), key(1, 3)
+		box.MaxTs = clk.Now() - 5*7*clock.Day + clock.Day
+		want := int64(0)
+		for _, r := range inserted {
+			if doomed(r) {
+				want++
+			}
+		}
+		n, err := tab.DeleteWhere(box, func(r schema.Row) bool { return r[4].Int%2 == 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || n == 0 {
+			t.Fatalf("DeleteWhere removed %d rows, want %d (> 0)", n, want)
+		}
+		return len(inserted), true
+	}
+	w.check = func(t *testing.T, label string, _ *Table, rows []schema.Row, final bool) {
+		checkRows(t, label, inserted, rows, doomed)
+		if final {
+			for _, r := range rows {
+				if doomed(r) {
+					t.Fatalf("%s: deleted row seq %d survived the delete", label, r[4].Int)
+				}
+			}
+		}
+	}
+	runCrashHarness(t, w)
+}
+
+// TestCrashAtEveryBarrierDuringTiering: TierColdTablets copies each old
+// tablet to the cold directory (temp file, fsync, rename, directory
+// fsync) and then commits a descriptor naming the cold copy. Crashes land
+// at each of those barriers; every image must hold every row exactly
+// once, and the last must read the moved tablets from cold storage.
+func TestCrashAtEveryBarrierDuringTiering(t *testing.T) {
+	w, inserted := rewriteWorkload("tiering")
+	w.run = func(t *testing.T, tab *Table, clk *clock.Fake) (int, bool) {
+		// The two older periods go cold; the newest stays hot.
+		moved, err := tab.TierColdTablets(clk.Now()-5*7*clock.Day+clock.Day, "/cold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved != 4 {
+			t.Fatalf("tiered %d tablets, want 4", moved)
+		}
+		return len(inserted), true
+	}
+	w.check = func(t *testing.T, label string, re *Table, rows []schema.Row, final bool) {
+		checkRows(t, label, inserted, rows, func(schema.Row) bool { return false })
+		if final && re.ColdTabletCount() != 4 {
+			t.Fatalf("%s: %d cold tablets, want 4", label, re.ColdTabletCount())
+		}
+	}
+	runCrashHarness(t, w)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"littletable/internal/period"
 	"littletable/internal/schema"
@@ -38,49 +37,22 @@ func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
 
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return 0, ErrTableClosed
+	sc := t.Schema() // insertMu, held, keeps it current
+	victims, err := t.claim(func(dt *diskTablet) bool {
+		return dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs
+	})
+	if err != nil {
+		return 0, err
 	}
-	sc := t.sc
-	var victims []*diskTablet
-	for _, dt := range t.disk {
-		if dt.busy {
-			continue
-		}
-		if dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs {
-			dt.busy = true
-			t.acquireLocked(dt)
-			victims = append(victims, dt)
-		}
-	}
-	t.mu.Unlock()
+	defer t.unclaim(victims)
 
 	var deleted int64
 	for _, dt := range victims {
 		n, err := t.rewriteWithout(sc, dt, q, filter)
 		if err != nil {
-			// Release remaining victims before bailing.
-			t.mu.Lock()
-			for _, v := range victims {
-				v.busy = false
-			}
-			t.mu.Unlock()
-			for _, v := range victims {
-				t.release(v)
-			}
 			return deleted, err
 		}
 		deleted += n
-	}
-	t.mu.Lock()
-	for _, v := range victims {
-		v.busy = false
-	}
-	t.mu.Unlock()
-	for _, v := range victims {
-		t.release(v)
 	}
 	return deleted, nil
 }
@@ -88,44 +60,27 @@ func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error
 // rewriteWithout replaces one tablet with a copy lacking the rows that
 // match (box ∧ filter). Returns rows removed.
 func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filter func(schema.Row) bool) (int64, error) {
-	inBox := func(row schema.Row) bool {
-		ts := sc.Ts(row)
-		if ts < q.MinTs || ts > q.MaxTs {
-			return false
-		}
-		if q.Lower != nil {
-			c := sc.CompareRowToKey(row, q.Lower)
-			if c < 0 || (c == 0 && !q.LowerInc) {
-				return false
-			}
-		}
-		if q.Upper != nil {
-			c := sc.CompareRowToKey(row, q.Upper)
-			if c > 0 || (c == 0 && !q.UpperInc) {
-				return false
-			}
-		}
-		return filter == nil || filter(row)
+	doomed := func(row schema.Row) bool {
+		return q.inBox(sc, row) && (filter == nil || filter(row))
 	}
 
-	// First pass: does anything actually match? Avoid rewriting tablets
-	// the box only grazes by timespan.
-	tabSc := dt.tab.Schema()
-	probe := dt.tab.Cursor(true)
-	any := false
-	var kept int64
-	for probe.Next() {
-		if inBox(sc.Translate(tabSc, probe.Row())) {
-			any = true
-		} else {
-			kept++
-		}
-	}
-	if err := probe.Err(); err != nil {
+	// First pass: does anything actually match? The box bounds the scan,
+	// so a tablet the box only grazes by timespan costs only the blocks
+	// its key range can touch.
+	var scanned, matched int64
+	probe, err := newDiskSource(sc, dt.tab, &q, &scanned, tablet.ReadOptions{})
+	if err != nil {
 		return 0, err
 	}
-	if !any {
-		return 0, nil
+	for row, ok := probe.next(); ok; row, ok = probe.next() {
+		if doomed(row) {
+			matched++
+		}
+	}
+	err = probe.err()
+	probe.close()
+	if err != nil || matched == 0 {
+		return 0, err
 	}
 
 	t.mu.Lock()
@@ -134,58 +89,19 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 	now := t.opts.Clock.Now()
 	t.mu.Unlock()
 
-	var removed int64
 	var out *diskTablet
-	if kept > 0 {
-		path := filepath.Join(t.dir, tabletFileName(seq))
-		w, err := tablet.Create(path, sc, t.opts.tabletWriter(t.opts.FS, kept))
+	if kept := dt.rec.RowCount - matched; kept > 0 {
+		all := NewQuery()
+		src, err := newDiskSource(sc, dt.tab, &all, &scanned, tablet.ReadOptions{})
 		if err != nil {
 			return 0, err
 		}
-		c := dt.tab.Cursor(true)
-		for c.Next() {
-			row := sc.Translate(tabSc, c.Row())
-			if inBox(row) {
-				removed++
-				continue
-			}
-			if err := w.Append(row); err != nil {
-				_ = w.Abort() // best-effort cleanup; the original error wins
-				return 0, err
-			}
-		}
-		if err := c.Err(); err != nil {
-			_ = w.Abort() // best-effort cleanup; the original error wins
-			return 0, err
-		}
-		info, err := w.Close()
+		rec, tab, err := t.writeTablet(sc, seq, t.opts.FS, kept, src, func(row schema.Row) bool { return !doomed(row) })
+		src.close()
 		if err != nil {
 			return 0, err
 		}
-		t.stats.addEncode(info.Enc)
-		tab, err := tablet.OpenFS(t.opts.FS, path)
-		if err != nil {
-			_ = t.opts.FS.Remove(path)
-			return 0, fmt.Errorf("core: reopen rewritten tablet: %w", err)
-		}
-		t.attachCache(tab)
-		out = &diskTablet{
-			rec: tabletRecord{
-				File:     filepath.Base(path),
-				Seq:      seq,
-				RowCount: info.RowCount,
-				MinTs:    info.MinTs,
-				MaxTs:    info.MaxTs,
-				Bytes:    info.Bytes,
-			},
-			tab:       tab,
-			path:      path,
-			refs:      1,
-			addedAt:   now,
-			wroteGran: period.For(info.MinTs, now).Gran,
-		}
-	} else {
-		removed = dt.rec.RowCount
+		out = t.newDiskTablet(rec, tab, now, period.For(rec.MinTs, now).Gran)
 	}
 
 	t.mu.Lock()
@@ -201,10 +117,10 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 		t.disk = append(t.disk, out)
 		t.sortDiskLocked()
 	}
-	err := t.writeDescriptorLocked()
+	err = t.writeDescriptorLocked()
 	t.mu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("core: descriptor update after delete: %w", err)
 	}
-	return removed, nil
+	return matched, nil
 }

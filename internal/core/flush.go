@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"littletable/internal/period"
-	"littletable/internal/tablet"
 )
 
 // tickFlushRetries bounds how many consecutive flush errors one Tick
@@ -113,48 +111,12 @@ func (t *Table) writeGroup(g *flushGroup, now int64) ([]*diskTablet, error) {
 		if ft.mt.Empty() {
 			continue
 		}
-		path := filepath.Join(t.dir, tabletFileName(g.seqs[i]))
-		w, err := tablet.Create(path, ft.mt.Schema(), t.opts.tabletWriter(t.opts.FS, int64(ft.mt.Len())))
+		rec, tab, err := t.writeTablet(ft.mt.Schema(), g.seqs[i], t.opts.FS, int64(ft.mt.Len()), treeSource{ft.mt.Cursor(true)}, nil)
 		if err != nil {
 			t.abortDisks(newDisks)
 			return nil, err
 		}
-		c := ft.mt.Cursor(true)
-		for c.Next() {
-			if err := w.Append(c.Row()); err != nil {
-				_ = w.Abort() // best-effort cleanup; the original error wins
-				t.abortDisks(newDisks)
-				return nil, err
-			}
-		}
-		info, err := w.Close()
-		if err != nil {
-			t.abortDisks(newDisks)
-			return nil, err
-		}
-		t.stats.addEncode(info.Enc)
-		tab, err := tablet.OpenFS(t.opts.FS, path)
-		if err != nil {
-			t.opts.FS.Remove(path)
-			t.abortDisks(newDisks)
-			return nil, fmt.Errorf("core: reopen flushed tablet: %w", err)
-		}
-		t.attachCache(tab)
-		newDisks = append(newDisks, &diskTablet{
-			rec: tabletRecord{
-				File:     filepath.Base(path),
-				Seq:      g.seqs[i],
-				RowCount: info.RowCount,
-				MinTs:    info.MinTs,
-				MaxTs:    info.MaxTs,
-				Bytes:    info.Bytes,
-			},
-			tab:       tab,
-			path:      path,
-			refs:      1,
-			addedAt:   now,
-			wroteGran: ft.per.Gran,
-		})
+		newDisks = append(newDisks, t.newDiskTablet(rec, tab, now, ft.per.Gran))
 	}
 	return newDisks, nil
 }

@@ -23,15 +23,6 @@ func latestQuery(prefix []ltval.Value) Query {
 	}
 }
 
-// latestSpan is one tablet (disk or memory) with its timespan, as seen by
-// LatestRow. Memory tablets are materialized into bounded row copies at
-// snapshot time so the search never races concurrent inserts.
-type latestSpan struct {
-	lo, hi int64
-	dt     *diskTablet
-	ms     *memSource
-}
-
 // LatestRow finds the most recent row whose primary key begins with prefix
 // (§3.4.5). It works backwards through groups of tablets with overlapping
 // timespans: because distinct groups cover disjoint time ranges, the first
@@ -49,47 +40,25 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 	if len(prefix) == 0 || len(prefix) > t.Schema().KeyLen() {
 		return nil, false, ErrBadQuery
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, false, ErrTableClosed
-	}
-	sc := t.sc
-	ttl := t.ttl
-	now := t.opts.Clock.Now()
 	q := latestQuery(prefix)
 	var scannedMem int64
-	var spans []latestSpan
-	for _, dt := range t.disk {
-		t.acquireLocked(dt)
-		spans = append(spans, latestSpan{lo: dt.rec.MinTs, hi: dt.rec.MaxTs, dt: dt})
+	snap, err := t.snapshot(&q, &scannedMem)
+	if err != nil {
+		return nil, false, err
 	}
-	addMem := func(f *fillingTablet) {
-		if f.mt.Empty() {
-			return
-		}
-		lo, hi := f.mt.Timespan()
-		spans = append(spans, latestSpan{lo: lo, hi: hi, ms: collectMemRows(sc, f.mt, &q, &scannedMem)})
-	}
-	for _, f := range t.filling {
-		addMem(f)
-	}
-	for _, g := range t.pending {
-		for _, f := range g.tablets {
-			addMem(f)
-		}
-	}
-	t.mu.Unlock()
 	t.stats.RowsScanned.Add(scannedMem)
 	defer func() {
-		for _, s := range spans {
-			if s.dt != nil {
-				t.release(s.dt)
-			}
+		for _, dt := range snap.disks {
+			t.release(dt)
 		}
 	}()
+	sc := snap.sc
+	spans := make([]tabletSpan, 0, len(snap.disks)+len(snap.mems))
+	for _, dt := range snap.disks {
+		spans = append(spans, tabletSpan{lo: dt.rec.MinTs, hi: dt.rec.MaxTs, dt: dt})
+	}
+	spans = append(spans, snap.mems...)
 
-	expireLT := expireBefore(now, ttl)
 	// Newest first; group spans whose time ranges overlap transitively.
 	sort.Slice(spans, func(i, j int) bool { return spans[i].hi > spans[j].hi })
 	// The prefix pins the timestamp only if it includes all other key
@@ -107,7 +76,7 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 			}
 			j++
 		}
-		row, ok, err := t.latestInGroup(sc, spans[i:j], prefix, tsOrderedWithin, expireLT)
+		row, ok, err := t.latestInGroup(sc, spans[i:j], prefix, tsOrderedWithin, snap.expireLT)
 		if err != nil {
 			return nil, false, err
 		}
@@ -122,16 +91,11 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 // latestInGroup merges descending cursors over one overlapping-timespan
 // group and returns the latest (maximum-timestamp) unexpired row whose key
 // matches prefix.
-func (t *Table) latestInGroup(sc *schema.Schema, group []latestSpan, prefix []ltval.Value, tsOrderedWithin bool, expireLT int64) (schema.Row, bool, error) {
+func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, prefix []ltval.Value, tsOrderedWithin bool, expireLT int64) (schema.Row, bool, error) {
 	var scanned int64
 	q := latestQuery(prefix)
 	m := merger{sc: sc, asc: false}
-	var srcs []rowSource
-	defer func() {
-		for _, s := range srcs {
-			s.close()
-		}
-	}()
+	defer m.close()
 	for ord, s := range group {
 		var src rowSource
 		if s.dt != nil {
@@ -146,7 +110,6 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []latestSpan, prefix []lt
 			s.ms.i = 0 // rewind: materialized at snapshot time
 			src = s.ms
 		}
-		srcs = append(srcs, src)
 		if err := m.add(src, ord); err != nil {
 			return nil, false, err
 		}
@@ -154,11 +117,11 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []latestSpan, prefix []lt
 	var best schema.Row
 	var bestTs int64
 	for {
-		row, err := m.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if row == nil {
+		row, ok := m.next()
+		if !ok {
+			if err := m.err(); err != nil {
+				return nil, false, err
+			}
 			break
 		}
 		ts := sc.Ts(row)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"littletable/internal/clock"
 	"littletable/internal/period"
@@ -233,90 +232,39 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 		writeFS = budgetFS{FS: t.opts.FS, b: t.ioBudget}
 	}
 	var rows int64 // an upper bound: duplicates and expired rows drop out
-	for _, dt := range inputs {
-		rows += dt.tab.RowCount()
-	}
-	path := filepath.Join(t.dir, tabletFileName(seq))
-	w, err := tablet.Create(path, sc, t.opts.tabletWriter(writeFS, rows))
-	if err != nil {
-		return nil, err
-	}
-
 	var scanned int64
 	q := NewQuery()
 	m := merger{sc: sc, asc: true}
+	defer m.close()
 	// Merges read every block of every input sequentially, the best case for
 	// prefetch; no context, since a merge runs to completion or error.
 	ro := tablet.ReadOptions{PrefetchDepth: t.opts.prefetchDepth()}
-	var srcs []rowSource
-	defer func() {
-		for _, src := range srcs {
-			src.close()
-		}
-	}()
 	for ord, dt := range inputs {
 		if t.ioBudget != nil && !t.ioBudget.take(dt.rec.Bytes) {
-			_ = w.Abort() // best-effort cleanup; the close wins
 			return nil, ErrTableClosed
 		}
+		rows += dt.tab.RowCount()
 		src, err := newDiskSource(sc, dt.tab, &q, &scanned, ro)
 		if err == nil {
-			srcs = append(srcs, src)
 			err = m.add(src, ord)
 		}
 		if err != nil {
-			_ = w.Abort() // best-effort cleanup; the original error wins
 			return nil, err
 		}
 	}
-	for {
-		row, err := m.next()
-		// A row already expired is not rewritten: the merge reclaims it.
-		if err == nil && row != nil && sc.Ts(row) >= expireLT {
-			err = w.Append(row)
-		}
-		if err != nil {
-			_ = w.Abort() // best-effort cleanup; the original error wins
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-	}
-	// If everything expired, the merge still writes an empty tablet so the
-	// inputs can be dropped; the TTL reaper deletes it promptly. That is
-	// simpler than a special-case descriptor path.
-	info, err := w.Close()
+	// A row already expired is not rewritten: the merge reclaims it.
+	rec, tab, err := t.writeTablet(sc, seq, writeFS, rows, &m, func(row schema.Row) bool { return sc.Ts(row) >= expireLT })
 	if err != nil {
 		return nil, err
 	}
-	t.stats.addEncode(info.Enc)
-	tab, err := tablet.OpenFS(t.opts.FS, path)
-	if err != nil {
-		_ = t.opts.FS.Remove(path)
-		return nil, fmt.Errorf("core: reopen merged tablet: %w", err)
+	// If everything expired, the merge still writes an empty tablet so the
+	// inputs can be dropped; the TTL reaper deletes it promptly. That is
+	// simpler than a special-case descriptor path. The empty tablet keeps
+	// the inputs' span so ordering invariants hold.
+	if rec.RowCount == 0 {
+		rec.MinTs, rec.MaxTs = inputs[0].rec.MinTs, inputs[0].rec.MaxTs
 	}
-	t.attachCache(tab)
-	minTs, maxTs := info.MinTs, info.MaxTs
-	if info.RowCount == 0 {
-		// Preserve the inputs' span so ordering invariants hold.
-		minTs, maxTs = inputs[0].rec.MinTs, inputs[0].rec.MaxTs
-	}
-	return &diskTablet{
-		rec: tabletRecord{
-			File:     filepath.Base(path),
-			Seq:      seq,
-			RowCount: info.RowCount,
-			MinTs:    minTs,
-			MaxTs:    maxTs,
-			Bytes:    info.Bytes,
-		},
-		tab:       tab,
-		path:      path,
-		refs:      1,
-		addedAt:   now,
-		wroteGran: period.For(minTs, now).Gran,
-	}, nil
+	return t.newDiskTablet(rec, tab, now, period.For(rec.MinTs, now).Gran), nil
 }
 
 // MergeUntilStable runs merge rounds until none applies, returning the

@@ -236,23 +236,9 @@ func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 		return fmt.Errorf("core: install tablet: %w", err)
 	}
 
-	t.attachCache(tab)
 	now := t.opts.Clock.Now()
-	dt := &diskTablet{
-		rec: tabletRecord{
-			File:     filepath.Base(path),
-			Seq:      seq,
-			RowCount: rowCount,
-			MinTs:    minTs,
-			MaxTs:    maxTs,
-			Bytes:    int64(len(data)),
-		},
-		tab:       tab,
-		path:      path,
-		refs:      1,
-		addedAt:   now,
-		wroteGran: period.For(minTs, now).Gran,
-	}
+	rec := tabletRecord{File: filepath.Base(path), Seq: seq, RowCount: rowCount, MinTs: minTs, MaxTs: maxTs, Bytes: int64(len(data))}
+	dt := t.newDiskTablet(rec, tab, now, period.For(minTs, now).Gran)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

@@ -56,12 +56,6 @@ const (
 	// behind the merge.
 	DefaultPrefetchDepth = 2
 
-	// DefaultInsertBatch is how many rows one table-lock acquisition
-	// applies. §5.1.2's Figure 2 shows batch size dominating insert
-	// throughput; above the transport, amortizing the lock and the
-	// uniqueness fast path over a chunk of rows is the in-process analogue.
-	DefaultInsertBatch = 256
-
 	// DefaultMaxUnflushedBytes caps sealed-but-unflushed memtable bytes
 	// when asynchronous flushing is enabled. Inserters that would push the
 	// backlog past the cap block (counted in Stats.BackpressureStalls)
@@ -120,11 +114,6 @@ type Options struct {
 	// foreground insert/query paths of disk bandwidth. 0 (the default)
 	// means unlimited.
 	MaintenanceIOBytesPerSec int64
-
-	// InsertBatch is the maximum number of rows applied per table-lock
-	// acquisition on the insert path. 0 selects the default; negative
-	// values apply row-at-a-time (the seed behaviour).
-	InsertBatch int
 
 	// MaxUnflushedBytes caps the encoded bytes of sealed-but-unflushed
 	// tablets. Inserters block once the backlog exceeds it, so a slow disk
@@ -230,9 +219,6 @@ func (o Options) withDefaults() Options {
 	if o.PrefetchDepth == 0 {
 		o.PrefetchDepth = DefaultPrefetchDepth
 	}
-	if o.InsertBatch == 0 {
-		o.InsertBatch = DefaultInsertBatch
-	}
 	if o.MaxUnflushedBytes == 0 {
 		o.MaxUnflushedBytes = DefaultMaxUnflushedBytes
 	}
@@ -274,14 +260,6 @@ func (o Options) prefetchDepth() int {
 		return 0
 	}
 	return o.PrefetchDepth
-}
-
-// insertBatch returns the effective rows-per-lock chunk size (>= 1).
-func (o Options) insertBatch() int {
-	if o.InsertBatch < 1 {
-		return 1
-	}
-	return o.InsertBatch
 }
 
 // maxUnflushedBytes returns the effective backlog cap (0 = unlimited).

@@ -45,6 +45,73 @@ func NewQuery() Query {
 	return Query{LowerInc: true, UpperInc: true, MinTs: minInt64, MaxTs: maxInt64}
 }
 
+// validate rejects a box that is empty by construction.
+func (q *Query) validate() error {
+	if q.MinTs > q.MaxTs {
+		return fmt.Errorf("%w: MinTs %d > MaxTs %d", ErrBadQuery, q.MinTs, q.MaxTs)
+	}
+	if q.Lower != nil && q.Upper != nil {
+		// Compare only the common prefix: a lower bound that extends the
+		// upper prefix (e.g. lower (n, d, ts₀) under upper prefix (n, d))
+		// is a legitimate box, not an inversion.
+		n := min(len(q.Lower), len(q.Upper))
+		for i := 0; i < n; i++ {
+			c := q.Lower[i].Compare(q.Upper[i])
+			if c > 0 {
+				return fmt.Errorf("%w: lower key above upper key", ErrBadQuery)
+			}
+			if c < 0 {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// Query's key-box methods are the only place rows meet the Lower and
+// Upper bounds; row is of schema sc.
+
+// belowLower reports whether row lies below the box's lower key bound.
+func (q *Query) belowLower(sc *schema.Schema, row schema.Row) bool {
+	if q.Lower == nil {
+		return false
+	}
+	c := sc.CompareRowToKey(row, q.Lower)
+	return c < 0 || (c == 0 && !q.LowerInc)
+}
+
+// aboveUpper reports whether row lies above the box's upper key bound.
+func (q *Query) aboveUpper(sc *schema.Schema, row schema.Row) bool {
+	if q.Upper == nil {
+		return false
+	}
+	c := sc.CompareRowToKey(row, q.Upper)
+	return c > 0 || (c == 0 && !q.UpperInc)
+}
+
+// inBox reports whether row lies inside the box in both dimensions.
+func (q *Query) inBox(sc *schema.Schema, row schema.Row) bool {
+	ts := sc.Ts(row)
+	return ts >= q.MinTs && ts <= q.MaxTs && !q.belowLower(sc, row) && !q.aboveUpper(sc, row)
+}
+
+// scanStep classifies the next row of a cursor seeked to the box's start
+// bound in the query's direction: skip a row on an exclusive start bound,
+// stop at the first row past the far bound. A seek never yields a row
+// before an inclusive start bound, so those rows cost no comparison.
+func (q *Query) scanStep(sc *schema.Schema, row schema.Row) (skip, stop bool) {
+	if q.Descending {
+		if !q.UpperInc && q.Upper != nil && sc.CompareRowToKey(row, q.Upper) == 0 {
+			return true, false
+		}
+		return false, q.belowLower(sc, row)
+	}
+	if !q.LowerInc && q.Lower != nil && sc.CompareRowToKey(row, q.Lower) == 0 {
+		return true, false
+	}
+	return false, q.aboveUpper(sc, row)
+}
+
 // rowSource yields rows of the table's current schema in key order.
 type rowSource interface {
 	// next advances and returns the next row, or ok=false when exhausted.
@@ -74,6 +141,19 @@ func (m *memSource) next() (schema.Row, bool) {
 func (m *memSource) err() error { return nil }
 func (m *memSource) close()     {}
 
+// treeSource streams a sealed memtable, which takes no more inserts, in
+// key order without copying.
+type treeSource struct{ c *memtable.Cursor }
+
+func (s treeSource) next() (schema.Row, bool) {
+	if !s.c.Next() {
+		return nil, false
+	}
+	return s.c.Row(), true
+}
+func (treeSource) err() error { return nil }
+func (treeSource) close()     {}
+
 // collectMemRows copies the rows of mt that fall inside the query's key
 // box, in the query's direction. Time filtering happens at the iterator.
 func collectMemRows(cur *schema.Schema, mt *memtable.Memtable, q *Query, scanned *int64) *memSource {
@@ -93,26 +173,12 @@ func collectMemRows(cur *schema.Schema, mt *memtable.Memtable, q *Query, scanned
 	for c.Next() {
 		row := c.Row()
 		*scanned++
-		if asc {
-			if !q.LowerInc && q.Lower != nil && sc.CompareRowToKey(row, q.Lower) == 0 {
-				continue
-			}
-			if q.Upper != nil {
-				cmp := sc.CompareRowToKey(row, q.Upper)
-				if cmp > 0 || (cmp == 0 && !q.UpperInc) {
-					break
-				}
-			}
-		} else {
-			if !q.UpperInc && q.Upper != nil && sc.CompareRowToKey(row, q.Upper) == 0 {
-				continue
-			}
-			if q.Lower != nil {
-				cmp := sc.CompareRowToKey(row, q.Lower)
-				if cmp < 0 || (cmp == 0 && !q.LowerInc) {
-					break
-				}
-			}
+		skip, stop := q.scanStep(sc, row)
+		if stop {
+			break
+		}
+		if skip {
+			continue
 		}
 		// Copy: the live tree may keep growing under the inserter.
 		ms.rows = append(ms.rows, cur.Translate(sc, schema.CloneRow(row)))
@@ -145,32 +211,15 @@ func (d *diskSource) next() (schema.Row, bool) {
 	if d.done {
 		return nil, false
 	}
-	asc := !d.q.Descending
 	for d.c.Next() {
 		row := d.c.Row()
 		*d.scanned++
-		if asc {
-			if !d.q.LowerInc && d.q.Lower != nil && d.tabSc.CompareRowToKey(row, d.q.Lower) == 0 {
-				continue
-			}
-			if d.q.Upper != nil {
-				cmp := d.tabSc.CompareRowToKey(row, d.q.Upper)
-				if cmp > 0 || (cmp == 0 && !d.q.UpperInc) {
-					d.done = true
-					return nil, false
-				}
-			}
-		} else {
-			if !d.q.UpperInc && d.q.Upper != nil && d.tabSc.CompareRowToKey(row, d.q.Upper) == 0 {
-				continue
-			}
-			if d.q.Lower != nil {
-				cmp := d.tabSc.CompareRowToKey(row, d.q.Lower)
-				if cmp < 0 || (cmp == 0 && !d.q.LowerInc) {
-					d.done = true
-					return nil, false
-				}
-			}
+		skip, stop := d.q.scanStep(d.tabSc, row)
+		if stop {
+			break
+		}
+		if skip {
+			continue
 		}
 		return d.cur.Translate(d.tabSc, row), true
 	}
@@ -190,13 +239,18 @@ func (d *diskSource) close()     { d.c.Close() }
 // Sources reuse their row buffers, so a source is stepped only once the
 // row it last yielded is dead — at the start of the following next — and
 // the last key is remembered as a copy, never as a reference to a row.
+//
+// A merger is itself a rowSource: it owns the sources added to it, and
+// close closes them all.
 type merger struct {
 	sc      *schema.Schema
 	asc     bool
+	srcs    []rowSource   // every source added, closed by close
 	item    []mergeItem   // a heap, ordered by Less
 	stepTop bool          // item[0]'s row was yielded: step its source first
 	lastKey []ltval.Value // the last yielded row's key
 	keyBuf  []byte        // backs lastKey's byte cells
+	e       error         // the first source error; it ends the merge
 }
 
 type mergeItem struct {
@@ -226,8 +280,10 @@ func (m *merger) Pop() interface{} {
 }
 
 // add enters src into the merge at its first row; on equal keys the
-// source with the higher ord (the newer one) wins.
+// source with the higher ord (the newer one) wins. The merger owns src
+// from here on, even when add fails.
 func (m *merger) add(src rowSource, ord int) error {
+	m.srcs = append(m.srcs, src)
 	if row, ok := src.next(); ok {
 		heap.Push(m, mergeItem{row: row, src: src, ord: ord})
 		return nil
@@ -235,24 +291,28 @@ func (m *merger) add(src rowSource, ord int) error {
 	return src.err()
 }
 
-// next returns the next row in key order, or nil when the sources are
-// exhausted. The row is valid until the following next.
-func (m *merger) next() (schema.Row, error) {
+// next returns the next row in key order; ok is false once the sources
+// are exhausted or one of them fails (see err). The row is valid until
+// the following next.
+func (m *merger) next() (schema.Row, bool) {
 	for {
+		if m.e != nil {
+			return nil, false
+		}
 		if m.stepTop {
 			top := &m.item[0]
 			if row, ok := top.src.next(); ok {
 				top.row = row
 				heap.Fix(m, 0)
-			} else if err := top.src.err(); err != nil {
-				return nil, err
+			} else if m.e = top.src.err(); m.e != nil {
+				return nil, false
 			} else {
 				heap.Pop(m)
 			}
 			m.stepTop = false
 		}
 		if len(m.item) == 0 {
-			return nil, nil
+			return nil, false
 		}
 		row := m.item[0].row
 		m.stepTop = true
@@ -260,7 +320,15 @@ func (m *merger) next() (schema.Row, error) {
 			continue
 		}
 		m.lastKey, m.keyBuf = m.sc.CopyKey(m.lastKey, m.keyBuf, row)
-		return row, nil
+		return row, true
+	}
+}
+
+func (m *merger) err() error { return m.e }
+
+func (m *merger) close() {
+	for _, src := range m.srcs {
+		src.close()
 	}
 }
 
@@ -280,7 +348,6 @@ type Iterator struct {
 	// it once the iterator is returned to the caller.
 	mu       sync.Mutex
 	m        merger
-	sources  []rowSource
 	disks    []*diskTablet
 	row      schema.Row
 	returned int
@@ -302,88 +369,29 @@ func (t *Table) Query(q Query) (*Iterator, error) {
 // iterator's block loads and prefetch pipelines promptly, so a timed-out
 // or abandoned server query stops consuming disk.
 func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
-	if q.MinTs > q.MaxTs {
-		return nil, fmt.Errorf("%w: MinTs %d > MaxTs %d", ErrBadQuery, q.MinTs, q.MaxTs)
+	if err := q.validate(); err != nil {
+		return nil, err
 	}
-	if q.Lower != nil && q.Upper != nil {
-		// Compare only the common prefix: a lower bound that extends the
-		// upper prefix (e.g. lower (n, d, ts₀) under upper prefix (n, d))
-		// is a legitimate box, not an inversion.
-		n := len(q.Lower)
-		if len(q.Upper) < n {
-			n = len(q.Upper)
-		}
-		for i := 0; i < n; i++ {
-			c := q.Lower[i].Compare(q.Upper[i])
-			if c > 0 {
-				return nil, fmt.Errorf("%w: lower key above upper key", ErrBadQuery)
-			}
-			if c < 0 {
-				break
-			}
-		}
+	it := &Iterator{t: t, q: q}
+	snap, err := t.snapshot(&it.q, &it.scanned)
+	if err != nil {
+		return nil, err
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrTableClosed
-	}
-	sc := t.sc
-	ttl := t.ttl
-	qctx, cancel := context.WithCancel(ctx)
-	it := &Iterator{
-		t:        t,
-		q:        q,
-		sc:       sc,
-		ctx:      qctx,
-		cancel:   cancel,
-		expireLT: expireBefore(t.opts.Clock.Now(), ttl),
-		m:        merger{sc: sc, asc: !q.Descending},
-	}
-	var disks []*diskTablet
-	for _, dt := range t.disk {
-		if dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs {
-			t.acquireLocked(dt)
-			disks = append(disks, dt)
-		}
-	}
-	it.disks = disks
-	// Memtable rows are copied out while holding the lock: the filling
-	// trees mutate under concurrent inserts, and §3.1 only promises that a
-	// concurrent query returns some, all, or none of the racing rows — it
-	// must still never corrupt or mis-order.
-	var memSrcs []*memSource
-	collectMem := func(f *fillingTablet) {
-		if f.mt.Empty() {
-			return
-		}
-		lo, hi := f.mt.Timespan()
-		if lo <= q.MaxTs && hi >= q.MinTs {
-			memSrcs = append(memSrcs, collectMemRows(sc, f.mt, &it.q, &it.scanned))
-		}
-	}
-	for _, f := range t.filling {
-		collectMem(f)
-	}
-	for _, g := range t.pending {
-		for _, f := range g.tablets {
-			collectMem(f)
-		}
-	}
-	t.mu.Unlock()
+	sc := snap.sc
+	it.sc, it.expireLT, it.disks = sc, snap.expireLT, snap.disks
+	it.m = merger{sc: sc, asc: !q.Descending}
+	it.ctx, it.cancel = context.WithCancel(ctx)
 
 	t.stats.Queries.Add(1)
 	// Disk sources open outside the lock: seeks touch the filesystem. A
 	// worker pool opens and positions them concurrently — each open costs
 	// footer and first-block reads that are independent until the merge
 	// point — falling back to a serial loop at parallelism 1.
-	ro := tablet.ReadOptions{Ctx: qctx, PrefetchDepth: t.opts.prefetchDepth()}
+	disks := snap.disks
+	ro := tablet.ReadOptions{Ctx: it.ctx, PrefetchDepth: t.opts.prefetchDepth()}
 	dsrcs := make([]*diskSource, len(disks))
 	errs := make([]error, len(disks))
-	par := t.opts.queryParallelism()
-	if par > len(disks) {
-		par = len(disks)
-	}
+	par := min(t.opts.queryParallelism(), len(disks))
 	if par > 1 {
 		t.stats.ParallelOpens.Add(int64(len(disks)))
 		var wg sync.WaitGroup
@@ -410,13 +418,15 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 			}
 		}
 	}
-	for _, src := range dsrcs {
-		if src != nil {
-			it.sources = append(it.sources, src)
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
+			// Hand the opened sources to the merger unprimed, so Close
+			// closes them.
+			for _, src := range dsrcs {
+				if src != nil {
+					it.m.srcs = append(it.m.srcs, src)
+				}
+			}
 			t.stats.ReadErrors.Add(1)
 			it.Close()
 			return nil, err
@@ -425,13 +435,12 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 	// Prime the heap in tablet order so ties break deterministically
 	// (newer source wins) regardless of open order.
 	ord := 0
-	it.sources = it.sources[:0]
 	for _, src := range dsrcs {
 		it.push(src, ord)
 		ord++
 	}
-	for _, src := range memSrcs {
-		it.push(src, ord)
+	for _, ms := range snap.mems {
+		it.push(ms.ms, ord)
 		ord++
 	}
 	if it.firstErr != nil {
@@ -442,8 +451,64 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 	return it, nil
 }
 
+// snapshot is what one read sees of the table (§3.1): the disk tablets
+// whose timespans overlap the box, each acquired (release them when done),
+// and copies of the memtable rows inside the box's key range.
+type snapshot struct {
+	sc       *schema.Schema
+	expireLT int64 // rows with ts < expireLT are expired (TTL)
+	disks    []*diskTablet
+	mems     []tabletSpan // ms set
+}
+
+// tabletSpan is one tablet of a snapshot, on disk (dt) or copied from
+// memory (ms), with its timespan.
+type tabletSpan struct {
+	lo, hi int64
+	dt     *diskTablet
+	ms     *memSource
+}
+
+// snapshot takes one read's view of the table for the box q, counting the
+// memtable rows it examines into scanned. Memtable rows are copied out
+// while holding the lock: the filling trees mutate under concurrent
+// inserts, and §3.1 only promises that a concurrent read returns some,
+// all, or none of the racing rows — it must still never corrupt or
+// mis-order.
+func (t *Table) snapshot(q *Query, scanned *int64) (snapshot, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return snapshot{}, ErrTableClosed
+	}
+	s := snapshot{sc: t.sc, expireLT: expireBefore(t.opts.Clock.Now(), t.ttl)}
+	for _, dt := range t.disk {
+		if dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs {
+			t.acquireLocked(dt)
+			s.disks = append(s.disks, dt)
+		}
+	}
+	addMem := func(f *fillingTablet) {
+		if f.mt.Empty() {
+			return
+		}
+		lo, hi := f.mt.Timespan()
+		if lo <= q.MaxTs && hi >= q.MinTs {
+			s.mems = append(s.mems, tabletSpan{lo: lo, hi: hi, ms: collectMemRows(s.sc, f.mt, q, scanned)})
+		}
+	}
+	for _, f := range t.filling {
+		addMem(f)
+	}
+	for _, g := range t.pending {
+		for _, f := range g.tablets {
+			addMem(f)
+		}
+	}
+	return s, nil
+}
+
 func (it *Iterator) push(src rowSource, ord int) {
-	it.sources = append(it.sources, src)
 	if err := it.m.add(src, ord); err != nil && it.firstErr == nil {
 		it.firstErr = err
 		it.t.stats.ReadErrors.Add(1)
@@ -461,17 +526,16 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	for {
-		row, err := it.m.next()
-		if err != nil {
-			it.firstErr = err
-			if !errors.Is(err, context.Canceled) {
-				// Cancellation surfacing mid-merge (a concurrent
-				// Close, a server timeout) is not a storage fault.
-				it.t.stats.ReadErrors.Add(1)
+		row, ok := it.m.next()
+		if !ok {
+			if err := it.m.err(); err != nil {
+				it.firstErr = err
+				if !errors.Is(err, context.Canceled) {
+					// Cancellation surfacing mid-merge (a concurrent
+					// Close, a server timeout) is not a storage fault.
+					it.t.stats.ReadErrors.Add(1)
+				}
 			}
-			return false
-		}
-		if row == nil {
 			return false
 		}
 		ts := it.sc.Ts(row)
@@ -532,13 +596,13 @@ func (it *Iterator) Close() error {
 		return nil
 	}
 	it.closed = true
-	for _, src := range it.sources {
+	for _, src := range it.m.srcs {
 		if d, ok := src.(*diskSource); ok {
 			it.t.stats.BlocksRead.Add(int64(d.c.BlocksRead))
 			it.t.stats.PrefetchHits.Add(int64(d.c.PrefetchHits))
 		}
-		src.close()
 	}
+	it.m.close()
 	for _, dt := range it.disks {
 		it.t.release(dt)
 	}

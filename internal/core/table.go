@@ -255,11 +255,7 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 	now := opts.Clock.Now()
 	quarantined := 0
 	for _, rec := range d.Tablets {
-		loc := dir
-		if rec.Dir != "" {
-			loc = rec.Dir // cold-tiered tablet (§6)
-		}
-		path := filepath.Join(loc, rec.File)
+		path := t.tabletPath(rec)
 		tab, err := tablet.OpenFS(opts.FS, path)
 		if err == nil && opts.VerifyOnOpen {
 			if verr := tab.VerifyBlocks(); verr != nil {
@@ -274,16 +270,7 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 			quarantined++
 			continue
 		}
-		t.attachCache(tab)
-		dt := &diskTablet{
-			rec:       rec,
-			tab:       tab,
-			path:      path,
-			refs:      1,
-			addedAt:   now,
-			wroteGran: period.For(rec.MinTs, now).Gran,
-		}
-		t.disk = append(t.disk, dt)
+		t.disk = append(t.disk, t.newDiskTablet(rec, tab, now, period.For(rec.MinTs, now).Gran))
 		if rec.MaxTs > t.maxTs || !t.hasRows {
 			t.maxTs = rec.MaxTs
 			t.hasRows = true
@@ -359,12 +346,67 @@ func (t *Table) Stats() *Stats { return &t.stats }
 // it to timestamp rows whose clients omitted one (§3.1).
 func (t *Table) Now() int64 { return t.opts.Clock.Now() }
 
-// attachCache connects a freshly opened tablet to the table's shared block
-// cache, when one is configured.
-func (t *Table) attachCache(tab *tablet.Tablet) {
+// tabletPath is where rec's file lives: the table's directory, or the
+// cold directory it was tiered to (§6).
+func (t *Table) tabletPath(rec tabletRecord) string {
+	if rec.Dir != "" {
+		return filepath.Join(rec.Dir, rec.File)
+	}
+	return filepath.Join(t.dir, rec.File)
+}
+
+// newDiskTablet builds every tablet the table holds: it connects the open
+// tab to the shared block cache, when one is configured, and gives it the
+// table's base reference. gran is the period granularity the merge delay
+// measures the tablet against.
+func (t *Table) newDiskTablet(rec tabletRecord, tab *tablet.Tablet, addedAt int64, gran period.Granularity) *diskTablet {
 	if t.blockCache != nil {
 		tab.SetBlockCache(t.blockCache, t.nextHandle.Add(1))
 	}
+	return &diskTablet{rec: rec, tab: tab, path: t.tabletPath(rec), refs: 1, addedAt: addedAt, wroteGran: gran}
+}
+
+// writeTablet is the one way the table writes a tablet file (§3.4.1): it
+// streams the rows of src that keep accepts (nil keeps all) into tablet
+// seq through fsys, in one pass, then reopens the file for reading.
+// rowsHint bounds the rows written. On error no file is left behind; src
+// stays the caller's to close.
+func (t *Table) writeTablet(sc *schema.Schema, seq uint64, fsys vfs.FS, rowsHint int64, src rowSource, keep func(schema.Row) bool) (tabletRecord, *tablet.Tablet, error) {
+	rec := tabletRecord{File: tabletFileName(seq), Seq: seq}
+	path := t.tabletPath(rec)
+	w, err := tablet.Create(path, sc, t.opts.tabletWriter(fsys, rowsHint))
+	if err != nil {
+		return rec, nil, err
+	}
+	for {
+		row, ok := src.next()
+		if !ok {
+			err = src.err()
+			break
+		}
+		if keep != nil && !keep(row) {
+			continue
+		}
+		if err = w.Append(row); err != nil {
+			break
+		}
+	}
+	if err != nil {
+		_ = w.Abort() // best-effort cleanup; the original error wins
+		return rec, nil, err
+	}
+	info, err := w.Close()
+	if err != nil {
+		return rec, nil, err
+	}
+	t.stats.addEncode(info.Enc)
+	tab, err := tablet.OpenFS(t.opts.FS, path)
+	if err != nil {
+		_ = t.opts.FS.Remove(path)
+		return rec, nil, fmt.Errorf("core: reopen written tablet: %w", err)
+	}
+	rec.RowCount, rec.MinTs, rec.MaxTs, rec.Bytes = info.RowCount, info.MinTs, info.MaxTs, info.Bytes
+	return rec, tab, nil
 }
 
 // BlockCacheStats reports cumulative cache hits and misses (zeros when the
@@ -518,9 +560,15 @@ func (t *Table) takeAsyncErr() error {
 	return err
 }
 
+// insertChunk is how many rows one table-lock acquisition applies.
+// §5.1.2's Figure 2 shows batch size dominating insert throughput; above
+// the transport, amortizing the lock and the uniqueness fast path over a
+// chunk of rows is the in-process analogue.
+const insertChunk = 256
+
 // applyBatch uniqueness-checks and applies one caller's rows in chunks of
-// Options.InsertBatch, taking the table lock once per chunk instead of
-// once per row. Caller holds insertMu.
+// insertChunk, taking the table lock once per chunk instead of once per
+// row. Caller holds insertMu.
 func (t *Table) applyBatch(req *insertReq) error {
 	t.mu.Lock()
 	if t.closed {
@@ -550,12 +598,8 @@ func (t *Table) applyBatch(req *insertReq) error {
 		t.stats.InsertBatches.Add(1)
 	}()
 	rows := req.rows
-	chunk := t.opts.insertBatch()
 	for len(rows) > 0 {
-		n := chunk
-		if n > len(rows) {
-			n = len(rows)
-		}
+		n := min(insertChunk, len(rows))
 		// Uniqueness, cheapest check first (§3.4.4), amortized over the
 		// chunk: a row whose timestamp exceeds every timestamp in the
 		// table — and in the rows about to be applied ahead of it — is
@@ -730,6 +774,38 @@ func (t *Table) sealLocked(ft *fillingTablet) {
 
 // acquireLocked takes a read reference on dt.
 func (t *Table) acquireLocked(dt *diskTablet) { dt.refs++ }
+
+// claim marks every disk tablet that want accepts, and no other
+// maintenance holds, busy, and takes a reference on each, so a rewrite can
+// run without t.mu. unclaim undoes it.
+func (t *Table) claim(want func(*diskTablet) bool) ([]*diskTablet, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, ErrTableClosed
+	}
+	var claimed []*diskTablet
+	for _, dt := range t.disk {
+		if !dt.busy && want(dt) {
+			dt.busy = true
+			t.acquireLocked(dt)
+			claimed = append(claimed, dt)
+		}
+	}
+	return claimed, nil
+}
+
+// unclaim clears the busy marks claim set and drops its references.
+func (t *Table) unclaim(claimed []*diskTablet) {
+	t.mu.Lock()
+	for _, dt := range claimed {
+		dt.busy = false
+	}
+	t.mu.Unlock()
+	for _, dt := range claimed {
+		t.release(dt)
+	}
+}
 
 // release drops a reference; the last release of a dropped tablet closes
 // and deletes it.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"littletable/internal/tablet"
 	"littletable/internal/vfs"
@@ -30,59 +29,34 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
 
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return 0, ErrTableClosed
+	victims, err := t.claim(func(dt *diskTablet) bool {
+		return dt.rec.Dir == "" && dt.rec.MaxTs < olderThan // not already cold
+	})
+	if err != nil {
+		return 0, err
 	}
-	var victims []*diskTablet
-	for _, dt := range t.disk {
-		if dt.busy || dt.rec.Dir != "" {
-			continue // already cold
-		}
-		if dt.rec.MaxTs < olderThan {
-			dt.busy = true
-			t.acquireLocked(dt)
-			victims = append(victims, dt)
-		}
-	}
-	t.mu.Unlock()
+	defer t.unclaim(victims)
 
 	moved := 0
-	var firstErr error
 	for _, dt := range victims {
-		if firstErr != nil {
-			break
-		}
-		coldPath := filepath.Join(coldDir, dt.rec.File)
+		rec := dt.rec
+		rec.Dir = coldDir
+		coldPath := t.tabletPath(rec)
 		if err := copyFileAtomic(t.opts.FS, dt.path, coldPath, t.opts.SyncWrites); err != nil {
-			firstErr = fmt.Errorf("core: tier %s: %w", dt.rec.File, err)
-			break
+			return moved, fmt.Errorf("core: tier %s: %w", dt.rec.File, err)
 		}
 		tab, err := tablet.OpenFS(t.opts.FS, coldPath)
 		if err != nil {
 			t.opts.FS.Remove(coldPath)
-			firstErr = fmt.Errorf("core: open cold tablet: %w", err)
-			break
+			return moved, fmt.Errorf("core: open cold tablet: %w", err)
 		}
-		t.attachCache(tab)
-		rec := dt.rec
-		rec.Dir = coldDir
-		cold := &diskTablet{
-			rec:       rec,
-			tab:       tab,
-			path:      coldPath,
-			refs:      1,
-			addedAt:   dt.addedAt,
-			wroteGran: dt.wroteGran,
-		}
+		cold := t.newDiskTablet(rec, tab, dt.addedAt, dt.wroteGran)
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
 			tab.Close()
 			t.opts.FS.Remove(coldPath)
-			firstErr = ErrTableClosed
-			break
+			return moved, ErrTableClosed
 		}
 		t.dropLocked(dt) // hot copy deleted once readers drain
 		t.disk = append(t.disk, cold)
@@ -90,20 +64,11 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 		err = t.writeDescriptorLocked()
 		t.mu.Unlock()
 		if err != nil {
-			firstErr = fmt.Errorf("core: descriptor update after tiering: %w", err)
-			break
+			return moved, fmt.Errorf("core: descriptor update after tiering: %w", err)
 		}
 		moved++
 	}
-	t.mu.Lock()
-	for _, dt := range victims {
-		dt.busy = false
-	}
-	t.mu.Unlock()
-	for _, dt := range victims {
-		t.release(dt)
-	}
-	return moved, firstErr
+	return moved, nil
 }
 
 // ColdTabletCount reports how many tablets live in a cold directory.

@@ -2,8 +2,6 @@ package server
 
 import (
 	"math"
-	"sort"
-	"strings"
 
 	"littletable/internal/agg"
 	"littletable/internal/core"
@@ -26,19 +24,8 @@ func (s *Server) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	names := s.TableNames()
-	sort.Strings(names)
-	matched := names[:0]
-	for _, n := range names {
-		if strings.HasPrefix(n, m.Prefix) {
-			matched = append(matched, n)
-		}
-	}
-	resp := &wire.AggResult{Spec: m.Spec}
-	if m.MaxTables > 0 && len(matched) > int(m.MaxTables) {
-		matched = matched[:m.MaxTables]
-		resp.Truncated = true
-	}
+	matched, truncated := s.matchTables(m.Prefix, m.MaxTables)
+	resp := &wire.AggResult{Spec: m.Spec, Truncated: truncated}
 	maxGroups := int(m.MaxGroups)
 	if maxGroups <= 0 {
 		maxGroups = DefaultMaxAggGroups

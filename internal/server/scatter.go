@@ -2,12 +2,27 @@ package server
 
 import (
 	"errors"
-	"sort"
 	"strings"
 
 	"littletable/internal/core"
 	"littletable/internal/wire"
 )
+
+// matchTables lists the local tables whose names start with prefix, in
+// sorted name order, keeping the first maxTables (0 = no cap); truncated
+// reports that the cap cut the list. Scatter and agg queries both cover
+// exactly these tables.
+func (s *Server) matchTables(prefix string, maxTables uint32) (names []string, truncated bool) {
+	for _, n := range s.TableNames() {
+		if strings.HasPrefix(n, prefix) {
+			names = append(names, n)
+		}
+	}
+	if maxTables > 0 && len(names) > int(maxTables) {
+		return names[:maxTables], true
+	}
+	return names, false
+}
 
 // handleScatterQuery runs one bounded query against every local table
 // whose name matches the prefix, in sorted name order. The router sends
@@ -18,18 +33,7 @@ func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	names := s.TableNames()
-	sort.Strings(names)
-	matched := names[:0]
-	for _, n := range names {
-		if strings.HasPrefix(n, m.Prefix) {
-			matched = append(matched, n)
-		}
-	}
-	truncated := m.MaxTables > 0 && len(matched) > int(m.MaxTables)
-	if truncated {
-		matched = matched[:m.MaxTables]
-	}
+	matched, truncated := s.matchTables(m.Prefix, m.MaxTables)
 	resp := wire.NewScatterRowsWriter(truncated)
 	limit := s.opts.QueryRowLimit
 	if m.PerTableLimit > 0 && int(m.PerTableLimit) < limit {

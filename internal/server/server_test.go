@@ -214,3 +214,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestMatchTables pins the table list scatter and agg queries share:
+// prefix-matched, sorted, and truncated only when the cap is exceeded.
+func TestMatchTables(t *testing.T) {
+	s := newServer(t, t.TempDir())
+	for _, n := range []string{"cust_c", "other", "cust_a", "cust_b"} {
+		if _, err := s.CreateTable(n, testSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		max       uint32
+		want      string
+		truncated bool
+	}{
+		{0, "cust_a,cust_b,cust_c", false},
+		{3, "cust_a,cust_b,cust_c", false},
+		{2, "cust_a,cust_b", true},
+	} {
+		names, truncated := s.matchTables("cust_", tc.max)
+		if got := strings.Join(names, ","); got != tc.want || truncated != tc.truncated {
+			t.Errorf("max %d: got %s truncated=%v, want %s truncated=%v", tc.max, got, truncated, tc.want, tc.truncated)
+		}
+	}
+}
