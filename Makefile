@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint ltlint lint-fix-baseline vet bench bench-e2e leakcheck loc crash chaos cluster-chaos ci clean
+.PHONY: all build test race lint ltlint vet bench bench-e2e leakcheck loc crash chaos cluster-chaos ci clean
 
 all: build lint test
 
@@ -28,14 +28,6 @@ vet:
 ltlint:
 	$(GO) run ./cmd/ltlint -check-stale-ignores ./...
 
-# lint-fix-baseline records every current finding into .ltlint-baseline.json
-# so a new analyzer can land blocking-on-new-findings while legacy debt is
-# paid down. The repo's steady state is NO baseline file (the tree is
-# clean); this target exists for rollout windows only — delete the file
-# once its entries are fixed.
-lint-fix-baseline:
-	$(GO) run ./cmd/ltlint -write-baseline .ltlint-baseline.json ./...
-
 # bench runs the root package's benchmarks, then the read path's two inner
 # loops (block decode, tablet range scan), the XOR float encoder and the
 # tablet writer: their B/op is bytes per block, per 100-row range, per
@@ -53,9 +45,12 @@ bench-e2e:
 # running: nothing a command starts may outlive it. Run it on its own after
 # the last benchmark and test: a shell whose command line also names those
 # programs matches. Bracketing one character of each pattern keeps pgrep
-# from matching the shell make starts for it.
+# from matching the shell make starts for it. go test runs each test
+# binary with flags (pkg.test -test.paniconexit0 ...), so a .test name
+# may be followed by a space, not only end the command line; -a prints
+# the whole command line of each match.
 leakcheck:
-	@if pgrep -fl '[l]tbenchmark|[l]ittletabled|[l]ittletable-router|[l]tbench|[g]o test|\.tes[t]$$'; then \
+	@if pgrep -fa '[l]tbenchmark|[l]ittletabled|[l]ittletable-router|[l]tbench|[g]o test|\.tes[t]( |$$)'; then \
 		echo "leakcheck: the processes above outlived their command" >&2; exit 1; \
 	fi
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,44 @@ import (
 
 	"littletable"
 )
+
+// startDaemon runs the daemon binary on a free loopback port with args
+// and returns it with a client connected to it. The daemon is killed
+// when the test ends, and with the test binary if that dies first.
+func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, *littletable.Client) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	dieWithTest(cmd)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.Process != nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+
+	// Wait for the listener.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := littletable.Dial(addr)
+		if err == nil {
+			t.Cleanup(func() { c.Close() })
+			return cmd, c
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never listened: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
 
 func buildDaemon(t *testing.T) string {
 	t.Helper()
@@ -26,35 +65,8 @@ func buildDaemon(t *testing.T) string {
 // TestDaemonServesAndShutsDown starts the real daemon process, drives it
 // over the wire, and stops it with SIGTERM.
 func TestDaemonServesAndShutsDown(t *testing.T) {
-	bin := buildDaemon(t)
 	root := t.TempDir()
-	addr := "127.0.0.1:39155"
-	cmd := exec.Command(bin, "-root", root, "-addr", addr, "-flush-on-exit")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	// Wait for the listener.
-	var c *littletable.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var err error
-		c, err = littletable.Dial(addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never listened: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	defer c.Close()
+	cmd, c := startDaemon(t, buildDaemon(t), "-root", root, "-flush-on-exit")
 
 	sc := littletable.MustSchema([]littletable.Column{
 		{Name: "k", Type: littletable.Int64},
@@ -106,34 +118,8 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 // connections are closed immediately and the process exits, leaving the
 // client with a typed disconnect.
 func TestDaemonDrainsIdleConnsPromptly(t *testing.T) {
-	bin := buildDaemon(t)
-	addr := "127.0.0.1:39156"
-	cmd := exec.Command(bin, "-root", t.TempDir(), "-addr", addr,
+	cmd, c := startDaemon(t, buildDaemon(t), "-root", t.TempDir(),
 		"-drain-timeout", "30s", "-max-in-flight", "64")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	var c *littletable.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var err error
-		c, err = littletable.Dial(addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never listened: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	defer c.Close()
 	if _, err := c.ListTables(); err != nil {
 		t.Fatal(err)
 	}

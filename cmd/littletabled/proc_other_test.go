@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "os/exec"
+
+// dieWithTest is a no-op where the kernel has no parent-death signal;
+// test cleanups still kill the daemon.
+func dieWithTest(*exec.Cmd) {}

@@ -20,10 +20,6 @@
 //	-rules a,b            run only the named analyzers
 //	-json                 emit findings as a JSON array on stdout
 //	-sarif FILE           also write findings as SARIF 2.1.0 to FILE
-//	-baseline FILE        filter findings against a checked-in baseline;
-//	                      stale entries are reported on stderr
-//	-write-baseline FILE  record current findings as the new baseline
-//	                      and exit 0
 //	-check-stale-ignores  also fail on //ltlint:ignore directives that
 //	                      suppress nothing (full-suite runs only)
 //
@@ -49,8 +45,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated subset of analyzers to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-	baselinePath := flag.String("baseline", "", "filter findings against this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	staleIgnores := flag.Bool("check-stale-ignores", false, "fail on ignore directives that suppress nothing")
 	flag.Parse()
 
@@ -114,32 +108,6 @@ func main() {
 		return filepath.ToSlash(abs)
 	}
 
-	if *writeBaseline != "" {
-		b := ltlint.NewBaseline(diags, rel)
-		if err := b.Save(*writeBaseline); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ltlint: wrote %d finding(s) to baseline %s\n", len(b.Findings), *writeBaseline)
-		return
-	}
-
-	failed := false
-	if *baselinePath != "" {
-		b, err := ltlint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var stale []ltlint.BaselineEntry
-		diags, stale = b.Filter(diags, rel)
-		for _, e := range stale {
-			// A stale entry means the legacy finding was fixed: delete it
-			// so the ratchet tightens. Reported as a failure, not a
-			// warning — otherwise baselines only ever grow.
-			fmt.Fprintf(os.Stderr, "ltlint: stale baseline entry: %s: %s: %s\n", e.File, e.Rule, e.Message)
-			failed = true
-		}
-	}
-
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
 		if err != nil {
@@ -164,9 +132,9 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	if len(diags) > 0 {
+	failed := len(diags) > 0
+	if failed {
 		fmt.Fprintf(os.Stderr, "ltlint: %d finding(s)\n", len(diags))
-		failed = true
 	}
 
 	if *staleIgnores {

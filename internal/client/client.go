@@ -365,7 +365,7 @@ func (c *Client) transportErr(ctx context.Context, err error) error {
 	// The only deadline ever set on the socket is the context's, so an
 	// I/O timeout IS the caller's deadline — the socket timer can just
 	// fire a tick before ctx.Done() is observable.
-	if _, ok := ctx.Deadline(); ok && isTimeout(err) {
+	if _, ok := ctx.Deadline(); ok && wire.IsTimeout(err) {
 		return fmt.Errorf("client: request aborted: %w", context.DeadlineExceeded)
 	}
 	return fmt.Errorf("%w: %v", ErrDisconnected, err)

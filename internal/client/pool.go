@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -120,7 +119,7 @@ func (p *pool) healthy(pc *poolConn) bool {
 	}
 	var b [1]byte
 	_, err := pc.conn.Read(b[:])
-	if err == nil || !isTimeout(err) {
+	if err == nil || !wire.IsTimeout(err) {
 		// A stray byte is a protocol violation; anything but a timeout
 		// means the conn is dead.
 		return false
@@ -188,10 +187,4 @@ func (p *pool) close() {
 	for _, pc := range idle {
 		pc.conn.Close()
 	}
-}
-
-// isTimeout reports whether err is a deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,48 +59,6 @@ func testDiags() []ltlint.Diagnostic {
 }
 
 func testRel(abs string) string { return strings.TrimPrefix(abs, "/mod/") }
-
-// TestBaselineRoundTrip exercises the ratchet: current findings filter
-// to nothing against their own baseline, a moved finding stays filtered
-// (entries are line-independent), a fixed finding surfaces as stale, and
-// a new finding is kept.
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := testDiags()
-	b := ltlint.NewBaseline(diags, testRel)
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := b.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ltlint.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kept, stale := loaded.Filter(diags, testRel)
-	if len(kept) != 0 || len(stale) != 0 {
-		t.Fatalf("self-filter: want 0 kept + 0 stale, got %d + %d", len(kept), len(stale))
-	}
-
-	moved := testDiags()
-	moved[0].Pos.Line = 99
-	kept, stale = loaded.Filter(moved, testRel)
-	if len(kept) != 0 || len(stale) != 0 {
-		t.Fatalf("moved finding resurrected: %d kept, %d stale", len(kept), len(stale))
-	}
-
-	kept, stale = loaded.Filter(diags[:1], testRel)
-	if len(kept) != 0 || len(stale) != 1 || stale[0].Rule != "lockorder" {
-		t.Fatalf("fixed finding: want 1 stale lockorder entry, got kept=%v stale=%v", kept, stale)
-	}
-
-	fresh := append(testDiags(), ltlint.Diagnostic{
-		Pos: token.Position{Filename: "/mod/internal/core/c.go", Line: 3}, Rule: "vfsonly", Message: "new finding",
-	})
-	kept, stale = loaded.Filter(fresh, testRel)
-	if len(kept) != 1 || kept[0].Rule != "vfsonly" || len(stale) != 0 {
-		t.Fatalf("new finding: want it kept, got kept=%v stale=%v", kept, stale)
-	}
-}
 
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer

@@ -7,7 +7,7 @@ import (
 )
 
 // GoTrack requires every `go` statement in the engine's long-lived layers
-// (core, server, router, client) to be tied to a sync.WaitGroup so that
+// (core, server, router, client, and wire's shared connection front end) to be tied to a sync.WaitGroup so that
 // Shutdown/Drain/Close can prove quiescence. PR 6's drain contract —
 // "finish in-flight work, then return" — and PR 8's Close both end in a
 // wg.Wait(); a goroutine spawned outside any WaitGroup is invisible to
@@ -23,7 +23,7 @@ import (
 // //ltlint:ignore gotrack naming that owner.
 var GoTrack = &Analyzer{
 	Name: "gotrack",
-	Doc: "every goroutine in core/server/router/client must be tied to a " +
+	Doc: "every goroutine in core/server/router/client/wire must be tied to a " +
 		"WaitGroup (or an annotated lifecycle owner), or drain/Shutdown cannot prove quiescence",
 	Run: runGoTrack,
 }
@@ -34,6 +34,7 @@ var goTrackPkgs = []string{
 	"/internal/server",
 	"/internal/router",
 	"/internal/client",
+	"/internal/wire",
 }
 
 func runGoTrack(p *Pass) error {

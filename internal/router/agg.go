@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"time"
 
 	"littletable/internal/agg"
 	"littletable/internal/client"
@@ -22,49 +21,28 @@ func (r *Router) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
-	if !r.limiter.allow(tenantOf(m.Prefix), time.Now()) {
-		r.stats.RateLimited.Add(1)
-		return r.sendOverloaded(wc, "router: tenant rate limit exceeded; back off and retry")
+	up, refusal := r.admitPrefix(m.Prefix, "aggregation")
+	if refusal != "" {
+		return r.sendOverloaded(wc, refusal)
 	}
-	up, downShards := r.upShards()
-	if len(downShards) > 0 {
-		return r.sendOverloaded(wc, "router: aggregation with shard "+downShards[0].addr+" down; back off and retry")
-	}
-	r.stats.ScatterFanout.Add(int64(len(up)))
-	r.stats.RoutedQueries.Add(1)
 	// The router always needs table granularity from the shards —
 	// migration dedup happens per table — even when the client asked for
 	// merged groups only.
 	wantPartials := m.WantPartials
 	m.WantPartials = true
-	results := make([]*wire.AggResult, len(up))
-	idx := make(map[*shard]int, len(up))
-	for i, sh := range up {
-		idx[sh] = i
-	}
-	err = r.fanOut(r.baseCtx, up, func(ctx context.Context, sh *shard, cl *client.Client) error {
-		res, err := cl.AggQuery(ctx, m)
-		if err != nil {
-			return err
-		}
-		results[idx[sh]] = res
-		return nil
+	results, err := gather(r, up, func(cl *client.Client, ctx context.Context) (*wire.AggResult, error) {
+		return cl.AggQuery(ctx, m)
 	})
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
 	merged := &wire.AggResult{Spec: m.Spec}
-	lists := make([][]wire.AggTablePartial, len(up))
-	for i, res := range results {
-		merged.Truncated = merged.Truncated || res.Truncated
+	for _, res := range results {
 		merged.RowsFolded += res.RowsFolded
-		lists[i] = res.Tables
 	}
-	merged.Tables = mergeSections(r, up, lists, func(sec wire.AggTablePartial) string { return sec.Table })
-	if m.MaxTables > 0 && len(merged.Tables) > int(m.MaxTables) {
-		merged.Tables = merged.Tables[:m.MaxTables]
-		merged.Truncated = true
-	}
+	merged.Tables, merged.Truncated = mergeSections(r, up, results, m.MaxTables,
+		func(res *wire.AggResult) ([]wire.AggTablePartial, bool) { return res.Tables, res.Truncated },
+		func(sec wire.AggTablePartial) string { return sec.Table })
 	for _, sec := range merged.Tables {
 		merged.Groups = agg.MergeGroups(m.Spec, merged.Groups, sec.Groups)
 	}

@@ -155,15 +155,10 @@ type Router struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	smu     sync.Mutex
-	serving map[*connState]struct{}
-	lis     closers
-
+	front  *wire.Front
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
-
-type closers []interface{ Close() error }
 
 // New builds a Router, loads any persisted placement overrides, and
 // starts the health-probe loops. Shard connections are dialed lazily on
@@ -190,7 +185,14 @@ func New(opts Options) (*Router, error) {
 		placement: make(map[string]string),
 		migrating: make(map[string]bool),
 		inflight:  make(map[string]int),
-		serving:   make(map[*connState]struct{}),
+	}
+	r.front = &wire.Front{
+		Name:            "router",
+		Dispatch:        r.dispatch,
+		ReadTimeout:     opts.ReadTimeout,
+		WriteTimeout:    opts.WriteTimeout,
+		MaxRequestBytes: opts.MaxRequestBytes,
+		Logf:            opts.Logf,
 	}
 	r.mcond = sync.NewCond(&r.mmu)
 	r.baseCtx, r.baseCancel = context.WithCancel(context.Background())
@@ -409,8 +411,8 @@ func (r *Router) freezeTable(ctx context.Context, table string) (func(), error) 
 	}, nil
 }
 
-// Close stops probes, closes listeners and client pools, and cancels
-// in-flight work.
+// Close stops probes, closes listeners, client connections and shard
+// pools, and cancels in-flight work.
 func (r *Router) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
@@ -420,15 +422,7 @@ func (r *Router) Close() error {
 	r.mmu.Lock()
 	r.mcond.Broadcast()
 	r.mmu.Unlock()
-	r.smu.Lock()
-	for _, l := range r.lis {
-		l.Close()
-	}
-	r.lis = nil
-	for st := range r.serving {
-		st.conn.Close()
-	}
-	r.smu.Unlock()
+	r.front.Close()
 	for _, sh := range r.shards {
 		sh.close()
 	}

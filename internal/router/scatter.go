@@ -11,38 +11,41 @@ import (
 	"littletable/internal/wire"
 )
 
-// fanOut runs fn against every listed shard with bounded concurrency.
+// gather asks every listed shard through fn with bounded concurrency
+// and returns the answers in shard order. fn takes the client first so
+// that a method expression such as (*client.Client).ServerStats fits.
 // The first error cancels the context handed to the remaining calls, so
 // a stuck shard cannot pin the whole scatter — end-to-end cancellation
 // flows from the router's base context through each per-shard client
-// request. Results land in out[i] for shards[i]; a nil error means every
-// fn returned nil.
-func (r *Router) fanOut(ctx context.Context, shards []*shard, fn func(ctx context.Context, sh *shard, cl *client.Client) error) error {
-	ctx, cancel := context.WithCancel(ctx)
+// request.
+func gather[T any](r *Router, shards []*shard, fn func(cl *client.Client, ctx context.Context) (T, error)) ([]T, error) {
+	r.stats.ScatterFanout.Add(int64(len(shards)))
+	ctx, cancel := context.WithCancel(r.baseCtx)
 	defer cancel()
+	out := make([]T, len(shards))
 	sem := make(chan struct{}, r.opts.ScatterConcurrency)
 	errc := make(chan error, len(shards))
 	// Every worker is WaitGroup-tied: draining errc proves every fn
 	// returned, but not that the goroutines finished their sem release,
-	// so fanOut waits for true quiescence before returning. Without this
+	// so gather waits for true quiescence before returning. Without this
 	// a worker's tail could still be running while Close tears the
 	// router down.
 	var wg sync.WaitGroup
-	for _, sh := range shards {
+	for i, sh := range shards {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(sh *shard) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			cl, err := sh.client(ctx)
 			if err == nil {
-				err = fn(ctx, sh, cl)
+				out[i], err = fn(cl, ctx)
 			}
 			if err != nil {
 				cancel()
 			}
 			errc <- err
-		}(sh)
+		}()
 	}
 	var first error
 	for range shards {
@@ -51,7 +54,7 @@ func (r *Router) fanOut(ctx context.Context, shards []*shard, fn func(ctx contex
 		}
 	}
 	wg.Wait()
-	return first
+	return out, first
 }
 
 // upShards returns the shards the prober considers alive.
@@ -71,20 +74,7 @@ func (r *Router) upShards() (up []*shard, down []*shard) {
 // list beats no list during an outage.
 func (r *Router) handleListTables(wc *wire.Conn) error {
 	up, downShards := r.upShards()
-	r.stats.ScatterFanout.Add(int64(len(up)))
-	lists := make([][]string, len(up))
-	idx := make(map[*shard]int, len(up))
-	for i, sh := range up {
-		idx[sh] = i
-	}
-	err := r.fanOut(r.baseCtx, up, func(ctx context.Context, sh *shard, cl *client.Client) error {
-		names, err := cl.ListTablesCtx(ctx)
-		if err != nil {
-			return err
-		}
-		lists[idx[sh]] = names
-		return nil
-	})
+	lists, err := gather(r, up, (*client.Client).ListTablesCtx)
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
@@ -110,20 +100,7 @@ func (r *Router) handleListTables(wc *wire.Conn) error {
 // cluster-wide view of the numbers each server exposes.
 func (r *Router) handleServerStats(wc *wire.Conn) error {
 	up, _ := r.upShards()
-	r.stats.ScatterFanout.Add(int64(len(up)))
-	results := make([]metric.List, len(up))
-	idx := make(map[*shard]int, len(up))
-	for i, sh := range up {
-		idx[sh] = i
-	}
-	err := r.fanOut(r.baseCtx, up, func(ctx context.Context, sh *shard, cl *client.Client) error {
-		st, err := cl.ServerStats(ctx)
-		if err != nil {
-			return err
-		}
-		results[idx[sh]] = st
-		return nil
-	})
+	results, err := gather(r, up, (*client.Client).ServerStats)
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
@@ -134,52 +111,46 @@ func (r *Router) handleServerStats(wc *wire.Conn) error {
 	return wc.WriteMsg(wire.MsgServerStatsResult, wire.EncodeStats(sum))
 }
 
+// admitPrefix is the admission prologue scatter and aggregation share:
+// the tenant rate limit on the request's table prefix, then a refusal
+// while any shard is down. Unlike listing, a prefix-wide answer must be
+// complete to be correct, so a down shard fails the whole request rather
+// than silently dropping its tables. A non-empty refusal is the
+// Overloaded message to answer with; otherwise up is every shard.
+func (r *Router) admitPrefix(prefix, op string) (up []*shard, refusal string) {
+	if !r.limiter.allow(tenantOf(prefix), time.Now()) {
+		r.stats.RateLimited.Add(1)
+		return nil, "router: tenant rate limit exceeded; back off and retry"
+	}
+	up, down := r.upShards()
+	if len(down) > 0 {
+		return nil, "router: " + op + " with shard " + down[0].addr + " down; back off and retry"
+	}
+	r.stats.RoutedQueries.Add(1)
+	return up, ""
+}
+
 // handleScatterQuery fans a prefix query out to every shard and merges
-// the per-table sections. Unlike listing, a scatter QUERY must be
-// complete to be correct, so a down or failing shard fails the whole
-// request rather than silently dropping its tables.
+// the per-table sections.
 func (r *Router) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 	m, err := wire.DecodeScatterQuery(payload)
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
-	if !r.limiter.allow(tenantOf(m.Prefix), time.Now()) {
-		r.stats.RateLimited.Add(1)
-		return r.sendOverloaded(wc, "router: tenant rate limit exceeded; back off and retry")
+	up, refusal := r.admitPrefix(m.Prefix, "scatter")
+	if refusal != "" {
+		return r.sendOverloaded(wc, refusal)
 	}
-	up, downShards := r.upShards()
-	if len(downShards) > 0 {
-		return r.sendOverloaded(wc, "router: scatter with shard "+downShards[0].addr+" down; back off and retry")
-	}
-	r.stats.ScatterFanout.Add(int64(len(up)))
-	r.stats.RoutedQueries.Add(1)
-	results := make([]*wire.ScatterRows, len(up))
-	idx := make(map[*shard]int, len(up))
-	for i, sh := range up {
-		idx[sh] = i
-	}
-	err = r.fanOut(r.baseCtx, up, func(ctx context.Context, sh *shard, cl *client.Client) error {
-		res, err := cl.ScatterQuery(ctx, m)
-		if err != nil {
-			return err
-		}
-		results[idx[sh]] = res
-		return nil
+	results, err := gather(r, up, func(cl *client.Client, ctx context.Context) (*wire.ScatterRows, error) {
+		return cl.ScatterQuery(ctx, m)
 	})
 	if err != nil {
 		return r.sendErr(wc, err)
 	}
 	merged := &wire.ScatterRows{}
-	lists := make([][]wire.ScatterTableRows, len(up))
-	for i, res := range results {
-		merged.Truncated = merged.Truncated || res.Truncated
-		lists[i] = res.Tables
-	}
-	merged.Tables = mergeSections(r, up, lists, func(sec wire.ScatterTableRows) string { return sec.Table })
-	if m.MaxTables > 0 && len(merged.Tables) > int(m.MaxTables) {
-		merged.Tables = merged.Tables[:m.MaxTables]
-		merged.Truncated = true
-	}
+	merged.Tables, merged.Truncated = mergeSections(r, up, results, m.MaxTables,
+		func(res *wire.ScatterRows) ([]wire.ScatterTableRows, bool) { return res.Tables, res.Truncated },
+		func(sec wire.ScatterTableRows) string { return sec.Table })
 	b, err := merged.Encode()
 	if err != nil {
 		return r.sendErr(wc, err)
@@ -187,21 +158,29 @@ func (r *Router) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 	return wc.WriteMsg(wire.MsgScatterRows, b)
 }
 
-// mergeSections k-way merges per-shard section lists into one list
-// sorted by table name. Each server already emits its sections in
-// sorted name order, so the merge is a heads walk, not a re-sort: pick
-// the smallest head name, emit one section for it, advance every list
-// positioned there. A table can transiently exist on two shards
-// mid-migration; the copy from the shard the ring routes the table to
-// is authoritative, with the first reporter as fallback when the owner
-// itself did not report it.
-func mergeSections[T any](r *Router, shards []*shard, lists [][]T, name func(T) string) []T {
-	heads := make([]int, len(lists))
+// mergeSections is the epilogue scatter and aggregation share: it
+// k-way merges the per-table sections each shard answered (sections
+// returns them with the shard's truncated flag) into one list sorted by
+// table name, stopping at maxTables (0: no cap). truncated reports
+// whether any shard or the cap dropped sections. Each server already
+// emits its sections in sorted name order, so the merge is a heads walk,
+// not a re-sort: pick the smallest head name, emit one section for it,
+// advance every list positioned there. A table can transiently exist on
+// two shards mid-migration; the copy from the shard the ring routes the
+// table to is authoritative, with the first reporter as fallback when
+// the owner itself did not report it.
+func mergeSections[R, T any](r *Router, shards []*shard, results []R, maxTables uint32,
+	sections func(R) ([]T, bool), name func(T) string) (merged []T, truncated bool) {
+	lists := make([][]T, len(results))
 	total := 0
-	for _, l := range lists {
-		total += len(l)
+	for i, res := range results {
+		var t bool
+		lists[i], t = sections(res)
+		truncated = truncated || t
+		total += len(lists[i])
 	}
-	merged := make([]T, 0, total)
+	heads := make([]int, len(lists))
+	merged = make([]T, 0, total)
 	for {
 		min := ""
 		any := false
@@ -214,7 +193,10 @@ func mergeSections[T any](r *Router, shards []*shard, lists [][]T, name func(T) 
 			}
 		}
 		if !any {
-			return merged
+			return merged, truncated
+		}
+		if maxTables > 0 && len(merged) == int(maxTables) {
+			return merged, true
 		}
 		owner := r.shardFor(min)
 		chosen, have := -1, false

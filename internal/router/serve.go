@@ -3,7 +3,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -11,103 +10,11 @@ import (
 	"littletable/internal/wire"
 )
 
-// connState tracks one client connection for Close teardown.
-type connState struct {
-	conn net.Conn
-}
-
-// timeoutConn arms a fresh deadline before every Read/Write, mirroring
-// the server's stall protection.
-type timeoutConn struct {
-	net.Conn
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-}
-
-func (c *timeoutConn) Read(p []byte) (int, error) {
-	if c.readTimeout > 0 {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *timeoutConn) Write(p []byte) (int, error) {
-	if c.writeTimeout > 0 {
-		if err := c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Write(p)
-}
-
 // Serve accepts and serves router connections on lis until Close.
-func (r *Router) Serve(lis net.Listener) error {
-	r.smu.Lock()
-	if r.closed.Load() {
-		r.smu.Unlock()
-		lis.Close()
-		return errors.New("router: closed")
-	}
-	r.lis = append(r.lis, lis)
-	r.smu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			if r.closed.Load() {
-				return nil
-			}
-			return err
-		}
-		st := &connState{conn: conn}
-		r.smu.Lock()
-		r.serving[st] = struct{}{}
-		r.smu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.handleConn(st)
-			r.smu.Lock()
-			delete(r.serving, st)
-			r.smu.Unlock()
-		}()
-	}
-}
+func (r *Router) Serve(lis net.Listener) error { return r.front.Serve(lis) }
 
 // ListenAndServe listens on addr and serves.
-func (r *Router) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(lis)
-}
-
-func (r *Router) handleConn(st *connState) {
-	defer st.conn.Close()
-	wc := wire.NewConn(&timeoutConn{
-		Conn:         st.conn,
-		readTimeout:  r.opts.ReadTimeout,
-		writeTimeout: r.opts.WriteTimeout,
-	})
-	wc.SetReadLimit(r.opts.MaxRequestBytes)
-	for {
-		mt, payload, err := wc.ReadMsg()
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
-			default:
-				r.opts.Logf("router: read %s: %v", st.conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if err := r.dispatch(wc, mt, payload); err != nil {
-			r.opts.Logf("router: conn %s: %v", st.conn.RemoteAddr(), err)
-			return
-		}
-	}
-}
+func (r *Router) ListenAndServe(addr string) error { return r.front.ListenAndServe(addr) }
 
 func (r *Router) sendErr(wc *wire.Conn, err error) error {
 	msg := err.Error()
@@ -117,27 +24,17 @@ func (r *Router) sendErr(wc *wire.Conn, err error) error {
 		// wrapped.
 		msg = re.Msg
 	}
-	m := &wire.ErrorMsg{Message: msg}
-	return wc.WriteMsg(wire.MsgError, m.Encode())
+	return wc.WriteError(wire.MsgError, msg)
 }
 
 func (r *Router) sendOverloaded(wc *wire.Conn, msg string) error {
-	m := &wire.ErrorMsg{Message: msg}
-	return wc.WriteMsg(wire.MsgOverloaded, m.Encode())
+	return wc.WriteError(wire.MsgOverloaded, msg)
 }
 
+// dispatch answers one request for the wire.Front, which owns the
+// connection, Hello and the deadlines.
 func (r *Router) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
 	switch mt {
-	case wire.MsgHello:
-		h, err := wire.DecodeHello(payload)
-		if err != nil {
-			return err
-		}
-		if h.Version != wire.ProtocolVersion {
-			return r.sendErr(wc, fmt.Errorf("router: protocol version %d unsupported", h.Version))
-		}
-		return wc.WriteMsg(wire.MsgOK, nil)
-
 	case wire.MsgListTables:
 		return r.handleListTables(wc)
 

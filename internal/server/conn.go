@@ -1,138 +1,25 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"time"
 
 	"littletable/internal/core"
 	"littletable/internal/schema"
 	"littletable/internal/wire"
 )
 
-// timeoutConn arms a fresh deadline before every Read and Write, so a
-// stalled peer (half-open TCP, a client that stopped reading its results)
-// is dropped instead of pinning a handler goroutine forever. Zero timeouts
-// disable the corresponding deadline.
-type timeoutConn struct {
-	net.Conn
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-}
-
-func (c *timeoutConn) Read(p []byte) (int, error) {
-	if c.readTimeout > 0 {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *timeoutConn) Write(p []byte) (int, error) {
-	if c.writeTimeout > 0 {
-		if err := c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Write(p)
-}
-
-// isTimeout reports whether err is a deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// handleConn serves one client session: a loop of request/response pairs.
-// The client keeps the connection persistent to detect server crashes
-// (§3.1). The connState's busy flag brackets each request so Shutdown can
-// wait for in-flight responses without pinning idle connections.
-func (s *Server) handleConn(conn net.Conn, st *connState) {
-	defer conn.Close()
-	wc := wire.NewConn(&timeoutConn{
-		Conn:         conn,
-		readTimeout:  s.opts.ReadTimeout,
-		writeTimeout: s.opts.WriteTimeout,
-	})
-	wc.SetReadLimit(s.opts.MaxRequestBytes)
-	for {
-		mt, payload, err := wc.ReadMsg()
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
-			case isTimeout(err):
-				s.stats.ConnsDroppedDeadline.Add(1)
-				s.opts.Logf("littletable: dropping %s: read deadline expired", conn.RemoteAddr())
-			case errors.Is(err, wire.ErrFrameTooBig):
-				s.stats.ConnsDroppedOversize.Add(1)
-				s.opts.Logf("littletable: dropping %s: oversized request frame", conn.RemoteAddr())
-			default:
-				s.opts.Logf("littletable: read: %v", err)
-			}
-			return
-		}
-		st.busy.Store(true)
-		err = s.serveRequest(wc, mt, payload)
-		st.busy.Store(false)
-		if err != nil {
-			// Transport errors end the session; request errors were already
-			// reported to the client inline.
-			if isTimeout(err) {
-				s.stats.ConnsDroppedDeadline.Add(1)
-				s.opts.Logf("littletable: dropping %s: write deadline expired", conn.RemoteAddr())
-			} else {
-				s.opts.Logf("littletable: conn: %v", err)
-			}
-			return
-		}
-		if s.draining.Load() {
-			// The response above completed; end the session so Shutdown
-			// converges. The client's pool sees a clean close between
-			// requests, never a truncated response.
-			return
-		}
-	}
-}
-
-// serveRequest applies the admission gate, then dispatches. Beyond
-// MaxInFlight the request is refused with a wire-level Overloaded reply —
-// distinct from MsgError because it promises the request was NOT
-// processed, making a backoff-and-retry safe even for inserts.
-func (s *Server) serveRequest(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
-	n := s.stats.RequestsInFlight.Add(1)
-	defer s.stats.RequestsInFlight.Add(-1)
-	if max := s.opts.MaxInFlight; max > 0 && n > int64(max) {
-		s.stats.RequestsShed.Add(1)
-		m := &wire.ErrorMsg{Message: "server: overloaded, request shed; back off and retry"}
-		return wc.WriteMsg(wire.MsgOverloaded, m.Encode())
-	}
-	return s.dispatch(wc, mt, payload)
-}
-
 func (s *Server) sendErr(wc *wire.Conn, err error) error {
-	m := &wire.ErrorMsg{Message: err.Error()}
-	return wc.WriteMsg(wire.MsgError, m.Encode())
+	return wc.WriteError(wire.MsgError, err.Error())
 }
 
 func (s *Server) sendOK(wc *wire.Conn) error {
 	return wc.WriteMsg(wire.MsgOK, nil)
 }
 
+// dispatch answers one request for the wire.Front; Hello and the
+// admission gate never reach it.
 func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
 	switch mt {
-	case wire.MsgHello:
-		h, err := wire.DecodeHello(payload)
-		if err != nil {
-			return err
-		}
-		if h.Version != wire.ProtocolVersion {
-			return s.sendErr(wc, fmt.Errorf("server: protocol version %d unsupported", h.Version))
-		}
-		return s.sendOK(wc)
-
 	case wire.MsgListTables:
 		m := &wire.TableList{Names: s.TableNames()}
 		return wc.WriteMsg(wire.MsgTableList, m.Encode())

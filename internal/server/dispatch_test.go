@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"strings"
 	"testing"
 
@@ -35,19 +36,21 @@ func TestServerAnswersEveryRequest(t *testing.T) {
 
 // TestStaleProtocolVersionFailsAtHello: version 2 changed the shape of
 // the three stats results, so a version-1 peer must be told so when it
-// says Hello, not discover it as ErrCorrupt on its first stats call.
+// says Hello, not discover it as ErrCorrupt on its first stats call —
+// whether it dialed a shard server or a router.
 func TestStaleProtocolVersionFailsAtHello(t *testing.T) {
-	s := newServer(t, t.TempDir())
-	_, wc := dialWire(t, serveTCP(t, s))
-	h := &wire.Hello{Version: wire.ProtocolVersion - 1}
-	if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := wc.ReadMsg()
-	if err != nil || mt != wire.MsgError {
-		t.Fatalf("stale hello: type %d, err %v, want MsgError", mt, err)
-	}
-	if em, _ := wire.DecodeErrorMsg(payload); em == nil || !strings.Contains(em.Message, "unsupported") {
-		t.Fatalf("stale hello: %+v", em)
-	}
+	endpoints(t, Options{}, func(t *testing.T, addr net.Addr, _ *Server) {
+		_, wc := dialWire(t, addr)
+		h := &wire.Hello{Version: wire.ProtocolVersion - 1}
+		if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		mt, payload, err := wc.ReadMsg()
+		if err != nil || mt != wire.MsgError {
+			t.Fatalf("stale hello: type %d, err %v, want MsgError", mt, err)
+		}
+		if em, _ := wire.DecodeErrorMsg(payload); em == nil || !strings.Contains(em.Message, "unsupported") {
+			t.Fatalf("stale hello: %+v", em)
+		}
+	})
 }

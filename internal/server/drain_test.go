@@ -13,24 +13,24 @@ import (
 	"littletable/internal/wire"
 )
 
-// onlyConnState returns the connState of the server's single registered
-// connection, waiting briefly for the accept goroutine to register it.
-func onlyConnState(t *testing.T, s *Server) *connState {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		if len(s.conns) == 1 {
-			for _, st := range s.conns {
-				s.mu.Unlock()
-				return st
+// holdListTables parks every ListTables request s dispatches until
+// release is closed or the server closes, so a test can keep a
+// connection busy mid-request. held receives once per parked request.
+// Call it before Serve.
+func holdListTables(s *Server) (held chan struct{}, release chan struct{}) {
+	held, release = make(chan struct{}, 1), make(chan struct{})
+	dispatch := s.front.Dispatch
+	s.front.Dispatch = func(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
+		if mt == wire.MsgListTables {
+			held <- struct{}{}
+			select {
+			case <-release:
+			case <-s.baseCtx.Done():
 			}
 		}
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+		return dispatch(wc, mt, payload)
 	}
-	t.Fatal("connection never registered")
-	return nil
+	return held, release
 }
 
 func dialWire(t *testing.T, addr net.Addr) (net.Conn, *wire.Conn) {
@@ -74,6 +74,7 @@ func TestShutdownClosesIdleConns(t *testing.T) {
 
 func TestShutdownWaitsForBusyConn(t *testing.T) {
 	s := newServer(t, t.TempDir())
+	held, release := holdListTables(s)
 	addr := serveTCP(t, s)
 	_, wc := dialWire(t, addr)
 	h := &wire.Hello{Version: wire.ProtocolVersion}
@@ -84,13 +85,11 @@ func TestShutdownWaitsForBusyConn(t *testing.T) {
 		t.Fatalf("hello: type %d, err %v", mt, err)
 	}
 
-	// Pin the connection busy, as if a request were mid-dispatch — once
-	// the handler, which clears the flag after answering Hello, has.
-	st := onlyConnState(t, s)
-	for st.busy.Load() {
-		time.Sleep(time.Millisecond)
+	// Keep the connection busy with a request parked mid-dispatch.
+	if err := wc.WriteMsg(wire.MsgListTables, nil); err != nil {
+		t.Fatal(err)
 	}
-	st.busy.Store(true)
+	<-held
 
 	done := make(chan error, 1)
 	go func() { done <- s.Shutdown(context.Background()) }()
@@ -100,12 +99,12 @@ func TestShutdownWaitsForBusyConn(t *testing.T) {
 		t.Fatalf("Shutdown returned %v while a conn was busy", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if !s.draining.Load() {
+	if !s.front.Draining() {
 		t.Fatal("draining flag not set during Shutdown")
 	}
 
 	// Request finishes; the drain loop may now close the idle conn.
-	st.busy.Store(false)
+	close(release)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -114,10 +113,15 @@ func TestShutdownWaitsForBusyConn(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown never completed after conn went idle")
 	}
+	// The parked request was answered whole before the conn closed.
+	if mt, _, err := wc.ReadMsg(); err != nil || mt != wire.MsgTableList {
+		t.Fatalf("busy request across Shutdown: type %d, err %v", mt, err)
+	}
 }
 
 func TestShutdownDeadlineExpires(t *testing.T) {
 	s := newServer(t, t.TempDir())
+	held, _ := holdListTables(s)
 	addr := serveTCP(t, s)
 	_, wc := dialWire(t, addr)
 	h := &wire.Hello{Version: wire.ProtocolVersion}
@@ -127,15 +131,16 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	if mt, _, err := wc.ReadMsg(); err != nil || mt != wire.MsgOK {
 		t.Fatalf("hello: type %d, err %v", mt, err)
 	}
-	st := onlyConnState(t, s)
-	st.busy.Store(true) // never finishes
+	if err := wc.WriteMsg(wire.MsgListTables, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-held // never released
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	// The conn stays busy forever; handleConn is parked in ReadMsg, so once
-	// the deadline fires Shutdown falls through to Close, which hard-closes
-	// it. Unpin busy afterward so nothing lingers.
-	defer st.busy.Store(false)
+	// The request stays parked, so the drain cannot finish; once the
+	// deadline fires Shutdown falls through to Close, whose cancelled
+	// base context unparks it, and hard-closes the conn.
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown past deadline: %v", err)
 	}
@@ -206,7 +211,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 	_, wc := dialWire(t, addr)
 
 	// Occupy the only admission slot, as a concurrent request would.
-	s.stats.RequestsInFlight.Add(1)
+	s.Stats().RequestsInFlight.Add(1)
 	if err := wc.WriteMsg(wire.MsgListTables, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 	}
 
 	// The gate frees up; the same connection works again.
-	s.stats.RequestsInFlight.Add(-1)
+	s.Stats().RequestsInFlight.Add(-1)
 	if err := wc.WriteMsg(wire.MsgListTables, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"littletable/internal/clock"
@@ -22,6 +21,7 @@ import (
 	"littletable/internal/metric"
 	"littletable/internal/schema"
 	"littletable/internal/vfs"
+	"littletable/internal/wire"
 )
 
 // Options configure a Server.
@@ -71,15 +71,9 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 }
 
-// ServerStats count connection-level robustness events. Each field is
-// declared once, tag included; see internal/metric.
-type ServerStats struct {
-	ConnsDroppedDeadline atomic.Int64 `metric:"conns_dropped_deadline" help:"Connections dropped on read/write deadline expiry"`
-	ConnsDroppedOversize atomic.Int64 `metric:"conns_dropped_oversize" help:"Connections dropped for oversized request frames"`
-	RequestsShed         atomic.Int64 `metric:"requests_shed" help:"Requests refused Overloaded at the max-in-flight admission gate"`
-	DrainNs              atomic.Int64 `metric:"drain_ns" help:"Nanoseconds spent draining in-flight requests during Shutdown"`
-	RequestsInFlight     atomic.Int64 `metric:"requests_in_flight" help:"Requests past the admission gate right now" kind:"gauge"`
-}
+// ServerStats count connection-level robustness events; the shared
+// connection layer, wire.Front, declares and counts them.
+type ServerStats = wire.FrontStats
 
 // serverGauges are the server-level metrics computed when asked for.
 type serverGauges struct {
@@ -99,16 +93,11 @@ var (
 // Server owns a directory of LittleTable tables.
 type Server struct {
 	opts  Options
-	stats ServerStats
+	front *wire.Front
 
 	mu     sync.Mutex
 	tables map[string]*core.Table
-	conns  map[net.Conn]*connState
 	closed bool
-
-	// draining is set by Shutdown: stop accepting, let in-flight
-	// requests finish, refuse new work.
-	draining atomic.Bool
 
 	// Migration receive path: chunked tablet images being staged before
 	// install, keyed by table + file. Guarded by migMu (not mu: staging
@@ -118,10 +107,7 @@ type Server struct {
 	installs    map[string][]byte
 	stagedBytes int64
 
-	lis     net.Listener
 	stop    chan struct{}
-	drained chan struct{} // closed when the Drain loop finishes
-	wg      sync.WaitGroup
 	maintWG sync.WaitGroup
 
 	// baseCtx parents every query's context: closing the server cancels
@@ -149,11 +135,18 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:    opts,
-		tables:  make(map[string]*core.Table),
-		conns:   make(map[net.Conn]*connState),
-		stop:    make(chan struct{}),
-		drained: make(chan struct{}),
+		opts:   opts,
+		tables: make(map[string]*core.Table),
+		stop:   make(chan struct{}),
+	}
+	s.front = &wire.Front{
+		Name:            "server",
+		Dispatch:        s.dispatch,
+		ReadTimeout:     opts.ReadTimeout,
+		WriteTimeout:    opts.WriteTimeout,
+		MaxRequestBytes: opts.MaxRequestBytes,
+		MaxInFlight:     opts.MaxInFlight,
+		Logf:            opts.Logf,
 	}
 	base := opts.BaseContext
 	if base == nil {
@@ -291,60 +284,12 @@ func rootFS(opts Options) vfs.FS {
 	return vfs.OsFS{}
 }
 
-// Serve accepts connections on lis until Close.
-func (s *Server) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.lis = lis
-	s.mu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			select {
-			case <-s.stop:
-				return nil
-			default:
-				return err
-			}
-		}
-		s.mu.Lock()
-		if s.closed || s.draining.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		st := &connState{}
-		s.conns[conn] = st
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.handleConn(conn, st)
-		}()
-	}
-}
+// Serve accepts connections on lis until Close or Drain.
+func (s *Server) Serve(lis net.Listener) error { return s.front.Serve(lis) }
 
-// ListenAndServe listens on addr and serves until Close. It returns the
-// chosen address on a channel-free API by blocking; use Listen + Serve to
-// learn the port first.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
-}
+// ListenAndServe listens on addr and serves until Close or Drain; use
+// net.Listen + Serve to learn the port first.
+func (s *Server) ListenAndServe(addr string) error { return s.front.ListenAndServe(addr) }
 
 // Shutdown drains the server gracefully: stop accepting connections, let
 // requests already past the admission gate finish and their responses
@@ -367,65 +312,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // callers that must act between the last request and table close —
 // littletabled's -flush-on-exit flushes acked-but-unflushed rows there.
 // Most callers want Shutdown.
-func (s *Server) Drain(ctx context.Context) error {
-	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	alreadyDraining := s.draining.Swap(true)
-	lis := s.lis
-	s.mu.Unlock()
-	if alreadyDraining {
-		// A concurrent Drain owns the loop; just wait for it.
-		select {
-		case <-s.drained:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	if lis != nil {
-		lis.Close()
-	}
-
-	var err error
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
-drain:
-	for {
-		s.mu.Lock()
-		for conn, st := range s.conns {
-			if !st.busy.Load() {
-				// Idle between requests: close now. handleConn also exits
-				// on its own after finishing a request while draining.
-				conn.Close()
-			}
-		}
-		n := len(s.conns)
-		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break drain
-		case <-ticker.C:
-		}
-	}
-	s.stats.DrainNs.Add(time.Since(start).Nanoseconds())
-	close(s.drained)
-	return err
-}
-
-// connState tracks whether a connection is mid-request, so Shutdown can
-// distinguish in-flight work (wait for it) from idle connections (close
-// them).
-type connState struct {
-	busy atomic.Bool
-}
+func (s *Server) Drain(ctx context.Context) error { return s.front.Drain(ctx) }
 
 // Close stops serving, stops maintenance, flushes nothing (the durability
 // contract), and closes all tables.
@@ -438,16 +325,9 @@ func (s *Server) Close() error {
 	s.closed = true
 	close(s.stop)
 	s.baseCancel()
-	lis := s.lis
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
+	s.front.Close()
 	s.maintWG.Wait()
-	s.wg.Wait()
 	s.mu.Lock()
 	s.closeTablesLocked()
 	s.mu.Unlock()
@@ -462,21 +342,18 @@ func (s *Server) closeTablesLocked() {
 }
 
 // Stats exposes the server's connection-level counters.
-func (s *Server) Stats() *ServerStats { return &s.stats }
+func (s *Server) Stats() *ServerStats { return &s.front.Stats }
 
 // Metrics returns the server-level (not per-table) counters and gauges:
 // the MsgServerStats payload and the unlabelled part of /metrics. The
 // shard router reads them to judge shard health. Asked over the wire, the
 // in-flight gauge includes the stats request itself, so it reads >= 1.
 func (s *Server) Metrics() metric.List {
-	var g serverGauges
-	s.mu.Lock()
-	g.ConnsActive = int64(len(s.conns))
-	s.mu.Unlock()
-	if s.draining.Load() {
+	g := serverGauges{ConnsActive: int64(s.front.Conns())}
+	if s.front.Draining() {
 		g.Draining = 1
 	}
-	return metric.Read(&s.stats, &g)
+	return metric.Read(&s.front.Stats, &g)
 }
 
 // FlushAllTables flushes every table's memtables; used at orderly shutdown

@@ -1,8 +1,9 @@
 // Package wire defines LittleTable's client–server protocol (§3.1): the
 // paper's SQLite adaptor communicates with the server over TCP to list
 // tables, fetch schemas and sort orders, insert row batches, and run
-// bounded ordered scans. This package provides the framing and message
-// codecs; internal/server and internal/client sit on either end.
+// bounded ordered scans. This package provides the framing, the message
+// codecs and Front, the connection layer the server and the router both
+// serve through; internal/client is the other end.
 //
 // Framing: every message is [u32 payload length][u8 message type][payload],
 // little-endian. The length covers the type byte and payload.
