@@ -86,7 +86,7 @@ func main() {
 	}
 
 	// 4. Query rectangle one: all of network 1 over the last 5 minutes.
-	q := littletable.NewClientQuery()
+	q := littletable.NewQuery()
 	q.Lower = []littletable.Value{littletable.NewInt64(1)}
 	q.Upper = q.Lower // a prefix bound: "network = 1"
 	q.MinTs = now - 5*littletable.Minute
@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("network 1, last 5 minutes: %d rows (sorted by device, then time)\n", len(rows))
 
 	// 5. Query rectangle two: one device, a narrower window, newest first.
-	q = littletable.NewClientQuery()
+	q = littletable.NewQuery()
 	q.Lower = []littletable.Value{littletable.NewInt64(1), littletable.NewInt64(2)}
 	q.Upper = q.Lower
 	q.MinTs = now - 2*littletable.Minute

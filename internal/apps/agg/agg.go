@@ -62,9 +62,11 @@ func HLLSchema() *schema.Schema {
 	}, []string{"network", "ts"})
 }
 
-// Rollup aggregates a usage source table (usage.Schema layout) into a
-// per-network rollup table.
-type Rollup struct {
+// periodic is the period loop the three aggregators share (§4.1.2): find
+// where to resume in the destination, then fold each complete period of
+// source rows into destination rows. Each aggregator supplies only its
+// fold.
+type periodic struct {
 	src apps.Store
 	dst apps.Store
 	clk clock.Clock
@@ -76,140 +78,89 @@ type Rollup struct {
 	PersistenceLag int64
 	// Horizon bounds how far back the first run looks.
 	Horizon int64
-	// UseFlush removes the persistence-lag assumption by issuing the
-	// explicit flush command §4.1.2 proposes before each period (requires
-	// a source store implementing apps.Flusher).
-	UseFlush bool
 
 	next int64 // start of the next period to process; 0 = not recovered
 
-	PeriodsProcessed int64
-	RowsWritten      int64
+	RowsWritten int64
 }
 
-// NewRollup returns a rollup aggregator from src (usage schema) to dst
-// (RollupSchema).
-func NewRollup(src, dst apps.Store, clk clock.Clock, horizon int64) *Rollup {
-	return &Rollup{
-		src:            src,
-		dst:            dst,
-		clk:            clk,
-		Period:         DefaultPeriod,
-		PersistenceLag: DefaultPersistenceLag,
-		Horizon:        horizon,
-	}
+func newPeriodic(src, dst apps.Store, clk clock.Clock, period, horizon int64) periodic {
+	return periodic{src: src, dst: dst, clk: clk, Period: period, PersistenceLag: DefaultPersistenceLag, Horizon: horizon}
 }
 
-// Recover determines where to resume after a restart or LittleTable crash
+// A fold turns one period's source rows into destination rows: add sees
+// each source row, and rows returns the period's destination rows in
+// ascending key order, so every insert takes the largest-key uniqueness
+// fast path (§3.4.4: "aggregators, which by design insert the rows of
+// each aggregation period in ascending primary key order").
+type fold struct {
+	add  func(row schema.Row)
+	rows func(start int64) []schema.Row
+}
+
+// resume determines where to resume after a restart or LittleTable crash
 // (§4.1.2): because LittleTable flushes rows in insertion order, finding
 // any row from an aggregation period in the destination means all prior
 // periods completed; re-process from that period forward.
-func (r *Rollup) Recover() error {
-	now := r.clk.Now()
-	ts, found, err := apps.FindLatestTimestamp(r.dst, now, r.Horizon)
+func (p *periodic) resume() error {
+	ts, found, err := apps.FindLatestTimestamp(p.dst, p.clk.Now(), p.Horizon)
 	if err != nil {
 		return err
 	}
 	if !found {
-		r.next = floorTo(r.Horizon, r.Period)
-		return nil
+		ts = p.Horizon
 	}
-	// Re-process the period of the found row and everything after it.
-	r.next = floorTo(ts, r.Period)
+	p.next = floorTo(ts, p.Period)
 	return nil
 }
 
-// Run processes all complete periods older than the persistence lag (or
-// every complete period, after an explicit flush, with UseFlush).
-func (r *Rollup) Run() error {
-	if r.next == 0 {
-		if err := r.Recover(); err != nil {
-			return err
+// run folds every complete period that ends at least lag before now,
+// starting each with newFold; what names the aggregator in errors. It
+// returns how many periods it processed.
+func (p *periodic) run(lag int64, what string, newFold func() fold) (int64, error) {
+	if p.next == 0 {
+		if err := p.resume(); err != nil {
+			return 0, err
 		}
 	}
-	lag := r.PersistenceLag
-	if r.UseFlush {
-		if f, ok := r.src.(apps.Flusher); ok {
-			if err := f.FlushBefore(floorTo(r.clk.Now(), r.Period)); err != nil {
-				return err
-			}
-			lag = 0
+	limit := floorTo(p.clk.Now()-lag, p.Period)
+	var n int64
+	for ; p.next+p.Period <= limit; p.next += p.Period {
+		if err := p.period(p.next, what, newFold()); err != nil {
+			return n, err
 		}
+		n++
 	}
-	limit := floorTo(r.clk.Now()-lag, r.Period)
-	for r.next+r.Period <= limit {
-		if err := r.processPeriod(r.next); err != nil {
-			return err
-		}
-		r.next += r.Period
-		r.PeriodsProcessed++
-	}
-	return nil
+	return n, nil
 }
 
-// processPeriod aggregates one [start, start+Period) bucket. Destination
-// rows are inserted in ascending key order, so every insert takes the
-// largest-key uniqueness fast path (§3.4.4: "aggregators, which by design
-// insert the rows of each aggregation period in ascending primary key
-// order").
-func (r *Rollup) processPeriod(start int64) error {
+// period folds the source rows of [start, start+Period) and inserts the
+// result.
+func (p *periodic) period(start int64, what string, f fold) error {
 	q := core.NewQuery()
-	q.MinTs = start
-	q.MaxTs = start + r.Period - 1
-	it, err := r.src.Query(q)
+	q.MinTs, q.MaxTs = start, start+p.Period-1
+	it, err := p.src.Query(q)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	type acc struct {
-		bytes   int64
-		samples int64
-	}
-	byNet := map[int64]*acc{}
 	for it.Next() {
-		row := it.Row()
-		net := row[0].Int
-		a := byNet[net]
-		if a == nil {
-			a = &acc{}
-			byNet[net] = a
-		}
-		// rate (bytes/s) × sample interval (s) ≈ bytes in the interval.
-		secs := float64(row[2].Int-row[3].Int) / float64(clock.Second)
-		a.bytes += int64(row[5].Float * secs)
-		a.samples++
+		f.add(it.Row())
 	}
 	if err := it.Err(); err != nil {
 		return err
 	}
-	if len(byNet) == 0 {
+	rows := f.rows(start)
+	if len(rows) == 0 {
 		return nil
 	}
-	nets := make([]int64, 0, len(byNet))
-	for n := range byNet {
-		nets = append(nets, n)
-	}
-	sort.Slice(nets, func(i, j int) bool { return nets[i] < nets[j] })
-	rows := make([]schema.Row, 0, len(nets))
-	for _, n := range nets {
-		a := byNet[n]
-		rows = append(rows, schema.Row{
-			ltval.NewInt64(n),
-			ltval.NewTimestamp(start),
-			ltval.NewInt64(a.bytes),
-			ltval.NewInt64(a.samples),
-		})
-	}
-	n, err := apps.InsertTolerant(r.dst, rows)
+	n, err := apps.InsertTolerant(p.dst, rows)
 	if err != nil {
-		return fmt.Errorf("agg: rollup insert for period %d: %w", start, err)
+		return fmt.Errorf("agg: %s insert for period %d: %w", what, start, err)
 	}
-	r.RowsWritten += int64(n)
+	p.RowsWritten += int64(n)
 	return nil
 }
-
-// Next exposes the resume position for tests.
-func (r *Rollup) Next() int64 { return r.next }
 
 func floorTo(ts, unit int64) int64 {
 	q := ts / unit
@@ -219,225 +170,211 @@ func floorTo(ts, unit int64) int64 {
 	return q * unit
 }
 
+// sortedNets returns m's networks in ascending order.
+func sortedNets[V any](m map[int64]V) []int64 {
+	nets := make([]int64, 0, len(m))
+	for n := range m {
+		nets = append(nets, n)
+	}
+	sort.Slice(nets, func(i, j int) bool { return nets[i] < nets[j] })
+	return nets
+}
+
+// usageBytes estimates a usage row's bytes: rate (bytes/s) × sample
+// interval (s).
+func usageBytes(row schema.Row) int64 {
+	secs := float64(row[2].Int-row[3].Int) / float64(clock.Second)
+	return int64(row[5].Float * secs)
+}
+
+// Rollup aggregates a usage source table (usage.Schema layout) into a
+// per-network rollup table.
+type Rollup struct {
+	periodic
+
+	// UseFlush removes the persistence-lag assumption by issuing the
+	// explicit flush command §4.1.2 proposes before each period (requires
+	// a source store implementing apps.Flusher).
+	UseFlush bool
+
+	PeriodsProcessed int64
+}
+
+// NewRollup returns a rollup aggregator from src (usage schema) to dst
+// (RollupSchema).
+func NewRollup(src, dst apps.Store, clk clock.Clock, horizon int64) *Rollup {
+	return &Rollup{periodic: newPeriodic(src, dst, clk, DefaultPeriod, horizon)}
+}
+
+// Recover determines where to resume after a restart or LittleTable crash
+// (§4.1.2); Run calls it on its first pass.
+func (r *Rollup) Recover() error { return r.resume() }
+
+// Run processes all complete periods older than the persistence lag (or
+// every complete period, after an explicit flush, with UseFlush).
+func (r *Rollup) Run() error {
+	lag := r.PersistenceLag
+	if r.UseFlush {
+		if f, ok := r.src.(apps.Flusher); ok {
+			if err := f.FlushBefore(floorTo(r.clk.Now(), r.Period)); err != nil {
+				return err
+			}
+			lag = 0
+		}
+	}
+	n, err := r.run(lag, "rollup", r.fold)
+	r.PeriodsProcessed += n
+	return err
+}
+
+// fold sums each network's bytes and samples over one period.
+func (r *Rollup) fold() fold {
+	type acc struct {
+		bytes   int64
+		samples int64
+	}
+	byNet := map[int64]*acc{}
+	return fold{
+		add: func(row schema.Row) {
+			a := byNet[row[0].Int]
+			if a == nil {
+				a = &acc{}
+				byNet[row[0].Int] = a
+			}
+			a.bytes += usageBytes(row)
+			a.samples++
+		},
+		rows: func(start int64) []schema.Row {
+			rows := make([]schema.Row, 0, len(byNet))
+			for _, n := range sortedNets(byNet) {
+				a := byNet[n]
+				rows = append(rows, schema.Row{
+					ltval.NewInt64(n),
+					ltval.NewTimestamp(start),
+					ltval.NewInt64(a.bytes),
+					ltval.NewInt64(a.samples),
+				})
+			}
+			return rows
+		},
+	}
+}
+
+// Next exposes the resume position for tests.
+func (r *Rollup) Next() int64 { return r.next }
+
 // TagAggregator joins usage source rows with configdb device tags,
 // producing per-(network, tag) usage — the dimension-table join that
 // computing aggregates outside the database made possible (§4.1.2).
 type TagAggregator struct {
-	src apps.Store
-	dst apps.Store
+	periodic
 	cfg *configdb.DB
-	clk clock.Clock
-
-	Period         int64
-	PersistenceLag int64
-	Horizon        int64
-	next           int64
-
-	RowsWritten int64
 }
 
 // NewTagAggregator returns a tag aggregator from src (usage schema) to dst
 // (TagSchema).
 func NewTagAggregator(src, dst apps.Store, cfg *configdb.DB, clk clock.Clock, horizon int64) *TagAggregator {
-	return &TagAggregator{
-		src:            src,
-		dst:            dst,
-		cfg:            cfg,
-		clk:            clk,
-		Period:         DefaultPeriod,
-		PersistenceLag: DefaultPersistenceLag,
-		Horizon:        horizon,
-	}
+	return &TagAggregator{periodic: newPeriodic(src, dst, clk, DefaultPeriod, horizon), cfg: cfg}
 }
 
 // Run processes all complete periods older than the persistence lag.
 func (t *TagAggregator) Run() error {
-	if t.next == 0 {
-		now := t.clk.Now()
-		ts, found, err := apps.FindLatestTimestamp(t.dst, now, t.Horizon)
-		if err != nil {
-			return err
-		}
-		if found {
-			t.next = floorTo(ts, t.Period)
-		} else {
-			t.next = floorTo(t.Horizon, t.Period)
-		}
-	}
-	limit := floorTo(t.clk.Now()-t.PersistenceLag, t.Period)
-	for t.next+t.Period <= limit {
-		if err := t.processPeriod(t.next); err != nil {
-			return err
-		}
-		t.next += t.Period
-	}
-	return nil
+	_, err := t.run(t.PersistenceLag, "tag", t.fold)
+	return err
 }
 
-func (t *TagAggregator) processPeriod(start int64) error {
-	q := core.NewQuery()
-	q.MinTs = start
-	q.MaxTs = start + t.Period - 1
-	it, err := t.src.Query(q)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	// (network, tag) → bytes. Tags come from the dimension snapshot.
+// fold sums bytes per (network, tag) over one period; tags come from the
+// dimension snapshot.
+func (t *TagAggregator) fold() fold {
 	type key struct {
 		net int64
 		tag string
 	}
 	sums := map[key]int64{}
 	tagCache := map[int64]map[int64][]string{} // network → device → tags
-	for it.Next() {
-		row := it.Row()
-		net, dev := row[0].Int, row[1].Int
-		tags, ok := tagCache[net]
-		if !ok {
-			tags = t.cfg.TagsByDevice(net)
-			tagCache[net] = tags
-		}
-		secs := float64(row[2].Int-row[3].Int) / float64(clock.Second)
-		bytes := int64(row[5].Float * secs)
-		for _, tag := range tags[dev] {
-			sums[key{net, tag}] += bytes
-		}
+	return fold{
+		add: func(row schema.Row) {
+			net, dev := row[0].Int, row[1].Int
+			tags, ok := tagCache[net]
+			if !ok {
+				tags = t.cfg.TagsByDevice(net)
+				tagCache[net] = tags
+			}
+			bytes := usageBytes(row)
+			for _, tag := range tags[dev] {
+				sums[key{net, tag}] += bytes
+			}
+		},
+		rows: func(start int64) []schema.Row {
+			keys := make([]key, 0, len(sums))
+			for k := range sums {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool {
+				if keys[i].net != keys[j].net {
+					return keys[i].net < keys[j].net
+				}
+				return keys[i].tag < keys[j].tag
+			})
+			rows := make([]schema.Row, 0, len(keys))
+			for _, k := range keys {
+				rows = append(rows, schema.Row{
+					ltval.NewInt64(k.net),
+					ltval.NewString(k.tag),
+					ltval.NewTimestamp(start),
+					ltval.NewInt64(sums[k]),
+				})
+			}
+			return rows
+		},
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if len(sums) == 0 {
-		return nil
-	}
-	keys := make([]key, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].net != keys[j].net {
-			return keys[i].net < keys[j].net
-		}
-		return keys[i].tag < keys[j].tag
-	})
-	rows := make([]schema.Row, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, schema.Row{
-			ltval.NewInt64(k.net),
-			ltval.NewString(k.tag),
-			ltval.NewTimestamp(start),
-			ltval.NewInt64(sums[k]),
-		})
-	}
-	n, err := apps.InsertTolerant(t.dst, rows)
-	if err != nil {
-		return fmt.Errorf("agg: tag insert for period %d: %w", start, err)
-	}
-	t.RowsWritten += int64(n)
-	return nil
 }
 
 // ClientCounter builds per-network HyperLogLog sketches of distinct
 // clients from an events source table (client identifiers appear in event
 // info), the fixed-size probabilistic set tracking of §4.1.2.
 type ClientCounter struct {
-	src apps.Store
-	dst apps.Store
-	clk clock.Clock
-
-	Period         int64
-	PersistenceLag int64
-	Horizon        int64
-	Precision      uint8
-	next           int64
-
-	RowsWritten int64
+	periodic
+	Precision uint8
 }
 
 // NewClientCounter returns an HLL aggregator from src (events schema) to
 // dst (HLLSchema).
 func NewClientCounter(src, dst apps.Store, clk clock.Clock, horizon int64) *ClientCounter {
-	return &ClientCounter{
-		src:            src,
-		dst:            dst,
-		clk:            clk,
-		Period:         clock.Hour,
-		PersistenceLag: DefaultPersistenceLag,
-		Horizon:        horizon,
-		Precision:      hll.DefaultPrecision,
-	}
+	return &ClientCounter{periodic: newPeriodic(src, dst, clk, clock.Hour, horizon), Precision: hll.DefaultPrecision}
 }
 
 // Run processes all complete periods older than the persistence lag.
 func (c *ClientCounter) Run() error {
-	if c.next == 0 {
-		now := c.clk.Now()
-		ts, found, err := apps.FindLatestTimestamp(c.dst, now, c.Horizon)
-		if err != nil {
-			return err
-		}
-		if found {
-			c.next = floorTo(ts, c.Period)
-		} else {
-			c.next = floorTo(c.Horizon, c.Period)
-		}
-	}
-	limit := floorTo(c.clk.Now()-c.PersistenceLag, c.Period)
-	for c.next+c.Period <= limit {
-		if err := c.processPeriod(c.next); err != nil {
-			return err
-		}
-		c.next += c.Period
-	}
-	return nil
+	_, err := c.run(c.PersistenceLag, "hll", c.fold)
+	return err
 }
 
-func (c *ClientCounter) processPeriod(start int64) error {
-	q := core.NewQuery()
-	q.MinTs = start
-	q.MaxTs = start + c.Period - 1
-	it, err := c.src.Query(q)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
+// fold sketches each network's distinct clients over one period.
+func (c *ClientCounter) fold() fold {
 	sketches := map[int64]*hll.Sketch{}
-	for it.Next() {
-		row := it.Row()
-		net := row[0].Int
-		info := row[5].Bytes // "client=<mac>"
-		s := sketches[net]
-		if s == nil {
-			s = hll.MustNew(c.Precision)
-			sketches[net] = s
-		}
-		s.Add(info)
+	return fold{
+		add: func(row schema.Row) {
+			net := row[0].Int
+			s := sketches[net]
+			if s == nil {
+				s = hll.MustNew(c.Precision)
+				sketches[net] = s
+			}
+			s.Add(row[5].Bytes) // "client=<mac>"
+		},
+		rows: func(start int64) []schema.Row {
+			rows := make([]schema.Row, 0, len(sketches))
+			for _, n := range sortedNets(sketches) {
+				rows = append(rows, schema.Row{
+					ltval.NewInt64(n),
+					ltval.NewTimestamp(start),
+					ltval.NewBlob(sketches[n].Marshal()),
+				})
+			}
+			return rows
+		},
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if len(sketches) == 0 {
-		return nil
-	}
-	nets := make([]int64, 0, len(sketches))
-	for n := range sketches {
-		nets = append(nets, n)
-	}
-	sort.Slice(nets, func(i, j int) bool { return nets[i] < nets[j] })
-	rows := make([]schema.Row, 0, len(nets))
-	for _, n := range nets {
-		rows = append(rows, schema.Row{
-			ltval.NewInt64(n),
-			ltval.NewTimestamp(start),
-			ltval.NewBlob(sketches[n].Marshal()),
-		})
-	}
-	n, err := apps.InsertTolerant(c.dst, rows)
-	if err != nil {
-		return fmt.Errorf("agg: hll insert for period %d: %w", start, err)
-	}
-	c.RowsWritten += int64(n)
-	return nil
 }
 
 // DistinctClients unions the sketches stored for a network over

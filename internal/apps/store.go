@@ -83,13 +83,7 @@ func (s *ClientStore) Insert(rows []schema.Row) error { return s.T.InsertNow(row
 
 // Query implements Store.
 func (s *ClientStore) Query(q core.Query) (RowIter, error) {
-	cq := client.Query{
-		Lower: q.Lower, Upper: q.Upper,
-		LowerInc: q.LowerInc, UpperInc: q.UpperInc,
-		MinTs: q.MinTs, MaxTs: q.MaxTs,
-		Descending: q.Descending, Limit: q.Limit,
-	}
-	return s.T.Query(cq), nil
+	return s.T.Query(q), nil
 }
 
 // Latest implements Store.

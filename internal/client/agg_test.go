@@ -11,6 +11,7 @@ import (
 	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
+	"littletable/internal/server"
 	"littletable/internal/wire"
 )
 
@@ -96,7 +97,7 @@ func aggGroupsExact(t *testing.T, spec agg.Spec, label string, got, want []agg.G
 func TestAggQueryDifferential(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism_%d", par), func(t *testing.T) {
-			srv, addr := startServer(t, core.Options{QueryParallelism: par})
+			srv, addr := startServer(t, server.Options{Core: core.Options{QueryParallelism: par}})
 			c := dial(t, addr)
 			sc := usageAggSchema()
 			for _, name := range []string{"usage_a", "usage_b", "other"} {
@@ -228,7 +229,7 @@ func TestAggQueryDifferential(t *testing.T) {
 // group cap hit mid-scan and a table cap narrowing coverage must both
 // set Truncated rather than fail.
 func TestAggQueryCaps(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	sc := usageAggSchema()
 	for _, name := range []string{"cap_a", "cap_b"} {

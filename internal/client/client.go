@@ -583,19 +583,12 @@ func (t *Table) InsertNowCtx(ctx context.Context, rows []schema.Row) error {
 	return t.c.callOK(ctx, wire.MsgInsert, m.Encode())
 }
 
-// Query mirrors core.Query on the client side.
-type Query struct {
-	Lower, Upper       []ltval.Value
-	LowerInc, UpperInc bool
-	MinTs, MaxTs       int64
-	Descending         bool
-	Limit              int
-}
+// Query is the engine's box (core.Query), which the client pushes down to
+// the server unchanged (§3.1).
+type Query = core.Query
 
 // NewQuery returns an all-rows query to narrow.
-func NewQuery() Query {
-	return Query{LowerInc: true, UpperInc: true, MinTs: core.TsMin, MaxTs: core.TsMax}
-}
+func NewQuery() Query { return core.NewQuery() }
 
 // Rows streams a query's results, transparently re-submitting with an
 // updated start bound whenever the server's row limit sets more-available
@@ -652,26 +645,9 @@ func (r *Rows) Next() bool {
 
 // fetch issues one wire query for the next page.
 func (r *Rows) fetch() error {
-	wq := &wire.Query{
-		Table:      r.t.name,
-		HasLower:   r.q.Lower != nil,
-		Lower:      r.q.Lower,
-		LowerInc:   r.q.LowerInc,
-		HasUpper:   r.q.Upper != nil,
-		Upper:      r.q.Upper,
-		UpperInc:   r.q.UpperInc,
-		MinTs:      r.q.MinTs,
-		MaxTs:      r.q.MaxTs,
-		Descending: r.q.Descending,
-	}
+	wq := &wire.Query{Table: r.t.name, Query: r.q}
 	if r.q.Limit > 0 {
-		remaining := r.q.Limit - r.count
-		if remaining <= 0 {
-			r.more = false
-			r.buf, r.i = nil, 0
-			return nil
-		}
-		wq.Limit = uint32(remaining)
+		wq.Limit = r.q.Limit - r.count // positive: Next stops at the limit
 	}
 	resp, err := r.t.c.call(r.ctx, wire.MsgQuery, wq.Encode())
 	if err != nil {
@@ -747,17 +723,7 @@ func (t *Table) LatestRowCtx(ctx context.Context, prefix []ltval.Value) (schema.
 // privacy-compliance delete). The Descending and Limit fields are ignored.
 // It returns the number of rows removed.
 func (t *Table) DeleteRange(q Query) (int64, error) {
-	m := &wire.Delete{
-		Table:    t.name,
-		HasLower: q.Lower != nil,
-		Lower:    q.Lower,
-		LowerInc: q.LowerInc,
-		HasUpper: q.Upper != nil,
-		Upper:    q.Upper,
-		UpperInc: q.UpperInc,
-		MinTs:    q.MinTs,
-		MaxTs:    q.MaxTs,
-	}
+	m := &wire.Delete{Table: t.name, Query: q}
 	resp, err := t.c.call(background(), wire.MsgDelete, m.Encode())
 	if err != nil {
 		return 0, err

@@ -17,18 +17,17 @@ import (
 	"littletable/internal/server"
 )
 
-func startServer(t testing.TB, copts core.Options) (*server.Server, string) {
+// startServer starts a server under sopts, filling in a fresh root, a
+// real clock, a 50 ms maintenance loop and test logging.
+func startServer(t testing.TB, sopts server.Options) (*server.Server, string) {
 	t.Helper()
-	if copts.Clock == nil {
-		copts.Clock = clock.Real{}
+	if sopts.Core.Clock == nil {
+		sopts.Core.Clock = clock.Real{}
 	}
-	s, err := server.New(server.Options{
-		Root:                t.TempDir(),
-		Core:                copts,
-		MaintenanceInterval: 50 * time.Millisecond,
-		QueryRowLimit:       copts.QueryRowLimit,
-		Logf:                t.Logf,
-	})
+	sopts.Root = t.TempDir()
+	sopts.MaintenanceInterval = 50 * time.Millisecond
+	sopts.Logf = t.Logf
+	s, err := server.New(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func eventRow(n, d, ts, id int64, msg string) schema.Row {
 }
 
 func TestCreateListDropTables(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestCreateListDropTables(t *testing.T) {
 }
 
 func TestInsertAndQueryOverWire(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -151,7 +150,7 @@ func TestInsertAndQueryOverWire(t *testing.T) {
 
 func TestMoreAvailablePagination(t *testing.T) {
 	// Tiny server row limit forces the client to re-submit repeatedly.
-	_, addr := startServer(t, core.Options{QueryRowLimit: 7})
+	_, addr := startServer(t, server.Options{QueryRowLimit: 7})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestMoreAvailablePagination(t *testing.T) {
 }
 
 func TestServerTimestamps(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestServerTimestamps(t *testing.T) {
 }
 
 func TestLatestRowOverWire(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -261,7 +260,7 @@ func TestLatestRowOverWire(t *testing.T) {
 }
 
 func TestSchemaChangeOverWire(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -298,7 +297,7 @@ func TestSchemaChangeOverWire(t *testing.T) {
 }
 
 func TestStaleSchemaRejected(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c1 := dial(t, addr)
 	c2 := dial(t, addr)
 	if err := c1.CreateTable("events", eventsSchema(), 0); err != nil {
@@ -332,7 +331,7 @@ func TestStaleSchemaRejected(t *testing.T) {
 }
 
 func TestFlushTableCommand(t *testing.T) {
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -358,7 +357,7 @@ func TestFlushTableCommand(t *testing.T) {
 }
 
 func TestStatsOverWire(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -386,7 +385,7 @@ func TestStatsOverWire(t *testing.T) {
 }
 
 func TestDuplicateKeyOverWire(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -406,7 +405,7 @@ func TestDuplicateKeyOverWire(t *testing.T) {
 }
 
 func TestDisconnectDetection(t *testing.T) {
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"littletable/internal/core"
 	"littletable/internal/netfault"
 	"littletable/internal/server"
 	"littletable/internal/wire"
@@ -61,7 +60,7 @@ func dialOpts(t *testing.T, addr string, opts Options) *Client {
 }
 
 func TestPoolReusesConnections(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dialOpts(t, addr, fastOpts())
 	for i := 0; i < 20; i++ {
 		if _, err := c.ListTables(); err != nil {
@@ -299,7 +298,7 @@ func TestRequestTimeoutThreadsToSocket(t *testing.T) {
 
 func TestConnChurnDoesNotLeak(t *testing.T) {
 	baseline := stableGoroutineCount()
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	p, err := netfault.New(addr, netfault.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func TestConnChurnDoesNotLeak(t *testing.T) {
 
 func TestCloseUnderLoadDoesNotLeak(t *testing.T) {
 	baseline := stableGoroutineCount()
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	opts := fastOpts()
 	opts.PoolSize = 3
 	c, err := DialContext(context.Background(), addr, opts)
@@ -371,7 +370,7 @@ func TestCloseUnderLoadDoesNotLeak(t *testing.T) {
 }
 
 func TestFlushReportsUnsentCount(t *testing.T) {
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	c := dialOpts(t, addr, fastOpts())
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -404,7 +403,7 @@ func TestFlushReportsUnsentCount(t *testing.T) {
 }
 
 func TestCloseReportsBufferedRows(t *testing.T) {
-	s, addr := startServer(t, core.Options{})
+	s, addr := startServer(t, server.Options{})
 	c := dialOpts(t, addr, fastOpts())
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -431,7 +430,7 @@ func TestCloseReportsBufferedRows(t *testing.T) {
 }
 
 func TestCloseFlushesBufferedRows(t *testing.T) {
-	_, addr := startServer(t, core.Options{})
+	_, addr := startServer(t, server.Options{})
 	c := dialOpts(t, addr, fastOpts())
 	if err := c.CreateTable("events", eventsSchema(), 0); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
+	"littletable/internal/server"
 )
 
 // TestServerStress hammers one server over many connections with the full
@@ -20,10 +21,10 @@ func TestServerStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	_, addr := startServer(t, core.Options{
+	_, addr := startServer(t, server.Options{Core: core.Options{
 		FlushSize:  8 << 10,
 		MergeDelay: (200 * time.Millisecond).Microseconds(),
-	})
+	}})
 	admin := dial(t, addr)
 	sc := schema.MustNew([]schema.Column{
 		{Name: "writer", Type: ltval.Int64},

@@ -21,6 +21,7 @@ import (
 // when nothing survives — in one atomic descriptor update per tablet.
 // Queries running concurrently keep their snapshots via refcounts.
 func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error) {
+	q.normalize()
 	if q.MinTs > q.MaxTs {
 		return 0, fmt.Errorf("%w: MinTs %d > MaxTs %d", ErrBadQuery, q.MinTs, q.MaxTs)
 	}

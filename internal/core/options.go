@@ -38,11 +38,6 @@ const (
 	// tablets waiting to be flushed to disk".
 	DefaultMaxPendingTablets = 100
 
-	// DefaultQueryRowLimit is the server-side cap per query response; the
-	// client re-submits with an updated start bound when it sees the
-	// more-available flag (§3.5).
-	DefaultQueryRowLimit = 16384
-
 	// DefaultQueryParallelism is how many tablet sources a query opens and
 	// positions concurrently. Opening a tablet source costs up to four
 	// reads (§3.5's footer seeks plus the first block), independent per
@@ -132,9 +127,6 @@ type Options struct {
 	// modes read every tablet version.
 	BlockEncoding block.Mode
 
-	// QueryRowLimit is the server-enforced per-response row cap.
-	QueryRowLimit int
-
 	// BlockCacheBytes enables a per-table LRU over parsed blocks. The
 	// paper's deployment leans on the OS page cache; an explicit cache
 	// additionally skips checksum, decompression, and parsing on repeat
@@ -209,9 +201,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = block.TargetSize
-	}
-	if o.QueryRowLimit == 0 {
-		o.QueryRowLimit = DefaultQueryRowLimit
 	}
 	if o.QueryParallelism == 0 {
 		o.QueryParallelism = DefaultQueryParallelism

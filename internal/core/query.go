@@ -16,10 +16,15 @@ import (
 // Query is a two-dimensional bounding box (§3.1): primary keys or prefixes
 // thereof in one dimension, timestamps in the other. Bounds may be
 // inclusive or exclusive. Use NewQuery for an unbounded starting point.
+//
+// Query is the one box type from the client to the engine: the client
+// hands it to the wire codec as is, and the server hands the decoded box
+// to the engine as is.
 type Query struct {
-	// Lower and Upper bound the primary key; nil means unbounded. A bound
-	// shorter than the full key acts as a prefix: rows equal on the prefix
-	// are inside an inclusive bound and outside an exclusive one.
+	// Lower and Upper bound the primary key; nil or empty means unbounded.
+	// A bound shorter than the full key acts as a prefix: rows equal on
+	// the prefix are inside an inclusive bound and outside an exclusive
+	// one.
 	Lower, Upper       []ltval.Value
 	LowerInc, UpperInc bool
 
@@ -45,8 +50,22 @@ func NewQuery() Query {
 	return Query{LowerInc: true, UpperInc: true, MinTs: minInt64, MaxTs: maxInt64}
 }
 
-// validate rejects a box that is empty by construction.
+// normalize reads an empty key bound as unbounded, as the wire codec and
+// the SQL planner do. Query and DeleteWhere run it before anything else
+// looks at the box.
+func (q *Query) normalize() {
+	if len(q.Lower) == 0 {
+		q.Lower = nil
+	}
+	if len(q.Upper) == 0 {
+		q.Upper = nil
+	}
+}
+
+// validate normalizes the box and rejects one that is empty by
+// construction.
 func (q *Query) validate() error {
+	q.normalize()
 	if q.MinTs > q.MaxTs {
 		return fmt.Errorf("%w: MinTs %d > MaxTs %d", ErrBadQuery, q.MinTs, q.MaxTs)
 	}

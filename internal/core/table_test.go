@@ -426,6 +426,28 @@ func TestFlushAgeTrigger(t *testing.T) {
 	}
 }
 
+// An empty key bound is unbounded, as it is over the wire: exclusive or
+// not, it selects every row, for Query and DeleteWhere alike.
+func TestEmptyKeyBoundIsUnbounded(t *testing.T) {
+	tt := newTestTable(t, Options{})
+	now := tt.clk.Now()
+	for i := int64(0); i < 10; i++ {
+		mustInsert(t, tt.Table, usageRow(1, i, now, 0, i))
+	}
+	q := NewQuery()
+	q.Lower, q.Upper = []ltval.Value{}, []ltval.Value{}
+	q.LowerInc, q.UpperInc = false, false
+	for _, desc := range []bool{false, true} {
+		q.Descending = desc
+		if rows, err := tt.QueryAll(q); err != nil || len(rows) != 10 {
+			t.Fatalf("descending=%v: %d rows, %v; want all 10", desc, len(rows), err)
+		}
+	}
+	if n, err := tt.DeleteWhere(q, nil); err != nil || n != 10 {
+		t.Fatalf("DeleteWhere removed %d rows, %v; want all 10", n, err)
+	}
+}
+
 func TestQueryRowLimitOption(t *testing.T) {
 	// Server-enforced limit handled at wire layer; engine Limit in Query.
 	tt := newTestTable(t, Options{})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"littletable/internal/client"
+	"littletable/internal/core"
 	"littletable/internal/netfault"
 	"littletable/internal/schema"
 	"littletable/internal/wire"
@@ -254,7 +255,7 @@ func TestClusterChaosNoAckedInsertLost(t *testing.T) {
 		if err != nil {
 			t.Fatalf("verify dial shard %d: %v", i, err)
 		}
-		res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "cust", MaxTs: 1 << 62})
+		res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "cust", Query: core.Query{MaxTs: 1 << 62}})
 		if err != nil {
 			t.Fatalf("verify scan shard %d: %v", i, err)
 		}
@@ -341,7 +342,7 @@ func TestClusterChaosScatterFailsCleanly(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < 25; i++ {
-				res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", MaxTs: 1 << 62})
+				res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", Query: core.Query{MaxTs: 1 << 62}})
 				if err != nil {
 					if typedChaosError(err) {
 						continue

@@ -211,7 +211,7 @@ func TestRouterScatterQuery(t *testing.T) {
 			total++
 		}
 	}
-	res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", MaxTs: core.TsMax})
+	res, err := c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", Query: core.Query{MaxTs: core.TsMax}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRouterScatterQuery(t *testing.T) {
 		t.Fatalf("scatter returned %d rows, want %d", got, total)
 	}
 	// MaxTables truncates the merged result.
-	res, err = c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", MaxTs: core.TsMax, MaxTables: 3})
+	res, err = c.ScatterQuery(context.Background(), &wire.ScatterQuery{Prefix: "acme_", Query: core.Query{MaxTs: core.TsMax}, MaxTables: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

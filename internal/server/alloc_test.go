@@ -58,7 +58,7 @@ func TestHandleQueryAllocatesPerPageNotPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := wire.NewConn(discardRW{})
-	req := (&wire.Query{Table: "t", LowerInc: true, UpperInc: true, MinTs: -1 << 62, MaxTs: 1 << 62}).Encode()
+	req := (&wire.Query{Table: "t", Query: core.Query{LowerInc: true, UpperInc: true, MinTs: -1 << 62, MaxTs: 1 << 62}}).Encode()
 	var out bytes.Buffer
 	if err := s.handleQuery(wire.NewConn(&out), req); err != nil {
 		t.Fatal(err)

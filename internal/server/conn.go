@@ -137,17 +137,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
-		q := core.Query{
-			LowerInc: m.LowerInc, UpperInc: m.UpperInc,
-			MinTs: m.MinTs, MaxTs: m.MaxTs,
-		}
-		if m.HasLower {
-			q.Lower = m.Lower
-		}
-		if m.HasUpper {
-			q.Upper = m.Upper
-		}
-		n, err := t.DeleteWhere(q, nil)
+		n, err := t.DeleteWhere(m.Query, nil)
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
@@ -235,26 +225,8 @@ func (s *Server) handleQuery(wc *wire.Conn, payload []byte) error {
 	if err != nil {
 		return s.sendErr(wc, err)
 	}
-	q := core.Query{
-		LowerInc:   m.LowerInc,
-		UpperInc:   m.UpperInc,
-		MinTs:      m.MinTs,
-		MaxTs:      m.MaxTs,
-		Descending: m.Descending,
-	}
-	if m.HasLower {
-		q.Lower = m.Lower
-	}
-	if m.HasUpper {
-		q.Upper = m.Upper
-	}
-	// The server enforces its own row limit and sets a more-available flag
-	// when it hits it (§3.5).
-	limit := s.opts.QueryRowLimit
-	if m.Limit > 0 && int(m.Limit) < limit {
-		limit = int(m.Limit)
-	}
-	it, err := t.QueryCtx(s.baseCtx, q)
+	limit := s.pageLimit(&m.Query)
+	it, err := t.QueryCtx(s.baseCtx, m.Query)
 	if err != nil {
 		return s.sendErr(wc, err)
 	}
@@ -271,6 +243,19 @@ func (s *Server) handleQuery(wc *wire.Conn, payload []byte) error {
 	}
 	more := resp.Len() == limit && it.Next()
 	return wc.WriteMsg(wire.MsgRows, resp.Finish(more))
+}
+
+// pageLimit returns how many rows one response to q may carry: the
+// client's limit, capped by the server's own (§3.5). It clears q.Limit,
+// because the caller's page loop enforces the cap and then reads one row
+// past it to set the more-available flag.
+func (s *Server) pageLimit(q *core.Query) int {
+	limit := s.opts.QueryRowLimit
+	if q.Limit > 0 && q.Limit < limit {
+		limit = q.Limit
+	}
+	q.Limit = 0
+	return limit
 }
 
 func (s *Server) handleLatestRow(wc *wire.Conn, payload []byte) error {

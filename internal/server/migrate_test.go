@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 	"littletable/internal/wire"
@@ -92,7 +93,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	// cust_c stays empty.
 
 	c := dialWireClient(t, serveTCP(t, s))
-	rt, resp := c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", MaxTs: 1 << 40}).Encode())
+	rt, resp := c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}}).Encode())
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d, want ScatterRows", rt)
 	}
@@ -114,7 +115,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	}
 
 	// Per-table limit sets the More flag per section.
-	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", MaxTs: 1 << 40, PerTableLimit: 2}).Encode())
+	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40, Limit: 2}}).Encode())
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d", rt)
 	}
@@ -136,7 +137,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	}
 
 	// MaxTables truncates deterministically (sorted order).
-	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", MaxTs: 1 << 40, MaxTables: 2}).Encode())
+	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}, MaxTables: 2}).Encode())
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d", rt)
 	}
@@ -211,7 +212,7 @@ func TestMigrateOverWire(t *testing.T) {
 	cs.mustOK(wire.MsgMigrateEnd, (&wire.MigrateEnd{Table: "t1"}).Encode())
 
 	// All rows must be readable from the target.
-	rt, resp = cd.do(wire.MsgQuery, (&wire.Query{Table: "t1", MaxTs: 1 << 40}).Encode())
+	rt, resp = cd.do(wire.MsgQuery, (&wire.Query{Table: "t1", Query: core.Query{MaxTs: 1 << 40}}).Encode())
 	if rt != wire.MsgRows {
 		t.Fatalf("query got message type %d", rt)
 	}

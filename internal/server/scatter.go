@@ -35,21 +35,7 @@ func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 	}
 	matched, truncated := s.matchTables(m.Prefix, m.MaxTables)
 	resp := wire.NewScatterRowsWriter(truncated)
-	limit := s.opts.QueryRowLimit
-	if m.PerTableLimit > 0 && int(m.PerTableLimit) < limit {
-		limit = int(m.PerTableLimit)
-	}
-	q := core.Query{
-		LowerInc: m.LowerInc, UpperInc: m.UpperInc,
-		MinTs: m.MinTs, MaxTs: m.MaxTs,
-		Descending: m.Descending,
-	}
-	if m.HasLower {
-		q.Lower = m.Lower
-	}
-	if m.HasUpper {
-		q.Upper = m.Upper
-	}
+	limit := s.pageLimit(&m.Query)
 	for _, name := range matched {
 		t, err := s.Table(name)
 		if err != nil {
@@ -57,7 +43,7 @@ func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
 			// snapshot, not a transaction. Skip it.
 			continue
 		}
-		if err := s.scanOneTable(resp, name, t, q, limit); err != nil {
+		if err := s.scanOneTable(resp, name, t, m.Query, limit); err != nil {
 			return s.sendErr(wc, err)
 		}
 	}

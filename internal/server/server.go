@@ -24,6 +24,11 @@ import (
 	"littletable/internal/wire"
 )
 
+// DefaultQueryRowLimit is the server-side cap per query response; the
+// client re-submits with an updated start bound when it sees the
+// more-available flag (§3.5).
+const DefaultQueryRowLimit = 16384
+
 // Options configure a Server.
 type Options struct {
 	// Root is the data directory; one subdirectory per table.
@@ -37,7 +42,7 @@ type Options struct {
 	MaintenanceInterval time.Duration
 
 	// QueryRowLimit caps rows per query response; the client re-submits on
-	// the more-available flag (§3.5). Default core.DefaultQueryRowLimit.
+	// the more-available flag (§3.5). Default DefaultQueryRowLimit.
 	QueryRowLimit int
 
 	// ReadTimeout bounds how long the server waits for the next request on
@@ -123,7 +128,7 @@ func New(opts Options) (*Server, error) {
 		opts.MaintenanceInterval = time.Second
 	}
 	if opts.QueryRowLimit == 0 {
-		opts.QueryRowLimit = core.DefaultQueryRowLimit
+		opts.QueryRowLimit = DefaultQueryRowLimit
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf

@@ -130,13 +130,7 @@ func (ct *clientTable) Insert(rows []schema.Row) error {
 	return ct.t.InsertNow(rows)
 }
 func (ct *clientTable) Select(q core.Query) (RowIter, error) {
-	cq := client.Query{
-		Lower: q.Lower, Upper: q.Upper,
-		LowerInc: q.LowerInc, UpperInc: q.UpperInc,
-		MinTs: q.MinTs, MaxTs: q.MaxTs,
-		Descending: q.Descending, Limit: q.Limit,
-	}
-	return ct.t.Query(cq), nil
+	return ct.t.Query(q), nil
 }
 func (ct *clientTable) Latest(prefix []ltval.Value) (schema.Row, bool, error) {
 	row, found, err := ct.t.LatestRow(prefix)
@@ -146,11 +140,7 @@ func (ct *clientTable) Delete(q core.Query, filter func(schema.Row) bool) (int64
 	if filter != nil {
 		return 0, fmt.Errorf("sql: DELETE over the wire supports only key/timestamp bounds; run residual predicates against an embedded server")
 	}
-	return ct.t.DeleteRange(client.Query{
-		Lower: q.Lower, Upper: q.Upper,
-		LowerInc: q.LowerInc, UpperInc: q.UpperInc,
-		MinTs: q.MinTs, MaxTs: q.MaxTs,
-	})
+	return ct.t.DeleteRange(q)
 }
 func (ct *clientTable) Stats() (metric.List, error) { return ct.t.Stats() }
 func (ct *clientTable) AddColumn(col schema.Column) error {

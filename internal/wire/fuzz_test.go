@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
 	"littletable/internal/schema"
@@ -18,13 +19,13 @@ func FuzzDecoders(f *testing.F) {
 	}, []string{"k", "ts"})
 	// Seeds: valid encodings of several messages.
 	f.Add((&Hello{Version: 1}).Encode())
-	q := &Query{Table: "t", HasLower: true, Lower: []ltval.Value{ltval.NewInt64(1)}, MinTs: -1, MaxTs: 1}
+	q := &Query{Table: "t", Query: core.Query{Lower: []ltval.Value{ltval.NewInt64(1)}, MinTs: -1, MaxTs: 1}}
 	f.Add(q.Encode())
 	ins := NewInsert("t", sc, true, []schema.Row{{ltval.NewInt64(1), ltval.NewTimestamp(2), ltval.NewString("x")}})
 	f.Add(ins.Encode())
-	f.Add((&Delete{Table: "t", MinTs: 0, MaxTs: 10}).Encode())
+	f.Add((&Delete{Table: "t", Query: core.Query{MinTs: 0, MaxTs: 10}}).Encode())
 	f.Add((&TableList{Names: []string{"a", "b"}}).Encode())
-	sq := &ScatterQuery{Prefix: "cust_", HasUpper: true, Upper: []ltval.Value{ltval.NewInt64(9)}, MaxTs: 5, PerTableLimit: 10}
+	sq := &ScatterQuery{Prefix: "cust_", Query: core.Query{Upper: []ltval.Value{ltval.NewInt64(9)}, MaxTs: 5, Limit: 10}}
 	f.Add(sq.Encode())
 	sr, _ := (&ScatterRows{Tables: []ScatterTableRows{{
 		Table: "t", Schema: sc, More: true,

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"math"
+
+	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
 	"littletable/internal/schema"
@@ -121,51 +124,69 @@ func (m *Insert) FinishDecode(d *Dec, sc *schema.Schema) error {
 	return d.Done()
 }
 
-// Query is the wire form of a core.Query.
+// Query asks for the rows of one table inside a box.
 type Query struct {
-	Table              string
-	Lower, Upper       []ltval.Value
-	HasLower, HasUpper bool
-	LowerInc, UpperInc bool
-	MinTs, MaxTs       int64
-	Descending         bool
-	Limit              uint32
+	Table string
+	core.Query
 }
 
 // Encode serializes the message payload.
 func (m *Query) Encode() []byte {
 	var b Buf
 	b.String(m.Table)
-	b.Bool(m.HasLower)
-	b.Values(m.Lower)
-	b.Bool(m.LowerInc)
-	b.Bool(m.HasUpper)
-	b.Values(m.Upper)
-	b.Bool(m.UpperInc)
-	b.I64(m.MinTs)
-	b.I64(m.MaxTs)
-	b.Bool(m.Descending)
-	b.U32(m.Limit)
+	b.Box(&m.Query, true)
 	return b.B
 }
 
 // DecodeQuery parses a Query payload.
 func DecodeQuery(p []byte) (*Query, error) {
 	d := Dec{B: p}
-	m := &Query{
-		Table:    d.String(),
-		HasLower: d.Bool(),
-	}
-	m.Lower = d.Values()
-	m.LowerInc = d.Bool()
-	m.HasUpper = d.Bool()
-	m.Upper = d.Values()
-	m.UpperInc = d.Bool()
-	m.MinTs = d.I64()
-	m.MaxTs = d.I64()
-	m.Descending = d.Bool()
-	m.Limit = d.U32()
+	m := &Query{Table: d.String(), Query: d.Box(true)}
 	return m, d.Done()
+}
+
+// Box appends a query box: each key bound as a presence byte (set when
+// the bound is non-nil), its values and its inclusivity, then the time
+// bounds. With order set it also appends the direction and the row limit,
+// which a Delete does not carry; a limit outside uint32 is clamped.
+func (b *Buf) Box(q *core.Query, order bool) {
+	b.bound(q.Lower, q.LowerInc)
+	b.bound(q.Upper, q.UpperInc)
+	b.I64(q.MinTs)
+	b.I64(q.MaxTs)
+	if order {
+		b.Bool(q.Descending)
+		b.U32(uint32(min(uint(max(q.Limit, 0)), math.MaxUint32)))
+	}
+}
+
+func (b *Buf) bound(vs []ltval.Value, inc bool) {
+	b.Bool(vs != nil)
+	b.Values(vs)
+	b.Bool(inc)
+}
+
+// Box reads a box written by Buf.Box with the same order. A bound whose
+// presence byte is zero stays nil whatever values follow it, and an empty
+// bound decodes as nil: both mean unbounded.
+func (d *Dec) Box(order bool) core.Query {
+	var q core.Query
+	q.Lower, q.LowerInc = d.bound()
+	q.Upper, q.UpperInc = d.bound()
+	q.MinTs, q.MaxTs = d.I64(), d.I64()
+	if order {
+		q.Descending = d.Bool()
+		q.Limit = int(d.U32())
+	}
+	return q
+}
+
+func (d *Dec) bound() (vs []ltval.Value, inc bool) {
+	has, vs := d.Bool(), d.Values()
+	if !has {
+		vs = nil
+	}
+	return vs, d.Bool()
 }
 
 // LatestRow asks for the most recent row matching a key prefix (§3.4.5).
@@ -192,41 +213,25 @@ func DecodeLatestRow(p []byte) (*LatestRow, error) {
 // Delete is the wire form of the §7 bulk delete: a two-dimensional box
 // whose contents are removed. There is deliberately no residual predicate
 // on the wire — privacy deletions target key ranges (a customer, a
-// network, a device) and time ranges.
+// network, a device) and time ranges. The box's Descending and Limit are
+// not sent.
 type Delete struct {
-	Table              string
-	Lower, Upper       []ltval.Value
-	HasLower, HasUpper bool
-	LowerInc, UpperInc bool
-	MinTs, MaxTs       int64
+	Table string
+	core.Query
 }
 
 // Encode serializes the message payload.
 func (m *Delete) Encode() []byte {
 	var b Buf
 	b.String(m.Table)
-	b.Bool(m.HasLower)
-	b.Values(m.Lower)
-	b.Bool(m.LowerInc)
-	b.Bool(m.HasUpper)
-	b.Values(m.Upper)
-	b.Bool(m.UpperInc)
-	b.I64(m.MinTs)
-	b.I64(m.MaxTs)
+	b.Box(&m.Query, false)
 	return b.B
 }
 
 // DecodeDelete parses a Delete payload.
 func DecodeDelete(p []byte) (*Delete, error) {
 	d := Dec{B: p}
-	m := &Delete{Table: d.String(), HasLower: d.Bool()}
-	m.Lower = d.Values()
-	m.LowerInc = d.Bool()
-	m.HasUpper = d.Bool()
-	m.Upper = d.Values()
-	m.UpperInc = d.Bool()
-	m.MinTs = d.I64()
-	m.MaxTs = d.I64()
+	m := &Delete{Table: d.String(), Query: d.Box(false)}
 	return m, d.Done()
 }
 

@@ -3,7 +3,7 @@ package wire
 import (
 	"encoding/binary"
 
-	"littletable/internal/ltval"
+	"littletable/internal/core"
 	"littletable/internal/metric"
 	"littletable/internal/schema"
 )
@@ -22,16 +22,11 @@ import (
 // ScatterQuery asks for one bounded query evaluated against EVERY table
 // whose name starts with Prefix. A single littletabled answers for its
 // local tables; the router fans the same message out to all shards and
-// concatenates. The key bounds and limits apply per table.
+// concatenates. The key bounds and limits apply per table: the box's
+// Limit caps rows returned per table (0 = server default).
 type ScatterQuery struct {
-	Prefix             string
-	Lower, Upper       []ltval.Value
-	HasLower, HasUpper bool
-	LowerInc, UpperInc bool
-	MinTs, MaxTs       int64
-	Descending         bool
-	// PerTableLimit caps rows returned per table (0 = server default).
-	PerTableLimit uint32
+	Prefix string
+	core.Query
 	// MaxTables caps how many matching tables are scanned (0 = no cap);
 	// tables are taken in sorted name order so the cap is deterministic.
 	MaxTables uint32
@@ -41,16 +36,7 @@ type ScatterQuery struct {
 func (m *ScatterQuery) Encode() []byte {
 	var b Buf
 	b.String(m.Prefix)
-	b.Bool(m.HasLower)
-	b.Values(m.Lower)
-	b.Bool(m.LowerInc)
-	b.Bool(m.HasUpper)
-	b.Values(m.Upper)
-	b.Bool(m.UpperInc)
-	b.I64(m.MinTs)
-	b.I64(m.MaxTs)
-	b.Bool(m.Descending)
-	b.U32(m.PerTableLimit)
+	b.Box(&m.Query, true)
 	b.U32(m.MaxTables)
 	return b.B
 }
@@ -58,17 +44,7 @@ func (m *ScatterQuery) Encode() []byte {
 // DecodeScatterQuery parses a ScatterQuery payload.
 func DecodeScatterQuery(p []byte) (*ScatterQuery, error) {
 	d := Dec{B: p}
-	m := &ScatterQuery{Prefix: d.String(), HasLower: d.Bool()}
-	m.Lower = d.Values()
-	m.LowerInc = d.Bool()
-	m.HasUpper = d.Bool()
-	m.Upper = d.Values()
-	m.UpperInc = d.Bool()
-	m.MinTs = d.I64()
-	m.MaxTs = d.I64()
-	m.Descending = d.Bool()
-	m.PerTableLimit = d.U32()
-	m.MaxTables = d.U32()
+	m := &ScatterQuery{Prefix: d.String(), Query: d.Box(true), MaxTables: d.U32()}
 	return m, d.Done()
 }
 
@@ -373,10 +349,6 @@ func DecodeMigrateInstall(p []byte) (*MigrateInstall, error) {
 	return m, d.Done()
 }
 
-// MigrateTable is a router-only control message: move a table to the
-// shard at TargetAddr by shipping its sealed tablets, then flip placement
-// and drop the source copy. The router answers OK when the table is fully
-// served from the target.
 // PeekTable extracts the table name from any table-scoped request
 // payload without decoding the rest. Every table-scoped message starts
 // with the length-prefixed table name precisely so a router can route on
@@ -390,6 +362,10 @@ func PeekTable(p []byte) (string, error) {
 	return name, nil
 }
 
+// MigrateTable is a router-only control message: move a table to the
+// shard at TargetAddr by shipping its sealed tablets, then flip placement
+// and drop the source copy. The router answers OK when the table is fully
+// served from the target.
 type MigrateTable struct {
 	Table      string
 	TargetAddr string

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
 	"littletable/internal/schema"
@@ -11,11 +12,13 @@ import (
 
 func TestScatterQueryRoundTrip(t *testing.T) {
 	m := &ScatterQuery{
-		Prefix:   "cust_",
-		HasLower: true, Lower: []ltval.Value{ltval.NewInt64(3)}, LowerInc: true,
-		HasUpper: true, Upper: []ltval.Value{ltval.NewInt64(9)},
-		MinTs: -5, MaxTs: 99, Descending: true,
-		PerTableLimit: 128, MaxTables: 1000,
+		Prefix: "cust_",
+		Query: core.Query{
+			Lower: []ltval.Value{ltval.NewInt64(3)}, LowerInc: true,
+			Upper: []ltval.Value{ltval.NewInt64(9)},
+			MinTs: -5, MaxTs: 99, Descending: true, Limit: 128,
+		},
+		MaxTables: 1000,
 	}
 	g, err := DecodeScatterQuery(m.Encode())
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
@@ -139,23 +140,20 @@ func TestMessagesRoundTrip(t *testing.T) {
 		t.Errorf("TableName: %v %v", got, err)
 	}
 
-	q := &Query{
-		Table:    "usage",
-		HasLower: true,
+	q := &Query{Table: "usage", Query: core.Query{
 		Lower:    []ltval.Value{ltval.NewInt64(5)},
 		LowerInc: true,
-		HasUpper: true,
 		Upper:    []ltval.Value{ltval.NewInt64(5), ltval.NewTimestamp(10)},
 		UpperInc: false,
 		MinTs:    -100, MaxTs: 100,
 		Descending: true,
 		Limit:      64,
-	}
+	}}
 	gq, err := DecodeQuery(q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gq.Table != "usage" || !gq.HasLower || len(gq.Lower) != 1 || gq.Lower[0].Int != 5 ||
+	if gq.Table != "usage" || len(gq.Lower) != 1 || gq.Lower[0].Int != 5 ||
 		len(gq.Upper) != 2 || gq.UpperInc || !gq.Descending || gq.Limit != 64 ||
 		gq.MinTs != -100 || gq.MaxTs != 100 {
 		t.Errorf("Query: %+v", gq)
@@ -300,16 +298,15 @@ func TestRowResultRoundTrip(t *testing.T) {
 
 func TestQueryQuickRoundTrip(t *testing.T) {
 	f := func(table string, lower, upper int64, lowInc, upInc, desc bool, limit uint32) bool {
-		q := &Query{
-			Table:    table,
-			HasLower: true, Lower: []ltval.Value{ltval.NewInt64(lower)}, LowerInc: lowInc,
-			HasUpper: true, Upper: []ltval.Value{ltval.NewInt64(upper)}, UpperInc: upInc,
-			MinTs: lower, MaxTs: upper, Descending: desc, Limit: limit,
-		}
+		q := &Query{Table: table, Query: core.Query{
+			Lower: []ltval.Value{ltval.NewInt64(lower)}, LowerInc: lowInc,
+			Upper: []ltval.Value{ltval.NewInt64(upper)}, UpperInc: upInc,
+			MinTs: lower, MaxTs: upper, Descending: desc, Limit: int(limit),
+		}}
 		g, err := DecodeQuery(q.Encode())
 		return err == nil && g.Table == table && g.Lower[0].Int == lower &&
 			g.Upper[0].Int == upper && g.LowerInc == lowInc && g.UpperInc == upInc &&
-			g.Descending == desc && g.Limit == limit
+			g.Descending == desc && g.Limit == int(limit)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

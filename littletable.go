@@ -105,7 +105,8 @@ type (
 	// delay, 64 kB blocks, compression and Bloom filters on).
 	Options = core.Options
 	// Query is a two-dimensional bounding box: primary-key bounds (or
-	// prefixes) × timestamp bounds.
+	// prefixes) × timestamp bounds. Embedded tables and the wire client
+	// take the same Query.
 	Query = core.Query
 	// Iterator streams a query's results.
 	Iterator = core.Iterator
@@ -169,8 +170,6 @@ type (
 	// ClientTable is a remote table handle with insert batching and
 	// transparent query pagination.
 	ClientTable = client.Table
-	// ClientQuery mirrors Query for the wire client.
-	ClientQuery = client.Query
 	// RemoteError is a server-reported request failure.
 	RemoteError = client.RemoteError
 	// UnsentError reports buffered insert rows that were never delivered —
@@ -198,9 +197,6 @@ func Dial(addr string) (*Client, error) { return client.Dial(addr) }
 func DialClient(ctx context.Context, addr string, opts ClientOptions) (*Client, error) {
 	return client.DialContext(ctx, addr, opts)
 }
-
-// NewClientQuery returns an unbounded client-side query.
-func NewClientQuery() ClientQuery { return client.NewQuery() }
 
 // Server-side aggregation and continuous downsampling (DESIGN.md §16).
 type (

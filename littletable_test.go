@@ -117,7 +117,7 @@ func TestServerClientSQLRoundTrip(t *testing.T) {
 	if err := tab.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cq := littletable.NewClientQuery()
+	cq := littletable.NewQuery()
 	rows, err := tab.Query(cq).All()
 	if err != nil || len(rows) != 8 {
 		t.Fatalf("wire query: %d rows, %v", len(rows), err)
