@@ -26,7 +26,7 @@ vet:
 	$(GO) vet ./...
 
 ltlint:
-	$(GO) run ./cmd/ltlint -check-stale-ignores ./...
+	$(GO) run ./cmd/ltlint ./...
 
 # bench runs the root package's benchmarks, then the read path's two inner
 # loops (block decode, tablet range scan), the XOR float encoder and the

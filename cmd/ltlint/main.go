@@ -14,14 +14,12 @@
 //
 // The package pattern argument is accepted for familiarity but the tool
 // always analyzes the enclosing module in full — the rules it enforces
-// are whole-program properties. Flags:
+// are whole-program properties — and always fails on //ltlint:ignore
+// directives that suppress nothing. Flags:
 //
-//	-list                 print the analyzers and exit
-//	-rules a,b            run only the named analyzers
-//	-json                 emit findings as a JSON array on stdout
-//	-sarif FILE           also write findings as SARIF 2.1.0 to FILE
-//	-check-stale-ignores  also fail on //ltlint:ignore directives that
-//	                      suppress nothing (full-suite runs only)
+//	-list        print the analyzers and exit
+//	-json        emit findings as a JSON array on stdout
+//	-sarif FILE  also write findings as SARIF 2.1.0 to FILE
 //
 // Suppress a finding inline with
 //
@@ -42,10 +40,8 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "print the analyzers and exit")
-	rules := flag.String("rules", "", "comma-separated subset of analyzers to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-	staleIgnores := flag.Bool("check-stale-ignores", false, "fail on ignore directives that suppress nothing")
 	flag.Parse()
 
 	analyzers := ltlint.All()
@@ -54,31 +50,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	partial := *rules != ""
-	if partial {
-		if *staleIgnores {
-			// A partial run trivially leaves other rules' directives
-			// unconsumed; the audit would be all noise.
-			fmt.Fprintln(os.Stderr, "ltlint: -check-stale-ignores requires the full suite (drop -rules)")
-			os.Exit(2)
-		}
-		want := make(map[string]bool)
-		for _, r := range strings.Split(*rules, ",") {
-			want[strings.TrimSpace(r)] = true
-		}
-		var sel []*ltlint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				sel = append(sel, a)
-				delete(want, a.Name)
-			}
-		}
-		for r := range want {
-			fmt.Fprintf(os.Stderr, "ltlint: unknown analyzer %q\n", r)
-			os.Exit(2)
-		}
-		analyzers = sel
 	}
 
 	cwd, err := os.Getwd()
@@ -137,12 +108,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ltlint: %d finding(s)\n", len(diags))
 	}
 
-	if *staleIgnores {
-		for _, d := range res.StaleIgnores() {
-			fmt.Fprintf(os.Stderr, "ltlint: stale ignore at %s:%d: directive for %s suppresses nothing\n",
-				rel(d.Pos.Filename), d.Pos.Line, strings.Join(d.Rules, ","))
-			failed = true
-		}
+	for _, d := range res.StaleIgnores() {
+		fmt.Fprintf(os.Stderr, "ltlint: stale ignore at %s:%d: directive for %s suppresses nothing\n",
+			rel(d.Pos.Filename), d.Pos.Line, strings.Join(d.Rules, ","))
+		failed = true
 	}
 	if failed {
 		os.Exit(1)

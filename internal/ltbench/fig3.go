@@ -53,8 +53,16 @@ func (c *Fig3Config) defaults() {
 	}
 }
 
+// fig3MaxOvershoot caps how far RunFig3 inserts past TotalBytes while it
+// waits for the first merge: a small TotalBytes can be written before
+// MergeDelay lets any tablet merge, and a figure with no merge is not
+// Figure 3.
+const fig3MaxOvershoot = 8
+
 // RunFig3 regenerates Figure 3: insert throughput over time with active
-// tablet merging, with merge completions as impulse events.
+// tablet merging, with merge completions as impulse events. It inserts
+// TotalBytes, and past that until the first merge completes; it returns
+// an error if none has by fig3MaxOvershoot × TotalBytes.
 func RunFig3(cfg Fig3Config) (*Result, error) {
 	cfg.defaults()
 	dir, err := scratchDir(cfg.Dir, "fig3")
@@ -115,7 +123,17 @@ func RunFig3(cfg Fig3Config) (*Result, error) {
 	windowStart := time.Now()
 	seq := int64(0)
 	batch := make([]schema.Row, 0, rowsPerBatch)
-	for written < cfg.TotalBytes {
+	anyMerge := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(mergeTimes) > 0
+	}
+	for written < cfg.TotalBytes || !anyMerge() {
+		if written >= fig3MaxOvershoot*cfg.TotalBytes {
+			close(stop)
+			wg.Wait()
+			return nil, fmt.Errorf("ltbench: fig3: no merge after %d MB of inserts", written>>20)
+		}
 		batch = batch[:0]
 		for i := 0; i < rowsPerBatch; i++ {
 			batch = append(batch, benchRow(rng, seq, seq, cfg.RowBytes))

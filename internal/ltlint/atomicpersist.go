@@ -2,7 +2,6 @@ package ltlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -25,11 +24,12 @@ import (
 //   - every Rename must be accompanied by a SyncDir in the same file
 //     (a rename the directory never fsyncs can vanish on power loss).
 //
-// Filesystem middleware — methods on structs that embed vfs.FS and relay
-// each call (the I/O-budget meter, fault injectors) — is exempt: it
-// forwards whatever discipline its caller chose. Module-internal helper
-// *functions* named Create (tablet.Create) are calls into blessed
-// helpers, not raw filesystem creates, and are likewise skipped.
+// Filesystem middleware — a method overriding a method of an embedded
+// filesystem interface such as vfs.FS, relaying the call (the I/O-budget
+// meter, fault injectors) — is exempt: it forwards whatever discipline its
+// caller chose. Package-level helper *functions* named Create
+// (tablet.Create) are calls into blessed helpers, not raw filesystem
+// creates, and are likewise skipped.
 var AtomicPersist = &Analyzer{
 	Name: "atomicpersist",
 	Doc: "durable files must be written temp→Sync→Rename→SyncDir (§3.2); a direct " +
@@ -56,49 +56,32 @@ func runAtomicPersist(p *Pass) error {
 			if f.IsTest {
 				continue
 			}
-			checkAtomicPersistFile(p, pkg, f)
+			checkAtomicPersistFile(p, f)
 		}
 	}
 	return nil
 }
 
-func checkAtomicPersistFile(p *Pass, pkg *Package, f *SourceFile) {
-	imports := importNames(f.AST)
-	modInternal := func(call *ast.CallExpr) bool {
-		name, _, ok := pkgCall(call)
-		if !ok {
-			return false
-		}
-		path, imported := imports[name]
-		return imported && (strings.HasPrefix(path, p.Prog.ModPath+"/") || path == p.Prog.ModPath)
-	}
-
+func checkAtomicPersistFile(p *Pass, f *SourceFile) {
 	// First pass: does this file contain the Rename and SyncDir halves of
 	// the recipe? The check is file-scoped because the recipe is often
 	// split across functions of one writer (tablet.Writer's Create starts
 	// the staging that Finish completes).
 	var hasRename, hasSyncDir bool
-	for _, decl := range f.AST.Decls {
-		ast.Inspect(decl, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch p.Prog.fsOp(call) {
+			case "Rename":
+				hasRename = true
+			case "SyncDir":
+				hasSyncDir = true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && !modInternal(call) {
-				switch sel.Sel.Name {
-				case "Rename":
-					hasRename = true
-				case "SyncDir":
-					hasSyncDir = true
-				}
-			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 
 	for _, decl := range f.AST.Decls {
-		fd, isFunc := decl.(*ast.FuncDecl)
-		if isFunc && embedsVfsFS(pkg, fd) {
+		if fd, ok := decl.(*ast.FuncDecl); ok && p.Prog.relays(fd) {
 			continue // filesystem middleware relays its caller's discipline
 		}
 		ast.Inspect(decl, func(n ast.Node) bool {
@@ -106,15 +89,8 @@ func checkAtomicPersistFile(p *Pass, pkg *Package, f *SourceFile) {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || modInternal(call) {
-				return true
-			}
-			switch sel.Sel.Name {
+			switch p.Prog.fsOp(call) {
 			case "Create":
-				if len(call.Args) == 0 {
-					return true
-				}
 				arg := types.ExprString(call.Args[0])
 				if !strings.Contains(arg, "tmp") && !strings.Contains(arg, "Tmp") {
 					p.Reportf(call.Pos(), "durable file created directly at its final name (%s); "+
@@ -136,52 +112,41 @@ func checkAtomicPersistFile(p *Pass, pkg *Package, f *SourceFile) {
 	}
 }
 
-// embedsVfsFS reports whether fd is a method on a struct that embeds
-// vfs.FS — filesystem middleware whose Create/Rename methods forward to
-// the wrapped FS.
-func embedsVfsFS(pkg *Package, fd *ast.FuncDecl) bool {
-	_, recvType := receiverOf(fd)
-	if recvType == "" {
+// fsOp returns "Create", "Rename" or "SyncDir" when call invokes a
+// method of that name — a filesystem operation — and "" otherwise.
+// Package-level functions of those names, like tablet.Create, are
+// helpers that own the recipe themselves, not raw filesystem calls.
+func (prog *Program) fsOp(call *ast.CallExpr) string {
+	fn := prog.callee(call)
+	if fn == nil || fn.Type().(*types.Signature).Recv() == nil || len(call.Args) == 0 {
+		return ""
+	}
+	switch fn.Name() {
+	case "Create", "Rename", "SyncDir":
+		return fn.Name()
+	}
+	return ""
+}
+
+// relays reports whether fd is filesystem middleware: a method that
+// overrides a method of an interface its receiver's struct embeds (the
+// I/O-budget meter's Create over vfs.FS), relaying the call.
+func (prog *Program) relays(fd *ast.FuncDecl) bool {
+	fn := prog.Info.Defs[fd.Name].(*types.Func)
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return false
 	}
-	st := structType(pkg, recvType)
-	if st == nil {
+	st, ok := namedOf(recv.Type()).Underlying().(*types.Struct)
+	if !ok {
 		return false
 	}
-	for _, fld := range st.Fields.List {
-		if len(fld.Names) != 0 {
-			continue // named field, not an embed
-		}
-		if strings.Contains(types.ExprString(fld.Type), "vfs.FS") ||
-			types.ExprString(fld.Type) == "FS" {
-			return true
+	for i := 0; i < st.NumFields(); i++ {
+		if fld := st.Field(i); fld.Embedded() && types.IsInterface(fld.Type()) {
+			if m, _, _ := types.LookupFieldOrMethod(fld.Type(), false, fn.Pkg(), fn.Name()); m != nil {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// structType finds the named struct type's declaration in the package's
-// non-test files.
-func structType(pkg *Package, typeName string) *ast.StructType {
-	for _, f := range pkg.Files {
-		if f.IsTest {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != typeName {
-					continue
-				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					return st
-				}
-			}
-		}
-	}
-	return nil
 }

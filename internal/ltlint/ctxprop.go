@@ -28,31 +28,18 @@ func runCtxProp(p *Pass) error {
 		mod + "/internal/client": true,
 		mod + "/internal/server": true,
 	}
-	for _, pkg := range p.Prog.Pkgs {
+	inspectNonTest(p.Prog, func(pkg *Package, _ *SourceFile, n ast.Node) bool {
 		if !checked[pkg.PkgPath] {
-			continue
+			return false
 		}
-		for _, f := range pkg.Files {
-			if f.IsTest {
-				continue
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch key := p.Prog.calleeKey(call); key {
+			case "context.Background", "context.TODO":
+				p.Reportf(call.Pos(), "%s() severs the client→server→core→tablet→vfs "+
+					"cancellation chain; thread the caller's context instead", key)
 			}
-			imports := importNames(f.AST)
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, sel, ok := pkgCall(call)
-				if !ok || imports[name] != "context" {
-					return true
-				}
-				if sel == "Background" || sel == "TODO" {
-					p.Reportf(call.Pos(), "context.%s() severs the client→server→core→tablet→vfs "+
-						"cancellation chain; thread the caller's context instead", sel)
-				}
-				return true
-			})
 		}
-	}
+		return true
+	})
 	return nil
 }

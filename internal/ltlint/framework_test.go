@@ -11,7 +11,7 @@ import (
 	"littletable/internal/ltlint/lttest"
 )
 
-// TestStaleIgnoreTracking pins the -check-stale-ignores contract: a
+// TestStaleIgnoreTracking pins the stale-ignore audit's contract: a
 // directive that suppresses a finding is marked used; one sitting on
 // clean code is reported stale.
 func TestStaleIgnoreTracking(t *testing.T) {

@@ -2,8 +2,7 @@ package ltlint
 
 import (
 	"go/ast"
-	"go/types"
-	"strings"
+	"go/token"
 )
 
 // GoTrack requires every `go` statement in the engine's long-lived layers
@@ -15,9 +14,9 @@ import (
 //
 // A spawn is considered tracked when, within the enclosing function, a
 // WaitGroup Add(...) call precedes the `go` statement, or the spawned
-// literal's body defers a WaitGroup Done(). WaitGroup-ness is resolved
-// through the receiver's struct fields where possible and falls back to
-// the naming convention (an identifier containing "wg" or "WaitGroup").
+// literal's body defers a WaitGroup Done(). WaitGroup-ness is the
+// callee's type: a method of sync.WaitGroup, whatever the group is named
+// and however it is reached (field, parameter, local).
 // Goroutines with a deliberate non-WaitGroup lifecycle (a channel the
 // parent closes, a context the parent cancels *and observes*) carry an
 // //ltlint:ignore gotrack naming that owner.
@@ -44,17 +43,14 @@ func runGoTrack(p *Pass) error {
 		if pkg == nil {
 			continue
 		}
-		fields := structFieldTypes(pkg)
 		for _, f := range pkg.Files {
 			if f.IsTest {
 				continue
 			}
 			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkGoTrackFunc(p, fd)
 				}
-				checkGoTrackFunc(p, fd, fields)
 			}
 		}
 	}
@@ -62,34 +58,20 @@ func runGoTrack(p *Pass) error {
 }
 
 // checkGoTrackFunc flags untracked go statements inside one declaration.
-func checkGoTrackFunc(p *Pass, fd *ast.FuncDecl, fields map[string]map[string]string) {
-	recvName, recvType := receiverOf(fd)
-	isWG := func(expr ast.Expr) bool {
-		// Resolve x or t.x against the receiver's struct fields first;
-		// fall back to the naming convention.
-		if sel, ok := expr.(*ast.SelectorExpr); ok && recvName != "" {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName {
-				if t := fields[recvType][sel.Sel.Name]; t != "" {
-					return strings.Contains(t, "WaitGroup")
-				}
-			}
-		}
-		text := strings.ToLower(types.ExprString(expr))
-		return strings.Contains(text, "wg") || strings.Contains(text, "waitgroup")
+func checkGoTrackFunc(p *Pass, fd *ast.FuncDecl) {
+	isWG := func(n ast.Node, method string) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && p.Prog.calleeKey(call) == "sync.WaitGroup."+method
 	}
 
 	// Collect WaitGroup Add positions anywhere in the declaration: an Add
 	// in the same function body textually before the spawn counts, even
 	// across nested literals (the common `wg.Add(1); go func(){...}()`
 	// shape and its loop variants).
-	var addPositions []int
+	var addPositions []token.Pos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" && isWG(sel.X) {
-			addPositions = append(addPositions, int(call.Pos()))
+		if isWG(n, "Add") {
+			addPositions = append(addPositions, n.Pos())
 		}
 		return true
 	})
@@ -101,25 +83,18 @@ func checkGoTrackFunc(p *Pass, fd *ast.FuncDecl, fields map[string]map[string]st
 		}
 		tracked := false
 		for _, pos := range addPositions {
-			if pos < int(gs.Pos()) {
+			if pos < gs.Pos() {
 				tracked = true
 				break
 			}
 		}
-		if !tracked {
-			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					d, ok := m.(*ast.DeferStmt)
-					if !ok {
-						return true
-					}
-					if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isWG(sel.X) {
-						tracked = true
-						return false
-					}
-					return true
-				})
-			}
+		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok && !tracked {
+			ast.Inspect(lit.Body, func(m ast.Node) bool {
+				if d, ok := m.(*ast.DeferStmt); ok && isWG(d.Call, "Done") {
+					tracked = true
+				}
+				return !tracked
+			})
 		}
 		if !tracked {
 			p.Reportf(gs.Pos(), "goroutine is not tied to a WaitGroup; Shutdown/drain cannot prove quiescence — "+

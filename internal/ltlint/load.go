@@ -3,8 +3,11 @@ package ltlint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,103 +15,86 @@ import (
 	"strings"
 )
 
-// LoadModule parses every package of the module rooted at root (the
-// directory holding go.mod) into a Program. It is a deliberately small
-// stand-in for golang.org/x/tools/go/packages: a filesystem walk plus
-// go/parser, which is all a dependency-free module needs. Build tags are
-// not evaluated — every .go file in a package directory is parsed, which
-// for a linter errs on the side of seeing more code, not less.
+// LoadModule loads every package of the module rooted at root (the
+// directory holding go.mod) into a type-checked Program. It is a small
+// stand-in for golang.org/x/tools/go/packages, which a dependency-free
+// module cannot import: a filesystem walk, go/parser and go/types.
 func LoadModule(root string) (*Program, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				dirs = append(dirs, path)
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	prog := &Program{Fset: token.NewFileSet(), ModPath: modPath}
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgPath := modPath
-		if rel != "." {
-			pkgPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := loadDir(prog.Fset, dir, pkgPath)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			prog.Pkgs = append(prog.Pkgs, pkg)
-		}
-	}
-	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].PkgPath < prog.Pkgs[j].PkgPath })
-	return prog, nil
+	return load(root, modPath, modPath)
 }
 
-// LoadTree parses a GOPATH-style fixture tree: every directory under src
+// LoadTree loads a GOPATH-style fixture tree: every directory under src
 // becomes a package whose import path is its path relative to src. The
 // lttest runner uses this to load testdata/src fixtures, mirroring
 // analysistest's layout.
 func LoadTree(src, modPath string) (*Program, error) {
-	prog := &Program{Fset: token.NewFileSet(), ModPath: modPath}
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+	return load(src, modPath, "")
+}
+
+// load walks root, parses every directory's Go files into a package whose
+// import path is prefix joined with the directory's relative path, and
+// type-checks the result. Files are kept only when go/build's default
+// context would compile them (build tags and _GOOS/_GOARCH suffixes are
+// evaluated), so exactly one of a tag-selected pair is loaded. Test files
+// are parsed for their //ltlint:ignore directives but not type-checked;
+// analyzers skip them. A parse or type error is a load error.
+func load(root, modPath, prefix string) (*Program, error) {
+	prog := &Program{
+		Fset:    token.NewFileSet(),
+		ModPath: modPath,
+		Info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		},
+	}
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if dir != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() || path == src {
-			return nil
+		pkgPath := prefix
+		if rel != "." {
+			pkgPath = strings.TrimPrefix(prefix+"/"+filepath.ToSlash(rel), "/")
 		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
+		if pkgPath == "" {
+			return nil // a fixture tree's root holds no package
 		}
-		pkg, err := loadDir(prog.Fset, path, filepath.ToSlash(rel))
-		if err != nil {
-			return err
-		}
+		pkg, err := parseDir(prog.Fset, dir, pkgPath)
 		if pkg != nil {
 			prog.Pkgs = append(prog.Pkgs, pkg)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].PkgPath < prog.Pkgs[j].PkgPath })
+	l := &loader{prog: prog, std: importer.ForCompiler(prog.Fset, "source", nil), checking: make(map[string]bool)}
+	for _, pkg := range prog.Pkgs {
+		if _, err := l.Import(pkg.PkgPath); err != nil {
+			return nil, err
+		}
+	}
 	return prog, nil
 }
 
-// loadDir parses the .go files directly in dir, or returns nil if there
-// are none.
-func loadDir(fset *token.FileSet, dir, pkgPath string) (*Package, error) {
+// parseDir parses the buildable .go files directly in dir, or returns nil
+// if there are none.
+func parseDir(fset *token.FileSet, dir, pkgPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -116,6 +102,11 @@ func loadDir(fset *token.FileSet, dir, pkgPath string) (*Package, error) {
 	pkg := &Package{PkgPath: pkgPath, Dir: dir}
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
@@ -133,6 +124,48 @@ func loadDir(fset *token.FileSet, dir, pkgPath string) (*Package, error) {
 		return nil, nil
 	}
 	return pkg, nil
+}
+
+// A loader is the types.Importer behind one Program: it returns the
+// program's own packages, type-checking each on first import so that
+// every importer sees the same types.Objects, and falls back to the
+// standard library compiled from source.
+type loader struct {
+	prog     *Program
+	std      types.Importer
+	checking map[string]bool
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	pkg := l.prog.Package(path)
+	if pkg == nil && (path == l.prog.ModPath || strings.HasPrefix(path, l.prog.ModPath+"/")) {
+		// The source importer would find the real module's package from
+		// inside a fixture tree; a tree must declare what it imports.
+		return nil, fmt.Errorf("ltlint: package %s is not in the loaded tree", path)
+	}
+	if pkg == nil {
+		return l.std.Import(path)
+	}
+	if pkg.Types != nil {
+		return pkg.Types, nil
+	}
+	if l.checking[path] {
+		return nil, fmt.Errorf("ltlint: import cycle through %s", path)
+	}
+	l.checking[path] = true
+	var files []*ast.File
+	for _, f := range pkg.Files {
+		if !f.IsTest {
+			files = append(files, f.AST)
+		}
+	}
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(path, l.prog.Fset, files, l.prog.Info)
+	if err != nil {
+		return nil, fmt.Errorf("ltlint: type-check %s: %w", path, err)
+	}
+	pkg.Types = tpkg
+	return tpkg, nil
 }
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)\s*$`)

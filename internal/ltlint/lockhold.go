@@ -14,17 +14,11 @@ import (
 // needs that same mutex to make progress can then never run, and the
 // group-commit queue wedges behind the lock (DESIGN §9).
 //
-// The analysis is syntactic but lock-flow aware: within each function it
-// tracks `x.Lock()` / `x.RLock()` acquisitions through the statement
-// list (including `defer x.Unlock()`), and checks statements in held
-// regions. Nested blocks are scanned with a branch-local copy of the
-// held set, so an unlock inside one branch does not leak out.
+// The held-lock walk is shared with lockorder (see lockWalk).
 // sync.Cond.Wait is exempt — it releases the mutex while parked — and
-// receivers are resolved against the method receiver's struct fields to
-// tell Cond from WaitGroup; unresolvable receivers are skipped rather
-// than guessed. Bodies of `go` statements and of function literals that
-// are not immediately invoked run outside the critical section and are
-// scanned as their own roots.
+// the WaitGroup is told from the Cond by the callee's type. Bodies of `go`
+// statements and of function literals that are not immediately invoked
+// run outside the critical section and are scanned as their own roots.
 var LockHold = &Analyzer{
 	Name: "lockhold",
 	Doc: "a blocking channel op or WaitGroup wait while holding a mutex wedges " +
@@ -33,28 +27,26 @@ var LockHold = &Analyzer{
 }
 
 func runLockHold(p *Pass) error {
+	w := &lockWalk{prog: p.Prog, visit: func(n ast.Node, held heldLocks) {
+		if len(held) > 0 {
+			checkBlocking(p, n, held)
+		}
+	}}
 	for _, pkg := range p.Prog.Pkgs {
-		fields := structFieldTypes(pkg)
 		for _, f := range pkg.Files {
 			if f.IsTest {
 				continue
 			}
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				sc := &lockScan{pass: p, fields: fields}
-				sc.recvName, sc.recvType = receiverOf(fd)
-				sc.scanBlock(fd.Body.List, nil)
-			}
-			// Function literals run on their own goroutine or at call
-			// time; scan each as an independent root so locks taken
-			// inside them are still checked.
+			// Every declaration and every function literal is a root:
+			// literals run on their own goroutine or at call time.
 			ast.Inspect(f.AST, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-					sc := &lockScan{pass: p, fields: fields}
-					sc.scanBlock(lit.Body.List, nil)
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					if fn.Body != nil {
+						w.block(fn.Body.List, nil)
+					}
+				case *ast.FuncLit:
+					w.block(fn.Body.List, nil)
 				}
 				return true
 			})
@@ -63,199 +55,216 @@ func runLockHold(p *Pass) error {
 	return nil
 }
 
-type lockScan struct {
-	pass     *Pass
-	fields   map[string]map[string]string // struct name → field → type text
-	recvName string                       // method receiver identifier, e.g. "t"
-	recvType string                       // method receiver struct name, e.g. "Table"
-}
-
-// scanBlock walks stmts in order, maintaining the set of held lock
-// receivers, and checks statements inside held regions for blocking
-// operations. held maps the printed receiver expression ("t.mu") to true.
-func (sc *lockScan) scanBlock(stmts []ast.Stmt, held map[string]bool) {
-	held = copySet(held)
-	for _, stmt := range stmts {
-		if recv, kind, ok := lockOp(stmt); ok {
-			switch kind {
-			case "Lock", "RLock":
-				held[recv] = true
-			case "Unlock", "RUnlock":
-				delete(held, recv)
-			}
-			continue
+// checkBlocking reports n if it blocks while the locks in held are taken.
+func checkBlocking(p *Pass, n ast.Node, held heldLocks) {
+	switch e := n.(type) {
+	case *ast.SendStmt:
+		p.Reportf(e.Pos(), "channel send while holding %s; the flush pipeline "+
+			"can wedge behind the lock — release it first or use a select with default", held)
+	case *ast.UnaryExpr:
+		if e.Op == token.ARROW {
+			p.Reportf(e.Pos(), "channel receive while holding %s; the flush pipeline "+
+				"can wedge behind the lock — release it before waiting", held)
 		}
-		if d, ok := stmt.(*ast.DeferStmt); ok {
-			// `defer x.Unlock()` holds the lock to function exit: the
-			// held region simply extends to the end of this list.
-			if _, kind, ok := deferredUnlock(d); ok && (kind == "Unlock" || kind == "RUnlock") {
-				continue
-			}
+	case *ast.SelectStmt:
+		if !selectHasDefault(e) {
+			p.Reportf(e.Pos(), "blocking select while holding %s; the flush pipeline "+
+				"can wedge behind the lock — release it first or add a default case", held)
 		}
-		sc.scanStmt(stmt, held)
+	case *ast.CallExpr:
+		if p.Prog.calleeKey(e) == "sync.WaitGroup.Wait" {
+			p.Reportf(e.Pos(), "%s.Wait() while holding %s; a WaitGroup wait "+
+				"under the lock deadlocks against workers that need it",
+				types.ExprString(e.Fun.(*ast.SelectorExpr).X), held)
+		}
 	}
 }
 
-// scanStmt dispatches one statement: composite statements recurse with a
-// branch-local held set; leaves are checked for blocking ops when a lock
-// is held.
-func (sc *lockScan) scanStmt(stmt ast.Stmt, held map[string]bool) {
+// heldLocks maps each held lock's printed receiver ("t.mu") to its lock
+// class ("littletable/internal/core.Table.mu"), or "" when the receiver
+// is not a field of a program type.
+type heldLocks map[string]string
+
+// String lists the held receivers in order, for messages.
+func (h heldLocks) String() string {
+	names := make([]string, 0, len(h))
+	for k := range h {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// classes returns the held lock classes, sorted.
+func (h heldLocks) classes() []string {
+	var out []string
+	for _, cls := range h {
+		if cls != "" {
+			out = append(out, cls)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// A lockWalk walks one function body in statement order, tracking the
+// sync locks held at each point, and hands every node that runs there to
+// its visitors. Nested blocks get a branch-local copy of the held set, so
+// an unlock inside one branch does not leak out; `defer x.Unlock()` holds
+// the lock to the end of its statement list; `go` bodies and function
+// literals run later without these locks and are not entered, while an
+// immediately invoked literal runs here and is.
+type lockWalk struct {
+	prog *Program
+	// visit sees each node that runs with held taken: statements and
+	// expressions, including a select before its clauses are walked.
+	visit func(n ast.Node, held heldLocks)
+	// acquire, if set, sees each Lock/RLock before it joins held.
+	acquire func(class string, pos token.Pos, held heldLocks)
+}
+
+func (w *lockWalk) block(stmts []ast.Stmt, outer heldLocks) {
+	held := make(heldLocks, len(outer))
+	for k, v := range outer {
+		held[k] = v
+	}
+	for _, stmt := range stmts {
+		recv, kind := w.lockOp(stmt)
+		switch kind {
+		case "Lock", "RLock":
+			class := w.classOf(recv)
+			if w.acquire != nil {
+				w.acquire(class, stmt.Pos(), held)
+			}
+			held[types.ExprString(recv)] = class
+		case "Unlock", "RUnlock":
+			delete(held, types.ExprString(recv))
+		case "defer Unlock", "defer RUnlock":
+			// The lock is held to the end of this list.
+		default:
+			w.stmt(stmt, held)
+		}
+	}
+}
+
+func (w *lockWalk) stmt(stmt ast.Stmt, held heldLocks) {
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		sc.scanBlock(s.List, held)
+		w.block(s.List, held)
 	case *ast.LabeledStmt:
-		sc.scanStmt(s.Stmt, held)
+		w.stmt(s.Stmt, held)
 	case *ast.IfStmt:
 		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
+			w.stmt(s.Init, held)
 		}
-		sc.checkExpr(s.Cond, held)
-		sc.scanBlock(s.Body.List, held)
+		w.expr(s.Cond, held)
+		w.block(s.Body.List, held)
 		if s.Else != nil {
-			sc.scanStmt(s.Else, held)
+			w.stmt(s.Else, held)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
+			w.stmt(s.Init, held)
 		}
-		if s.Cond != nil {
-			sc.checkExpr(s.Cond, held)
-		}
+		w.expr(s.Cond, held)
 		if s.Post != nil {
-			sc.scanStmt(s.Post, held)
+			w.stmt(s.Post, held)
 		}
-		sc.scanBlock(s.Body.List, held)
+		w.block(s.Body.List, held)
 	case *ast.RangeStmt:
-		sc.checkExpr(s.X, held)
-		sc.scanBlock(s.Body.List, held)
+		w.expr(s.X, held)
+		w.block(s.Body.List, held)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
+			w.stmt(s.Init, held)
 		}
-		if s.Tag != nil {
-			sc.checkExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.scanBlock(cc.Body, held)
-			}
-		}
+		w.expr(s.Tag, held)
+		w.clauses(s.Body, held)
 	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.scanBlock(cc.Body, held)
-			}
-		}
+		w.clauses(s.Body, held)
 	case *ast.SelectStmt:
-		if len(held) > 0 && !selectHasDefault(s) {
-			sc.pass.Reportf(s.Pos(), "blocking select while holding %s; the flush pipeline "+
-				"can wedge behind the lock — release it first or add a default case", heldNames(held))
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				// The comm op itself is select-guarded; clause bodies
-				// run with the lock still held.
-				sc.scanBlock(cc.Body, held)
-			}
-		}
+		// The comm ops themselves are select-guarded; clause bodies run
+		// with the locks still held.
+		w.visit(s, held)
+		w.clauses(s.Body, held)
 	case *ast.GoStmt:
-		// The spawned body runs outside the critical section; it is
-		// scanned as its own root in runLockHold.
+		// The spawned body runs outside the critical section.
 	default:
-		if len(held) > 0 {
-			sc.checkExpr(stmt, held)
+		w.expr(stmt, held)
+	}
+}
+
+func (w *lockWalk) clauses(body *ast.BlockStmt, held heldLocks) {
+	for _, c := range body.List {
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			w.block(cc.Body, held)
+		case *ast.CommClause:
+			w.block(cc.Body, held)
 		}
 	}
 }
 
-// checkExpr inspects a leaf statement or expression for blocking
-// operations while locks in held are taken.
-func (sc *lockScan) checkExpr(n ast.Node, held map[string]bool) {
-	if n == nil || len(held) == 0 {
+// expr visits every node of a leaf statement or expression.
+func (w *lockWalk) expr(n ast.Node, held heldLocks) {
+	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
-		case *ast.FuncLit:
-			return false // not executed here unless immediately invoked (see CallExpr)
-		case *ast.SendStmt:
-			sc.pass.Reportf(e.Pos(), "channel send while holding %s; the flush pipeline "+
-				"can wedge behind the lock — release it first or use a select with default", heldNames(held))
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				sc.pass.Reportf(e.Pos(), "channel receive while holding %s; the flush pipeline "+
-					"can wedge behind the lock — release it before waiting", heldNames(held))
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(e) {
-				sc.pass.Reportf(e.Pos(), "blocking select while holding %s; the flush pipeline "+
-					"can wedge behind the lock — release it first or add a default case", heldNames(held))
-			}
-			return false
+		case nil, *ast.FuncLit:
+			return false // a literal runs later, without these locks
 		case *ast.CallExpr:
 			if lit, ok := e.Fun.(*ast.FuncLit); ok {
-				// Immediately-invoked literal: its body runs here,
-				// under the lock.
-				sc.scanBlock(lit.Body.List, held)
-			}
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				if t := sc.resolveType(sel.X); strings.Contains(t, "WaitGroup") {
-					sc.pass.Reportf(e.Pos(), "%s.Wait() while holding %s; a WaitGroup wait "+
-						"under the lock deadlocks against workers that need it", types.ExprString(sel.X), heldNames(held))
-				}
+				w.block(lit.Body.List, held)
 			}
 		}
+		w.visit(m, held)
 		return true
 	})
 }
 
-// resolveType returns the declared type text of expr when it is a field
-// of the method receiver ("t.flushCond" → "*sync.Cond"), else "".
-func (sc *lockScan) resolveType(expr ast.Expr) string {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok || sc.recvName == "" {
-		return ""
+// lockOp matches a statement `x.Lock()`, `x.Unlock()`, `x.RLock()` or
+// `x.RUnlock()` on a sync lock, returning x and the method name, prefixed
+// "defer " for a deferred call; kind is "" for any other statement.
+func (w *lockWalk) lockOp(stmt ast.Stmt) (recv ast.Expr, kind string) {
+	var call *ast.CallExpr
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		call, _ = s.X.(*ast.CallExpr)
+	case *ast.DeferStmt:
+		call = s.Call
+		kind = "defer "
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != sc.recvName {
-		return ""
+	if call == nil {
+		return nil, ""
 	}
-	return sc.fields[sc.recvType][sel.Sel.Name]
-}
-
-// lockOp matches `x.Lock()` / `x.Unlock()` / RLock / RUnlock expression
-// statements, returning the printed receiver and the operation.
-func lockOp(stmt ast.Stmt) (recv, kind string, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	fn := w.prog.callee(call)
+	if !ok || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, ""
 	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall || len(call.Args) != 0 {
-		return "", "", false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Lock", "Unlock", "RLock", "RUnlock":
-		return types.ExprString(sel.X), sel.Sel.Name, true
+		return sel.X, kind + fn.Name()
 	}
-	return "", "", false
+	return nil, ""
 }
 
-// deferredUnlock matches `defer x.Unlock()` / `defer x.RUnlock()`.
-func deferredUnlock(d *ast.DeferStmt) (recv, kind string, ok bool) {
-	sel, isSel := d.Call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
+// classOf names the lock class of a receiver `x.f`: the defined type of x
+// and the field, "pkgpath.Type.f", so every instance of a type shares one
+// class. Receivers that are not a field of a type declared in the program
+// have no class ("").
+func (w *lockWalk) classOf(recv ast.Expr) string {
+	sel, ok := recv.(*ast.SelectorExpr)
+	if !ok || w.prog.Info.Selections[sel] == nil || w.prog.Info.Selections[sel].Kind() != types.FieldVal {
+		return ""
 	}
-	switch sel.Sel.Name {
-	case "Unlock", "RUnlock":
-		return types.ExprString(sel.X), sel.Sel.Name, true
+	base := namedOf(w.prog.Info.TypeOf(sel.X))
+	if base == nil || w.prog.Package(base.Obj().Pkg().Path()) == nil {
+		return ""
 	}
-	return "", "", false
+	return typeKey(base) + "." + sel.Sel.Name
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {
@@ -265,81 +274,4 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func heldNames(held map[string]bool) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// receiverOf returns the method receiver's identifier name and struct
-// type name ("t", "Table"), or empty strings for plain functions.
-func receiverOf(fd *ast.FuncDecl) (name, typeName string) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return "", ""
-	}
-	field := fd.Recv.List[0]
-	if len(field.Names) > 0 {
-		name = field.Names[0].Name
-	}
-	t := field.Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		typeName = id.Name
-	}
-	return name, typeName
-}
-
-// structFieldTypes maps every struct type in the package's non-test files
-// to its field→type-text table, the lookup behind Cond/WaitGroup
-// discrimination.
-func structFieldTypes(pkg *Package) map[string]map[string]string {
-	out := make(map[string]map[string]string)
-	for _, f := range pkg.Files {
-		if f.IsTest {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				m := make(map[string]string)
-				for _, fld := range st.Fields.List {
-					text := types.ExprString(fld.Type)
-					for _, fname := range fld.Names {
-						m[fname.Name] = text
-					}
-				}
-				out[ts.Name.Name] = m
-			}
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package ltlint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -25,11 +26,12 @@ import (
 //     named `mu` or `pmu` is held. Deliberate foreground commit points
 //     carry an //ltlint:ignore lockorder with the reason in the open.
 //
-// Lock classes are (package, struct type, field) triples resolved through
-// the receiver and parameters, so core.Table.mu and router.Router.pmu are
-// distinct classes while every *instance* of a Table shares one. Receivers
-// the resolver cannot bind contribute nothing — the analysis only reports
-// what the syntax proves.
+// Lock classes are (package, type, field) triples read from the receiver
+// expression's type, so core.Table.mu and router.Router.pmu are distinct
+// classes while every *instance* of a Table shares one. Calls are bound to
+// their static callee, across packages and through any receiver;
+// interface dispatch and function values bind nothing, so propagation
+// never invents a caller.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "lock-acquisition cycles and durable-file I/O under a table/placement " +
@@ -44,16 +46,17 @@ type lockAcq struct {
 	pos   token.Pos
 }
 
-// lockCall is one resolved call with the classes held at the call site.
+// lockCall is one statically bound call with the classes held at the
+// call site.
 type lockCall struct {
-	callee string
+	callee *types.Func
 	held   []string
-	pos    token.Pos
 }
 
 // lockSummary is the per-function fact sheet the propagation pass works on.
 type lockSummary struct {
-	fn       *FuncNode
+	key      string // funcKey, for stable order and messages
+	decl     *ast.FuncDecl
 	acquires []lockAcq
 	calls    []lockCall
 	ioHeld   [][]string // held-class sets at direct Create/Rename/SyncDir calls
@@ -61,53 +64,50 @@ type lockSummary struct {
 }
 
 func runLockOrder(p *Pass) error {
-	cg := BuildCallGraph(p.Prog)
-	sums := make(map[string]*lockSummary, len(cg.Funcs))
-	for key, fn := range cg.Funcs {
-		sum := &lockSummary{fn: fn}
-		sc := &orderScan{
-			res:     newTypeResolver(fn.Pkg, fn.Decl),
-			fields:  structFieldTypes(fn.Pkg),
-			pkgPath: fn.Pkg.PkgPath,
-			modPath: p.Prog.ModPath,
-			node:    fn,
-			sum:     sum,
+	// One summary per function declaration; funcs lists them in key order
+	// so that propagation, and with it the exemplar caller each message
+	// names, is deterministic.
+	sums := make(map[*types.Func]*lockSummary)
+	var funcs []*types.Func
+	for _, pkg := range p.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			if f.IsTest {
+				continue
+			}
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					fn := p.Prog.Info.Defs[fd.Name].(*types.Func)
+					sums[fn] = summarizeLocks(p.Prog, fn, fd)
+					funcs = append(funcs, fn)
+				}
+			}
 		}
-		sc.scanBlock(fn.Decl.Body.List, nil)
-		sums[key] = sum
 	}
+	sort.Slice(funcs, func(i, j int) bool { return sums[funcs[i]].key < sums[funcs[j]].key })
 
 	// Propagate held-at-entry sets through call chains to a fixed point:
 	// if f calls g while holding A, then everything g does happens with A
 	// held too. entrySrc remembers one caller per inherited class for the
 	// diagnostic message.
-	entry := make(map[string]map[string]bool)
-	entrySrc := make(map[string]map[string]string)
-	work := make([]string, 0, len(sums))
-	for key := range sums {
-		work = append(work, key)
-	}
-	sort.Strings(work) // deterministic order → deterministic exemplar callers
+	entry := make(map[*types.Func]map[string]bool)
+	entrySrc := make(map[*types.Func]map[string]string)
+	work := append([]*types.Func(nil), funcs...)
 	for len(work) > 0 {
-		key := work[0]
+		fn := work[0]
 		work = work[1:]
-		sum := sums[key]
-		if sum == nil {
-			continue
-		}
-		for _, c := range sum.calls {
+		for _, c := range sums[fn].calls {
 			if sums[c.callee] == nil {
-				continue // unresolved or external callee: propagate nothing
+				continue // declared outside the program: propagate nothing
 			}
 			grew := false
-			for _, h := range unionHeld(entry[key], c.held) {
+			for _, h := range unionHeld(entry[fn], c.held) {
 				if entry[c.callee] == nil {
 					entry[c.callee] = make(map[string]bool)
 					entrySrc[c.callee] = make(map[string]string)
 				}
 				if !entry[c.callee][h] {
 					entry[c.callee][h] = true
-					entrySrc[c.callee][h] = key
+					entrySrc[c.callee][h] = sums[fn].key
 					grew = true
 				}
 			}
@@ -120,16 +120,11 @@ func runLockOrder(p *Pass) error {
 	// Rule 1: collect the class-order edges and report every edge that
 	// sits on a cycle, once per ordered pair, at an exemplar acquisition.
 	type edge struct{ from, to string }
-	type exemplar struct {
-		pos token.Pos
-		fn  string
-	}
-	edges := make(map[edge]exemplar)
+	edges := make(map[edge]token.Pos) // first acquisition making the edge
 	adj := make(map[string][]string)
-	for _, key := range sortedSumKeys(sums) {
-		sum := sums[key]
-		for _, acq := range sum.acquires {
-			for _, h := range unionHeld(entry[key], acq.held) {
+	for _, fn := range funcs {
+		for _, acq := range sums[fn].acquires {
+			for _, h := range unionHeld(entry[fn], acq.held) {
 				if h == acq.class {
 					// Same class on two instances (lock coupling) is a
 					// legitimate pattern the resolver cannot tell from
@@ -138,23 +133,23 @@ func runLockOrder(p *Pass) error {
 				}
 				e := edge{from: h, to: acq.class}
 				if _, dup := edges[e]; !dup {
-					edges[e] = exemplar{pos: acq.pos, fn: key}
+					edges[e] = acq.pos
 					adj[e.from] = append(adj[e.from], e.to)
 				}
 			}
 		}
 	}
-	for e, ex := range edges {
+	for e, pos := range edges {
 		if reaches(adj, e.to, e.from) {
-			p.Reportf(ex.pos, "lock order cycle: %s acquired while %s is held, but elsewhere %s is acquired while %s is held — pick one order",
+			p.Reportf(pos, "lock order cycle: %s acquired while %s is held, but elsewhere %s is acquired while %s is held — pick one order",
 				e.to, e.from, e.from, e.to)
 		}
 	}
 
 	// Rule 2: durable I/O while a data-path mutex (field `mu` or `pmu`)
 	// is held, directly or via callers.
-	for _, key := range sortedSumKeys(sums) {
-		sum := sums[key]
+	for _, fn := range funcs {
+		sum := sums[fn]
 		if !sum.directIO {
 			continue
 		}
@@ -166,17 +161,17 @@ func runLockOrder(p *Pass) error {
 				}
 			}
 		}
-		for h := range entry[key] {
+		for h := range entry[fn] {
 			if dataPathMutex(h) {
 				if _, have := bad[h]; !have {
-					bad[h] = "held by caller " + entrySrc[key][h]
+					bad[h] = "held by caller " + entrySrc[fn][h]
 				}
 			}
 		}
 		for _, h := range sortedStrMapKeys(bad) {
-			p.Reportf(sum.fn.Decl.Name.Pos(),
+			p.Reportf(sum.decl.Name.Pos(),
 				"%s performs durable file I/O (Create/Rename/SyncDir) while %s is %s; an fsync under the data-path lock stalls every request behind disk latency — persist outside it (DESIGN §11)",
-				sum.fn.Decl.Name.Name, h, bad[h])
+				sum.decl.Name.Name, h, bad[h])
 		}
 	}
 	return nil
@@ -228,15 +223,6 @@ func reaches(adj map[string][]string, from, to string) bool {
 	return false
 }
 
-func sortedSumKeys(m map[string]*lockSummary) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func sortedStrMapKeys(m map[string]string) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -246,237 +232,32 @@ func sortedStrMapKeys(m map[string]string) []string {
 	return out
 }
 
-// orderScan walks one function's statements in order, tracking which lock
-// classes are held (lockhold's scanner discipline: branch-local copies,
-// defer-unlock extends to block end) and recording acquisitions, resolved
-// calls, and direct durable-I/O sites with their held sets.
-type orderScan struct {
-	res     *typeResolver
-	fields  map[string]map[string]string
-	pkgPath string
-	modPath string
-	node    *FuncNode
-	sum     *lockSummary
-}
-
-// classOf resolves a lock receiver expression ("t.mu") to its class key
-// ("pkg.Table.mu"), or "" when the base type or a Mutex-typed field
-// cannot be proven.
-func (sc *orderScan) classOf(expr ast.Expr) string {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	base := sc.res.typeOf(sel.X)
-	if base == "" {
-		return ""
-	}
-	if !strings.Contains(sc.fields[base][sel.Sel.Name], "Mutex") {
-		return ""
-	}
-	return sc.pkgPath + "." + base + "." + sel.Sel.Name
-}
-
-// heldClasses flattens the held map (printed expr → class) to its
-// resolved class set.
-func heldClasses(held map[string]string) []string {
-	var out []string
-	for _, cls := range held {
-		if cls != "" {
-			out = append(out, cls)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// scanBlock mirrors lockhold's scanner: held maps the printed receiver
-// expression to its resolved class ("" when unresolved, still tracked so
-// its Unlock matches).
-func (sc *orderScan) scanBlock(stmts []ast.Stmt, held map[string]string) {
-	held = copyStrMap(held)
-	for _, stmt := range stmts {
-		if recv, kind, ok := lockOp(stmt); ok {
-			switch kind {
-			case "Lock", "RLock":
-				cls := ""
-				if expr := lockOpRecvExpr(stmt); expr != nil {
-					cls = sc.classOf(expr)
-				}
-				if cls != "" {
-					sc.sum.acquires = append(sc.sum.acquires, lockAcq{
-						class: cls, held: heldClasses(held), pos: stmt.Pos(),
-					})
-				}
-				held[recv] = cls
-			case "Unlock", "RUnlock":
-				delete(held, recv)
+// summarizeLocks walks fd's body with the shared held-lock walker,
+// recording acquisitions, statically bound calls and direct durable-I/O
+// sites with the classes held at each.
+func summarizeLocks(prog *Program, fn *types.Func, fd *ast.FuncDecl) *lockSummary {
+	sum := &lockSummary{key: funcKey(fn), decl: fd}
+	w := &lockWalk{
+		prog: prog,
+		acquire: func(class string, pos token.Pos, held heldLocks) {
+			if class != "" {
+				sum.acquires = append(sum.acquires, lockAcq{class: class, held: held.classes(), pos: pos})
 			}
-			continue
-		}
-		if d, ok := stmt.(*ast.DeferStmt); ok {
-			if _, kind, ok := deferredUnlock(d); ok && (kind == "Unlock" || kind == "RUnlock") {
-				continue // lock held to end of this statement list
+		},
+		visit: func(n ast.Node, held heldLocks) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
 			}
-		}
-		sc.scanStmt(stmt, held)
-	}
-}
-
-// lockOpRecvExpr returns the receiver expression of a lock-op statement
-// already matched by lockOp ("t.mu" in `t.mu.Lock()`).
-func lockOpRecvExpr(stmt ast.Stmt) ast.Expr {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return sel.X
-}
-
-func (sc *orderScan) scanStmt(stmt ast.Stmt, held map[string]string) {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		sc.scanBlock(s.List, held)
-	case *ast.LabeledStmt:
-		sc.scanStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
-		}
-		sc.recordExpr(s.Cond, held)
-		sc.scanBlock(s.Body.List, held)
-		if s.Else != nil {
-			sc.scanStmt(s.Else, held)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			sc.recordExpr(s.Cond, held)
-		}
-		if s.Post != nil {
-			sc.scanStmt(s.Post, held)
-		}
-		sc.scanBlock(s.Body.List, held)
-	case *ast.RangeStmt:
-		sc.recordExpr(s.X, held)
-		sc.scanBlock(s.Body.List, held)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			sc.scanStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			sc.recordExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.scanBlock(cc.Body, held)
+			if prog.fsOp(call) != "" {
+				sum.directIO = true
+				sum.ioHeld = append(sum.ioHeld, held.classes())
 			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				sc.scanBlock(cc.Body, held)
+			if callee := prog.callee(call); callee != nil {
+				sum.calls = append(sum.calls, lockCall{callee: callee, held: held.classes()})
 			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sc.scanBlock(cc.Body, held)
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned body runs with no inherited locks; literal bodies
-		// are scanned as lock-free roots via their own declarations, and
-		// calls inside them must not be recorded with this held set.
-	default:
-		sc.recordExpr(stmt, held)
+		},
 	}
-}
-
-// recordExpr inspects a leaf statement/expression, recording resolved
-// calls and direct durable-I/O operations with the current held set.
-func (sc *orderScan) recordExpr(n ast.Node, held map[string]string) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch e := m.(type) {
-		case *ast.FuncLit:
-			return false // runs later, without these locks
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if lit, ok := e.Fun.(*ast.FuncLit); ok {
-				// Immediately-invoked literal runs here, under the locks.
-				sc.scanBlock(lit.Body.List, held)
-			}
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Create", "Rename", "SyncDir":
-					if !sc.isModuleHelperCall(e) {
-						sc.sum.directIO = true
-						sc.sum.ioHeld = append(sc.sum.ioHeld, heldClasses(held))
-					}
-				}
-			}
-			if callee := sc.resolveCallee(e); callee != "" {
-				sc.sum.calls = append(sc.sum.calls, lockCall{
-					callee: callee, held: heldClasses(held), pos: e.Pos(),
-				})
-			}
-		}
-		return true
-	})
-}
-
-// resolveCallee binds a call to a module-internal function key using the
-// same resolution rules as BuildCallGraph; unresolvable calls return "".
-func (sc *orderScan) resolveCallee(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return sc.pkgPath + "." + fun.Name
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if path, imported := importNames(sc.node.File.AST)[id.Name]; imported {
-				if strings.HasPrefix(path, sc.modPath+"/") || path == sc.modPath {
-					return path + "." + fun.Sel.Name
-				}
-				return ""
-			}
-		}
-		if t := sc.res.typeOf(fun.X); t != "" {
-			return sc.pkgPath + "." + t + "." + fun.Sel.Name
-		}
-	}
-	return ""
-}
-
-// isModuleHelperCall reports whether call is pkg.Fn(...) on a
-// module-internal imported package — a helper function like
-// tablet.Create, not a filesystem method.
-func (sc *orderScan) isModuleHelperCall(call *ast.CallExpr) bool {
-	name, _, ok := pkgCall(call)
-	if !ok {
-		return false
-	}
-	path, imported := importNames(sc.node.File.AST)[name]
-	return imported && (strings.HasPrefix(path, sc.modPath+"/") || path == sc.modPath)
-}
-
-func copyStrMap(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	w.block(fd.Body.List, nil)
+	return sum
 }

@@ -11,7 +11,7 @@
 // The package mirrors the spirit of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, testdata fixtures with want comments) but is
 // self-contained on the standard library, because the repository carries no
-// module dependencies. Unlike go/analysis, a Pass sees the whole parsed
+// module dependencies. Unlike go/analysis, a Pass sees the whole type-checked
 // program at once — rules such as vfsonly, retrysafe and lockorder are
 // inherently cross-package, which the per-package go/analysis model makes
 // awkward and the whole-program model makes trivial.
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -41,7 +42,7 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// A Pass hands an Analyzer the parsed program and collects its
+// A Pass hands an Analyzer the type-checked program and collects its
 // diagnostics.
 type Pass struct {
 	Analyzer *Analyzer
@@ -70,12 +71,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// A Program is the whole parsed module: every package, with test files
-// marked, sharing one FileSet.
+// A Program is the whole type-checked module: every package, with test
+// files marked, sharing one FileSet and one types.Info. Each AST node
+// belongs to exactly one package, so one Info answers TypeOf, Uses and
+// Selections for every file.
 type Program struct {
 	Fset    *token.FileSet
 	ModPath string // module path from go.mod, e.g. "littletable"
 	Pkgs    []*Package
+	Info    *types.Info
 }
 
 // Package looks up a package by import path, or nil.
@@ -93,11 +97,13 @@ type Package struct {
 	PkgPath string // import path, e.g. "littletable/internal/core"
 	Dir     string
 	Files   []*SourceFile
+	Types   *types.Package // checked from the non-test files
 }
 
 // A SourceFile is one parsed file. Analyzers skip IsTest files: tests
 // exercise error paths and real filesystems on purpose, and the crash
-// harness itself lives in _test.go files.
+// harness itself lives in _test.go files. Test files are not
+// type-checked; they are loaded for their //ltlint:ignore directives.
 type SourceFile struct {
 	Path   string
 	AST    *ast.File
@@ -113,8 +119,7 @@ var ignoreBare = regexp.MustCompile(`^//ltlint:ignore(\s+[a-z][a-z0-9,_-]*)?\s*$
 
 // An IgnoreDirective is one well-formed //ltlint:ignore comment. Used
 // reports whether the directive suppressed at least one finding in the
-// last full-suite run — the signal behind cmd/ltlint's
-// -check-stale-ignores audit.
+// last run — the signal behind cmd/ltlint's stale-ignore audit.
 type IgnoreDirective struct {
 	Pos   token.Position
 	Rules []string
@@ -198,9 +203,7 @@ type Result struct {
 	Ignores []*IgnoreDirective
 }
 
-// StaleIgnores returns the directives that suppressed nothing. Only
-// meaningful when the run covered the full analyzer suite: a partial
-// -rules run trivially leaves other rules' directives unconsumed.
+// StaleIgnores returns the directives that suppressed nothing.
 func (r *Result) StaleIgnores() []*IgnoreDirective {
 	var out []*IgnoreDirective
 	for _, d := range r.Ignores {
@@ -286,37 +289,67 @@ func All() []*Analyzer {
 	}
 }
 
-// importNames maps each file-local package name to its import path, so
-// analyzers resolve `os.Open` correctly even under a renamed import.
-func importNames(f *ast.File) map[string]string {
-	m := make(map[string]string)
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			name = path[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == "_" || name == "." {
-			continue
-		}
-		m[name] = path
+// callee returns the function or method call statically invokes: its
+// generic origin, or nil for builtins, conversions and calls of function
+// values.
+func (prog *Program) callee(call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch e := fun.(type) {
+	case *ast.IndexExpr: // explicit instantiation f[T](...)
+		fun = e.X
+	case *ast.IndexListExpr:
+		fun = e.X
 	}
-	return m
+	var id *ast.Ident
+	switch e := fun.(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	}
+	fn, _ := prog.Info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
-// pkgCall reports whether call is `name.sel(...)` for a plain package
-// identifier, returning the local package name and selector.
-func pkgCall(call *ast.CallExpr) (pkgName, sel string, ok bool) {
-	s, okSel := call.Fun.(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
+// calleeKey is funcKey of call's static callee, or "".
+func (prog *Program) calleeKey(call *ast.CallExpr) string {
+	if fn := prog.callee(call); fn != nil {
+		return funcKey(fn)
 	}
-	id, okID := s.X.(*ast.Ident)
-	if !okID {
-		return "", "", false
+	return ""
+}
+
+// funcKey names a function by where it is declared: "pkgpath.Name" for
+// functions, "pkgpath.Type.Name" for methods (through a pointer
+// receiver), so "os.Create", "sync.WaitGroup.Wait" and
+// "littletable/internal/core.Table.flush".
+func funcKey(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return fn.Name() // error.Error
 	}
-	return id.Name, s.Sel.Name, true
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if n := namedOf(recv.Type()); n != nil {
+			return typeKey(n) + "." + fn.Name()
+		}
+	}
+	return fn.Pkg().Path() + "." + fn.Name()
+}
+
+// typeKey names a defined type "pkgpath.Type".
+func typeKey(n *types.Named) string {
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+}
+
+// namedOf returns the defined type of t or of the type *t points to, or
+// nil.
+func namedOf(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	n, _ := t.(*types.Named)
+	return n
 }

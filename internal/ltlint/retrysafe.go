@@ -3,6 +3,7 @@ package ltlint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -41,7 +42,7 @@ const classifiedField = "Idempotent"
 // idempotentRequests reads the request table out of internal/wire's
 // source — the package-level []Request literal — and returns the constant
 // names of the rows marked Idempotent: true, or nil without a table.
-func idempotentRequests(wirePkg *Package) map[string]bool {
+func idempotentRequests(prog *Program, wirePkg *Package) map[string]bool {
 	for _, f := range wirePkg.Files {
 		if f.IsTest {
 			continue
@@ -57,7 +58,7 @@ func idempotentRequests(wirePkg *Package) map[string]bool {
 					continue
 				}
 				cl, ok := vs.Values[0].(*ast.CompositeLit)
-				if !ok || !isRequestSlice(cl.Type) {
+				if !ok || !isRequestSlice(prog.Info.TypeOf(cl), wirePkg.PkgPath) {
 					continue
 				}
 				idem := make(map[string]bool)
@@ -100,14 +101,14 @@ func requestRow(row ast.Expr) (name string, idempotent bool) {
 	return name, idempotent
 }
 
-// isRequestSlice matches the type expression []Request.
-func isRequestSlice(t ast.Expr) bool {
-	at, ok := t.(*ast.ArrayType)
-	if !ok || at.Len != nil {
+// isRequestSlice reports whether t is []wire.Request.
+func isRequestSlice(t types.Type, wirePath string) bool {
+	s, ok := t.(*types.Slice)
+	if !ok {
 		return false
 	}
-	id, ok := at.Elt.(*ast.Ident)
-	return ok && id.Name == "Request"
+	n := namedOf(s.Elem())
+	return n != nil && typeKey(n) == wirePath+".Request"
 }
 
 func runRetrySafe(p *Pass) error {
@@ -115,7 +116,7 @@ func runRetrySafe(p *Pass) error {
 	clientPkg := p.Prog.Package(mod + "/internal/client")
 	wirePkg := p.Prog.Package(mod + "/internal/wire")
 	if clientPkg != nil && wirePkg != nil {
-		if idem := idempotentRequests(wirePkg); idem == nil {
+		if idem := idempotentRequests(p.Prog, wirePkg); idem == nil {
 			p.Reportf(wirePkg.Files[0].AST.Package,
 				"internal/wire declares no request table (a package-level []Request literal); "+
 					"the retry policy has no source of truth to consult")
@@ -131,8 +132,8 @@ func runRetrySafe(p *Pass) error {
 // and read a wire message and verifies each is driven by the
 // classification table.
 func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
-	// refsTable: function name (local key "Name" or "Recv.Name") →
-	// whether its body reads a request row's Idempotent field.
+	// refsTable: funcKey → whether its body reads a request row's
+	// Idempotent field.
 	refsTable := make(map[string]bool)
 	type primitive struct {
 		fd        *ast.FuncDecl
@@ -150,11 +151,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			_, recvType := receiverOf(fd)
-			key := fd.Name.Name
-			if recvType != "" {
-				key = recvType + "." + fd.Name.Name
-			}
+			key := funcKey(p.Prog.Info.Defs[fd.Name].(*types.Func))
 			bodies[key] = fd
 			var writes []ast.Expr
 			var reads bool
@@ -196,25 +193,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 		if refsTable[key] {
 			return true
 		}
-		found := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || found {
-				return !found
-			}
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				if refsTable[fun.Name] {
-					found = true
-				}
-			case *ast.SelectorExpr:
-				if refsTable[fun.Sel.Name] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
+		return calls(p.Prog, fd, func(callee string) bool { return refsTable[callee] })
 	}
 
 	for _, prim := range prims {
@@ -244,20 +223,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 			if callerKey == prim.key || fd.Body == nil {
 				continue
 			}
-			callsPrim := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || callsPrim {
-					return !callsPrim
-				}
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					callsPrim = fun.Name == prim.fd.Name.Name
-				case *ast.SelectorExpr:
-					callsPrim = fun.Sel.Name == prim.fd.Name.Name
-				}
-				return !callsPrim
-			})
+			callsPrim := calls(p.Prog, fd, func(callee string) bool { return callee == prim.key })
 			if callsPrim && consults(callerKey) {
 				driven = true
 				break
@@ -269,6 +235,19 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 				prim.fd.Name.Name, classifiedField)
 		}
 	}
+}
+
+// calls reports whether fd's body calls a function whose funcKey
+// satisfies match.
+func calls(prog *Program, fd *ast.FuncDecl, match func(callee string) bool) bool {
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && match(prog.calleeKey(call)) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // checkInstallOffsets enforces the offset-0 restart discipline at every

@@ -109,3 +109,19 @@ func (t *T) suppressed() {
 	t.c <- 1
 	t.mu.Unlock()
 }
+
+// waitParamLocked waits on a group its caller passed in: the receiver is
+// a parameter, not a field, and its type still says WaitGroup.
+func (t *T) waitParamLocked(wg *sync.WaitGroup) {
+	t.mu.Lock()
+	wg.Wait() // want `wg\.Wait\(\) while holding t\.mu`
+	t.mu.Unlock()
+}
+
+// waitLocalLocked waits on a local group under the lock.
+func (t *T) waitLocalLocked() {
+	done := &sync.WaitGroup{}
+	t.mu.Lock()
+	done.Wait() // want `done\.Wait\(\) while holding t\.mu`
+	t.mu.Unlock()
+}

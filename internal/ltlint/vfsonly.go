@@ -46,39 +46,24 @@ func runVfsOnly(p *Pass) error {
 			pkgPath == mod+"/internal/ltlint" ||
 			strings.HasPrefix(pkgPath, mod+"/internal/ltlint/")
 	}
-	for _, pkg := range p.Prog.Pkgs {
+	inspectNonTest(p.Prog, func(pkg *Package, _ *SourceFile, n ast.Node) bool {
 		if exempt(pkg.PkgPath) {
-			continue
+			return false
 		}
-		for _, f := range pkg.Files {
-			if f.IsTest {
-				continue
-			}
-			imports := importNames(f.AST)
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, sel, ok := pkgCall(call)
-				if !ok {
-					return true
-				}
-				switch imports[name] {
-				case "os":
-					if osFileIO[sel] {
-						p.Reportf(call.Pos(), "direct os.%s outside internal/vfs; "+
-							"route file I/O through vfs.FS so FaultFS and the crash harness cover it", sel)
-					}
-				case "io/ioutil":
-					if ioutilFileIO[sel] {
-						p.Reportf(call.Pos(), "direct ioutil.%s outside internal/vfs; "+
-							"route file I/O through vfs.FS so FaultFS and the crash harness cover it", sel)
-					}
-				}
-				return true
-			})
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-	}
+		key := p.Prog.calleeKey(call)
+		if name, ok := strings.CutPrefix(key, "os."); ok && osFileIO[name] {
+			p.Reportf(call.Pos(), "direct os.%s outside internal/vfs; "+
+				"route file I/O through vfs.FS so FaultFS and the crash harness cover it", name)
+		}
+		if name, ok := strings.CutPrefix(key, "io/ioutil."); ok && ioutilFileIO[name] {
+			p.Reportf(call.Pos(), "direct ioutil.%s outside internal/vfs; "+
+				"route file I/O through vfs.FS so FaultFS and the crash harness cover it", name)
+		}
+		return true
+	})
 	return nil
 }

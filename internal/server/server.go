@@ -104,6 +104,11 @@ type Server struct {
 	tables map[string]*core.Table
 	closed bool
 
+	// ddlMu serializes CreateTable and DropTable, so a table directory is
+	// created or removed by one call at a time. It is held across their
+	// file I/O; mu, which every request takes to find its table, never is.
+	ddlMu sync.Mutex
+
 	// Migration receive path: chunked tablet images being staged before
 	// install, keyed by table + file. Guarded by migMu (not mu: staging
 	// appends happen during request handling and must not contend with
@@ -245,17 +250,27 @@ func (s *Server) CreateTable(name string, sc *schema.Schema, ttl int64) (*core.T
 	if !tableNameRE.MatchString(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadTableName, name)
 	}
+	s.ddlMu.Lock()
+	defer s.ddlMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	_, exists := s.tables[name]
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if _, ok := s.tables[name]; ok {
+	if exists {
 		return nil, fmt.Errorf("server: table %q already exists", name)
 	}
 	t, err := core.CreateTable(s.opts.Root, name, sc, ttl, s.opts.Core)
 	if err != nil {
 		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		t.Close()
+		return nil, ErrClosed
 	}
 	s.tables[name] = t
 	return t, nil
@@ -264,6 +279,8 @@ func (s *Server) CreateTable(name string, sc *schema.Schema, ttl int64) (*core.T
 // DropTable closes the table and deletes its directory. Dashboard drops
 // and recreates tables freely during feature development (§3.5).
 func (s *Server) DropTable(name string) error {
+	s.ddlMu.Lock()
+	defer s.ddlMu.Unlock()
 	s.mu.Lock()
 	t, ok := s.tables[name]
 	if ok {

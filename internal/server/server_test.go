@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
+	"littletable/internal/vfs"
 )
 
 func testSchema() *schema.Schema {
@@ -237,5 +239,59 @@ func TestMatchTables(t *testing.T) {
 		if got := strings.Join(names, ","); got != tc.want || truncated != tc.truncated {
 			t.Errorf("max %d: got %s truncated=%v, want %s truncated=%v", tc.max, got, truncated, tc.want, tc.truncated)
 		}
+	}
+}
+
+// TestCreateTableDoesNotBlockLookups pins that a table's creation I/O runs
+// outside the lock every request takes to find its table: lookups proceed
+// while a create is parked inside its descriptor commit, and concurrent
+// creates of one name still admit exactly one.
+func TestCreateTableDoesNotBlockLookups(t *testing.T) {
+	fs := vfs.NewMem()
+	s, err := New(Options{Root: "/data", Core: core.Options{FS: fs}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.CreateTable("a", testSchema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fs.SetBarrierHook(func(op, path string) {
+		if strings.Contains(path, "slow") {
+			once.Do(func() { close(parked); <-release })
+		}
+	})
+	const creators = 4
+	errs := make(chan error, creators)
+	for i := 0; i < creators; i++ {
+		go func() {
+			_, err := s.CreateTable("slow", testSchema(), 0)
+			errs <- err
+		}()
+	}
+	<-parked
+	looked := make(chan struct{})
+	go func() {
+		s.Table("a")
+		s.TableNames()
+		close(looked)
+	}()
+	select {
+	case <-looked:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("table lookups waited for another table's creation I/O")
+	}
+	close(release)
+	created := 0
+	for i := 0; i < creators; i++ {
+		if err := <-errs; err == nil {
+			created++
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d of %d concurrent creates of one name succeeded, want 1", created, creators)
 	}
 }
