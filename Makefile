@@ -43,15 +43,22 @@ bench-e2e:
 
 # leakcheck fails if a benchmark, daemon, router or test process is still
 # running: nothing a command starts may outlive it. Run it on its own after
-# the last benchmark and test: a shell whose command line also names those
-# programs matches. Bracketing one character of each pattern keeps pgrep
-# from matching the shell make starts for it. go test runs each test
-# binary with flags (pkg.test -test.paniconexit0 ...), so a .test name
-# may be followed by a space, not only end the command line; -a prints
-# the whole command line of each match.
+# the last benchmark and test. Its own ancestors are skipped (found by
+# walking parent PIDs up from the recipe's shell), so a calling shell whose
+# command line also names those programs, such as
+# bash -c 'go test ./... && make leakcheck', does not match itself.
+# Bracketing one character of each pattern keeps pgrep from matching the
+# shell make starts for it. go test runs each test binary with flags
+# (pkg.test -test.paniconexit0 ...), so a .test name may be followed by a
+# space, not only end the command line; -a prints the whole command line
+# of each match.
 leakcheck:
-	@if pgrep -fa '[l]tbenchmark|[l]ittletabled|[l]ittletable-router|[l]tbench|[g]o test|\.tes[t]( |$$)'; then \
-		echo "leakcheck: the processes above outlived their command" >&2; exit 1; \
+	@anc=' '; p=$$$$; \
+	while [ -n "$$p" ] && [ "$$p" -gt 1 ]; do anc="$$anc$$p "; p=$$(ps -o ppid= -p "$$p" | tr -d ' '); done; \
+	left=$$(pgrep -fa '[l]tbenchmark|[l]ittletabled|[l]ittletable-router|[l]tbench|[g]o test|\.tes[t]( |$$)' | \
+		while read -r pid cmd; do case "$$anc" in *" $$pid "*) ;; *) echo "$$pid $$cmd" ;; esac; done); \
+	if [ -n "$$left" ]; then \
+		echo "$$left"; echo "leakcheck: the processes above outlived their command" >&2; exit 1; \
 	fi
 
 # loc prints the number CHANGES.md tracks per ROADMAP item 6: lines of

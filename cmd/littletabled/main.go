@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"littletable"
-	"littletable/internal/block"
 )
 
 func main() {
@@ -53,7 +52,6 @@ func main() {
 		maxUnflush  = flag.Int64("max-unflushed-bytes", 0, "sealed-but-unflushed bytes before inserts stall (0 = default, <0 = unlimited)")
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight requests before closing (0 = close immediately)")
 		maxInFlight = flag.Int("max-in-flight", 0, "shed requests beyond this many concurrently in flight with a retryable Overloaded refusal (0 = unlimited)")
-		blockEnc    = flag.String("block-encoding", "auto", "block encoding for new tablets: auto (per-column codecs when smaller) or legacy (pre-columnar row-major images)")
 	)
 	flag.Parse()
 
@@ -77,14 +75,6 @@ func main() {
 	opts.Core.MergeWorkers = *mergeWork
 	opts.Core.MaintenanceIOBytesPerSec = *maintIO
 	opts.Core.MaxUnflushedBytes = *maxUnflush
-	switch *blockEnc {
-	case "auto":
-		opts.Core.BlockEncoding = block.ModeAuto
-	case "legacy":
-		opts.Core.BlockEncoding = block.ModeLegacy
-	default:
-		log.Fatalf("littletabled: -block-encoding must be auto or legacy, got %q", *blockEnc)
-	}
 
 	srv, err := littletable.NewServer(opts)
 	if err != nil {

@@ -14,6 +14,7 @@ func buildLtsql(t *testing.T) string {
 	bin := filepath.Join(t.TempDir(), "ltsql")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	cmd.Env = os.Environ()
+	dieWithTest(cmd)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
@@ -23,6 +24,7 @@ func buildLtsql(t *testing.T) string {
 func run(t *testing.T, bin string, stdin string, args ...string) (string, error) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
+	dieWithTest(cmd)
 	if stdin != "" {
 		cmd.Stdin = strings.NewReader(stdin)
 	}

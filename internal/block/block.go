@@ -45,7 +45,7 @@ type Writer struct {
 func NewWriter(sc *schema.Schema) *Writer { return NewWriterMode(sc, ModeAuto) }
 
 // NewWriterMode returns a Writer with an explicit encoding mode. ModeLegacy
-// output is byte-identical to the pre-columnar format.
+// blocks are byte-identical to the pre-columnar format's.
 func NewWriterMode(sc *schema.Schema, mode Mode) *Writer {
 	w := &Writer{sc: sc, mode: mode, buf: make([]byte, 0, TargetSize+1024)}
 	if mode == ModeAuto {

@@ -58,9 +58,9 @@ const (
 	// ModeAuto trial-encodes each block per column and emits the columnar
 	// layout when it is smaller than the legacy image. The default.
 	ModeAuto Mode = iota
-	// ModeLegacy always emits the row-major layout (and the tablet writer
-	// pairs it with a version-1 footer), producing output byte-identical
-	// to the pre-columnar format. The -block-encoding=legacy escape hatch.
+	// ModeLegacy always emits the row-major layout, the pre-columnar block
+	// image. The tablet writer no longer uses it; it remains the baseline
+	// that encoder tests and benchmarks compare auto mode against.
 	ModeLegacy
 )
 

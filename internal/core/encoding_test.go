@@ -7,73 +7,106 @@ import (
 	"path/filepath"
 	"testing"
 
-	"littletable/internal/block"
 	"littletable/internal/clock"
+	"littletable/internal/ltval"
+	"littletable/internal/schema"
+	"littletable/internal/tablet"
 )
 
-// buildEncodingDataset drives tt through a deterministic insert/flush/merge
-// schedule seeded by rng. Both tables in the differential test run this
-// with identically-seeded generators, so any divergence in what they later
-// serve is the encoder's fault, not the schedule's.
-func buildEncodingDataset(t *testing.T, rng *rand.Rand, tt *testTable) int {
-	t.Helper()
-	n := 0
-	base := tt.clk.Now()
-	for batch := 0; batch < 12; batch++ {
-		for i := 0; i < 40; i++ {
-			net := int64(1 + rng.Intn(3))
-			dev := int64(rng.Intn(20))
-			ts := base + int64(batch)*clock.Hour + int64(i)*clock.Second
-			mustInsert(t, tt.Table, usageRow(net, dev, ts, float64(rng.Intn(1000))/8, int64(n)))
-			n++
-		}
-		if err := tt.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		tt.clk.Advance(clock.Hour)
+// v1Fixture is the committed pre-columnar tablet (row-major blocks,
+// version-1 footer) that the tablet package's golden tests pin.
+var v1Fixture = filepath.Join("..", "tablet", "testdata", "v1_compressed.tab")
+
+// fixtureBox draws a random 2-D query box over the fixture's key space:
+// network 0..2, device 0..9 (an int32), timestamps within 20 minutes.
+func fixtureBox(rng *rand.Rand) Query {
+	q := NewQuery()
+	a, b := rng.Int63n(4), rng.Int63n(4)
+	if a > b {
+		a, b = b, a
 	}
-	// Age everything past MergeDelay and run maintenance to completion so
-	// the dataset has been through the merge (re-encode) path, not just
-	// the flush path.
-	tt.clk.Advance(2 * clock.Day)
-	if err := tt.MaintainUntilQuiet(); err != nil {
-		t.Fatal(err)
+	if rng.Intn(3) > 0 {
+		q.Lower = []ltval.Value{ltval.NewInt64(a)}
+		if rng.Intn(2) == 0 {
+			q.Lower = append(q.Lower, ltval.NewInt32(int32(rng.Intn(10))))
+		}
+		q.LowerInc = rng.Intn(4) > 0
 	}
-	return n
+	if rng.Intn(3) > 0 {
+		q.Upper = []ltval.Value{ltval.NewInt64(b)}
+		q.UpperInc = rng.Intn(4) > 0
+	}
+	if rng.Intn(2) == 0 {
+		q.MinTs = rng.Int63n(20) * clock.Minute
+		q.MaxTs = q.MinTs + rng.Int63n(10)*clock.Minute
+	}
+	q.Descending = rng.Intn(3) == 0
+	return q
 }
 
 // TestEncodingDifferentialAutoVsLegacy is the columnar encoder's
-// correctness proof at the engine level: two tables built through an
-// identical randomized schedule — one writing auto-encoded blocks, one
-// pinned to the legacy row-major layout — must serve bit-identical rows
-// for full scans and random bounding boxes, at every query parallelism,
-// after background merges have rewritten both.
+// correctness proof at the engine level, against the pre-columnar format
+// the writer no longer emits: a table serving the committed v1 fixture
+// and a table holding the same rows inserted, flushed and merged by
+// today's writer must serve identical rows for full scans and random
+// bounding boxes, at every query parallelism, and again after reopening.
 func TestEncodingDifferentialAutoVsLegacy(t *testing.T) {
+	raw, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix, err := tablet.Open(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := fix.Schema()
+	var rows []schema.Row
+	for c := fix.Cursor(true); c.Next(); {
+		rows = append(rows, schema.CloneRow(c.Row()))
+	}
+	minTs, maxTs := fix.Timespan()
+	fix.Close()
+
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			mk := func(mode block.Mode, seed int64) (*testTable, int) {
-				opts := Options{
-					FlushSize:        2048,
-					MergeDelay:       1 * clock.Second,
-					MergeWorkers:     2,
-					QueryParallelism: par,
-					BlockEncoding:    mode,
+			clk := clock.NewFake(testStart)
+			opts := Options{
+				Clock:            clk,
+				FlushSize:        2048,
+				MergeDelay:       1 * clock.Second,
+				MergeWorkers:     2,
+				QueryParallelism: par,
+			}
+			create := func() (*Table, string) {
+				dir := t.TempDir()
+				tab, err := CreateTable(dir, "golden", sc, 0, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				tt := newTestTable(t, opts)
-				n := buildEncodingDataset(t, rand.New(rand.NewSource(seed)), tt)
-				return tt, n
+				return tab, dir
 			}
-			seed := int64(100 + par)
-			auto, nAuto := mk(block.ModeAuto, seed)
-			legacy, nLegacy := mk(block.ModeLegacy, seed)
-			if nAuto != nLegacy {
-				t.Fatalf("schedules diverged: %d vs %d rows", nAuto, nLegacy)
+			legacy, legacyDir := create()
+			defer func() { legacy.Close() }()
+			if err := legacy.InstallTablet(raw, int64(len(rows)), minTs, maxTs); err != nil {
+				t.Fatal(err)
 			}
-
-			// The comparison is only meaningful if the auto table actually
-			// used the columnar layout somewhere.
-			if s := auto.Stats().Snapshot(); s.BlocksEncodedColumnar == 0 {
-				t.Fatal("auto table never chose the columnar layout; differential is vacuous")
+			auto, autoDir := create()
+			defer func() { auto.Close() }()
+			for i := 0; i < len(rows); i += 200 {
+				mustInsert(t, auto, rows[i:min(i+200, len(rows))]...)
+				if err := auto.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clk.Advance(2 * clock.Day)
+			if err := auto.MaintainUntilQuiet(); err != nil {
+				t.Fatal(err)
+			}
+			// The comparison is only meaningful if the auto table used the
+			// columnar layout and merged, and the legacy table encoded
+			// nothing of its own.
+			if s := auto.Stats().Snapshot(); s.BlocksEncodedColumnar == 0 || s.Merges == 0 {
+				t.Fatalf("auto table encoded %d columnar blocks in %d merges; differential is vacuous", s.BlocksEncodedColumnar, s.Merges)
 			}
 			if s := legacy.Stats().Snapshot(); s.BlocksEncodedColumnar != 0 {
 				t.Fatalf("legacy table encoded %d columnar blocks", s.BlocksEncodedColumnar)
@@ -81,8 +114,8 @@ func TestEncodingDifferentialAutoVsLegacy(t *testing.T) {
 
 			compare := func(q Query, label string) {
 				t.Helper()
-				got := queryBox(t, auto.Table, q)
-				want := queryBox(t, legacy.Table, q)
+				got := queryBox(t, auto, q)
+				want := queryBox(t, legacy, q)
 				if len(got) != len(want) {
 					t.Fatalf("%s: auto returned %d rows, legacy %d", label, len(got), len(want))
 				}
@@ -95,30 +128,29 @@ func TestEncodingDifferentialAutoVsLegacy(t *testing.T) {
 					}
 				}
 			}
+			if got := queryBox(t, legacy, NewQuery()); len(got) != len(rows) {
+				t.Fatalf("legacy table serves %d rows, want the fixture's %d", len(got), len(rows))
+			}
 			compare(NewQuery(), "full scan")
-			rng := rand.New(rand.NewSource(seed * 7))
+			rng := rand.New(rand.NewSource(int64(100 + par)))
 			for trial := 0; trial < 25; trial++ {
-				compare(randomBox(rng, testStart), fmt.Sprintf("box %d", trial))
+				compare(fixtureBox(rng), fmt.Sprintf("box %d", trial))
 			}
 
-			// Crash-reopen both: the on-disk images alone must still agree.
-			compare2 := func(q Query) {
+			// Reopen both: the on-disk images alone must still agree.
+			reopen := func(tab *Table, dir string) *Table {
 				t.Helper()
-				a, l := reopen(t, auto), reopen(t, legacy)
-				got := queryBox(t, a.Table, q)
-				want := queryBox(t, l.Table, q)
-				if len(got) != len(want) {
-					t.Fatalf("reopen: auto %d rows, legacy %d", len(got), len(want))
+				if err := tab.Close(); err != nil {
+					t.Fatal(err)
 				}
-				for i := range want {
-					for j := range want[i] {
-						if !got[i][j].Equal(want[i][j]) {
-							t.Fatalf("reopen: row %d col %d differs", i, j)
-						}
-					}
+				re, err := OpenTable(dir, "golden", opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				return re
 			}
-			compare2(NewQuery())
+			legacy, auto = reopen(legacy, legacyDir), reopen(auto, autoDir)
+			compare(NewQuery(), "reopen")
 		})
 	}
 }

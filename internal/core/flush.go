@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"littletable/internal/clock"
 	"littletable/internal/period"
 )
-
-// tickFlushRetries bounds how many consecutive flush errors one Tick
-// absorbs before moving on to TTL expiry and merging; before this bound a
-// single bad flush starved the rest of maintenance until the next tick.
-const tickFlushRetries = 3
 
 // FlushStep writes the oldest unclaimed pending flush group to disk — one
 // on-disk tablet per frozen in-memory tablet — and publishes every written
@@ -28,11 +24,24 @@ const tickFlushRetries = 3
 // rows, exactly as in the serial engine; the loss is counted
 // (Stats.CommitFailures, Stats.RowsLost) and returned as ErrRowsLost.
 func (t *Table) FlushStep() (bool, error) {
-	ok, err := t.flushStep()
+	return t.flushStep(false)
+}
+
+// flushStep is FlushStep for either kind of caller. A failure sets the
+// retry schedule (retryBackoff on Options.Clock) that scheduled callers
+// honour: while it holds, a scheduled step claims nothing.
+func (t *Table) flushStep(scheduled bool) (bool, error) {
+	ok, err := t.writeNextGroup(scheduled)
 	t.mu.Lock()
 	if err != nil && !errors.Is(err, ErrTableClosed) {
 		t.flushFails++
+		d := retryBackoff(t.flushFails)
+		t.flushRetryAt = t.opts.Clock.Now() + d
+		// Counted after the schedule is set: whoever sees the failure
+		// also sees its retry time.
 		t.stats.FlushFailures.Add(1)
+		t.opts.Logf("littletable: table %s: flush failed (%d consecutive): %v; retrying in %ds",
+			t.name, t.flushFails, err, d/clock.Second)
 	} else if ok && t.flushFails > 0 {
 		t.flushFails = 0
 		t.stats.FaultRecoveries.Add(1)
@@ -41,14 +50,19 @@ func (t *Table) FlushStep() (bool, error) {
 	return ok, err
 }
 
-func (t *Table) flushStep() (bool, error) {
+func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	// Claim the oldest queued group and reserve its sequence numbers while
 	// holding the lock; write files after releasing it so inserts and
 	// queries proceed during the I/O.
+	now := t.opts.Clock.Now()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return false, ErrTableClosed
+	}
+	if scheduled && t.flushFails > 0 && now < t.flushRetryAt {
+		t.mu.Unlock()
+		return false, nil
 	}
 	var g *flushGroup
 	for _, cand := range t.pending {
@@ -74,7 +88,6 @@ func (t *Table) flushStep() (bool, error) {
 			t.nextSeq++
 		}
 	}
-	now := t.opts.Clock.Now()
 	t.mu.Unlock()
 
 	disks, werr := t.writeGroup(g, now)
@@ -145,8 +158,8 @@ func (t *Table) commitWrittenLocked() error {
 	if err := t.writeDescriptorLocked(); err != nil {
 		// Roll back: the files exist but are not durable; drop them. The
 		// rows are lost from memory; count the loss and surface the error
-		// loudly (callers on the synchronous path return it directly; the
-		// background workers latch it for the next foreground caller).
+		// loudly (explicit callers and Tick return it; the background
+		// workers latch it for the next foreground caller).
 		var lost int64
 		for _, g := range committed {
 			for _, f := range g.tablets {
@@ -170,7 +183,7 @@ func (t *Table) commitWrittenLocked() error {
 	}
 	// Freshly committed tablets are merge candidates (after MergeDelay);
 	// let an idle maintenance worker take a look.
-	t.kickMaintLocked()
+	ring(t.maintKick)
 	return nil
 }
 
@@ -201,36 +214,65 @@ func (t *Table) dropLocked(dt *diskTablet) {
 	}
 }
 
-// drainPending blocks until every group currently in the pending queue has
-// committed. Groups claimed by concurrent flushers are waited on via the
-// commit broadcast rather than re-written.
-func (t *Table) drainPending() error {
+// drainFlush is the one flush loop: it claims, writes and commits queued
+// groups until done (called with t.mu held; nil means never) reports true,
+// and returns how many groups it wrote. Scheduled callers — Tick and the
+// flush workers — honour the retry schedule and return once nothing is
+// claimable. Explicit callers — FlushAll, FlushBefore and an inserter over
+// the backlog cap — try now, and wait on flushCond while every queued
+// group is in flight with another flusher rather than re-writing it. Both
+// return the first error.
+func (t *Table) drainFlush(scheduled bool, done func() bool) (int, error) {
+	n := 0
 	for {
-		ok, err := t.FlushStep()
+		ok, err := t.flushStep(scheduled)
 		if err != nil {
-			return err
-		}
-		if ok {
-			continue
+			return n, err
 		}
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
-			return ErrTableClosed
+			return n, ErrTableClosed
 		}
-		if len(t.pending) == 0 {
-			// Drained — but a group claimed by a background worker may have
-			// been lost to a failed commit; report that instead of success.
-			err := t.asyncErr
-			t.asyncErr = nil
+		if ok {
+			n++
+		}
+		if (done != nil && done()) || (!ok && scheduled) {
 			t.mu.Unlock()
-			return err
+			return n, nil
 		}
-		// Everything left is in flight with another flusher; wait for a
-		// state change and re-check.
-		t.flushCond.Wait()
+		if !ok {
+			t.flushCond.Wait()
+		}
 		t.mu.Unlock()
 	}
+}
+
+// flushPass is one scheduled flush pass: a flush worker's on each ring,
+// or Tick's own in serial mode. A lost commit (ErrRowsLost) is latched for
+// the next foreground caller — Tick takes it at once — since a worker has
+// no caller to return it to.
+func (t *Table) flushPass() error {
+	n, err := t.drainFlush(true, nil)
+	if t.flushKick != nil {
+		t.stats.AsyncFlushes.Add(int64(n))
+	}
+	if errors.Is(err, ErrRowsLost) {
+		t.mu.Lock()
+		t.asyncErr = err
+		t.mu.Unlock()
+		return nil
+	}
+	return err
+}
+
+// drainPending blocks until the pending queue is empty, then reports a
+// row loss a background flush latched meanwhile instead of success.
+func (t *Table) drainPending() error {
+	if _, err := t.drainFlush(false, func() bool { return len(t.pending) == 0 }); err != nil {
+		return err
+	}
+	return t.takeAsyncErr()
 }
 
 // FlushAll seals every filling tablet and drains the pending queue. Used
@@ -309,20 +351,17 @@ func (t *Table) flushPending() error {
 
 // Tick performs one round of time-driven maintenance: age-based sealing
 // of filling tablets (§3.4.1's 10-minute bound on data loss), flushing,
-// one merge round (§3.4.1–3.4.2), and TTL expiry (§3.3). The server calls
+// TTL expiry (§3.3), and one merge round (§3.4.1–3.4.2). The server calls
 // it periodically; tests call it with a fake clock.
 //
-// With flush workers the tick only rings their doorbell; without them it
-// drains every eligible sealed group itself, retrying a bounded number of
-// times on error so one bad flush neither abandons the rest of the
-// backlog until the next tick nor starves TTL expiry and merging.
-//
-// With merge workers (Options.MergeWorkers > 0), merging and expiry are
-// likewise reduced to a doorbell ring: the maintenance workers drain
-// them in the background, in parallel across disjoint periods. Their
-// failures do not surface through Tick's return value — they are logged,
-// counted (MergeFailures and friends), and retried on the backoff
-// schedule, exactly like background flush failures.
+// Tick runs the flush and maintenance passes inline, returning their
+// errors, unless the table has worker pools (Options.FlushWorkers,
+// Options.MergeWorkers): then it rings their doorbells, and the workers
+// run the same passes in the background — maintenance in parallel across
+// disjoint periods — logging and counting failures (FlushFailures,
+// MergeFailures and friends) instead of returning them. Either way a
+// failed flush or merge is retried on the same engine-clock backoff
+// schedule, on the first Tick after it expires.
 func (t *Table) Tick() error {
 	now := t.opts.Clock.Now()
 	t.mu.Lock()
@@ -333,45 +372,13 @@ func (t *Table) Tick() error {
 	t.sealFillingLocked(func(ft *fillingTablet) bool {
 		return !ft.mt.Empty() && now-ft.mt.CreatedAt() >= t.opts.FlushAge
 	})
-	hasPending := len(t.pending) > 0
-	async := t.flushKick != nil
-	if hasPending && async {
-		t.kickFlushLocked()
-	}
 	t.mu.Unlock()
-
-	var flushErr error
-	if hasPending && !async {
-		retries := 0
-		for {
-			ok, err := t.FlushStep()
-			if err != nil {
-				if errors.Is(err, ErrTableClosed) {
-					return err
-				}
-				flushErr = err
-				if retries++; retries >= tickFlushRetries {
-					break
-				}
-				continue
-			}
-			if !ok {
-				break
-			}
-		}
+	err := runPass(t.flushKick, t.flushPass)
+	if errors.Is(err, ErrTableClosed) {
+		return err
 	}
 	// Row loss latched by a background flush surfaces here too, so a
 	// server that only ever Ticks still observes it.
-	flushErr = errors.Join(flushErr, t.takeAsyncErr())
-	if t.maintKick != nil {
-		t.mu.Lock()
-		t.kickMaintLocked()
-		t.mu.Unlock()
-		return flushErr
-	}
-	if err := t.expireTTL(now); err != nil {
-		return errors.Join(flushErr, err)
-	}
-	_, err := t.MergeStep()
-	return errors.Join(flushErr, err)
+	err = errors.Join(err, t.takeAsyncErr())
+	return errors.Join(err, runPass(t.maintKick, t.tickMaintPass))
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"littletable/internal/clock"
 	"littletable/internal/period"
 )
 
@@ -34,35 +35,15 @@ type maintClaim struct {
 	seq    uint64
 }
 
-// kickMaintLocked rings the maintenance workers' doorbell (non-blocking;
-// buffered(1) level trigger). No-op in serial mode. Caller holds t.mu.
-func (t *Table) kickMaintLocked() {
-	if t.maintKick == nil {
-		return
-	}
-	select {
-	case t.maintKick <- struct{}{}:
-	default:
-	}
-}
-
-// maintBroadcastLocked wakes MaintainUntilQuiet waiters after any change
-// to maintenance state. Caller holds t.mu.
-func (t *Table) maintBroadcastLocked() {
-	if t.maintCond != nil {
-		t.maintCond.Broadcast()
-	}
-}
-
 // claimMergeLocked selects and claims the next merge, or returns nil when
 // none applies: among periods with an eligible candidate set (per
 // pickWithinGroupLocked) and no merge already in flight, it picks the one
 // that has been waiting longest. When dry, it only reports whether a claim
-// exists, without taking it — MaintainUntilQuiet and the workers use that
-// to agree on "no work left". Claiming marks the inputs busy, enters the
+// exists, without taking it — MaintainUntilQuiet uses that to decide
+// "no work left". Claiming marks the inputs busy, enters the
 // period into the merging set, and reserves the output seq. Caller holds
-// t.mu; merge retry backoff is honored here so every path (serial
-// MergeStep, workers, quiet checks) sees the same schedule.
+// t.mu; merge retry backoff is honored here so every path (Tick, workers,
+// quiet checks) sees the same schedule.
 func (t *Table) claimMergeLocked(now int64, dry bool) *maintClaim {
 	if t.maintHold > 0 {
 		// An export is copying sealed tablets out; merging would replace
@@ -160,88 +141,189 @@ func (t *Table) hasMaintWorkLocked(now int64) bool {
 	return t.expiryDueLocked(now) || t.claimMergeLocked(now, true) != nil
 }
 
-// MaintStep performs one unit of background maintenance: a due TTL expiry
-// round if any (expiry is cheap — drop + descriptor write — and must not
-// queue behind a long merge), otherwise one merge. It reports whether it
-// did anything. Safe for concurrent use; the maintenance workers drain it.
+// MaintStep performs one unit of maintenance: a due TTL expiry round if
+// any (expiry is cheap — drop + descriptor write — and must not queue
+// behind a long merge), otherwise one merge. It reports whether it did
+// anything. Safe for concurrent use.
 func (t *Table) MaintStep() (bool, error) {
-	now := t.opts.Clock.Now()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return false, ErrTableClosed
-	}
-	due := t.expiryDueLocked(now)
-	t.mu.Unlock()
-	if due {
-		if err := t.expireTTL(now); err != nil {
-			return true, err
-		}
-		return true, nil
-	}
-	return t.MergeStep()
+	did, _, err := t.maintStep(true)
+	return did, err
 }
 
-// maintWorker is one background maintenance worker: woken by the
-// doorbell, it drains MaintStep until nothing is claimable. Merge failures
-// are logged, counted, and paced by MergeStep's clock-based backoff, so
-// the worker itself never spins on a failing disk — it just parks until
-// the next tick rings the doorbell. It exits when Close closes stopMaint.
-func (t *Table) maintWorker() {
-	defer t.maintWG.Done()
-	for {
-		select {
-		case <-t.stopMaint:
-			return
-		case <-t.maintKick:
-		}
-		for {
-			did, err := t.MaintStep()
-			if err != nil {
-				if errors.Is(err, ErrTableClosed) {
-					return
-				}
-				break
-			}
-			if !did {
-				break
-			}
-		}
-	}
-}
-
-// MaintainUntilQuiet blocks until background maintenance has nothing left
-// to do: no claimable merge, no due expiry, and nothing in flight. With no
-// workers configured it drains inline (expiry + MergeUntilStable), so
-// callers can use it regardless of mode. Work that is merely deferred — a
-// tablet younger than MergeDelay, a period inside its rollover delay, a
-// merge backoff window — does not keep it waiting; it describes the
-// schedule now, not the schedule after the clock advances.
-func (t *Table) MaintainUntilQuiet() error {
-	if t.maintKick == nil {
-		if err := t.ExpireNow(); err != nil {
-			return err
-		}
-		_, err := t.MergeUntilStable()
-		if err != nil {
-			return err
-		}
-		return t.ExpireNow()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.kickMaintLocked()
-	for {
+// maintStep is MaintStep with expiry optional; merged reports whether the
+// unit was a merge.
+func (t *Table) maintStep(expire bool) (did, merged bool, err error) {
+	if expire {
+		now := t.opts.Clock.Now()
+		t.mu.Lock()
 		if t.closed {
+			t.mu.Unlock()
+			return false, false, ErrTableClosed
+		}
+		due := t.expiryDueLocked(now)
+		t.mu.Unlock()
+		if due {
+			return true, false, t.expireTTL(now)
+		}
+	}
+	merged, err = t.MergeStep()
+	return merged, merged, err
+}
+
+// drainMaint is the one maintenance loop. It runs maintenance units —
+// TTL expiry too when expire is set — until none applies, or until it has
+// merged maxMerges times (0 means no bound), and returns the number of
+// merges. Tick takes one merge per call; the maintenance workers,
+// MaintainUntilQuiet and MergeUntilStable run it unbounded. Merge retries
+// follow the schedule claimMergeLocked enforces, whoever calls.
+func (t *Table) drainMaint(expire bool, maxMerges int) (int, error) {
+	merges := 0
+	for maxMerges == 0 || merges < maxMerges {
+		did, merged, err := t.maintStep(expire)
+		if err != nil || !did {
+			return merges, err
+		}
+		if merged {
+			merges++
+		}
+	}
+	return merges, nil
+}
+
+// maintPass is one maintenance worker's pass per ring of the doorbell.
+func (t *Table) maintPass() error {
+	_, err := t.drainMaint(true, 0)
+	return err
+}
+
+// tickMaintPass is Tick's pass in serial mode: due expiry and one merge.
+func (t *Table) tickMaintPass() error {
+	_, err := t.drainMaint(true, 1)
+	return err
+}
+
+// MaintainUntilQuiet blocks until maintenance has nothing left to do: no
+// claimable merge, no due expiry, and nothing in flight. It drains the
+// maintenance loop itself and waits out merges and expiry rounds that
+// workers (or other callers) have in flight, so callers can use it in
+// either mode. Work that is merely deferred — a tablet younger than
+// MergeDelay, a period inside its rollover delay, a merge backoff window —
+// does not keep it waiting; it describes the schedule now, not the
+// schedule after the clock advances.
+func (t *Table) MaintainUntilQuiet() error {
+	for {
+		if _, err := t.drainMaint(true, 0); err != nil {
+			return err
+		}
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
 			return ErrTableClosed
 		}
-		now := t.opts.Clock.Now()
-		if !t.hasMaintWorkLocked(now) && len(t.merging) == 0 && !t.expiring {
+		busy := len(t.merging) > 0 || t.expiring
+		if !busy && !t.hasMaintWorkLocked(t.opts.Clock.Now()) {
+			t.mu.Unlock()
 			return nil
 		}
-		t.kickMaintLocked()
-		t.maintCond.Wait()
+		if busy {
+			t.maintCond.Wait()
+		}
+		t.mu.Unlock()
 	}
+}
+
+// Retry backoff: a failed flush or merge (bad disk, injected fault) must
+// never take the table down — inserts and queries continue — but hammering
+// a failing disk helps nobody, so scheduled retries back off exponentially,
+// capped, on the engine clock (Options.Clock).
+const (
+	retryBackoffBase = 1 * clock.Second
+	retryBackoffCap  = 60 * clock.Second
+)
+
+// retryBackoffMaxDoublings bounds the doubling loop below on its own: 63
+// doublings of a positive int64 base already wrap, and the cap is reached
+// far sooner, so the iteration count must never track a pathological
+// fails value.
+const retryBackoffMaxDoublings = 8
+
+// retryBackoff returns the delay before the next scheduled flush or merge
+// attempt after the given number of consecutive failures. The loop is
+// capped explicitly — both by the delay cap and by an iteration bound — so
+// no fails count, however large or corrupt, can overflow the
+// multiplication.
+func retryBackoff(fails int) int64 {
+	if fails > retryBackoffMaxDoublings {
+		fails = retryBackoffMaxDoublings
+	}
+	d := int64(retryBackoffBase)
+	for i := 1; i < fails && d < retryBackoffCap; i++ {
+		d *= 2
+	}
+	if d > retryBackoffCap {
+		d = retryBackoffCap
+	}
+	return d
+}
+
+// Worker pools. Each kind of maintenance — flushing, and merging with TTL
+// expiry — has one pass function, run either by a pool of background
+// workers woken by a doorbell or, when the pool is empty (the default),
+// inline by Tick: serial mode is one worker stepped by Tick.
+
+// startWorkers starts n workers that each run pass whenever the returned
+// doorbell rings. With n <= 0 it starts none and returns nil.
+func (t *Table) startWorkers(n int, pass func() error) chan struct{} {
+	if n <= 0 {
+		return nil
+	}
+	bell := make(chan struct{}, 1)
+	for range n {
+		t.workers.Add(1)
+		go t.worker(bell, pass)
+	}
+	return bell
+}
+
+// worker is one background worker: each ring of bell runs one pass. A
+// pass's failures are logged and counted where they happen, and retried
+// on the engine-clock schedule, so the worker never spins on a failing
+// disk — it parks until the next ring (every Tick rings). It exits when
+// Close closes t.stop.
+func (t *Table) worker(bell <-chan struct{}, pass func() error) {
+	defer t.workers.Done()
+	for {
+		select {
+		case <-t.stop:
+			return
+		case <-bell:
+		}
+		if errors.Is(pass(), ErrTableClosed) {
+			return
+		}
+	}
+}
+
+// ring rings a worker pool's doorbell without blocking: the channel is a
+// buffered(1) level trigger. No-op for an empty pool.
+func ring(bell chan struct{}) {
+	if bell == nil {
+		return
+	}
+	select {
+	case bell <- struct{}{}:
+	default:
+	}
+}
+
+// runPass hands one pass to the pool behind bell by ringing it, or runs it
+// inline when the pool is empty.
+func runPass(bell chan struct{}, pass func() error) error {
+	if bell == nil {
+		return pass()
+	}
+	ring(bell)
+	return nil
 }
 
 // MergesInFlightNow returns how many merges are currently running;

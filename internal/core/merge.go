@@ -10,38 +10,6 @@ import (
 	"littletable/internal/tablet"
 )
 
-// Merge retry backoff: a failed merge (bad disk, injected fault) must never
-// take the table down — inserts and queries continue — but hammering a
-// failing disk helps nobody, so retries back off exponentially, capped.
-const (
-	mergeBackoffBase = 1 * clock.Second
-	mergeBackoffCap  = 60 * clock.Second
-)
-
-// mergeBackoffMaxDoublings bounds the doubling loop below on its own: 63
-// doublings of a positive int64 base already wrap, and the cap is reached
-// far sooner, so the iteration count must never track a pathological
-// fails value.
-const mergeBackoffMaxDoublings = 8
-
-// mergeBackoff returns the delay before the next merge attempt after the
-// given number of consecutive failures. The loop is capped explicitly —
-// both by the delay cap and by an iteration bound — so no fails count,
-// however large or corrupt, can overflow the multiplication.
-func mergeBackoff(fails int) int64 {
-	if fails > mergeBackoffMaxDoublings {
-		fails = mergeBackoffMaxDoublings
-	}
-	d := int64(mergeBackoffBase)
-	for i := 1; i < fails && d < mergeBackoffCap; i++ {
-		d *= 2
-	}
-	if d > mergeBackoffCap {
-		d = mergeBackoffCap
-	}
-	return d
-}
-
 // MergeStep runs one round of the merge policy (§3.4.1–§3.4.2, appendix):
 //
 //   - tablets are ordered by their timespans' lower bounds;
@@ -71,13 +39,13 @@ func (t *Table) MergeStep() (bool, error) {
 		}
 		t.mergeFails++
 		t.stats.MergeFailures.Add(1)
-		d := mergeBackoff(t.mergeFails)
+		d := retryBackoff(t.mergeFails)
 		t.mergeRetryAt = t.opts.Clock.Now() + d
 		t.opts.Logf("littletable: table %s: merge failed (%d consecutive): %v; retrying in %ds",
 			t.name, t.mergeFails, err, d/clock.Second)
 		// The backoff changed the schedule; MaintainUntilQuiet waiters
 		// must re-evaluate or they would wait out the backoff window.
-		t.maintBroadcastLocked()
+		t.maintCond.Broadcast()
 	case ok && t.mergeFails > 0:
 		t.stats.MergeRetries.Add(1)
 		t.stats.FaultRecoveries.Add(1)
@@ -121,7 +89,7 @@ func (t *Table) mergeStep() (bool, error) {
 		dt.busy = false
 	}
 	if err != nil || t.closed {
-		t.maintBroadcastLocked()
+		t.maintCond.Broadcast()
 		t.mu.Unlock()
 		for _, dt := range c.inputs {
 			t.release(dt)
@@ -147,8 +115,8 @@ func (t *Table) mergeStep() (bool, error) {
 	t.stats.RowsRewritten.Add(out.rec.RowCount)
 	// The output tablet may itself seed the period's next merge; tell an
 	// idle worker, and wake MaintainUntilQuiet waiters either way.
-	t.kickMaintLocked()
-	t.maintBroadcastLocked()
+	ring(t.maintKick)
+	t.maintCond.Broadcast()
 	t.mu.Unlock()
 	// Persist outside mu so inserts never stall behind the descriptor's
 	// disk latency; the claim still holds refs on the inputs, so their
@@ -271,15 +239,5 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 // number performed. Benchmarks for the appendix's logarithmic bounds and
 // Figure 3 use it.
 func (t *Table) MergeUntilStable() (int, error) {
-	n := 0
-	for {
-		ok, err := t.MergeStep()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
-	}
+	return t.drainMaint(false, 0)
 }

@@ -123,7 +123,7 @@ func (t *Table) EndExport() {
 	t.maintHold--
 	if t.maintHold == 0 {
 		// Merges and expiry may have become claimable while held.
-		t.kickMaintLocked()
+		ring(t.maintKick)
 	}
 	t.mu.Unlock()
 	t.releasePins(prev)
@@ -153,7 +153,7 @@ func (t *Table) HoldMaintenance() (release func()) {
 			released = true
 			t.maintHold--
 			if t.maintHold == 0 {
-				t.kickMaintLocked()
+				ring(t.maintKick)
 			}
 		}
 		t.mu.Unlock()
@@ -259,7 +259,7 @@ func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 	}
 	t.stats.TabletsInstalled.Add(1)
 	t.stats.BytesInstalled.Add(int64(len(data)))
-	t.kickMaintLocked()
+	ring(t.maintKick)
 	t.mu.Unlock()
 	return nil
 }

@@ -51,11 +51,11 @@ const (
 	// behind the merge.
 	DefaultPrefetchDepth = 2
 
-	// DefaultMaxUnflushedBytes caps sealed-but-unflushed memtable bytes
-	// when asynchronous flushing is enabled. Inserters that would push the
-	// backlog past the cap block (counted in Stats.BackpressureStalls)
-	// until flush workers catch up, bounding memory the way §5.1.3's
-	// 100-outstanding-tablets rule does, but in bytes.
+	// DefaultMaxUnflushedBytes caps sealed-but-unflushed memtable bytes.
+	// Inserters that would push the backlog past the cap stall (counted in
+	// Stats.BackpressureStalls) and flush until it is back under the cap,
+	// bounding memory the way §5.1.3's 100-outstanding-tablets rule does,
+	// but in bytes.
 	DefaultMaxUnflushedBytes = 256 << 20
 )
 
@@ -118,14 +118,6 @@ type Options struct {
 
 	// BlockSize is the on-disk block size; default 64 kB.
 	BlockSize int
-
-	// BlockEncoding selects the block encoding for newly written tablets:
-	// block.ModeAuto (default) trial-encodes each block per column and
-	// keeps the smaller image; block.ModeLegacy reproduces the
-	// pre-columnar format byte-for-byte (including version-1 footers), the
-	// -block-encoding=legacy escape hatch. Reading is unaffected: both
-	// modes read every tablet version.
-	BlockEncoding block.Mode
 
 	// BlockCacheBytes enables a per-table LRU over parsed blocks. The
 	// paper's deployment leans on the OS page cache; an explicit cache
@@ -228,7 +220,6 @@ func (o Options) tabletWriter(fsys vfs.FS, rows int64) tablet.WriterOptions {
 		BlockSize:          o.BlockSize,
 		DisableCompression: o.DisableCompression,
 		DisableBloom:       o.DisableBloom,
-		Encoding:           o.BlockEncoding,
 		Sync:               o.SyncWrites,
 		FS:                 fsys,
 		RowsHint:           int(rows),
@@ -257,14 +248,6 @@ func (o Options) maxUnflushedBytes() int64 {
 		return 0
 	}
 	return o.MaxUnflushedBytes
-}
-
-// mergeWorkers returns the effective maintenance worker count (0 = serial).
-func (o Options) mergeWorkers() int {
-	if o.MergeWorkers < 0 {
-		return 0
-	}
-	return o.MergeWorkers
 }
 
 // maintenanceIOBytesPerSec returns the effective budget (0 = unlimited).

@@ -1,128 +1,22 @@
 package core
 
-import (
-	"errors"
-	"time"
-)
-
-// Background flush worker retry backoff bounds. Workers use the real clock
-// (not Options.Clock) because backoff paces retries against a real disk.
-const (
-	flushRetryBase = 10 * time.Millisecond
-	flushRetryMax  = 2 * time.Second
-)
-
-// kickFlushLocked rings the flush workers' doorbell (non-blocking; the
-// channel is a buffered(1) level trigger). No-op in synchronous mode.
-// Caller holds t.mu.
-func (t *Table) kickFlushLocked() {
-	if t.flushKick == nil {
-		return
-	}
-	select {
-	case t.flushKick <- struct{}{}:
-	default:
-	}
-}
-
-// flushWorker is one background flusher: woken by the seal doorbell, it
-// drains queued groups, backing off exponentially on failures so a bad
-// disk is not hammered (Stats.FlushFailures/FaultRecoveries record the
-// episode). It exits when Close closes stopFlush.
-func (t *Table) flushWorker() {
-	defer t.flushWG.Done()
-	backoff := flushRetryBase
-	for {
-		select {
-		case <-t.stopFlush:
-			return
-		case <-t.flushKick:
-		}
-		for {
-			ok, err := t.FlushStep()
-			if err != nil {
-				if errors.Is(err, ErrTableClosed) {
-					return
-				}
-				if errors.Is(err, ErrRowsLost) {
-					// Unlike a failed write, a failed commit is not retried —
-					// the rows are already gone (counted in Stats.RowsLost).
-					// Latch the error so the next Insert/Tick/FlushAll caller
-					// observes the loss rather than only this log line.
-					t.mu.Lock()
-					t.asyncErr = err
-					t.mu.Unlock()
-				}
-				t.opts.Logf("littletable: async flush %s: %v (retrying in %v)", t.name, err, backoff)
-				select {
-				case <-t.stopFlush:
-					return
-				case <-time.After(backoff):
-				}
-				if backoff *= 2; backoff > flushRetryMax {
-					backoff = flushRetryMax
-				}
-				continue
-			}
-			backoff = flushRetryBase
-			if !ok {
-				break
-			}
-			t.stats.AsyncFlushes.Add(1)
-		}
-	}
-}
-
 // backpressure blocks the inserter while the sealed-but-unflushed backlog
 // exceeds its limits — either §5.1.3's outstanding-tablet count or the
-// byte cap. With flush workers the inserter parks on the commit broadcast
-// (counted as a stall); without them it becomes disk-bound, draining its
-// own backlog exactly as the serial engine did. Called with insertMu held
-// and no other locks.
+// byte cap. The inserter then becomes disk-bound: it drains the backlog
+// itself through the flush loop, alongside any flush workers, and waits
+// on their commits when every queued group is already in flight (counted
+// as a stall either way). Called with insertMu held and no other locks.
 func (t *Table) backpressure() error {
 	capBytes := t.opts.maxUnflushedBytes()
 	t.mu.Lock()
-	if !t.overBacklogLocked(capBytes) {
-		t.mu.Unlock()
+	over := t.overBacklogLocked(capBytes)
+	t.mu.Unlock()
+	if !over {
 		return nil
 	}
 	t.stats.BackpressureStalls.Add(1)
-	if t.flushKick != nil {
-		t.kickFlushLocked()
-		for !t.closed && t.overBacklogLocked(capBytes) {
-			t.flushCond.Wait()
-		}
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return ErrTableClosed
-		}
-		return nil
-	}
-	t.mu.Unlock()
-	for {
-		ok, err := t.FlushStep()
-		if err != nil {
-			return err
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return ErrTableClosed
-		}
-		if !t.overBacklogLocked(capBytes) {
-			t.mu.Unlock()
-			return nil
-		}
-		if !ok {
-			// Still over the cap with nothing claimable: every queued group
-			// is in flight with a concurrent flusher (another inserter's
-			// backpressure loop or a Tick). Wait for its commit or requeue
-			// broadcast instead of returning with the cap exceeded.
-			t.flushCond.Wait()
-		}
-		t.mu.Unlock()
-	}
+	_, err := t.drainFlush(false, func() bool { return !t.overBacklogLocked(capBytes) })
+	return err
 }
 
 // overBacklogLocked reports whether the sealed-but-unflushed backlog is at

@@ -229,6 +229,12 @@ func TestAsyncCommitFailureSurfaces(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// The failure set the retry schedule; the first Tick past it lets the
+	// worker drain the rest of the backlog.
+	clk.Advance(retryBackoff(1))
+	if err := tab.Tick(); err != nil {
+		t.Fatal(err)
+	}
 	waitPipelineIdle(t, tab)
 	s := tab.Stats().Snapshot()
 	if s.CommitFailures != 1 {
@@ -339,8 +345,9 @@ func TestGroupCommitConcurrentInserters(t *testing.T) {
 }
 
 // TestAsyncFlushRetriesAfterFault: a write fault on the async path must
-// not lose rows or wedge the pipeline — the worker backs off, retries,
-// and the backlog drains once the disk heals.
+// not lose rows or wedge the pipeline — the worker backs off on the engine
+// clock, retries on the first Tick past the backoff, and the backlog
+// drains once the disk heals.
 func TestAsyncFlushRetriesAfterFault(t *testing.T) {
 	ffs := vfs.NewFault(vfs.NewMem())
 	clk := clock.NewFake(testStart)
@@ -361,6 +368,17 @@ func TestAsyncFlushRetriesAfterFault(t *testing.T) {
 		rows = append(rows, usageRow(5, i%32, now-i*clock.Second, 0, i))
 	}
 	if err := tab.Insert(rows); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tab.Stats().FlushFailures.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("flush fault never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(retryBackoff(1))
+	if err := tab.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	waitPipelineIdle(t, tab)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"littletable/internal/clock"
 	"littletable/internal/vfs"
@@ -383,32 +385,111 @@ func TestMergeFailureBacksOffAndRetries(t *testing.T) {
 	}
 }
 
-// TestMergeBackoffCapGrows: repeated failures stretch the backoff
-// exponentially up to the cap, never beyond.
+// TestMergeBackoffGrowth: repeated failures stretch the retry backoff that
+// merges and flushes share exponentially up to the cap, never beyond.
 func TestMergeBackoffGrowth(t *testing.T) {
 	want := []int64{
 		1 * clock.Second, 2 * clock.Second, 4 * clock.Second, 8 * clock.Second,
 		16 * clock.Second, 32 * clock.Second, 60 * clock.Second, 60 * clock.Second,
 	}
 	for i, w := range want {
-		if got := mergeBackoff(i + 1); got != w {
-			t.Errorf("mergeBackoff(%d) = %d, want %d", i+1, got, w)
+		if got := retryBackoff(i + 1); got != w {
+			t.Errorf("retryBackoff(%d) = %d, want %d", i+1, got, w)
 		}
 	}
 }
 
 // TestMergeBackoffCapped: the doubling loop is iteration-capped, so a
-// pathological mergeFails count — a long outage, or a corrupt value —
+// pathological failure count — a long outage, or a corrupt value —
 // can neither overflow the int64 multiplication nor spin; every count
 // past the cap yields exactly the cap.
 func TestMergeBackoffCapped(t *testing.T) {
 	const maxInt = int(^uint(0) >> 1)
-	for _, fails := range []int{mergeBackoffMaxDoublings + 1, 100, 1 << 40, maxInt} {
-		if got := mergeBackoff(fails); got != mergeBackoffCap {
-			t.Errorf("mergeBackoff(%d) = %d, want cap %d", fails, got, int64(mergeBackoffCap))
+	for _, fails := range []int{retryBackoffMaxDoublings + 1, 100, 1 << 40, maxInt} {
+		if got := retryBackoff(fails); got != retryBackoffCap {
+			t.Errorf("retryBackoff(%d) = %d, want cap %d", fails, got, int64(retryBackoffCap))
 		}
 	}
-	if got := mergeBackoff(-5); got != mergeBackoffBase {
-		t.Errorf("mergeBackoff(-5) = %d, want base %d", got, int64(mergeBackoffBase))
+	if got := retryBackoff(-5); got != retryBackoffBase {
+		t.Errorf("retryBackoff(-5) = %d, want base %d", got, int64(retryBackoffBase))
+	}
+}
+
+// TestFlushRetryScheduleBothModes pins one retry schedule for serial and
+// worker flushing: after a failed flush write, neither mode retries before
+// retryBackoff(1) of engine time has passed, both retry on the first Tick
+// after it, no row is lost, and the failure counters agree.
+func TestFlushRetryScheduleBothModes(t *testing.T) {
+	type counters struct{ failures, recoveries int64 }
+	got := make(map[int]counters)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("FlushWorkers=%d", workers), func(t *testing.T) {
+			ffs := vfs.NewFault(vfs.NewMem())
+			clk := clock.NewFake(testStart)
+			tab, err := CreateTable("/db", "usage", usageSchema(), 0, Options{
+				Clock: clk, FS: ffs, Logf: quietLogf, FlushWorkers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tab.Close()
+			const n = 50
+			now := clk.Now()
+			for i := int64(0); i < n; i++ {
+				mustInsert(t, tab, usageRow(1, i, now+i, 0, i))
+			}
+			// waitFor polls cond: the workers flush in the background.
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s never happened", what)
+					}
+				}
+			}
+			tick := func(wantErr bool) {
+				t.Helper()
+				if err := tab.Tick(); (err != nil) != wantErr {
+					t.Fatalf("Tick = %v, want error %v", err, wantErr)
+				}
+			}
+
+			// The first Tick seals the aged tablet; its flush write fails.
+			// Only the serial Tick runs the flush, so only it returns the
+			// error.
+			ffs.Inject(&vfs.Fault{Op: vfs.OpCreate, Path: ".tab"})
+			clk.Advance(DefaultFlushAge)
+			tick(workers == 0)
+			waitFor("the flush failure", func() bool { return tab.Stats().FlushFailures.Load() > 0 })
+
+			// One nanosecond short of the backoff, a Tick retries nothing;
+			// the sleep gives a worker time to retry if it wrongly would.
+			clk.Advance(retryBackoff(1) - 1)
+			tick(false)
+			time.Sleep(50 * time.Millisecond)
+			if d := tab.FlushQueueDepth(); d != 1 {
+				t.Fatalf("flush queue %d deep inside the backoff, want the failed group still queued", d)
+			}
+			if f := tab.Stats().FlushFailures.Load(); f != 1 {
+				t.Fatalf("FlushFailures = %d inside the backoff, want 1", f)
+			}
+
+			// The first Tick past it retries, and the retry succeeds.
+			clk.Advance(1)
+			tick(false)
+			waitFor("the retry", func() bool { return tab.FlushQueueDepth() == 0 })
+			rows, err := tab.QueryAll(NewQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != n {
+				t.Fatalf("%d rows after the retry, want %d", len(rows), n)
+			}
+			s := tab.Stats().Snapshot()
+			got[workers] = counters{s.FlushFailures, s.FaultRecoveries}
+		})
+	}
+	if got[0] != got[2] || got[0] != (counters{1, 1}) {
+		t.Errorf("(FlushFailures, FaultRecoveries): serial %v, workers %v, want {1 1} in both modes", got[0], got[2])
 	}
 }

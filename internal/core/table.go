@@ -143,20 +143,18 @@ type Table struct {
 	hasRows     bool
 	closed      bool
 
-	// Flush worker pool (nil/zero when Options.FlushWorkers == 0).
+	// Worker pools: each doorbell is nil when its pool is empty (serial
+	// mode, where Tick runs the pass inline). stop is closed by Close; it
+	// also unblocks maintenance I/O parked in the token bucket.
 	flushKick chan struct{} // buffered(1) doorbell: sealed work exists
-	stopFlush chan struct{} // closed by Close to stop the workers
-	flushWG   sync.WaitGroup
+	maintKick chan struct{} // buffered(1) doorbell: maintenance work exists
+	stop      chan struct{}
+	workers   sync.WaitGroup
 
-	// Maintenance worker pool (maintKick nil when Options.MergeWorkers ==
-	// 0; the rest initialized always so serial MergeStep shares the claim
-	// logic). merging holds periods with a merge in flight; mergeWaitSince
-	// and expireWaitSince record when work first became claimable, for
-	// priority aging and the *WaitNs counters. All guarded by mu except
-	// the WaitGroup and channels.
-	maintKick       chan struct{} // buffered(1) doorbell: maintenance work exists
-	stopMaint       chan struct{} // closed by Close; also unblocks the I/O budget
-	maintWG         sync.WaitGroup
+	// Merge state, used in both modes. merging holds periods with a merge
+	// in flight; mergeWaitSince and expireWaitSince record when work first
+	// became claimable, for priority aging and the *WaitNs counters. All
+	// guarded by mu.
 	maintCond       *sync.Cond // broadcast on any maintenance state change
 	merging         map[period.Period]bool
 	mergeWaitSince  map[period.Period]int64 // period -> wall ns first claimable
@@ -164,10 +162,11 @@ type Table struct {
 	expireWaitSince int64
 	ioBudget        *ioBudget // nil when MaintenanceIOBytesPerSec == 0
 
-	// Fault-recovery state (guarded by mu): consecutive flush/merge
-	// failures and, for merges, the earliest time of the next attempt
-	// (capped exponential backoff so a failing disk is not hammered).
+	// Fault-recovery state (guarded by mu): consecutive flush and merge
+	// failures and the engine time before which scheduled callers do not
+	// retry (retryBackoff, so a failing disk is not hammered).
 	flushFails   int
+	flushRetryAt int64
 	mergeFails   int
 	mergeRetryAt int64
 
@@ -245,9 +244,9 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 	t.maintCond = sync.NewCond(&t.mu)
 	t.merging = make(map[period.Period]bool)
 	t.mergeWaitSince = make(map[period.Period]int64)
-	t.stopMaint = make(chan struct{})
+	t.stop = make(chan struct{})
 	if rate := opts.maintenanceIOBytesPerSec(); rate > 0 {
-		t.ioBudget = newIOBudget(rate, t.stopMaint, &t.stats)
+		t.ioBudget = newIOBudget(rate, t.stop, &t.stats)
 	}
 	if opts.BlockCacheBytes > 0 {
 		t.blockCache = blockcache.New(opts.BlockCacheBytes)
@@ -286,21 +285,8 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 			return nil, fmt.Errorf("core: descriptor update after quarantine: %w", err)
 		}
 	}
-	if opts.FlushWorkers > 0 {
-		t.flushKick = make(chan struct{}, 1)
-		t.stopFlush = make(chan struct{})
-		for i := 0; i < opts.FlushWorkers; i++ {
-			t.flushWG.Add(1)
-			go t.flushWorker()
-		}
-	}
-	if n := opts.mergeWorkers(); n > 0 {
-		t.maintKick = make(chan struct{}, 1)
-		for i := 0; i < n; i++ {
-			t.maintWG.Add(1)
-			go t.maintWorker()
-		}
-	}
+	t.flushKick = t.startWorkers(opts.FlushWorkers, t.flushPass)
+	t.maintKick = t.startWorkers(opts.MergeWorkers, t.maintPass)
 	return t, nil
 }
 
@@ -769,7 +755,7 @@ func (t *Table) sealLocked(ft *fillingTablet) {
 	t.sealedBytes += g.bytes
 	t.stats.TabletsSealed.Add(int64(len(group)))
 	t.pending = append(t.pending, g)
-	t.kickFlushLocked()
+	ring(t.flushKick)
 }
 
 // acquireLocked takes a read reference on dt.
@@ -830,11 +816,7 @@ func (t *Table) Close() error {
 		return nil
 	}
 	t.closed = true
-	if t.stopFlush != nil {
-		close(t.stopFlush)
-	}
-	// stopMaint also unblocks maintenance I/O parked in the token bucket.
-	close(t.stopMaint)
+	close(t.stop)
 	// Wake inserters stalled on backpressure, drainers waiting for
 	// in-flight groups, and MaintainUntilQuiet waiters; they observe
 	// closed and bail out.
@@ -843,8 +825,7 @@ func (t *Table) Close() error {
 	t.mu.Unlock()
 	// Workers may be mid-write; they notice closed at commit time, abort
 	// their output files, and exit before we tear the tablet list down.
-	t.flushWG.Wait()
-	t.maintWG.Wait()
+	t.workers.Wait()
 	t.mu.Lock()
 	t.closeAllLocked()
 	t.mu.Unlock()

@@ -54,7 +54,7 @@ func (t *Table) expireTTL(now int64) error {
 	t.mu.Lock()
 	t.expiring = false
 	t.stats.ExpiriesInFlight.Add(-1)
-	t.maintBroadcastLocked()
+	t.maintCond.Broadcast()
 	t.mu.Unlock()
 	if err != nil {
 		return err

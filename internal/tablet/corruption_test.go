@@ -22,11 +22,11 @@ import (
 
 // corruptionSeed writes a small multi-block tablet and returns its bytes
 // plus the rows it holds.
-func corruptionSeed(t *testing.T, mode block.Mode) ([]byte, []schema.Row) {
+func corruptionSeed(t *testing.T) ([]byte, []schema.Row) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seed.tab")
-	w, err := Create(path, testSchema(t), WriterOptions{BlockSize: 256, Encoding: mode})
+	w, err := Create(path, testSchema(t), WriterOptions{BlockSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,31 @@ func corruptionSeed(t *testing.T, mode block.Mode) ([]byte, []schema.Row) {
 		t.Fatal(err)
 	}
 	return raw, rows
+}
+
+// legacySeed returns the committed pre-columnar (footer version 1) fixture
+// and its rows. The writer no longer emits that format, so the reader's
+// robustness over it is held on yesterday's bytes.
+func legacySeed(t *testing.T) ([]byte, []schema.Row) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenCompressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, goldenRows()
+}
+
+// corruptionCases are the two tablet layouts the sweeps damage. The v1
+// fixture is about ten times the auto seed's size, so the bit-flip sweep
+// samples it with a stride coprime to 8: every bit position within a byte
+// is still hit.
+var corruptionCases = []struct {
+	name   string
+	seed   func(*testing.T) ([]byte, []schema.Row)
+	stride int
+}{
+	{"auto", corruptionSeed, 1},
+	{"legacy", legacySeed, 13},
 }
 
 // scanAll opens the image and scans it to the end, returning the rows or
@@ -83,18 +108,12 @@ func sameTabletRows(got, want []schema.Row) bool {
 }
 
 func TestTabletBitFlipSweep(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode block.Mode
-	}{
-		{"auto", block.ModeAuto},
-		{"legacy", block.ModeLegacy},
-	} {
+	for _, tc := range corruptionCases {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, want := corruptionSeed(t, tc.mode)
-			step := 1
+			raw, want := tc.seed(t)
+			step := tc.stride
 			if testing.Short() {
-				step = 11
+				step *= 11
 			}
 			mut := make([]byte, len(raw))
 			for bit := 0; bit < len(raw)*8; bit += step {
@@ -114,15 +133,9 @@ func TestTabletBitFlipSweep(t *testing.T) {
 }
 
 func TestTabletTruncationSweep(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode block.Mode
-	}{
-		{"auto", block.ModeAuto},
-		{"legacy", block.ModeLegacy},
-	} {
+	for _, tc := range corruptionCases {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, want := corruptionSeed(t, tc.mode)
+			raw, want := tc.seed(t)
 			step := 1
 			if testing.Short() {
 				step = 7
@@ -148,7 +161,7 @@ func TestTabletTruncationSweep(t *testing.T) {
 // per-block encoding tag. The footer record's CRC must reject a flipped
 // tag before the reader ever dispatches on it.
 func TestTabletBitFlipEncByte(t *testing.T) {
-	raw, _ := corruptionSeed(t, block.ModeAuto)
+	raw, _ := corruptionSeed(t)
 	tab, err := OpenFile(memFile{bytes.NewReader(raw)}, int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)

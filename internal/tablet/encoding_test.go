@@ -2,8 +2,6 @@ package tablet
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"littletable/internal/block"
@@ -76,55 +74,63 @@ func encodingShapes() []encodingShape {
 	}
 }
 
-// TestAutoEncodingShapesVsLegacy writes each shape under the legacy
-// row-major layout and under auto (per-column codecs), both followed by
-// LZF. Both tablets must read back the same rows; auto must never be
-// larger on disk, since the chooser keeps whichever image is smaller; and
-// dense numeric data must shrink at least 3x.
+// TestAutoEncodingShapesVsLegacy encodes each shape into blocks under the
+// legacy row-major layout and under auto (per-column codecs), each framed
+// as the tablet writer frames a block record, LZF included. The writer
+// itself emits only auto, so the two modes are compared on the block
+// records they would put on disk. Both must decode to the same rows; auto
+// must never be larger, since the chooser keeps whichever image is
+// smaller; and dense numeric data must shrink at least 3x.
 func TestAutoEncodingShapesVsLegacy(t *testing.T) {
 	const rows = 4000
 	for _, shape := range encodingShapes() {
 		t.Run(shape.name, func(t *testing.T) {
-			write := func(mode block.Mode) (*Info, []schema.Row) {
-				path := filepath.Join(t.TempDir(), "t.tab")
-				w, err := Create(path, shape.sc, WriterOptions{Encoding: mode})
-				if err != nil {
-					t.Fatal(err)
+			encode := func(mode block.Mode) (int, []schema.Row) {
+				w := block.NewWriterMode(shape.sc, mode)
+				size := 0
+				var got []schema.Row
+				finish := func() {
+					img, enc := w.Finish()
+					_, n := appendRecord(nil, img, true)
+					size += n
+					b, err := block.Decode(shape.sc, enc, img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < b.Len(); i++ {
+						r, err := b.Row(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, schema.CloneRow(r))
+					}
 				}
 				rng := rand.New(rand.NewSource(1))
 				for i := 0; i < rows; i++ {
-					if err := w.Append(shape.row(rng, i)); err != nil {
-						t.Fatal(err)
+					w.Append(shape.row(rng, i))
+					if w.SizeBytes() >= block.TargetSize {
+						finish()
 					}
 				}
-				info, err := w.Close()
-				if err != nil {
-					t.Fatal(err)
+				if w.Count() > 0 {
+					finish()
 				}
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := scanAll(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return info, got
+				return size, got
 			}
-			legacy, legacyRows := write(block.ModeLegacy)
-			auto, autoRows := write(block.ModeAuto)
+			legacy, legacyRows := encode(block.ModeLegacy)
+			auto, autoRows := encode(block.ModeAuto)
 			if len(autoRows) != rows || !sameTabletRows(autoRows, legacyRows) {
-				t.Fatalf("auto tablet read back %d rows that differ from legacy's %d", len(autoRows), len(legacyRows))
+				t.Fatalf("auto blocks decoded %d rows that differ from legacy's %d", len(autoRows), len(legacyRows))
 			}
-			if auto.Bytes > legacy.Bytes {
-				t.Errorf("auto %d bytes exceeds legacy %d", auto.Bytes, legacy.Bytes)
+			if auto > legacy {
+				t.Errorf("auto %d bytes exceeds legacy %d", auto, legacy)
 			}
-			ratio := float64(legacy.Bytes) / float64(auto.Bytes)
+			ratio := float64(legacy) / float64(auto)
 			if shape.name == "dense-numeric" && ratio < 3 {
 				t.Errorf("auto shrinks dense-numeric %.2fx vs legacy, want >= 3x", ratio)
 			}
 			t.Logf("legacy %.2f B/row, auto %.2f B/row (%.2fx)",
-				float64(legacy.Bytes)/rows, float64(auto.Bytes)/rows, ratio)
+				float64(legacy)/rows, float64(auto)/rows, ratio)
 		})
 	}
 }

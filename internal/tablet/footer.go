@@ -33,10 +33,9 @@ type footer struct {
 	minTs    int64
 	maxTs    int64
 	filter   *bloom.Filter // nil if the tablet was written without one
-	// version is the footer layout this tablet was parsed from or will be
-	// written with: formatVersionV1 (legacy, no per-block encoding byte) or
-	// formatVersion. The legacy-encoding writer emits v1 so pre-columnar
-	// readers can parse its output byte-for-byte.
+	// version is the footer layout this tablet was parsed from:
+	// formatVersionV1 (legacy, no per-block encoding byte) or formatVersion,
+	// the only layout the writer emits.
 	version uint32
 }
 
@@ -46,12 +45,8 @@ func (f *footer) marshal() []byte {
 		// Schemas are validated on construction; failure here is a bug.
 		panic(fmt.Sprintf("tablet: marshal schema: %v", err))
 	}
-	ver := f.version
-	if ver == 0 {
-		ver = formatVersion
-	}
 	var out []byte
-	out = appendU32(out, ver)
+	out = appendU32(out, formatVersion)
 	out = appendU32(out, uint32(len(scJSON)))
 	out = append(out, scJSON...)
 	out = appendU64(out, uint64(f.rowCount))
@@ -64,9 +59,7 @@ func (f *footer) marshal() []byte {
 		out = appendU32(out, uint32(b.diskLen))
 		out = appendU32(out, uint32(b.rawLen))
 		out = appendU32(out, uint32(b.rowCount))
-		if ver >= formatVersion {
-			out = append(out, byte(b.enc))
-		}
+		out = append(out, byte(b.enc))
 		out = appendU64(out, uint64(b.minTs))
 		out = appendU64(out, uint64(b.maxTs))
 		out = appendU32(out, uint32(len(b.lastKey)))

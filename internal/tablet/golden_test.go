@@ -10,25 +10,24 @@ import (
 	"path/filepath"
 	"testing"
 
-	"littletable/internal/block"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
 
 // The golden fixtures under testdata/ are checked in, never regenerated
-// implicitly. The v1 fixtures were written by the pre-columnar (footer
-// version 1) format; v2_auto.tab by the auto-mode columnar writer. They
-// pin three compatibility promises:
+// implicitly. The v1 fixtures were written in the pre-columnar (footer
+// version 1) format, which no writer emits any more, so they cannot be
+// regenerated; v2_auto.tab was written by the columnar writer. They pin
+// two compatibility promises:
 //
 //  1. today's reader parses yesterday's tablets, row for row;
-//  2. today's legacy-mode writer still emits yesterday's bytes, so a
-//     fleet mixing old and new binaries can share tablet files;
-//  3. today's auto-mode writer still emits yesterday's columnar bytes —
-//     every codec's bit layout (XOR, delta, dictionary) included — so an
+//  2. today's writer still emits yesterday's columnar bytes — every
+//     codec's bit layout (XOR, delta, dictionary) included — so an
 //     encoder optimisation cannot silently change what lands on disk.
 //
-// Regenerate (only after a deliberate, reader-compatible format change)
-// with: go test ./internal/tablet -run TestGoldenFixtures -regen-golden
+// Regenerate v2_auto.tab and the corrupt fixture (only after a deliberate,
+// reader-compatible format change) with:
+// go test ./internal/tablet -run TestGoldenFixtures -regen-golden
 var regenGolden = flag.Bool("regen-golden", false, "rewrite the golden tablet fixtures under testdata/")
 
 const (
@@ -105,9 +104,7 @@ func TestGoldenFixtures(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		writeGoldenTablet(t, goldenCompressed, WriterOptions{Encoding: block.ModeLegacy})
-		writeGoldenTablet(t, goldenPlain, WriterOptions{Encoding: block.ModeLegacy, DisableCompression: true})
-		writeGoldenTablet(t, goldenAuto, WriterOptions{Encoding: block.ModeAuto})
+		writeGoldenTablet(t, goldenAuto, WriterOptions{})
 		raw, err := os.ReadFile(goldenCompressed)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +159,7 @@ func TestGoldenFixtures(t *testing.T) {
 
 	t.Run("auto_writer_byte_identical", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "fresh.tab")
-		info := writeGoldenTablet(t, path, WriterOptions{Encoding: block.ModeAuto})
+		info := writeGoldenTablet(t, path, WriterOptions{})
 		fresh, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -184,40 +181,8 @@ func TestGoldenFixtures(t *testing.T) {
 	})
 }
 
-// TestGoldenLegacyWriterByteIdentical pins the legacy encoding mode to the
-// exact pre-columnar output: a binary running -block-encoding=legacy must
-// produce files an old reader can open, which this asserts in the
-// strongest possible form.
-func TestGoldenLegacyWriterByteIdentical(t *testing.T) {
-	cases := []struct {
-		fixture string
-		opts    WriterOptions
-	}{
-		{goldenCompressed, WriterOptions{Encoding: block.ModeLegacy}},
-		{goldenPlain, WriterOptions{Encoding: block.ModeLegacy, DisableCompression: true}},
-	}
-	for _, tc := range cases {
-		t.Run(filepath.Base(tc.fixture), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "fresh.tab")
-			writeGoldenTablet(t, path, tc.opts)
-			fresh, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden, err := os.ReadFile(tc.fixture)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fresh, golden) {
-				t.Fatalf("legacy-mode writer output drifted from golden fixture %s: %d bytes vs %d",
-					tc.fixture, len(fresh), len(golden))
-			}
-		})
-	}
-}
-
 // TestGoldenAutoReencodesFixtureRows proves a merge-shaped rewrite: rows
-// read from a v1 fixture, re-written in auto mode, come back identical
+// read from a v1 fixture, re-written by today's writer, come back identical
 // through the columnar path.
 func TestGoldenAutoReencodesFixtureRows(t *testing.T) {
 	tab, err := Open(goldenCompressed)
@@ -235,7 +200,7 @@ func TestGoldenAutoReencodesFixtureRows(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "re.tab")
-	w, err := Create(path, goldenSchema(t), WriterOptions{Encoding: block.ModeAuto})
+	w, err := Create(path, goldenSchema(t), WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

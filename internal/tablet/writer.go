@@ -26,11 +26,6 @@ type WriterOptions struct {
 	DisableCompression bool
 	// DisableBloom skips the per-tablet Bloom filter (§3.4.5).
 	DisableBloom bool
-	// Encoding selects the block encoding mode: block.ModeAuto (default)
-	// trial-encodes each block per column; block.ModeLegacy reproduces the
-	// pre-columnar format exactly, including a version-1 footer, so the
-	// output is parseable by old readers.
-	Encoding block.Mode
 	// Sync fsyncs the file before rename on Close, and the parent directory
 	// after it (a rename without a directory fsync is not durable on ext4).
 	// LittleTable's durability story tolerates losing recent tablets, so
@@ -111,10 +106,6 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 	if err != nil {
 		return nil, err
 	}
-	ftVersion := uint32(formatVersion)
-	if opts.Encoding == block.ModeLegacy {
-		ftVersion = formatVersionV1
-	}
 	w := &Writer{
 		path:    path,
 		tmpPath: tmp,
@@ -122,8 +113,8 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 		f:       f,
 		opts:    opts,
 		sc:      sc,
-		bw:      block.NewWriterMode(sc, opts.Encoding),
-		ft:      footer{sc: sc, version: ftVersion},
+		bw:      block.NewWriter(sc),
+		ft:      footer{sc: sc, version: formatVersion},
 	}
 	if !opts.DisableBloom && opts.RowsHint > 0 {
 		w.hashes = make([]uint64, 0, 2*opts.RowsHint)

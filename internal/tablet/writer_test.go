@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"littletable/internal/block"
 	"littletable/internal/ltval"
 	"littletable/internal/race"
 	"littletable/internal/schema"
@@ -24,54 +23,49 @@ func TestWriterAppendDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	const rowsHint = 100000
-	for _, enc := range []struct {
-		name string
-		opts WriterOptions
-	}{{"columnar", WriterOptions{RowsHint: rowsHint}}, {"legacy", WriterOptions{Encoding: block.ModeLegacy, RowsHint: rowsHint}}} {
-		w, err := Create(filepath.Join(t.TempDir(), "t.tab"), testSchema(t), enc.opts)
-		if err != nil {
+	w, err := Create(filepath.Join(t.TempDir(), "t.tab"), testSchema(t), WriterOptions{RowsHint: rowsHint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One row and payload buffer, rewritten for every row; the payload
+	// is hashed so blocks compress about as much as real ones.
+	r := row(0, 0, 0, nil)
+	payload := make([]byte, 0, 32)
+	var i int64
+	appendNext := func() {
+		payload = strconv.AppendUint(append(payload[:0], "payload-"...), uint64(i)*0x9e3779b97f4a7c15, 16)
+		r[0], r[1], r[2], r[3] = ltval.NewInt64(i/1000), ltval.NewInt64(i/100%10), ltval.NewTimestamp(i%100*1000), ltval.NewBlob(payload)
+		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
-		// One row and payload buffer, rewritten for every row; the payload
-		// is hashed so blocks compress about as much as real ones.
-		r := row(0, 0, 0, nil)
-		payload := make([]byte, 0, 32)
-		var i int64
-		appendNext := func() {
-			payload = strconv.AppendUint(append(payload[:0], "payload-"...), uint64(i)*0x9e3779b97f4a7c15, 16)
-			r[0], r[1], r[2], r[3] = ltval.NewInt64(i/1000), ltval.NewInt64(i/100%10), ltval.NewTimestamp(i%100*1000), ltval.NewBlob(payload)
-			if err := w.Append(r); err != nil {
-				t.Fatal(err)
-			}
-			i++
+		i++
+	}
+	fillBlock := func() {
+		for n := len(w.ft.blocks); len(w.ft.blocks) == n; {
+			appendNext()
 		}
-		fillBlock := func() {
-			for n := len(w.ft.blocks); len(w.ft.blocks) == n; {
-				appendNext()
-			}
-		}
-		// Warm up until the output buffer has reached its bound, so every
-		// buffer the writer owns has grown to its steady size.
-		for cap(w.out) < outBufSize {
-			fillBlock()
-		}
-		blocks := len(w.ft.blocks)
-		if perRow := testing.AllocsPerRun(100, appendNext); perRow != 0 {
-			t.Errorf("%s: Append allocates %.2f objects per row within a block, want 0", enc.name, perRow)
-		}
-		if len(w.ft.blocks) != blocks {
-			t.Fatalf("%s: a row measured as fitting its block completed one", enc.name)
-		}
+	}
+	// Warm up until the output buffer has reached its bound, so every
+	// buffer the writer owns has grown to its steady size.
+	for cap(w.out) < outBufSize {
 		fillBlock()
-		if perBlock := testing.AllocsPerRun(10, fillBlock); perBlock > 2 {
-			t.Errorf("%s: a full block allocates %.2f objects, want at most 2", enc.name, perBlock)
-		}
-		if i > rowsHint {
-			t.Fatalf("%s: wrote %d rows past the %d-row hint; the hash buffer grew while measured", enc.name, i, rowsHint)
-		}
-		if err := w.Abort(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	blocks := len(w.ft.blocks)
+	if perRow := testing.AllocsPerRun(100, appendNext); perRow != 0 {
+		t.Errorf("Append allocates %.2f objects per row within a block, want 0", perRow)
+	}
+	if len(w.ft.blocks) != blocks {
+		t.Fatal("a row measured as fitting its block completed one")
+	}
+	fillBlock()
+	if perBlock := testing.AllocsPerRun(10, fillBlock); perBlock > 2 {
+		t.Errorf("a full block allocates %.2f objects, want at most 2", perBlock)
+	}
+	if i > rowsHint {
+		t.Fatalf("wrote %d rows past the %d-row hint; the hash buffer grew while measured", i, rowsHint)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }
 
