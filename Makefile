@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint ltlint vet bench bench-e2e leakcheck loc crash chaos cluster-chaos ci clean
+.PHONY: all build test race lint fmtcheck ltlint vet bench bench-e2e leakcheck loc crash chaos cluster-chaos ci clean
 
 all: build lint test
 
@@ -13,13 +13,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint mirrors the CI gates: go vet, the project analyzers, and (when
-# installed) golangci-lint with the committed .golangci.yml.
-lint: vet ltlint
+# lint mirrors the CI gates: gofmt, go vet, the project analyzers, and
+# (when installed) golangci-lint with the committed .golangci.yml.
+lint: fmtcheck vet ltlint
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run; \
 	else \
 		echo "golangci-lint not installed; skipping (CI runs it)"; \
+	fi
+
+# fmtcheck fails if gofmt would change any Go file, and lists them.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "$$out"; echo "fmtcheck: the files above are not gofmt-clean" >&2; exit 1; \
 	fi
 
 vet:
@@ -31,10 +37,13 @@ ltlint:
 # bench runs the root package's benchmarks, then the read path's two inner
 # loops (block decode, tablet range scan), the XOR float encoder and the
 # tablet writer: their B/op is bytes per block, per 100-row range, per
-# 1,000-value series and per row written.
+# 1,000-value series and per row written. Last comes the k-way merger
+# every query and merge runs through, in ns/row by source count and run
+# length.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|EncodeXOR|TabletWrite' -benchmem ./internal/block ./internal/tablet
+	$(GO) test -run '^$$' -bench 'Merger' -benchmem ./internal/core
 
 # bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
 # does (BENCHMARK.json); benchmark/README.md explains what it prints.
@@ -82,12 +91,12 @@ chaos:
 cluster-chaos:
 	$(GO) test ./internal/router -race -run 'TestClusterChaos'
 
-# ci mirrors the workflow's harness jobs locally: build, vet, the project
+# ci mirrors the workflow's harness jobs locally: build, gofmt, vet, the project
 # analyzers, the race-enabled test suite, and single-seed crash-, chaos-,
 # and cluster-chaos-harness passes. The ruler smoke job (bench-e2e at one
 # second per workload, then leakcheck) and the fuzz smoke jobs are left
 # out for time; run them separately.
-ci: build vet ltlint race crash chaos cluster-chaos
+ci: build fmtcheck vet ltlint race crash chaos cluster-chaos
 
 clean:
 	rm -rf bin

@@ -3,10 +3,10 @@ package blockcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestGetPut(t *testing.T) {
@@ -124,9 +124,12 @@ func TestGetOrLoadSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	// Let the goroutines pile up on the inflight entry, then release.
-	for loads.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	// Release the load only once the other seven have joined the flight:
+	// each counts its dedup under the cache lock before it blocks. Opening
+	// the gate at the first load let a late caller hit the cached block
+	// instead.
+	for c.Dedups() < 7 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

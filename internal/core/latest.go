@@ -58,6 +58,9 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 		spans = append(spans, tabletSpan{lo: dt.rec.MinTs, hi: dt.rec.MaxTs, dt: dt})
 	}
 	spans = append(spans, snap.mems...)
+	for i := range spans {
+		spans[i].ord = i // the merge's tie order: age, not timespan
+	}
 
 	// Newest first; group spans whose time ranges overlap transitively.
 	sort.Slice(spans, func(i, j int) bool { return spans[i].hi > spans[j].hi })
@@ -96,7 +99,7 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, prefix []lt
 	q := latestQuery(prefix)
 	m := merger{sc: sc, asc: false}
 	defer m.close()
-	for ord, s := range group {
+	for _, s := range group {
 		var src rowSource
 		if s.dt != nil {
 			// Latest-row lookups read at most a handful of rows per source;
@@ -110,7 +113,7 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, prefix []lt
 			s.ms.i = 0 // rewind: materialized at snapshot time
 			src = s.ms
 		}
-		if err := m.add(src, ord); err != nil {
+		if err := m.add(src, s.ord); err != nil {
 			return nil, false, err
 		}
 	}

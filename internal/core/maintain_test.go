@@ -54,7 +54,7 @@ func TestMergeRacesConcurrentFlushSamePeriod(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			if err := tt.Insert([]schema.Row{usageRow(1, int64(i%9), base + 10_000 + int64(i), 0, int64(seeded + i))}); err != nil {
+			if err := tt.Insert([]schema.Row{usageRow(1, int64(i%9), base+10_000+int64(i), 0, int64(seeded+i))}); err != nil {
 				errCh <- err
 				return
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -251,25 +250,36 @@ func (d *diskSource) close()     { d.c.Close() }
 
 // merger merge-sorts rowSources by primary key (§3.2: "merge-sorts the
 // resulting streams to form a single result stream ordered by primary
-// key"). Duplicate keys across sources cannot arise from correct inserts,
-// but they are suppressed defensively: the newest source's row surfaces
-// and the rest are dropped.
+// key"): a binary heap over the sources' current rows, ordered by key in
+// the merge direction and, on equal keys, newer source (higher ord) first.
+//
+// The paper's 2-D clustering makes long runs from one source common, and
+// within a run a row costs one key compare: after stepping the top source
+// the merger compares its new row with the runner-up alone (item 1 or 2,
+// cached until something below the root moves) and sifts down only when
+// the top loses.
+//
+// Each source yields unique keys in strict order (the tablet writer
+// rejects a key that does not advance, a memtable a duplicate insert), so
+// a duplicate of the top row can only be another source's head, and it
+// sorts directly behind the top: the runner-up compare that returns 0
+// finds it, and the older source is stepped past that key before the top
+// row is yielded. No key is copied.
 //
 // Sources reuse their row buffers, so a source is stepped only once the
-// row it last yielded is dead — at the start of the following next — and
-// the last key is remembered as a copy, never as a reference to a row.
+// row it last yielded is dead: the top at the start of the following
+// next, an older duplicate (never yielded) at once.
 //
 // A merger is itself a rowSource: it owns the sources added to it, and
 // close closes them all.
 type merger struct {
 	sc      *schema.Schema
 	asc     bool
-	srcs    []rowSource   // every source added, closed by close
-	item    []mergeItem   // a heap, ordered by Less
-	stepTop bool          // item[0]'s row was yielded: step its source first
-	lastKey []ltval.Value // the last yielded row's key
-	keyBuf  []byte        // backs lastKey's byte cells
-	e       error         // the first source error; it ends the merge
+	srcs    []rowSource // every source added, closed by close
+	item    []mergeItem // a binary heap, ordered by less
+	ru      int         // the runner-up's index, 1 or 2; 0 until known
+	stepTop bool        // item[0]'s row was yielded: step its source first
+	e       error       // the first source error; it ends the merge
 }
 
 type mergeItem struct {
@@ -278,24 +288,36 @@ type mergeItem struct {
 	ord int // source index, breaking ties deterministically (newer first)
 }
 
-func (m *merger) Len() int { return len(m.item) }
-func (m *merger) Less(i, j int) bool {
+// cmp orders item i's key against item j's in the merge direction.
+func (m *merger) cmp(i, j int) int {
 	c := m.sc.CompareKeys(m.item[i].row, m.item[j].row)
-	if c == 0 {
-		return m.item[i].ord > m.item[j].ord // newer source wins ties
-	}
 	if m.asc {
-		return c < 0
+		return c
 	}
-	return c > 0
+	return -c
 }
-func (m *merger) Swap(i, j int)      { m.item[i], m.item[j] = m.item[j], m.item[i] }
-func (m *merger) Push(x interface{}) { m.item = append(m.item, x.(mergeItem)) }
-func (m *merger) Pop() interface{} {
-	n := len(m.item) - 1
-	it := m.item[n]
-	m.item = m.item[:n]
-	return it
+
+func (m *merger) less(i, j int) bool {
+	c := m.cmp(i, j)
+	return c < 0 || c == 0 && m.item[i].ord > m.item[j].ord
+}
+
+// down sifts item i towards the leaves until neither child precedes it.
+func (m *merger) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(m.item) {
+			return
+		}
+		if c+1 < len(m.item) && m.less(c+1, c) {
+			c++
+		}
+		if !m.less(c, i) {
+			return
+		}
+		m.item[i], m.item[c] = m.item[c], m.item[i]
+		i = c
+	}
 }
 
 // add enters src into the merge at its first row; on equal keys the
@@ -303,44 +325,86 @@ func (m *merger) Pop() interface{} {
 // from here on, even when add fails.
 func (m *merger) add(src rowSource, ord int) error {
 	m.srcs = append(m.srcs, src)
-	if row, ok := src.next(); ok {
-		heap.Push(m, mergeItem{row: row, src: src, ord: ord})
-		return nil
+	row, ok := src.next()
+	if !ok {
+		return src.err()
 	}
-	return src.err()
+	m.item = append(m.item, mergeItem{row: row, src: src, ord: ord})
+	for i := len(m.item) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !m.less(i, p) {
+			break
+		}
+		m.item[i], m.item[p] = m.item[p], m.item[i]
+		i = p
+	}
+	m.ru = 0
+	return nil
+}
+
+// step advances item i's source. A source that runs dry leaves the heap,
+// the last item taking its slot; false means the source failed.
+func (m *merger) step(i int) bool {
+	it := &m.item[i]
+	if row, ok := it.src.next(); ok {
+		it.row = row
+		return true
+	}
+	if m.e = it.src.err(); m.e != nil {
+		return false
+	}
+	last := len(m.item) - 1
+	m.item[i] = m.item[last]
+	m.item = m.item[:last]
+	m.ru = 0
+	return true
 }
 
 // next returns the next row in key order; ok is false once the sources
 // are exhausted or one of them fails (see err). The row is valid until
 // the following next.
 func (m *merger) next() (schema.Row, bool) {
-	for {
-		if m.e != nil {
+	if m.e != nil {
+		return nil, false
+	}
+	if m.stepTop {
+		m.stepTop = false
+		if !m.step(0) {
 			return nil, false
 		}
-		if m.stepTop {
-			top := &m.item[0]
-			if row, ok := top.src.next(); ok {
-				top.row = row
-				heap.Fix(m, 0)
-			} else if m.e = top.src.err(); m.e != nil {
-				return nil, false
-			} else {
-				heap.Pop(m)
+	}
+	for len(m.item) > 1 {
+		if m.ru == 0 {
+			m.ru = 1
+			if len(m.item) > 2 && m.less(2, 1) {
+				m.ru = 2
 			}
-			m.stepTop = false
 		}
-		if len(m.item) == 0 {
-			return nil, false
+		r := m.ru
+		c := m.cmp(0, r)
+		if c < 0 {
+			break // the top still leads: the run goes on
 		}
-		row := m.item[0].row
-		m.stepTop = true
-		if m.lastKey != nil && m.sc.CompareRowToKey(row, m.lastKey) == 0 {
+		m.ru = 0
+		if c > 0 || m.item[r].ord > m.item[0].ord {
+			// The runner-up is the lesser child: it takes the top's place.
+			m.item[0], m.item[r] = m.item[r], m.item[0]
+			m.down(r)
 			continue
 		}
-		m.lastKey, m.keyBuf = m.sc.CopyKey(m.lastKey, m.keyBuf, row)
-		return row, true
+		// The runner-up is an older source's copy of the top's key.
+		if !m.step(r) {
+			return nil, false
+		}
+		if r < len(m.item) {
+			m.down(r)
+		}
 	}
+	if len(m.item) == 0 {
+		return nil, false
+	}
+	m.stepTop = true
+	return m.item[0].row, true
 }
 
 func (m *merger) err() error { return m.e }
@@ -481,11 +545,13 @@ type snapshot struct {
 }
 
 // tabletSpan is one tablet of a snapshot, on disk (dt) or copied from
-// memory (ms), with its timespan.
+// memory (ms), with its timespan and its place in the snapshot's
+// oldest-first order.
 type tabletSpan struct {
 	lo, hi int64
 	dt     *diskTablet
 	ms     *memSource
+	ord    int
 }
 
 // snapshot takes one read's view of the table for the box q, counting the
@@ -516,13 +582,15 @@ func (t *Table) snapshot(q *Query, scanned *int64) (snapshot, error) {
 			s.mems = append(s.mems, tabletSpan{lo: lo, hi: hi, ms: collectMemRows(s.sc, f.mt, q, scanned)})
 		}
 	}
-	for _, f := range t.filling {
-		addMem(f)
-	}
+	// Oldest first, since the merge lets the later source win a tied key:
+	// a sealed memtable is older than the filling one of its period.
 	for _, g := range t.pending {
 		for _, f := range g.tablets {
 			addMem(f)
 		}
+	}
+	for _, f := range t.filling {
+		addMem(f)
 	}
 	return s, nil
 }

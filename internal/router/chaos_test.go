@@ -130,7 +130,10 @@ func TestClusterChaosNoAckedInsertLost(t *testing.T) {
 
 	// Writers: unique keys per writer, acked set recorded under lock.
 	const writers = 4
-	type key struct{ table string; k int64 }
+	type key struct {
+		table string
+		k     int64
+	}
 	var mu sync.Mutex
 	acked := map[key]bool{}
 	stop := make(chan struct{})
