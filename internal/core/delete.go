@@ -18,7 +18,7 @@ import (
 // targeted one: it first flushes in-memory tablets (holding the insert
 // lock, so no writer interleaves), then rewrites each on-disk tablet that
 // overlaps the box without the doomed rows — dropping a tablet outright
-// when nothing survives — in one atomic descriptor update per tablet.
+// when nothing survives — in one publish and descriptor update per tablet.
 // Queries running concurrently keep their snapshots via refcounts.
 func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error) {
 	q.normalize()
@@ -50,16 +50,17 @@ func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error
 	var deleted int64
 	for _, dt := range victims {
 		n, err := t.rewriteWithout(sc, dt, q, filter)
+		deleted += n
 		if err != nil {
 			return deleted, err
 		}
-		deleted += n
 	}
 	return deleted, nil
 }
 
 // rewriteWithout replaces one tablet with a copy lacking the rows that
-// match (box ∧ filter). Returns rows removed.
+// match (box ∧ filter). Returns rows removed, which stay removed even if
+// the descriptor write fails (then retried as persistDescriptor says).
 func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filter func(schema.Row) bool) (int64, error) {
 	doomed := func(row schema.Row) bool {
 		return q.inBox(sc, row) && (filter == nil || filter(row))
@@ -113,15 +114,11 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 		}
 		return 0, ErrTableClosed
 	}
-	t.dropLocked(dt)
+	var add []*diskTablet
 	if out != nil {
-		t.disk = append(t.disk, out)
-		t.sortDiskLocked()
+		add = []*diskTablet{out}
 	}
-	err = t.writeDescriptorLocked()
+	t.publishLocked(add, []*diskTablet{dt})
 	t.mu.Unlock()
-	if err != nil {
-		return 0, fmt.Errorf("core: descriptor update after delete: %w", err)
-	}
-	return matched, nil
+	return matched, t.persistDescriptor()
 }

@@ -52,13 +52,14 @@ type descriptor struct {
 // before the rename and the directory after it — the rename itself is not
 // durable on ext4 until the directory's metadata reaches disk.
 //
-// Descriptor commits run under Table.mu by design: the tablet list the
-// descriptor records and the in-memory list must change as one, or a
-// crash between them replays rows into a tablet the descriptor already
-// owns (§5 prefix durability). Commits are rare (flush/merge/install,
-// not per-insert), so the stall is bounded and deliberate.
+// Changes to the tablet set write it outside Table.mu
+// (Table.persistDescriptor). Schema, TTL and rollup DDL, InstallTablet and
+// quarantine at open write it under Table.mu (writeDescriptorLocked) by
+// design: their contract is that an error changed nothing, so the write
+// and the undo of their in-memory change must be one step. They are rare
+// (operator commands, not per-insert), so the stall is bounded.
 //
-//ltlint:ignore lockorder descriptor commit and in-memory tablet list must be a single atomic transition under Table.mu; see comment above
+//ltlint:ignore lockorder DDL and install commits undo their in-memory change on a failed write, which needs Table.mu across it; see comment above
 func writeDescriptor(fsys vfs.FS, dir string, d *descriptor, sync bool) error {
 	data, err := json.MarshalIndent(d, "", " ")
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"littletable/internal/clock"
@@ -20,20 +19,23 @@ import (
 //
 // A failed write loses nothing: the group returns to the queue and a later
 // call retries it. Consecutive failures and the eventual recovery are
-// counted in Stats. A failed descriptor commit DOES lose the affected
-// rows, exactly as in the serial engine; the loss is counted
-// (Stats.CommitFailures, Stats.RowsLost) and returned as ErrRowsLost.
+// counted in Stats. A failed descriptor write loses nothing either: the
+// committed tablets stay in the table and on disk, the error is returned
+// and counted (Stats.CommitFailures), and the next persist — Tick's retry
+// or a later commit — makes them durable.
 func (t *Table) FlushStep() (bool, error) {
 	return t.flushStep(false)
 }
 
-// flushStep is FlushStep for either kind of caller. A failure sets the
-// retry schedule (retryBackoff on Options.Clock) that scheduled callers
-// honour: while it holds, a scheduled step claims nothing.
+// flushStep is FlushStep for either kind of caller. A failed write sets
+// the retry schedule (retryBackoff on Options.Clock) that scheduled
+// callers honour: while it holds, a scheduled step claims nothing. A
+// failed descriptor write after a written group keeps persistDescriptor's
+// own schedule.
 func (t *Table) flushStep(scheduled bool) (bool, error) {
 	ok, err := t.writeNextGroup(scheduled)
 	t.mu.Lock()
-	if err != nil && !errors.Is(err, ErrTableClosed) {
+	if !ok && err != nil && !errors.Is(err, ErrTableClosed) {
 		t.flushFails++
 		d := retryBackoff(t.flushFails)
 		t.flushRetryAt = t.opts.Clock.Now() + d
@@ -95,7 +97,7 @@ func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		t.abortDisks(disks)
+		t.deleteTablets(disks)
 		return false, ErrTableClosed
 	}
 	if werr != nil {
@@ -109,10 +111,13 @@ func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	}
 	g.state = gsWritten
 	g.disks = disks
-	err := t.commitWrittenLocked()
+	committed := t.commitWrittenLocked()
 	t.flushCond.Broadcast()
 	t.mu.Unlock()
-	return err == nil, err
+	if !committed {
+		return true, nil
+	}
+	return true, t.persistDescriptor()
 }
 
 // writeGroup writes one on-disk tablet per non-empty frozen tablet in g and
@@ -126,7 +131,7 @@ func (t *Table) writeGroup(g *flushGroup, now int64) ([]*diskTablet, error) {
 		}
 		rec, tab, err := t.writeTablet(ft.mt.Schema(), g.seqs[i], t.opts.FS, int64(ft.mt.Len()), treeSource{ft.mt.Cursor(true)}, nil)
 		if err != nil {
-			t.abortDisks(newDisks)
+			t.deleteTablets(newDisks)
 			return nil, err
 		}
 		newDisks = append(newDisks, t.newDiskTablet(rec, tab, now, ft.per.Gran))
@@ -135,83 +140,35 @@ func (t *Table) writeGroup(g *flushGroup, now int64) ([]*diskTablet, error) {
 }
 
 // commitWrittenLocked publishes the longest fully-written prefix of the
-// pending queue in one atomic descriptor update. Caller holds t.mu.
+// pending queue in one step and reports whether the tablet set changed;
+// the caller persists it once it has released t.mu. Caller holds t.mu.
 //
 // Commit strictly follows seal order: a group whose files are on disk but
 // whose predecessor is still writing stays uncommitted. Rows sealed later
 // were inserted later (sealing clears lastInsert, so no dependency edge
 // can point backward across a seal), so the descriptor always names a
 // prefix of insertion order — the §3.1 guarantee.
-func (t *Table) commitWrittenLocked() error {
-	var committed []*flushGroup
+func (t *Table) commitWrittenLocked() bool {
+	var disks []*diskTablet
 	for len(t.pending) > 0 && t.pending[0].state == gsWritten {
 		g := t.pending[0]
 		t.pending = t.pending[1:]
-		t.disk = append(t.disk, g.disks...)
 		t.sealedBytes -= g.bytes
-		committed = append(committed, g)
-	}
-	if len(committed) == 0 {
-		return nil
-	}
-	t.sortDiskLocked()
-	if err := t.writeDescriptorLocked(); err != nil {
-		// Roll back: the files exist but are not durable; drop them. The
-		// rows are lost from memory; count the loss and surface the error
-		// loudly (explicit callers and Tick return it; the background
-		// workers latch it for the next foreground caller).
-		var lost int64
-		for _, g := range committed {
-			for _, f := range g.tablets {
-				lost += int64(f.mt.Len())
-			}
-			for _, dt := range g.disks {
-				t.dropLocked(dt)
-			}
-			g.disks = nil
-		}
-		t.stats.CommitFailures.Add(1)
-		t.stats.RowsLost.Add(lost)
-		return fmt.Errorf("%w: %d rows: %w", ErrRowsLost, lost, err)
-	}
-	for _, g := range committed {
-		for _, dt := range g.disks {
-			t.stats.TabletsFlushed.Add(1)
-			t.stats.BytesFlushed.Add(dt.rec.Bytes)
-		}
+		disks = append(disks, g.disks...)
 		g.disks = nil
+	}
+	if len(disks) == 0 {
+		return false
+	}
+	t.publishLocked(disks, nil)
+	for _, dt := range disks {
+		t.stats.TabletsFlushed.Add(1)
+		t.stats.BytesFlushed.Add(dt.rec.Bytes)
 	}
 	// Freshly committed tablets are merge candidates (after MergeDelay);
 	// let an idle maintenance worker take a look.
 	ring(t.maintKick)
-	return nil
-}
-
-// abortDisks closes and deletes tablets written by a flush that could not
-// be published; not being in the descriptor, they were never durable, and
-// removing them now spares the next open an orphan sweep.
-func (t *Table) abortDisks(disks []*diskTablet) {
-	for _, dt := range disks {
-		dt.tab.Close()
-		_ = t.opts.FS.Remove(dt.path)
-	}
-}
-
-// dropLocked removes dt from the live list (caller updates descriptor) and
-// arranges deletion once readers drain. Caller holds t.mu.
-func (t *Table) dropLocked(dt *diskTablet) {
-	for i, d := range t.disk {
-		if d == dt {
-			t.disk = append(t.disk[:i], t.disk[i+1:]...)
-			break
-		}
-	}
-	dt.dropped = true
-	dt.refs--
-	if dt.refs == 0 {
-		dt.tab.Close()
-		_ = t.opts.FS.Remove(dt.path)
-	}
+	return true
 }
 
 // drainFlush is the one flush loop: it claims, writes and commits queued
@@ -249,30 +206,23 @@ func (t *Table) drainFlush(scheduled bool, done func() bool) (int, error) {
 }
 
 // flushPass is one scheduled flush pass: a flush worker's on each ring,
-// or Tick's own in serial mode. A lost commit (ErrRowsLost) is latched for
-// the next foreground caller — Tick takes it at once — since a worker has
-// no caller to return it to.
+// or Tick's own in serial mode.
 func (t *Table) flushPass() error {
 	n, err := t.drainFlush(true, nil)
 	if t.flushKick != nil {
 		t.stats.AsyncFlushes.Add(int64(n))
 	}
-	if errors.Is(err, ErrRowsLost) {
-		t.mu.Lock()
-		t.asyncErr = err
-		t.mu.Unlock()
-		return nil
-	}
 	return err
 }
 
-// drainPending blocks until the pending queue is empty, then reports a
-// row loss a background flush latched meanwhile instead of success.
+// drainPending blocks until the pending queue is empty and the descriptor
+// names every committed group: a flush worker may have committed the last
+// group without having persisted it yet, or failed to.
 func (t *Table) drainPending() error {
 	if _, err := t.drainFlush(false, func() bool { return len(t.pending) == 0 }); err != nil {
 		return err
 	}
-	return t.takeAsyncErr()
+	return t.persistDescriptor()
 }
 
 // FlushAll seals every filling tablet and drains the pending queue. Used
@@ -350,9 +300,10 @@ func (t *Table) flushPending() error {
 }
 
 // Tick performs one round of time-driven maintenance: age-based sealing
-// of filling tablets (§3.4.1's 10-minute bound on data loss), flushing,
-// TTL expiry (§3.3), and one merge round (§3.4.1–3.4.2). The server calls
-// it periodically; tests call it with a fake clock.
+// of filling tablets (§3.4.1's 10-minute bound on data loss), a due retry
+// of a failed descriptor write, flushing, TTL expiry (§3.3), and one merge
+// round (§3.4.1–3.4.2). The server calls it periodically; tests call it
+// with a fake clock.
 //
 // Tick runs the flush and maintenance passes inline, returning their
 // errors, unless the table has worker pools (Options.FlushWorkers,
@@ -361,7 +312,8 @@ func (t *Table) flushPending() error {
 // disjoint periods — logging and counting failures (FlushFailures,
 // MergeFailures and friends) instead of returning them. Either way a
 // failed flush or merge is retried on the same engine-clock backoff
-// schedule, on the first Tick after it expires.
+// schedule, on the first Tick after it expires; so is a failed descriptor
+// write, which Tick retries inline in both modes.
 func (t *Table) Tick() error {
 	now := t.opts.Clock.Now()
 	t.mu.Lock()
@@ -372,13 +324,15 @@ func (t *Table) Tick() error {
 	t.sealFillingLocked(func(ft *fillingTablet) bool {
 		return !ft.mt.Empty() && now-ft.mt.CreatedAt() >= t.opts.FlushAge
 	})
+	retry := t.descFails > 0 && now >= t.descRetryAt
 	t.mu.Unlock()
-	err := runPass(t.flushKick, t.flushPass)
+	var err error
+	if retry {
+		err = t.persistDescriptor()
+	}
+	err = errors.Join(err, runPass(t.flushKick, t.flushPass))
 	if errors.Is(err, ErrTableClosed) {
 		return err
 	}
-	// Row loss latched by a background flush surfaces here too, so a
-	// server that only ever Ticks still observes it.
-	err = errors.Join(err, t.takeAsyncErr())
 	return errors.Join(err, runPass(t.maintKick, t.tickMaintPass))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"littletable/internal/clock"
 	"littletable/internal/period"
@@ -27,13 +26,15 @@ import (
 // A failed merge is not fatal: the inputs stay live, inserts and queries
 // continue, and the next MergeStep after a capped exponential backoff
 // retries. Failures, retries, and the eventual recovery are counted in
-// Stats.
+// Stats. A merge whose descriptor write fails is done all the same: it
+// reports true with the error, and the write is retried on its own
+// schedule (see persistDescriptor).
 func (t *Table) MergeStep() (bool, error) {
 	ok, err := t.mergeStep()
 
 	t.mu.Lock()
 	switch {
-	case err != nil && !errors.Is(err, ErrTableClosed):
+	case !ok && err != nil && !errors.Is(err, ErrTableClosed):
 		if t.mergeFails > 0 {
 			t.stats.MergeRetries.Add(1)
 		}
@@ -99,12 +100,7 @@ func (t *Table) mergeStep() (bool, error) {
 		}
 		return false, err
 	}
-	for _, dt := range c.inputs {
-		t.dropLocked(dt)
-	}
-	t.disk = append(t.disk, out)
-	t.sortDiskLocked()
-	t.bumpDescGenLocked()
+	t.publishLocked([]*diskTablet{out}, c.inputs)
 	// Count the merge before the broadcast below: the moment waiters wake
 	// and observe "no work left", the counters must already reflect this
 	// merge, or a MaintainUntilQuiet caller can read Stats before the
@@ -118,18 +114,10 @@ func (t *Table) mergeStep() (bool, error) {
 	ring(t.maintKick)
 	t.maintCond.Broadcast()
 	t.mu.Unlock()
-	// Persist outside mu so inserts never stall behind the descriptor's
-	// disk latency; the claim still holds refs on the inputs, so their
-	// files outlive every on-disk descriptor that names them — release
-	// (and with it deletion) strictly follows the persist.
-	derr := t.persistDescriptor()
 	for _, dt := range c.inputs {
 		t.release(dt)
 	}
-	if derr != nil {
-		return false, fmt.Errorf("core: descriptor update after merge: %w", derr)
-	}
-	return true, nil
+	return true, t.persistDescriptor()
 }
 
 func (t *Table) pickWithinGroupLocked(group []*diskTablet, p period.Period, now int64) []*diskTablet {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"littletable/internal/period"
 	"littletable/internal/tablet"
@@ -253,8 +254,10 @@ func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 	}
 	t.sortDiskLocked()
 	if err := t.writeDescriptorLocked(); err != nil {
-		t.dropLocked(dt)
+		// Undo the install: the tablet leaves the set and its file goes.
+		t.disk = slices.DeleteFunc(t.disk, func(d *diskTablet) bool { return d == dt })
 		t.mu.Unlock()
+		t.deleteTablets([]*diskTablet{dt})
 		return err
 	}
 	t.stats.TabletsInstalled.Add(1)

@@ -49,8 +49,7 @@ type statFields[T any] struct {
 	TabletsSealed      T `metric:"tablets_sealed" help:"Memtables sealed for flushing"`
 	AsyncFlushes       T `metric:"async_flushes" help:"Flush groups written by background workers"`
 	BackpressureStalls T `metric:"backpressure_stalls" help:"Inserts stalled on the unflushed backlog caps"`
-	CommitFailures     T `metric:"commit_failures" help:"Descriptor commits that failed, losing sealed rows"`
-	RowsLost           T `metric:"rows_lost" help:"Rows dropped by failed descriptor commits"`
+	CommitFailures     T `metric:"commit_failures" help:"Descriptor writes that failed; the change stays in memory and is retried"`
 
 	// Maintenance scheduler: queue delay and I/O-budget throttling.
 	MergeWaitNs               T `metric:"merge_wait_ns" help:"Nanoseconds merge-eligible periods waited for a worker"`

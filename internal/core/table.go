@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"littletable/internal/blockcache"
+	"littletable/internal/clock"
 	"littletable/internal/ltval"
 	"littletable/internal/memtable"
 	"littletable/internal/period"
@@ -21,14 +23,6 @@ var (
 	ErrDuplicateKey = errors.New("core: duplicate primary key")
 	ErrTableClosed  = errors.New("core: table closed")
 	ErrBadQuery     = errors.New("core: invalid query")
-
-	// ErrRowsLost reports that sealed rows were dropped because the
-	// descriptor commit failed after their tablet files were written. The
-	// loss is permanent (the rows are gone from memory and were never
-	// durable); callers receive it so the loss is observed, not merely
-	// logged. On a background flush it is latched and returned by the next
-	// Insert, Tick, or FlushAll — that caller's own operation succeeded.
-	ErrRowsLost = errors.New("core: descriptor commit failed, rows lost")
 )
 
 // fillingTablet is an in-memory tablet accepting inserts for one time
@@ -71,16 +65,18 @@ type flushGroup struct {
 	disks []*diskTablet // written but uncommitted output
 }
 
-// diskTablet is an open on-disk tablet plus lifecycle state. The base
-// reference is held by the table; queries take additional references so
-// merges and TTL expiry can drop tablets without invalidating open cursors.
+// diskTablet is an open on-disk tablet plus lifecycle state. Readers
+// (queries, merges, exports) hold references, so a publish can drop a
+// tablet without invalidating open cursors; its file goes only when the
+// last reference is gone and a durable descriptor no longer names it
+// (reapLocked).
 type diskTablet struct {
 	rec       tabletRecord
 	tab       *tablet.Tablet
 	path      string
-	refs      int  // guarded by Table.mu
-	dropped   bool // no longer in the descriptor
-	busy      bool // being merged; excluded from further maintenance
+	refs      int    // readers holding it; guarded by Table.mu
+	dropGen   uint64 // generation of the publish that dropped it; 0 while live
+	busy      bool   // being merged; excluded from further maintenance
 	addedAt   int64
 	wroteGran period.Granularity // granularity at write time, for merge delay
 }
@@ -115,16 +111,17 @@ type Table struct {
 	// maintMu before mu.
 	maintMu sync.RWMutex
 
-	// descMu serializes descriptor file writes. Foreground paths write
-	// synchronously under mu (writeDescriptorLocked, lock order mu →
-	// descMu); background maintenance commits mutate state and bump
-	// descGen under mu, then persist OUTSIDE mu (persistDescriptor), so
-	// inserts never wait out a descriptor's disk latency behind a merge.
-	// The generation pair keeps the on-disk descriptor monotone: a
-	// snapshot is only written if no newer one already landed.
+	// descMu serializes descriptor file writes. Every change to the
+	// tablet set is published under mu (publishLocked bumps descGen) and
+	// persisted OUTSIDE mu (persistDescriptor), so inserts never wait out
+	// a descriptor's disk latency. Only DDL, InstallTablet and quarantine
+	// at open write synchronously under mu (writeDescriptorLocked, lock
+	// order mu → descMu): their contract is that an error changed
+	// nothing. The generation pair keeps the on-disk descriptor monotone:
+	// a snapshot is only written if no newer one already landed.
 	descMu      sync.Mutex
-	descGen     uint64 // guarded by mu: state changes needing persistence
-	descWritten uint64 // guarded by descMu: last generation on disk
+	descGen     uint64        // guarded by mu: state changes needing persistence
+	descWritten atomic.Uint64 // stored under descMu: last generation on disk
 
 	// mu guards the fields below. It is held only for short, in-memory
 	// critical sections plus foreground descriptor writes.
@@ -139,6 +136,7 @@ type Table struct {
 	pending     []*flushGroup
 	sealedBytes int64         // sum of pending groups' bytes not yet committed
 	disk        []*diskTablet // sorted by (MinTs, Seq)
+	retired     []*diskTablet // dropped, their files not yet deleted
 	maxTs       int64
 	hasRows     bool
 	closed      bool
@@ -162,13 +160,16 @@ type Table struct {
 	expireWaitSince int64
 	ioBudget        *ioBudget // nil when MaintenanceIOBytesPerSec == 0
 
-	// Fault-recovery state (guarded by mu): consecutive flush and merge
-	// failures and the engine time before which scheduled callers do not
-	// retry (retryBackoff, so a failing disk is not hammered).
+	// Fault-recovery state (guarded by mu): consecutive flush, merge and
+	// descriptor-write failures and the engine time before which scheduled
+	// callers do not retry (retryBackoff, so a failing disk is not
+	// hammered).
 	flushFails   int
 	flushRetryAt int64
 	mergeFails   int
 	mergeRetryAt int64
+	descFails    int
+	descRetryAt  int64
 
 	// Export state (guarded by mu): the pinned sealed-tablet snapshot a
 	// migration is copying out, keyed by file name, and the count of
@@ -178,11 +179,6 @@ type Table struct {
 	// is what lets a migration's cutover pass copy just the delta.
 	exports   map[string]*diskTablet
 	maintHold int
-
-	// asyncErr latches a row-loss error (ErrRowsLost) from a background
-	// flush so the next foreground caller returns it instead of the loss
-	// surviving only as a log line. Guarded by mu; cleared when taken.
-	asyncErr error
 
 	stats Stats
 
@@ -342,14 +338,13 @@ func (t *Table) tabletPath(rec tabletRecord) string {
 }
 
 // newDiskTablet builds every tablet the table holds: it connects the open
-// tab to the shared block cache, when one is configured, and gives it the
-// table's base reference. gran is the period granularity the merge delay
-// measures the tablet against.
+// tab to the shared block cache, when one is configured. gran is the
+// period granularity the merge delay measures the tablet against.
 func (t *Table) newDiskTablet(rec tabletRecord, tab *tablet.Tablet, addedAt int64, gran period.Granularity) *diskTablet {
 	if t.blockCache != nil {
 		tab.SetBlockCache(t.blockCache, t.nextHandle.Add(1))
 	}
-	return &diskTablet{rec: rec, tab: tab, path: t.tabletPath(rec), refs: 1, addedAt: addedAt, wroteGran: gran}
+	return &diskTablet{rec: rec, tab: tab, path: t.tabletPath(rec), addedAt: addedAt, wroteGran: gran}
 }
 
 // writeTablet is the one way the table writes a tablet file (§3.4.1): it
@@ -527,23 +522,7 @@ func (t *Table) Insert(rows []schema.Row) error {
 	// case queued above was empty or ours was not in it; either way the
 	// result is on the request.
 	<-req.done
-	if req.err != nil {
-		return req.err
-	}
-	// A background flush may have lost previously accepted rows (a failed
-	// descriptor commit); surface that to the next caller. ErrRowsLost
-	// refers to those earlier rows — this batch itself was applied.
-	return t.takeAsyncErr()
-}
-
-// takeAsyncErr returns and clears the row-loss error latched by a
-// background flush, if any.
-func (t *Table) takeAsyncErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.asyncErr
-	t.asyncErr = nil
-	return err
+	return req.err
 }
 
 // insertChunk is how many rows one table-lock acquisition applies.
@@ -793,17 +772,17 @@ func (t *Table) unclaim(claimed []*diskTablet) {
 	}
 }
 
-// release drops a reference; the last release of a dropped tablet closes
-// and deletes it.
+// release drops a reference; the last release of a dropped tablet
+// deletes it once a durable descriptor no longer names it.
 func (t *Table) release(dt *diskTablet) {
 	t.mu.Lock()
 	dt.refs--
-	drop := dt.dropped && dt.refs == 0
-	t.mu.Unlock()
-	if drop {
-		dt.tab.Close()
-		t.opts.FS.Remove(dt.path)
+	var gone []*diskTablet
+	if dt.refs == 0 && dt.dropGen != 0 {
+		gone = t.reapLocked()
 	}
+	t.mu.Unlock()
+	t.deleteTablets(gone)
 }
 
 // Close flushes nothing (matching the durability model: a crash and a
@@ -832,11 +811,14 @@ func (t *Table) Close() error {
 	return nil
 }
 
+// closeAllLocked closes every tablet, the dropped ones whose files still
+// wait for a durable descriptor included; those files stay on disk for the
+// next open, whose descriptor may still name them.
 func (t *Table) closeAllLocked() {
-	for _, dt := range t.disk {
+	for _, dt := range append(t.disk, t.retired...) {
 		dt.tab.Close()
 	}
-	t.disk = nil
+	t.disk, t.retired = nil, nil
 	t.filling = map[period.Period]*fillingTablet{}
 	t.pending = nil
 	t.sealedBytes = 0
@@ -922,53 +904,116 @@ func (t *Table) buildDescriptorLocked() *descriptor {
 	return d
 }
 
-// writeDescriptorLocked persists current state synchronously; callers hold
-// t.mu. Foreground paths (flush commit, schema changes, deletes) use it so
-// their error handling stays atomic with the mutation; it takes descMu for
-// the file write so it cannot interleave with a background
-// persistDescriptor and regress the on-disk snapshot.
+// writeDescriptorLocked persists current state synchronously, for the
+// callers whose contract is that an error changed nothing — schema, TTL
+// and rollup DDL, InstallTablet, quarantine at open — and which undo
+// their change when it fails. Callers hold t.mu; every change to the
+// tablet set goes through publishLocked and persistDescriptor instead.
 func (t *Table) writeDescriptorLocked() error {
 	t.descGen++
-	gen := t.descGen
-	d := t.buildDescriptorLocked()
-	t.descMu.Lock()
-	defer t.descMu.Unlock()
-	if err := writeDescriptor(t.opts.FS, t.dir, d, t.opts.SyncWrites); err != nil {
-		return err
-	}
-	if gen > t.descWritten {
-		t.descWritten = gen
-	}
-	return nil
+	return t.writeGen(t.descGen, t.buildDescriptorLocked())
 }
 
-// bumpDescGenLocked records that in-memory state has moved ahead of the
-// on-disk descriptor; the caller must follow up with persistDescriptor
-// after releasing mu. Caller holds t.mu.
-func (t *Table) bumpDescGenLocked() { t.descGen++ }
-
-// persistDescriptor writes the newest descriptor snapshot without holding
-// t.mu across the disk I/O: snapshot under mu (cheap), write under descMu.
-// If a later generation already reached disk — a racing commit persisted a
-// snapshot that includes this caller's mutation, since snapshots are
-// always of the full current state — the write is skipped. Success means
-// the on-disk descriptor reflects at least the state at the caller's bump.
-// Caller must NOT hold t.mu.
-func (t *Table) persistDescriptor() error {
-	t.mu.Lock()
-	gen := t.descGen
-	d := t.buildDescriptorLocked()
-	t.mu.Unlock()
+// writeGen writes d, the snapshot of generation gen, unless a later
+// generation is already on disk: descriptors are full-state snapshots, so
+// a later one subsumes gen's change and skipping it is lossless. descMu
+// keeps the on-disk descriptor monotone.
+func (t *Table) writeGen(gen uint64, d *descriptor) error {
 	t.descMu.Lock()
 	defer t.descMu.Unlock()
-	if gen <= t.descWritten {
+	if gen <= t.descWritten.Load() {
 		return nil
 	}
 	if err := writeDescriptor(t.opts.FS, t.dir, d, t.opts.SyncWrites); err != nil {
 		return err
 	}
-	t.descWritten = gen
+	t.descWritten.Store(gen)
 	return nil
+}
+
+// publishLocked is the one way the tablet set changes — a flush commit, a
+// merge, TTL expiry, a delete-where rewrite, tiering: add joins the set,
+// drop leaves it, and the descriptor generation moves on. The caller then
+// releases t.mu and calls persistDescriptor. Every descriptor is a
+// full-state snapshot of these seal-ordered commits, so whatever reaches
+// disk is a prefix of insertion order. A dropped tablet's file is
+// deleted only once no reader holds it and a durable descriptor no longer
+// names it (reapLocked): a failed or interrupted persist leaves in place
+// every file the on-disk descriptor names. Caller holds t.mu.
+func (t *Table) publishLocked(add, drop []*diskTablet) {
+	t.descGen++
+	if len(drop) > 0 {
+		t.disk = slices.DeleteFunc(t.disk, func(dt *diskTablet) bool { return slices.Contains(drop, dt) })
+		for _, dt := range drop {
+			dt.dropGen = t.descGen
+		}
+		t.retired = append(t.retired, drop...)
+	}
+	t.disk = append(t.disk, add...)
+	t.sortDiskLocked()
+}
+
+// persistDescriptor makes the published tablet set durable: it snapshots
+// the state and its generation under t.mu and writes it outside, unless a
+// later generation already reached disk. A success deletes the dropped
+// tablets no reader holds any more. A failure keeps the change in memory:
+// it is counted (CommitFailures) and sets the retry schedule Tick follows,
+// and any later persist — a retry or the next publish — writes it along.
+// Caller must NOT hold t.mu.
+func (t *Table) persistDescriptor() error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return ErrTableClosed
+	}
+	var err error
+	if gen := t.descGen; gen > t.descWritten.Load() {
+		d := t.buildDescriptorLocked()
+		t.mu.Unlock()
+		err = t.writeGen(gen, d)
+		t.mu.Lock()
+	}
+	if err != nil {
+		t.descFails++
+		wait := retryBackoff(t.descFails)
+		t.descRetryAt = t.opts.Clock.Now() + wait
+		t.stats.CommitFailures.Add(1)
+		t.opts.Logf("littletable: table %s: descriptor write failed (%d consecutive): %v; retrying in %ds",
+			t.name, t.descFails, err, wait/clock.Second)
+		t.mu.Unlock()
+		return fmt.Errorf("core: descriptor update: %w", err)
+	}
+	t.descFails = 0
+	gone := t.reapLocked()
+	t.mu.Unlock()
+	t.deleteTablets(gone)
+	return nil
+}
+
+// reapLocked takes out of t.retired every dropped tablet that no reader
+// holds and no durable descriptor names, for the caller to delete with
+// deleteTablets once it has released t.mu. Caller holds t.mu.
+func (t *Table) reapLocked() []*diskTablet {
+	durable := t.descWritten.Load()
+	var gone []*diskTablet
+	t.retired = slices.DeleteFunc(t.retired, func(dt *diskTablet) bool {
+		if dt.refs == 0 && dt.dropGen <= durable {
+			gone = append(gone, dt)
+			return true
+		}
+		return false
+	})
+	return gone
+}
+
+// deleteTablets closes and deletes tablets no descriptor on disk names:
+// dropped ones reapLocked released, or a flush's output that was never
+// published.
+func (t *Table) deleteTablets(dts []*diskTablet) {
+	for _, dt := range dts {
+		dt.tab.Close()
+		_ = t.opts.FS.Remove(dt.path)
+	}
 }
 
 // expireBefore returns the timestamp before which rows are expired, or

@@ -58,15 +58,12 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 			t.opts.FS.Remove(coldPath)
 			return moved, ErrTableClosed
 		}
-		t.dropLocked(dt) // hot copy deleted once readers drain
-		t.disk = append(t.disk, cold)
-		t.sortDiskLocked()
-		err = t.writeDescriptorLocked()
+		t.publishLocked([]*diskTablet{cold}, []*diskTablet{dt}) // hot copy deleted once durable and unread
 		t.mu.Unlock()
-		if err != nil {
-			return moved, fmt.Errorf("core: descriptor update after tiering: %w", err)
-		}
 		moved++
+		if err := t.persistDescriptor(); err != nil {
+			return moved, err
+		}
 	}
 	return moved, nil
 }

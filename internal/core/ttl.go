@@ -3,7 +3,8 @@ package core
 import "time"
 
 // expireTTL reclaims disk space by removing from the descriptor, and then
-// deleting, any tablet whose rows have all passed their TTL (§3.3). Rows
+// deleting, any tablet whose rows have all passed their TTL (§3.3); a
+// failed descriptor write leaves the files until a retry succeeds. Rows
 // that expire before their tablet does are filtered from query results by
 // the iterator. At most one expiry round runs at a time (the expiring
 // flag); tablets being merged are skipped — the merge itself drops their
@@ -36,32 +37,18 @@ func (t *Table) expireTTL(now int64) error {
 		t.expireWaitSince = 0
 	}
 	t.stats.ExpiriesInFlight.Add(1)
-	for _, dt := range doomed {
-		// Hold a ref across the descriptor persist below: the files must
-		// outlive any on-disk descriptor that still names them, so deletion
-		// (at release) strictly follows the persist.
-		t.acquireLocked(dt)
-		t.dropLocked(dt)
-	}
-	t.bumpDescGenLocked()
+	t.publishLocked(nil, doomed)
+	t.stats.TabletsExpired.Add(int64(len(doomed)))
+	t.stats.ExpiryRuns.Add(1)
 	t.mu.Unlock()
-	// Persist outside mu so inserts never stall behind the descriptor's
-	// disk latency; the expiring flag keeps further rounds out meanwhile.
+	// The expiring flag keeps further rounds out while the persist runs.
 	err := t.persistDescriptor()
-	for _, dt := range doomed {
-		t.release(dt)
-	}
 	t.mu.Lock()
 	t.expiring = false
 	t.stats.ExpiriesInFlight.Add(-1)
 	t.maintCond.Broadcast()
 	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	t.stats.TabletsExpired.Add(int64(len(doomed)))
-	t.stats.ExpiryRuns.Add(1)
-	return nil
+	return err
 }
 
 // ExpireNow runs TTL reclamation immediately; tests and the ltbench

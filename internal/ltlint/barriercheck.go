@@ -22,14 +22,14 @@ var barrierFuncs = map[string]bool{
 
 // BarrierCheck enforces §5's prefix-durability proof obligation: every
 // sync/rename/descriptor-commit error must be checked — returned,
-// branched on, or routed into the RowsLost/quarantine machinery — never
-// dropped on the floor. It flags barrier calls whose result is discarded:
+// branched on, or kept for a retry while no file a durable descriptor
+// names is deleted — never dropped on the floor. It flags barrier calls whose result is discarded:
 // bare expression statements, go/defer statements, and assignments where
 // every left-hand side is blank.
 var BarrierCheck = &Analyzer{
 	Name: "barriercheck",
 	Doc: "a discarded Sync/Rename/SyncDir/writeDescriptor error silently " +
-		"breaks §5 prefix durability; check it or route it into RowsLost/quarantine",
+		"breaks §5 prefix durability; check it, or keep the change for a retry and delete no file a durable descriptor names",
 	Run: runBarrierCheck,
 }
 
@@ -39,7 +39,7 @@ func runBarrierCheck(p *Pass) error {
 		case *ast.ExprStmt:
 			if name, ok := barrierCall(s.X); ok {
 				p.Reportf(s.Pos(), "%s's error is discarded; a failed barrier must be checked "+
-					"or routed into the RowsLost/quarantine machinery (§5 prefix durability)", name)
+					"or kept for a retry that deletes no file a durable descriptor names (§5 prefix durability)", name)
 			}
 		case *ast.GoStmt:
 			if name, ok := barrierCall(s.Call); ok {
@@ -65,7 +65,7 @@ func runBarrierCheck(p *Pass) error {
 				}
 			}
 			p.Reportf(s.Pos(), "%s's error is assigned to _; a failed barrier must be checked "+
-				"or routed into the RowsLost/quarantine machinery (§5 prefix durability)", name)
+				"or kept for a retry that deletes no file a durable descriptor names (§5 prefix durability)", name)
 		}
 		return true
 	})
