@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -443,4 +445,97 @@ func TestBucketWidthZeroSingleBucket(t *testing.T) {
 func ExampleAgg_OutputColumn() {
 	fmt.Println(Agg{Func: Quantile, Col: "latency", Q: 0.95}.OutputColumn())
 	// Output: p95_latency
+}
+
+// sketchImage builds a raw sketch image: the zero count, then each sign's
+// (index, count) entries exactly as listed, canonical or not.
+func sketchImage(zero uint64, pos, neg [][2]int64) []byte {
+	b := binary.AppendUvarint(nil, zero)
+	for _, bins := range [][][2]int64{pos, neg} {
+		b = binary.AppendUvarint(b, uint64(len(bins)))
+		for _, e := range bins {
+			b = binary.AppendVarint(b, e[0])
+			b = binary.AppendUvarint(b, uint64(e[1]))
+		}
+	}
+	return b
+}
+
+// TestUnmarshalSketchRejectsNonCanonical: only AppendBinary's own form
+// decodes. A repeated index once summed two MaxInt64 counts into a sketch
+// whose Count was −2 and whose re-encode was rejected.
+func TestUnmarshalSketchRejectsNonCanonical(t *testing.T) {
+	bad := map[string][]byte{
+		"repeated index, wrapping": sketchImage(0, [][2]int64{{1, math.MaxInt64}, {1, math.MaxInt64}}, nil),
+		"repeated index":           sketchImage(0, nil, [][2]int64{{5, 1}, {5, 1}}),
+		"descending index":         sketchImage(0, [][2]int64{{2, 1}, {1, 1}}, nil),
+		"total over int64":         sketchImage(0, [][2]int64{{1, math.MaxInt64}}, [][2]int64{{1, 1}}),
+		"zero count plus bins":     sketchImage(math.MaxInt64, [][2]int64{{-3, 1}}, nil),
+	}
+	for name, img := range bad {
+		if s, err := UnmarshalSketch(img); err == nil {
+			t.Errorf("%s: accepted, Count = %d", name, s.Count())
+		}
+	}
+	ok := sketchImage(math.MaxInt64-3, [][2]int64{{-1, 1}, {7, 1}}, [][2]int64{{math.MinInt32, 1}})
+	s, err := UnmarshalSketch(ok)
+	if err != nil {
+		t.Fatalf("canonical image rejected: %v", err)
+	}
+	if s.Count() != math.MaxInt64 || !bytes.Equal(s.AppendBinary(nil), ok) {
+		t.Fatalf("canonical image: Count = %d, re-encode %x, want %x", s.Count(), s.AppendBinary(nil), ok)
+	}
+}
+
+// TestSketchBinBound adds values across the whole float64 range and checks
+// the bound Sketch's doc comment states: at most 72,710 bins per sign,
+// sorted and unique, surviving an encode round trip, with quantiles
+// monotone in q.
+func TestSketchBinBound(t *testing.T) {
+	// math.Log is exact enough for normal floats; on amd64 it maps every
+	// subnormal near the smallest normal, so only the bound's low end is
+	// platform-dependent.
+	lo, hi := sketchIndex(math.SmallestNonzeroFloat64), sketchIndex(math.MaxFloat64)
+	if lo < -37220 || hi != 35488 {
+		t.Fatalf("finite index range [%d, %d], doc comment bounds it by [-37220, 35488]", lo, hi)
+	}
+	const maxBins = 72710                        // 35488 − (−37220) + 1 finite buckets, plus ±Inf's
+	normal := int(hi-sketchIndex(0x1p-1022)) + 2 // normal buckets, plus ±Inf's
+	s := NewSketch()
+	for _, v := range []float64{0, math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022} {
+		s.Add(v)
+		s.Add(-v)
+	}
+	// Steps of 0.01 in ln v are finer than a bucket (ln γ ≈ 0.02), so every
+	// normal bucket is filled.
+	for x := math.Log(math.SmallestNonzeroFloat64); x < math.Log(math.MaxFloat64); x += 0.01 {
+		s.Add(math.Exp(x))
+		s.Add(-math.Exp(x))
+	}
+	for sign, bins := range [][]bin{s.pos, s.neg} {
+		if len(bins) > maxBins || len(bins) < normal {
+			t.Errorf("sign %d holds %d bins, want %d to %d", sign, len(bins), normal, maxBins)
+		}
+		for i := 1; i < len(bins); i++ {
+			if bins[i].idx <= bins[i-1].idx {
+				t.Fatalf("sign %d: bin %d index %d after %d", sign, i, bins[i].idx, bins[i-1].idx)
+			}
+		}
+		if last := bins[len(bins)-1].idx; last != math.MaxInt32 {
+			t.Errorf("sign %d: last bin %d, want the ±Inf bucket", sign, last)
+		}
+	}
+	img := s.AppendBinary(nil)
+	got, err := UnmarshalSketch(img)
+	if err != nil || !bytes.Equal(got.AppendBinary(nil), img) || got.Count() != s.Count() {
+		t.Fatalf("round trip: err %v, count %d want %d", err, got.Count(), s.Count())
+	}
+	prev := math.Inf(-1)
+	for q := 0.0; q <= 1; q += 0.001 {
+		v := s.Quantile(q)
+		if math.IsNaN(v) || v < prev {
+			t.Fatalf("Quantile(%g) = %g after %g", q, v, prev)
+		}
+		prev = v
+	}
 }

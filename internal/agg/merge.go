@@ -73,10 +73,7 @@ func mergeState(f Func, dst *State, src *State) {
 		// A fresh sketch, not an in-place fold: dst.States was shallow-
 		// copied by MergeGroups, so its Sketch pointer still belongs to
 		// the input group and must not be mutated.
-		merged := NewSketch()
-		merged.Merge(dst.Sketch)
-		merged.Merge(src.Sketch)
-		dst.Sketch = merged
+		dst.Sketch = mergedSketch(dst.Sketch, src.Sketch)
 	}
 }
 

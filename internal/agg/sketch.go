@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // sketchAlpha is the sketch's relative accuracy: a reported quantile is
 // within ±1% of the true value. With γ = (1+α)/(1−α), values are binned
 // by ⌈log_γ v⌉, so a bucket index is ~14 bits for any physical quantity
-// and the map stays tiny even for heavy-tailed data.
+// and a sketch stays small even for heavy-tailed data.
 const sketchAlpha = 0.01
 
 var (
@@ -23,16 +22,26 @@ var (
 // count. Merging two sketches is bucket-count addition, which is
 // associative and commutative — the property the router's shard-merge
 // relies on (merge order cannot change a reported quantile).
+//
+// Each sign is a sparse run of bins, sorted by index, unique, every count
+// positive: the form the wire carries, so merge is one linear pass and
+// encode and decode walk the run in order. A sign holds at most 72,710
+// bins: finite magnitudes index from at least −37,220 (the smallest
+// subnormal) to 35,488 (MaxFloat64), and ±Inf clamps to one more bucket
+// at MaxInt32.
 type Sketch struct {
-	pos  map[int32]int64
-	neg  map[int32]int64 // indexed by the magnitude's bucket
-	zero int64
+	pos, neg []bin // neg is indexed by the magnitude's bucket
+	zero     int64
+}
+
+// bin is one bucket of a Sketch: its index and how many values it holds.
+type bin struct {
+	idx int32
+	n   int64
 }
 
 // NewSketch returns an empty sketch.
-func NewSketch() *Sketch {
-	return &Sketch{pos: make(map[int32]int64), neg: make(map[int32]int64)}
-}
+func NewSketch() *Sketch { return &Sketch{} }
 
 // sketchIndex bins a positive value; ±Inf and extreme magnitudes clamp
 // to the int32 range instead of hitting Go's undefined float→int
@@ -61,36 +70,84 @@ func (s *Sketch) Add(v float64) {
 	case v == 0:
 		s.zero++
 	case v > 0:
-		s.pos[sketchIndex(v)]++
+		s.pos = addBin(s.pos, sketchIndex(v))
 	default:
-		s.neg[sketchIndex(-v)]++
+		s.neg = addBin(s.neg, sketchIndex(-v))
 	}
+}
+
+// addBin counts one value into bucket i, inserting the bin if it is new.
+func addBin(bins []bin, i int32) []bin {
+	lo, hi := 0, len(bins)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bins[m].idx < i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(bins) && bins[lo].idx == i {
+		bins[lo].n++
+		return bins
+	}
+	bins = append(bins, bin{})
+	copy(bins[lo+1:], bins[lo:])
+	bins[lo] = bin{idx: i, n: 1}
+	return bins
 }
 
 // Count returns the number of values folded.
 func (s *Sketch) Count() int64 {
 	n := s.zero
-	for _, c := range s.pos {
-		n += c
+	for _, b := range s.pos {
+		n += b.n
 	}
-	for _, c := range s.neg {
-		n += c
+	for _, b := range s.neg {
+		n += b.n
 	}
 	return n
 }
 
 // Merge folds o into s. o may be nil.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil {
-		return
+func (s *Sketch) Merge(o *Sketch) { *s = *mergedSketch(s, o) }
+
+// mergedSketch returns a fresh sketch holding a and b (either may be nil);
+// neither input is modified.
+func mergedSketch(a, b *Sketch) *Sketch {
+	var empty Sketch
+	if a == nil {
+		a = &empty
 	}
-	s.zero += o.zero
-	for i, c := range o.pos {
-		s.pos[i] += c
+	if b == nil {
+		b = &empty
 	}
-	for i, c := range o.neg {
-		s.neg[i] += c
+	return &Sketch{pos: mergeBins(a.pos, b.pos), neg: mergeBins(a.neg, b.neg), zero: a.zero + b.zero}
+}
+
+// mergeBins returns the bucket-wise sum of two sorted runs in one new
+// slice (nil when both are empty); neither input is modified.
+func mergeBins(a, b []bin) []bin {
+	if len(a)+len(b) == 0 {
+		return nil
 	}
+	out := make([]bin, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].idx < b[j].idx:
+			out = append(out, a[i])
+			i++
+		case a[i].idx > b[j].idx:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, bin{idx: a[i].idx, n: a[i].n + b[j].n})
+			i, j = i+1, j+1
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Quantile returns the q-quantile estimate (q clamped to [0, 1]), or
@@ -110,63 +167,56 @@ func (s *Sketch) Quantile(q float64) float64 {
 	}
 	rank := int64(q * float64(n-1)) // 0-based rank
 	acc := int64(0)
-	negIdx := sortedIndices(s.neg)
-	for i := len(negIdx) - 1; i >= 0; i-- {
-		acc += s.neg[negIdx[i]]
+	for i := len(s.neg) - 1; i >= 0; i-- {
+		acc += s.neg[i].n
 		if acc > rank {
-			return -sketchValue(negIdx[i])
+			return -sketchValue(s.neg[i].idx)
 		}
 	}
 	acc += s.zero
 	if acc > rank {
 		return 0
 	}
-	for _, i := range sortedIndices(s.pos) {
-		acc += s.pos[i]
+	for _, b := range s.pos {
+		acc += b.n
 		if acc > rank {
-			return sketchValue(i)
+			return sketchValue(b.idx)
 		}
 	}
 	// Unreachable: rank < n and the walk covers all n values.
 	return math.NaN()
 }
 
-func sortedIndices(m map[int32]int64) []int32 {
-	out := make([]int32, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// AppendBinary appends a deterministic binary encoding (sorted bucket
+// AppendBinary appends a deterministic binary encoding (ascending bucket
 // order, varint-packed) and returns the extended slice.
 func (s *Sketch) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.zero))
-	for _, m := range []map[int32]int64{s.pos, s.neg} {
-		idx := sortedIndices(m)
-		dst = binary.AppendUvarint(dst, uint64(len(idx)))
-		for _, i := range idx {
-			dst = binary.AppendVarint(dst, int64(i))
-			dst = binary.AppendUvarint(dst, uint64(m[i]))
+	for _, bins := range [2][]bin{s.pos, s.neg} {
+		dst = binary.AppendUvarint(dst, uint64(len(bins)))
+		for _, b := range bins {
+			dst = binary.AppendVarint(dst, int64(b.idx))
+			dst = binary.AppendUvarint(dst, uint64(b.n))
 		}
 	}
 	return dst
 }
 
 // UnmarshalSketch decodes an AppendBinary image. The whole buffer must
-// be consumed; counts and indices are validated so a hostile image
-// cannot produce negative counts or out-of-range buckets.
+// be consumed, and it must be the one image AppendBinary emits: bucket
+// indices strictly ascending within each sign, every count positive, and
+// a total count that fits an int64. So a hostile image cannot produce
+// negative counts, out-of-range buckets or a sketch that fails to
+// re-encode.
 func UnmarshalSketch(b []byte) (*Sketch, error) {
-	s := NewSketch()
+	s := &Sketch{}
 	zero, n := binary.Uvarint(b)
 	if n <= 0 || zero > math.MaxInt64 {
 		return nil, fmt.Errorf("agg: bad sketch zero count")
 	}
 	s.zero = int64(zero)
+	total := s.zero
 	b = b[n:]
-	for _, m := range []map[int32]int64{s.pos, s.neg} {
+	for _, bins := range [2]*[]bin{&s.pos, &s.neg} {
 		cnt, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, fmt.Errorf("agg: bad sketch bucket count")
@@ -177,18 +227,25 @@ func UnmarshalSketch(b []byte) (*Sketch, error) {
 		if cnt > uint64(len(b)) {
 			return nil, fmt.Errorf("agg: sketch bucket count %d exceeds payload", cnt)
 		}
+		if cnt > 0 {
+			*bins = make([]bin, 0, cnt)
+		}
 		for j := uint64(0); j < cnt; j++ {
 			idx, n := binary.Varint(b)
 			if n <= 0 || idx < math.MinInt32 || idx > math.MaxInt32 {
 				return nil, fmt.Errorf("agg: bad sketch bucket index")
 			}
+			if j > 0 && idx <= int64((*bins)[j-1].idx) {
+				return nil, fmt.Errorf("agg: sketch bucket index %d not ascending", idx)
+			}
 			b = b[n:]
 			c, n := binary.Uvarint(b)
-			if n <= 0 || c == 0 || c > math.MaxInt64 {
+			if n <= 0 || c == 0 || c > uint64(math.MaxInt64-total) {
 				return nil, fmt.Errorf("agg: bad sketch bucket value")
 			}
 			b = b[n:]
-			m[int32(idx)] += int64(c)
+			total += int64(c)
+			*bins = append(*bins, bin{idx: int32(idx), n: int64(c)})
 		}
 	}
 	if len(b) != 0 {

@@ -111,6 +111,11 @@ func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	}
 	g.state = gsWritten
 	g.disks = disks
+	// Counted under mu before the commit can dequeue the group, so a
+	// reader that sees the queue empty also sees every worker's group.
+	if scheduled && t.flushKick != nil {
+		t.stats.AsyncFlushes.Add(1)
+	}
 	committed := t.commitWrittenLocked()
 	t.flushCond.Broadcast()
 	t.mu.Unlock()
@@ -172,31 +177,26 @@ func (t *Table) commitWrittenLocked() bool {
 }
 
 // drainFlush is the one flush loop: it claims, writes and commits queued
-// groups until done (called with t.mu held; nil means never) reports true,
-// and returns how many groups it wrote. Scheduled callers — Tick and the
-// flush workers — honour the retry schedule and return once nothing is
-// claimable. Explicit callers — FlushAll, FlushBefore and an inserter over
-// the backlog cap — try now, and wait on flushCond while every queued
-// group is in flight with another flusher rather than re-writing it. Both
-// return the first error.
-func (t *Table) drainFlush(scheduled bool, done func() bool) (int, error) {
-	n := 0
+// groups until done (called with t.mu held; nil means never) reports true.
+// Scheduled callers — Tick and the flush workers — honour the retry
+// schedule and return once nothing is claimable. Explicit callers —
+// FlushAll, FlushBefore and an inserter over the backlog cap — try now,
+// and wait on flushCond while every queued group is in flight with another
+// flusher rather than re-writing it. Both return the first error.
+func (t *Table) drainFlush(scheduled bool, done func() bool) error {
 	for {
 		ok, err := t.flushStep(scheduled)
 		if err != nil {
-			return n, err
+			return err
 		}
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
-			return n, ErrTableClosed
-		}
-		if ok {
-			n++
+			return ErrTableClosed
 		}
 		if (done != nil && done()) || (!ok && scheduled) {
 			t.mu.Unlock()
-			return n, nil
+			return nil
 		}
 		if !ok {
 			t.flushCond.Wait()
@@ -208,18 +208,14 @@ func (t *Table) drainFlush(scheduled bool, done func() bool) (int, error) {
 // flushPass is one scheduled flush pass: a flush worker's on each ring,
 // or Tick's own in serial mode.
 func (t *Table) flushPass() error {
-	n, err := t.drainFlush(true, nil)
-	if t.flushKick != nil {
-		t.stats.AsyncFlushes.Add(int64(n))
-	}
-	return err
+	return t.drainFlush(true, nil)
 }
 
 // drainPending blocks until the pending queue is empty and the descriptor
 // names every committed group: a flush worker may have committed the last
 // group without having persisted it yet, or failed to.
 func (t *Table) drainPending() error {
-	if _, err := t.drainFlush(false, func() bool { return len(t.pending) == 0 }); err != nil {
+	if err := t.drainFlush(false, func() bool { return len(t.pending) == 0 }); err != nil {
 		return err
 	}
 	return t.persistDescriptor()

@@ -15,8 +15,7 @@ func (t *Table) backpressure() error {
 		return nil
 	}
 	t.stats.BackpressureStalls.Add(1)
-	_, err := t.drainFlush(false, func() bool { return !t.overBacklogLocked(capBytes) })
-	return err
+	return t.drainFlush(false, func() bool { return !t.overBacklogLocked(capBytes) })
 }
 
 // overBacklogLocked reports whether the sealed-but-unflushed backlog is at

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 
 	"littletable/internal/agg"
@@ -150,11 +151,14 @@ func encodeState(b *Buf, f agg.Func, st *agg.State) {
 			b.Value(st.MM)
 		}
 	case agg.Quantile:
-		var sk []byte
+		// b.Bytes's layout, written in place: reserve the length, append
+		// the sketch, then patch the length in. A nil sketch is empty.
+		at := len(b.B)
+		b.U32(0)
 		if st.Sketch != nil {
-			sk = st.Sketch.AppendBinary(nil)
+			b.B = st.Sketch.AppendBinary(b.B)
 		}
-		b.Bytes(sk)
+		binary.LittleEndian.PutUint32(b.B[at:], uint32(len(b.B)-at-4))
 	}
 }
 

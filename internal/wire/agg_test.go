@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -246,20 +247,41 @@ func TestAggDecodeRejects(t *testing.T) {
 	}
 
 	// Corrupt sketch bytes inside a quantile state.
-	var sb Buf
-	qspec := agg.Spec{BucketWidth: 1, Aggs: []agg.Agg{{Func: agg.Quantile, Col: "c", Q: 0.5}}}
-	encodeSpec(&sb, qspec)
-	sb.U32(0)
-	sb.U32(1)
-	sb.I64(0)
-	sb.Values(nil)
-	sb.I64(1)
-	sb.Bytes([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	sb.I64(0)
-	sb.Bool(false)
-	if _, err := DecodeAggResult(sb.B); err == nil {
+	if _, err := DecodeAggResult(quantileResult(bytes.Repeat([]byte{0xff}, 10))); err == nil {
 		t.Fatal("corrupt sketch accepted")
 	}
+	// A repeated bucket index whose counts wrap int64: it once decoded to
+	// a sketch of Count −2 that its own re-encode rejected.
+	if _, err := DecodeAggResult(quantileResult(wrappingSketch())); err == nil {
+		t.Fatal("sketch with a repeated bucket accepted")
+	}
+}
+
+// quantileResult is an AggResult payload of one group whose one quantile
+// state carries the given sketch image.
+func quantileResult(sketch []byte) []byte {
+	var b Buf
+	encodeSpec(&b, agg.Spec{BucketWidth: 1, Aggs: []agg.Agg{{Func: agg.Quantile, Col: "c", Q: 0.5}}})
+	b.U32(0) // no tables
+	b.U32(1) // one merged group
+	b.I64(0) // bucket
+	b.Values(nil)
+	b.I64(1) // state N
+	b.Bytes(sketch)
+	b.I64(0) // rows folded
+	b.Bool(false)
+	return b.B
+}
+
+// wrappingSketch is a sketch image with no zeros, positive bucket 1 listed
+// twice with count MaxInt64 each, and no negatives.
+func wrappingSketch() []byte {
+	b := []byte{0, 2}
+	for i := 0; i < 2; i++ {
+		b = binary.AppendVarint(b, 1)
+		b = binary.AppendUvarint(b, math.MaxInt64)
+	}
+	return append(b, 0)
 }
 
 // FuzzAggResult hammers both agg decoders with arbitrary bytes: they
@@ -272,6 +294,7 @@ func FuzzAggResult(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 5, 'u', 's', 'a', 'g', 'e'})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(quantileResult(wrappingSketch()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeAggResult(data); err == nil {
 			p := m.Encode()
