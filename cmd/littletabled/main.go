@@ -48,7 +48,6 @@ func main() {
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "per-table LRU cache over parsed blocks, in bytes (0 = off)")
 		flushWork   = flag.Int("flush-workers", 0, "background flush workers per table (0 = synchronous flushing)")
 		mergeWork   = flag.Int("merge-workers", 0, "background maintenance workers per table running merges and TTL expiry concurrently (0 = serial maintenance in the tick loop)")
-		maintIO     = flag.Int64("maintenance-io-bytes-per-sec", 0, "token-bucket cap on maintenance I/O bytes per second, shared across a table's workers (0 = unlimited)")
 		maxUnflush  = flag.Int64("max-unflushed-bytes", 0, "sealed-but-unflushed bytes before inserts stall (0 = default, <0 = unlimited)")
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight requests before closing (0 = close immediately)")
 		maxInFlight = flag.Int("max-in-flight", 0, "shed requests beyond this many concurrently in flight with a retryable Overloaded refusal (0 = unlimited)")
@@ -73,7 +72,6 @@ func main() {
 	opts.Core.BlockCacheBytes = *cacheBytes
 	opts.Core.FlushWorkers = *flushWork
 	opts.Core.MergeWorkers = *mergeWork
-	opts.Core.MaintenanceIOBytesPerSec = *maintIO
 	opts.Core.MaxUnflushedBytes = *maxUnflush
 
 	srv, err := littletable.NewServer(opts)

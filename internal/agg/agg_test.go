@@ -306,6 +306,23 @@ func groupsEqual(t *testing.T, spec Spec, x, y []Group) bool {
 	return true
 }
 
+// TestSketchSubnormalQuantiles holds subnormal values to the same ±1 %
+// guarantee as normal ones.
+func TestSketchSubnormalQuantiles(t *testing.T) {
+	const n, unit = 100000, 1e-315 // n·unit < 2^-1022: every value is subnormal
+	s := NewSketch()
+	for i := 1; i <= n; i++ {
+		s.Add(float64(i) * unit)
+	}
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
+		// 0.002 covers the rank rounding, at most one value in q·n ≥ 1,000.
+		got, want := s.Quantile(q), q*n*unit
+		if math.Abs(got/want-1) > sketchAlpha+0.002 {
+			t.Errorf("q%.2f = %g, want %g within ±1%%", q, got, want)
+		}
+	}
+}
+
 func TestSketchQuantiles(t *testing.T) {
 	s := NewSketch()
 	for i := 1; i <= 1000; i++ {
@@ -492,29 +509,30 @@ func TestUnmarshalSketchRejectsNonCanonical(t *testing.T) {
 // sorted and unique, surviving an encode round trip, with quantiles
 // monotone in q.
 func TestSketchBinBound(t *testing.T) {
-	// math.Log is exact enough for normal floats; on amd64 it maps every
-	// subnormal near the smallest normal, so only the bound's low end is
-	// platform-dependent.
 	lo, hi := sketchIndex(math.SmallestNonzeroFloat64), sketchIndex(math.MaxFloat64)
-	if lo < -37220 || hi != 35488 {
+	if lo != -37220 || hi != 35488 {
 		t.Fatalf("finite index range [%d, %d], doc comment bounds it by [-37220, 35488]", lo, hi)
 	}
-	const maxBins = 72710                        // 35488 − (−37220) + 1 finite buckets, plus ±Inf's
-	normal := int(hi-sketchIndex(0x1p-1022)) + 2 // normal buckets, plus ±Inf's
+	const maxBins = 72710 // 35488 − (−37220) + 1 finite buckets, plus ±Inf's
+	// Below 2^-1064 (1,024 times the smallest subnormal) representable
+	// values are sparser than buckets, so some of those stay empty; every
+	// bucket above it is filled, plus ±Inf's.
+	filled := int(hi-sketchIndex(0x1p-1064)) + 2
 	s := NewSketch()
 	for _, v := range []float64{0, math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022} {
 		s.Add(v)
 		s.Add(-v)
 	}
-	// Steps of 0.01 in ln v are finer than a bucket (ln γ ≈ 0.02), so every
-	// normal bucket is filled.
-	for x := math.Log(math.SmallestNonzeroFloat64); x < math.Log(math.MaxFloat64); x += 0.01 {
+	// Steps of 0.01 in ln v are finer than a bucket (ln γ ≈ 0.02). The walk
+	// starts below ln of the smallest subnormal (−744.44), a literal since
+	// math.Log is wrong for subnormals on amd64.
+	for x := -745.0; x < math.Log(math.MaxFloat64); x += 0.01 {
 		s.Add(math.Exp(x))
 		s.Add(-math.Exp(x))
 	}
 	for sign, bins := range [][]bin{s.pos, s.neg} {
-		if len(bins) > maxBins || len(bins) < normal {
-			t.Errorf("sign %d holds %d bins, want %d to %d", sign, len(bins), normal, maxBins)
+		if len(bins) > maxBins || len(bins) < filled {
+			t.Errorf("sign %d holds %d bins, want %d to %d", sign, len(bins), filled, maxBins)
 		}
 		for i := 1; i < len(bins); i++ {
 			if bins[i].idx <= bins[i-1].idx {

@@ -26,7 +26,7 @@ var (
 // Each sign is a sparse run of bins, sorted by index, unique, every count
 // positive: the form the wire carries, so merge is one linear pass and
 // encode and decode walk the run in order. A sign holds at most 72,710
-// bins: finite magnitudes index from at least −37,220 (the smallest
+// bins: finite magnitudes index from −37,220 (the smallest
 // subnormal) to 35,488 (MaxFloat64), and ±Inf clamps to one more bucket
 // at MaxInt32.
 type Sketch struct {
@@ -47,7 +47,14 @@ func NewSketch() *Sketch { return &Sketch{} }
 // to the int32 range instead of hitting Go's undefined float→int
 // conversion.
 func sketchIndex(v float64) int32 {
-	l := math.Ceil(math.Log(v) / sketchLogGamma)
+	lv := math.Log(v)
+	if v < 0x1p-1022 {
+		// math.Log is wrong for subnormals on amd64 (math.Log(1e-320) is
+		// −709.09, not −736.83), so take it of the normalized fraction.
+		frac, exp := math.Frexp(v)
+		lv = math.Log(frac) + float64(exp)*math.Ln2
+	}
+	l := math.Ceil(lv / sketchLogGamma)
 	if l >= math.MaxInt32 {
 		return math.MaxInt32
 	}

@@ -79,7 +79,11 @@ func SyncFS(fsys vfs.FS, src, dst string, durable bool) (SyncStats, error) {
 				continue
 			}
 		}
-		n, err := copyFile(fsys, filepath.Join(src, rel), filepath.Join(dst, rel), durable)
+		to := filepath.Join(dst, rel)
+		if err := fsys.MkdirAll(filepath.Dir(to)); err != nil {
+			return stats, fmt.Errorf("archive: copy %s: %w", rel, err)
+		}
+		n, err := vfs.CopyFileAtomic(fsys, filepath.Join(src, rel), to, durable)
 		if err != nil {
 			return stats, fmt.Errorf("archive: copy %s: %w", rel, err)
 		}
@@ -198,52 +202,4 @@ func fileCRC(fsys vfs.FS, path string) (uint32, error) {
 		return 0, err
 	}
 	return h.Sum32(), nil
-}
-
-// copyFile copies src to dst atomically (write temp + rename), returning
-// bytes copied. With durable, the temp file is fsynced before the rename
-// and the parent directory after it.
-func copyFile(fsys vfs.FS, src, dst string, durable bool) (int64, error) {
-	if err := fsys.MkdirAll(filepath.Dir(dst)); err != nil {
-		return 0, err
-	}
-	in, err := fsys.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	st, err := in.Stat()
-	if err != nil {
-		return 0, err
-	}
-	tmp := dst + ".copy.tmp"
-	out, err := fsys.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	n, err := io.Copy(out, io.NewSectionReader(in, 0, st.Size()))
-	if err != nil {
-		out.Close()
-		fsys.Remove(tmp)
-		return 0, err
-	}
-	if durable {
-		if err := out.Sync(); err != nil {
-			out.Close()
-			fsys.Remove(tmp)
-			return 0, err
-		}
-	}
-	if err := out.Close(); err != nil {
-		fsys.Remove(tmp)
-		return 0, err
-	}
-	if err := fsys.Rename(tmp, dst); err != nil {
-		fsys.Remove(tmp)
-		return 0, err
-	}
-	if durable {
-		return n, fsys.SyncDir(vfs.DirOf(dst))
-	}
-	return n, nil
 }

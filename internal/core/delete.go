@@ -98,7 +98,7 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 		if err != nil {
 			return 0, err
 		}
-		rec, tab, err := t.writeTablet(sc, seq, t.opts.FS, kept, src, func(row schema.Row) bool { return !doomed(row) })
+		rec, tab, err := t.writeTablet(sc, seq, kept, src, func(row schema.Row) bool { return !doomed(row) })
 		src.close()
 		if err != nil {
 			return 0, err

@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"littletable/internal/schema"
@@ -45,12 +48,13 @@ type descriptor struct {
 	NextSeq uint64         `json:"next_seq"`
 	Tablets []tabletRecord `json:"tablets"`
 	Rollups []RollupRule   `json:"rollups,omitempty"` // continuous-downsampling rules
+	// ColdDir is the directory the table last tiered into, which orphan
+	// cleaning scans for this table's files.
+	ColdDir string `json:"cold_dir,omitempty"`
 }
 
-// writeDescriptor persists d atomically: write to a temporary file, then
-// rename over the previous version (§3.2). With sync, the file is fsynced
-// before the rename and the directory after it — the rename itself is not
-// durable on ext4 until the directory's metadata reaches disk.
+// writeDescriptor persists d through vfs.WriteFileAtomic, replacing the
+// previous version in one rename (§3.2).
 //
 // Changes to the tablet set write it outside Table.mu
 // (Table.persistDescriptor). Schema, TTL and rollup DDL, InstallTablet and
@@ -65,37 +69,7 @@ func writeDescriptor(fsys vfs.FS, dir string, d *descriptor, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("core: marshal descriptor: %w", err)
 	}
-	tmp := filepath.Join(dir, descriptorFile+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, descriptorFile)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if sync {
-		if err := fsys.SyncDir(dir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vfs.WriteFileAtomic(fsys, filepath.Join(dir, descriptorFile), data, sync)
 }
 
 // readDescriptor loads a table's descriptor.
@@ -115,33 +89,37 @@ func readDescriptor(fsys vfs.FS, dir string) (*descriptor, error) {
 	return &d, nil
 }
 
-// cleanOrphans removes tablet files in dir that the descriptor does not
-// name: leftovers from a crash between tablet write and descriptor update.
-// Such rows were never durable (§3.1's guarantee is prefix-of-insertion
-// order, anchored at the descriptor). Quarantined files are left alone.
+// cleanOrphans removes the files in dir, and this table's files in its
+// cold directory, that the descriptor does not name: tablets and temporary
+// files left by a crash or a failed write between a file's write and the
+// descriptor update. Such rows were never durable (§3.1's guarantee is
+// prefix-of-insertion order, anchored at the descriptor). Quarantined
+// files are left alone.
 func cleanOrphans(fsys vfs.FS, dir string, d *descriptor) error {
 	named := make(map[string]bool, len(d.Tablets))
-	for _, t := range d.Tablets {
-		named[t.File] = true
+	for _, rec := range d.Tablets {
+		named[rec.path(dir)] = true
 	}
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || name == descriptorFile || strings.HasSuffix(name, quarantineSuffix) {
+	for _, dd := range []string{dir, d.ColdDir} {
+		if dd == "" {
 			continue
 		}
-		if strings.HasSuffix(name, ".tab") && !named[name] {
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				return err
+		ents, err := fsys.ReadDir(dd)
+		if err != nil {
+			if dd == d.ColdDir && errors.Is(err, fs.ErrNotExist) {
+				continue
 			}
-			continue
+			return err
 		}
-		if strings.HasSuffix(name, ".tmp") {
-			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-				return err
+		for _, e := range ents {
+			name, path := e.Name(), filepath.Join(dd, e.Name())
+			if e.IsDir() || (dd != dir && !ownsColdFile(d.Name, name)) {
+				continue
+			}
+			if strings.HasSuffix(name, ".tmp") || (strings.HasSuffix(name, ".tab") && !named[path]) {
+				if err := fsys.Remove(path); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -150,3 +128,24 @@ func cleanOrphans(fsys vfs.FS, dir string, d *descriptor) error {
 
 // tabletFileName names tablet files by creation sequence.
 func tabletFileName(seq uint64) string { return fmt.Sprintf("%012d.tab", seq) }
+
+// coldFileName names a tiered tablet: the table's name qualifies it, since
+// tables may share a cold directory.
+func coldFileName(table string, seq uint64) string { return table + "-" + tabletFileName(seq) }
+
+// ownsColdFile reports whether name, in a shared cold directory, is one of
+// table's tablets or their temporary files.
+func ownsColdFile(table, name string) bool {
+	rest, ok := strings.CutPrefix(strings.TrimSuffix(name, ".tmp"), table+"-")
+	seq, err := strconv.ParseUint(strings.TrimSuffix(rest, ".tab"), 10, 64)
+	return ok && err == nil && tabletFileName(seq) == rest
+}
+
+// path is where rec's file lives: dir, the table's directory, or the cold
+// directory it was tiered to (§6).
+func (rec tabletRecord) path(dir string) string {
+	if rec.Dir != "" {
+		return filepath.Join(rec.Dir, rec.File)
+	}
+	return filepath.Join(dir, rec.File)
+}

@@ -134,7 +134,7 @@ func (t *Table) writeGroup(g *flushGroup, now int64) ([]*diskTablet, error) {
 		if ft.mt.Empty() {
 			continue
 		}
-		rec, tab, err := t.writeTablet(ft.mt.Schema(), g.seqs[i], t.opts.FS, int64(ft.mt.Len()), treeSource{ft.mt.Cursor(true)}, nil)
+		rec, tab, err := t.writeTablet(ft.mt.Schema(), g.seqs[i], int64(ft.mt.Len()), treeSource{ft.mt.Cursor(true)}, nil)
 		if err != nil {
 			t.deleteTablets(newDisks)
 			return nil, err

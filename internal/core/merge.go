@@ -180,13 +180,6 @@ func mergeSeed(name string, periodStart int64) uint64 {
 // (§3.4.1), translating rows to the current schema and dropping rows whose
 // timestamps have expired.
 func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64, expireLT int64, now int64) (*diskTablet, error) {
-	// Maintenance I/O budget: writes are metered as they happen (the
-	// budgetFS wrapper below); reads are charged up front per input
-	// tablet, since a merge reads every block of every input exactly once.
-	writeFS := t.opts.FS
-	if t.ioBudget != nil {
-		writeFS = budgetFS{FS: t.opts.FS, b: t.ioBudget}
-	}
 	var rows int64 // an upper bound: duplicates and expired rows drop out
 	var scanned int64
 	q := NewQuery()
@@ -196,9 +189,6 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 	// prefetch; no context, since a merge runs to completion or error.
 	ro := tablet.ReadOptions{PrefetchDepth: t.opts.prefetchDepth()}
 	for ord, dt := range inputs {
-		if t.ioBudget != nil && !t.ioBudget.take(dt.rec.Bytes) {
-			return nil, ErrTableClosed
-		}
 		rows += dt.tab.RowCount()
 		src, err := newDiskSource(sc, dt.tab, &q, &scanned, ro)
 		if err == nil {
@@ -209,7 +199,7 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 		}
 	}
 	// A row already expired is not rewritten: the merge reclaims it.
-	rec, tab, err := t.writeTablet(sc, seq, writeFS, rows, &m, func(row schema.Row) bool { return sc.Ts(row) >= expireLT })
+	rec, tab, err := t.writeTablet(sc, seq, rows, &m, func(row schema.Row) bool { return sc.Ts(row) >= expireLT })
 	if err != nil {
 		return nil, err
 	}

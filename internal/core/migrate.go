@@ -8,6 +8,7 @@ import (
 
 	"littletable/internal/period"
 	"littletable/internal/tablet"
+	"littletable/internal/vfs"
 )
 
 // Sealed-tablet export and import: the primitives behind live table
@@ -177,40 +178,13 @@ func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 	t.nextSeq++
 	t.mu.Unlock()
 
-	// Stage to a temporary name and rename into place (§3.2): recovery
-	// scans the directory for tablet files, so a crash mid-write must
-	// never leave a half-written image under a name recovery would open.
+	// Write through vfs.WriteFileAtomic (§3.2): recovery scans the
+	// directory for tablet files, so a crash mid-write must never leave a
+	// half-written image under a name recovery would open.
 	path := filepath.Join(t.dir, tabletFileName(seq))
-	tmp := path + ".tmp"
-	f, err := t.opts.FS.Create(tmp)
-	if err != nil {
+	if err := vfs.WriteFileAtomic(t.opts.FS, path, data, t.opts.SyncWrites); err != nil {
+		t.opts.FS.Remove(path) // a failed directory sync leaves it renamed
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		t.opts.FS.Remove(tmp)
-		return err
-	}
-	if t.opts.SyncWrites {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			t.opts.FS.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.opts.FS.Remove(tmp)
-		return err
-	}
-	if err := t.opts.FS.Rename(tmp, path); err != nil {
-		t.opts.FS.Remove(tmp)
-		return err
-	}
-	if t.opts.SyncWrites {
-		if err := t.opts.FS.SyncDir(t.dir); err != nil {
-			t.opts.FS.Remove(path)
-			return err
-		}
 	}
 
 	tab, err := tablet.OpenFS(t.opts.FS, path)

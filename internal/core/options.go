@@ -103,13 +103,6 @@ type Options struct {
 	// open cursors correct exactly as in the serial engine.
 	MergeWorkers int
 
-	// MaintenanceIOBytesPerSec caps the bytes per second of maintenance
-	// I/O (merge reads + writes) across all workers of this table, via a
-	// shared token bucket, so background compaction cannot starve the
-	// foreground insert/query paths of disk bandwidth. 0 (the default)
-	// means unlimited.
-	MaintenanceIOBytesPerSec int64
-
 	// MaxUnflushedBytes caps the encoded bytes of sealed-but-unflushed
 	// tablets. Inserters block once the backlog exceeds it, so a slow disk
 	// produces bounded memory and a stall counter instead of an OOM.
@@ -213,15 +206,15 @@ func (o Options) withDefaults() Options {
 }
 
 // tabletWriter returns the options every tablet the table writes is
-// created with: written through fsys, with rows (an upper bound on the
-// rows it will hold) presizing the writer's Bloom hash buffer.
-func (o Options) tabletWriter(fsys vfs.FS, rows int64) tablet.WriterOptions {
+// created with: rows, an upper bound on the rows it will hold, presizes the
+// writer's Bloom hash buffer.
+func (o Options) tabletWriter(rows int64) tablet.WriterOptions {
 	return tablet.WriterOptions{
 		BlockSize:          o.BlockSize,
 		DisableCompression: o.DisableCompression,
 		DisableBloom:       o.DisableBloom,
 		Sync:               o.SyncWrites,
-		FS:                 fsys,
+		FS:                 o.FS,
 		RowsHint:           int(rows),
 	}
 }
@@ -248,12 +241,4 @@ func (o Options) maxUnflushedBytes() int64 {
 		return 0
 	}
 	return o.MaxUnflushedBytes
-}
-
-// maintenanceIOBytesPerSec returns the effective budget (0 = unlimited).
-func (o Options) maintenanceIOBytesPerSec() int64 {
-	if o.MaintenanceIOBytesPerSec < 0 {
-		return 0
-	}
-	return o.MaintenanceIOBytesPerSec
 }

@@ -143,24 +143,6 @@ func (t *Table) Rollups() []RollupRule {
 	return append([]RollupRule(nil), t.rollups...)
 }
 
-// BudgetMaintenanceIO charges n bytes against the table's maintenance
-// I/O budget, blocking until the token bucket covers them. It returns
-// false if the table closed while waiting. With no budget configured it
-// is free. Rollup jobs run through it so downsampling competes with
-// merges for the same bounded background bandwidth instead of the
-// foreground's.
-func (t *Table) BudgetMaintenanceIO(n int64) bool {
-	b := t.ioBudget
-	if b == nil || n <= 0 {
-		return true
-	}
-	return b.take(n)
-}
-
-// rollupIOChunk batches budget charges so the token bucket is taken per
-// ~64KiB of rollup traffic, not per row.
-const rollupIOChunk = 64 << 10
-
 // RollupStep runs one rollup pass: it aggregates every source bucket
 // that became final since the last pass and inserts the resulting rows
 // into dest. now is the rollup clock (microseconds, same epoch as row
@@ -201,26 +183,8 @@ func RollupStep(src, dest *Table, rule RollupRule, now int64) (written int64, er
 	if err != nil {
 		return 0, err
 	}
-	var pendingIO int64
-	charge := func(n int64) bool {
-		pendingIO += n
-		if pendingIO < rollupIOChunk {
-			return true
-		}
-		n, pendingIO = pendingIO, 0
-		return src.BudgetMaintenanceIO(n)
-	}
 	for it.Next() {
-		row := it.Row()
-		var sz int64
-		for _, v := range row {
-			sz += int64(v.EncodedSize())
-		}
-		if !charge(sz) {
-			it.Close()
-			return 0, ErrTableClosed
-		}
-		acc.Add(row)
+		acc.Add(it.Row())
 	}
 	scanErr := it.Err()
 	it.Close()
@@ -252,13 +216,7 @@ func RollupStep(src, dest *Table, rule RollupRule, now int64) (written int64, er
 		src.stats.RollupRuns.Add(1)
 		src.stats.RollupRowsWritten.Add(written)
 	}
-	if err != nil {
-		return written, err
-	}
-	if !src.BudgetMaintenanceIO(pendingIO) {
-		return written, ErrTableClosed
-	}
-	return written, nil
+	return written, err
 }
 
 // destWatermark finds the latest destination timestamp at or below

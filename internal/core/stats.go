@@ -51,12 +51,10 @@ type statFields[T any] struct {
 	BackpressureStalls T `metric:"backpressure_stalls" help:"Inserts stalled on the unflushed backlog caps"`
 	CommitFailures     T `metric:"commit_failures" help:"Descriptor writes that failed; the change stays in memory and is retried"`
 
-	// Maintenance scheduler: queue delay and I/O-budget throttling.
-	MergeWaitNs               T `metric:"merge_wait_ns" help:"Nanoseconds merge-eligible periods waited for a worker"`
-	ExpiryWaitNs              T `metric:"expiry_wait_ns" help:"Nanoseconds due TTL expiry waited for a worker"`
-	ExpiryRuns                T `metric:"expiry_runs" help:"TTL expiry rounds that reclaimed tablets"`
-	MaintenanceBytesThrottled T `metric:"maintenance_bytes_throttled" help:"Maintenance I/O bytes delayed by the budget"`
-	MaintenanceThrottleNs     T `metric:"maintenance_throttle_ns" help:"Nanoseconds maintenance spent blocked in the I/O budget"`
+	// Maintenance scheduler: queue delay.
+	MergeWaitNs  T `metric:"merge_wait_ns" help:"Nanoseconds merge-eligible periods waited for a worker"`
+	ExpiryWaitNs T `metric:"expiry_wait_ns" help:"Nanoseconds due TTL expiry waited for a worker"`
+	ExpiryRuns   T `metric:"expiry_runs" help:"TTL expiry rounds that reclaimed tablets"`
 
 	// Migration: sealed tablets shipped in from another shard.
 	TabletsInstalled T `metric:"tablets_installed" help:"Sealed tablets received from another shard and published"`

@@ -131,6 +131,7 @@ type Table struct {
 	ttl         int64
 	rollups     []RollupRule
 	nextSeq     uint64
+	coldDir     string // where TierColdTablets last put tablets
 	filling     map[period.Period]*fillingTablet
 	lastInsert  *fillingTablet
 	pending     []*flushGroup
@@ -158,7 +159,6 @@ type Table struct {
 	mergeWaitSince  map[period.Period]int64 // period -> wall ns first claimable
 	expiring        bool
 	expireWaitSince int64
-	ioBudget        *ioBudget // nil when MaintenanceIOBytesPerSec == 0
 
 	// Fault-recovery state (guarded by mu): consecutive flush, merge and
 	// descriptor-write failures and the engine time before which scheduled
@@ -234,6 +234,7 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 		ttl:     d.TTL,
 		rollups: d.Rollups,
 		nextSeq: d.NextSeq,
+		coldDir: d.ColdDir,
 		filling: make(map[period.Period]*fillingTablet),
 	}
 	t.flushCond = sync.NewCond(&t.mu)
@@ -241,9 +242,6 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 	t.merging = make(map[period.Period]bool)
 	t.mergeWaitSince = make(map[period.Period]int64)
 	t.stop = make(chan struct{})
-	if rate := opts.maintenanceIOBytesPerSec(); rate > 0 {
-		t.ioBudget = newIOBudget(rate, t.stop, &t.stats)
-	}
 	if opts.BlockCacheBytes > 0 {
 		t.blockCache = blockcache.New(opts.BlockCacheBytes)
 	}
@@ -293,12 +291,8 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 // never be the thing that takes the table down.
 func (t *Table) quarantine(path string, rec tabletRecord, cause error) {
 	qpath := path + quarantineSuffix
-	if err := t.opts.FS.Rename(path, qpath); err != nil {
+	if err := vfs.Rename(t.opts.FS, path, qpath, t.opts.SyncWrites); err != nil {
 		t.opts.Logf("littletable: quarantine rename %s: %v", rec.File, err)
-	} else if t.opts.SyncWrites {
-		if err := t.opts.FS.SyncDir(vfs.DirOf(path)); err != nil {
-			t.opts.Logf("littletable: quarantine syncdir %s: %v", rec.File, err)
-		}
 	}
 	t.opts.Logf("littletable: quarantined tablet %s (%d rows): %v", rec.File, rec.RowCount, cause)
 	t.stats.TabletsQuarantined.Add(1)
@@ -328,14 +322,8 @@ func (t *Table) Stats() *Stats { return &t.stats }
 // it to timestamp rows whose clients omitted one (§3.1).
 func (t *Table) Now() int64 { return t.opts.Clock.Now() }
 
-// tabletPath is where rec's file lives: the table's directory, or the
-// cold directory it was tiered to (§6).
-func (t *Table) tabletPath(rec tabletRecord) string {
-	if rec.Dir != "" {
-		return filepath.Join(rec.Dir, rec.File)
-	}
-	return filepath.Join(t.dir, rec.File)
-}
+// tabletPath is where rec's file lives.
+func (t *Table) tabletPath(rec tabletRecord) string { return rec.path(t.dir) }
 
 // newDiskTablet builds every tablet the table holds: it connects the open
 // tab to the shared block cache, when one is configured. gran is the
@@ -349,13 +337,13 @@ func (t *Table) newDiskTablet(rec tabletRecord, tab *tablet.Tablet, addedAt int6
 
 // writeTablet is the one way the table writes a tablet file (§3.4.1): it
 // streams the rows of src that keep accepts (nil keeps all) into tablet
-// seq through fsys, in one pass, then reopens the file for reading.
+// seq, in one pass, then reopens the file for reading.
 // rowsHint bounds the rows written. On error no file is left behind; src
 // stays the caller's to close.
-func (t *Table) writeTablet(sc *schema.Schema, seq uint64, fsys vfs.FS, rowsHint int64, src rowSource, keep func(schema.Row) bool) (tabletRecord, *tablet.Tablet, error) {
+func (t *Table) writeTablet(sc *schema.Schema, seq uint64, rowsHint int64, src rowSource, keep func(schema.Row) bool) (tabletRecord, *tablet.Tablet, error) {
 	rec := tabletRecord{File: tabletFileName(seq), Seq: seq}
 	path := t.tabletPath(rec)
-	w, err := tablet.Create(path, sc, t.opts.tabletWriter(fsys, rowsHint))
+	w, err := tablet.Create(path, sc, t.opts.tabletWriter(rowsHint))
 	if err != nil {
 		return rec, nil, err
 	}
@@ -897,6 +885,7 @@ func (t *Table) buildDescriptorLocked() *descriptor {
 		TTL:     t.ttl,
 		NextSeq: t.nextSeq,
 		Rollups: t.rollups,
+		ColdDir: t.coldDir,
 	}
 	for _, dt := range t.disk {
 		d.Tablets = append(d.Tablets, dt.rec)

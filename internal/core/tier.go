@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"littletable/internal/tablet"
 	"littletable/internal/vfs"
@@ -20,10 +19,18 @@ import (
 // descriptor is updated to reference them there; the hot copies are then
 // removed. Queries keep working transparently: a tablet's location is
 // invisible above the descriptor. Returns the number of tablets moved.
+//
+// Tables may share one coldDir: a cold copy's name starts with its
+// table's (coldFileName), and the descriptor records coldDir, so orphan
+// cleaning at open removes this table's unnamed copies there and no
+// other table's.
 func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 	if err := t.opts.FS.MkdirAll(coldDir); err != nil {
 		return 0, err
 	}
+	t.mu.Lock()
+	t.coldDir = coldDir // durable with the next descriptor write
+	t.mu.Unlock()
 	// Write side of maintMu: tiering relocates tablet files and must see
 	// no merge in flight.
 	t.maintMu.Lock()
@@ -40,9 +47,9 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 	moved := 0
 	for _, dt := range victims {
 		rec := dt.rec
-		rec.Dir = coldDir
+		rec.Dir, rec.File = coldDir, coldFileName(t.name, rec.Seq)
 		coldPath := t.tabletPath(rec)
-		if err := copyFileAtomic(t.opts.FS, dt.path, coldPath, t.opts.SyncWrites); err != nil {
+		if _, err := vfs.CopyFileAtomic(t.opts.FS, dt.path, coldPath, t.opts.SyncWrites); err != nil {
 			return moved, fmt.Errorf("core: tier %s: %w", dt.rec.File, err)
 		}
 		tab, err := tablet.OpenFS(t.opts.FS, coldPath)
@@ -79,49 +86,4 @@ func (t *Table) ColdTabletCount() int {
 		}
 	}
 	return n
-}
-
-// copyFileAtomic copies src to dst through fsys via a temporary file and a
-// rename. With sync, the copy is fsynced before the rename and the target
-// directory after it, so the cold copy is durable before the hot one is
-// dropped from the descriptor.
-func copyFileAtomic(fsys vfs.FS, src, dst string, sync bool) error {
-	in, err := fsys.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	st, err := in.Stat()
-	if err != nil {
-		return err
-	}
-	tmp := dst + ".tmp"
-	out, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, io.NewSectionReader(in, 0, st.Size())); err != nil {
-		out.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if sync {
-		if err := out.Sync(); err != nil {
-			out.Close()
-			fsys.Remove(tmp)
-			return err
-		}
-	}
-	if err := out.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, dst); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if sync {
-		return fsys.SyncDir(vfs.DirOf(dst))
-	}
-	return nil
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"littletable/internal/clock"
+	"littletable/internal/ltval"
+	"littletable/internal/vfs"
 )
 
 func TestTierColdTablets(t *testing.T) {
@@ -38,7 +41,11 @@ func TestTierColdTablets(t *testing.T) {
 		t.Fatalf("cold dir: %d files, %v", len(ents), err)
 	}
 	for _, e := range ents {
-		if _, err := os.Stat(filepath.Join(tt.dir, "usage", e.Name())); !os.IsNotExist(err) {
+		hot, ok := strings.CutPrefix(e.Name(), "usage-")
+		if !ok {
+			t.Fatalf("cold file %s is not named for its table", e.Name())
+		}
+		if _, err := os.Stat(filepath.Join(tt.dir, "usage", hot)); !os.IsNotExist(err) {
 			t.Fatalf("hot copy of %s survives", e.Name())
 		}
 	}
@@ -149,5 +156,74 @@ func TestTieredTabletQueriedWithConcurrentReader(t *testing.T) {
 	it.Close()
 	if n != 40 {
 		t.Fatalf("snapshot under tiering saw %d rows", n)
+	}
+}
+
+// TestTablesShareColdDir tiers two tables of one root into one cold
+// directory. Both name their first tablet by the same sequence number, so
+// the cold copies must not collide: after reopening, each table reads back
+// its own rows.
+func TestTablesShareColdDir(t *testing.T) {
+	mem := vfs.NewMem()
+	clk := clock.NewFake(testStart)
+	opts := Options{Clock: clk, FS: mem, Logf: quietLogf}
+	for i, name := range []string{"a", "b"} {
+		tab, err := CreateTable("/db", name, usageSchema(), 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertFlush(t, tab, int64(100*i), 10, clk.Now()-90*clock.Day)
+		if moved, err := tab.TierColdTablets(clk.Now()-30*clock.Day, "/cold"); err != nil || moved != 1 {
+			t.Fatalf("table %s tiered %d tablets: %v", name, moved, err)
+		}
+		tab.Close()
+	}
+	for i, name := range []string{"a", "b"} {
+		tab, err := OpenTable("/db", name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := tab.QueryAll(NewQuery())
+		tab.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 10 || !rows[0][1].Equal(ltval.NewInt64(int64(100*i))) {
+			t.Errorf("table %s reads %d rows starting at device %v, want 10 of its own from %d", name, len(rows), rows[0][1], 100*i)
+		}
+	}
+}
+
+// TestFailedTieringLeavesNoColdOrphan fails the descriptor write that
+// would name a second cold copy, then closes the table. The durable
+// descriptor records the cold directory from the first tiering, so the
+// reopen removes the copy no descriptor names.
+func TestFailedTieringLeavesNoColdOrphan(t *testing.T) {
+	mem := vfs.NewMem()
+	ffs := vfs.NewFault(mem)
+	clk := clock.NewFake(testStart)
+	tab, err := CreateTable("/db", "usage", usageSchema(), 0, Options{Clock: clk, FS: ffs, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertFlush(t, tab, 0, 10, clk.Now()-90*clock.Day)
+	if _, err := tab.TierColdTablets(clk.Now()-30*clock.Day, "/cold"); err != nil {
+		t.Fatal(err)
+	}
+	insertFlush(t, tab, 10, 10, clk.Now()-60*clock.Day)
+	ffs.Inject(&vfs.Fault{Op: vfs.OpRename, Path: descriptorFile})
+	if _, err := tab.TierColdTablets(clk.Now()-30*clock.Day, "/cold"); err == nil {
+		t.Fatal("the failed descriptor write was not reported")
+	}
+	tab.Close()
+
+	re, err := OpenTable("/db", "usage", Options{Clock: clk, FS: mem, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkNoOrphans(t, mem, "/db/usage", "/cold")
+	if got := shapeOf(t, re); got != (durableShape{20, 2, 1}) {
+		t.Errorf("after reopen: %+v, want 20 rows in 2 tablets, 1 cold", got)
 	}
 }

@@ -21,7 +21,8 @@ import (
 //     280x foreground-insert p99 regression was exactly this shape: a
 //     descriptor fsync inside the table lock stalls every insert behind
 //     disk latency. The rule flags any function that directly performs
-//     Create/Rename/SyncDir and is reachable (over the call graph, with
+//     Create/Rename/SyncDir, or calls one of internal/vfs's crash-safe
+//     writers (durableIO), and is reachable (over the call graph, with
 //     held-lock sets propagated through call chains) while a mutex field
 //     named `mu` or `pmu` is held. Deliberate foreground commit points
 //     carry an //ltlint:ignore lockorder with the reason in the open.
@@ -70,6 +71,9 @@ func runLockOrder(p *Pass) error {
 	sums := make(map[*types.Func]*lockSummary)
 	var funcs []*types.Func
 	for _, pkg := range p.Prog.Pkgs {
+		if pkg.PkgPath == p.Prog.ModPath+"/internal/vfs" {
+			continue // the I/O boundary: see durableIO
+		}
 		for _, f := range pkg.Files {
 			if f.IsTest {
 				continue
@@ -249,7 +253,7 @@ func summarizeLocks(prog *Program, fn *types.Func, fd *ast.FuncDecl) *lockSummar
 			if !ok {
 				return
 			}
-			if prog.fsOp(call) != "" {
+			if prog.durableIO(call) {
 				sum.directIO = true
 				sum.ioHeld = append(sum.ioHeld, held.classes())
 			}
@@ -260,4 +264,23 @@ func summarizeLocks(prog *Program, fn *types.Func, fd *ast.FuncDecl) *lockSummar
 	}
 	w.block(fd.Body.List, nil)
 	return sum
+}
+
+// durableIO reports whether call performs durable file I/O: a Create,
+// Rename or SyncDir method of a filesystem, or a call to one of
+// internal/vfs's crash-safe writers. Lockorder does not walk internal/vfs,
+// so a finding lands at the caller that holds the lock.
+func (prog *Program) durableIO(call *ast.CallExpr) bool {
+	fn := prog.callee(call)
+	if fn == nil {
+		return false
+	}
+	inVFS := fn.Pkg() != nil && fn.Pkg().Path() == prog.ModPath+"/internal/vfs"
+	switch fn.Name() {
+	case "Create", "Rename", "SyncDir":
+		return inVFS || fn.Type().(*types.Signature).Recv() != nil
+	case "CreateAtomic", "WriteFileAtomic", "CopyFileAtomic", "Commit":
+		return inVFS
+	}
+	return false
 }

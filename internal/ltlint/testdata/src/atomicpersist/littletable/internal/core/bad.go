@@ -3,7 +3,7 @@ package core
 // writeDirect creates the durable file at its final name: a crash
 // mid-write leaves a half-written file recovery will open.
 func (t *T) writeDirect(path string, data []byte) error {
-	f, err := t.fs.Create(path) // want `durable file created directly at its final name \(path\)`
+	f, err := t.fs.Create(path) // want `raw FS.Create outside internal/vfs`
 	if err != nil {
 		return err
 	}

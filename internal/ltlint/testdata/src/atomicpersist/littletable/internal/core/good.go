@@ -1,26 +1,8 @@
 package core
 
-// writeAtomic follows the full recipe: temp name, Sync, Close, Rename,
-// SyncDir.
+import "littletable/internal/vfs"
+
+// writeAtomic goes through the helper that owns the recipe.
 func (t *T) writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := t.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := t.fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return t.fs.SyncDir(t.dir)
+	return vfs.WriteFileAtomic(t.fs, path, data, true)
 }

@@ -3,5 +3,5 @@ package core
 // renameOnly renames without syncing the parent directory: on power loss
 // the rename itself can vanish.
 func (t *T) renameOnly(from, to string) error {
-	return t.fs.Rename(from, to) // want `Rename without a SyncDir in this file`
+	return t.fs.Rename(from, to) // want `raw FS.Rename outside internal/vfs`
 }

@@ -1,18 +1,8 @@
 package core
 
-type FS interface {
-	Create(path string) (File, error)
-	Rename(from, to string) error
-	SyncDir(dir string) error
-}
-
-type File interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Close() error
-}
+import "littletable/internal/vfs"
 
 type T struct {
-	fs  FS
+	fs  vfs.FS
 	dir string
 }

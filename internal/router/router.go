@@ -317,10 +317,10 @@ func (r *Router) loadPlacement() error {
 	return nil
 }
 
-// savePlacement writes a placement snapshot atomically: temp file,
-// sync, rename, sync dir — the same recipe as the descriptor (§3.2).
-// Callers hold wmu (so saves are ordered) but NOT pmu: the fsync runs
-// outside the routing lock.
+// savePlacement writes a placement snapshot durably through
+// vfs.WriteFileAtomic, the descriptor's recipe (§3.2). Callers hold wmu
+// (so saves are ordered) but NOT pmu: the fsync runs outside the routing
+// lock.
 func (r *Router) savePlacement(placement map[string]string) error {
 	if r.opts.Root == "" {
 		return nil
@@ -329,27 +329,7 @@ func (r *Router) savePlacement(placement map[string]string) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(r.opts.Root, placementFile)
-	tmp := path + ".tmp"
-	f, err := r.opts.FS.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("router: persist placement: %v", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("router: persist placement: %v", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("router: persist placement: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("router: persist placement: %v", err)
-	}
-	if err := r.opts.FS.Rename(tmp, path); err != nil {
-		return fmt.Errorf("router: persist placement: %v", err)
-	}
-	if err := r.opts.FS.SyncDir(r.opts.Root); err != nil {
+	if err := vfs.WriteFileAtomic(r.opts.FS, filepath.Join(r.opts.Root, placementFile), data, true); err != nil {
 		return fmt.Errorf("router: persist placement: %v", err)
 	}
 	return nil

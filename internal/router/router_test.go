@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 	"littletable/internal/server"
+	"littletable/internal/vfs"
 	"littletable/internal/wire"
 )
 
@@ -520,4 +522,38 @@ func TestMigrateUnderConcurrentInserts(t *testing.T) {
 		t.Fatalf("%d of %d acked inserts lost across live migration", lost, len(acked))
 	}
 	t.Logf("migrated with %d acked inserts in flight", len(acked))
+}
+
+// TestFailedPlacementSaveLeavesNoTemp fails each step of a placement save
+// once: the override is refused, routing keeps the durable placement, and
+// no placement.json.tmp is left under Root.
+func TestFailedPlacementSaveLeavesNoTemp(t *testing.T) {
+	s1, s2 := startShard(t), startShard(t)
+	for _, op := range []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpSync, vfs.OpRename} {
+		t.Run(string(op), func(t *testing.T) {
+			ffs := vfs.NewFault(vfs.NewMem())
+			r, err := New(Options{Shards: []string{s1.addr, s2.addr}, Root: "/router", FS: ffs,
+				Logf: func(string, ...interface{}) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			const table = "acme_usage"
+			home, _ := r.Placement(table)
+			other := s1.addr
+			if home == s1.addr {
+				other = s2.addr
+			}
+			ffs.Inject(&vfs.Fault{Op: op, Path: placementFile})
+			if err := r.setPlacement(table, other); err == nil {
+				t.Fatal("the failed placement save was not reported")
+			}
+			if got, overridden := r.Placement(table); got != home || overridden {
+				t.Errorf("placement after the failed save: %s overridden=%v, want %s", got, overridden, home)
+			}
+			if _, err := ffs.Stat(filepath.Join("/router", placementFile+".tmp")); err == nil {
+				t.Error("the failed save left placement.json.tmp behind")
+			}
+		})
+	}
 }

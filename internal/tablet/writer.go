@@ -69,21 +69,19 @@ type Info struct {
 }
 
 // Writer streams rows in ascending primary-key order into a new tablet
-// file. The file is written under a temporary name and atomically renamed
-// into place on Close, so a crash mid-flush leaves no partial tablet
-// visible (§3.2's descriptor update makes it durable).
+// file. The file is a vfs.AtomicFile, renamed into place on Close, so a
+// crash mid-flush leaves no partial tablet visible (§3.2's descriptor
+// update makes it durable).
 //
 // A Writer owns all of its working memory for the tablet's life: Append
 // copies what it keeps of a row (the key, the block's cells), so the
 // caller may reuse the row's storage as soon as Append returns, and it
 // allocates nothing per row once its buffers have grown.
 type Writer struct {
-	path    string
-	tmpPath string
-	fsys    vfs.FS
-	f       vfs.File
-	opts    WriterOptions
-	sc      *schema.Schema
+	path string
+	f    *vfs.AtomicFile
+	opts WriterOptions
+	sc   *schema.Schema
 
 	bw      *block.Writer
 	ft      footer
@@ -100,21 +98,17 @@ type Writer struct {
 
 // Create opens a tablet writer for rows of schema sc at path.
 func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error) {
-	tmp := path + ".tmp"
-	fsys := opts.fsys()
-	f, err := fsys.Create(tmp)
+	f, err := vfs.CreateAtomic(opts.fsys(), path, opts.Sync)
 	if err != nil {
 		return nil, err
 	}
 	w := &Writer{
-		path:    path,
-		tmpPath: tmp,
-		fsys:    fsys,
-		f:       f,
-		opts:    opts,
-		sc:      sc,
-		bw:      block.NewWriter(sc),
-		ft:      footer{sc: sc, version: formatVersion},
+		path: path,
+		f:    f,
+		opts: opts,
+		sc:   sc,
+		bw:   block.NewWriter(sc),
+		ft:   footer{sc: sc, version: formatVersion},
 	}
 	if !opts.DisableBloom && opts.RowsHint > 0 {
 		w.hashes = make([]uint64, 0, 2*opts.RowsHint)
@@ -234,12 +228,8 @@ func (w *Writer) RowCount() int64 { return w.ft.rowCount }
 
 // Abort discards the partially-written tablet.
 func (w *Writer) Abort() error {
-	if w.closed {
-		return nil
-	}
 	w.closed = true
-	w.f.Close()
-	return w.fsys.Remove(w.tmpPath)
+	return w.f.Abort() // a no-op after Close
 }
 
 // Close flushes remaining rows, writes the footer and trailer, optionally
@@ -249,8 +239,8 @@ func (w *Writer) Close() (*Info, error) {
 		return nil, ErrClosed
 	}
 	w.closed = true
+	defer w.f.Abort() // a no-op once committed
 	if err := w.flushBlock(); err != nil {
-		w.cleanup()
 		return nil, err
 	}
 	if !w.opts.DisableBloom && len(w.hashes) > 0 {
@@ -261,40 +251,19 @@ func (w *Writer) Close() (*Info, error) {
 	}
 	footerOff := w.off
 	if _, err := w.writeRecord(w.ft.marshal()); err != nil {
-		w.cleanup()
 		return nil, err
 	}
 	if err := w.reserve(trailerSize); err != nil {
-		w.cleanup()
 		return nil, err
 	}
 	w.out = appendU64(w.out, uint64(footerOff))
 	w.out = appendU64(w.out, magic)
 	w.off += trailerSize
 	if err := w.writeOut(); err != nil {
-		w.cleanup()
 		return nil, err
 	}
-	if w.opts.Sync {
-		if err := w.f.Sync(); err != nil {
-			w.cleanup()
-			return nil, err
-		}
-	}
-	if err := w.f.Close(); err != nil {
-		w.fsys.Remove(w.tmpPath)
+	if err := w.f.Commit(); err != nil {
 		return nil, err
-	}
-	if err := w.fsys.Rename(w.tmpPath, w.path); err != nil {
-		w.fsys.Remove(w.tmpPath)
-		return nil, err
-	}
-	if w.opts.Sync {
-		// Make the rename durable: without a directory fsync the new entry
-		// may not survive a power cut even though the file data did.
-		if err := w.fsys.SyncDir(vfs.DirOf(w.path)); err != nil {
-			return nil, err
-		}
 	}
 	return &Info{
 		Path:     w.path,
@@ -304,9 +273,4 @@ func (w *Writer) Close() (*Info, error) {
 		Bytes:    w.off,
 		Enc:      w.bw.Stats(),
 	}, nil
-}
-
-func (w *Writer) cleanup() {
-	w.f.Close()
-	w.fsys.Remove(w.tmpPath)
 }

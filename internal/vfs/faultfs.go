@@ -21,6 +21,7 @@ const (
 	OpRead    Op = "read"
 	OpWrite   Op = "write"
 	OpSync    Op = "sync"
+	OpClose   Op = "close"
 	OpSyncDir Op = "syncdir"
 	OpRename  Op = "rename"
 	OpRemove  Op = "remove"
@@ -213,6 +214,16 @@ func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fl.error()
 	}
 	return f.File.ReadAt(p, off)
+}
+
+// Close closes the underlying file even when a fault fires, so an injected
+// close error leaks no handle.
+func (f *faultFile) Close() error {
+	err := f.File.Close()
+	if fl := f.fs.check(OpClose, f.name); fl != nil {
+		return fl.error()
+	}
+	return err
 }
 
 func (f *faultFile) Sync() error {

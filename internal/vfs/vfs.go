@@ -8,7 +8,7 @@
 // SyncDir, which fsyncs a directory itself. On ext4 (and most journaling
 // filesystems) a rename is not durable until the parent directory's metadata
 // reaches disk, so every commit-by-rename in the engine is followed by a
-// SyncDir when durability is requested.
+// SyncDir when durability is requested: AtomicFile is that recipe.
 package vfs
 
 import (
@@ -16,7 +16,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"syscall"
 )
 
@@ -119,6 +118,3 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// DirOf returns the parent directory of path, for SyncDir after a rename.
-func DirOf(path string) string { return filepath.Dir(path) }
