@@ -33,26 +33,6 @@ func (t *Table) FlushStep() (bool, error) {
 // failed descriptor write after a written group keeps persistDescriptor's
 // own schedule.
 func (t *Table) flushStep(scheduled bool) (bool, error) {
-	ok, err := t.writeNextGroup(scheduled)
-	t.mu.Lock()
-	if !ok && err != nil && !errors.Is(err, ErrTableClosed) {
-		t.flushFails++
-		d := retryBackoff(t.flushFails)
-		t.flushRetryAt = t.opts.Clock.Now() + d
-		// Counted after the schedule is set: whoever sees the failure
-		// also sees its retry time.
-		t.stats.FlushFailures.Add(1)
-		t.opts.Logf("littletable: table %s: flush failed (%d consecutive): %v; retrying in %ds",
-			t.name, t.flushFails, err, d/clock.Second)
-	} else if ok && t.flushFails > 0 {
-		t.flushFails = 0
-		t.stats.FaultRecoveries.Add(1)
-	}
-	t.mu.Unlock()
-	return ok, err
-}
-
-func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	// Claim the oldest queued group and reserve its sequence numbers while
 	// holding the lock; write files after releasing it so inserts and
 	// queries proceed during the I/O.
@@ -103,8 +83,17 @@ func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	if werr != nil {
 		// Nothing lost: requeue the group for a later attempt, keeping its
 		// reserved sequence numbers for the retry, and wake waiters so a
-		// draining caller re-claims it rather than sleeping.
+		// draining caller re-claims it rather than sleeping. The schedule
+		// is set in the same critical section, so no scheduled flusher
+		// claims the requeued group before it, and it is counted after:
+		// whoever sees the failure also sees its retry time.
 		g.state = gsQueued
+		t.flushFails++
+		d := retryBackoff(t.flushFails)
+		t.flushRetryAt = t.opts.Clock.Now() + d
+		t.stats.FlushFailures.Add(1)
+		t.opts.Logf("littletable: table %s: flush failed (%d consecutive): %v; retrying in %ds",
+			t.name, t.flushFails, werr, d/clock.Second)
 		t.flushCond.Broadcast()
 		t.mu.Unlock()
 		return false, werr
@@ -112,9 +101,14 @@ func (t *Table) writeNextGroup(scheduled bool) (bool, error) {
 	g.state = gsWritten
 	g.disks = disks
 	// Counted under mu before the commit can dequeue the group, so a
-	// reader that sees the queue empty also sees every worker's group.
+	// reader that sees the queue empty also sees every worker's group and
+	// the recovery it ended.
 	if scheduled && t.flushKick != nil {
 		t.stats.AsyncFlushes.Add(1)
+	}
+	if t.flushFails > 0 {
+		t.flushFails = 0
+		t.stats.FaultRecoveries.Add(1)
 	}
 	committed := t.commitWrittenLocked()
 	t.flushCond.Broadcast()

@@ -37,10 +37,19 @@ func latestQuery(prefix []ltval.Value) Query {
 // timespan metadata still prunes; for point "does key exist" probes the
 // uniqueness path uses the filters instead.
 func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
-	if len(prefix) == 0 || len(prefix) > t.Schema().KeyLen() {
+	keyLen := t.Schema().KeyLen()
+	if len(prefix) == 0 || len(prefix) > keyLen {
 		return nil, false, ErrBadQuery
 	}
+	// The prefix pins the timestamp only if it includes all other key
+	// columns AND the ts column itself; "all but ts" means the first
+	// matching row in descending key order has the latest ts, so one
+	// unexpired row per memtable source is all the merge can use.
+	tsOrderedWithin := len(prefix) == keyLen-1
 	q := latestQuery(prefix)
+	if tsOrderedWithin {
+		q.Limit = 1
+	}
 	var scannedMem int64
 	snap, err := t.snapshot(&q, &scannedMem)
 	if err != nil {
@@ -64,10 +73,6 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 
 	// Newest first; group spans whose time ranges overlap transitively.
 	sort.Slice(spans, func(i, j int) bool { return spans[i].hi > spans[j].hi })
-	// The prefix pins the timestamp only if it includes all other key
-	// columns AND the ts column itself; "all but ts" means the first
-	// matching row in descending key order has the latest ts.
-	tsOrderedWithin := len(prefix) == sc.KeyLen()-1
 
 	i := 0
 	for i < len(spans) {
@@ -79,7 +84,7 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 			}
 			j++
 		}
-		row, ok, err := t.latestInGroup(sc, spans[i:j], prefix, tsOrderedWithin, snap.expireLT)
+		row, ok, err := t.latestInGroup(sc, spans[i:j], &q, tsOrderedWithin, snap.expireLT)
 		if err != nil {
 			return nil, false, err
 		}
@@ -92,11 +97,10 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 }
 
 // latestInGroup merges descending cursors over one overlapping-timespan
-// group and returns the latest (maximum-timestamp) unexpired row whose key
-// matches prefix.
-func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, prefix []ltval.Value, tsOrderedWithin bool, expireLT int64) (schema.Row, bool, error) {
+// group and returns the latest (maximum-timestamp) unexpired row inside
+// q, LatestRow's prefix box.
+func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, q *Query, tsOrderedWithin bool, expireLT int64) (schema.Row, bool, error) {
 	var scanned int64
-	q := latestQuery(prefix)
 	m := merger{sc: sc, asc: false}
 	defer m.close()
 	for _, s := range group {
@@ -104,14 +108,13 @@ func (t *Table) latestInGroup(sc *schema.Schema, group []tabletSpan, prefix []lt
 		if s.dt != nil {
 			// Latest-row lookups read at most a handful of rows per source;
 			// prefetch would load blocks they never reach.
-			ds, err := newDiskSource(sc, s.dt.tab, &q, &scanned, tablet.ReadOptions{})
+			ds, err := newDiskSource(sc, s.dt.tab, q, &scanned, tablet.ReadOptions{})
 			if err != nil {
 				return nil, false, err
 			}
 			src = ds
 		} else {
-			s.ms.i = 0 // rewind: materialized at snapshot time
-			src = s.ms
+			src = s.memSource(sc, q, expireLT, &scanned)
 		}
 		if err := m.add(src, s.ord); err != nil {
 			return nil, false, err

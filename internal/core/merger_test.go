@@ -100,25 +100,65 @@ func TestMergeEqualKeysNewestWins(t *testing.T) {
 			}
 		}
 	}
-	reversed := make([]schema.Row, len(want))
-	for i, r := range want {
-		reversed[len(want)-1-i] = r
+	// Boxes that cut through every source, the memtables included: a time
+	// window and a TTL whose edges are rows' timestamps, exclusive key
+	// bounds, and limits below the filling memtable's rows in the box.
+	window := NewQuery()
+	window.MinTs, window.MaxTs = base+13*clock.Second, base+41*clock.Second
+	exclusive := NewQuery()
+	exclusive.Lower, exclusive.LowerInc = key(1, 1), false
+	exclusive.Upper, exclusive.UpperInc = key(1, 3, base+39*clock.Second), false
+	windowDesc := window
+	windowDesc.Descending, windowDesc.Limit = true, 3
+	exclusiveLimit := exclusive
+	exclusiveLimit.Limit = 5
+	// The five last keys are all in the filling memtable.
+	last5 := NewQuery()
+	last5.Descending, last5.Limit = true, 5
+	boxes := []struct {
+		name string
+		q    Query
+	}{
+		{"window", window}, {"exclusive bounds", exclusive}, {"descending, limit 5", last5},
+		{"window, descending, limit 3", windowDesc}, {"exclusive bounds, limit 5", exclusiveLimit},
 	}
-	reads := func(stage string) {
+	// reads checks every read against want, less the rows expired before
+	// expireLT.
+	reads := func(stage string, expireLT int64) {
 		t.Helper()
-		check(stage+": ascending", queryBox(t, tt.Table, NewQuery()), want)
+		live := want[:0:0]
+		for _, r := range want {
+			if sc.Ts(r) >= expireLT {
+				live = append(live, r)
+			}
+		}
+		reversed := make([]schema.Row, len(live))
+		for i, r := range live {
+			reversed[len(live)-1-i] = r
+		}
+		check(stage+": ascending", queryBox(t, tt.Table, NewQuery()), live)
 		q := NewQuery()
 		q.Descending = true
 		check(stage+": descending", queryBox(t, tt.Table, q), reversed)
 		q.Limit = 7
 		check(stage+": descending, limit 7", queryBox(t, tt.Table, q), reversed[:7])
+		for _, b := range boxes {
+			exp := referenceFilter(sc, live, b.q)
+			if b.q.Limit > 0 && len(exp) > b.q.Limit {
+				exp = exp[:b.q.Limit]
+			}
+			if len(exp) == 0 {
+				t.Fatalf("%s: %s: the box holds no rows", stage, b.name)
+			}
+			check(stage+": "+b.name, queryBox(t, tt.Table, b.q), exp)
+		}
 		for d := int64(0); d < devices; d++ {
 			got, ok, err := tt.LatestRow(key(1, d))
 			if err != nil || !ok {
 				t.Fatalf("%s: LatestRow(1, %d) = %v, %v", stage, d, ok, err)
 			}
 			var latest schema.Row
-			for _, r := range want {
+			for _, r := range live {
 				if r[1].Int == d {
 					latest = r
 				}
@@ -126,7 +166,16 @@ func TestMergeEqualKeysNewestWins(t *testing.T) {
 			check(fmt.Sprintf("%s: LatestRow(1, %d)", stage, d), []schema.Row{got}, []schema.Row{latest})
 		}
 	}
-	reads("four sources")
+	reads("four sources", minInt64)
+	// A TTL that expires the first 20 keys, read before anything reclaims
+	// them, then lifted again.
+	if err := tt.AlterTTL(now - (base + 20*clock.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reads("four sources, TTL", base+20*clock.Second)
+	if err := tt.AlterTTL(0); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := tt.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -144,7 +193,7 @@ func TestMergeEqualKeysNewestWins(t *testing.T) {
 	if len(counts) != 1 || counts[0] != int64(len(want)) {
 		t.Fatalf("after MergeUntilStable: tablet row counts %v, want one tablet of %d", counts, len(want))
 	}
-	reads("merged")
+	reads("merged", minInt64)
 }
 
 func rowsEqual(a, b schema.Row) bool {

@@ -140,9 +140,10 @@ type rowSource interface {
 	close()
 }
 
-// memSource iterates rows copied out of a memtable at snapshot time, so
-// queries never race concurrent inserts into the live tree. The copies are
-// bounded by the query's box.
+// memSource yields the rows captured from a filling memtable at snapshot
+// time. They are the memtable's own rows, not copies: a memtable row is
+// never written after Insert (only the tree's nodes move), so once the
+// walk that found them under t.mu ends, they are safe to read unlocked.
 type memSource struct {
 	rows []schema.Row
 	i    int
@@ -160,7 +161,7 @@ func (m *memSource) err() error { return nil }
 func (m *memSource) close()     {}
 
 // treeSource streams a sealed memtable, which takes no more inserts, in
-// key order without copying.
+// key order without copying: the flush writes it whole.
 type treeSource struct{ c *memtable.Cursor }
 
 func (s treeSource) next() (schema.Row, bool) {
@@ -172,37 +173,64 @@ func (s treeSource) next() (schema.Row, bool) {
 func (treeSource) err() error { return nil }
 func (treeSource) close()     {}
 
-// collectMemRows copies the rows of mt that fall inside the query's key
-// box, in the query's direction. Time filtering happens at the iterator.
-func collectMemRows(cur *schema.Schema, mt *memtable.Memtable, q *Query, scanned *int64) *memSource {
-	var c *memtable.Cursor
+// memScan walks a memtable through a query's box in the query's direction
+// and yields only rows the query can return: inside the key box and the
+// time window, not expired, and at most q.Limit of them. Every node walked
+// counts as scanned. A filling memtable is walked under t.mu at snapshot
+// time; a sealed one takes no more inserts, so the merge pulls from its
+// memScan in place.
+//
+// Filtering here cannot change a result. Keys end in ts, so every copy of
+// a key shares one timestamp and the filter takes or drops them together;
+// TTL is decided by ts too. And the Limit-th result row consumes at most
+// Limit distinct keys of any one source.
+type memScan struct {
+	cur, sc *schema.Schema
+	c       *memtable.Cursor
+	q       *Query
+	lo, hi  int64 // the time window, TTL folded into lo
+	left    int   // rows still to yield; negative means no limit
+	scanned *int64
+}
+
+func newMemScan(cur *schema.Schema, mt *memtable.Memtable, q *Query, expireLT int64, scanned *int64) memScan {
 	asc := !q.Descending
 	start := q.Lower
 	if !asc {
 		start = q.Upper
 	}
+	var c *memtable.Cursor
 	if start == nil {
 		c = mt.Cursor(asc)
 	} else {
 		c = mt.Seek(start, asc)
 	}
-	sc := mt.Schema()
-	ms := &memSource{}
-	for c.Next() {
-		row := c.Row()
-		*scanned++
-		skip, stop := q.scanStep(sc, row)
+	left := q.Limit
+	if left <= 0 {
+		left = -1
+	}
+	return memScan{cur: cur, sc: mt.Schema(), c: c, q: q, lo: max(q.MinTs, expireLT), hi: q.MaxTs, left: left, scanned: scanned}
+}
+
+func (s *memScan) next() (schema.Row, bool) {
+	for s.left != 0 && s.c.Next() {
+		row := s.c.Row()
+		*s.scanned++
+		skip, stop := s.q.scanStep(s.sc, row)
 		if stop {
 			break
 		}
-		if skip {
+		if ts := s.sc.Ts(row); skip || ts < s.lo || ts > s.hi {
 			continue
 		}
-		// Copy: the live tree may keep growing under the inserter.
-		ms.rows = append(ms.rows, cur.Translate(sc, schema.CloneRow(row)))
+		s.left--
+		return s.cur.Translate(s.sc, row), true
 	}
-	return ms
+	s.left = 0
+	return nil, false
 }
+func (*memScan) err() error { return nil }
+func (*memScan) close()     {}
 
 // diskSource adapts a tablet cursor: bound-aware stopping, exclusive-bound
 // skipping, schema translation, and scan accounting.
@@ -522,8 +550,8 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 		it.push(src, ord)
 		ord++
 	}
-	for _, ms := range snap.mems {
-		it.push(ms.ms, ord)
+	for i := range snap.mems {
+		it.push(snap.mems[i].memSource(sc, &it.q, snap.expireLT, &it.scanned), ord)
 		ord++
 	}
 	if it.firstErr != nil {
@@ -536,30 +564,42 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 
 // snapshot is what one read sees of the table (§3.1): the disk tablets
 // whose timespans overlap the box, each acquired (release them when done),
-// and copies of the memtable rows inside the box's key range.
+// the rows of each filling memtable that the box can return, and the
+// sealed memtables, which are read in place.
 type snapshot struct {
 	sc       *schema.Schema
 	expireLT int64 // rows with ts < expireLT are expired (TTL)
 	disks    []*diskTablet
-	mems     []tabletSpan // ms set
+	mems     []tabletSpan // rows or mt set
 }
 
-// tabletSpan is one tablet of a snapshot, on disk (dt) or copied from
-// memory (ms), with its timespan and its place in the snapshot's
-// oldest-first order.
+// tabletSpan is one tablet of a snapshot, with its timespan and its place
+// in the snapshot's oldest-first order: on disk (dt), a filling memtable's
+// captured rows (rows), or a sealed memtable (mt).
 type tabletSpan struct {
 	lo, hi int64
 	dt     *diskTablet
-	ms     *memSource
+	rows   []schema.Row
+	mt     *memtable.Memtable
 	ord    int
 }
 
+// memSource opens a source over a memory span of a snapshot taken for q.
+func (s *tabletSpan) memSource(sc *schema.Schema, q *Query, expireLT int64, scanned *int64) rowSource {
+	if s.mt != nil {
+		ms := newMemScan(sc, s.mt, q, expireLT, scanned)
+		return &ms
+	}
+	return &memSource{rows: s.rows}
+}
+
 // snapshot takes one read's view of the table for the box q, counting the
-// memtable rows it examines into scanned. Memtable rows are copied out
-// while holding the lock: the filling trees mutate under concurrent
+// filling memtable rows it walks into scanned. Those rows are captured
+// while holding the lock: the filling trees rebalance under concurrent
 // inserts, and §3.1 only promises that a concurrent read returns some,
 // all, or none of the racing rows — it must still never corrupt or
-// mis-order.
+// mis-order. A sealed tree takes no more inserts, so it is only named
+// here, and walked later without the lock.
 func (t *Table) snapshot(q *Query, scanned *int64) (snapshot, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -578,9 +618,22 @@ func (t *Table) snapshot(q *Query, scanned *int64) (snapshot, error) {
 			return
 		}
 		lo, hi := f.mt.Timespan()
-		if lo <= q.MaxTs && hi >= q.MinTs {
-			s.mems = append(s.mems, tabletSpan{lo: lo, hi: hi, ms: collectMemRows(s.sc, f.mt, q, scanned)})
+		if lo > q.MaxTs || hi < q.MinTs || hi < s.expireLT {
+			return
 		}
+		span := tabletSpan{lo: lo, hi: hi}
+		if f.frozen {
+			span.mt = f.mt
+		} else {
+			ms := newMemScan(s.sc, f.mt, q, s.expireLT, scanned)
+			for row, ok := ms.next(); ok; row, ok = ms.next() {
+				span.rows = append(span.rows, row)
+			}
+			if span.rows == nil {
+				return
+			}
+		}
+		s.mems = append(s.mems, span)
 	}
 	// Oldest first, since the merge lets the later source win a tied key:
 	// a sealed memtable is older than the filling one of its period.
@@ -638,9 +691,11 @@ func (it *Iterator) Next() bool {
 	}
 }
 
-// Row returns the current row, valid after Next reports true; its storage
-// belongs to the source it came from and is overwritten by the following
-// Next, so callers that keep a row clone it (schema.CloneRow).
+// Row returns the current row, valid after Next reports true. The row is
+// read-only: it may be a memtable's own row, shared with every other
+// reader. Its storage belongs to the source it came from and may be
+// overwritten by the following Next, so callers that keep a row clone it
+// (schema.CloneRow).
 func (it *Iterator) Row() schema.Row {
 	it.mu.Lock()
 	defer it.mu.Unlock()

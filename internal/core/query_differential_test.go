@@ -44,6 +44,15 @@ func TestQueryDifferentialParallel(t *testing.T) {
 				})
 				sc := tt.Schema()
 				model, ttl := buildRandomHistory(t, rng, tt)
+				// End with rows in both kinds of memtable: a sealed one
+				// awaiting its flush and a filling one.
+				model = append(model, insertRandomRows(t, rng, tt, 30)...)
+				tt.mu.Lock()
+				for _, f := range tt.filling {
+					tt.sealLocked(f)
+				}
+				tt.mu.Unlock()
+				model = append(model, insertRandomRows(t, rng, tt, 30)...)
 				now := tt.clk.Now()
 				live := model[:0:0]
 				for _, row := range model {
@@ -57,11 +66,17 @@ func TestQueryDifferentialParallel(t *testing.T) {
 				})
 				for trial := 0; trial < trials; trial++ {
 					q := randomBox(rng, testStart)
+					if rng.Intn(3) == 0 {
+						q.Limit = 1 + rng.Intn(8)
+					}
 					got, err := tt.QueryAll(q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want := referenceFilter(sc, live, q)
+					if q.Limit > 0 && len(want) > q.Limit {
+						want = want[:q.Limit]
+					}
 					if len(got) != len(want) {
 						t.Fatalf("par %d seed %d trial %d: got %d rows, want %d (box %+v)",
 							cfg.par, seed, trial, len(got), len(want), q)
@@ -85,24 +100,11 @@ func TestQueryDifferentialParallel(t *testing.T) {
 func buildRandomHistory(t *testing.T, rng *rand.Rand, tt *testTable) (model []schema.Row, ttl int64) {
 	t.Helper()
 	sc := tt.Schema()
-	seq := int64(0)
 	steps := 250 + rng.Intn(150)
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(100); {
-		case op < 60: // insert a small batch of rows over the last ~10 days
-			n := 1 + rng.Intn(4)
-			for i := 0; i < n; i++ {
-				row := usageRow(
-					rng.Int63n(4), rng.Int63n(6),
-					tt.clk.Now()-rng.Int63n(40*clock.Day),
-					rng.Float64(), seq,
-				)
-				if err := tt.Insert([]schema.Row{row}); err != nil {
-					continue // random key collision
-				}
-				model = append(model, row)
-				seq++
-			}
+		case op < 60: // insert a small batch of rows
+			model = append(model, insertRandomRows(t, rng, tt, 1+rng.Intn(4))...)
 		case op < 72: // flush, spreading rows into on-disk tablets
 			if err := tt.FlushAll(); err != nil {
 				t.Fatal(err)
@@ -141,6 +143,25 @@ func buildRandomHistory(t *testing.T, rng *rand.Rand, tt *testTable) (model []sc
 		}
 	}
 	return model, ttl
+}
+
+// insertRandomRows inserts up to n rows spread over the last 40 days, one
+// at a time, and returns those that went in: a random key may collide.
+func insertRandomRows(t *testing.T, rng *rand.Rand, tt *testTable, n int) []schema.Row {
+	t.Helper()
+	var rows []schema.Row
+	for i := 0; i < n; i++ {
+		row := usageRow(
+			rng.Int63n(4), rng.Int63n(6),
+			tt.clk.Now()-rng.Int63n(40*clock.Day),
+			rng.Float64(), rng.Int63(),
+		)
+		if err := tt.Insert([]schema.Row{row}); err != nil {
+			continue
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // referenceInBox reports whether row falls inside q's two-dimensional box.

@@ -469,6 +469,10 @@ type insertReq struct {
 // remain inserted, matching a database whose batches are a transport
 // optimization rather than transactions.
 //
+// The rows are retained as they are, not copied: the memtable keeps them
+// and queries hand them to readers, so the caller must not mutate a row
+// (or a byte slice in one) once it has passed it to Insert.
+//
 // Concurrent Insert calls group-commit: each caller validates its rows
 // against the schema outside any lock and enqueues them, and whichever
 // caller holds the insert lock applies every queued batch before
