@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmtcheck ltlint vet bench bench-e2e leakcheck loc counterlag crash chaos cluster-chaos ci clean
+.PHONY: all build test race lint fmtcheck ltlint vet bench bench-e2e leakcheck loc counterlag crash tabletset chaos cluster-chaos ci clean
 
 all: build lint test
 
@@ -87,6 +87,12 @@ counterlag:
 crash:
 	$(GO) test ./internal/core -run 'CrashAtEveryBarrier'
 
+# tabletset runs the tablet-set enumeration, every interleaving of its
+# actors, at depth 8 (LTSET_DEPTH); tier-1 runs it at depth 6. CI's
+# crash-harness job runs this target too.
+tabletset:
+	LTSET_DEPTH=8 $(GO) test ./internal/core -run '^TestTabletSetInterleavings$$' -count=1
+
 # chaos runs the network-fault chaos suite once with the default seed;
 # CI's chaos-harness job runs it -race -count=5 across seeds 1..3.
 chaos:
@@ -99,11 +105,12 @@ cluster-chaos:
 	$(GO) test ./internal/router -race -run 'TestClusterChaos'
 
 # ci mirrors the workflow's harness jobs locally: build, gofmt, vet, the project
-# analyzers, the race-enabled test suite, the counter-lag repeats, and
-# single-seed crash-, chaos-, and cluster-chaos-harness passes. The ruler
+# analyzers, the race-enabled test suite, the counter-lag repeats, the
+# depth-8 tablet-set enumeration, and single-seed crash-, chaos-, and
+# cluster-chaos-harness passes. The ruler
 # smoke job (bench-e2e at one second per workload, then leakcheck) and the
 # fuzz smoke jobs are left out for time; run them separately.
-ci: build fmtcheck vet ltlint race counterlag crash chaos cluster-chaos
+ci: build fmtcheck vet ltlint race counterlag crash tabletset chaos cluster-chaos
 
 clean:
 	rm -rf bin

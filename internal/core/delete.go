@@ -45,7 +45,7 @@ func (t *Table) DeleteWhere(q Query, filter func(schema.Row) bool) (int64, error
 	if err != nil {
 		return 0, err
 	}
-	defer t.unclaim(victims)
+	defer t.release(victims, (*tabletSet).Unclaim)
 
 	var deleted int64
 	for _, dt := range victims {
@@ -118,7 +118,7 @@ func (t *Table) rewriteWithout(sc *schema.Schema, dt *diskTablet, q Query, filte
 	if out != nil {
 		add = []*diskTablet{out}
 	}
-	t.publishLocked(add, []*diskTablet{dt})
+	t.set.Publish(add, []*diskTablet{dt})
 	t.mu.Unlock()
 	return matched, t.persistDescriptor()
 }

@@ -57,11 +57,12 @@ type descriptor struct {
 // previous version in one rename (§3.2).
 //
 // Changes to the tablet set write it outside Table.mu
-// (Table.persistDescriptor). Schema, TTL and rollup DDL, InstallTablet and
-// quarantine at open write it under Table.mu (writeDescriptorLocked) by
-// design: their contract is that an error changed nothing, so the write
-// and the undo of their in-memory change must be one step. They are rare
-// (operator commands, not per-insert), so the stall is bounded.
+// (Table.persistDescriptor). Schema, TTL and rollup DDL, InstallTablet,
+// quarantine at open and a new cold directory write it under Table.mu
+// (Table.alter) by design: their contract is that an error changed
+// nothing, so the write and the undo of their in-memory change must be
+// one step. They are rare (operator commands, not per-insert), so the
+// stall is bounded.
 //
 //ltlint:ignore lockorder DDL and install commits undo their in-memory change on a failed write, which needs Table.mu across it; see comment above
 func writeDescriptor(fsys vfs.FS, dir string, d *descriptor, sync bool) error {

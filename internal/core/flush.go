@@ -159,7 +159,7 @@ func (t *Table) commitWrittenLocked() bool {
 	if len(disks) == 0 {
 		return false
 	}
-	t.publishLocked(disks, nil)
+	t.set.Publish(disks, nil)
 	for _, dt := range disks {
 		t.stats.TabletsFlushed.Add(1)
 		t.stats.BytesFlushed.Add(dt.rec.Bytes)
@@ -314,7 +314,7 @@ func (t *Table) Tick() error {
 	t.sealFillingLocked(func(ft *fillingTablet) bool {
 		return !ft.mt.Empty() && now-ft.mt.CreatedAt() >= t.opts.FlushAge
 	})
-	retry := t.descFails > 0 && now >= t.descRetryAt
+	retry := t.set.RetryDue(now)
 	t.mu.Unlock()
 	var err error
 	if retry {

@@ -56,11 +56,7 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 		return nil, false, err
 	}
 	t.stats.RowsScanned.Add(scannedMem)
-	defer func() {
-		for _, dt := range snap.disks {
-			t.release(dt)
-		}
-	}()
+	defer t.release(snap.disks, (*tabletSet).Release)
 	sc := snap.sc
 	spans := make([]tabletSpan, 0, len(snap.disks)+len(snap.mems))
 	for _, dt := range snap.disks {

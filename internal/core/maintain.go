@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"littletable/internal/clock"
@@ -16,8 +17,8 @@ import (
 // under mu and the descriptor write. That disjointness is what makes
 // maintenance parallel-safe: the work queue here is "per table × time
 // period", each period has at most one merge in flight (the merging set),
-// each claimed input is marked busy under mu before any I/O starts, and
-// commits remain serialized under mu, so recovery and open cursors see
+// each input is claimed in the tablet set under mu before any I/O starts,
+// and commits remain serialized under mu, so recovery and open cursors see
 // exactly the states the serial engine could produce.
 //
 // Fairness: a period busy enough to always have a fresh candidate pair
@@ -27,7 +28,7 @@ import (
 // longest-waiting period (priority aging); the accumulated queue delay is
 // exported as Stats.MergeWaitNs (ExpiryWaitNs for TTL rounds).
 
-// maintClaim is one claimed merge: the period it locks, the busy-marked
+// maintClaim is one claimed merge: the period it locks, the claimed
 // inputs, and the output sequence number reserved under mu.
 type maintClaim struct {
 	per    period.Period
@@ -40,7 +41,7 @@ type maintClaim struct {
 // pickWithinGroupLocked) and no merge already in flight, it picks the one
 // that has been waiting longest. When dry, it only reports whether a claim
 // exists, without taking it — MaintainUntilQuiet uses that to decide
-// "no work left". Claiming marks the inputs busy, enters the
+// "no work left". Claiming claims the inputs (tabletSet.Claim), enters the
 // period into the merging set, and reserves the output seq. Caller holds
 // t.mu; merge retry backoff is honored here so every path (Tick, workers,
 // quiet checks) sees the same schedule.
@@ -79,17 +80,18 @@ func (t *Table) claimMergeLocked(now int64, dry bool) *maintClaim {
 	if t.opts.MergeAcrossPeriods {
 		// Ablation baseline: one group spanning all time, no rollover
 		// delay — the merge-as-much-as-possible policy of §6's systems.
-		consider(t.disk, period.Period{Start: minInt64, End: maxInt64, Gran: period.FourHour})
+		consider(t.set.live, period.Period{Start: minInt64, End: maxInt64, Gran: period.FourHour})
 	} else {
 		// Walk groups of same-period tablets in timespan order.
+		live := t.set.live
 		i := 0
-		for i < len(t.disk) {
-			p := period.For(t.disk[i].rec.MinTs, now)
+		for i < len(live) {
+			p := period.For(live[i].rec.MinTs, now)
 			j := i
-			for j < len(t.disk) && p.Contains(t.disk[j].rec.MinTs) {
+			for j < len(live) && p.Contains(live[j].rec.MinTs) {
 				j++
 			}
-			consider(t.disk[i:j], p)
+			consider(live[i:j], p)
 			i = j
 		}
 	}
@@ -106,39 +108,34 @@ func (t *Table) claimMergeLocked(now int64, dry bool) *maintClaim {
 	t.stats.MergeWaitNs.Add(time.Now().UnixNano() - bestSince)
 	delete(t.mergeWaitSince, best.per)
 	t.merging[best.per] = true
-	for _, dt := range best.inputs {
-		dt.busy = true
-		t.acquireLocked(dt)
-	}
+	best.inputs = t.set.Claim(func(dt *diskTablet) bool { return slices.Contains(best.inputs, dt) })
 	best.seq = t.nextSeq
 	t.nextSeq++
 	return best
 }
 
-// expiryDueLocked reports whether a TTL expiry round would reclaim at
-// least one tablet right now, maintaining the waiting-since marker that
-// feeds Stats.ExpiryWaitNs. Caller holds t.mu.
-func (t *Table) expiryDueLocked(now int64) bool {
+// expiredLocked returns the tablets a TTL expiry round would reclaim now:
+// the unclaimed ones whose rows are all past the TTL (§3.3), none while a
+// round or an export is under way. It maintains the waiting-since marker
+// that feeds Stats.ExpiryWaitNs. Caller holds t.mu.
+func (t *Table) expiredLocked(now int64) []*diskTablet {
 	if t.ttl <= 0 || t.expiring || t.maintHold > 0 {
-		return false
+		return nil
 	}
 	cutoff := now - t.ttl
-	for _, dt := range t.disk {
-		if !dt.busy && dt.rec.MaxTs < cutoff {
-			if t.expireWaitSince == 0 {
-				t.expireWaitSince = time.Now().UnixNano()
-			}
-			return true
-		}
+	doomed := t.set.Unclaimed(func(dt *diskTablet) bool { return dt.rec.MaxTs < cutoff })
+	if len(doomed) == 0 {
+		t.expireWaitSince = 0
+	} else if t.expireWaitSince == 0 {
+		t.expireWaitSince = time.Now().UnixNano()
 	}
-	t.expireWaitSince = 0
-	return false
+	return doomed
 }
 
 // hasMaintWorkLocked reports whether a maintenance worker calling
 // MaintStep now would find something to do. Caller holds t.mu.
 func (t *Table) hasMaintWorkLocked(now int64) bool {
-	return t.expiryDueLocked(now) || t.claimMergeLocked(now, true) != nil
+	return len(t.expiredLocked(now)) > 0 || t.claimMergeLocked(now, true) != nil
 }
 
 // MaintStep performs one unit of maintenance: a due TTL expiry round if
@@ -160,7 +157,7 @@ func (t *Table) maintStep(expire bool) (did, merged bool, err error) {
 			t.mu.Unlock()
 			return false, false, ErrTableClosed
 		}
-		due := t.expiryDueLocked(now)
+		due := len(t.expiredLocked(now)) > 0
 		t.mu.Unlock()
 		if due {
 			return true, false, t.expireTTL(now)

@@ -12,9 +12,9 @@ import (
 // against the async flush pipeline landing sealed tablets in the very
 // period being merged: the merge's descriptor commit and the flush's must
 // interleave without losing either side's tablets. Run under -race this is
-// the scheduler's main aliasing test — claimed inputs are busy-marked
-// under mu, so a flush appending to t.disk mid-merge must be preserved by
-// the merge's commit (which re-reads t.disk rather than overwriting it).
+// the scheduler's main aliasing test — inputs are claimed under mu, so a
+// flush publishing into the live set mid-merge must be preserved by the
+// merge's commit (which re-reads the set rather than overwriting it).
 func TestMergeRacesConcurrentFlushSamePeriod(t *testing.T) {
 	tt := newTestTable(t, Options{
 		MergeWorkers: 2,

@@ -86,21 +86,18 @@ func (t *Table) mergeStep() (bool, error) {
 
 	t.mu.Lock()
 	delete(t.merging, c.per)
-	for _, dt := range c.inputs {
-		dt.busy = false
-	}
 	if err != nil || t.closed {
+		gone := t.set.Unclaim(c.inputs)
 		t.maintCond.Broadcast()
 		t.mu.Unlock()
-		for _, dt := range c.inputs {
-			t.release(dt)
-		}
+		t.deleteTablets(gone)
 		if err == nil {
 			err = ErrTableClosed
 		}
 		return false, err
 	}
-	t.publishLocked([]*diskTablet{out}, c.inputs)
+	t.set.Publish([]*diskTablet{out}, c.inputs)
+	gone := t.set.Unclaim(c.inputs)
 	// Count the merge before the broadcast below: the moment waiters wake
 	// and observe "no work left", the counters must already reflect this
 	// merge, or a MaintainUntilQuiet caller can read Stats before the
@@ -114,9 +111,7 @@ func (t *Table) mergeStep() (bool, error) {
 	ring(t.maintKick)
 	t.maintCond.Broadcast()
 	t.mu.Unlock()
-	for _, dt := range c.inputs {
-		t.release(dt)
-	}
+	t.deleteTablets(gone)
 	return true, t.persistDescriptor()
 }
 
@@ -134,7 +129,7 @@ func (t *Table) pickWithinGroupLocked(group []*diskTablet, p period.Period, now 
 		}
 	}
 	eligible := func(dt *diskTablet) bool {
-		return !dt.busy && now-dt.addedAt >= t.opts.MergeDelay
+		return !dt.claimed() && now-dt.addedAt >= t.opts.MergeDelay
 	}
 	for i := 0; i+1 < len(group); i++ {
 		a, b := group[i], group[i+1]

@@ -60,13 +60,15 @@ func FuzzMergePolicy(f *testing.F) {
 			merging:        make(map[period.Period]bool),
 			mergeWaitSince: make(map[period.Period]int64),
 		}
+		var all []*diskTablet
+		busy := map[*diskTablet]bool{}
 		for i := 0; i < nTab; i++ {
 			b := data[i*rec : (i+1)*rec]
 			off := int64(binary.LittleEndian.Uint16(b[0:2])) * clock.Hour / 8
 			size := int64(binary.LittleEndian.Uint16(b[2:4])) + 1
 			flags := b[4]
 			minTs := now - off
-			tbl.disk = append(tbl.disk, &diskTablet{
+			dt := &diskTablet{
 				rec: tabletRecord{
 					Seq:      uint64(i),
 					RowCount: 1,
@@ -74,12 +76,13 @@ func FuzzMergePolicy(f *testing.F) {
 					MaxTs:    minTs,
 					Bytes:    size,
 				},
-				busy:    flags&1 != 0,
 				addedAt: now - int64(flags>>1)*clock.Second/4,
-				refs:    1,
-			})
+			}
+			all = append(all, dt)
+			busy[dt] = flags&1 != 0
 		}
-		tbl.sortDiskLocked()
+		tbl.set.Publish(all, nil)
+		tbl.set.Claim(func(dt *diskTablet) bool { return busy[dt] })
 
 		checkClaim := func(c *maintClaim, label string) {
 			t.Helper()
@@ -108,7 +111,7 @@ func FuzzMergePolicy(f *testing.F) {
 				t.Fatalf("%s: claim totals %d bytes > MaxTabletSize %d", label, total, tbl.opts.MaxTabletSize)
 			}
 			first := -1
-			for i, dt := range tbl.disk {
+			for i, dt := range tbl.set.live {
 				if dt == ins[0] {
 					first = i
 					break
@@ -118,7 +121,7 @@ func FuzzMergePolicy(f *testing.F) {
 				t.Fatalf("%s: claimed input not on disk", label)
 			}
 			for k, dt := range ins {
-				if tbl.disk[first+k] != dt {
+				if tbl.set.live[first+k] != dt {
 					t.Fatalf("%s: inputs not adjacent in timespan order at offset %d", label, k)
 				}
 			}
@@ -131,7 +134,7 @@ func FuzzMergePolicy(f *testing.F) {
 		if dry != nil {
 			checkClaim(dry, "dry")
 			for k, dt := range dry.inputs {
-				if dt.busy {
+				if dt.claimed() {
 					t.Fatalf("dry: input %d busy; dry runs must not claim", k)
 				}
 			}
@@ -146,7 +149,7 @@ func FuzzMergePolicy(f *testing.F) {
 		}
 		checkClaim(c, "claim")
 		for k, dt := range c.inputs {
-			if !dt.busy {
+			if !dt.claimed() {
 				t.Fatalf("claimed input %d not marked busy", k)
 			}
 		}

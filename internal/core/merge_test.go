@@ -89,10 +89,10 @@ func TestMergeNeverCrossesPeriods(t *testing.T) {
 	// spans both weeks.
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	if len(tt.disk) < 2 {
-		t.Fatalf("merging collapsed across periods: %d tablets", len(tt.disk))
+	if len(tt.set.live) < 2 {
+		t.Fatalf("merging collapsed across periods: %d tablets", len(tt.set.live))
 	}
-	for _, dt := range tt.disk {
+	for _, dt := range tt.set.live {
 		spanA := dt.rec.MinTs < weekA+clock.Day
 		spanB := dt.rec.MaxTs > weekB-clock.Day
 		if spanA && spanB {
@@ -116,8 +116,8 @@ func TestMergePreservesTimespanOrdering(t *testing.T) {
 	}
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	for i := 1; i < len(tt.disk); i++ {
-		if tt.disk[i-1].rec.MinTs > tt.disk[i].rec.MinTs {
+	for i := 1; i < len(tt.set.live); i++ {
+		if tt.set.live[i-1].rec.MinTs > tt.set.live[i].rec.MinTs {
 			t.Fatal("disk tablets out of timespan order after merging")
 		}
 	}
@@ -135,7 +135,7 @@ func TestMergeRespectsMaxTabletSize(t *testing.T) {
 	}
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	for _, dt := range tt.disk {
+	for _, dt := range tt.set.live {
 		// Allow slack: the cap applies to the sum of input sizes, and
 		// merged output can differ slightly from that sum.
 		if dt.rec.Bytes > 8192 {
@@ -175,10 +175,10 @@ func TestMergeLogarithmicTabletCount(t *testing.T) {
 	// No merges left and the invariant |t_i| > 2|t_{i+1}| holds.
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	for i := 0; i+1 < len(tt.disk); i++ {
-		if tt.disk[i].rec.Bytes <= 2*tt.disk[i+1].rec.Bytes {
+	for i := 0; i+1 < len(tt.set.live); i++ {
+		if tt.set.live[i].rec.Bytes <= 2*tt.set.live[i+1].rec.Bytes {
 			t.Errorf("tablets %d,%d still mergeable: %d <= 2*%d",
-				i, i+1, tt.disk[i].rec.Bytes, tt.disk[i+1].rec.Bytes)
+				i, i+1, tt.set.live[i].rec.Bytes, tt.set.live[i+1].rec.Bytes)
 		}
 	}
 }
@@ -238,7 +238,7 @@ func TestMergeDropsExpiredRows(t *testing.T) {
 	// The merged tablet should contain zero rows (all dropped).
 	tt.mu.Lock()
 	var live int64
-	for _, dt := range tt.disk {
+	for _, dt := range tt.set.live {
 		live += dt.rec.RowCount
 	}
 	tt.mu.Unlock()

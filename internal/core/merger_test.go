@@ -186,7 +186,7 @@ func TestMergeEqualKeysNewestWins(t *testing.T) {
 	}
 	tt.mu.Lock()
 	var counts []int64
-	for _, dt := range tt.disk {
+	for _, dt := range tt.set.live {
 		counts = append(counts, dt.rec.RowCount)
 	}
 	tt.mu.Unlock()

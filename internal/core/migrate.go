@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"littletable/internal/period"
 	"littletable/internal/tablet"
@@ -66,10 +65,10 @@ func (t *Table) BeginExport() ([]TabletInfo, error) {
 		t.maintHold++
 	}
 	prev := t.exports
-	t.exports = make(map[string]*diskTablet, len(t.disk))
-	infos := make([]TabletInfo, 0, len(t.disk))
-	for _, dt := range t.disk {
-		t.acquireLocked(dt)
+	pins := t.set.Acquire(nil)
+	t.exports = make(map[string]*diskTablet, len(pins))
+	infos := make([]TabletInfo, 0, len(pins))
+	for _, dt := range pins {
 		t.exports[dt.rec.File] = dt
 		infos = append(infos, TabletInfo{
 			File:     dt.rec.File,
@@ -101,9 +100,9 @@ func (t *Table) ReadExportAt(file string, off int64, p []byte) (n int, total int
 	}
 	// Hold our own reference across the I/O: the pin could be released by
 	// a concurrent EndExport while we read.
-	t.acquireLocked(dt)
+	t.set.Hold(dt)
 	t.mu.Unlock()
-	defer t.release(dt)
+	defer t.release([]*diskTablet{dt}, (*tabletSet).Release)
 	total = dt.tab.SizeBytes()
 	if off >= total {
 		return 0, total, nil
@@ -136,9 +135,11 @@ func (t *Table) EndExport() {
 // merges can't, they're held) is deleted here on its last reference.
 // Caller must NOT hold t.mu.
 func (t *Table) releasePins(prev map[string]*diskTablet) {
+	pins := make([]*diskTablet, 0, len(prev))
 	for _, dt := range prev {
-		t.release(dt)
+		pins = append(pins, dt)
 	}
+	t.release(pins, (*tabletSet).Release)
 }
 
 // HoldMaintenance pauses merges and TTL expiry until the returned release
@@ -166,8 +167,9 @@ func (t *Table) HoldMaintenance() (release func()) {
 // shipped from another shard — as a new local tablet and publishes it in
 // the descriptor. The image is fully verified before publication: footer
 // parsed, every block checksum checked, and the advertised row count and
-// timespan compared against the file's own footer. On any failure the
-// file is removed and nothing is published.
+// timespan compared against the file's own footer. On any failure
+// nothing is published; the file is removed at once, or after a failed
+// descriptor write once a durable descriptor no longer names it.
 func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 	t.mu.Lock()
 	if t.closed {
@@ -213,30 +215,26 @@ func (t *Table) InstallTablet(data []byte, rowCount, minTs, maxTs int64) error {
 
 	now := t.opts.Clock.Now()
 	rec := tabletRecord{File: filepath.Base(path), Seq: seq, RowCount: rowCount, MinTs: minTs, MaxTs: maxTs, Bytes: int64(len(data))}
-	dt := t.newDiskTablet(rec, tab, now, period.For(minTs, now).Gran)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	dt := []*diskTablet{t.newDiskTablet(rec, tab, now, period.For(minTs, now).Gran)}
+	err = t.alter(func() (func(), error) {
+		t.set.Publish(dt, nil)
+		if rowCount > 0 && (maxTs > t.maxTs || !t.hasRows) {
+			t.maxTs = maxTs
+			t.hasRows = true
+		}
+		// Undo the install: the tablet leaves the set, and its file goes
+		// once a durable descriptor no longer names it.
+		return func() { t.set.Publish(nil, dt) }, nil
+	})
+	if errors.Is(err, ErrTableClosed) {
 		tab.Close()
 		t.opts.FS.Remove(path)
-		return ErrTableClosed
 	}
-	t.disk = append(t.disk, dt)
-	if rowCount > 0 && (maxTs > t.maxTs || !t.hasRows) {
-		t.maxTs = maxTs
-		t.hasRows = true
-	}
-	t.sortDiskLocked()
-	if err := t.writeDescriptorLocked(); err != nil {
-		// Undo the install: the tablet leaves the set and its file goes.
-		t.disk = slices.DeleteFunc(t.disk, func(d *diskTablet) bool { return d == dt })
-		t.mu.Unlock()
-		t.deleteTablets([]*diskTablet{dt})
+	if err != nil {
 		return err
 	}
 	t.stats.TabletsInstalled.Add(1)
 	t.stats.BytesInstalled.Add(int64(len(data)))
 	ring(t.maintKick)
-	t.mu.Unlock()
 	return nil
 }

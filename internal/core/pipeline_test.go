@@ -48,8 +48,8 @@ func TestAsyncFlushDrainsInBackground(t *testing.T) {
 	if s.AsyncFlushes == 0 {
 		t.Error("no async flushes recorded despite workers enabled")
 	}
-	if s.GroupCommits == 0 || s.InsertBatches != 1 {
-		t.Errorf("GroupCommits=%d InsertBatches=%d, want >=1 and 1", s.GroupCommits, s.InsertBatches)
+	if s.InsertBatches != 1 {
+		t.Errorf("InsertBatches=%d, want 1", s.InsertBatches)
 	}
 	if tt.DiskTabletCount() == 0 {
 		t.Error("no on-disk tablets after background flushing")
@@ -291,10 +291,9 @@ func TestBackpressureSyncConcurrentInserters(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentInserters: concurrent Insert calls must all
-// land (group-commit application preserves per-batch results) and the
-// insert lock must be taken at most once per batch, usually less.
-func TestGroupCommitConcurrentInserters(t *testing.T) {
+// TestConcurrentInsertersAllLand: concurrent Insert calls must all land,
+// each batch applied once.
+func TestConcurrentInsertersAllLand(t *testing.T) {
 	tt := newTestTable(t, Options{FlushWorkers: 2, FlushSize: 32 << 10})
 	const workers, batches, per = 4, 25, 8
 	var wg sync.WaitGroup
@@ -326,9 +325,6 @@ func TestGroupCommitConcurrentInserters(t *testing.T) {
 	}
 	if s.InsertBatches != workers*batches {
 		t.Errorf("InsertBatches = %d, want %d", s.InsertBatches, workers*batches)
-	}
-	if s.GroupCommits == 0 || s.GroupCommits > s.InsertBatches {
-		t.Errorf("GroupCommits = %d, want 1..%d", s.GroupCommits, s.InsertBatches)
 	}
 	if got := queryBox(t, tt.Table, NewQuery()); int64(len(got)) != total {
 		t.Fatalf("query returned %d rows, want %d", len(got), total)
@@ -564,8 +560,8 @@ func TestSealOrderIsDeterministic(t *testing.T) {
 				}
 				var got string
 				tt.mu.Lock()
-				n := len(tt.disk)
-				for _, dt := range tt.disk {
+				n := len(tt.set.live)
+				for _, dt := range tt.set.live {
 					got += fmt.Sprintf("seq %d minTs %d rows %d; ", dt.rec.Seq, dt.rec.MinTs, dt.rec.RowCount)
 				}
 				tt.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"littletable/internal/clock"
+	"littletable/internal/schema"
 	"littletable/internal/vfs"
 )
 
@@ -85,6 +86,8 @@ func TestFailedDescriptorWriteKeepsDurableState(t *testing.T) {
 		// change is the operation whose descriptor write fails.
 		change        func(tab *Table) error
 		before, after durableShape
+		// nth is which descriptor rename of change fails (0: the first).
+		nth int
 	}{
 		{
 			name: "flush",
@@ -140,6 +143,8 @@ func TestFailedDescriptorWriteKeepsDurableState(t *testing.T) {
 			},
 			before: durableShape{200, 2, 0},
 			after:  durableShape{200, 2, 1},
+			// The first rename records the cold directory before the copy.
+			nth: 2,
 		},
 		{
 			name: "ttl-expiry",
@@ -173,7 +178,7 @@ func TestFailedDescriptorWriteKeepsDurableState(t *testing.T) {
 				defer tab.Close()
 				tc.setup(t, tab, clk)
 
-				ffs.Inject(&vfs.Fault{Op: vfs.OpRename, Path: descriptorFile})
+				ffs.Inject(&vfs.Fault{Op: vfs.OpRename, Path: descriptorFile, Nth: tc.nth})
 				if err := tc.change(tab); err == nil {
 					t.Fatal("the failed descriptor write was not reported")
 				}
@@ -210,7 +215,40 @@ func TestFailedDescriptorWriteKeepsDurableState(t *testing.T) {
 				if got := shapeOf(t, re); got != want {
 					t.Errorf("after reopen: %+v, want the last durable state %+v", got, want)
 				}
+				checkNoOrphans(t, mem, "/db/usage", coldDir)
 			})
 		}
+	}
+}
+
+// TestInsertErrorAppliedNothing: an Insert that returns an error has
+// applied none of its rows, so a client may re-send the batch. A batch
+// that seals past the pending-tablet cap drains the backlog, and the
+// drain's descriptor write fails once; the rows stay in the table and the
+// retry schedule persists them.
+func TestInsertErrorAppliedNothing(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem())
+	clk := clock.NewFake(testStart)
+	opts := Options{Clock: clk, FS: ffs, Logf: quietLogf, FlushSize: 2 << 10, MaxPendingTablets: 1}
+	tab, err := CreateTable("/db", "usage", usageSchema(), 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	ffs.Inject(&vfs.Fault{Op: vfs.OpRename, Path: descriptorFile})
+	rows := make([]schema.Row, 0, 100)
+	for i := int64(0); i < 100; i++ {
+		rows = append(rows, usageRow(1, i, clk.Now()-clock.Hour+i, 0, i))
+	}
+	ierr := tab.Insert(rows)
+	if ffs.Injected() != 1 {
+		t.Fatalf("%d faults fired, want 1", ffs.Injected())
+	}
+	got, err := tab.QueryAll(NewQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (ierr == nil && len(got) != 100) || (ierr != nil && len(got) != 0) {
+		t.Fatalf("Insert returned %v with %d of 100 rows readable; want nil and 100, or an error and 0", ierr, len(got))
 	}
 }

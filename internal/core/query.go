@@ -607,12 +607,7 @@ func (t *Table) snapshot(q *Query, scanned *int64) (snapshot, error) {
 		return snapshot{}, ErrTableClosed
 	}
 	s := snapshot{sc: t.sc, expireLT: expireBefore(t.opts.Clock.Now(), t.ttl)}
-	for _, dt := range t.disk {
-		if dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs {
-			t.acquireLocked(dt)
-			s.disks = append(s.disks, dt)
-		}
-	}
+	s.disks = t.set.Acquire(func(dt *diskTablet) bool { return dt.rec.MinTs <= q.MaxTs && dt.rec.MaxTs >= q.MinTs })
 	addMem := func(f *fillingTablet) {
 		if f.mt.Empty() {
 			return
@@ -745,9 +740,7 @@ func (it *Iterator) Close() error {
 		}
 	}
 	it.m.close()
-	for _, dt := range it.disks {
-		it.t.release(dt)
-	}
+	it.t.release(it.disks, (*tabletSet).Release)
 	it.t.stats.RowsScanned.Add(it.scanned)
 	it.t.stats.RowsReturned.Add(int64(it.returned))
 	return nil

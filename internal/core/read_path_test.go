@@ -38,10 +38,10 @@ func TestKeyRangeQueryLoadsExactlyIntersectingBlocks(t *testing.T) {
 			}
 			// Map every row to its block by walking the one tablet, through
 			// a handle of its own so the table's cache stays cold.
-			if len(tab.disk) != 1 {
-				t.Fatalf("%d tablets, want one", len(tab.disk))
+			if len(tab.set.live) != 1 {
+				t.Fatalf("%d tablets, want one", len(tab.set.live))
 			}
-			tb, err := tablet.Open(tab.disk[0].path)
+			tb, err := tablet.Open(tab.set.live[0].path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,12 +167,11 @@ func TestIteratorRowIntactUntilNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.mu.Lock()
-	tab.disk = append(tab.disk, &diskTablet{
+	tab.set.Publish([]*diskTablet{{
 		rec:  tabletRecord{File: filepath.Base(path), Seq: 999, RowCount: 1, MinTs: info.MinTs, MaxTs: info.MaxTs, Bytes: info.Bytes},
 		tab:  dtab,
 		path: path,
-		refs: 1,
-	})
+	}}, nil)
 	tab.mu.Unlock()
 
 	for _, desc := range []bool{false, true} {

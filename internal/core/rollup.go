@@ -109,31 +109,24 @@ func aggOutputType(src *schema.Schema, a agg.Agg) ltval.Type {
 func (t *Table) SetRollups(rules []RollupRule) error {
 	t.insertMu.Lock()
 	defer t.insertMu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrTableClosed
-	}
-	seen := make(map[string]bool, len(rules))
-	for _, r := range rules {
-		if err := r.Validate(t.sc); err != nil {
-			return err
+	return t.alter(func() (func(), error) {
+		seen := make(map[string]bool, len(rules))
+		for _, r := range rules {
+			if err := r.Validate(t.sc); err != nil {
+				return nil, err
+			}
+			if r.Dest == t.name {
+				return nil, fmt.Errorf("core: rollup destination %q is the source table", r.Dest)
+			}
+			if seen[r.Dest] {
+				return nil, fmt.Errorf("core: two rollup rules write destination %q", r.Dest)
+			}
+			seen[r.Dest] = true
 		}
-		if r.Dest == t.name {
-			return fmt.Errorf("core: rollup destination %q is the source table", r.Dest)
-		}
-		if seen[r.Dest] {
-			return fmt.Errorf("core: two rollup rules write destination %q", r.Dest)
-		}
-		seen[r.Dest] = true
-	}
-	old := t.rollups
-	t.rollups = append([]RollupRule(nil), rules...)
-	if err := t.writeDescriptorLocked(); err != nil {
-		t.rollups = old
-		return err
-	}
-	return nil
+		old := t.rollups
+		t.rollups = append([]RollupRule(nil), rules...)
+		return func() { t.rollups = old }, nil
+	})
 }
 
 // Rollups returns a copy of the table's rollup rules.

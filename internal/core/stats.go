@@ -43,9 +43,8 @@ type statFields[T any] struct {
 	PrefetchHits  T `metric:"prefetch_hits" help:"Blocks served by prefetch pipelines"`
 	ParallelOpens T `metric:"parallel_opens" help:"Tablet sources opened by query worker pools"`
 
-	// Write pipeline: group commit, seal/flush, backpressure.
+	// Write pipeline: seal/flush, backpressure.
 	InsertBatches      T `metric:"insert_batches" help:"Insert batches applied"`
-	GroupCommits       T `metric:"group_commits" help:"Insert-lock acquisitions that applied queued batches"`
 	TabletsSealed      T `metric:"tablets_sealed" help:"Memtables sealed for flushing"`
 	AsyncFlushes       T `metric:"async_flushes" help:"Flush groups written by background workers"`
 	BackpressureStalls T `metric:"backpressure_stalls" help:"Inserts stalled on the unflushed backlog caps"`

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,18 +64,17 @@ type flushGroup struct {
 	disks []*diskTablet // written but uncommitted output
 }
 
-// diskTablet is an open on-disk tablet plus lifecycle state. Readers
-// (queries, merges, exports) hold references, so a publish can drop a
-// tablet without invalidating open cursors; its file goes only when the
-// last reference is gone and a durable descriptor no longer names it
-// (reapLocked).
+// diskTablet is an open on-disk tablet plus the state tabletSet keeps for
+// it. Readers (queries, merges, exports) hold references, so a publish can
+// drop a tablet without invalidating open cursors; its file goes only when
+// the last reference is gone and a durable descriptor no longer names it.
 type diskTablet struct {
 	rec       tabletRecord
 	tab       *tablet.Tablet
 	path      string
-	refs      int    // readers holding it; guarded by Table.mu
+	refs      int    // readers holding it
 	dropGen   uint64 // generation of the publish that dropped it; 0 while live
-	busy      bool   // being merged; excluded from further maintenance
+	busy      bool   // claimed by a maintenance rewrite
 	addedAt   int64
 	wroteGran period.Granularity // granularity at write time, for merge delay
 }
@@ -91,37 +89,25 @@ type Table struct {
 	opts Options
 
 	// insertMu serializes batch application and schema changes; queries do
-	// not take it. Inserters enqueue onto insertQ first, so whichever
-	// caller holds insertMu applies every queued batch in one go (group
-	// commit): the lock is taken once per group of batches, not once per
-	// row.
+	// not take it.
 	insertMu sync.Mutex
-
-	// iqMu guards insertQ, the group-commit queue of waiting batches.
-	iqMu    sync.Mutex
-	insertQ []*insertReq
 
 	// maintMu coordinates structural maintenance. Merges take the read
 	// side — merges on disjoint periods share no inputs (§3.4.2 forbids
 	// cross-period merges), so they may run in parallel, serialized only
-	// by the per-period merging set and busy flags under mu. DeleteWhere
+	// by the per-period merging set and tablet claims under mu. DeleteWhere
 	// and tiering take the write side: they rewrite or relocate arbitrary
 	// tablets and must see no merge in flight. Flushes never take it: the
 	// group state machine under mu orders their commits. Lock order:
 	// maintMu before mu.
 	maintMu sync.RWMutex
 
-	// descMu serializes descriptor file writes. Every change to the
-	// tablet set is published under mu (publishLocked bumps descGen) and
-	// persisted OUTSIDE mu (persistDescriptor), so inserts never wait out
-	// a descriptor's disk latency. Only DDL, InstallTablet and quarantine
-	// at open write synchronously under mu (writeDescriptorLocked, lock
-	// order mu → descMu): their contract is that an error changed
-	// nothing. The generation pair keeps the on-disk descriptor monotone:
-	// a snapshot is only written if no newer one already landed.
-	descMu      sync.Mutex
-	descGen     uint64        // guarded by mu: state changes needing persistence
-	descWritten atomic.Uint64 // stored under descMu: last generation on disk
+	// descMu serializes descriptor writes; a writer snapshots under it, so
+	// the on-disk descriptor only moves forward. Tablet-set changes are
+	// persisted outside mu (persistDescriptor), so inserts never wait out
+	// a descriptor write; only alter writes under mu. Lock order: descMu
+	// before mu.
+	descMu sync.Mutex
 
 	// mu guards the fields below. It is held only for short, in-memory
 	// critical sections plus foreground descriptor writes.
@@ -135,9 +121,8 @@ type Table struct {
 	filling     map[period.Period]*fillingTablet
 	lastInsert  *fillingTablet
 	pending     []*flushGroup
-	sealedBytes int64         // sum of pending groups' bytes not yet committed
-	disk        []*diskTablet // sorted by (MinTs, Seq)
-	retired     []*diskTablet // dropped, their files not yet deleted
+	sealedBytes int64 // sum of pending groups' bytes not yet committed
+	set         tabletSet
 	maxTs       int64
 	hasRows     bool
 	closed      bool
@@ -160,16 +145,14 @@ type Table struct {
 	expiring        bool
 	expireWaitSince int64
 
-	// Fault-recovery state (guarded by mu): consecutive flush, merge and
-	// descriptor-write failures and the engine time before which scheduled
-	// callers do not retry (retryBackoff, so a failing disk is not
-	// hammered).
+	// Fault-recovery state (guarded by mu): consecutive flush and merge
+	// failures and the engine time before which scheduled callers do not
+	// retry (retryBackoff, so a failing disk is not hammered). The set
+	// keeps the descriptor's own.
 	flushFails   int
 	flushRetryAt int64
 	mergeFails   int
 	mergeRetryAt int64
-	descFails    int
-	descRetryAt  int64
 
 	// Export state (guarded by mu): the pinned sealed-tablet snapshot a
 	// migration is copying out, keyed by file name, and the count of
@@ -247,6 +230,7 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 	}
 	now := opts.Clock.Now()
 	quarantined := 0
+	var opened []*diskTablet
 	for _, rec := range d.Tablets {
 		path := t.tabletPath(rec)
 		tab, err := tablet.OpenFS(opts.FS, path)
@@ -263,18 +247,19 @@ func openTable(dir string, d *descriptor, opts Options) (*Table, error) {
 			quarantined++
 			continue
 		}
-		t.disk = append(t.disk, t.newDiskTablet(rec, tab, now, period.For(rec.MinTs, now).Gran))
+		opened = append(opened, t.newDiskTablet(rec, tab, now, period.For(rec.MinTs, now).Gran))
 		if rec.MaxTs > t.maxTs || !t.hasRows {
 			t.maxTs = rec.MaxTs
 			t.hasRows = true
 		}
 	}
-	t.sortDiskLocked()
+	// The descriptor just read names them: they are durable.
+	t.set.Persisted(t.set.Publish(opened, nil), nil, now)
 	if quarantined > 0 {
 		// Persist the reduced tablet list so the next open does not trip
 		// over the same files; the quarantined rows are gone from the
 		// table's point of view.
-		if err := t.writeDescriptorLocked(); err != nil {
+		if err := t.alter(func() (func(), error) { return func() {}, nil }); err != nil {
 			t.closeAllLocked()
 			return nil, fmt.Errorf("core: descriptor update after quarantine: %w", err)
 		}
@@ -391,7 +376,7 @@ func (t *Table) BlockCacheStats() (hits, misses int64) {
 func (t *Table) DiskTabletCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.disk)
+	return len(t.set.live)
 }
 
 // MemTabletCount returns filling plus frozen-pending in-memory tablets.
@@ -410,7 +395,7 @@ func (t *Table) DiskBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
-	for _, dt := range t.disk {
+	for _, dt := range t.set.live {
 		n += dt.rec.Bytes
 	}
 	return n
@@ -421,7 +406,7 @@ func (t *Table) RowEstimate() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
-	for _, dt := range t.disk {
+	for _, dt := range t.set.live {
 		n += dt.rec.RowCount
 	}
 	for _, f := range t.filling {
@@ -435,33 +420,6 @@ func (t *Table) RowEstimate() int64 {
 	return n
 }
 
-func (t *Table) sortDiskLocked() {
-	// Insertion sort: the list is nearly sorted after every mutation.
-	d := t.disk
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && diskLess(d[j], d[j-1]); j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
-}
-
-// diskLess orders tablets by their timespans' lower bounds (§3.4.1), with
-// creation sequence as the tiebreaker.
-func diskLess(a, b *diskTablet) bool {
-	if a.rec.MinTs != b.rec.MinTs {
-		return a.rec.MinTs < b.rec.MinTs
-	}
-	return a.rec.Seq < b.rec.Seq
-}
-
-// insertReq is one caller's batch waiting in the group-commit queue.
-type insertReq struct {
-	rows []schema.Row
-	sc   *schema.Schema // schema the rows were validated against
-	err  error
-	done chan struct{}
-}
-
 // Insert adds a batch of rows. Each row must match the schema; a row whose
 // timestamp is zero and whose key duplicates nothing is NOT timestamped
 // here — timestamp defaulting is the wire layer's job (§3.1). Inserts are
@@ -473,11 +431,10 @@ type insertReq struct {
 // and queries hand them to readers, so the caller must not mutate a row
 // (or a byte slice in one) once it has passed it to Insert.
 //
-// Concurrent Insert calls group-commit: each caller validates its rows
-// against the schema outside any lock and enqueues them, and whichever
-// caller holds the insert lock applies every queued batch before
-// releasing it. Batches are applied in queue order, so "insertion order"
-// under concurrency is the order batches entered the queue.
+// Any other error means the batch applied nothing, so a client may re-send
+// it (§3.1). Each caller validates its rows outside any lock, then applies
+// them under the insert lock: "insertion order" under concurrency is the
+// order callers take that lock.
 func (t *Table) Insert(rows []schema.Row) error {
 	t.mu.Lock()
 	if t.closed {
@@ -491,30 +448,9 @@ func (t *Table) Insert(rows []schema.Row) error {
 			return err
 		}
 	}
-
-	req := &insertReq{rows: rows, sc: sc, done: make(chan struct{})}
-	t.iqMu.Lock()
-	t.insertQ = append(t.insertQ, req)
-	t.iqMu.Unlock()
-
 	t.insertMu.Lock()
-	t.iqMu.Lock()
-	queued := t.insertQ
-	t.insertQ = nil
-	t.iqMu.Unlock()
-	if len(queued) > 0 {
-		t.stats.GroupCommits.Add(1)
-		for _, r := range queued {
-			r.err = t.applyBatch(r)
-			close(r.done)
-		}
-	}
-	t.insertMu.Unlock()
-	// Our batch may have been applied by a previous lock holder, in which
-	// case queued above was empty or ours was not in it; either way the
-	// result is on the request.
-	<-req.done
-	return req.err
+	defer t.insertMu.Unlock()
+	return t.applyBatch(rows, sc)
 }
 
 // insertChunk is how many rows one table-lock acquisition applies.
@@ -523,10 +459,10 @@ func (t *Table) Insert(rows []schema.Row) error {
 // chunk of rows is the in-process analogue.
 const insertChunk = 256
 
-// applyBatch uniqueness-checks and applies one caller's rows in chunks of
-// insertChunk, taking the table lock once per chunk instead of once per
-// row. Caller holds insertMu.
-func (t *Table) applyBatch(req *insertReq) error {
+// applyBatch uniqueness-checks and applies one caller's rows, validated
+// against schema vsc, in chunks of insertChunk, taking the table lock once
+// per chunk instead of once per row. Caller holds insertMu.
+func (t *Table) applyBatch(rows []schema.Row, vsc *schema.Schema) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -535,10 +471,10 @@ func (t *Table) applyBatch(req *insertReq) error {
 	sc := t.sc
 	maxTs, hasRows := t.maxTs, t.hasRows
 	t.mu.Unlock()
-	if sc != req.sc {
+	if sc != vsc {
 		// A schema change slipped in between validation and application;
 		// re-validate under the current schema.
-		for _, row := range req.rows {
+		for _, row := range rows {
 			if err := sc.Validate(row); err != nil {
 				return err
 			}
@@ -554,7 +490,15 @@ func (t *Table) applyBatch(req *insertReq) error {
 		t.stats.RowsInserted.Add(inserted)
 		t.stats.InsertBatches.Add(1)
 	}()
-	rows := req.rows
+	// Stall on the backlog before the first chunk and after each. Only the
+	// first can fail the batch, which has applied nothing then; past it a
+	// failed drain is left to the flush and descriptor retry schedules
+	// (FlushFailures, CommitFailures count it), and the rest of the batch
+	// goes in without stalling: at most one batch past the cap.
+	if err := t.backpressure(); err != nil {
+		return err
+	}
+	stall := true
 	for len(rows) > 0 {
 		n := min(insertChunk, len(rows))
 		// Uniqueness, cheapest check first (§3.4.4), amortized over the
@@ -622,8 +566,8 @@ func (t *Table) applyBatch(req *insertReq) error {
 			return chunkErr
 		}
 		rows = rows[n:]
-		if err := t.backpressure(); err != nil {
-			return err
+		if stall && t.backpressure() != nil {
+			stall = false
 		}
 	}
 	return nil
@@ -729,52 +673,23 @@ func (t *Table) sealLocked(ft *fillingTablet) {
 	ring(t.flushKick)
 }
 
-// acquireLocked takes a read reference on dt.
-func (t *Table) acquireLocked(dt *diskTablet) { dt.refs++ }
+// release ends a read of dts with (*tabletSet).Release, or a claim on
+// them with (*tabletSet).Unclaim, and deletes the files that frees.
+func (t *Table) release(dts []*diskTablet, end func(*tabletSet, []*diskTablet) []*diskTablet) {
+	t.mu.Lock()
+	gone := end(&t.set, dts)
+	t.mu.Unlock()
+	t.deleteTablets(gone)
+}
 
-// claim marks every disk tablet that want accepts, and no other
-// maintenance holds, busy, and takes a reference on each, so a rewrite can
-// run without t.mu. unclaim undoes it.
-func (t *Table) claim(want func(*diskTablet) bool) ([]*diskTablet, error) {
+// claim claims the tablets pred accepts, as tabletSet.Claim says.
+func (t *Table) claim(pred func(*diskTablet) bool) ([]*diskTablet, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, ErrTableClosed
 	}
-	var claimed []*diskTablet
-	for _, dt := range t.disk {
-		if !dt.busy && want(dt) {
-			dt.busy = true
-			t.acquireLocked(dt)
-			claimed = append(claimed, dt)
-		}
-	}
-	return claimed, nil
-}
-
-// unclaim clears the busy marks claim set and drops its references.
-func (t *Table) unclaim(claimed []*diskTablet) {
-	t.mu.Lock()
-	for _, dt := range claimed {
-		dt.busy = false
-	}
-	t.mu.Unlock()
-	for _, dt := range claimed {
-		t.release(dt)
-	}
-}
-
-// release drops a reference; the last release of a dropped tablet
-// deletes it once a durable descriptor no longer names it.
-func (t *Table) release(dt *diskTablet) {
-	t.mu.Lock()
-	dt.refs--
-	var gone []*diskTablet
-	if dt.refs == 0 && dt.dropGen != 0 {
-		gone = t.reapLocked()
-	}
-	t.mu.Unlock()
-	t.deleteTablets(gone)
+	return t.set.Claim(pred), nil
 }
 
 // Close flushes nothing (matching the durability model: a crash and a
@@ -807,10 +722,9 @@ func (t *Table) Close() error {
 // wait for a durable descriptor included; those files stay on disk for the
 // next open, whose descriptor may still name them.
 func (t *Table) closeAllLocked() {
-	for _, dt := range append(t.disk, t.retired...) {
+	for _, dt := range t.set.Close() {
 		dt.tab.Close()
 	}
-	t.disk, t.retired = nil, nil
 	t.filling = map[period.Period]*fillingTablet{}
 	t.pending = nil
 	t.sealedBytes = 0
@@ -820,18 +734,11 @@ func (t *Table) closeAllLocked() {
 func (t *Table) AlterTTL(ttl int64) error {
 	t.insertMu.Lock()
 	defer t.insertMu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrTableClosed
-	}
-	old := t.ttl
-	t.ttl = ttl
-	if err := t.writeDescriptorLocked(); err != nil {
-		t.ttl = old
-		return err
-	}
-	return nil
+	return t.alter(func() (func(), error) {
+		old := t.ttl
+		t.ttl = ttl
+		return func() { t.ttl = old }, nil
+	})
 }
 
 // AddColumn appends a column to the schema (§3.5). Existing tablets keep
@@ -859,149 +766,100 @@ func (t *Table) alterSchema(f func(*schema.Schema) (*schema.Schema, error)) erro
 	if err := t.flushPending(); err != nil {
 		return err
 	}
+	return t.alter(func() (func(), error) {
+		next, err := f(t.sc)
+		if err != nil {
+			return nil, err
+		}
+		old := t.sc
+		t.sc = next
+		// In-memory filling tablets hold rows of the old schema; seal them
+		// so subsequent inserts (new arity) start fresh tablets.
+		t.sealFillingLocked(nil)
+		return func() { t.sc = old }, nil
+	})
+}
+
+// descriptorLocked is the descriptor of the current state, naming the
+// tablets recs. Caller holds t.mu.
+func (t *Table) descriptorLocked(recs []tabletRecord) *descriptor {
+	return &descriptor{
+		Name:    t.name,
+		Schema:  t.sc,
+		TTL:     t.ttl,
+		NextSeq: t.nextSeq,
+		Tablets: recs,
+		Rollups: t.rollups,
+		ColdDir: t.coldDir,
+	}
+}
+
+// alter makes change and persists it before returning, for the callers
+// whose contract is that an error changed nothing — schema, TTL and
+// rollup DDL, InstallTablet, quarantine at open, a new cold directory. It
+// holds t.mu across the write, and a failed write runs the undo change
+// returns; a nil undo means nothing changed, and nothing is written.
+func (t *Table) alter(change func() (undo func(), err error)) error {
+	t.descMu.Lock()
+	defer t.descMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrTableClosed
 	}
-	next, err := f(t.sc)
-	if err != nil {
+	undo, err := change()
+	if err != nil || undo == nil {
 		return err
 	}
-	old := t.sc
-	t.sc = next
-	// In-memory filling tablets hold rows of the old schema; seal them so
-	// subsequent inserts (new arity) start fresh tablets.
-	t.sealFillingLocked(nil)
-	if err := t.writeDescriptorLocked(); err != nil {
-		t.sc = old
+	gen := t.set.Publish(nil, nil)
+	_, recs, _ := t.set.Snapshot()
+	if err := writeDescriptor(t.opts.FS, t.dir, t.descriptorLocked(recs), t.opts.SyncWrites); err != nil {
+		undo()
 		return err
 	}
+	gone, _ := t.set.Persisted(gen, nil, t.opts.Clock.Now())
+	t.deleteTablets(gone)
 	return nil
 }
 
-// buildDescriptorLocked snapshots the current persistable state; callers
-// hold t.mu.
-func (t *Table) buildDescriptorLocked() *descriptor {
-	d := &descriptor{
-		Name:    t.name,
-		Schema:  t.sc,
-		TTL:     t.ttl,
-		NextSeq: t.nextSeq,
-		Rollups: t.rollups,
-		ColdDir: t.coldDir,
-	}
-	for _, dt := range t.disk {
-		d.Tablets = append(d.Tablets, dt.rec)
-	}
-	return d
-}
-
-// writeDescriptorLocked persists current state synchronously, for the
-// callers whose contract is that an error changed nothing — schema, TTL
-// and rollup DDL, InstallTablet, quarantine at open — and which undo
-// their change when it fails. Callers hold t.mu; every change to the
-// tablet set goes through publishLocked and persistDescriptor instead.
-func (t *Table) writeDescriptorLocked() error {
-	t.descGen++
-	return t.writeGen(t.descGen, t.buildDescriptorLocked())
-}
-
-// writeGen writes d, the snapshot of generation gen, unless a later
-// generation is already on disk: descriptors are full-state snapshots, so
-// a later one subsumes gen's change and skipping it is lossless. descMu
-// keeps the on-disk descriptor monotone.
-func (t *Table) writeGen(gen uint64, d *descriptor) error {
-	t.descMu.Lock()
-	defer t.descMu.Unlock()
-	if gen <= t.descWritten.Load() {
-		return nil
-	}
-	if err := writeDescriptor(t.opts.FS, t.dir, d, t.opts.SyncWrites); err != nil {
-		return err
-	}
-	t.descWritten.Store(gen)
-	return nil
-}
-
-// publishLocked is the one way the tablet set changes — a flush commit, a
-// merge, TTL expiry, a delete-where rewrite, tiering: add joins the set,
-// drop leaves it, and the descriptor generation moves on. The caller then
-// releases t.mu and calls persistDescriptor. Every descriptor is a
-// full-state snapshot of these seal-ordered commits, so whatever reaches
-// disk is a prefix of insertion order. A dropped tablet's file is
-// deleted only once no reader holds it and a durable descriptor no longer
-// names it (reapLocked): a failed or interrupted persist leaves in place
-// every file the on-disk descriptor names. Caller holds t.mu.
-func (t *Table) publishLocked(add, drop []*diskTablet) {
-	t.descGen++
-	if len(drop) > 0 {
-		t.disk = slices.DeleteFunc(t.disk, func(dt *diskTablet) bool { return slices.Contains(drop, dt) })
-		for _, dt := range drop {
-			dt.dropGen = t.descGen
-		}
-		t.retired = append(t.retired, drop...)
-	}
-	t.disk = append(t.disk, add...)
-	t.sortDiskLocked()
-}
-
-// persistDescriptor makes the published tablet set durable: it snapshots
-// the state and its generation under t.mu and writes it outside, unless a
-// later generation already reached disk. A success deletes the dropped
-// tablets no reader holds any more. A failure keeps the change in memory:
-// it is counted (CommitFailures) and sets the retry schedule Tick follows,
-// and any later persist — a retry or the next publish — writes it along.
+// persistDescriptor makes the published tablet set durable, unless a
+// completed write already holds it, and deletes what that frees. A
+// failure keeps the change in memory: it is counted (CommitFailures) and
+// sets the retry schedule Tick follows, and any later persist writes it
+// along. Every descriptor is a full-state snapshot of seal-ordered
+// commits, so whatever reaches disk is a prefix of insertion order.
 // Caller must NOT hold t.mu.
 func (t *Table) persistDescriptor() error {
+	t.descMu.Lock()
+	defer t.descMu.Unlock()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return ErrTableClosed
 	}
+	gen, recs, due := t.set.Snapshot()
+	d := t.descriptorLocked(recs)
+	t.mu.Unlock()
 	var err error
-	if gen := t.descGen; gen > t.descWritten.Load() {
-		d := t.buildDescriptorLocked()
-		t.mu.Unlock()
-		err = t.writeGen(gen, d)
-		t.mu.Lock()
+	if due {
+		err = writeDescriptor(t.opts.FS, t.dir, d, t.opts.SyncWrites)
 	}
+	t.mu.Lock()
+	gone, fails := t.set.Persisted(gen, err, t.opts.Clock.Now())
 	if err != nil {
-		t.descFails++
-		wait := retryBackoff(t.descFails)
-		t.descRetryAt = t.opts.Clock.Now() + wait
 		t.stats.CommitFailures.Add(1)
 		t.opts.Logf("littletable: table %s: descriptor write failed (%d consecutive): %v; retrying in %ds",
-			t.name, t.descFails, err, wait/clock.Second)
-		t.mu.Unlock()
-		return fmt.Errorf("core: descriptor update: %w", err)
+			t.name, fails, err, retryBackoff(fails)/clock.Second)
 	}
-	t.descFails = 0
-	gone := t.reapLocked()
 	t.mu.Unlock()
 	t.deleteTablets(gone)
+	if err != nil {
+		return fmt.Errorf("core: descriptor update: %w", err)
+	}
 	return nil
 }
 
-// reapLocked takes out of t.retired every dropped tablet that no reader
-// holds and no durable descriptor names, for the caller to delete with
-// deleteTablets once it has released t.mu. Caller holds t.mu.
-func (t *Table) reapLocked() []*diskTablet {
-	durable := t.descWritten.Load()
-	var gone []*diskTablet
-	t.retired = slices.DeleteFunc(t.retired, func(dt *diskTablet) bool {
-		if dt.refs == 0 && dt.dropGen <= durable {
-			gone = append(gone, dt)
-			return true
-		}
-		return false
-	})
-	return gone
-}
-
-// deleteTablets closes and deletes tablets no descriptor on disk names:
-// dropped ones reapLocked released, or a flush's output that was never
-// published.
+// deleteTablets closes and deletes tablets no descriptor on disk names.
 func (t *Table) deleteTablets(dts []*diskTablet) {
 	for _, dt := range dts {
 		dt.tab.Close()

@@ -28,9 +28,6 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 	if err := t.opts.FS.MkdirAll(coldDir); err != nil {
 		return 0, err
 	}
-	t.mu.Lock()
-	t.coldDir = coldDir // durable with the next descriptor write
-	t.mu.Unlock()
 	// Write side of maintMu: tiering relocates tablet files and must see
 	// no merge in flight.
 	t.maintMu.Lock()
@@ -42,7 +39,22 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer t.unclaim(victims)
+	defer t.release(victims, (*tabletSet).Unclaim)
+	// Record coldDir durably before the first copy into it, so that
+	// orphan cleaning at the next open scans it whatever happens next.
+	if len(victims) > 0 {
+		err := t.alter(func() (func(), error) {
+			if t.coldDir == coldDir {
+				return nil, nil
+			}
+			old := t.coldDir
+			t.coldDir = coldDir
+			return func() { t.coldDir = old }, nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
 
 	moved := 0
 	for _, dt := range victims {
@@ -65,7 +77,7 @@ func (t *Table) TierColdTablets(olderThan int64, coldDir string) (int, error) {
 			t.opts.FS.Remove(coldPath)
 			return moved, ErrTableClosed
 		}
-		t.publishLocked([]*diskTablet{cold}, []*diskTablet{dt}) // hot copy deleted once durable and unread
+		t.set.Publish([]*diskTablet{cold}, []*diskTablet{dt}) // hot copy deleted once durable and unread
 		t.mu.Unlock()
 		moved++
 		if err := t.persistDescriptor(); err != nil {
@@ -80,7 +92,7 @@ func (t *Table) ColdTabletCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, dt := range t.disk {
+	for _, dt := range t.set.live {
 		if dt.rec.Dir != "" {
 			n++
 		}

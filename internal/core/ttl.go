@@ -15,19 +15,8 @@ func (t *Table) expireTTL(now int64) error {
 		t.mu.Unlock()
 		return ErrTableClosed
 	}
-	if t.ttl <= 0 || t.expiring || t.maintHold > 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	cutoff := now - t.ttl
-	var doomed []*diskTablet
-	for _, dt := range t.disk {
-		if !dt.busy && dt.rec.MaxTs < cutoff {
-			doomed = append(doomed, dt)
-		}
-	}
+	doomed := t.expiredLocked(now)
 	if len(doomed) == 0 {
-		t.expireWaitSince = 0
 		t.mu.Unlock()
 		return nil
 	}
@@ -37,7 +26,7 @@ func (t *Table) expireTTL(now int64) error {
 		t.expireWaitSince = 0
 	}
 	t.stats.ExpiriesInFlight.Add(1)
-	t.publishLocked(nil, doomed)
+	t.set.Publish(nil, doomed)
 	t.stats.TabletsExpired.Add(int64(len(doomed)))
 	t.stats.ExpiryRuns.Add(1)
 	t.mu.Unlock()

@@ -36,14 +36,8 @@ func (t *Table) checkUnique(sc *schema.Schema, row schema.Row, now int64) (bool,
 	}
 
 	// Collect the tablets whose timespan contains ts.
-	var disks []*diskTablet
+	disks := t.set.Acquire(func(dt *diskTablet) bool { return dt.rec.MinTs <= ts && ts <= dt.rec.MaxTs })
 	var mems []*memtable.Memtable
-	for _, dt := range t.disk {
-		if dt.rec.MinTs <= ts && ts <= dt.rec.MaxTs {
-			t.acquireLocked(dt)
-			disks = append(disks, dt)
-		}
-	}
 	collect := func(f *fillingTablet) {
 		if f.mt.Empty() {
 			return
@@ -62,11 +56,7 @@ func (t *Table) checkUnique(sc *schema.Schema, row schema.Row, now int64) (bool,
 		}
 	}
 	t.mu.Unlock()
-	defer func() {
-		for _, dt := range disks {
-			t.release(dt)
-		}
-	}()
+	defer t.release(disks, (*tabletSet).Release)
 
 	if len(disks) == 0 && len(mems) == 0 {
 		t.stats.UniqueFastNew.Add(1)

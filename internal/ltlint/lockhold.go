@@ -11,8 +11,8 @@ import (
 // LockHold flags the deadlock shape the write pipeline must avoid:
 // blocking on a channel — send, receive, or a select with no default —
 // or on a sync.WaitGroup while holding a mutex. A flush worker that
-// needs that same mutex to make progress can then never run, and the
-// group-commit queue wedges behind the lock (DESIGN §9).
+// needs that same mutex to make progress can then never run, and every
+// inserter wedges behind the lock (DESIGN §9).
 //
 // The held-lock walk is shared with lockorder (see lockWalk).
 // sync.Cond.Wait is exempt — it releases the mutex while parked — and

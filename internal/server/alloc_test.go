@@ -78,3 +78,52 @@ func TestHandleQueryAllocatesPerPageNotPerRow(t *testing.T) {
 		t.Errorf("handleQuery allocates %.0f objects per %d-row page: something is allocated per row", perPage, rows)
 	}
 }
+
+// TestPageLimitReachesEngine: a query's page limit reaches the engine, so
+// a Limit 100 query over 5,000 memtable rows under one key prefix walks
+// about a page of them, not every row in its box. The page loop still
+// reads one row past the page to set the more-available flag.
+func TestPageLimitReachesEngine(t *testing.T) {
+	s, err := New(Options{Root: t.TempDir(), MaintenanceInterval: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sc := schema.MustNew([]schema.Column{
+		{Name: "k", Type: ltval.Int64},
+		{Name: "ts", Type: ltval.Timestamp},
+	}, []string{"k", "ts"})
+	tab, err := s.CreateTable("t", sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, limit = 5000, 100
+	batch := make([]schema.Row, rows)
+	for i := range batch {
+		batch[i] = schema.Row{ltval.NewInt64(1), ltval.NewTimestamp(int64(1_700_000_000_000_000 + i))}
+	}
+	if err := tab.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []ltval.Value{ltval.NewInt64(1)}
+	req := (&wire.Query{Table: "t", Query: core.Query{
+		Lower: prefix, LowerInc: true, Upper: prefix, UpperInc: true,
+		MinTs: -1 << 62, MaxTs: 1 << 62, Descending: true, Limit: limit,
+	}}).Encode()
+	before := tab.Stats().Snapshot().RowsScanned
+	var out bytes.Buffer
+	if err := s.handleQuery(wire.NewConn(&out), req); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := wire.NewConn(&out).ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.DecodeRows(payload, sc)
+	if err != nil || len(m.Rows) != limit || !m.More {
+		t.Fatalf("got %d rows, more %v (%v); want %d and more", len(m.Rows), m.More, err, limit)
+	}
+	if scanned := tab.Stats().Snapshot().RowsScanned - before; scanned > 2*limit {
+		t.Errorf("a Limit %d query scanned %d of %d memtable rows", limit, scanned, rows)
+	}
+}

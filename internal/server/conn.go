@@ -246,15 +246,16 @@ func (s *Server) handleQuery(wc *wire.Conn, payload []byte) error {
 }
 
 // pageLimit returns how many rows one response to q may carry: the
-// client's limit, capped by the server's own (§3.5). It clears q.Limit,
-// because the caller's page loop enforces the cap and then reads one row
-// past it to set the more-available flag.
+// client's limit, capped by the server's own (§3.5). It sets q.Limit one
+// past it, because the caller's page loop enforces the cap and then reads
+// one row more to set the more-available flag; the engine then stops
+// there too.
 func (s *Server) pageLimit(q *core.Query) int {
 	limit := s.opts.QueryRowLimit
 	if q.Limit > 0 && q.Limit < limit {
 		limit = q.Limit
 	}
-	q.Limit = 0
+	q.Limit = limit + 1
 	return limit
 }
 
