@@ -40,11 +40,14 @@ ltlint:
 # 1,000-value series and per row written. Last come the k-way merger
 # every query and merge runs through, in ns/row by source count and run
 # length, and a query over a 20,000-row memtable in dash_mixed's
-# aggregate and dashboard shapes.
+# aggregate and dashboard shapes. Last, the one aggregation fold: an
+# accumulator's constructor plus 4,096 Adds (ns/row), and the pairwise
+# merge of eight per-table partials.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|EncodeXOR|TabletWrite' -benchmem ./internal/block ./internal/tablet
 	$(GO) test -run '^$$' -bench 'Merger|QueryMemtable' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'AccumulatorAdd|MergeGroups' -benchmem ./internal/agg
 
 # bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
 # does (BENCHMARK.json); benchmark/README.md explains what it prints.

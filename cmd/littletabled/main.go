@@ -43,8 +43,6 @@ func main() {
 		readTO      = flag.Duration("read-timeout", 0, "drop a connection idle longer than this (0 = no deadline)")
 		writeTO     = flag.Duration("write-timeout", 0, "drop a connection whose response write stalls this long (0 = no deadline)")
 		maxRequest  = flag.Int("max-request-bytes", 0, "cap a single request frame (0 = protocol max)")
-		queryPar    = flag.Int("query-parallelism", 0, "tablet sources a query opens concurrently (0 = default, <0 = serial)")
-		prefetch    = flag.Int("prefetch-depth", 0, "blocks each tablet source reads ahead (0 = default, <0 = off)")
 		cacheBytes  = flag.Int64("block-cache-bytes", 0, "per-table LRU cache over parsed blocks, in bytes (0 = off)")
 		flushWork   = flag.Int("flush-workers", 0, "background flush workers per table (0 = synchronous flushing)")
 		mergeWork   = flag.Int("merge-workers", 0, "background maintenance workers per table running merges and TTL expiry concurrently (0 = serial maintenance in the tick loop)")
@@ -67,8 +65,6 @@ func main() {
 	opts.Core.DisableBloom = *noBloom
 	opts.Core.SyncWrites = *sync
 	opts.Core.VerifyOnOpen = *verifyOpen
-	opts.Core.QueryParallelism = *queryPar
-	opts.Core.PrefetchDepth = *prefetch
 	opts.Core.BlockCacheBytes = *cacheBytes
 	opts.Core.FlushWorkers = *flushWork
 	opts.Core.MergeWorkers = *mergeWork

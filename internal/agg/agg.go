@@ -14,8 +14,10 @@
 package agg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"littletable/internal/ltval"
@@ -101,15 +103,21 @@ type binding struct {
 	types   []ltval.Type
 }
 
-// bindSpec validates spec against sc. Sum/Avg/Quantile require a
-// numeric (integer or double) column; Min/Max accept any column type.
-func bindSpec(sc *schema.Schema, spec Spec) (*binding, error) {
+// checkGroupCols validates spec's key-prefix grouping against sc.
+func checkGroupCols(sc *schema.Schema, spec Spec) error {
+	if spec.GroupCols < 0 || spec.GroupCols > sc.KeyLen()-1 {
+		return fmt.Errorf("agg: %d group columns, schema has %d non-timestamp key columns",
+			spec.GroupCols, sc.KeyLen()-1)
+	}
+	return nil
+}
+
+// bindAggs validates spec's bucket width and aggregates against sc.
+// Sum/Avg/Quantile require a numeric (integer or double) column; Min/Max
+// accept any column type.
+func bindAggs(sc *schema.Schema, spec Spec) (*binding, error) {
 	if spec.BucketWidth < 0 {
 		return nil, fmt.Errorf("agg: negative bucket width %d", spec.BucketWidth)
-	}
-	if spec.GroupCols < 0 || spec.GroupCols > sc.KeyLen()-1 {
-		return nil, fmt.Errorf("agg: %d group columns, schema has %d non-timestamp key columns",
-			spec.GroupCols, sc.KeyLen()-1)
 	}
 	if len(spec.Aggs) == 0 {
 		return nil, fmt.Errorf("agg: no aggregates requested")
@@ -147,7 +155,10 @@ func bindSpec(sc *schema.Schema, spec Spec) (*binding, error) {
 
 // ValidateSpec reports whether spec can run against sc.
 func ValidateSpec(sc *schema.Schema, spec Spec) error {
-	_, err := bindSpec(sc, spec)
+	if err := checkGroupCols(sc, spec); err != nil {
+		return err
+	}
+	_, err := bindAggs(sc, spec)
 	return err
 }
 
@@ -189,7 +200,7 @@ func CompareGroups(a, b *Group) int {
 		n = len(b.Key)
 	}
 	for i := 0; i < n; i++ {
-		if c := a.Key[i].Compare(b.Key[i]); c != 0 {
+		if c := compareKey(a.Key[i], b.Key[i]); c != 0 {
 			return c
 		}
 	}
@@ -200,6 +211,21 @@ func CompareGroups(a, b *Group) int {
 		return 1
 	}
 	return 0
+}
+
+// compareKey orders two group-key values as ltval.Value.Compare does,
+// except that doubles follow a total order that matches group identity
+// (the value's bits): NaN before every number, −0 before +0. Compare
+// calls NaN equal to every number, which would leave a double group
+// column holding NaN with no consistent order for Groups or MergeGroups.
+func compareKey(a, b ltval.Value) int {
+	if a.Type != ltval.Double || b.Type != ltval.Double {
+		return a.Compare(b)
+	}
+	if c := cmp.Compare(a.Float, b.Float); c != 0 || a.Float != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(b.Float), math.Float64bits(a.Float))
 }
 
 // Accumulator folds rows of one schema into per-group partial states.
@@ -214,21 +240,34 @@ type Accumulator struct {
 	keyBuf []byte
 }
 
-// NewAccumulator binds spec to sc, validating it.
+// NewAccumulator binds spec to sc, validating it. Rows group by
+// (bucket, the first spec.GroupCols key columns).
 func NewAccumulator(sc *schema.Schema, spec Spec) (*Accumulator, error) {
-	b, err := bindSpec(sc, spec)
+	if err := checkGroupCols(sc, spec); err != nil {
+		return nil, err
+	}
+	return NewAccumulatorBy(sc, spec, sc.Key[:spec.GroupCols])
+}
+
+// NewAccumulatorBy binds spec to sc like NewAccumulator, but groups rows
+// by (bucket, the values of the schema columns at cols): any columns, in
+// any order, key or not, the timestamp included. spec.GroupCols is not
+// consulted. Group keys follow cols, so Groups() sorts by those values.
+func NewAccumulatorBy(sc *schema.Schema, spec Spec, cols []int) (*Accumulator, error) {
+	b, err := bindAggs(sc, spec)
 	if err != nil {
 		return nil, err
 	}
-	keyIdx := make([]int, spec.GroupCols)
-	for i := range keyIdx {
-		keyIdx[i] = sc.Key[i]
+	for _, c := range cols {
+		if c < 0 || c >= len(sc.Columns) {
+			return nil, fmt.Errorf("agg: group column %d outside the schema's %d columns", c, len(sc.Columns))
+		}
 	}
 	return &Accumulator{
 		spec:   spec,
 		b:      b,
 		sc:     sc,
-		keyIdx: keyIdx,
+		keyIdx: slices.Clone(cols),
 		groups: make(map[string]*Group),
 	}, nil
 }

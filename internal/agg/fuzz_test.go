@@ -3,11 +3,14 @@ package agg
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
 // FuzzAggAccumulator drives the partial-aggregation contract from
-// arbitrary bytes: a row stream decoded from the input is folded whole
+// arbitrary bytes: a row stream decoded from the input is grouped by a
+// fuzz-chosen subset of the columns (key or not, the timestamp and the
+// NaN-bearing double included, in a fuzz-chosen rotation), folded whole
 // and folded as two split halves merged, and the results must agree —
 // the property the whole distributed read path (shard partials, router
 // merge, rollup replay) is built on. Two aggregates are only
@@ -19,13 +22,13 @@ import (
 // counts, min/max, sketches — must match bit-for-bit. Sketch decode of
 // fuzzed bytes must never panic either.
 func FuzzAggAccumulator(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(6), uint16(1))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint8(0), uint16(0))
-	f.Add([]byte{}, uint8(1), uint16(3))
-	f.Fuzz(func(t *testing.T, data []byte, widthByte uint8, splitRaw uint16) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(6), uint16(1), uint8(1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{}, uint8(1), uint16(3), uint8(0x1f))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 13, 0, 0, 13, 0, 1, 26, 0, 0, 26, 0, 1}, uint8(0), uint16(1), uint8(0x38))
+	f.Fuzz(func(t *testing.T, data []byte, widthByte uint8, splitRaw uint16, groupMask uint8) {
 		spec := Spec{
 			BucketWidth: int64(widthByte), // 0 = single bucket
-			GroupCols:   1,
 			Aggs: []Agg{
 				{Func: Count},
 				{Func: Sum, Col: "bytes"},
@@ -37,6 +40,16 @@ func FuzzAggAccumulator(f *testing.F) {
 			},
 		}
 		sc := testSchema()
+		var cols []int
+		for c := range sc.Columns {
+			if groupMask&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if len(cols) > 0 {
+			r := int(groupMask>>5) % len(cols)
+			cols = slices.Concat(cols[r:], cols[:r])
+		}
 		var rows [][3]int64 // n, ts, raw value
 		for i := 0; i+6 <= len(data); i += 6 {
 			n := int64(data[i] % 4)
@@ -48,7 +61,7 @@ func FuzzAggAccumulator(f *testing.F) {
 			rows = append(rows, [3]int64{n, ts, v})
 		}
 		mk := func() *Accumulator {
-			acc, err := NewAccumulator(sc, spec)
+			acc, err := NewAccumulatorBy(sc, spec, cols)
 			if err != nil {
 				t.Fatal(err)
 			}

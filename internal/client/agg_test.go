@@ -92,12 +92,14 @@ func aggGroupsExact(t *testing.T, spec agg.Spec, label string, got, want []agg.G
 // TestAggQueryDifferential is the end-to-end correctness gate for the
 // server-side aggregation path: the same rows aggregated two ways — by
 // the server over MsgAggQuery, and by the client folding raw Query rows
-// through the same accumulator — must agree exactly, at every query
-// parallelism, over a mixed memtable + disk-tablet table state.
+// through the same accumulator — must agree exactly over a mixed
+// memtable + disk-tablet table state. parallelism_N spreads usage_a over
+// N disk tablets, so the server opens its sources inline (1), two at once
+// (2), and eight through the full pool of core.DefaultQueryParallelism (8).
 func TestAggQueryDifferential(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism_%d", par), func(t *testing.T) {
-			srv, addr := startServer(t, server.Options{Core: core.Options{QueryParallelism: par}})
+			srv, addr := startServer(t, server.Options{})
 			c := dial(t, addr)
 			sc := usageAggSchema()
 			for _, name := range []string{"usage_a", "usage_b", "other"} {
@@ -106,7 +108,7 @@ func TestAggQueryDifferential(t *testing.T) {
 				}
 			}
 			const base = int64(1_700_000_000) * clock.Second
-			insert := func(name string, seed int64) {
+			insert := func(name string, seed int64, tablets int) {
 				tab, err := c.OpenTable(name)
 				if err != nil {
 					t.Fatal(err)
@@ -124,18 +126,25 @@ func TestAggQueryDifferential(t *testing.T) {
 						}
 					}
 				}
-				if err := tab.InsertNow(batch); err != nil {
-					t.Fatal(err)
+				for p := 0; p < tablets; p++ {
+					if p > 0 {
+						if err := srv.FlushAllTables(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := tab.InsertNow(batch[p*len(batch)/tablets : (p+1)*len(batch)/tablets]); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			insert("usage_a", 1)
-			insert("other", 99) // must not leak into the "usage" prefix
+			insert("usage_a", 1, par)
+			insert("other", 99, 1) // must not leak into the "usage" prefix
 			// Flush now, then add more rows: the aggregation scan must merge
 			// disk tablets and memtable alike.
 			if err := srv.FlushAllTables(); err != nil {
 				t.Fatal(err)
 			}
-			insert("usage_b", 2)
+			insert("usage_b", 2, 1)
 
 			spec := usageAggSpec()
 			// A window that clips both ends, so the ts filter is observable.
@@ -220,6 +229,14 @@ func TestAggQueryDifferential(t *testing.T) {
 				if o.Values[0].Int != wantMerged[i].States[0].N {
 					t.Fatalf("finalize count %d = %d, want %d", i, o.Values[0].Int, wantMerged[i].States[0].N)
 				}
+			}
+			// Only a table over more than one disk tablet opens through the pool.
+			ta, err := srv.Table("usage_a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opens := ta.Stats().Snapshot().ParallelOpens; (opens > 0) != (par > 1) {
+				t.Fatalf("usage_a over %d tablets: %d parallel opens", par, opens)
 			}
 		})
 	}

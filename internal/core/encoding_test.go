@@ -49,7 +49,7 @@ func fixtureBox(rng *rand.Rand) Query {
 // the writer no longer emits: a table serving the committed v1 fixture
 // and a table holding the same rows inserted, flushed and merged by
 // today's writer must serve identical rows for full scans and random
-// bounding boxes, at every query parallelism, and again after reopening.
+// bounding boxes, and again after reopening.
 func TestEncodingDifferentialAutoVsLegacy(t *testing.T) {
 	raw, err := os.ReadFile(v1Fixture)
 	if err != nil {
@@ -67,92 +67,87 @@ func TestEncodingDifferentialAutoVsLegacy(t *testing.T) {
 	minTs, maxTs := fix.Timespan()
 	fix.Close()
 
-	for _, par := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			clk := clock.NewFake(testStart)
-			opts := Options{
-				Clock:            clk,
-				FlushSize:        2048,
-				MergeDelay:       1 * clock.Second,
-				MergeWorkers:     2,
-				QueryParallelism: par,
-			}
-			create := func() (*Table, string) {
-				dir := t.TempDir()
-				tab, err := CreateTable(dir, "golden", sc, 0, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tab, dir
-			}
-			legacy, legacyDir := create()
-			defer func() { legacy.Close() }()
-			if err := legacy.InstallTablet(raw, int64(len(rows)), minTs, maxTs); err != nil {
-				t.Fatal(err)
-			}
-			auto, autoDir := create()
-			defer func() { auto.Close() }()
-			for i := 0; i < len(rows); i += 200 {
-				mustInsert(t, auto, rows[i:min(i+200, len(rows))]...)
-				if err := auto.FlushAll(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			clk.Advance(2 * clock.Day)
-			if err := auto.MaintainUntilQuiet(); err != nil {
-				t.Fatal(err)
-			}
-			// The comparison is only meaningful if the auto table used the
-			// columnar layout and merged, and the legacy table encoded
-			// nothing of its own.
-			if s := auto.Stats().Snapshot(); s.BlocksEncodedColumnar == 0 || s.Merges == 0 {
-				t.Fatalf("auto table encoded %d columnar blocks in %d merges; differential is vacuous", s.BlocksEncodedColumnar, s.Merges)
-			}
-			if s := legacy.Stats().Snapshot(); s.BlocksEncodedColumnar != 0 {
-				t.Fatalf("legacy table encoded %d columnar blocks", s.BlocksEncodedColumnar)
-			}
-
-			compare := func(q Query, label string) {
-				t.Helper()
-				got := queryBox(t, auto, q)
-				want := queryBox(t, legacy, q)
-				if len(got) != len(want) {
-					t.Fatalf("%s: auto returned %d rows, legacy %d", label, len(got), len(want))
-				}
-				for i := range want {
-					for j := range want[i] {
-						if !got[i][j].Equal(want[i][j]) {
-							t.Fatalf("%s: row %d col %d: auto %v, legacy %v",
-								label, i, j, got[i][j], want[i][j])
-						}
-					}
-				}
-			}
-			if got := queryBox(t, legacy, NewQuery()); len(got) != len(rows) {
-				t.Fatalf("legacy table serves %d rows, want the fixture's %d", len(got), len(rows))
-			}
-			compare(NewQuery(), "full scan")
-			rng := rand.New(rand.NewSource(int64(100 + par)))
-			for trial := 0; trial < 25; trial++ {
-				compare(fixtureBox(rng), fmt.Sprintf("box %d", trial))
-			}
-
-			// Reopen both: the on-disk images alone must still agree.
-			reopen := func(tab *Table, dir string) *Table {
-				t.Helper()
-				if err := tab.Close(); err != nil {
-					t.Fatal(err)
-				}
-				re, err := OpenTable(dir, "golden", opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return re
-			}
-			legacy, auto = reopen(legacy, legacyDir), reopen(auto, autoDir)
-			compare(NewQuery(), "reopen")
-		})
+	clk := clock.NewFake(testStart)
+	opts := Options{
+		Clock:        clk,
+		FlushSize:    2048,
+		MergeDelay:   1 * clock.Second,
+		MergeWorkers: 2,
 	}
+	create := func() (*Table, string) {
+		dir := t.TempDir()
+		tab, err := CreateTable(dir, "golden", sc, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab, dir
+	}
+	legacy, legacyDir := create()
+	defer func() { legacy.Close() }()
+	if err := legacy.InstallTablet(raw, int64(len(rows)), minTs, maxTs); err != nil {
+		t.Fatal(err)
+	}
+	auto, autoDir := create()
+	defer func() { auto.Close() }()
+	for i := 0; i < len(rows); i += 200 {
+		mustInsert(t, auto, rows[i:min(i+200, len(rows))]...)
+		if err := auto.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(2 * clock.Day)
+	if err := auto.MaintainUntilQuiet(); err != nil {
+		t.Fatal(err)
+	}
+	// The comparison is only meaningful if the auto table used the
+	// columnar layout and merged, and the legacy table encoded
+	// nothing of its own.
+	if s := auto.Stats().Snapshot(); s.BlocksEncodedColumnar == 0 || s.Merges == 0 {
+		t.Fatalf("auto table encoded %d columnar blocks in %d merges; differential is vacuous", s.BlocksEncodedColumnar, s.Merges)
+	}
+	if s := legacy.Stats().Snapshot(); s.BlocksEncodedColumnar != 0 {
+		t.Fatalf("legacy table encoded %d columnar blocks", s.BlocksEncodedColumnar)
+	}
+
+	compare := func(q Query, label string) {
+		t.Helper()
+		got := queryBox(t, auto, q)
+		want := queryBox(t, legacy, q)
+		if len(got) != len(want) {
+			t.Fatalf("%s: auto returned %d rows, legacy %d", label, len(got), len(want))
+		}
+		for i := range want {
+			for j := range want[i] {
+				if !got[i][j].Equal(want[i][j]) {
+					t.Fatalf("%s: row %d col %d: auto %v, legacy %v",
+						label, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+	if got := queryBox(t, legacy, NewQuery()); len(got) != len(rows) {
+		t.Fatalf("legacy table serves %d rows, want the fixture's %d", len(got), len(rows))
+	}
+	compare(NewQuery(), "full scan")
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 25; trial++ {
+		compare(fixtureBox(rng), fmt.Sprintf("box %d", trial))
+	}
+
+	// Reopen both: the on-disk images alone must still agree.
+	reopen := func(tab *Table, dir string) *Table {
+		t.Helper()
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenTable(dir, "golden", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+	legacy, auto = reopen(legacy, legacyDir), reopen(auto, autoDir)
+	compare(NewQuery(), "reopen")
 }
 
 // TestCorruptFixtureQuarantined feeds the checked-in damaged v1 fixture

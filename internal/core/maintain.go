@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"time"
 
 	"littletable/internal/clock"
 	"littletable/internal/period"
@@ -25,8 +24,9 @@ import (
 // could otherwise monopolize the workers while an old period's backlog
 // lingers, voiding the appendix's O(log T) tablet bound. Each period
 // therefore records when it first became claimable, and claims go to the
-// longest-waiting period (priority aging); the accumulated queue delay is
-// exported as Stats.MergeWaitNs (ExpiryWaitNs for TTL rounds).
+// longest-waiting period (priority aging); the accumulated queue delay,
+// read on the engine clock (Options.Clock), is exported in nanoseconds as
+// Stats.MergeWaitNs (ExpiryWaitNs for TTL rounds).
 
 // maintClaim is one claimed merge: the period it locks, the claimed
 // inputs, and the output sequence number reserved under mu.
@@ -69,7 +69,7 @@ func (t *Table) claimMergeLocked(now int64, dry bool) *maintClaim {
 		}
 		since, ok := t.mergeWaitSince[p]
 		if !ok {
-			since = time.Now().UnixNano()
+			since = t.opts.Clock.Now()
 			t.mergeWaitSince[p] = since
 		}
 		if best == nil || since < bestSince {
@@ -105,7 +105,7 @@ func (t *Table) claimMergeLocked(now int64, dry bool) *maintClaim {
 	if best == nil || dry {
 		return best
 	}
-	t.stats.MergeWaitNs.Add(time.Now().UnixNano() - bestSince)
+	t.stats.MergeWaitNs.Add((t.opts.Clock.Now() - bestSince) * 1000)
 	delete(t.mergeWaitSince, best.per)
 	t.merging[best.per] = true
 	best.inputs = t.set.Claim(func(dt *diskTablet) bool { return slices.Contains(best.inputs, dt) })
@@ -125,9 +125,9 @@ func (t *Table) expiredLocked(now int64) []*diskTablet {
 	cutoff := now - t.ttl
 	doomed := t.set.Unclaimed(func(dt *diskTablet) bool { return dt.rec.MaxTs < cutoff })
 	if len(doomed) == 0 {
-		t.expireWaitSince = 0
-	} else if t.expireWaitSince == 0 {
-		t.expireWaitSince = time.Now().UnixNano()
+		t.expireWaiting = false
+	} else if !t.expireWaiting {
+		t.expireWaiting, t.expireWaitSince = true, t.opts.Clock.Now()
 	}
 	return doomed
 }

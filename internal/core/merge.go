@@ -182,7 +182,7 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 	defer m.close()
 	// Merges read every block of every input sequentially, the best case for
 	// prefetch; no context, since a merge runs to completion or error.
-	ro := tablet.ReadOptions{PrefetchDepth: t.opts.prefetchDepth()}
+	ro := tablet.ReadOptions{PrefetchDepth: DefaultPrefetchDepth}
 	for ord, dt := range inputs {
 		rows += dt.tab.RowCount()
 		src, err := newDiskSource(sc, dt.tab, &q, &scanned, ro)

@@ -39,16 +39,17 @@ const (
 	DefaultMaxPendingTablets = 100
 
 	// DefaultQueryParallelism is how many tablet sources a query opens and
-	// positions concurrently. Opening a tablet source costs up to four
-	// reads (§3.5's footer seeks plus the first block), independent per
-	// tablet until the merge point, so overlapping them cuts first-row
-	// latency on multi-tablet queries.
+	// positions concurrently; a query over one tablet opens it inline.
+	// Opening a tablet source costs up to four reads (§3.5's footer seeks
+	// plus the first block), independent per tablet until the merge
+	// point, so overlapping them cuts first-row latency on multi-tablet
+	// queries.
 	DefaultQueryParallelism = 4
 
 	// DefaultPrefetchDepth is how many blocks each on-disk tablet source
-	// reads ahead of its cursor. While the single merge goroutine drains
-	// one source, the others' pipelines keep loading, hiding block latency
-	// behind the merge.
+	// of a query or merge reads ahead of its cursor. While the single
+	// merge goroutine drains one source, the others' pipelines keep
+	// loading, hiding block latency behind the merge.
 	DefaultPrefetchDepth = 2
 
 	// DefaultMaxUnflushedBytes caps sealed-but-unflushed memtable bytes.
@@ -119,16 +120,6 @@ type Options struct {
 	// (singleflight). 0 disables it.
 	BlockCacheBytes int64
 
-	// QueryParallelism is how many on-disk tablet sources one query opens
-	// and positions concurrently. 0 selects the default; 1 or a negative
-	// value opens serially.
-	QueryParallelism int
-
-	// PrefetchDepth is the per-tablet-source block prefetch pipeline
-	// depth. 0 selects the default; a negative value disables prefetch
-	// entirely (blocks load synchronously, the pre-parallel behaviour).
-	PrefetchDepth int
-
 	// DisableCompression turns off lzf for blocks and footers.
 	DisableCompression bool
 
@@ -187,12 +178,6 @@ func (o Options) withDefaults() Options {
 	if o.BlockSize == 0 {
 		o.BlockSize = block.TargetSize
 	}
-	if o.QueryParallelism == 0 {
-		o.QueryParallelism = DefaultQueryParallelism
-	}
-	if o.PrefetchDepth == 0 {
-		o.PrefetchDepth = DefaultPrefetchDepth
-	}
 	if o.MaxUnflushedBytes == 0 {
 		o.MaxUnflushedBytes = DefaultMaxUnflushedBytes
 	}
@@ -217,22 +202,6 @@ func (o Options) tabletWriter(rows int64) tablet.WriterOptions {
 		FS:                 o.FS,
 		RowsHint:           int(rows),
 	}
-}
-
-// queryParallelism returns the effective worker count (>= 1).
-func (o Options) queryParallelism() int {
-	if o.QueryParallelism < 1 {
-		return 1
-	}
-	return o.QueryParallelism
-}
-
-// prefetchDepth returns the effective pipeline depth (0 = disabled).
-func (o Options) prefetchDepth() int {
-	if o.PrefetchDepth < 0 {
-		return 0
-	}
-	return o.PrefetchDepth
 }
 
 // maxUnflushedBytes returns the effective backlog cap (0 = unlimited).

@@ -497,12 +497,12 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 	// Disk sources open outside the lock: seeks touch the filesystem. A
 	// worker pool opens and positions them concurrently — each open costs
 	// footer and first-block reads that are independent until the merge
-	// point — falling back to a serial loop at parallelism 1.
+	// point — falling back to a serial loop for a single tablet.
 	disks := snap.disks
-	ro := tablet.ReadOptions{Ctx: it.ctx, PrefetchDepth: t.opts.prefetchDepth()}
+	ro := tablet.ReadOptions{Ctx: it.ctx, PrefetchDepth: DefaultPrefetchDepth}
 	dsrcs := make([]*diskSource, len(disks))
 	errs := make([]error, len(disks))
-	par := min(t.opts.queryParallelism(), len(disks))
+	par := min(DefaultQueryParallelism, len(disks))
 	if par > 1 {
 		t.stats.ParallelOpens.Add(int64(len(disks)))
 		var wg sync.WaitGroup

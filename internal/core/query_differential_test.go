@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"littletable/internal/clock"
@@ -11,23 +12,24 @@ import (
 )
 
 // TestQueryDifferentialParallel is the parallel read path's correctness
-// proof: for each query parallelism (1, 2, 8 — serial, contended pool,
-// wider-than-source pool), build tables through a random schedule of
-// inserts, flushes, merges, bulk deletes, and TTL expirations, then check
-// over a thousand randomized bounding-box queries bit-for-bit against a
-// naive sorted-slice model. Any divergence between the serial and parallel
-// merge paths — ordering, duplicate suppression, TTL filtering, bound
-// handling — fails here. Run under -race this also exercises the worker
-// pool, prefetch pipelines, and block-cache singleflight for data races.
+// proof: for each number of concurrent queriers (1, 2, 8), build tables
+// through a random schedule of inserts, flushes, merges, bulk deletes,
+// and TTL expirations, then check over a thousand randomized
+// bounding-box queries bit-for-bit against a naive sorted-slice model.
+// Queries over one tablet open it inline and wider ones through the
+// worker pool, so any divergence between the serial and parallel open
+// paths — ordering, duplicate suppression, TTL filtering, bound handling
+// — fails here. The eight-querier run shares a block cache. Run under
+// -race this also exercises the worker pool, prefetch pipelines, and
+// block-cache singleflight for data races.
 func TestQueryDifferentialParallel(t *testing.T) {
 	configs := []struct {
-		par      int
-		prefetch int
-		cache    int64
+		par   int // goroutines querying the table at once
+		cache int64
 	}{
-		{par: 1, prefetch: -1, cache: 0},      // the pre-parallel engine
-		{par: 2, prefetch: 2, cache: 0},       // contended pool, no cache
-		{par: 8, prefetch: 3, cache: 4 << 20}, // wide pool + singleflight cache
+		{par: 1, cache: 0},       // one querier, no cache
+		{par: 2, cache: 0},       // concurrent queriers, no cache
+		{par: 8, cache: 4 << 20}, // contended singleflight cache
 	}
 	const seeds = 7
 	const trials = 50 // 3 configs x 7 seeds x 50 = 1050 queries
@@ -36,11 +38,9 @@ func TestQueryDifferentialParallel(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(cfg.par)))
 				tt := newTestTable(t, Options{
-					FlushSize:        2048,
-					MergeDelay:       1,
-					QueryParallelism: cfg.par,
-					PrefetchDepth:    cfg.prefetch,
-					BlockCacheBytes:  cfg.cache,
+					FlushSize:       2048,
+					MergeDelay:      1,
+					BlockCacheBytes: cfg.cache,
 				})
 				sc := tt.Schema()
 				model, ttl := buildRandomHistory(t, rng, tt)
@@ -64,29 +64,49 @@ func TestQueryDifferentialParallel(t *testing.T) {
 				sort.Slice(live, func(i, j int) bool {
 					return sc.CompareKeys(live[i], live[j]) < 0
 				})
-				for trial := 0; trial < trials; trial++ {
-					q := randomBox(rng, testStart)
+				// Draw every box from rng first, so the queries do not
+				// depend on how the queriers interleave.
+				boxes := make([]Query, trials)
+				for trial := range boxes {
+					boxes[trial] = randomBox(rng, testStart)
 					if rng.Intn(3) == 0 {
-						q.Limit = 1 + rng.Intn(8)
+						boxes[trial].Limit = 1 + rng.Intn(8)
 					}
-					got, err := tt.QueryAll(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := referenceFilter(sc, live, q)
-					if q.Limit > 0 && len(want) > q.Limit {
-						want = want[:q.Limit]
-					}
-					if len(got) != len(want) {
-						t.Fatalf("par %d seed %d trial %d: got %d rows, want %d (box %+v)",
-							cfg.par, seed, trial, len(got), len(want), q)
-					}
-					for i := range want {
-						if sc.CompareKeys(got[i], want[i]) != 0 {
-							t.Fatalf("par %d seed %d trial %d: row %d differs",
-								cfg.par, seed, trial, i)
+				}
+				var wg sync.WaitGroup
+				for w := 0; w < cfg.par; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for trial := w; trial < trials; trial += cfg.par {
+							q := boxes[trial]
+							got, err := tt.QueryAll(q)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							want := referenceFilter(sc, live, q)
+							if q.Limit > 0 && len(want) > q.Limit {
+								want = want[:q.Limit]
+							}
+							if len(got) != len(want) {
+								t.Errorf("par %d seed %d trial %d: got %d rows, want %d (box %+v)",
+									cfg.par, seed, trial, len(got), len(want), q)
+								return
+							}
+							for i := range want {
+								if sc.CompareKeys(got[i], want[i]) != 0 {
+									t.Errorf("par %d seed %d trial %d: row %d differs",
+										cfg.par, seed, trial, i)
+									return
+								}
+							}
 						}
-					}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
 				}
 			}
 		})

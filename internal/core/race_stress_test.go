@@ -12,16 +12,14 @@ import (
 	"littletable/internal/schema"
 )
 
-// stressOptions enables every piece of the parallel read path, so the
-// race detector sees the worker pool, the prefetch goroutines, and the
-// block cache's singleflight all at once.
+// stressOptions adds the block cache to the read path's worker pool and
+// prefetch goroutines, so the race detector sees the pool, the prefetch
+// pipelines, and the cache's singleflight all at once.
 func stressOptions() Options {
 	return Options{
-		FlushSize:        4 << 10,
-		MergeDelay:       clock.Second,
-		QueryParallelism: 4,
-		PrefetchDepth:    2,
-		BlockCacheBytes:  4 << 20,
+		FlushSize:       4 << 10,
+		MergeDelay:      clock.Second,
+		BlockCacheBytes: 4 << 20,
 	}
 }
 

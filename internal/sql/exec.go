@@ -1,10 +1,13 @@
 package sql
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"littletable/internal/agg"
 	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
@@ -338,8 +341,12 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 		pl.residual = nil
 	}
 
-	// ORDER BY on the first key column descending flips the scan; any
-	// other order is applied as a final sort.
+	if len(s.GroupBy) > 0 || slices.ContainsFunc(s.Items, func(it SelectItem) bool { return it.Agg != "" }) {
+		return e.selectAggregate(s, t, sc, pl, now)
+	}
+
+	// ORDER BY on a key prefix in one direction sets the scan direction;
+	// any other order is applied as a final sort.
 	needSort := false
 	if len(s.OrderBy) > 0 {
 		if matchesKeyOrder(sc, s.OrderBy) {
@@ -347,16 +354,6 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 		} else {
 			needSort = true
 		}
-	}
-
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != "" {
-			hasAgg = true
-		}
-	}
-	if hasAgg || len(s.GroupBy) > 0 {
-		return e.selectAggregate(s, t, sc, pl, now, needSort)
 	}
 
 	// Plain projection.
@@ -384,8 +381,9 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 		out := make([]ltval.Value, len(proj))
 		for i, j := range proj {
 			out[i] = row[j]
+			out[i].Bytes = bytes.Clone(row[j].Bytes) // the iterator reuses row buffers
 		}
-		res.Rows = append(res.Rows, cloneValues(out))
+		res.Rows = append(res.Rows, out)
 		if s.Limit > 0 && !needSort && len(res.Rows) >= s.Limit {
 			break
 		}
@@ -405,8 +403,7 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 }
 
 func emptyResult(s *SelectStmt, sc *schema.Schema) (*Result, error) {
-	proj, names, err := projection(s.Items, sc)
-	_ = proj
+	_, names, err := projection(s.Items, sc)
 	if err != nil {
 		// Aggregate select lists fail projection; name them generically.
 		names = nil
@@ -456,107 +453,61 @@ func itemName(it SelectItem) string {
 	return it.Col
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	min   ltval.Value
-	max   ltval.Value
-	seen  bool
-	isF   bool
+// aggFuncs names the SQL aggregates and maps each onto the one fold
+// (internal/agg) that AggQuery, the router merge and rollups also run.
+var aggFuncs = map[string]agg.Func{
+	"COUNT": agg.Count, "SUM": agg.Sum, "AVG": agg.Avg, "MIN": agg.Min, "MAX": agg.Max,
 }
 
-func (a *aggState) add(v ltval.Value) {
-	a.count++
-	switch v.Type {
-	case ltval.Int32, ltval.Int64, ltval.Timestamp:
-		a.sumI += v.Int
-		a.sumF += float64(v.Int)
-	case ltval.Double:
-		a.isF = true
-		a.sumF += v.Float
-	}
-	if !a.seen {
-		a.min, a.max, a.seen = v, v, true
-		return
-	}
-	if v.Compare(a.min) < 0 {
-		a.min = v
-	}
-	if v.Compare(a.max) > 0 {
-		a.max = v
-	}
-}
-
-func (a *aggState) result(agg string) ltval.Value {
-	switch agg {
-	case "COUNT":
-		return ltval.NewInt64(a.count)
-	case "SUM":
-		if a.isF {
-			return ltval.NewDouble(a.sumF)
-		}
-		return ltval.NewInt64(a.sumI)
-	case "AVG":
-		if a.count == 0 {
-			return ltval.NewDouble(0)
-		}
-		return ltval.NewDouble(a.sumF / float64(a.count))
-	case "MIN":
-		if !a.seen {
-			// No NULLs in LittleTable (§3.5): empty MIN/MAX yields the
-			// in-band sentinel 0, like the applications' own -1 sentinels.
-			return ltval.NewInt64(0)
-		}
-		return a.min
-	case "MAX":
-		if !a.seen {
-			return ltval.NewInt64(0)
-		}
-		return a.max
-	}
-	return ltval.Value{}
-}
-
-func (e *Engine) selectAggregate(s *SelectStmt, t Table, sc *schema.Schema, pl plan, now int64, needSort bool) (*Result, error) {
-	// Validate: every plain item must be a GROUP BY column.
-	groupIdx := make([]int, 0, len(s.GroupBy))
-	inGroup := map[string]bool{}
-	for _, g := range s.GroupBy {
-		i := sc.ColumnIndex(g)
-		if i < 0 {
+// selectAggregate folds the selected rows through one agg.Accumulator
+// grouped by the GROUP BY columns (any columns, key or not), as the
+// paper's adaptor aggregates the merge-sorted stream LittleTable returns
+// (§3.1). Groups come out sorted by their GROUP BY values; any ORDER BY is
+// a final sort over them.
+func (e *Engine) selectAggregate(s *SelectStmt, t Table, sc *schema.Schema, pl plan, now int64) (*Result, error) {
+	groupIdx := make([]int, len(s.GroupBy))
+	for i, g := range s.GroupBy {
+		groupIdx[i] = sc.ColumnIndex(g)
+		if groupIdx[i] < 0 {
 			return nil, fmt.Errorf("sql: unknown GROUP BY column %q", g)
 		}
-		groupIdx = append(groupIdx, i)
-		inGroup[g] = true
 	}
+	// Each output column is a group-key position or an aggregate index.
 	type outCol struct {
-		agg    string
-		colIdx int // -1 for COUNT(*)
+		key, agg int // -1 when unused
 	}
-	var outs []outCol
-	var names []string
+	var (
+		outs  []outCol
+		names []string
+		spec  agg.Spec
+	)
 	for _, it := range s.Items {
 		if it.Star {
 			return nil, fmt.Errorf("sql: * not allowed with aggregates")
 		}
+		names = append(names, itemName(it))
 		if it.Agg == "" {
-			if !inGroup[it.Col] {
+			k := slices.Index(s.GroupBy, it.Col)
+			if k < 0 {
 				return nil, fmt.Errorf("sql: column %q must appear in GROUP BY", it.Col)
 			}
-			outs = append(outs, outCol{agg: "", colIdx: sc.ColumnIndex(it.Col)})
-		} else {
-			ci := -1
-			if it.Col != "" {
-				ci = sc.ColumnIndex(it.Col)
-				if ci < 0 {
-					return nil, fmt.Errorf("sql: unknown column %q", it.Col)
-				}
-			}
-			outs = append(outs, outCol{agg: it.Agg, colIdx: ci})
+			outs = append(outs, outCol{key: k, agg: -1})
+			continue
 		}
-		names = append(names, itemName(it))
+		if it.Col != "" && sc.ColumnIndex(it.Col) < 0 {
+			return nil, fmt.Errorf("sql: unknown column %q", it.Col)
+		}
+		outs = append(outs, outCol{key: -1, agg: len(spec.Aggs)})
+		spec.Aggs = append(spec.Aggs, agg.Agg{Func: aggFuncs[it.Agg], Col: it.Col})
+	}
+	res := &Result{Columns: names}
+	if len(spec.Aggs) == 0 {
+		// GROUP BY with no aggregate still folds, to find the groups.
+		spec.Aggs = []agg.Agg{{Func: agg.Count}}
+	}
+	acc, err := agg.NewAccumulatorBy(sc, spec, groupIdx)
+	if err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
 	}
 
 	it, err := t.Select(pl.q)
@@ -564,17 +515,6 @@ func (e *Engine) selectAggregate(s *SelectStmt, t Table, sc *schema.Schema, pl p
 		return nil, err
 	}
 	defer it.Close()
-
-	// Hash aggregation preserving first-seen order. When the group columns
-	// are a key prefix, first-seen order IS key order — the sorted-stream
-	// aggregation the paper's adaptor performs "without resorting" (§3.1).
-	type group struct {
-		keyVals []ltval.Value
-		aggs    []aggState
-	}
-	var order []string
-	groups := map[string]*group{}
-	var kb []byte
 	for it.Next() {
 		row := it.Row()
 		if pl.residual != nil {
@@ -586,61 +526,41 @@ func (e *Engine) selectAggregate(s *SelectStmt, t Table, sc *schema.Schema, pl p
 				continue
 			}
 		}
-		kb = kb[:0]
-		for _, gi := range groupIdx {
-			kb = row[gi].Append(kb)
-			kb = append(kb, 0xfe)
-		}
-		k := string(kb)
-		g := groups[k]
-		if g == nil {
-			g = &group{aggs: make([]aggState, len(outs))}
-			for _, gi := range groupIdx {
-				g.keyVals = append(g.keyVals, cloneValue(row[gi]))
-			}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, oc := range outs {
-			if oc.agg == "" {
-				continue
-			}
-			if oc.colIdx < 0 {
-				g.aggs[i].count++
-			} else {
-				g.aggs[i].add(row[oc.colIdx])
-			}
-		}
+		acc.Add(row)
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	// Global aggregation (no GROUP BY) yields exactly one row even over an
-	// empty selection: COUNT(*) of nothing is 0.
-	if len(groupIdx) == 0 && len(order) == 0 {
-		groups[""] = &group{aggs: make([]aggState, len(outs))}
-		order = append(order, "")
+	groups := agg.Finalize(spec, acc.Groups())
+	if len(groupIdx) == 0 && len(groups) == 0 {
+		// Global aggregation yields exactly one row even over an empty
+		// selection: COUNT 0, AVG 0.0, and 0 for SUM, MIN and MAX.
+		vals := make([]ltval.Value, len(spec.Aggs))
+		for i, a := range spec.Aggs {
+			vals[i] = ltval.NewInt64(0)
+			if a.Func == agg.Avg {
+				vals[i] = ltval.NewDouble(0)
+			}
+		}
+		groups = []agg.Output{{Values: vals}}
 	}
-
-	res := &Result{Columns: names}
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		out := make([]ltval.Value, len(outs))
 		for i, oc := range outs {
-			if oc.agg == "" {
-				// Find the value among group key columns.
-				for gi, idx := range groupIdx {
-					if idx == oc.colIdx {
-						out[i] = g.keyVals[gi]
-					}
-				}
-			} else {
-				out[i] = g.aggs[i].result(oc.agg)
+			if oc.agg < 0 {
+				out[i] = g.Key[oc.key]
+				continue
+			}
+			out[i] = g.Values[oc.agg]
+			if out[i].Type == ltval.Invalid {
+				// MIN or MAX saw only NaN: no value to report, so the
+				// column's zero stands in, as in a rollup row.
+				out[i] = ltval.Zero(sc.Columns[sc.ColumnIndex(spec.Aggs[oc.agg].Col)].Type)
 			}
 		}
 		res.Rows = append(res.Rows, out)
 	}
-	if needSort {
+	if len(s.OrderBy) > 0 {
 		if err := sortResult(res, s.OrderBy); err != nil {
 			return nil, err
 		}
@@ -697,21 +617,4 @@ func sortResult(res *Result, order []OrderKey) error {
 		return false
 	})
 	return nil
-}
-
-func cloneValue(v ltval.Value) ltval.Value {
-	if v.Bytes != nil {
-		b := make([]byte, len(v.Bytes))
-		copy(b, v.Bytes)
-		v.Bytes = b
-	}
-	return v
-}
-
-func cloneValues(vs []ltval.Value) []ltval.Value {
-	out := make([]ltval.Value, len(vs))
-	for i, v := range vs {
-		out[i] = cloneValue(v)
-	}
-	return out
 }

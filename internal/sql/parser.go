@@ -250,7 +250,7 @@ func (p *parser) selectItem() (SelectItem, error) {
 	if p.accept(tokSymbol, "*") {
 		return SelectItem{Star: true}, nil
 	}
-	if t.kind == tokKeyword && isAgg(t.text) {
+	if _, isAgg := aggFuncs[t.text]; isAgg && t.kind == tokKeyword {
 		p.next()
 		if _, err := p.expect(tokSymbol, "("); err != nil {
 			return SelectItem{}, err
@@ -292,14 +292,6 @@ func (p *parser) selectItem() (SelectItem, error) {
 		item.Alias = alias
 	}
 	return item, nil
-}
-
-func isAgg(s string) bool {
-	switch s {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
 }
 
 // orExpr := andExpr (OR andExpr)*
