@@ -267,12 +267,12 @@ func (c *Client) do(ctx context.Context, t wire.MsgType, payload []byte) (wire.M
 					continue
 				}
 				msg := "admission gate full"
-				if em, derr := wire.DecodeErrorMsg(resp); derr == nil && em.Message != "" {
+				if em, derr := wire.Decode[wire.ErrorMsg](resp); derr == nil && em.Message != "" {
 					msg = em.Message
 				}
 				return 0, nil, fmt.Errorf("%w: %s", ErrOverloaded, msg)
 			case wire.MsgError:
-				em, derr := wire.DecodeErrorMsg(resp)
+				em, derr := wire.Decode[wire.ErrorMsg](resp)
 				if derr != nil {
 					return 0, nil, derr
 				}
@@ -407,10 +407,35 @@ func (c *Client) call(ctx context.Context, t wire.MsgType, payload []byte) ([]by
 	return resp, nil
 }
 
-// callOK is call for requests whose success carries no payload.
-func (c *Client) callOK(ctx context.Context, t wire.MsgType, payload []byte) error {
-	_, err := c.call(ctx, t, payload)
+// request is the typed methods' round trip: it encodes req (nil sends an
+// empty payload), sends it as a t request through call, and decodes the
+// response with dec.
+func request[R any](ctx context.Context, c *Client, t wire.MsgType, req wire.Message, dec func([]byte) (R, error)) (R, error) {
+	var zero R
+	var payload []byte
+	if req != nil {
+		var err error
+		if payload, err = wire.Encode(req); err != nil {
+			return zero, err
+		}
+	}
+	resp, err := c.call(ctx, t, payload)
+	if err != nil {
+		return zero, err
+	}
+	return dec(resp)
+}
+
+// callOK is request for requests whose success carries no payload.
+func (c *Client) callOK(ctx context.Context, t wire.MsgType, req wire.Message) error {
+	_, err := request(ctx, c, t, req, func([]byte) (struct{}, error) { return struct{}{}, nil })
 	return err
+}
+
+// decodeStats reads a Stats or ServerStats answer.
+func decodeStats(p []byte) (metric.List, error) {
+	m, err := wire.Decode[wire.StatsResult](p)
+	return m.Stats, err
 }
 
 // ListTables returns the server's table names.
@@ -420,11 +445,7 @@ func (c *Client) ListTables() ([]string, error) {
 
 // ListTablesCtx is ListTables with a caller deadline.
 func (c *Client) ListTablesCtx(ctx context.Context) ([]string, error) {
-	resp, err := c.call(ctx, wire.MsgListTables, nil)
-	if err != nil {
-		return nil, err
-	}
-	m, err := wire.DecodeTableList(resp)
+	m, err := request(ctx, c, wire.MsgListTables, nil, wire.Decode[wire.TableList])
 	if err != nil {
 		return nil, err
 	}
@@ -434,28 +455,18 @@ func (c *Client) ListTablesCtx(ctx context.Context) ([]string, error) {
 // ServerStats fetches the server's connection-level counters: active
 // conns, in-flight requests, shed requests, drain time.
 func (c *Client) ServerStats(ctx context.Context) (metric.List, error) {
-	resp, err := c.call(ctx, wire.MsgServerStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeStats(resp)
+	return request(ctx, c, wire.MsgServerStats, nil, decodeStats)
 }
 
 // CreateTable creates a table with the given schema and TTL (microseconds;
 // 0 = never expire).
 func (c *Client) CreateTable(name string, sc *schema.Schema, ttl int64) error {
-	m := &wire.CreateTable{Name: name, Schema: sc, TTL: ttl}
-	payload, err := m.Encode()
-	if err != nil {
-		return err
-	}
-	return c.callOK(background(), wire.MsgCreateTable, payload)
+	return c.callOK(background(), wire.MsgCreateTable, &wire.CreateTable{Name: name, Schema: sc, TTL: ttl})
 }
 
 // DropTable removes a table and its data.
 func (c *Client) DropTable(name string) error {
-	m := &wire.TableName{Name: name}
-	return c.callOK(background(), wire.MsgDropTable, m.Encode())
+	return c.callOK(background(), wire.MsgDropTable, &wire.TableName{Name: name})
 }
 
 // Table is a handle on one remote table, carrying its cached schema.
@@ -489,12 +500,7 @@ func (c *Client) OpenTable(name string) (*Table, error) {
 
 // RefreshSchema re-fetches the schema, e.g. after a stale-schema error.
 func (t *Table) RefreshSchema() error {
-	m := &wire.TableName{Name: t.name}
-	resp, err := t.c.call(background(), wire.MsgGetSchema, m.Encode())
-	if err != nil {
-		return err
-	}
-	sr, err := wire.DecodeSchemaResp(resp)
+	sr, err := request(background(), t.c, wire.MsgGetSchema, &wire.TableName{Name: t.name}, wire.Decode[wire.SchemaResp])
 	if err != nil {
 		return err
 	}
@@ -562,7 +568,7 @@ func (t *Table) FlushCtx(ctx context.Context) error {
 	serverTs := t.ServerTimestamps
 	t.mu.Unlock()
 	m := wire.NewInsert(t.name, sc, serverTs, rows)
-	if err := t.c.callOK(ctx, wire.MsgInsert, m.Encode()); err != nil {
+	if _, err := t.c.call(ctx, wire.MsgInsert, m.Encode()); err != nil {
 		return &UnsentError{Rows: len(rows), Err: err}
 	}
 	return nil
@@ -580,7 +586,8 @@ func (t *Table) InsertNowCtx(ctx context.Context, rows []schema.Row) error {
 	serverTs := t.ServerTimestamps
 	t.mu.Unlock()
 	m := wire.NewInsert(t.name, sc, serverTs, rows)
-	return t.c.callOK(ctx, wire.MsgInsert, m.Encode())
+	_, err := t.c.call(ctx, wire.MsgInsert, m.Encode())
+	return err
 }
 
 // Query is the engine's box (core.Query), which the client pushes down to
@@ -649,11 +656,7 @@ func (r *Rows) fetch() error {
 	if r.q.Limit > 0 {
 		wq.Limit = r.q.Limit - r.count // positive: Next stops at the limit
 	}
-	resp, err := r.t.c.call(r.ctx, wire.MsgQuery, wq.Encode())
-	if err != nil {
-		return err
-	}
-	m, err := wire.DecodeRows(resp, r.sc)
+	m, err := request(r.ctx, r.t.c, wire.MsgQuery, wq, func(p []byte) (*wire.Rows, error) { return wire.DecodeRows(p, r.sc) })
 	if err != nil {
 		return err
 	}
@@ -707,12 +710,8 @@ func (t *Table) LatestRow(prefix []ltval.Value) (schema.Row, bool, error) {
 
 // LatestRowCtx is LatestRow with a caller deadline.
 func (t *Table) LatestRowCtx(ctx context.Context, prefix []ltval.Value) (schema.Row, bool, error) {
-	m := &wire.LatestRow{Table: t.name, Prefix: prefix}
-	resp, err := t.c.call(ctx, wire.MsgLatestRow, m.Encode())
-	if err != nil {
-		return nil, false, err
-	}
-	rr, err := wire.DecodeRowResult(resp, t.Schema())
+	rr, err := request(ctx, t.c, wire.MsgLatestRow, &wire.LatestRow{Table: t.name, Prefix: prefix},
+		func(p []byte) (*wire.RowResult, error) { return wire.DecodeRowResult(p, t.Schema()) })
 	if err != nil {
 		return nil, false, err
 	}
@@ -723,12 +722,7 @@ func (t *Table) LatestRowCtx(ctx context.Context, prefix []ltval.Value) (schema.
 // privacy-compliance delete). The Descending and Limit fields are ignored.
 // It returns the number of rows removed.
 func (t *Table) DeleteRange(q Query) (int64, error) {
-	m := &wire.Delete{Table: t.name, Query: q}
-	resp, err := t.c.call(background(), wire.MsgDelete, m.Encode())
-	if err != nil {
-		return 0, err
-	}
-	dr, err := wire.DecodeDeleteResult(resp)
+	dr, err := request(background(), t.c, wire.MsgDelete, &wire.Delete{Table: t.name, Query: q}, wire.Decode[wire.DeleteResult])
 	if err != nil {
 		return 0, err
 	}
@@ -737,8 +731,7 @@ func (t *Table) DeleteRange(q Query) (int64, error) {
 
 // AlterTTL changes the table's TTL.
 func (t *Table) AlterTTL(ttl int64) error {
-	m := &wire.AlterTTL{Table: t.name, TTL: ttl}
-	if err := t.c.callOK(background(), wire.MsgAlterTTL, m.Encode()); err != nil {
+	if err := t.c.callOK(background(), wire.MsgAlterTTL, &wire.AlterTTL{Table: t.name, TTL: ttl}); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -749,8 +742,7 @@ func (t *Table) AlterTTL(ttl int64) error {
 
 // AddColumn appends a column and refreshes the cached schema.
 func (t *Table) AddColumn(name string, typ ltval.Type, def ltval.Value) error {
-	m := &wire.AddColumn{Table: t.name, Name: name, Type: typ, Default: def}
-	if err := t.c.callOK(background(), wire.MsgAddColumn, m.Encode()); err != nil {
+	if err := t.c.callOK(background(), wire.MsgAddColumn, &wire.AddColumn{Table: t.name, Name: name, Type: typ, Default: def}); err != nil {
 		return err
 	}
 	return t.RefreshSchema()
@@ -758,8 +750,7 @@ func (t *Table) AddColumn(name string, typ ltval.Type, def ltval.Value) error {
 
 // WidenColumn widens an int32 column and refreshes the cached schema.
 func (t *Table) WidenColumn(name string) error {
-	m := &wire.WidenColumn{Table: t.name, Name: name}
-	if err := t.c.callOK(background(), wire.MsgWidenColumn, m.Encode()); err != nil {
+	if err := t.c.callOK(background(), wire.MsgWidenColumn, &wire.WidenColumn{Table: t.name, Name: name}); err != nil {
 		return err
 	}
 	return t.RefreshSchema()
@@ -769,17 +760,11 @@ func (t *Table) WidenColumn(name string) error {
 // explicit flush §4.1.2 proposes so aggregators can know their source rows
 // are durable.
 func (t *Table) FlushTable() error {
-	m := &wire.TableName{Name: t.name}
-	return t.c.callOK(background(), wire.MsgFlushTable, m.Encode())
+	return t.c.callOK(background(), wire.MsgFlushTable, &wire.TableName{Name: t.name})
 }
 
 // Stats fetches the table's server-side metrics: the list core.Table's
 // Metrics returns, keyed by name.
 func (t *Table) Stats() (metric.List, error) {
-	m := &wire.TableName{Name: t.name}
-	resp, err := t.c.call(background(), wire.MsgStats, m.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeStats(resp)
+	return request(background(), t.c, wire.MsgStats, &wire.TableName{Name: t.name}, decodeStats)
 }

@@ -17,13 +17,17 @@ import (
 func FuzzClientResponse(f *testing.F) {
 	// Seeds: well-formed responses of each kind, plus junk.
 	f.Add([]byte{byte(wire.MsgOK)})
-	em := &wire.ErrorMsg{Message: "boom"}
-	f.Add(append([]byte{byte(wire.MsgError)}, em.Encode()...))
-	tl := &wire.TableList{Names: []string{"a", "b"}}
-	f.Add(append([]byte{byte(wire.MsgTableList)}, tl.Encode()...))
-	sr := &wire.SchemaResp{Schema: eventsSchema(), TTL: 0}
-	if b, err := sr.Encode(); err == nil {
-		f.Add(append([]byte{byte(wire.MsgSchema)}, b...))
+	for _, s := range []struct {
+		t wire.MsgType
+		m wire.Message
+	}{
+		{wire.MsgError, &wire.ErrorMsg{Message: "boom"}},
+		{wire.MsgTableList, &wire.TableList{Names: []string{"a", "b"}}},
+		{wire.MsgSchema, &wire.SchemaResp{Schema: eventsSchema(), TTL: 0}},
+	} {
+		if b, err := wire.Encode(s.m); err == nil {
+			f.Add(append([]byte{byte(s.t)}, b...))
+		}
 	}
 	rows := &wire.Rows{SchemaVersion: 1}
 	f.Add(append([]byte{byte(wire.MsgRows)}, rows.Encode(eventsSchema())...))

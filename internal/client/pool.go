@@ -136,8 +136,7 @@ func (p *pool) dial(ctx context.Context) (*poolConn, error) {
 	}
 	pc := &poolConn{conn: conn, wc: wire.NewConn(conn)}
 	conn.SetDeadline(time.Now().Add(p.opts.DialTimeout))
-	h := &wire.Hello{Version: wire.ProtocolVersion}
-	if err := pc.wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+	if err := pc.wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: handshake: %v", ErrDisconnected, err)
 	}
@@ -150,7 +149,7 @@ func (p *pool) dial(ctx context.Context) (*poolConn, error) {
 	case wire.MsgOK:
 	case wire.MsgError:
 		conn.Close()
-		em, derr := wire.DecodeErrorMsg(resp)
+		em, derr := wire.Decode[wire.ErrorMsg](resp)
 		if derr != nil {
 			return nil, derr
 		}

@@ -20,11 +20,7 @@ func (c *Client) Do(ctx context.Context, t wire.MsgType, payload []byte) (wire.M
 // server (MsgScatterQuery); the router fans this out per shard and
 // merges the sections.
 func (c *Client) ScatterQuery(ctx context.Context, q *wire.ScatterQuery) (*wire.ScatterRows, error) {
-	resp, err := c.call(ctx, wire.MsgScatterQuery, q.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeScatterRows(resp)
+	return request(ctx, c, wire.MsgScatterQuery, q, wire.DecodeScatterRows)
 }
 
 // AggQuery folds every matching table's rows into grouped aggregate
@@ -33,33 +29,20 @@ func (c *Client) ScatterQuery(ctx context.Context, q *wire.ScatterQuery) (*wire.
 // rows. Against a router, the partials have already been merged across
 // shards. Use agg.Finalize to turn the mergeable states into values.
 func (c *Client) AggQuery(ctx context.Context, q *wire.AggQuery) (*wire.AggResult, error) {
-	resp, err := c.call(ctx, wire.MsgAggQuery, q.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeAggResult(resp)
+	return request(ctx, c, wire.MsgAggQuery, q, wire.DecodeAggResult)
 }
 
 // MigrateBegin freezes and pins a table's sealed tablets on the server
 // and returns the manifest to copy. Pair with MigrateEnd.
 func (c *Client) MigrateBegin(ctx context.Context, table string) (*wire.MigrateManifest, error) {
-	m := &wire.MigrateBegin{Table: table}
-	resp, err := c.call(ctx, wire.MsgMigrateBegin, m.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeMigrateManifest(resp)
+	return request(ctx, c, wire.MsgMigrateBegin, &wire.MigrateBegin{Table: table}, wire.Decode[wire.MigrateManifest])
 }
 
 // MigrateFetch reads up to maxBytes of one pinned tablet's image at the
 // given offset. The returned chunk carries the file's total size.
 func (c *Client) MigrateFetch(ctx context.Context, table, file string, off int64, maxBytes uint32) (*wire.MigrateChunk, error) {
-	m := &wire.MigrateFetch{Table: table, File: file, Offset: off, MaxBytes: maxBytes}
-	resp, err := c.call(ctx, wire.MsgMigrateFetch, m.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeMigrateChunk(resp)
+	return request(ctx, c, wire.MsgMigrateFetch, &wire.MigrateFetch{Table: table, File: file, Offset: off, MaxBytes: maxBytes},
+		wire.Decode[wire.MigrateChunk])
 }
 
 // MigrateInstall stages one chunk of a tablet image on the target
@@ -68,23 +51,18 @@ func (c *Client) MigrateFetch(ctx context.Context, table, file string, off int64
 // chunk would corrupt the offset discipline; the driver restarts the
 // file at offset 0 instead.
 func (c *Client) MigrateInstall(ctx context.Context, m *wire.MigrateInstall) error {
-	return c.callOK(ctx, wire.MsgMigrateInstall, m.Encode())
+	return c.callOK(ctx, wire.MsgMigrateInstall, m)
 }
 
 // MigrateEnd releases the export pins taken by MigrateBegin (source
 // side) and any staged install buffers for the table (target side).
 func (c *Client) MigrateEnd(ctx context.Context, table string) error {
-	m := &wire.MigrateEnd{Table: table}
-	return c.callOK(ctx, wire.MsgMigrateEnd, m.Encode())
+	return c.callOK(ctx, wire.MsgMigrateEnd, &wire.MigrateEnd{Table: table})
 }
 
 // RouterStats fetches a router's routing counters and per-shard health
 // (MsgRouterStats). The message is router-only: a plain server bounces
 // it as an unknown type, so call this on a connection to a router.
 func (c *Client) RouterStats(ctx context.Context) (*wire.RouterStatsResult, error) {
-	resp, err := c.call(ctx, wire.MsgRouterStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeRouterStatsResult(resp)
+	return request(ctx, c, wire.MsgRouterStats, nil, wire.Decode[wire.RouterStatsResult])
 }

@@ -138,7 +138,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 	type primitive struct {
 		fd        *ast.FuncDecl
 		key       string
-		writeArgs []ast.Expr // first args of its WriteMsg calls
+		writeArgs []ast.Expr // first args of its WriteMsg and Send calls
 	}
 	var prims []primitive
 	bodies := make(map[string]*ast.FuncDecl)
@@ -165,7 +165,7 @@ func checkSendPrimitives(p *Pass, pkg *Package, idempotent map[string]bool) {
 				case *ast.CallExpr:
 					if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 						switch sel.Sel.Name {
-						case "WriteMsg":
+						case "WriteMsg", "Send":
 							if len(e.Args) > 0 {
 								writes = append(writes, e.Args[0])
 							}

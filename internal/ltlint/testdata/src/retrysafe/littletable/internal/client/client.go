@@ -7,6 +7,7 @@ import (
 type conn struct{}
 
 func (c *conn) WriteMsg(t wire.MsgType, p []byte) error { return nil }
+func (c *conn) Send(t wire.MsgType, m any) error        { return nil }
 func (c *conn) ReadMsg() (wire.MsgType, []byte, error)  { return 0, nil, nil }
 
 type Client struct {
@@ -51,6 +52,14 @@ func (c *Client) probe() error {
 	}
 	_, _, err := c.c.ReadMsg()
 	return err
+}
+
+// rawEncode is rawSend through the encoding writer: Send writes as
+// surely as WriteMsg does.
+func (c *Client) rawEncode(t wire.MsgType, m any) ([]byte, error) { // want `rawEncode sends and receives wire messages but neither it nor any caller consults the request table's Idempotent classification`
+	c.c.Send(t, m)
+	_, resp, err := c.c.ReadMsg()
+	return resp, err
 }
 
 //ltlint:ignore retrysafe test-only echo used by the harness; it never carries write traffic

@@ -17,7 +17,7 @@ import (
 // report from two shards, and aggregate states cannot be subtracted, so
 // dedup has to happen at table granularity before the cross-table merge.
 func (r *Router) handleAggQuery(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeAggQuery(payload)
+	m, err := wire.Decode[wire.AggQuery](payload)
 	if err != nil {
 		return r.sendErr(wc, err)
 	}

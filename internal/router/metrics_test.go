@@ -58,7 +58,7 @@ func TestRouterAnswersEveryRequest(t *testing.T) {
 			t.Fatalf("%s: %v", req.Name, err)
 		}
 		if mt, payload, err := wc.ReadMsg(); err == nil && mt == wire.MsgError {
-			if em, derr := wire.DecodeErrorMsg(payload); derr == nil && strings.Contains(em.Message, "unknown message type") {
+			if em, derr := wire.Decode[wire.ErrorMsg](payload); derr == nil && strings.Contains(em.Message, "unknown message type") {
 				t.Errorf("%s (route %d): router does not know it: %s", req.Name, req.Route, em.Message)
 			}
 		}

@@ -23,6 +23,16 @@ import (
 	"littletable/internal/wire"
 )
 
+// encode is wire.Encode for a message that carries no schema, which
+// cannot fail to encode.
+func encode(m wire.Message) []byte {
+	p, err := wire.Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func testSchema() *schema.Schema {
 	return schema.MustNew([]schema.Column{
 		{Name: "k", Type: ltval.Int64},
@@ -319,14 +329,14 @@ func TestRouterShardDownFailFast(t *testing.T) {
 	// refusal; the live shard's table still serves.
 	deadTable, liveTable := tableOn[s1.addr], tableOn[s2.addr]
 	start := time.Now()
-	_, _, err = c.Do(context.Background(), wire.MsgGetSchema, (&wire.TableName{Name: deadTable}).Encode())
+	_, _, err = c.Do(context.Background(), wire.MsgGetSchema, encode(&wire.TableName{Name: deadTable}))
 	if !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("dead-shard request: %v, want ErrOverloaded", err)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("fail-fast took %v", d)
 	}
-	if _, _, err := c.Do(context.Background(), wire.MsgGetSchema, (&wire.TableName{Name: liveTable}).Encode()); err != nil {
+	if _, _, err := c.Do(context.Background(), wire.MsgGetSchema, encode(&wire.TableName{Name: liveTable})); err != nil {
 		t.Fatalf("live shard request failed: %v", err)
 	}
 	if r.Stats().ShardDown.Load() != 1 {
@@ -383,7 +393,7 @@ func TestMigrateMovesTable(t *testing.T) {
 	}
 	// Drive the migration through the wire, as an operator tool would.
 	mt, _, err := c.Do(context.Background(), wire.MsgMigrateTable,
-		(&wire.MigrateTable{Table: table, TargetAddr: target.addr}).Encode())
+		encode(&wire.MigrateTable{Table: table, TargetAddr: target.addr}))
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}

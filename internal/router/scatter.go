@@ -92,8 +92,7 @@ func (r *Router) handleListTables(wc *wire.Conn) error {
 		}
 	}
 	sort.Strings(names)
-	m := &wire.TableList{Names: names}
-	return wc.WriteMsg(wire.MsgTableList, m.Encode())
+	return wc.Send(wire.MsgTableList, &wire.TableList{Names: names})
 }
 
 // handleServerStats sums every live shard's connection counters — the
@@ -108,7 +107,7 @@ func (r *Router) handleServerStats(wc *wire.Conn) error {
 	for _, st := range results {
 		sum = sum.Add(st)
 	}
-	return wc.WriteMsg(wire.MsgServerStatsResult, wire.EncodeStats(sum))
+	return wc.Send(wire.MsgServerStatsResult, &wire.StatsResult{Stats: sum})
 }
 
 // admitPrefix is the admission prologue scatter and aggregation share:
@@ -133,7 +132,7 @@ func (r *Router) admitPrefix(prefix, op string) (up []*shard, refusal string) {
 // handleScatterQuery fans a prefix query out to every shard and merges
 // the per-table sections.
 func (r *Router) handleScatterQuery(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeScatterQuery(payload)
+	m, err := wire.Decode[wire.ScatterQuery](payload)
 	if err != nil {
 		return r.sendErr(wc, err)
 	}

@@ -48,7 +48,7 @@ func (r *Router) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return r.handleAggQuery(wc, payload)
 
 	case wire.MsgRouterStats:
-		return wc.WriteMsg(wire.MsgRouterStatsResult, r.statsResult().Encode())
+		return wc.Send(wire.MsgRouterStatsResult, r.statsResult())
 
 	case wire.MsgMigrateTable:
 		return r.handleMigrateTable(wc, payload)
@@ -117,7 +117,7 @@ func (r *Router) forwardTable(wc *wire.Conn, req *wire.Request, payload []byte) 
 }
 
 func (r *Router) handleMigrateTable(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeMigrateTable(payload)
+	m, err := wire.Decode[wire.MigrateTable](payload)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ const DefaultMaxAggGroups = 65536
 // shard and merges the partials; a single-shard client gets identical
 // semantics directly.
 func (s *Server) handleAggQuery(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeAggQuery(payload)
+	m, err := wire.Decode[wire.AggQuery](payload)
 	if err != nil {
 		return err
 	}

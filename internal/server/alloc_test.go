@@ -58,7 +58,7 @@ func TestHandleQueryAllocatesPerPageNotPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := wire.NewConn(discardRW{})
-	req := (&wire.Query{Table: "t", Query: core.Query{LowerInc: true, UpperInc: true, MinTs: -1 << 62, MaxTs: 1 << 62}}).Encode()
+	req := encode(&wire.Query{Table: "t", Query: core.Query{LowerInc: true, UpperInc: true, MinTs: -1 << 62, MaxTs: 1 << 62}})
 	var out bytes.Buffer
 	if err := s.handleQuery(wire.NewConn(&out), req); err != nil {
 		t.Fatal(err)
@@ -106,10 +106,10 @@ func TestPageLimitReachesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := []ltval.Value{ltval.NewInt64(1)}
-	req := (&wire.Query{Table: "t", Query: core.Query{
+	req := encode(&wire.Query{Table: "t", Query: core.Query{
 		Lower: prefix, LowerInc: true, Upper: prefix, UpperInc: true,
 		MinTs: -1 << 62, MaxTs: 1 << 62, Descending: true, Limit: limit,
-	}}).Encode()
+	}})
 	before := tab.Stats().Snapshot().RowsScanned
 	var out bytes.Buffer
 	if err := s.handleQuery(wire.NewConn(&out), req); err != nil {

@@ -21,11 +21,10 @@ func (s *Server) sendOK(wc *wire.Conn) error {
 func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error {
 	switch mt {
 	case wire.MsgListTables:
-		m := &wire.TableList{Names: s.TableNames()}
-		return wc.WriteMsg(wire.MsgTableList, m.Encode())
+		return wc.Send(wire.MsgTableList, &wire.TableList{Names: s.TableNames()})
 
 	case wire.MsgCreateTable:
-		m, err := wire.DecodeCreateTable(payload)
+		m, err := wire.Decode[wire.CreateTable](payload)
 		if err != nil {
 			return err
 		}
@@ -35,7 +34,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.sendOK(wc)
 
 	case wire.MsgDropTable:
-		m, err := wire.DecodeTableName(payload)
+		m, err := wire.Decode[wire.TableName](payload)
 		if err != nil {
 			return err
 		}
@@ -45,7 +44,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.sendOK(wc)
 
 	case wire.MsgGetSchema:
-		m, err := wire.DecodeTableName(payload)
+		m, err := wire.Decode[wire.TableName](payload)
 		if err != nil {
 			return err
 		}
@@ -53,12 +52,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
-		resp := &wire.SchemaResp{Schema: t.Schema(), TTL: t.TTL()}
-		b, err := resp.Encode()
-		if err != nil {
-			return err
-		}
-		return wc.WriteMsg(wire.MsgSchema, b)
+		return wc.Send(wire.MsgSchema, &wire.SchemaResp{Schema: t.Schema(), TTL: t.TTL()})
 
 	case wire.MsgInsert:
 		return s.handleInsert(wc, payload)
@@ -70,7 +64,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.handleLatestRow(wc, payload)
 
 	case wire.MsgAlterTTL:
-		m, err := wire.DecodeAlterTTL(payload)
+		m, err := wire.Decode[wire.AlterTTL](payload)
 		if err != nil {
 			return err
 		}
@@ -84,7 +78,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.sendOK(wc)
 
 	case wire.MsgAddColumn:
-		m, err := wire.DecodeAddColumn(payload)
+		m, err := wire.Decode[wire.AddColumn](payload)
 		if err != nil {
 			return err
 		}
@@ -99,7 +93,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.sendOK(wc)
 
 	case wire.MsgWidenColumn:
-		m, err := wire.DecodeWidenColumn(payload)
+		m, err := wire.Decode[wire.WidenColumn](payload)
 		if err != nil {
 			return err
 		}
@@ -115,7 +109,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 	case wire.MsgFlushTable:
 		// The explicit flush command §4.1.2 proposes so aggregators can
 		// know their source data reached disk.
-		m, err := wire.DecodeTableName(payload)
+		m, err := wire.Decode[wire.TableName](payload)
 		if err != nil {
 			return err
 		}
@@ -129,7 +123,7 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		return s.sendOK(wc)
 
 	case wire.MsgDelete:
-		m, err := wire.DecodeDelete(payload)
+		m, err := wire.Decode[wire.Delete](payload)
 		if err != nil {
 			return err
 		}
@@ -141,11 +135,10 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
-		resp := &wire.DeleteResult{Deleted: n}
-		return wc.WriteMsg(wire.MsgDeleteResult, resp.Encode())
+		return wc.Send(wire.MsgDeleteResult, &wire.DeleteResult{Deleted: n})
 
 	case wire.MsgStats:
-		m, err := wire.DecodeTableName(payload)
+		m, err := wire.Decode[wire.TableName](payload)
 		if err != nil {
 			return err
 		}
@@ -153,10 +146,10 @@ func (s *Server) dispatch(wc *wire.Conn, mt wire.MsgType, payload []byte) error 
 		if err != nil {
 			return s.sendErr(wc, err)
 		}
-		return wc.WriteMsg(wire.MsgStatsResult, wire.EncodeStats(t.Metrics()))
+		return wc.Send(wire.MsgStatsResult, &wire.StatsResult{Stats: t.Metrics()})
 
 	case wire.MsgServerStats:
-		return wc.WriteMsg(wire.MsgServerStatsResult, wire.EncodeStats(s.Metrics()))
+		return wc.Send(wire.MsgServerStatsResult, &wire.StatsResult{Stats: s.Metrics()})
 
 	case wire.MsgScatterQuery:
 		return s.handleScatterQuery(wc, payload)
@@ -217,7 +210,7 @@ func serverNow(t *core.Table) int64 {
 }
 
 func (s *Server) handleQuery(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeQuery(payload)
+	m, err := wire.Decode[wire.Query](payload)
 	if err != nil {
 		return err
 	}
@@ -260,7 +253,7 @@ func (s *Server) pageLimit(q *core.Query) int {
 }
 
 func (s *Server) handleLatestRow(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeLatestRow(payload)
+	m, err := wire.Decode[wire.LatestRow](payload)
 	if err != nil {
 		return err
 	}

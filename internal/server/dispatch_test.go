@@ -24,7 +24,7 @@ func TestServerAnswersEveryRequest(t *testing.T) {
 		mt, payload, err := wc.ReadMsg()
 		unknown := false
 		if err == nil && mt == wire.MsgError {
-			if em, derr := wire.DecodeErrorMsg(payload); derr == nil {
+			if em, derr := wire.Decode[wire.ErrorMsg](payload); derr == nil {
 				unknown = strings.Contains(em.Message, "unknown message type")
 			}
 		}
@@ -41,15 +41,14 @@ func TestServerAnswersEveryRequest(t *testing.T) {
 func TestStaleProtocolVersionFailsAtHello(t *testing.T) {
 	endpoints(t, Options{}, func(t *testing.T, addr net.Addr, _ *Server) {
 		_, wc := dialWire(t, addr)
-		h := &wire.Hello{Version: wire.ProtocolVersion - 1}
-		if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+		if err := wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion - 1}); err != nil {
 			t.Fatal(err)
 		}
 		mt, payload, err := wc.ReadMsg()
 		if err != nil || mt != wire.MsgError {
 			t.Fatalf("stale hello: type %d, err %v, want MsgError", mt, err)
 		}
-		if em, _ := wire.DecodeErrorMsg(payload); em == nil || !strings.Contains(em.Message, "unsupported") {
+		if em, _ := wire.Decode[wire.ErrorMsg](payload); em == nil || !strings.Contains(em.Message, "unsupported") {
 			t.Fatalf("stale hello: %+v", em)
 		}
 	})

@@ -48,8 +48,7 @@ func TestShutdownClosesIdleConns(t *testing.T) {
 	s := newServer(t, t.TempDir())
 	addr := serveTCP(t, s)
 	conn, wc := dialWire(t, addr)
-	h := &wire.Hello{Version: wire.ProtocolVersion}
-	if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+	if err := wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wc.ReadMsg(); err != nil || mt != wire.MsgOK {
@@ -77,8 +76,7 @@ func TestShutdownWaitsForBusyConn(t *testing.T) {
 	held, release := holdListTables(s)
 	addr := serveTCP(t, s)
 	_, wc := dialWire(t, addr)
-	h := &wire.Hello{Version: wire.ProtocolVersion}
-	if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+	if err := wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wc.ReadMsg(); err != nil || mt != wire.MsgOK {
@@ -124,8 +122,7 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	held, _ := holdListTables(s)
 	addr := serveTCP(t, s)
 	_, wc := dialWire(t, addr)
-	h := &wire.Hello{Version: wire.ProtocolVersion}
-	if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+	if err := wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wc.ReadMsg(); err != nil || mt != wire.MsgOK {
@@ -222,7 +219,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 	if mt != wire.MsgOverloaded {
 		t.Fatalf("over the gate: got type %d, want MsgOverloaded", mt)
 	}
-	if m, err := wire.DecodeErrorMsg(payload); err != nil || m.Message == "" {
+	if m, err := wire.Decode[wire.ErrorMsg](payload); err != nil || m.Message == "" {
 		t.Fatalf("overloaded payload: %v, %v", m, err)
 	}
 	if got := s.Stats().RequestsShed.Load(); got != 1 {
@@ -250,10 +247,11 @@ func TestServerStatsOverWire(t *testing.T) {
 	if err != nil || mt != wire.MsgServerStatsResult {
 		t.Fatalf("server stats: type %d, err %v", mt, err)
 	}
-	res, err := wire.DecodeStats(payload)
+	m, err := wire.Decode[wire.StatsResult](payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := m.Stats
 	if got := res.Get("conns_active"); got != 1 {
 		t.Errorf("conns_active = %d, want 1", got)
 	}

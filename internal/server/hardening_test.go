@@ -145,8 +145,7 @@ func TestNormalConnUnaffectedByLimits(t *testing.T) {
 		}
 		defer conn.Close()
 		wc := wire.NewConn(conn)
-		h := &wire.Hello{Version: wire.ProtocolVersion}
-		if err := wc.WriteMsg(wire.MsgHello, h.Encode()); err != nil {
+		if err := wc.Send(wire.MsgHello, &wire.Hello{Version: wire.ProtocolVersion}); err != nil {
 			t.Fatal(err)
 		}
 		mt, _, err := wc.ReadMsg()

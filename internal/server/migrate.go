@@ -23,7 +23,7 @@ const maxStagedBytes = 256 << 20
 const maxFetchBytes = 8 << 20
 
 func (s *Server) handleMigrateBegin(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeMigrateBegin(payload)
+	m, err := wire.Decode[wire.MigrateBegin](payload)
 	if err != nil {
 		return err
 	}
@@ -46,15 +46,11 @@ func (s *Server) handleMigrateBegin(wc *wire.Conn, payload []byte) error {
 			Bytes:    in.Bytes,
 		})
 	}
-	b, err := resp.Encode()
-	if err != nil {
-		return err
-	}
-	return wc.WriteMsg(wire.MsgMigrateManifest, b)
+	return wc.Send(wire.MsgMigrateManifest, resp)
 }
 
 func (s *Server) handleMigrateFetch(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeMigrateFetch(payload)
+	m, err := wire.Decode[wire.MigrateFetch](payload)
 	if err != nil {
 		return err
 	}
@@ -74,12 +70,11 @@ func (s *Server) handleMigrateFetch(wc *wire.Conn, payload []byte) error {
 	if err != nil {
 		return s.sendErr(wc, err)
 	}
-	resp := &wire.MigrateChunk{Total: total, Data: buf[:got]}
-	return wc.WriteMsg(wire.MsgMigrateChunk, resp.Encode())
+	return wc.Send(wire.MsgMigrateChunk, &wire.MigrateChunk{Total: total, Data: buf[:got]})
 }
 
 func (s *Server) handleMigrateEnd(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeMigrateEnd(payload)
+	m, err := wire.Decode[wire.MigrateEnd](payload)
 	if err != nil {
 		return err
 	}
@@ -97,7 +92,7 @@ func (s *Server) handleMigrateEnd(wc *wire.Conn, payload []byte) error {
 }
 
 func (s *Server) handleMigrateInstall(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeMigrateInstall(payload)
+	m, err := wire.Decode[wire.MigrateInstall](payload)
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,16 @@ type wireClient struct {
 	wc *wire.Conn
 }
 
+// encode is wire.Encode for a message that carries no schema, which
+// cannot fail to encode.
+func encode(m wire.Message) []byte {
+	p, err := wire.Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func dialWireClient(t *testing.T, addr net.Addr) *wireClient {
 	t.Helper()
 	_, wc := dialWire(t, addr)
@@ -42,7 +52,7 @@ func (c *wireClient) mustOK(mt wire.MsgType, payload []byte) {
 	rt, resp := c.do(mt, payload)
 	if rt != wire.MsgOK {
 		if rt == wire.MsgError {
-			if m, err := wire.DecodeErrorMsg(resp); err == nil {
+			if m, err := wire.Decode[wire.ErrorMsg](resp); err == nil {
 				c.t.Fatalf("server error: %s", m.Message)
 			}
 		}
@@ -56,7 +66,7 @@ func (c *wireClient) mustErr(mt wire.MsgType, payload []byte, substr string) {
 	if rt != wire.MsgError {
 		c.t.Fatalf("got message type %d, want Error", rt)
 	}
-	m, err := wire.DecodeErrorMsg(resp)
+	m, err := wire.Decode[wire.ErrorMsg](resp)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	// cust_c stays empty.
 
 	c := dialWireClient(t, serveTCP(t, s))
-	rt, resp := c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}}).Encode())
+	rt, resp := c.do(wire.MsgScatterQuery, encode(&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}}))
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d, want ScatterRows", rt)
 	}
@@ -115,7 +125,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	}
 
 	// Per-table limit sets the More flag per section.
-	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40, Limit: 2}}).Encode())
+	rt, resp = c.do(wire.MsgScatterQuery, encode(&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40, Limit: 2}}))
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d", rt)
 	}
@@ -137,7 +147,7 @@ func TestScatterQueryAcrossTables(t *testing.T) {
 	}
 
 	// MaxTables truncates deterministically (sorted order).
-	rt, resp = c.do(wire.MsgScatterQuery, (&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}, MaxTables: 2}).Encode())
+	rt, resp = c.do(wire.MsgScatterQuery, encode(&wire.ScatterQuery{Prefix: "cust_", Query: core.Query{MaxTs: 1 << 40}, MaxTables: 2}))
 	if rt != wire.MsgScatterRows {
 		t.Fatalf("got message type %d", rt)
 	}
@@ -162,11 +172,11 @@ func TestMigrateOverWire(t *testing.T) {
 	cd := dialWireClient(t, serveTCP(t, dst))
 
 	// Begin: manifest with schema + tablets (flush happened server-side).
-	rt, resp := cs.do(wire.MsgMigrateBegin, (&wire.MigrateBegin{Table: "t1"}).Encode())
+	rt, resp := cs.do(wire.MsgMigrateBegin, encode(&wire.MigrateBegin{Table: "t1"}))
 	if rt != wire.MsgMigrateManifest {
 		t.Fatalf("got message type %d, want Manifest", rt)
 	}
-	man, err := wire.DecodeMigrateManifest(resp)
+	man, err := wire.Decode[wire.MigrateManifest](resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +186,7 @@ func TestMigrateOverWire(t *testing.T) {
 
 	// Create the table on the target, then ship every tablet in small
 	// chunks to exercise offset staging.
-	ct, err := (&wire.CreateTable{Name: "t1", Schema: man.Schema, TTL: man.TTL}).Encode()
+	ct, err := wire.Encode(&wire.CreateTable{Name: "t1", Schema: man.Schema, TTL: man.TTL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +194,13 @@ func TestMigrateOverWire(t *testing.T) {
 	for _, tab := range man.Tablets {
 		var off int64
 		for {
-			rt, resp := cs.do(wire.MsgMigrateFetch, (&wire.MigrateFetch{
+			rt, resp := cs.do(wire.MsgMigrateFetch, encode(&wire.MigrateFetch{
 				Table: "t1", File: tab.File, Offset: off, MaxBytes: 128,
-			}).Encode())
+			}))
 			if rt != wire.MsgMigrateChunk {
 				t.Fatalf("fetch got message type %d", rt)
 			}
-			ch, err := wire.DecodeMigrateChunk(resp)
+			ch, err := wire.Decode[wire.MigrateChunk](resp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,21 +208,21 @@ func TestMigrateOverWire(t *testing.T) {
 				t.Fatalf("chunk total %d, manifest %d", ch.Total, tab.Bytes)
 			}
 			last := off+int64(len(ch.Data)) == ch.Total
-			cd.mustOK(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+			cd.mustOK(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 				Table: "t1", File: tab.File, Offset: off, Total: ch.Total,
 				RowCount: tab.RowCount, MinTs: tab.MinTs, MaxTs: tab.MaxTs,
 				Commit: last, Data: ch.Data,
-			}).Encode())
+			}))
 			off += int64(len(ch.Data))
 			if last {
 				break
 			}
 		}
 	}
-	cs.mustOK(wire.MsgMigrateEnd, (&wire.MigrateEnd{Table: "t1"}).Encode())
+	cs.mustOK(wire.MsgMigrateEnd, encode(&wire.MigrateEnd{Table: "t1"}))
 
 	// All rows must be readable from the target.
-	rt, resp = cd.do(wire.MsgQuery, (&wire.Query{Table: "t1", Query: core.Query{MaxTs: 1 << 40}}).Encode())
+	rt, resp = cd.do(wire.MsgQuery, encode(&wire.Query{Table: "t1", Query: core.Query{MaxTs: 1 << 40}}))
 	if rt != wire.MsgRows {
 		t.Fatalf("query got message type %d", rt)
 	}
@@ -233,31 +243,31 @@ func TestMigrateInstallOffsetDiscipline(t *testing.T) {
 	c := dialWireClient(t, serveTCP(t, s))
 
 	// A gap in offsets must be refused with a restart hint.
-	c.mustOK(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	c.mustOK(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 0, Total: 10, Data: []byte{1, 2, 3},
-	}).Encode())
-	c.mustErr(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	}))
+	c.mustErr(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 7, Total: 10, Data: []byte{1},
-	}).Encode(), "restart at 0")
+	}), "restart at 0")
 	// Committing with missing bytes must be refused.
-	c.mustErr(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	c.mustErr(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 3, Total: 10, Data: []byte{4}, Commit: true,
-	}).Encode(), "staged")
+	}), "staged")
 	// Garbage bytes at commit must be refused by verification, and the
 	// staging buffer for the file is gone afterwards (offset 3 refused).
-	c.mustOK(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	c.mustOK(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 0, Total: 4, Data: []byte{9, 9},
-	}).Encode())
-	c.mustErr(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	}))
+	c.mustErr(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 2, Total: 4, Data: []byte{9, 9}, Commit: true,
-	}).Encode(), "install tablet")
-	c.mustErr(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	}), "install tablet")
+	c.mustErr(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "x.tab", Offset: 2, Total: 4, Data: []byte{9, 9},
-	}).Encode(), "restart at 0")
+	}), "restart at 0")
 	// A chunk longer than its advertised span is refused outright.
-	c.mustErr(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	c.mustErr(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "y.tab", Offset: 0, Total: 1, Data: []byte{1, 2, 3},
-	}).Encode(), "exceeds")
+	}), "exceeds")
 
 	tab, err := s.Table("t1")
 	if err != nil {
@@ -275,14 +285,14 @@ func TestMigrateEndReleasesExportAndStaging(t *testing.T) {
 	}
 	insertRows(t, s, "t1", 1)
 	c := dialWireClient(t, serveTCP(t, s))
-	rt, _ := c.do(wire.MsgMigrateBegin, (&wire.MigrateBegin{Table: "t1"}).Encode())
+	rt, _ := c.do(wire.MsgMigrateBegin, encode(&wire.MigrateBegin{Table: "t1"}))
 	if rt != wire.MsgMigrateManifest {
 		t.Fatalf("got %d", rt)
 	}
-	c.mustOK(wire.MsgMigrateInstall, (&wire.MigrateInstall{
+	c.mustOK(wire.MsgMigrateInstall, encode(&wire.MigrateInstall{
 		Table: "t1", File: "z.tab", Offset: 0, Total: 100, Data: []byte{1, 2},
-	}).Encode())
-	c.mustOK(wire.MsgMigrateEnd, (&wire.MigrateEnd{Table: "t1"}).Encode())
+	}))
+	c.mustOK(wire.MsgMigrateEnd, encode(&wire.MigrateEnd{Table: "t1"}))
 	s.migMu.Lock()
 	staged := len(s.installs)
 	bytes := s.stagedBytes
@@ -291,5 +301,5 @@ func TestMigrateEndReleasesExportAndStaging(t *testing.T) {
 		t.Fatalf("staging not released: %d entries, %d bytes", staged, bytes)
 	}
 	// End on a missing table is OK (idempotent cleanup).
-	c.mustOK(wire.MsgMigrateEnd, (&wire.MigrateEnd{Table: "missing"}).Encode())
+	c.mustOK(wire.MsgMigrateEnd, encode(&wire.MigrateEnd{Table: "missing"}))
 }

@@ -96,12 +96,12 @@ func TestReadsShareMemtableRowsAndLeaveThemIntact(t *testing.T) {
 		}
 		return nil
 	}
-	aggReq := (&wire.AggQuery{
+	aggReq := encode(&wire.AggQuery{
 		Prefix: "share", MinTs: base, MaxTs: base + 2*perBatch*clock.Second,
 		Spec: agg.Spec{BucketWidth: clock.Minute, GroupCols: 1, Aggs: []agg.Agg{
 			{Func: agg.Count}, {Func: agg.Sum, Col: "n"}, {Func: agg.Max, Col: "note"},
 		}},
-	}).Encode()
+	})
 	reads := func(own bool) error {
 		asc := core.NewQuery()
 		if err := sameRows("ascending", asc, own); err != nil {

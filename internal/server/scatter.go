@@ -29,7 +29,7 @@ func (s *Server) matchTables(prefix string, maxTables uint32) (names []string, t
 // the same message to every shard and concatenates the sections; a
 // single-shard client gets the same semantics for free.
 func (s *Server) handleScatterQuery(wc *wire.Conn, payload []byte) error {
-	m, err := wire.DecodeScatterQuery(payload)
+	m, err := wire.Decode[wire.ScatterQuery](payload)
 	if err != nil {
 		return err
 	}

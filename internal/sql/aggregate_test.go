@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,6 +149,26 @@ func TestSQLAggregateMatchesAggQuery(t *testing.T) {
 			if got.Type != v.Type || string(got.Append(nil)) != string(v.Append(nil)) {
 				t.Errorf("group %d column %s: SQL %v, AggQuery %v", i, res.Columns[j], got, v)
 			}
+		}
+	}
+}
+
+// TestGlobalAggregateOverEmptyTimeBox: an inverted time box selects no
+// rows, as an empty key selection does, and a global aggregate over
+// either answers one row; a grouped one answers none.
+func TestGlobalAggregateOverEmptyTimeBox(t *testing.T) {
+	e, clk := newEngine(t)
+	setupUsage(t, e, clk)
+	const items = "COUNT(*), SUM(bytes), MIN(rate), MAX(bytes), AVG(rate)"
+	for _, where := range []string{"network = 99", "ts > NOW() AND ts < NOW() - 1 h"} {
+		res := mustExec(t, e, "SELECT "+items+" FROM usage WHERE "+where)
+		want := []ltval.Value{ltval.NewInt64(0), ltval.NewInt64(0), ltval.NewInt64(0), ltval.NewInt64(0), ltval.NewDouble(0)}
+		if len(res.Columns) != 5 || len(res.Rows) != 1 || !slices.EqualFunc(res.Rows[0], want, func(a, b ltval.Value) bool { return a.Compare(b) == 0 && a.Type == b.Type }) {
+			t.Errorf("WHERE %s: columns %v, rows %v; want one row %v", where, res.Columns, res.Rows, want)
+		}
+		res = mustExec(t, e, "SELECT network, COUNT(*) FROM usage WHERE "+where+" GROUP BY network")
+		if len(res.Columns) != 2 || len(res.Rows) != 0 {
+			t.Errorf("WHERE %s GROUP BY network: columns %v, rows %v; want no rows", where, res.Columns, res.Rows)
 		}
 	}
 }

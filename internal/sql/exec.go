@@ -333,9 +333,6 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pl.q.MinTs > pl.q.MaxTs {
-		return emptyResult(s, sc)
-	}
 	if pl.exact {
 		// The box expresses the whole WHERE; skip per-row re-evaluation.
 		pl.residual = nil
@@ -361,34 +358,17 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	it, err := t.Select(pl.q)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
 	res := &Result{Columns: names}
-	for it.Next() {
-		row := it.Row()
-		if pl.residual != nil {
-			keep, err := evalBool(sc, pl.residual, row, now)
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-		}
+	err = selectRows(t, sc, pl, now, func(row schema.Row) bool {
 		out := make([]ltval.Value, len(proj))
 		for i, j := range proj {
 			out[i] = row[j]
 			out[i].Bytes = bytes.Clone(row[j].Bytes) // the iterator reuses row buffers
 		}
 		res.Rows = append(res.Rows, out)
-		if s.Limit > 0 && !needSort && len(res.Rows) >= s.Limit {
-			break
-		}
-	}
-	if err := it.Err(); err != nil {
+		return s.Limit <= 0 || needSort || len(res.Rows) < s.Limit
+	})
+	if err != nil {
 		return nil, err
 	}
 	if needSort {
@@ -402,16 +382,34 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 	return res, nil
 }
 
-func emptyResult(s *SelectStmt, sc *schema.Schema) (*Result, error) {
-	_, names, err := projection(s.Items, sc)
+// selectRows feeds f each row in pl's box that passes the residual, until
+// f returns false. An inverted time box selects nothing without a scan:
+// the engine rejects one as a bad query.
+func selectRows(t Table, sc *schema.Schema, pl plan, now int64, f func(schema.Row) bool) error {
+	if pl.q.MinTs > pl.q.MaxTs {
+		return nil
+	}
+	it, err := t.Select(pl.q)
 	if err != nil {
-		// Aggregate select lists fail projection; name them generically.
-		names = nil
-		for _, it := range s.Items {
-			names = append(names, itemName(it))
+		return err
+	}
+	defer it.Close()
+	for it.Next() {
+		row := it.Row()
+		if pl.residual != nil {
+			keep, err := evalBool(sc, pl.residual, row, now)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
+		}
+		if !f(row) {
+			break
 		}
 	}
-	return &Result{Columns: names}, nil
+	return it.Err()
 }
 
 // projection resolves plain select items to column indexes.
@@ -510,25 +508,11 @@ func (e *Engine) selectAggregate(s *SelectStmt, t Table, sc *schema.Schema, pl p
 		return nil, fmt.Errorf("sql: %w", err)
 	}
 
-	it, err := t.Select(pl.q)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	for it.Next() {
-		row := it.Row()
-		if pl.residual != nil {
-			keep, err := evalBool(sc, pl.residual, row, now)
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-		}
+	err = selectRows(t, sc, pl, now, func(row schema.Row) bool {
 		acc.Add(row)
-	}
-	if err := it.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
 	groups := agg.Finalize(spec, acc.Groups())

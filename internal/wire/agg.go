@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math"
 
 	"littletable/internal/agg"
 )
@@ -40,62 +39,14 @@ type AggQuery struct {
 	WantPartials bool
 }
 
-func encodeSpec(b *Buf, s agg.Spec) {
-	b.I64(s.BucketWidth)
-	b.U32(uint32(s.GroupCols))
-	b.U32(uint32(len(s.Aggs)))
-	for _, a := range s.Aggs {
-		b.U8(uint8(a.Func))
-		b.String(a.Col)
-		b.U64(math.Float64bits(a.Q))
-	}
-}
-
-func decodeSpec(d *Dec) agg.Spec {
-	s := agg.Spec{BucketWidth: d.I64(), GroupCols: int(d.U32())}
-	n := int(d.U32())
-	// Each aggregate encodes to ≥ 13 bytes; reject counts the payload
-	// cannot hold before allocating proportional to them.
-	if d.Err != nil || n > len(d.B) {
-		d.fail("agg spec count")
-		return s
-	}
-	for i := 0; i < n && d.Err == nil; i++ {
-		a := agg.Agg{Func: agg.Func(d.U8()), Col: d.String()}
-		a.Q = math.Float64frombits(d.U64())
-		if d.Err == nil && !a.Func.Valid() {
-			d.fail("agg func")
-			return s
-		}
-		s.Aggs = append(s.Aggs, a)
-	}
-	return s
-}
-
-// Encode serializes the message payload.
-func (m *AggQuery) Encode() []byte {
-	var b Buf
-	b.String(m.Prefix)
-	encodeSpec(&b, m.Spec)
-	b.I64(m.MinTs)
-	b.I64(m.MaxTs)
-	b.U32(m.MaxGroups)
-	b.U32(m.MaxTables)
-	b.Bool(m.WantPartials)
-	return b.B
-}
-
-// DecodeAggQuery parses an AggQuery payload.
-func DecodeAggQuery(p []byte) (*AggQuery, error) {
-	d := Dec{B: p}
-	m := &AggQuery{Prefix: d.String()}
-	m.Spec = decodeSpec(&d)
-	m.MinTs = d.I64()
-	m.MaxTs = d.I64()
-	m.MaxGroups = d.U32()
-	m.MaxTables = d.U32()
-	m.WantPartials = d.Bool()
-	return m, d.Done()
+func (m *AggQuery) fields(c *codec) {
+	c.str(&m.Prefix)
+	c.spec(&m.Spec)
+	c.i64(&m.MinTs)
+	c.i64(&m.MaxTs)
+	c.u32(&m.MaxGroups)
+	c.u32(&m.MaxTables)
+	c.boolean(&m.WantPartials)
 }
 
 // AggTablePartial is one table's partial aggregate. Per-table
@@ -144,7 +95,7 @@ func encodeState(b *Buf, f agg.Func, st *agg.State) {
 		b.Bool(st.IsFloat)
 		b.I64(st.IntSum)
 		b.Bool(st.Saturated)
-		b.U64(math.Float64bits(st.FloatSum))
+		b.F64(st.FloatSum)
 	case agg.Min, agg.Max:
 		b.Bool(st.HasMM)
 		if st.HasMM {
@@ -194,7 +145,7 @@ func decodeState(d *Dec, f agg.Func, st *agg.State) {
 		st.IsFloat = d.Bool()
 		st.IntSum = d.I64()
 		st.Saturated = d.Bool()
-		st.FloatSum = math.Float64frombits(d.U64())
+		st.FloatSum = d.F64()
 	case agg.Min, agg.Max:
 		st.HasMM = d.Bool()
 		if st.HasMM {
@@ -216,14 +167,15 @@ func decodeState(d *Dec, f agg.Func, st *agg.State) {
 
 // Encode serializes the message payload.
 func (m *AggResult) Encode() []byte {
-	var b Buf
-	encodeSpec(&b, m.Spec)
+	var c codec
+	c.spec(&m.Spec)
+	b := &c.b
 	b.U32(uint32(len(m.Tables)))
 	for i := range m.Tables {
 		b.String(m.Tables[i].Table)
-		encodeGroups(&b, m.Spec, m.Tables[i].Groups)
+		encodeGroups(b, m.Spec, m.Tables[i].Groups)
 	}
-	encodeGroups(&b, m.Spec, m.Groups)
+	encodeGroups(b, m.Spec, m.Groups)
 	b.I64(m.RowsFolded)
 	b.Bool(m.Truncated)
 	return b.B
@@ -231,18 +183,20 @@ func (m *AggResult) Encode() []byte {
 
 // DecodeAggResult parses an AggResult payload.
 func DecodeAggResult(p []byte) (*AggResult, error) {
-	d := Dec{B: p}
-	m := &AggResult{Spec: decodeSpec(&d)}
+	c := codec{decoding: true, d: Dec{B: p}}
+	m := &AggResult{}
+	c.spec(&m.Spec)
+	d := &c.d
 	n := int(d.U32())
 	if d.Err == nil && n > len(d.B) {
 		d.fail("agg tables count")
 	}
 	for i := 0; i < n && d.Err == nil; i++ {
 		t := AggTablePartial{Table: d.String()}
-		t.Groups = decodeGroups(&d, m.Spec)
+		t.Groups = decodeGroups(d, m.Spec)
 		m.Tables = append(m.Tables, t)
 	}
-	m.Groups = decodeGroups(&d, m.Spec)
+	m.Groups = decodeGroups(d, m.Spec)
 	m.RowsFolded = d.I64()
 	m.Truncated = d.Bool()
 	return m, d.Done()

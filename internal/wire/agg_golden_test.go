@@ -2,10 +2,8 @@ package wire
 
 import (
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -17,13 +15,8 @@ import (
 // quantile sketches hold positive, negative and zero values, extreme
 // magnitudes, a repeated bucket, an empty sketch and a nil one, and the
 // quantiles they finalize to, so a change to how a sketch is stored cannot
-// change what goes on the wire or what a client reads.
-// Regenerate (only for a deliberate protocol change, which also bumps
-// ProtocolVersion) with:
-// go test ./internal/wire -run TestAggResultPayloadGolden -regen-agg-golden
-var regenAggGolden = flag.Bool("regen-agg-golden", false, "rewrite testdata/agg_result.golden")
-
-const aggGolden = "testdata/agg_result.golden"
+// change what goes on the wire or what a client reads. -regen-golden
+// rewrites it.
 
 func goldenAggResult() *AggResult {
 	spec := agg.Spec{BucketWidth: 1000, GroupCols: 1, Aggs: []agg.Agg{
@@ -76,18 +69,7 @@ func aggGoldenText(m *AggResult) string {
 
 func TestAggResultPayloadGolden(t *testing.T) {
 	got := aggGoldenText(goldenAggResult())
-	if *regenAggGolden {
-		if err := os.WriteFile(aggGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(aggGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("AggResult payload changed:\n got %s\nwant %s", got, want)
-	}
+	checkGolden(t, "agg_result.golden", got)
 	// The pinned bytes decode and re-encode to themselves.
 	m, err := DecodeAggResult(goldenAggResult().Encode())
 	if err != nil {

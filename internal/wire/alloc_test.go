@@ -1,0 +1,44 @@
+package wire
+
+import (
+	"testing"
+
+	"littletable/internal/agg"
+	"littletable/internal/core"
+	"littletable/internal/ltval"
+	"littletable/internal/race"
+)
+
+// TestColdCodecAllocs pins what the messages sent once per request cost
+// to encode and decode. Encoding allocates only the payload, copied out at
+// its exact size. Decoding allocates the message and what it carries:
+// strings, value lists and the aggregate list; the codec itself comes
+// from a pool.
+func TestColdCodecAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	key := func(a, b int64) []ltval.Value { return []ltval.Value{ltval.NewInt64(a), ltval.NewInt64(b)} }
+	cases := []struct {
+		m      Message
+		decode float64 // the message, its strings and its lists
+	}{
+		{&Query{Table: "usage_03", Query: core.Query{Lower: key(1, 2), LowerInc: true, Upper: key(1, 9), UpperInc: true,
+			MinTs: 1_700_000_000_000_000, MaxTs: 1_700_000_600_000_000, Descending: true, Limit: 1000}}, 4},
+		{&LatestRow{Table: "usage_03", Prefix: key(4, 7)}, 3},
+		{&AggQuery{Prefix: "usage_", Spec: agg.Spec{BucketWidth: 60_000_000, GroupCols: 1, Aggs: []agg.Agg{
+			{Func: agg.Count}, {Func: agg.Sum, Col: "bytes"}, {Func: agg.Min, Col: "rate"},
+			{Func: agg.Max, Col: "rate"}, {Func: agg.Avg, Col: "rate"}, {Func: agg.Quantile, Col: "bytes", Q: 0.95}}},
+			MinTs: 1_700_000_000_000_000, MaxTs: 1_700_000_600_000_000}, 8},
+		{&ErrorMsg{Message: `core: table "usage_99" does not exist`}, 2},
+	}
+	for _, c := range cases {
+		p := encode(c.m)
+		if n := testing.AllocsPerRun(1000, func() { encode(c.m) }); n > 1 {
+			t.Errorf("%T: encode allocates %v times, want 1", c.m, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { decode(p, newLike(c.m)) }); n > c.decode {
+			t.Errorf("%T: decode allocates %v times, want %v", c.m, n, c.decode)
+		}
+	}
+}

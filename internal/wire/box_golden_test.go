@@ -2,9 +2,7 @@ package wire
 
 import (
 	"encoding/hex"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -15,12 +13,7 @@ import (
 // testdata/box_payloads.golden pins the payload bytes of the three
 // messages that carry a query box (Query, Delete, ScatterQuery), so a
 // change to how the box is declared or encoded cannot change what goes on
-// the wire. Regenerate (only for a deliberate protocol change, which also
-// bumps ProtocolVersion) with:
-// go test ./internal/wire -run TestBoxPayloadGolden -regen-box-golden
-var regenBoxGolden = flag.Bool("regen-box-golden", false, "rewrite testdata/box_payloads.golden")
-
-const boxGolden = "testdata/box_payloads.golden"
+// the wire. -regen-golden rewrites it.
 
 // boxCase is one box with the message fields around it.
 type boxCase struct {
@@ -82,9 +75,9 @@ func boxCases() []boxCase {
 // boxPayloads encodes c as each of the three box-carrying messages.
 func boxPayloads(c boxCase) map[string][]byte {
 	return map[string][]byte{
-		"query":   (&Query{Table: "usage", Query: c.box}).Encode(),
-		"delete":  (&Delete{Table: "usage", Query: c.box}).Encode(),
-		"scatter": (&ScatterQuery{Prefix: "cust_", Query: c.box, MaxTables: c.maxTables}).Encode(),
+		"query":   encode(&Query{Table: "usage", Query: c.box}),
+		"delete":  encode(&Delete{Table: "usage", Query: c.box}),
+		"scatter": encode(&ScatterQuery{Prefix: "cust_", Query: c.box, MaxTables: c.maxTables}),
 	}
 }
 
@@ -99,23 +92,5 @@ func TestBoxPayloadGolden(t *testing.T) {
 			fmt.Fprintf(&b, "%s/%s %s\n", c.name, msg, hex.EncodeToString(p[msg]))
 		}
 	}
-	got := b.String()
-	if *regenBoxGolden {
-		if err := os.WriteFile(boxGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(boxGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d payload lines, golden has %d", len(gotLines), len(wantLines))
-	}
-	for i := range gotLines {
-		if gotLines[i] != wantLines[i] {
-			t.Errorf("payload changed:\n got %s\nwant %s", gotLines[i], wantLines[i])
-		}
-	}
+	checkGolden(t, "box_payloads.golden", b.String())
 }

@@ -167,7 +167,7 @@ func (f *Front) serveRequest(wc *Conn, mt MsgType, payload []byte) error {
 	if mt != MsgHello {
 		return f.Dispatch(wc, mt, payload)
 	}
-	h, err := DecodeHello(payload)
+	h, err := Decode[Hello](payload)
 	if err != nil {
 		return err
 	}
@@ -253,8 +253,7 @@ func (f *Front) Draining() bool { return f.draining.Load() }
 // WriteError sends an ErrorMsg-bodied message: MsgError, or MsgOverloaded
 // for a refusal that left the request unprocessed.
 func (c *Conn) WriteError(mt MsgType, msg string) error {
-	m := &ErrorMsg{Message: msg}
-	return c.WriteMsg(mt, m.Encode())
+	return c.Send(mt, &ErrorMsg{Message: msg})
 }
 
 // timeoutConn arms a fresh deadline before every Read and Write, so a

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"math"
-
 	"littletable/internal/core"
 	"littletable/internal/ltval"
 	"littletable/internal/metric"
@@ -14,19 +12,7 @@ type Hello struct {
 	Version uint32
 }
 
-// Encode serializes the message payload.
-func (m *Hello) Encode() []byte {
-	var b Buf
-	b.U32(m.Version)
-	return b.B
-}
-
-// DecodeHello parses a Hello payload.
-func DecodeHello(p []byte) (*Hello, error) {
-	d := Dec{B: p}
-	m := &Hello{Version: d.U32()}
-	return m, d.Done()
-}
+func (m *Hello) fields(c *codec) { c.u32(&m.Version) }
 
 // CreateTable asks the server to create a table.
 type CreateTable struct {
@@ -35,22 +21,10 @@ type CreateTable struct {
 	TTL    int64
 }
 
-// Encode serializes the message payload.
-func (m *CreateTable) Encode() ([]byte, error) {
-	var b Buf
-	b.String(m.Name)
-	if err := b.Schema(m.Schema); err != nil {
-		return nil, err
-	}
-	b.I64(m.TTL)
-	return b.B, nil
-}
-
-// DecodeCreateTable parses a CreateTable payload.
-func DecodeCreateTable(p []byte) (*CreateTable, error) {
-	d := Dec{B: p}
-	m := &CreateTable{Name: d.String(), Schema: d.Schema(), TTL: d.I64()}
-	return m, d.Done()
+func (m *CreateTable) fields(c *codec) {
+	c.str(&m.Name)
+	c.schema(&m.Schema)
+	c.i64(&m.TTL)
 }
 
 // TableName carries just a table name (DropTable, GetSchema, FlushTable,
@@ -59,19 +33,7 @@ type TableName struct {
 	Name string
 }
 
-// Encode serializes the message payload.
-func (m *TableName) Encode() []byte {
-	var b Buf
-	b.String(m.Name)
-	return b.B
-}
-
-// DecodeTableName parses a TableName payload.
-func DecodeTableName(p []byte) (*TableName, error) {
-	d := Dec{B: p}
-	m := &TableName{Name: d.String()}
-	return m, d.Done()
-}
+func (m *TableName) fields(c *codec) { c.str(&m.Name) }
 
 // Insert carries a batch of rows. SchemaVersion lets the server reject
 // rows encoded under a stale schema (the client then refreshes).
@@ -130,63 +92,9 @@ type Query struct {
 	core.Query
 }
 
-// Encode serializes the message payload.
-func (m *Query) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.Box(&m.Query, true)
-	return b.B
-}
-
-// DecodeQuery parses a Query payload.
-func DecodeQuery(p []byte) (*Query, error) {
-	d := Dec{B: p}
-	m := &Query{Table: d.String(), Query: d.Box(true)}
-	return m, d.Done()
-}
-
-// Box appends a query box: each key bound as a presence byte (set when
-// the bound is non-nil), its values and its inclusivity, then the time
-// bounds. With order set it also appends the direction and the row limit,
-// which a Delete does not carry; a limit outside uint32 is clamped.
-func (b *Buf) Box(q *core.Query, order bool) {
-	b.bound(q.Lower, q.LowerInc)
-	b.bound(q.Upper, q.UpperInc)
-	b.I64(q.MinTs)
-	b.I64(q.MaxTs)
-	if order {
-		b.Bool(q.Descending)
-		b.U32(uint32(min(uint(max(q.Limit, 0)), math.MaxUint32)))
-	}
-}
-
-func (b *Buf) bound(vs []ltval.Value, inc bool) {
-	b.Bool(vs != nil)
-	b.Values(vs)
-	b.Bool(inc)
-}
-
-// Box reads a box written by Buf.Box with the same order. A bound whose
-// presence byte is zero stays nil whatever values follow it, and an empty
-// bound decodes as nil: both mean unbounded.
-func (d *Dec) Box(order bool) core.Query {
-	var q core.Query
-	q.Lower, q.LowerInc = d.bound()
-	q.Upper, q.UpperInc = d.bound()
-	q.MinTs, q.MaxTs = d.I64(), d.I64()
-	if order {
-		q.Descending = d.Bool()
-		q.Limit = int(d.U32())
-	}
-	return q
-}
-
-func (d *Dec) bound() (vs []ltval.Value, inc bool) {
-	has, vs := d.Bool(), d.Values()
-	if !has {
-		vs = nil
-	}
-	return vs, d.Bool()
+func (m *Query) fields(c *codec) {
+	c.str(&m.Table)
+	c.box(&m.Query, true)
 }
 
 // LatestRow asks for the most recent row matching a key prefix (§3.4.5).
@@ -195,19 +103,9 @@ type LatestRow struct {
 	Prefix []ltval.Value
 }
 
-// Encode serializes the message payload.
-func (m *LatestRow) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.Values(m.Prefix)
-	return b.B
-}
-
-// DecodeLatestRow parses a LatestRow payload.
-func DecodeLatestRow(p []byte) (*LatestRow, error) {
-	d := Dec{B: p}
-	m := &LatestRow{Table: d.String(), Prefix: d.Values()}
-	return m, d.Done()
+func (m *LatestRow) fields(c *codec) {
+	c.str(&m.Table)
+	c.values(&m.Prefix)
 }
 
 // Delete is the wire form of the §7 bulk delete: a two-dimensional box
@@ -220,19 +118,9 @@ type Delete struct {
 	core.Query
 }
 
-// Encode serializes the message payload.
-func (m *Delete) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.Box(&m.Query, false)
-	return b.B
-}
-
-// DecodeDelete parses a Delete payload.
-func DecodeDelete(p []byte) (*Delete, error) {
-	d := Dec{B: p}
-	m := &Delete{Table: d.String(), Query: d.Box(false)}
-	return m, d.Done()
+func (m *Delete) fields(c *codec) {
+	c.str(&m.Table)
+	c.box(&m.Query, false)
 }
 
 // DeleteResult reports how many rows a Delete removed.
@@ -240,19 +128,7 @@ type DeleteResult struct {
 	Deleted int64
 }
 
-// Encode serializes the message payload.
-func (m *DeleteResult) Encode() []byte {
-	var b Buf
-	b.I64(m.Deleted)
-	return b.B
-}
-
-// DecodeDeleteResult parses a DeleteResult payload.
-func DecodeDeleteResult(p []byte) (*DeleteResult, error) {
-	d := Dec{B: p}
-	m := &DeleteResult{Deleted: d.I64()}
-	return m, d.Done()
-}
+func (m *DeleteResult) fields(c *codec) { c.i64(&m.Deleted) }
 
 // AlterTTL changes a table's TTL.
 type AlterTTL struct {
@@ -260,22 +136,13 @@ type AlterTTL struct {
 	TTL   int64
 }
 
-// Encode serializes the message payload.
-func (m *AlterTTL) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.I64(m.TTL)
-	return b.B
+func (m *AlterTTL) fields(c *codec) {
+	c.str(&m.Table)
+	c.i64(&m.TTL)
 }
 
-// DecodeAlterTTL parses an AlterTTL payload.
-func DecodeAlterTTL(p []byte) (*AlterTTL, error) {
-	d := Dec{B: p}
-	m := &AlterTTL{Table: d.String(), TTL: d.I64()}
-	return m, d.Done()
-}
-
-// AddColumn appends a column to a table's schema.
+// AddColumn appends a column to a table's schema. Default is optional: a
+// presence byte, then the value when its Type is set.
 type AddColumn struct {
 	Table   string
 	Name    string
@@ -283,28 +150,15 @@ type AddColumn struct {
 	Default ltval.Value
 }
 
-// Encode serializes the message payload.
-func (m *AddColumn) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.String(m.Name)
-	b.U8(uint8(m.Type))
-	hasDefault := m.Default.Type != ltval.Invalid
-	b.Bool(hasDefault)
-	if hasDefault {
-		b.Value(m.Default)
+func (m *AddColumn) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.Name)
+	c.u8((*uint8)(&m.Type))
+	has := m.Default.Type != ltval.Invalid
+	c.boolean(&has)
+	if has {
+		c.value(&m.Default)
 	}
-	return b.B
-}
-
-// DecodeAddColumn parses an AddColumn payload.
-func DecodeAddColumn(p []byte) (*AddColumn, error) {
-	d := Dec{B: p}
-	m := &AddColumn{Table: d.String(), Name: d.String(), Type: ltval.Type(d.U8())}
-	if d.Bool() {
-		m.Default = d.Value()
-	}
-	return m, d.Done()
 }
 
 // WidenColumn widens an int32 column.
@@ -313,19 +167,9 @@ type WidenColumn struct {
 	Name  string
 }
 
-// Encode serializes the message payload.
-func (m *WidenColumn) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.String(m.Name)
-	return b.B
-}
-
-// DecodeWidenColumn parses a WidenColumn payload.
-func DecodeWidenColumn(p []byte) (*WidenColumn, error) {
-	d := Dec{B: p}
-	m := &WidenColumn{Table: d.String(), Name: d.String()}
-	return m, d.Done()
+func (m *WidenColumn) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.Name)
 }
 
 // --- server→client ---
@@ -335,44 +179,17 @@ type ErrorMsg struct {
 	Message string
 }
 
-// Encode serializes the message payload.
-func (m *ErrorMsg) Encode() []byte {
-	var b Buf
-	b.String(m.Message)
-	return b.B
-}
-
-// DecodeErrorMsg parses an ErrorMsg payload.
-func DecodeErrorMsg(p []byte) (*ErrorMsg, error) {
-	d := Dec{B: p}
-	m := &ErrorMsg{Message: d.String()}
-	return m, d.Done()
-}
+func (m *ErrorMsg) fields(c *codec) { c.str(&m.Message) }
 
 // TableList answers ListTables.
 type TableList struct {
 	Names []string
 }
 
-// Encode serializes the message payload.
-func (m *TableList) Encode() []byte {
-	var b Buf
-	b.U32(uint32(len(m.Names)))
-	for _, n := range m.Names {
-		b.String(n)
+func (m *TableList) fields(c *codec) {
+	for i := range list(c, &m.Names, 4) {
+		c.str(&m.Names[i])
 	}
-	return b.B
-}
-
-// DecodeTableList parses a TableList payload.
-func DecodeTableList(p []byte) (*TableList, error) {
-	d := Dec{B: p}
-	n := int(d.U32())
-	m := &TableList{}
-	for i := 0; i < n && d.Err == nil; i++ {
-		m.Names = append(m.Names, d.String())
-	}
-	return m, d.Done()
 }
 
 // SchemaResp answers GetSchema: the schema, its sort order (implied by the
@@ -382,21 +199,9 @@ type SchemaResp struct {
 	TTL    int64
 }
 
-// Encode serializes the message payload.
-func (m *SchemaResp) Encode() ([]byte, error) {
-	var b Buf
-	if err := b.Schema(m.Schema); err != nil {
-		return nil, err
-	}
-	b.I64(m.TTL)
-	return b.B, nil
-}
-
-// DecodeSchemaResp parses a SchemaResp payload.
-func DecodeSchemaResp(p []byte) (*SchemaResp, error) {
-	d := Dec{B: p}
-	m := &SchemaResp{Schema: d.Schema(), TTL: d.I64()}
-	return m, d.Done()
+func (m *SchemaResp) fields(c *codec) {
+	c.schema(&m.Schema)
+	c.i64(&m.TTL)
 }
 
 // Rows answers a Query: one batch of result rows plus the more-available
@@ -482,56 +287,10 @@ func DecodeRowResult(p []byte, sc *schema.Schema) (*RowResult, error) {
 	return m, d.Done()
 }
 
-// statEntryMin is the smallest encoding of one stat list entry: an empty
-// name's length prefix plus the value.
-const statEntryMin = 4 + 8
-
-// Stats appends a stat list: a count, then (name, value) pairs. It is the
-// payload of MsgStatsResult and MsgServerStatsResult and the counter part
-// of MsgRouterStatsResult. Entries are keyed by name, so either side may
-// add a metric without the other noticing; help text and kind stay in the
-// declaring process.
-func (b *Buf) Stats(l metric.List) {
-	b.U32(uint32(len(l)))
-	for _, s := range l {
-		b.String(s.Name)
-		b.I64(s.Value)
-	}
+// StatsResult answers Stats and ServerStats: the table's or the server's
+// metrics, keyed by name.
+type StatsResult struct {
+	Stats metric.List
 }
 
-// Stats reads a stat list. A count the remaining payload cannot hold is
-// corrupt and rejected before anything is allocated for it; so is a name
-// that appears twice, which by-name readers would otherwise half-see.
-func (d *Dec) Stats() metric.List {
-	n := int(d.U32())
-	if d.Err != nil || n > (len(d.B)-d.off)/statEntryMin {
-		d.fail("stats count")
-		return nil
-	}
-	l := make(metric.List, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < n && d.Err == nil; i++ {
-		s := metric.Sample{Name: d.String(), Value: d.I64()}
-		if seen[s.Name] {
-			d.fail("duplicate stat " + s.Name)
-			return nil
-		}
-		seen[s.Name] = true
-		l = append(l, s)
-	}
-	return l
-}
-
-// EncodeStats serializes a whole-payload stat list.
-func EncodeStats(l metric.List) []byte {
-	var b Buf
-	b.Stats(l)
-	return b.B
-}
-
-// DecodeStats parses a whole-payload stat list.
-func DecodeStats(p []byte) (metric.List, error) {
-	d := Dec{B: p}
-	l := d.Stats()
-	return l, d.Done()
-}
+func (m *StatsResult) fields(c *codec) { c.stats(&m.Stats) }

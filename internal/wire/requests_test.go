@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"littletable/internal/core"
+	"littletable/internal/ltval"
 	"littletable/internal/metric"
+	"littletable/internal/schema"
 )
 
 // TestRequestsCoverEveryConstant: there is one table, and every request
@@ -81,10 +84,11 @@ func TestStatsRoundTrip(t *testing.T) {
 		{Name: "merges_in_flight", Value: -2},
 		{Name: "metric_from_a_newer_peer", Value: 1 << 50},
 	}
-	out, err := DecodeStats(EncodeStats(in))
+	m, err := Decode[StatsResult](encode(&StatsResult{Stats: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := m.Stats
 	if len(out) != len(in) {
 		t.Fatalf("round trip: got %+v want %+v", out, in)
 	}
@@ -98,14 +102,14 @@ func TestStatsRoundTrip(t *testing.T) {
 	if out.Get("rows_inserted") != 1 || out.Get("merges_in_flight") != -2 || out.Get("not_sent") != 0 {
 		t.Errorf("by-name read: %+v", out)
 	}
-	if l, err := DecodeStats(EncodeStats(nil)); err != nil || len(l) != 0 {
-		t.Errorf("empty list: %+v %v", l, err)
+	if m, err := Decode[StatsResult](encode(&StatsResult{})); err != nil || len(m.Stats) != 0 {
+		t.Errorf("empty list: %+v %v", m, err)
 	}
 }
 
 func TestStatsRejectsDuplicateNames(t *testing.T) {
-	p := EncodeStats(metric.List{{Name: "merges", Value: 1}, {Name: "queries", Value: 2}, {Name: "merges", Value: 3}})
-	if _, err := DecodeStats(p); !errors.Is(err, ErrCorrupt) {
+	p := encode(&StatsResult{Stats: metric.List{{Name: "merges", Value: 1}, {Name: "queries", Value: 2}, {Name: "merges", Value: 3}}})
+	if _, err := Decode[StatsResult](p); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate name: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -120,7 +124,7 @@ func TestStatsRejectsHostileCount(t *testing.T) {
 		b.I64(1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeStats(b.B)
+		_, err := Decode[StatsResult](b.B)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("count %d over one entry: err = %v, want ErrCorrupt", n, err)
@@ -128,5 +132,53 @@ func TestStatsRejectsHostileCount(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 			t.Errorf("count %d: decoder allocated %d bytes for a 17-byte payload", n, grew)
 		}
+	}
+}
+
+// TestRouteTableRequestsLeadWithTheirTable: the router relays a RouteTable
+// request to the shard that owns the table PeekTable reads off the front
+// of its payload, so every such payload must start with that name. A
+// RouteTable row with no sample here fails, so a new request cannot skip
+// the check.
+func TestRouteTableRequestsLeadWithTheirTable(t *testing.T) {
+	const table = "usage_7"
+	sc := testSchema(t)
+	row := schema.Row{ltval.NewInt64(1), ltval.NewTimestamp(2), ltval.NewString("x"), ltval.NewDouble(3)}
+	name := encode(&TableName{Name: table})
+	samples := map[MsgType][]byte{
+		MsgCreateTable:    encode(&CreateTable{Name: table, Schema: sc, TTL: 60}),
+		MsgDropTable:      name,
+		MsgGetSchema:      name,
+		MsgInsert:         NewInsert(table, sc, true, []schema.Row{row}).Encode(),
+		MsgQuery:          encode(&Query{Table: table, Query: core.NewQuery()}),
+		MsgLatestRow:      encode(&LatestRow{Table: table, Prefix: row[:1]}),
+		MsgAlterTTL:       encode(&AlterTTL{Table: table, TTL: 60}),
+		MsgAddColumn:      encode(&AddColumn{Table: table, Name: "n", Type: ltval.Int64, Default: ltval.NewInt64(1)}),
+		MsgWidenColumn:    encode(&WidenColumn{Table: table, Name: "n"}),
+		MsgFlushTable:     name,
+		MsgStats:          name,
+		MsgDelete:         encode(&Delete{Table: table, Query: core.NewQuery()}),
+		MsgMigrateBegin:   encode(&MigrateBegin{Table: table}),
+		MsgMigrateFetch:   encode(&MigrateFetch{Table: table, File: "000000000001.tab", MaxBytes: 1 << 16}),
+		MsgMigrateEnd:     encode(&MigrateEnd{Table: table}),
+		MsgMigrateInstall: encode(&MigrateInstall{Table: table, File: "000000000001.tab", Total: 1, Data: []byte{1}}),
+	}
+	routed := 0
+	for _, req := range Requests {
+		if req.Route != RouteTable {
+			continue
+		}
+		routed++
+		p, ok := samples[req.Type]
+		if !ok {
+			t.Errorf("%s routes by table name but has no sample payload here", req.Name)
+			continue
+		}
+		if got, err := PeekTable(p); err != nil || got != table {
+			t.Errorf("%s: PeekTable = %q, %v; want %q", req.Name, got, err, table)
+		}
+	}
+	if routed != len(samples) {
+		t.Errorf("%d samples for %d RouteTable requests", len(samples), routed)
 	}
 }

@@ -32,20 +32,10 @@ type ScatterQuery struct {
 	MaxTables uint32
 }
 
-// Encode serializes the message payload.
-func (m *ScatterQuery) Encode() []byte {
-	var b Buf
-	b.String(m.Prefix)
-	b.Box(&m.Query, true)
-	b.U32(m.MaxTables)
-	return b.B
-}
-
-// DecodeScatterQuery parses a ScatterQuery payload.
-func DecodeScatterQuery(p []byte) (*ScatterQuery, error) {
-	d := Dec{B: p}
-	m := &ScatterQuery{Prefix: d.String(), Query: d.Box(true), MaxTables: d.U32()}
-	return m, d.Done()
+func (m *ScatterQuery) fields(c *codec) {
+	c.str(&m.Prefix)
+	c.box(&m.Query, true)
+	c.u32(&m.MaxTables)
 }
 
 // ScatterTableRows is one table's slice of a scatter-query result. Each
@@ -158,19 +148,7 @@ type MigrateBegin struct {
 	Table string
 }
 
-// Encode serializes the message payload.
-func (m *MigrateBegin) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	return b.B
-}
-
-// DecodeMigrateBegin parses a MigrateBegin payload.
-func DecodeMigrateBegin(p []byte) (*MigrateBegin, error) {
-	d := Dec{B: p}
-	m := &MigrateBegin{Table: d.String()}
-	return m, d.Done()
-}
+func (m *MigrateBegin) fields(c *codec) { c.str(&m.Table) }
 
 // MigrateTabletInfo describes one pinned sealed tablet available to fetch.
 type MigrateTabletInfo struct {
@@ -190,44 +168,18 @@ type MigrateManifest struct {
 	Tablets []MigrateTabletInfo
 }
 
-// Encode serializes the message payload.
-func (m *MigrateManifest) Encode() ([]byte, error) {
-	var b Buf
-	if err := b.Schema(m.Schema); err != nil {
-		return nil, err
+func (m *MigrateManifest) fields(c *codec) {
+	c.schema(&m.Schema)
+	c.i64(&m.TTL)
+	for i := range list(c, &m.Tablets, 4+5*8) {
+		t := &m.Tablets[i]
+		c.str(&t.File)
+		c.u64(&t.Seq)
+		c.i64(&t.RowCount)
+		c.i64(&t.MinTs)
+		c.i64(&t.MaxTs)
+		c.i64(&t.Bytes)
 	}
-	b.I64(m.TTL)
-	b.U32(uint32(len(m.Tablets)))
-	for _, t := range m.Tablets {
-		b.String(t.File)
-		b.U64(t.Seq)
-		b.I64(t.RowCount)
-		b.I64(t.MinTs)
-		b.I64(t.MaxTs)
-		b.I64(t.Bytes)
-	}
-	return b.B, nil
-}
-
-// DecodeMigrateManifest parses a MigrateManifest payload.
-func DecodeMigrateManifest(p []byte) (*MigrateManifest, error) {
-	d := Dec{B: p}
-	m := &MigrateManifest{Schema: d.Schema(), TTL: d.I64()}
-	n := int(d.U32())
-	if d.Err == nil && n > len(d.B) {
-		d.fail("manifest tablets count")
-	}
-	for i := 0; i < n && d.Err == nil; i++ {
-		m.Tablets = append(m.Tablets, MigrateTabletInfo{
-			File:     d.String(),
-			Seq:      d.U64(),
-			RowCount: d.I64(),
-			MinTs:    d.I64(),
-			MaxTs:    d.I64(),
-			Bytes:    d.I64(),
-		})
-	}
-	return m, d.Done()
 }
 
 // MigrateFetch reads MaxBytes bytes of a pinned tablet file at Offset.
@@ -239,21 +191,11 @@ type MigrateFetch struct {
 	MaxBytes uint32
 }
 
-// Encode serializes the message payload.
-func (m *MigrateFetch) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.String(m.File)
-	b.I64(m.Offset)
-	b.U32(m.MaxBytes)
-	return b.B
-}
-
-// DecodeMigrateFetch parses a MigrateFetch payload.
-func DecodeMigrateFetch(p []byte) (*MigrateFetch, error) {
-	d := Dec{B: p}
-	m := &MigrateFetch{Table: d.String(), File: d.String(), Offset: d.I64(), MaxBytes: d.U32()}
-	return m, d.Done()
+func (m *MigrateFetch) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.File)
+	c.i64(&m.Offset)
+	c.u32(&m.MaxBytes)
 }
 
 // MigrateChunk answers MigrateFetch: Total is the file size, Data the
@@ -263,19 +205,9 @@ type MigrateChunk struct {
 	Data  []byte
 }
 
-// Encode serializes the message payload.
-func (m *MigrateChunk) Encode() []byte {
-	var b Buf
-	b.I64(m.Total)
-	b.Bytes(m.Data)
-	return b.B
-}
-
-// DecodeMigrateChunk parses a MigrateChunk payload.
-func DecodeMigrateChunk(p []byte) (*MigrateChunk, error) {
-	d := Dec{B: p}
-	m := &MigrateChunk{Total: d.I64(), Data: d.Bytes()}
-	return m, d.Done()
+func (m *MigrateChunk) fields(c *codec) {
+	c.i64(&m.Total)
+	c.blob(&m.Data)
 }
 
 // MigrateEnd releases a table's export snapshot and maintenance hold on
@@ -284,19 +216,7 @@ type MigrateEnd struct {
 	Table string
 }
 
-// Encode serializes the message payload.
-func (m *MigrateEnd) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	return b.B
-}
-
-// DecodeMigrateEnd parses a MigrateEnd payload.
-func DecodeMigrateEnd(p []byte) (*MigrateEnd, error) {
-	d := Dec{B: p}
-	m := &MigrateEnd{Table: d.String()}
-	return m, d.Done()
-}
+func (m *MigrateEnd) fields(c *codec) { c.str(&m.Table) }
 
 // MigrateInstall ships one chunk of a sealed tablet to the target shard.
 // Chunks of a file arrive in offset order into a staging buffer keyed by
@@ -317,36 +237,16 @@ type MigrateInstall struct {
 	Data     []byte
 }
 
-// Encode serializes the message payload.
-func (m *MigrateInstall) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.String(m.File)
-	b.I64(m.Offset)
-	b.I64(m.Total)
-	b.I64(m.RowCount)
-	b.I64(m.MinTs)
-	b.I64(m.MaxTs)
-	b.Bool(m.Commit)
-	b.Bytes(m.Data)
-	return b.B
-}
-
-// DecodeMigrateInstall parses a MigrateInstall payload.
-func DecodeMigrateInstall(p []byte) (*MigrateInstall, error) {
-	d := Dec{B: p}
-	m := &MigrateInstall{
-		Table:  d.String(),
-		File:   d.String(),
-		Offset: d.I64(),
-		Total:  d.I64(),
-	}
-	m.RowCount = d.I64()
-	m.MinTs = d.I64()
-	m.MaxTs = d.I64()
-	m.Commit = d.Bool()
-	m.Data = d.Bytes()
-	return m, d.Done()
+func (m *MigrateInstall) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.File)
+	c.i64(&m.Offset)
+	c.i64(&m.Total)
+	c.i64(&m.RowCount)
+	c.i64(&m.MinTs)
+	c.i64(&m.MaxTs)
+	c.boolean(&m.Commit)
+	c.blob(&m.Data)
 }
 
 // PeekTable extracts the table name from any table-scoped request
@@ -371,19 +271,9 @@ type MigrateTable struct {
 	TargetAddr string
 }
 
-// Encode serializes the message payload.
-func (m *MigrateTable) Encode() []byte {
-	var b Buf
-	b.String(m.Table)
-	b.String(m.TargetAddr)
-	return b.B
-}
-
-// DecodeMigrateTable parses a MigrateTable payload.
-func DecodeMigrateTable(p []byte) (*MigrateTable, error) {
-	d := Dec{B: p}
-	m := &MigrateTable{Table: d.String(), TargetAddr: d.String()}
-	return m, d.Done()
+func (m *MigrateTable) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.TargetAddr)
 }
 
 // RouterShardInfo is one shard's health as the router sees it.
@@ -399,28 +289,10 @@ type RouterStatsResult struct {
 	Shards   []RouterShardInfo
 }
 
-// Encode serializes the message payload.
-func (m *RouterStatsResult) Encode() []byte {
-	var b Buf
-	b.Stats(m.Counters)
-	b.U32(uint32(len(m.Shards)))
-	for _, s := range m.Shards {
-		b.String(s.Addr)
-		b.U8(s.State)
+func (m *RouterStatsResult) fields(c *codec) {
+	c.stats(&m.Counters)
+	for i := range list(c, &m.Shards, 4+1) {
+		c.str(&m.Shards[i].Addr)
+		c.u8(&m.Shards[i].State)
 	}
-	return b.B
-}
-
-// DecodeRouterStatsResult parses a RouterStatsResult payload.
-func DecodeRouterStatsResult(p []byte) (*RouterStatsResult, error) {
-	d := Dec{B: p}
-	m := &RouterStatsResult{Counters: d.Stats()}
-	n := int(d.U32())
-	if d.Err == nil && n > len(d.B) {
-		d.fail("router shards count")
-	}
-	for i := 0; i < n && d.Err == nil; i++ {
-		m.Shards = append(m.Shards, RouterShardInfo{Addr: d.String(), State: d.U8()})
-	}
-	return m, d.Done()
 }

@@ -20,7 +20,7 @@ func TestScatterQueryRoundTrip(t *testing.T) {
 		},
 		MaxTables: 1000,
 	}
-	g, err := DecodeScatterQuery(m.Encode())
+	g, err := Decode[ScatterQuery](encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 	}, []string{"k", "ts"})
 
 	mb := &MigrateBegin{Table: "t1"}
-	if g, err := DecodeMigrateBegin(mb.Encode()); err != nil || g.Table != "t1" {
+	if g, err := Decode[MigrateBegin](encode(mb)); err != nil || g.Table != "t1" {
 		t.Fatalf("MigrateBegin: %+v %v", g, err)
 	}
 
@@ -95,11 +95,11 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 		{File: "000000000001.tab", Seq: 1, RowCount: 100, MinTs: 5, MaxTs: 50, Bytes: 4096},
 		{File: "000000000002.tab", Seq: 2, RowCount: 7, MinTs: 60, MaxTs: 61, Bytes: 256},
 	}}
-	p, err := man.Encode()
+	p, err := Encode(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gman, err := DecodeMigrateManifest(p)
+	gman, err := Decode[MigrateManifest](p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +108,17 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 	}
 
 	mf := &MigrateFetch{Table: "t1", File: "000000000001.tab", Offset: 1 << 20, MaxBytes: 1 << 16}
-	if g, err := DecodeMigrateFetch(mf.Encode()); err != nil || !reflect.DeepEqual(g, mf) {
+	if g, err := Decode[MigrateFetch](encode(mf)); err != nil || !reflect.DeepEqual(g, mf) {
 		t.Fatalf("MigrateFetch: %+v %v", g, err)
 	}
 
 	mc := &MigrateChunk{Total: 4096, Data: []byte{9, 8, 7}}
-	if g, err := DecodeMigrateChunk(mc.Encode()); err != nil || g.Total != 4096 || len(g.Data) != 3 {
+	if g, err := Decode[MigrateChunk](encode(mc)); err != nil || g.Total != 4096 || len(g.Data) != 3 {
 		t.Fatalf("MigrateChunk: %+v %v", g, err)
 	}
 
 	me := &MigrateEnd{Table: "t1"}
-	if g, err := DecodeMigrateEnd(me.Encode()); err != nil || g.Table != "t1" {
+	if g, err := Decode[MigrateEnd](encode(me)); err != nil || g.Table != "t1" {
 		t.Fatalf("MigrateEnd: %+v %v", g, err)
 	}
 
@@ -126,7 +126,7 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 		Table: "t1", File: "000000000001.tab", Offset: 128, Total: 131,
 		RowCount: 100, MinTs: 5, MaxTs: 50, Commit: true, Data: []byte{1, 2, 3},
 	}
-	gi, err := DecodeMigrateInstall(mi.Encode())
+	gi, err := Decode[MigrateInstall](encode(mi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMigrateMessagesRoundTrip(t *testing.T) {
 	}
 
 	mt := &MigrateTable{Table: "t1", TargetAddr: "127.0.0.1:9156"}
-	if g, err := DecodeMigrateTable(mt.Encode()); err != nil || !reflect.DeepEqual(g, mt) {
+	if g, err := Decode[MigrateTable](encode(mt)); err != nil || !reflect.DeepEqual(g, mt) {
 		t.Fatalf("MigrateTable: %+v %v", g, err)
 	}
 }
@@ -148,7 +148,7 @@ func TestRouterStatsResultRoundTrip(t *testing.T) {
 			{Addr: "127.0.0.1:9156", State: 2},
 		},
 	}
-	g, err := DecodeRouterStatsResult(m.Encode())
+	g, err := Decode[RouterStatsResult](encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,18 +158,17 @@ func TestRouterStatsResultRoundTrip(t *testing.T) {
 }
 
 func TestRouterDecodeGarbage(t *testing.T) {
-	garbage := [][]byte{nil, {1}, {255, 255, 255, 255}, {0, 0, 0, 0, 9, 9, 9}}
 	for _, g := range garbage {
-		DecodeScatterQuery(g)
+		Decode[ScatterQuery](g)
 		DecodeScatterRows(g)
-		DecodeMigrateBegin(g)
-		DecodeMigrateManifest(g)
-		DecodeMigrateFetch(g)
-		DecodeMigrateChunk(g)
-		DecodeMigrateEnd(g)
-		DecodeMigrateInstall(g)
-		DecodeMigrateTable(g)
-		DecodeRouterStatsResult(g)
+		Decode[MigrateBegin](g)
+		Decode[MigrateManifest](g)
+		Decode[MigrateFetch](g)
+		Decode[MigrateChunk](g)
+		Decode[MigrateEnd](g)
+		Decode[MigrateInstall](g)
+		Decode[MigrateTable](g)
+		Decode[RouterStatsResult](g)
 		// Not panicking is the assertion.
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
@@ -180,6 +181,9 @@ func (b *Buf) U64(v uint64) {
 // I64 appends an int64.
 func (b *Buf) I64(v int64) { b.U64(uint64(v)) }
 
+// F64 appends a float64's bits.
+func (b *Buf) F64(v float64) { b.U64(math.Float64bits(v)) }
+
 // Bool appends a boolean.
 func (b *Buf) Bool(v bool) {
 	if v {
@@ -196,7 +200,10 @@ func (b *Buf) Bytes(v []byte) {
 }
 
 // String appends a length-prefixed string.
-func (b *Buf) String(v string) { b.Bytes([]byte(v)) }
+func (b *Buf) String(v string) {
+	b.U32(uint32(len(v)))
+	b.B = append(b.B, v...)
+}
 
 // Value appends a type-tagged value (used for key bounds, whose layout is
 // not fixed by any one schema).
@@ -257,6 +264,9 @@ func (d *Dec) U64() uint64 {
 
 // I64 reads an int64.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
+
+// F64 reads a float64's bits.
+func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bool reads a boolean.
 func (d *Dec) Bool() bool { return d.U8() != 0 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"net"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -121,22 +123,22 @@ func TestMessagesRoundTrip(t *testing.T) {
 	sc := testSchema(t)
 
 	h := &Hello{Version: 3}
-	if got, err := DecodeHello(h.Encode()); err != nil || got.Version != 3 {
+	if got, err := Decode[Hello](encode(h)); err != nil || got.Version != 3 {
 		t.Errorf("Hello: %v %v", got, err)
 	}
 
 	ct := &CreateTable{Name: "events", Schema: sc, TTL: 86400}
-	p, err := ct.Encode()
+	p, err := Encode(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCreateTable(p)
+	got, err := Decode[CreateTable](p)
 	if err != nil || got.Name != "events" || got.TTL != 86400 || got.Schema.KeyLen() != 2 {
 		t.Errorf("CreateTable: %+v %v", got, err)
 	}
 
 	tn := &TableName{Name: "usage"}
-	if got, err := DecodeTableName(tn.Encode()); err != nil || got.Name != "usage" {
+	if got, err := Decode[TableName](encode(tn)); err != nil || got.Name != "usage" {
 		t.Errorf("TableName: %v %v", got, err)
 	}
 
@@ -149,7 +151,7 @@ func TestMessagesRoundTrip(t *testing.T) {
 		Descending: true,
 		Limit:      64,
 	}}
-	gq, err := DecodeQuery(q.Encode())
+	gq, err := Decode[Query](encode(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,48 +162,48 @@ func TestMessagesRoundTrip(t *testing.T) {
 	}
 
 	lr := &LatestRow{Table: "usage", Prefix: []ltval.Value{ltval.NewInt64(9)}}
-	if got, err := DecodeLatestRow(lr.Encode()); err != nil || got.Prefix[0].Int != 9 {
+	if got, err := Decode[LatestRow](encode(lr)); err != nil || got.Prefix[0].Int != 9 {
 		t.Errorf("LatestRow: %v %v", got, err)
 	}
 
 	at := &AlterTTL{Table: "usage", TTL: -1}
-	if got, err := DecodeAlterTTL(at.Encode()); err != nil || got.TTL != -1 {
+	if got, err := Decode[AlterTTL](encode(at)); err != nil || got.TTL != -1 {
 		t.Errorf("AlterTTL: %v %v", got, err)
 	}
 
 	ac := &AddColumn{Table: "usage", Name: "tag", Type: ltval.String, Default: ltval.NewString("d")}
-	gac, err := DecodeAddColumn(ac.Encode())
+	gac, err := Decode[AddColumn](encode(ac))
 	if err != nil || gac.Name != "tag" || string(gac.Default.Bytes) != "d" {
 		t.Errorf("AddColumn: %+v %v", gac, err)
 	}
 	// Without a default.
 	ac2 := &AddColumn{Table: "usage", Name: "n", Type: ltval.Int64}
-	gac2, err := DecodeAddColumn(ac2.Encode())
+	gac2, err := Decode[AddColumn](encode(ac2))
 	if err != nil || gac2.Default.Type != ltval.Invalid {
 		t.Errorf("AddColumn no default: %+v %v", gac2, err)
 	}
 
 	wc := &WidenColumn{Table: "usage", Name: "count"}
-	if got, err := DecodeWidenColumn(wc.Encode()); err != nil || got.Name != "count" {
+	if got, err := Decode[WidenColumn](encode(wc)); err != nil || got.Name != "count" {
 		t.Errorf("WidenColumn: %v %v", got, err)
 	}
 
 	em := &ErrorMsg{Message: "boom"}
-	if got, err := DecodeErrorMsg(em.Encode()); err != nil || got.Message != "boom" {
+	if got, err := Decode[ErrorMsg](encode(em)); err != nil || got.Message != "boom" {
 		t.Errorf("ErrorMsg: %v %v", got, err)
 	}
 
 	tl := &TableList{Names: []string{"a", "b"}}
-	if got, err := DecodeTableList(tl.Encode()); err != nil || len(got.Names) != 2 {
+	if got, err := Decode[TableList](encode(tl)); err != nil || len(got.Names) != 2 {
 		t.Errorf("TableList: %v %v", got, err)
 	}
 
 	sr := &SchemaResp{Schema: sc, TTL: 77}
-	p, err = sr.Encode()
+	p, err = Encode(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsr, err := DecodeSchemaResp(p)
+	gsr, err := Decode[SchemaResp](p)
 	if err != nil || gsr.TTL != 77 || gsr.Schema.ColumnIndex("name") != 2 {
 		t.Errorf("SchemaResp: %v %v", gsr, err)
 	}
@@ -303,7 +305,7 @@ func TestQueryQuickRoundTrip(t *testing.T) {
 			Upper: []ltval.Value{ltval.NewInt64(upper)}, UpperInc: upInc,
 			MinTs: lower, MaxTs: upper, Descending: desc, Limit: int(limit),
 		}}
-		g, err := DecodeQuery(q.Encode())
+		g, err := Decode[Query](encode(q))
 		return err == nil && g.Table == table && g.Lower[0].Int == lower &&
 			g.Upper[0].Int == upper && g.LowerInc == lowInc && g.UpperInc == upInc &&
 			g.Descending == desc && g.Limit == int(limit)
@@ -313,21 +315,45 @@ func TestQueryQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeGarbage(t *testing.T) {
-	garbage := [][]byte{nil, {1}, {255, 255, 255, 255}, bytes.Repeat([]byte{0xab}, 40)}
-	for _, g := range garbage {
-		DecodeHello(g)
-		DecodeCreateTable(g)
-		DecodeTableName(g)
-		DecodeQuery(g)
-		DecodeLatestRow(g)
-		DecodeAlterTTL(g)
-		DecodeAddColumn(g)
-		DecodeWidenColumn(g)
-		DecodeErrorMsg(g)
-		DecodeTableList(g)
-		DecodeSchemaResp(g)
-		DecodeStats(g)
-		// Not panicking is the assertion.
+// TestEncodeReportsSchemaError: a schema that does not marshal (a NaN
+// default has no JSON form) fails every message that carries it, and
+// Send writes nothing.
+func TestEncodeReportsSchemaError(t *testing.T) {
+	sc := schema.MustNew([]schema.Column{
+		{Name: "k", Type: ltval.Int64},
+		{Name: "ts", Type: ltval.Timestamp},
+		{Name: "v", Type: ltval.Double, Default: ltval.NewDouble(math.NaN())},
+	}, []string{"k", "ts"})
+	for _, m := range []Message{
+		&CreateTable{Name: "t", Schema: sc},
+		&SchemaResp{Schema: sc},
+		&MigrateManifest{Schema: sc, Tablets: []MigrateTabletInfo{{File: "f"}}},
+	} {
+		if _, err := Encode(m); err == nil {
+			t.Errorf("%T: encoded a schema with a NaN default", m)
+		}
+		var out bytes.Buffer
+		if err := NewConn(&out).Send(MsgSchema, m); err == nil || out.Len() != 0 {
+			t.Errorf("%T: Send = %v after writing %d bytes", m, err, out.Len())
+		}
+	}
+}
+
+// TestEncodeSharedMessage: the router encodes one request for every shard
+// at once, so Encode only reads the message. Run it with -race.
+func TestEncodeSharedMessage(t *testing.T) {
+	for _, c := range goldenCases() {
+		want := encode(c.m)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := encode(c.m); !bytes.Equal(got, want) {
+					t.Errorf("%s: concurrent encode differs", c.name)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
