@@ -189,43 +189,10 @@ type Group struct {
 // CompareGroups orders groups by (bucket, key), the order Groups()
 // emits and MergeGroups requires.
 func CompareGroups(a, b *Group) int {
-	switch {
-	case a.Bucket < b.Bucket:
-		return -1
-	case a.Bucket > b.Bucket:
-		return 1
-	}
-	n := len(a.Key)
-	if len(b.Key) < n {
-		n = len(b.Key)
-	}
-	for i := 0; i < n; i++ {
-		if c := compareKey(a.Key[i], b.Key[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a.Key) < len(b.Key):
-		return -1
-	case len(a.Key) > len(b.Key):
-		return 1
-	}
-	return 0
-}
-
-// compareKey orders two group-key values as ltval.Value.Compare does,
-// except that doubles follow a total order that matches group identity
-// (the value's bits): NaN before every number, −0 before +0. Compare
-// calls NaN equal to every number, which would leave a double group
-// column holding NaN with no consistent order for Groups or MergeGroups.
-func compareKey(a, b ltval.Value) int {
-	if a.Type != ltval.Double || b.Type != ltval.Double {
-		return a.Compare(b)
-	}
-	if c := cmp.Compare(a.Float, b.Float); c != 0 || a.Float != 0 {
+	if c := cmp.Compare(a.Bucket, b.Bucket); c != 0 {
 		return c
 	}
-	return cmp.Compare(math.Float64bits(b.Float), math.Float64bits(a.Float))
+	return schema.CompareKeySlices(a.Key, b.Key)
 }
 
 // Accumulator folds rows of one schema into per-group partial states.

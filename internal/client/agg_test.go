@@ -95,7 +95,8 @@ func aggGroupsExact(t *testing.T, spec agg.Spec, label string, got, want []agg.G
 // through the same accumulator — must agree exactly over a mixed
 // memtable + disk-tablet table state. parallelism_N spreads usage_a over
 // N disk tablets, so the server opens its sources inline (1), two at once
-// (2), and eight through the full pool of core.DefaultQueryParallelism (8).
+// (2), and eight through a pool that opens core.DefaultQueryParallelism
+// (4) at a time (8).
 func TestAggQueryDifferential(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism_%d", par), func(t *testing.T) {

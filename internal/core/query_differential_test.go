@@ -1,13 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 
 	"littletable/internal/clock"
+	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
 
@@ -23,6 +26,37 @@ import (
 // -race this also exercises the worker pool, prefetch pipelines, and
 // block-cache singleflight for data races.
 func TestQueryDifferentialParallel(t *testing.T) {
+	runQueryDifferential(t, usageHistory)
+}
+
+// TestQueryDifferentialDoubleKeys runs the same proof over a table keyed
+// by a double drawn from NaN payloads of both signs, ±0, ±Inf, a
+// subnormal and 1.5. Keys collide often, and its model calls an insert
+// unique exactly when the key's encoded bits are new, so Insert's
+// uniqueness check, the merger's duplicate suppression and the query
+// bounds must all use the order in which equal means the same bits.
+func TestQueryDifferentialDoubleKeys(t *testing.T) {
+	runQueryDifferential(t, doubleHistory)
+}
+
+// history draws one random history's table, rows and boxes. insert tries
+// n one-row inserts into tt, whose model holds rows and whose TTL is
+// ttl, and returns those that went in: a random key may collide.
+type history struct {
+	newTable func(t *testing.T, opts Options) *testTable
+	insert   func(t *testing.T, rng *rand.Rand, tt *testTable, model []schema.Row, ttl int64, n int) []schema.Row
+	box      func(rng *rand.Rand, now int64) Query
+}
+
+var usageHistory = history{
+	newTable: func(t *testing.T, opts Options) *testTable { return newTestTable(t, opts) },
+	insert: func(t *testing.T, rng *rand.Rand, tt *testTable, _ []schema.Row, _ int64, n int) []schema.Row {
+		return insertRandomRows(t, rng, tt, n)
+	},
+	box: randomBox,
+}
+
+func runQueryDifferential(t *testing.T, h history) {
 	configs := []struct {
 		par   int // goroutines querying the table at once
 		cache int64
@@ -37,22 +71,22 @@ func TestQueryDifferentialParallel(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism=%d", cfg.par), func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(cfg.par)))
-				tt := newTestTable(t, Options{
+				tt := h.newTable(t, Options{
 					FlushSize:       2048,
 					MergeDelay:      1,
 					BlockCacheBytes: cfg.cache,
 				})
 				sc := tt.Schema()
-				model, ttl := buildRandomHistory(t, rng, tt)
+				model, ttl := buildRandomHistory(t, rng, tt, h)
 				// End with rows in both kinds of memtable: a sealed one
 				// awaiting its flush and a filling one.
-				model = append(model, insertRandomRows(t, rng, tt, 30)...)
+				model = append(model, h.insert(t, rng, tt, model, ttl, 30)...)
 				tt.mu.Lock()
 				for _, f := range tt.filling {
 					tt.sealLocked(f)
 				}
 				tt.mu.Unlock()
-				model = append(model, insertRandomRows(t, rng, tt, 30)...)
+				model = append(model, h.insert(t, rng, tt, model, ttl, 30)...)
 				now := tt.clk.Now()
 				live := model[:0:0]
 				for _, row := range model {
@@ -68,7 +102,7 @@ func TestQueryDifferentialParallel(t *testing.T) {
 				// depend on how the queriers interleave.
 				boxes := make([]Query, trials)
 				for trial := range boxes {
-					boxes[trial] = randomBox(rng, testStart)
+					boxes[trial] = h.box(rng, testStart)
 					if rng.Intn(3) == 0 {
 						boxes[trial].Limit = 1 + rng.Intn(8)
 					}
@@ -114,17 +148,18 @@ func TestQueryDifferentialParallel(t *testing.T) {
 }
 
 // buildRandomHistory drives tt through a random schedule of inserts,
-// flushes, merges, deletes, and TTL changes, and returns the surviving
-// model rows plus the final TTL. Deleted rows leave the model; expired
-// rows stay (physical reclamation may lag), so callers filter by TTL.
-func buildRandomHistory(t *testing.T, rng *rand.Rand, tt *testTable) (model []schema.Row, ttl int64) {
+// flushes, merges, deletes, and TTL changes, with rows and delete boxes
+// drawn by h, and returns the surviving model rows plus the final TTL.
+// Deleted rows leave the model; expired rows stay (physical reclamation
+// may lag), so callers filter by TTL.
+func buildRandomHistory(t *testing.T, rng *rand.Rand, tt *testTable, h history) (model []schema.Row, ttl int64) {
 	t.Helper()
 	sc := tt.Schema()
 	steps := 250 + rng.Intn(150)
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(100); {
 		case op < 60: // insert a small batch of rows
-			model = append(model, insertRandomRows(t, rng, tt, 1+rng.Intn(4))...)
+			model = append(model, h.insert(t, rng, tt, model, ttl, 1+rng.Intn(4))...)
 		case op < 72: // flush, spreading rows into on-disk tablets
 			if err := tt.FlushAll(); err != nil {
 				t.Fatal(err)
@@ -135,7 +170,7 @@ func buildRandomHistory(t *testing.T, rng *rand.Rand, tt *testTable) (model []sc
 				t.Fatal(err)
 			}
 		case op < 88: // bulk delete a random box
-			q := randomBox(rng, tt.clk.Now())
+			q := h.box(rng, tt.clk.Now())
 			q.Descending = false
 			if _, err := tt.DeleteWhere(q, nil); err != nil {
 				t.Fatal(err)
@@ -180,6 +215,70 @@ func insertRandomRows(t *testing.T, rng *rand.Rand, tt *testTable, n int) []sche
 			continue
 		}
 		rows = append(rows, row)
+	}
+	return rows
+}
+
+// doubleKeys are the x values doubleHistory draws: NaN payloads of both
+// signs, ±0, ±Inf, a subnormal and 1.5.
+var doubleKeys = []float64{
+	math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0xfff8000000000001),
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1.5,
+}
+
+var doubleHistory = history{
+	newTable: func(t *testing.T, opts Options) *testTable { return newDoubleTable(t, opts) },
+	insert:   insertDoubleRows,
+	box: func(rng *rand.Rand, now int64) Query {
+		return randomBoxOf(rng, now, func(rng *rand.Rand) []ltval.Value {
+			pfx := []ltval.Value{ltval.NewDouble(doubleKeys[rng.Intn(len(doubleKeys))])}
+			if rng.Intn(2) == 0 {
+				pfx = append(pfx, ltval.NewTimestamp(gridTs(rng, now, 40*clock.Day)))
+			}
+			return pfx
+		})
+	},
+}
+
+// gridTs draws a timestamp on a 12-hour grid from the span before now, so
+// that keys repeat.
+func gridTs(rng *rand.Rand, now, span int64) int64 {
+	const g = 12 * clock.Hour
+	first, last := (now-span+g-1)/g, now/g
+	return g * (first + rng.Int63n(last-first+1))
+}
+
+// insertDoubleRows inserts n rows of doubleSchema one at a time and checks
+// each Insert against the model: a row is unique exactly when no model row
+// has its key's encoded bits. Under a TTL it draws timestamps an hour
+// inside it, so no key it draws can match an expired row, which the table
+// may or may not have reclaimed yet.
+func insertDoubleRows(t *testing.T, rng *rand.Rand, tt *testTable, model []schema.Row, ttl int64, n int) []schema.Row {
+	t.Helper()
+	sc := tt.Schema()
+	held := make(map[string]bool, len(model)+n)
+	for _, row := range model {
+		held[string(sc.AppendKey(nil, row))] = true
+	}
+	span := int64(40 * clock.Day)
+	if ttl > 0 {
+		span = ttl - clock.Hour
+	}
+	var rows []schema.Row
+	for i := 0; i < n; i++ {
+		x := doubleKeys[rng.Intn(len(doubleKeys))]
+		row := doubleRow(x, gridTs(rng, tt.clk.Now(), span), rng.Int63())
+		k := string(sc.AppendKey(nil, row))
+		err := tt.Insert([]schema.Row{row})
+		switch {
+		case held[k] && !errors.Is(err, ErrDuplicateKey):
+			t.Fatalf("insert %v (x %#x) over a held key: %v, want ErrDuplicateKey", row, math.Float64bits(x), err)
+		case !held[k] && err != nil:
+			t.Fatalf("insert %v (x %#x), a new key: %v", row, math.Float64bits(x), err)
+		case err == nil:
+			held[k] = true
+			rows = append(rows, row)
+		}
 	}
 	return rows
 }

@@ -81,22 +81,25 @@ func TestQueryBoxMatchesReferenceModel(t *testing.T) {
 
 // randomBox draws a random 2-D query box, sometimes unbounded on each side.
 func randomBox(rng *rand.Rand, now int64) Query {
-	q := NewQuery()
-	if rng.Intn(3) > 0 {
-		n := rng.Int63n(5)
-		pfx := []ltval.Value{ltval.NewInt64(n)}
+	return randomBoxOf(rng, now, func(rng *rand.Rand) []ltval.Value {
+		pfx := []ltval.Value{ltval.NewInt64(rng.Int63n(5))}
 		if rng.Intn(2) == 0 {
 			pfx = append(pfx, ltval.NewInt64(rng.Int63n(7)))
 		}
-		q.Lower = pfx
+		return pfx
+	})
+}
+
+// randomBoxOf draws a random 2-D query box whose key bounds, when set,
+// are drawn by prefix.
+func randomBoxOf(rng *rand.Rand, now int64, prefix func(*rand.Rand) []ltval.Value) Query {
+	q := NewQuery()
+	if rng.Intn(3) > 0 {
+		q.Lower = prefix(rng)
 		q.LowerInc = rng.Intn(4) > 0
 	}
 	if rng.Intn(3) > 0 {
-		n := rng.Int63n(5)
-		pfx := []ltval.Value{ltval.NewInt64(n)}
-		if rng.Intn(2) == 0 {
-			pfx = append(pfx, ltval.NewInt64(rng.Int63n(7)))
-		}
+		pfx := prefix(rng)
 		if q.Lower != nil && schema.CompareKeySlices(pfx, q.Lower) < 0 {
 			q.Lower, q.Upper = pfx, q.Lower
 			q.LowerInc = true

@@ -52,10 +52,17 @@ type testTable struct {
 
 func newTestTable(t testing.TB, opts Options) *testTable {
 	t.Helper()
+	return newTestTableOf(t, usageSchema(), opts)
+}
+
+// newTestTableOf creates a table of schema sc in a temporary directory, on
+// a fake clock that starts at testStart.
+func newTestTableOf(t testing.TB, sc *schema.Schema, opts Options) *testTable {
+	t.Helper()
 	dir := t.TempDir()
 	clk := clock.NewFake(testStart)
 	opts.Clock = clk
-	tab, err := CreateTable(dir, "usage", usageSchema(), 0, opts)
+	tab, err := CreateTable(dir, "usage", sc, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"littletable/internal/ltval"
 	"littletable/internal/memtable"
 	"littletable/internal/schema"
 )
@@ -78,7 +77,7 @@ func (t *Table) checkUnique(sc *schema.Schema, row schema.Row, now int64) (bool,
 			if err != nil {
 				return false, err
 			}
-			if lk != nil && compareKeyAcrossSchemas(key, lk) <= 0 {
+			if lk != nil && schema.CompareKeySlices(key, lk) <= 0 {
 				larger = false
 				break
 			}
@@ -130,11 +129,4 @@ func (t *Table) checkUnique(sc *schema.Schema, row schema.Row, now int64) (bool,
 		}
 	}
 	return true, nil
-}
-
-// compareKeyAcrossSchemas compares key-ordered value slices where int
-// widths may differ between schema versions; ltval.Compare already orders
-// Int32 against Int64 numerically.
-func compareKeyAcrossSchemas(a, b []ltval.Value) int {
-	return schema.CompareKeySlices(a, b)
 }

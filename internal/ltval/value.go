@@ -131,6 +131,12 @@ func (v Value) Widen() Value {
 // +1 if v > w. Values of different types are ordered by type tag so that
 // the total order is still well-defined (this only matters transiently
 // during schema changes).
+//
+// Doubles follow IEEE 754 totalOrder: −NaN < −Inf < … < −0 < +0 < … <
+// +Inf < +NaN, NaNs ordered by payload, so two doubles compare equal
+// exactly when their encoded bits are equal, as the Bloom filter, the
+// block codec and agg's group map identify them. math.NaN() sorts after
+// +Inf.
 func (v Value) Compare(w Value) int {
 	if v.Type != w.Type {
 		// Int32 vs Int64 compare numerically so widening is order-preserving.
@@ -143,19 +149,21 @@ func (v Value) Compare(w Value) int {
 	case Int32, Int64, Timestamp:
 		return cmpInt64(v.Int, w.Int)
 	case Double:
-		switch {
-		case v.Float < w.Float:
-			return -1
-		case v.Float > w.Float:
-			return 1
-		default:
-			return 0
-		}
+		return cmpInt64(totalOrderKey(v.Float), totalOrderKey(w.Float))
 	case String, Blob:
 		return cmpBytes(v.Bytes, w.Bytes)
 	default:
 		return 0
 	}
+}
+
+// totalOrderKey maps a double to an int64 whose order is IEEE 754
+// totalOrder: its bits as a signed integer, with a negative double's
+// magnitude bits flipped so that a larger magnitude sorts lower and −0
+// (−1 here) sorts just below +0.
+func totalOrderKey(f float64) int64 {
+	i := int64(math.Float64bits(f))
+	return i ^ int64(uint64(i>>63)>>1)
 }
 
 // Equal reports whether v and w are the same value.

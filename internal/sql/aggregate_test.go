@@ -84,6 +84,34 @@ func TestNaNSkippedBySumAndAvg(t *testing.T) {
 	}
 }
 
+// TestNaNOrdersLastAndEqualsOnlyItself pins SQL's value order over
+// doubles: a NaN sorts after every number and equals no number, also when
+// the other side of = is an int64 column.
+func TestNaNOrdersLastAndEqualsOnlyItself(t *testing.T) {
+	e, clk := newEngine(t)
+	mustExec(t, e, "CREATE TABLE f (dev int64, ts timestamp, n int64, x double, PRIMARY KEY (dev, ts))")
+	now := clk.Now()
+	nan := math.NaN()
+	for i, nx := range [][2]float64{{3, nan}, {3, 3}, {7, 1}, {5, nan}, {1, 0.5}} {
+		insertRows(t, e, "f", schema.Row{ltval.NewInt64(int64(i + 1)), ltval.NewTimestamp(now),
+			ltval.NewInt64(int64(nx[0])), ltval.NewDouble(nx[1])})
+	}
+	var devs []int64
+	for _, r := range mustExec(t, e, "SELECT dev FROM f WHERE n = x").Rows {
+		devs = append(devs, r[0].Int)
+	}
+	if !slices.Equal(devs, []int64{2}) {
+		t.Errorf("WHERE n = x: devs %v, want [2]", devs)
+	}
+	var xs []string
+	for _, r := range mustExec(t, e, "SELECT x FROM f ORDER BY x").Rows {
+		xs = append(xs, r[0].String())
+	}
+	if want := []string{"0.5", "1", "3", "NaN", "NaN"}; !slices.Equal(xs, want) {
+		t.Errorf("ORDER BY x: %v, want %v", xs, want)
+	}
+}
+
 func TestGroupByOrderByDescending(t *testing.T) {
 	e, clk := newEngine(t)
 	setupUsage(t, e, clk)

@@ -388,14 +388,7 @@ func compareValues(a, b ltval.Value) int {
 	an, aIsNum := asFloat(a)
 	bn, bIsNum := asFloat(b)
 	if aIsNum && bIsNum && a.Type != b.Type {
-		switch {
-		case an < bn:
-			return -1
-		case an > bn:
-			return 1
-		default:
-			return 0
-		}
+		return ltval.NewDouble(an).Compare(ltval.NewDouble(bn))
 	}
 	return a.Compare(b)
 }

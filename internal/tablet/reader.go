@@ -240,16 +240,8 @@ func comparePrefix(sc *schema.Schema, fullKey []byte, probe []ltval.Value) (int,
 	if err != nil {
 		return 0, err
 	}
-	n := len(probe)
-	if n > len(full) {
-		n = len(full)
-	}
-	for i := 0; i < n; i++ {
-		if c := full[i].Compare(probe[i]); c != 0 {
-			return c, nil
-		}
-	}
-	return 0, nil
+	n := min(len(full), len(probe))
+	return schema.CompareKeySlices(full[:n], probe[:n]), nil
 }
 
 // searchBlocks returns the index of the first block whose last key is >=

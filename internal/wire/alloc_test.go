@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"littletable/internal/agg"
@@ -40,5 +42,26 @@ func TestColdCodecAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { decode(p, newLike(c.m)) }); n > c.decode {
 			t.Errorf("%T: decode allocates %v times, want %v", c.m, n, c.decode)
 		}
+	}
+}
+
+// TestValuesCountBoundedByPayload: a value list's count cannot make the
+// decoder allocate more than the payload holds. A 1 MiB LatestRow whose
+// prefix claims 1,048,576 values once allocated 48 B for each before
+// failing, about 50 MB.
+func TestValuesCountBoundedByPayload(t *testing.T) {
+	p := encode(&LatestRow{Table: "usage"})
+	p = binary.LittleEndian.AppendUint32(p[:len(p)-4], 1<<20)
+	p = append(p, make([]byte, 1<<20-len(p))...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := decode(p, &LatestRow{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoding 1,048,576 values from 1 MiB succeeded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 2*uint64(len(p)) {
+		t.Errorf("decoding a hostile count allocated %d B, want at most %d (twice the payload)", n, 2*len(p))
 	}
 }

@@ -301,10 +301,12 @@ func (d *Dec) Value() ltval.Value {
 	return v
 }
 
-// Values reads a count-prefixed sequence of tagged values.
+// Values reads a count-prefixed sequence of tagged values. It rejects a
+// count the rest of the payload cannot hold at 2 bytes a value (a tag and
+// an empty string's length) before allocating anything for it.
 func (d *Dec) Values() []ltval.Value {
 	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > len(d.B) {
+	if d.Err != nil || n < 0 || n > (len(d.B)-d.off)/2 {
 		d.fail("values")
 		return nil
 	}
