@@ -41,13 +41,14 @@ ltlint:
 # every query and merge runs through, in ns/row by source count and run
 # length, and a query over a 20,000-row memtable in dash_mixed's
 # aggregate and dashboard shapes. Last, the one aggregation fold: an
-# accumulator's constructor plus 4,096 Adds (ns/row), and the pairwise
-# merge of eight per-table partials.
+# accumulator's constructor plus 4,096 Adds (ns/row), and eight per-table
+# partials merged pairwise (MergeGroups) and in one k-way fold
+# (MergeLists).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|EncodeXOR|TabletWrite' -benchmem ./internal/block ./internal/tablet
 	$(GO) test -run '^$$' -bench 'Merger|QueryMemtable' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'AccumulatorAdd|MergeGroups' -benchmem ./internal/agg
+	$(GO) test -run '^$$' -bench 'AccumulatorAdd|MergeGroups|MergeLists' -benchmem ./internal/agg
 
 # bench-e2e runs the fixed end-to-end benchmark exactly as the PR driver
 # does (BENCHMARK.json); benchmark/README.md explains what it prints.

@@ -39,7 +39,7 @@ func main() {
 		noCompress  = flag.Bool("no-compression", false, "disable block compression")
 		noBloom     = flag.Bool("no-bloom", false, "disable per-tablet Bloom filters")
 		sync        = flag.Bool("sync", false, "fsync tablet and descriptor writes")
-		verifyOpen  = flag.Bool("verify-on-open", false, "checksum every tablet block at open; corrupt tablets are quarantined")
+		verifyOpen  = flag.Bool("verify-on-open", false, "checksum every tablet block and check its key order at open; corrupt tablets are quarantined")
 		readTO      = flag.Duration("read-timeout", 0, "drop a connection idle longer than this (0 = no deadline)")
 		writeTO     = flag.Duration("write-timeout", 0, "drop a connection whose response write stalls this long (0 = no deadline)")
 		maxRequest  = flag.Int("max-request-bytes", 0, "cap a single request frame (0 = protocol max)")

@@ -3,7 +3,7 @@
 // max, avg, and a mergeable quantile sketch. An Accumulator folds rows
 // one at a time as the merge-sorted query cursor yields them, so memory
 // is O(groups), never O(rows); the per-group State values are partial —
-// two accumulations of disjoint row sets merge exactly (MergeGroups),
+// two accumulations of disjoint row sets merge exactly (MergeLists),
 // which is what lets a shard return its local aggregate and the router
 // combine shard partials without ever seeing a raw row.
 //
@@ -187,7 +187,7 @@ type Group struct {
 }
 
 // CompareGroups orders groups by (bucket, key), the order Groups()
-// emits and MergeGroups requires.
+// emits and MergeLists and MergeGroups require.
 func CompareGroups(a, b *Group) int {
 	if c := cmp.Compare(a.Bucket, b.Bucket); c != 0 {
 		return c

@@ -2,16 +2,16 @@ package agg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"littletable/internal/schema"
 )
 
-// BenchmarkMergeGroups folds eight per-table partials pairwise, the way a
-// shard folds its tables and the router folds shard sections: 500 groups
-// per input, 6 rows a group, a uniform 0–1e6 quantile column. One op is
-// the seven merges of one query.
-func BenchmarkMergeGroups(b *testing.B) {
+// mergeInputs returns eight per-table partials of 500 groups each, 6 rows
+// a group and a uniform 0–1e6 quantile column: one scattered query's
+// sections.
+func mergeInputs(b *testing.B) (Spec, [][]Group) {
 	spec := Spec{BucketWidth: 60, GroupCols: 2, Aggs: []Agg{
 		{Func: Count},
 		{Func: Sum, Col: "bytes"},
@@ -34,6 +34,14 @@ func BenchmarkMergeGroups(b *testing.B) {
 		}
 		inputs[i] = acc.Groups()
 	}
+	return spec, inputs
+}
+
+// BenchmarkMergeGroups folds the eight partials pairwise, with copying
+// merges that leave their inputs intact. One op is the seven merges of
+// one query.
+func BenchmarkMergeGroups(b *testing.B) {
+	spec, inputs := mergeInputs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -42,6 +50,36 @@ func BenchmarkMergeGroups(b *testing.B) {
 			out = MergeGroups(spec, out, in)
 		}
 		if len(out) != 500 {
+			b.Fatalf("%d groups, want 500", len(out))
+		}
+	}
+}
+
+// BenchmarkMergeLists folds the eight partials in one k-way MergeLists,
+// the way a shard folds its tables and the router folds the sections.
+// MergeLists consumes its inputs, so each op folds fresh copies, made
+// with the timer stopped.
+func BenchmarkMergeLists(b *testing.B) {
+	spec, inputs := mergeInputs(b)
+	lists := make([][]Group, len(inputs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		for i, in := range inputs {
+			lists[i] = slices.Clone(in)
+			for g := range lists[i] {
+				states := slices.Clone(in[g].States)
+				for k := range states {
+					if sk := states[k].Sketch; sk != nil {
+						states[k].Sketch = mergedSketch(sk, nil)
+					}
+				}
+				lists[i][g].States = states
+			}
+		}
+		b.StartTimer()
+		if out := MergeLists(spec, lists); len(out) != 500 {
 			b.Fatalf("%d groups, want 500", len(out))
 		}
 	}

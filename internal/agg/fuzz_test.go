@@ -164,3 +164,123 @@ func floatsClose(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol
 }
+
+// FuzzMergeLists holds the k-way in-place fold to the pairwise one: for
+// 1–8 lists folded from fuzz-built rows (each row lands in one list, so
+// the lists are disjoint partials), MergeLists must equal the left fold
+// ((l0 + l1) + l2) + … of MergeGroups bit for bit — float sums, clamped
+// int sums, min/max and sketch bins included — since it associates the
+// same way. A second left fold over the same inputs must agree with the
+// first, proving MergeGroups left them unmutated; MergeLists runs on its
+// own copies, because it consumes its inputs. Both must agree with one
+// accumulator over every row, under FuzzAggAccumulator's contract.
+func FuzzMergeLists(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), uint8(6), uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 8}, uint8(7), uint8(0), uint8(2))
+	f.Add([]byte{5, 1, 9, 0, 13, 1, 6, 1, 9, 0, 26, 17, 7, 3, 200, 0, 1, 8}, uint8(2), uint8(1), uint8(0))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, widthByte, groupCols uint8) {
+		k := int(kRaw%8) + 1
+		spec := Spec{
+			BucketWidth: int64(widthByte),
+			GroupCols:   int(groupCols % 3),
+			Aggs: []Agg{
+				{Func: Count},
+				{Func: Sum, Col: "bytes"},
+				{Func: Sum, Col: "rate"},
+				{Func: Min, Col: "rate"},
+				{Func: Max, Col: "rate"},
+				{Func: Avg, Col: "rate"},
+				{Func: Quantile, Col: "rate", Q: 0.9},
+				{Func: Quantile, Col: "bytes", Q: 0.5},
+			},
+		}
+		mk := func() *Accumulator {
+			acc, err := NewAccumulator(testSchema(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return acc
+		}
+		// Two accumulators per list fold the same rows, giving the
+		// pairwise and the k-way fold independent copies of each list;
+		// whole folds every row, the model both merges must agree with.
+		accs := make([][2]*Accumulator, k)
+		for i := range accs {
+			accs[i] = [2]*Accumulator{mk(), mk()}
+		}
+		whole, totalAbs := mk(), 0.0
+		for i := 0; i+6 <= len(data); i += 6 {
+			raw := int64(int16(binary.LittleEndian.Uint16(data[i+3 : i+5])))
+			rate := float64(raw) / 3
+			switch data[i+5] % 8 {
+			case 1:
+				rate = math.NaN()
+			case 2:
+				rate = math.Copysign(0, -1)
+			case 3:
+				rate = math.Inf(int(raw % 2))
+			}
+			bytes := raw
+			if data[i+5]%16 == 8 {
+				bytes = math.MaxInt64 - raw // exercise saturation
+			}
+			row := testRow(int64(data[i+1]%3), int64(data[i+1]>>4%3), int64(data[i+2]), rate, bytes)
+			for _, acc := range accs[int(data[i])%k] {
+				acc.Add(row)
+			}
+			whole.Add(row)
+			if !math.IsNaN(rate) {
+				totalAbs += math.Abs(rate)
+			}
+		}
+		pairs, lists := make([][]Group, k), make([][]Group, k)
+		for i := range accs {
+			pairs[i], lists[i] = accs[i][0].Groups(), accs[i][1].Groups()
+		}
+		leftFold := func() []Group {
+			var out []Group
+			for _, l := range pairs {
+				out = MergeGroups(spec, out, l)
+			}
+			return out
+		}
+		want := leftFold()
+		if floatTol := float64(len(data)+1) * 1e-14 * (totalAbs + 1); !partialsAgree(spec, whole.Groups(), want, floatTol) {
+			t.Fatal("the MergeGroups left fold differs from folding every row at once")
+		}
+		if !sameStates(want, leftFold()) {
+			t.Fatal("a second MergeGroups left fold disagrees with the first: it mutated its inputs")
+		}
+		if got := MergeLists(spec, lists); !sameStates(got, want) {
+			t.Fatalf("MergeLists over %d lists differs from the MergeGroups left fold", k)
+		}
+	})
+}
+
+// sameStates reports whether two group lists are identical bit for bit:
+// keys and min/max values by their encoding, float sums by their bits,
+// sketches by their bins.
+func sameStates(x, y []Group) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if CompareGroups(&x[i], &y[i]) != 0 || len(x[i].States) != len(y[i].States) {
+			return false
+		}
+		for j := range x[i].States {
+			sx, sy := x[i].States[j], y[i].States[j]
+			if sx.N != sy.N || sx.IsFloat != sy.IsFloat || sx.IntSum != sy.IntSum ||
+				sx.Saturated != sy.Saturated || math.Float64bits(sx.FloatSum) != math.Float64bits(sy.FloatSum) ||
+				sx.HasMM != sy.HasMM || string(sx.MM.Append(nil)) != string(sy.MM.Append(nil)) ||
+				(sx.Sketch == nil) != (sy.Sketch == nil) {
+				return false
+			}
+			if sx.Sketch != nil && string(sx.Sketch.AppendBinary(nil)) != string(sy.Sketch.AppendBinary(nil)) {
+				return false
+			}
+		}
+	}
+	return true
+}

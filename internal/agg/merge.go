@@ -2,47 +2,86 @@ package agg
 
 import (
 	"math"
+	"slices"
 
 	"littletable/internal/ltval"
 )
 
-// MergeGroups merges two group lists, each sorted by (bucket, key) as
-// Groups() emits them, into one sorted list with per-group states
-// combined. Inputs are partials over disjoint row sets (two tables on
-// one shard, or two shards' scans), so merging a state is pure
-// combination — no row is ever seen twice. Neither input is mutated:
-// groups present in both lists get freshly copied states (sketches
-// included), so a caller may keep the inputs — e.g. the server's
-// per-table sections — alongside the merged result.
+// MergeLists folds k group lists, each sorted by (bucket, key) as
+// Groups() emits them, into one sorted list in a single k-way pass. The
+// lists are partials over disjoint row sets (the tables of one shard, or
+// the deduplicated per-table sections of a scatter), so merging a state
+// is pure combination — no row is ever seen twice.
+//
+// MergeLists consumes its inputs: equal (bucket, key) groups fold into
+// the states of the first list holding that group, in list order, and
+// the result shares those states, sketch bins folded in place. The
+// association is the left fold's, ((l0 + l1) + l2) + …, so float sums
+// come out bit-identical to pairwise MergeGroups calls.
+func MergeLists(spec Spec, lists [][]Group) []Group { return mergeLists(spec, lists, true) }
+
+// MergeGroups merges two sorted group lists into a new one, like
+// MergeLists, but mutates neither input: a group present in both gets
+// freshly copied states and a fresh merged sketch, so the caller may keep
+// using a and b afterwards.
 func MergeGroups(spec Spec, a, b []Group) []Group {
-	out := make([]Group, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := CompareGroups(&a[i], &b[j]); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			g := Group{Bucket: a[i].Bucket, Key: a[i].Key,
-				States: make([]State, len(a[i].States))}
-			copy(g.States, a[i].States)
-			for k := range g.States {
-				mergeState(spec.Aggs[k].Func, &g.States[k], &b[j].States[k])
-			}
-			out = append(out, g)
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return mergeLists(spec, [][]Group{a, b}, false)
 }
 
-// mergeState folds src into dst for one aggregate function.
-func mergeState(f Func, dst *State, src *State) {
+// mergeLists walks the lists' heads in step. Each round takes the least
+// head group, folds every other list's equal head into it, and advances
+// those lists. own says whether the inputs' states may be folded into;
+// if not, a group that takes a fold gets its own States slice first and
+// each fold a fresh sketch.
+func mergeLists(spec Spec, lists [][]Group, own bool) []Group {
+	longest := 0
+	for _, l := range lists {
+		longest = max(longest, len(l))
+	}
+	out := make([]Group, 0, longest)
+	heads := make([]int, len(lists))
+	same := make([]int, 0, len(lists)) // lists whose head is the least, in list order
+	for {
+		var least *Group
+		same = same[:0]
+		for i, l := range lists {
+			if heads[i] == len(l) {
+				continue
+			}
+			g := &l[heads[i]]
+			c := -1
+			if least != nil {
+				c = CompareGroups(g, least)
+			}
+			if c < 0 {
+				least, same = g, append(same[:0], i)
+			} else if c == 0 {
+				same = append(same, i)
+			}
+		}
+		if least == nil {
+			return out
+		}
+		g := *least
+		if len(same) > 1 && !own {
+			g.States = slices.Clone(g.States)
+		}
+		heads[same[0]]++
+		for _, i := range same[1:] {
+			src := &lists[i][heads[i]]
+			heads[i]++
+			for k := range g.States {
+				mergeState(spec.Aggs[k].Func, &g.States[k], &src.States[k], own)
+			}
+		}
+		out = append(out, g)
+	}
+}
+
+// mergeState folds src into dst for one aggregate function; src is not
+// modified. A quantile sketch dst owns takes the fold in place; any other
+// is replaced by a fresh merged sketch.
+func mergeState(f Func, dst *State, src *State, owned bool) {
 	dst.N += src.N
 	switch f {
 	case Sum, Avg:
@@ -70,10 +109,11 @@ func mergeState(f Func, dst *State, src *State) {
 			dst.HasMM = true
 		}
 	case Quantile:
-		// A fresh sketch, not an in-place fold: dst.States was shallow-
-		// copied by MergeGroups, so its Sketch pointer still belongs to
-		// the input group and must not be mutated.
-		dst.Sketch = mergedSketch(dst.Sketch, src.Sketch)
+		if owned && dst.Sketch != nil {
+			dst.Sketch.Merge(src.Sketch)
+		} else {
+			dst.Sketch = mergedSketch(dst.Sketch, src.Sketch)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // sketchAlpha is the sketch's relative accuracy: a reported quantile is
@@ -116,8 +117,17 @@ func (s *Sketch) Count() int64 {
 	return n
 }
 
-// Merge folds o into s. o may be nil.
-func (s *Sketch) Merge(o *Sketch) { *s = *mergedSketch(s, o) }
+// Merge folds o into s in place; o may be nil and is not modified. Bins
+// o shares with s only add counts, so s's runs grow only by o's new
+// indices.
+func (s *Sketch) Merge(o *Sketch) {
+	if o == nil {
+		return
+	}
+	s.pos = foldBins(s.pos, o.pos, true)
+	s.neg = foldBins(s.neg, o.neg, true)
+	s.zero += o.zero
+}
 
 // mergedSketch returns a fresh sketch holding a and b (either may be nil);
 // neither input is modified.
@@ -129,32 +139,41 @@ func mergedSketch(a, b *Sketch) *Sketch {
 	if b == nil {
 		b = &empty
 	}
-	return &Sketch{pos: mergeBins(a.pos, b.pos), neg: mergeBins(a.neg, b.neg), zero: a.zero + b.zero}
+	return &Sketch{pos: foldBins(a.pos, b.pos, false), neg: foldBins(a.neg, b.neg, false), zero: a.zero + b.zero}
 }
 
-// mergeBins returns the bucket-wise sum of two sorted runs in one new
-// slice (nil when both are empty); neither input is modified.
-func mergeBins(a, b []bin) []bin {
-	if len(a)+len(b) == 0 {
-		return nil
+// foldBins returns the bucket-wise sum of the sorted runs dst and src;
+// src is never modified. In place, the sum reuses dst's array when it has
+// room for src's bins; otherwise it is built in one new slice (nil when
+// both runs are empty). The runs merge from the back into room for every
+// bin of both, so in place no bin is overwritten before it is read; then
+// the merged tail closes the gap that shared indices left.
+func foldBins(dst, src []bin, inPlace bool) []bin {
+	n, m := len(dst), len(src)
+	var out []bin
+	switch {
+	case inPlace:
+		out = slices.Grow(dst, m)[:n+m]
+	case n+m > 0:
+		out = make([]bin, n+m)
 	}
-	out := make([]bin, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	i, j, k := n-1, m-1, n+m-1
+	for ; j >= 0; k-- {
 		switch {
-		case a[i].idx < b[j].idx:
-			out = append(out, a[i])
-			i++
-		case a[i].idx > b[j].idx:
-			out = append(out, b[j])
-			j++
+		case i >= 0 && dst[i].idx > src[j].idx:
+			out[k] = dst[i]
+			i--
+		case i >= 0 && dst[i].idx == src[j].idx:
+			out[k] = bin{idx: dst[i].idx, n: dst[i].n + src[j].n}
+			i, j = i-1, j-1
 		default:
-			out = append(out, bin{idx: a[i].idx, n: a[i].n + b[j].n})
-			i, j = i+1, j+1
+			out[k] = src[j]
+			j--
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	copy(out, dst[:i+1]) // in place, already there
+	copy(out[i+1:], out[k+1:])
+	return out[:n+m-(k-i)]
 }
 
 // Quantile returns the q-quantile estimate (q clamped to [0, 1]), or

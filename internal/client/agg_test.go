@@ -185,6 +185,9 @@ func TestAggQueryDifferential(t *testing.T) {
 				wantMerged = agg.MergeGroups(spec, wantMerged, want[name])
 			}
 
+			// The router's shape: WantPartials ships the per-table
+			// sections instead of the merged groups, each section exactly
+			// its table's fold.
 			res, err := c.AggQuery(context.Background(), &wire.AggQuery{
 				Prefix: "usage", Spec: spec, MinTs: lo, MaxTs: hi, WantPartials: true,
 			})
@@ -197,16 +200,19 @@ func TestAggQueryDifferential(t *testing.T) {
 			if res.RowsFolded != wantRows {
 				t.Fatalf("RowsFolded = %d, want %d", res.RowsFolded, wantRows)
 			}
+			if len(res.Groups) != 0 {
+				t.Fatalf("WantPartials reply carries %d merged groups, want none", len(res.Groups))
+			}
 			if len(res.Tables) != 2 || res.Tables[0].Table != "usage_a" || res.Tables[1].Table != "usage_b" {
 				t.Fatalf("partial tables: %+v", res.Tables)
 			}
 			for _, p := range res.Tables {
 				aggGroupsExact(t, spec, p.Table, p.Groups, want[p.Table])
 			}
-			aggGroupsExact(t, spec, "merged", res.Groups, wantMerged)
 
 			// The dashboard shape: without WantPartials the per-table
-			// sections stay home and only the merged groups ship.
+			// sections stay home and only the merged groups ship, equal
+			// to the merge of the sections above.
 			lean, err := c.AggQuery(context.Background(), &wire.AggQuery{
 				Prefix: "usage", Spec: spec, MinTs: lo, MaxTs: hi,
 			})
@@ -217,9 +223,10 @@ func TestAggQueryDifferential(t *testing.T) {
 				t.Fatalf("partials shipped without WantPartials: %d tables", len(lean.Tables))
 			}
 			aggGroupsExact(t, spec, "lean merged", lean.Groups, wantMerged)
+			aggGroupsExact(t, spec, "merged sections", foldSections(spec, res.Tables), lean.Groups)
 
 			// Finalized outputs line up one-to-one with the mergeable groups.
-			outs := agg.Finalize(spec, res.Groups)
+			outs := agg.Finalize(spec, lean.Groups)
 			if len(outs) != len(wantMerged) {
 				t.Fatalf("finalize: %d outputs, want %d", len(outs), len(wantMerged))
 			}
@@ -273,8 +280,12 @@ func TestAggQueryCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Truncated || len(full.Tables) != 2 {
-		t.Fatalf("uncapped query: truncated=%v tables=%d", full.Truncated, len(full.Tables))
+	if full.Truncated || len(full.Tables) != 2 || len(full.Groups) != 0 {
+		t.Fatalf("uncapped query: truncated=%v tables=%d merged groups=%d, want false/2/0",
+			full.Truncated, len(full.Tables), len(full.Groups))
+	}
+	for _, sec := range full.Tables {
+		aggGroupsExact(t, spec, sec.Table, sec.Groups, foldTable(t, c, sec.Table, spec))
 	}
 
 	capped, err := c.AggQuery(context.Background(), &wire.AggQuery{
@@ -303,8 +314,42 @@ func TestAggQueryCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unset.RowsFolded != full.RowsFolded || len(unset.Groups) != len(full.Groups) {
-		t.Fatalf("unset window folded %d rows / %d groups, want %d / %d",
-			unset.RowsFolded, len(unset.Groups), full.RowsFolded, len(full.Groups))
+	if unset.RowsFolded != full.RowsFolded || len(unset.Tables) != 0 {
+		t.Fatalf("unset window folded %d rows with %d sections, want %d rows, no sections",
+			unset.RowsFolded, len(unset.Tables), full.RowsFolded)
 	}
+	aggGroupsExact(t, spec, "unset window", unset.Groups, foldSections(spec, full.Tables))
+}
+
+// foldTable folds every row of one table client-side, in the primary-key
+// order the query returns them: the reference for the table's section.
+func foldTable(t *testing.T, c *Client, name string, spec agg.Spec) []agg.Group {
+	t.Helper()
+	tab, err := c.OpenTable(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := agg.NewAccumulator(tab.Schema(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tab.Query(NewQuery())
+	defer rows.Close()
+	for rows.Next() {
+		acc.Add(rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return acc.Groups()
+}
+
+// foldSections left-folds per-table sections with agg.MergeGroups, the
+// reference for a reply's merged groups.
+func foldSections(spec agg.Spec, secs []wire.AggTablePartial) []agg.Group {
+	var merged []agg.Group
+	for _, sec := range secs {
+		merged = agg.MergeGroups(spec, merged, sec.Groups)
+	}
+	return merged
 }

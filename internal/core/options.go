@@ -140,11 +140,12 @@ type Options struct {
 	// Default log.Printf.
 	Logf func(format string, args ...interface{})
 
-	// VerifyOnOpen reads and checksums every block of every tablet during
-	// OpenTable, so latent corruption (a bit-flipped block that footer
-	// loading cannot see) is quarantined up front instead of surfacing as
-	// query errors later. It makes open cost proportional to table size;
-	// off by default.
+	// VerifyOnOpen reads, checksums and parses every block of every
+	// tablet during OpenTable, so latent corruption (a bit-flipped block
+	// that footer loading cannot see) or keys out of order are
+	// quarantined up front instead of surfacing as query errors or missed
+	// rows later. It makes open cost proportional to table size; off by
+	// default.
 	VerifyOnOpen bool
 
 	// MergeAcrossPeriods is an ABLATION switch: it disables the time-period

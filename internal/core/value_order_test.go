@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"littletable/internal/clock"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
@@ -139,5 +142,43 @@ func TestDoubleKeyNaNPayloadsAcrossFlush(t *testing.T) {
 	want := [][2]uint64{{math.Float64bits(3), 2}, {nan1, 1}, {nan2, 3}}
 	if !slices.Equal(got, want) {
 		t.Errorf("Query = %x, want %x", got, want)
+	}
+}
+
+// TestPreTotalOrderTabletQuarantined opens a table written at commit
+// 7b4b540, when Compare called NaN equal to every number: its one tablet
+// holds keys (1, ts+0), (NaN, ts+1), (0.5, ts+2), (3, ts+3) in that
+// order, which the total order calls out of order. Served as is, a scan
+// returns them unsorted and a key search misses rows; VerifyOnOpen must
+// quarantine the tablet instead.
+func TestPreTotalOrderTabletQuarantined(t *testing.T) {
+	root := t.TempDir()
+	src := filepath.Join("testdata", "nan_keys", "nan")
+	if err := os.MkdirAll(filepath.Join(root, "nan"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"desc.json", "000000000001.tab"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, "nan", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := OpenTable(root, "nan", Options{Clock: clock.NewFake(testStart), Logf: quietLogf, VerifyOnOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	if got := tab.Stats().TabletsQuarantined.Load(); got != 1 {
+		t.Errorf("VerifyOnOpen quarantined %d tablets, want 1", got)
+	}
+	rows, err := tab.QueryAll(NewQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Errorf("out-of-order tablet served %d rows: %v", len(rows), xBits(rows))
 	}
 }

@@ -11,11 +11,13 @@ import (
 // handleAggQuery fans an aggregation query out to every shard and merges
 // the partial aggregates. Like scatter, an aggregate must be complete to
 // be correct — a missing shard silently zeroes its tables' contribution —
-// so any down shard refuses the whole request. The combined Groups are
-// recomputed here from the deduplicated per-table sections rather than
-// merged from the shards' combined views: mid-migration a table can
-// report from two shards, and aggregate states cannot be subtracted, so
-// dedup has to happen at table granularity before the cross-table merge.
+// so any down shard refuses the whole request. The router always asks
+// the shards for per-table sections (WantPartials), which carry no
+// merged groups: mid-migration a table can report from two shards, and
+// aggregate states cannot be subtracted, so dedup has to happen at table
+// granularity before the one cross-table merge, a k-way fold here over
+// the deduplicated sections. A client that set WantPartials itself gets
+// those sections back unmerged; any other gets the merged groups only.
 func (r *Router) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	m, err := wire.Decode[wire.AggQuery](payload)
 	if err != nil {
@@ -25,9 +27,6 @@ func (r *Router) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	if refusal != "" {
 		return r.sendOverloaded(wc, refusal)
 	}
-	// The router always needs table granularity from the shards —
-	// migration dedup happens per table — even when the client asked for
-	// merged groups only.
 	wantPartials := m.WantPartials
 	m.WantPartials = true
 	results, err := gather(r, up, func(cl *client.Client, ctx context.Context) (*wire.AggResult, error) {
@@ -43,11 +42,12 @@ func (r *Router) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	merged.Tables, merged.Truncated = mergeSections(r, up, results, m.MaxTables,
 		func(res *wire.AggResult) ([]wire.AggTablePartial, bool) { return res.Tables, res.Truncated },
 		func(sec wire.AggTablePartial) string { return sec.Table })
-	for _, sec := range merged.Tables {
-		merged.Groups = agg.MergeGroups(m.Spec, merged.Groups, sec.Groups)
-	}
 	if !wantPartials {
-		merged.Tables = nil
+		lists := make([][]agg.Group, len(merged.Tables))
+		for i, sec := range merged.Tables {
+			lists[i] = sec.Groups
+		}
+		merged.Groups, merged.Tables = agg.MergeLists(m.Spec, lists), nil
 	}
 	return wc.WriteMsg(wire.MsgAggResult, merged.Encode())
 }

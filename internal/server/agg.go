@@ -16,9 +16,10 @@ const DefaultMaxAggGroups = 65536
 // handleAggQuery folds every matching local table's rows into
 // (time-bucket × key-prefix) group states as the merge-sorted cursor
 // yields them, and answers with partial aggregates only — the raw rows
-// never leave the server. The router sends the same message to every
-// shard and merges the partials; a single-shard client gets identical
-// semantics directly.
+// never leave the server. With WantPartials the reply carries one
+// section per table and no cross-table merge (the router dedups and
+// merges those sections itself); without it, one k-way merge of the
+// tables' groups and no sections.
 func (s *Server) handleAggQuery(wc *wire.Conn, payload []byte) error {
 	m, err := wire.Decode[wire.AggQuery](payload)
 	if err != nil {
@@ -38,6 +39,7 @@ func (s *Server) handleAggQuery(wc *wire.Conn, payload []byte) error {
 		q.MinTs, q.MaxTs = math.MinInt64, math.MaxInt64
 	}
 	total := 0
+	var lists [][]agg.Group
 	for _, name := range matched {
 		t, err := s.Table(name)
 		if err != nil {
@@ -82,8 +84,12 @@ func (s *Server) handleAggQuery(wc *wire.Conn, payload []byte) error {
 		total += len(groups)
 		if m.WantPartials {
 			resp.Tables = append(resp.Tables, wire.AggTablePartial{Table: name, Groups: groups})
+		} else {
+			lists = append(lists, groups)
 		}
-		resp.Groups = agg.MergeGroups(m.Spec, resp.Groups, groups)
+	}
+	if !m.WantPartials {
+		resp.Groups = agg.MergeLists(m.Spec, lists)
 	}
 	return wc.WriteMsg(wire.MsgAggResult, resp.Encode())
 }

@@ -112,6 +112,80 @@ func TestNaNOrdersLastAndEqualsOnlyItself(t *testing.T) {
 	}
 }
 
+// TestIntDoubleCompareIsExact compares an int64 column with a double
+// column where converting the integer to a double would round it: 2^53+1,
+// MaxInt64 and −(2^53+1) have no double of their own.
+func TestIntDoubleCompareIsExact(t *testing.T) {
+	e, clk := newEngine(t)
+	mustExec(t, e, "CREATE TABLE f (dev int64, ts timestamp, n int64, x double, PRIMARY KEY (dev, ts))")
+	now := clk.Now()
+	for i, nx := range []struct {
+		n int64
+		x float64
+	}{
+		{1<<53 + 1, 1 << 53},
+		{1 << 53, 1 << 53},
+		{math.MaxInt64, 1 << 63},
+		{-1, -0.5},
+		{0, 0},
+		{3, math.NaN()},
+		{-(1<<53 + 1), -(1 << 53)},
+		{0, math.Copysign(0, -1)},
+	} {
+		insertRows(t, e, "f", schema.Row{ltval.NewInt64(int64(i + 1)), ltval.NewTimestamp(now),
+			ltval.NewInt64(nx.n), ltval.NewDouble(nx.x)})
+	}
+	for _, c := range []struct {
+		where string
+		want  []int64
+	}{
+		{"n = x", []int64{2, 5}},
+		{"n > x", []int64{1, 8}},
+		{"n < x", []int64{3, 4, 6, 7}},
+		{"x < n", []int64{1, 8}},
+	} {
+		var devs []int64
+		for _, r := range mustExec(t, e, "SELECT dev FROM f WHERE "+c.where).Rows {
+			devs = append(devs, r[0].Int)
+		}
+		if !slices.Equal(devs, c.want) {
+			t.Errorf("WHERE %s: devs %v, want %v", c.where, devs, c.want)
+		}
+	}
+}
+
+// TestCompareIntDoubleEdges pins compareValues at the edges of the exact
+// int-against-double order: the int64 range's ends, infinities, both
+// NaN signs, both zeros and fractions either side of an integer.
+func TestCompareIntDoubleEdges(t *testing.T) {
+	negNaN := math.Copysign(math.NaN(), -1)
+	for _, c := range []struct {
+		i    int64
+		f    float64
+		want int
+	}{
+		{math.MinInt64, -0x1p63, 0},
+		{math.MinInt64, math.Nextafter(-0x1p63, 0), -1},
+		{math.MinInt64, math.Inf(-1), 1},
+		{math.MaxInt64, 0x1p63, -1},
+		{math.MaxInt64, math.Inf(1), -1},
+		{math.MaxInt64, math.NaN(), -1},
+		{math.MinInt64, negNaN, 1},
+		{0, 0, 0},
+		{0, math.Copysign(0, -1), 1},
+		{-1, -1.5, 1},
+		{-1, -0.5, -1},
+		{2, 2.000000000000001, -1},
+		{1<<53 + 1, 1 << 53, 1},
+	} {
+		got := compareValues(ltval.NewInt64(c.i), ltval.NewDouble(c.f))
+		back := compareValues(ltval.NewDouble(c.f), ltval.NewInt64(c.i))
+		if got != c.want || back != -c.want {
+			t.Errorf("compare(%d, %v) = %d, reversed %d; want %d", c.i, c.f, got, back, c.want)
+		}
+	}
+}
+
 func TestGroupByOrderByDescending(t *testing.T) {
 	e, clk := newEngine(t)
 	setupUsage(t, e, clk)

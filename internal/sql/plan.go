@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"littletable/internal/core"
 	"littletable/internal/ltval"
@@ -383,22 +385,57 @@ func evalOperand(sc *schema.Schema, e Expr, row schema.Row, now int64, hint ltva
 	}
 }
 
-// compareValues orders possibly-mixed numeric types.
+// compareValues orders possibly-mixed numeric types exactly: integers of
+// any width (and timestamps) by value, and an integer against a double
+// by the integer's exact value in the doubles' total order, so −NaN sorts
+// below every integer, +NaN above, and −0 just below the integer 0 as
+// it sits below +0. Converting the integer to a double instead would
+// round integers past 2^53 onto their neighbours.
 func compareValues(a, b ltval.Value) int {
-	an, aIsNum := asFloat(a)
-	bn, bIsNum := asFloat(b)
-	if aIsNum && bIsNum && a.Type != b.Type {
-		return ltval.NewDouble(an).Compare(ltval.NewDouble(bn))
+	aInt, bInt := isInteger(a.Type), isInteger(b.Type)
+	switch {
+	case a.Type == b.Type:
+	case aInt && bInt:
+		return cmp.Compare(a.Int, b.Int)
+	case aInt && b.Type == ltval.Double:
+		return compareIntDouble(a.Int, b.Float)
+	case a.Type == ltval.Double && bInt:
+		return -compareIntDouble(b.Int, a.Float)
 	}
 	return a.Compare(b)
 }
 
-func asFloat(v ltval.Value) (float64, bool) {
-	switch v.Type {
-	case ltval.Int32, ltval.Int64, ltval.Timestamp:
-		return float64(v.Int), true
-	case ltval.Double:
-		return v.Float, true
+func isInteger(t ltval.Type) bool {
+	return t == ltval.Int32 || t == ltval.Int64 || t == ltval.Timestamp
+}
+
+// compareIntDouble orders the integer i against the double f. A finite f
+// in the int64 range splits exactly into its integer part, compared as an
+// int64, and its fraction, which breaks a tie.
+func compareIntDouble(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		if math.Signbit(f) {
+			return 1
+		}
+		return -1
+	case f < -0x1p63: // −Inf included
+		return 1
+	case f >= 0x1p63: // +Inf included
+		return -1
 	}
-	return 0, false
+	whole := int64(f) // truncates toward zero, exactly
+	switch frac := f - float64(whole); {
+	case i < whole:
+		return -1
+	case i > whole:
+		return 1
+	case frac > 0:
+		return -1
+	case frac < 0:
+		return 1
+	case f == 0 && math.Signbit(f):
+		return 1
+	}
+	return 0
 }

@@ -152,13 +152,29 @@ func (t *Tablet) LastKey() ([]ltval.Value, error) {
 }
 
 // VerifyBlocks reads every block record and checks its framing and
-// checksum, without parsing rows or touching the block cache. It detects
-// latent corruption — bit flips, truncation inside a block — that footer
+// checksum, without touching the block cache. It detects latent
+// corruption — bit flips, truncation inside a block — that footer
 // loading alone cannot see, so the engine can quarantine a damaged tablet
-// at open instead of failing queries later.
+// at open instead of failing queries later. It also parses each block
+// and checks key order, which every lookup's binary search assumes: the
+// footer's last keys strictly ascend, each block's rows strictly ascend,
+// each block's first row sorts above the previous block's last key, and
+// its last row is its footer key. A tablet whose keys were ordered by
+// another comparison (one written before doubles had a total order, say,
+// with NaN keys) fails here rather than serving rows a search misses.
 func (t *Tablet) VerifyBlocks() error {
+	sc := t.ft.sc
+	var prevLast []ltval.Value
+	var row, prev schema.Row
 	for i := range t.ft.blocks {
 		bm := &t.ft.blocks[i]
+		last, err := sc.DecodeKey(bm.lastKey)
+		if err != nil {
+			return fmt.Errorf("%w: block %d last key: %v", ErrCorrupt, i, err)
+		}
+		if prevLast != nil && schema.CompareKeySlices(last, prevLast) <= 0 {
+			return fmt.Errorf("%w: block %d last key %v not above block %d's %v", ErrCorrupt, i, last, i-1, prevLast)
+		}
 		payload, _, err := readRecord(t.f, bm.offset, t.size)
 		if err != nil {
 			return fmt.Errorf("block %d: %w", i, err)
@@ -166,6 +182,31 @@ func (t *Tablet) VerifyBlocks() error {
 		if len(payload) != int(bm.rawLen) {
 			return fmt.Errorf("%w: block %d raw length %d, want %d", ErrCorrupt, i, len(payload), bm.rawLen)
 		}
+		blk, err := block.Decode(sc, bm.enc, payload)
+		if err != nil {
+			return fmt.Errorf("block %d: %w", i, err)
+		}
+		if blk.Len() == 0 {
+			return fmt.Errorf("%w: block %d holds no rows", ErrCorrupt, i)
+		}
+		for r := 0; r < blk.Len(); r++ {
+			if row, err = blk.RowInto(row, r); err != nil {
+				return fmt.Errorf("block %d: %w", i, err)
+			}
+			switch {
+			case r > 0 && sc.CompareKeys(row, prev) <= 0:
+				return fmt.Errorf("%w: block %d row %d key %v not above row %d's %v",
+					ErrCorrupt, i, r, sc.KeyOf(row), r-1, sc.KeyOf(prev))
+			case r == 0 && prevLast != nil && sc.CompareRowToKey(row, prevLast) <= 0:
+				return fmt.Errorf("%w: block %d first key %v not above block %d's last %v",
+					ErrCorrupt, i, sc.KeyOf(row), i-1, prevLast)
+			}
+			row, prev = prev, row
+		}
+		if sc.CompareRowToKey(prev, last) != 0 {
+			return fmt.Errorf("%w: block %d ends at key %v, its footer says %v", ErrCorrupt, i, sc.KeyOf(prev), last)
+		}
+		prevLast = last
 	}
 	return nil
 }

@@ -31,11 +31,12 @@ type AggQuery struct {
 	// MaxTables caps how many matching tables are scanned (0 = no cap),
 	// taken in sorted name order so the cap is deterministic.
 	MaxTables uint32
-	// WantPartials asks for the per-table partial sections alongside the
-	// merged groups. The router sets it on shard fan-out — it needs
-	// table granularity to dedup a mid-migration table — while a
-	// dashboard client leaves it unset and pays for the merged groups
-	// only.
+	// WantPartials asks for the per-table partial sections instead of
+	// the merged groups: the reply's Tables is filled and its Groups left
+	// empty. The router sets it on shard fan-out — it needs table
+	// granularity to dedup a mid-migration table, and merges the
+	// sections once itself — while a dashboard client leaves it unset
+	// and gets the merged groups only.
 	WantPartials bool
 }
 
@@ -58,15 +59,18 @@ type AggTablePartial struct {
 	Groups []agg.Group
 }
 
-// AggResult answers an AggQuery: per-table partials in sorted
-// table-name order plus their cross-table merge, both carrying
-// mergeable states (finalize with agg.Finalize).
+// AggResult answers an AggQuery with mergeable states (finalize with
+// agg.Finalize): either the per-table partials in sorted table-name
+// order (WantPartials) or their cross-table merge (otherwise), never
+// both.
 type AggResult struct {
 	Spec agg.Spec
-	// Tables holds one partial per scanned table, sorted by name.
+	// Tables holds one partial per scanned table, sorted by name; empty
+	// unless the query set WantPartials.
 	Tables []AggTablePartial
-	// Groups is the cross-table merge of Tables' partials, sorted by
-	// (bucket, key) — what a dashboard client reads directly.
+	// Groups is the cross-table merge of every scanned table's partial,
+	// sorted by (bucket, key) — what a dashboard client reads directly;
+	// empty when the query set WantPartials.
 	Groups []agg.Group
 	// RowsFolded counts source rows folded (across all tables), the
 	// bytes-not-shipped denominator.
