@@ -41,9 +41,9 @@ ltlint:
 # every query and merge runs through, in ns/row by source count and run
 # length, and a query over a 20,000-row memtable in dash_mixed's
 # aggregate and dashboard shapes. Last, the one aggregation fold: an
-# accumulator's constructor plus 4,096 Adds (ns/row), and eight per-table
-# partials merged pairwise (MergeGroups) and in one k-way fold
-# (MergeLists).
+# accumulator's constructor plus its Adds, rows scattered over groups and
+# in key order (ns/row), and eight per-table partials merged pairwise
+# (MergeGroups) and in one k-way fold (MergeLists).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'BlockDecode|CursorRangeScan|EncodeXOR|TabletWrite' -benchmem ./internal/block ./internal/tablet

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
@@ -98,9 +97,10 @@ type Spec struct {
 // binding is a Spec resolved against one table's schema: per-aggregate
 // value-column indices and numeric classes.
 type binding struct {
-	cols    []int // -1 for Count
-	isFloat []bool
-	types   []ltval.Type
+	cols      []int // -1 for Count
+	isFloat   []bool
+	types     []ltval.Type
+	quantiles int // how many aggregates are Quantile
 }
 
 // checkGroupCols validates spec's key-prefix grouping against sc.
@@ -143,8 +143,11 @@ func bindAggs(sc *schema.Schema, spec Spec) (*binding, error) {
 		if class == schema.ClassBytes && a.Func != Min && a.Func != Max {
 			return nil, fmt.Errorf("agg: %s over non-numeric column %q", a.Func, a.Col)
 		}
-		if a.Func == Quantile && (a.Q < 0 || a.Q > 1 || math.IsNaN(a.Q)) {
-			return nil, fmt.Errorf("agg: quantile q=%v outside [0, 1]", a.Q)
+		if a.Func == Quantile {
+			if a.Q < 0 || a.Q > 1 || math.IsNaN(a.Q) {
+				return nil, fmt.Errorf("agg: quantile q=%v outside [0, 1]", a.Q)
+			}
+			b.quantiles++
 		}
 		b.cols[i] = idx
 		b.isFloat[i] = class == schema.ClassFloat
@@ -169,13 +172,13 @@ func ValidateSpec(sc *schema.Schema, spec Spec) error {
 // Min/Max use HasMM+MM; Quantile uses N plus the sketch.
 type State struct {
 	N         int64
-	IsFloat   bool
 	IntSum    int64
-	Saturated bool
 	FloatSum  float64
-	HasMM     bool
 	MM        ltval.Value
 	Sketch    *Sketch
+	IsFloat   bool
+	Saturated bool
+	HasMM     bool
 }
 
 // Group is one (bucket, key-prefix) group: the bucket start timestamp,
@@ -202,9 +205,44 @@ type Accumulator struct {
 	b      *binding
 	sc     *schema.Schema
 	keyIdx []int // schema column indices of the group-key columns
-	groups map[string]*Group
-	rows   int64
-	keyBuf []byte
+	// groups holds every group in creation order; unless unsorted is
+	// set, that is also (bucket, key) order and Groups() skips its sort.
+	groups   []Group
+	unsorted bool
+	index    map[string]int // group key bytes → groups index; built by find
+	last     int            // groups index of the previous row's group
+	slab     slab
+	rows     int64
+	keyBuf   []byte
+}
+
+// slab is the storage new groups take their keys, states, sketches and
+// first sketch bins from. It is refilled a chunk at a time, each chunk
+// holding as many groups as all before it (slabMinGroups at first), so a
+// fold of n groups allocates O(log n) times, not several times per group,
+// and reserves less than twice what it uses.
+type slab struct {
+	keys     []ltval.Value
+	states   []State
+	sketches []Sketch
+	bins     []bin
+}
+
+const (
+	// slabMinGroups is the group count of a slab's first chunk.
+	slabMinGroups = 4
+	// sketchSlabBins is how many positive bins a new group's quantile
+	// sketch starts with room for, so a group of a few rows never grows
+	// its run through sizes 1, 2 and 4.
+	sketchSlabBins = 8
+)
+
+// take cuts the next n elements off *s, capped so that appending to them
+// reallocates instead of overwriting the next taker's elements.
+func take[T any](s *[]T, n int) []T {
+	t := (*s)[:n:n]
+	*s = (*s)[n:]
+	return t
 }
 
 // NewAccumulator binds spec to sc, validating it. Rows group by
@@ -235,12 +273,12 @@ func NewAccumulatorBy(sc *schema.Schema, spec Spec, cols []int) (*Accumulator, e
 		b:      b,
 		sc:     sc,
 		keyIdx: slices.Clone(cols),
-		groups: make(map[string]*Group),
 	}, nil
 }
 
 // floorTo rounds ts down to a multiple of width, correctly for
-// negative timestamps (Go's % truncates toward zero).
+// negative timestamps (Go's % truncates toward zero). A floor below
+// math.MinInt64 clamps to it rather than wrapping to the far future.
 func floorTo(ts, width int64) int64 {
 	if width <= 0 {
 		return 0
@@ -249,6 +287,9 @@ func floorTo(ts, width int64) int64 {
 	if r < 0 {
 		r += width
 	}
+	if ts < math.MinInt64+r {
+		return math.MinInt64
+	}
 	return ts - r
 }
 
@@ -256,36 +297,112 @@ func floorTo(ts, width int64) int64 {
 func (s Spec) BucketStart(ts int64) int64 { return floorTo(ts, s.BucketWidth) }
 
 // Add folds one row. The row must match the accumulator's schema; rows
-// are not retained (key and min/max values are copied).
+// are not retained (key and min/max values are copied). A row that
+// continues the previous row's group folds straight into it; any other
+// is looked up by find.
 func (a *Accumulator) Add(row schema.Row) {
 	a.rows++
 	bucket := floorTo(a.sc.Ts(row), a.spec.BucketWidth)
-	buf := a.keyBuf[:0]
-	u := uint64(bucket)
-	buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+	if len(a.groups) == 0 || a.compareRow(&a.groups[a.last], bucket, row) != 0 {
+		a.last = a.find(bucket, row)
+	}
+	g := &a.groups[a.last]
+	for i, ag := range a.spec.Aggs {
+		a.fold(&g.States[i], ag.Func, i, row)
+	}
+}
+
+// compareRow orders the row's (bucket, group key) against g as
+// CompareGroups orders groups, except that it tells an Int32 from an
+// Int64 of the same number by type. Values of one type compare equal only
+// when their bits are equal, so it returns 0 exactly when the row's key
+// bytes are g's.
+func (a *Accumulator) compareRow(g *Group, bucket int64, row schema.Row) int {
+	if c := cmp.Compare(bucket, g.Bucket); c != 0 {
+		return c
+	}
+	for i, ki := range a.keyIdx {
+		v, w := row[ki], g.Key[i]
+		if c := v.Compare(w); c != 0 {
+			return c
+		}
+		if v.Type != w.Type {
+			return cmp.Compare(v.Type, w.Type)
+		}
+	}
+	return 0
+}
+
+// find returns the groups index of the row's group, creating the group
+// if it is new. A row past the last group created starts a new one; until
+// some other row comes, groups are created in (bucket, key) order and
+// found without the index. The first such row builds the index, which
+// finds groups from then on.
+func (a *Accumulator) find(bucket int64, row schema.Row) int {
+	n := len(a.groups)
+	if a.index == nil {
+		if n == 0 || a.compareRow(&a.groups[n-1], bucket, row) > 0 {
+			return a.newGroup(bucket, row)
+		}
+		a.index = make(map[string]int, n)
+		for i := range a.groups {
+			g := &a.groups[i]
+			buf := appendBucket(a.keyBuf[:0], g.Bucket)
+			for _, v := range g.Key {
+				buf = v.Append(buf)
+			}
+			a.keyBuf = buf
+			a.index[string(buf)] = i
+		}
+	}
+	buf := appendBucket(a.keyBuf[:0], bucket)
 	for _, ki := range a.keyIdx {
 		buf = row[ki].Append(buf)
 	}
 	a.keyBuf = buf
-	g := a.groups[string(buf)]
-	if g == nil {
-		key := make([]ltval.Value, len(a.keyIdx))
-		for i, ki := range a.keyIdx {
-			key[i] = cloneValue(row[ki])
-		}
-		g = &Group{Bucket: bucket, Key: key, States: make([]State, len(a.spec.Aggs))}
-		for i := range g.States {
-			g.States[i].IsFloat = a.b.isFloat[i]
-			if a.spec.Aggs[i].Func == Quantile {
-				g.States[i].Sketch = NewSketch()
-			}
-		}
-		a.groups[string(buf)] = g
+	if i, ok := a.index[string(buf)]; ok {
+		return i
 	}
-	for i, ag := range a.spec.Aggs {
-		a.fold(&g.States[i], ag.Func, i, row)
+	if !a.unsorted && a.compareRow(&a.groups[n-1], bucket, row) < 0 {
+		a.unsorted = true
 	}
+	i := a.newGroup(bucket, row)
+	a.index[string(buf)] = i
+	return i
+}
+
+func appendBucket(buf []byte, bucket int64) []byte {
+	u := uint64(bucket)
+	return append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
+		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+}
+
+// newGroup appends the row's group, its storage taken from the slab, and
+// returns its index.
+func (a *Accumulator) newGroup(bucket int64, row schema.Row) int {
+	s := &a.slab
+	if len(s.states) == 0 {
+		n := max(slabMinGroups, len(a.groups))
+		s.keys = make([]ltval.Value, n*len(a.keyIdx))
+		s.states = make([]State, n*len(a.spec.Aggs))
+		s.sketches = make([]Sketch, n*a.b.quantiles)
+		s.bins = make([]bin, n*a.b.quantiles*sketchSlabBins)
+	}
+	key := take(&s.keys, len(a.keyIdx))
+	for i, ki := range a.keyIdx {
+		key[i] = cloneValue(row[ki])
+	}
+	states := take(&s.states, len(a.spec.Aggs))
+	for i := range states {
+		states[i].IsFloat = a.b.isFloat[i]
+		if a.spec.Aggs[i].Func == Quantile {
+			sk := &take(&s.sketches, 1)[0]
+			sk.pos = take(&s.bins, sketchSlabBins)[:0]
+			states[i].Sketch = sk
+		}
+	}
+	a.groups = append(a.groups, Group{Bucket: bucket, Key: key, States: states})
+	return len(a.groups) - 1
 }
 
 // fold applies one row to one aggregate state. NaN float values are
@@ -368,14 +485,16 @@ func (a *Accumulator) Rows() int64 { return a.rows }
 func (a *Accumulator) NumGroups() int { return len(a.groups) }
 
 // Groups returns the accumulated partial groups sorted by (bucket,
-// key). The accumulator can keep folding afterwards; the returned
-// groups share state with it, so treat them as a final snapshot.
+// key): the groups themselves when they were created in that order, a
+// sorted copy otherwise. The accumulator can keep folding afterwards;
+// the returned groups share state with it, so treat them as a final
+// snapshot.
 func (a *Accumulator) Groups() []Group {
-	out := make([]Group, 0, len(a.groups))
-	for _, g := range a.groups {
-		out = append(out, *g)
+	if !a.unsorted {
+		return slices.Clip(a.groups)
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareGroups(&out[i], &out[j]) < 0 })
+	out := slices.Clone(a.groups)
+	slices.SortFunc(out, func(x, y Group) int { return CompareGroups(&x, &y) })
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"littletable/internal/ltval"
+	"littletable/internal/race"
 	"littletable/internal/schema"
 )
 
@@ -134,6 +135,78 @@ func TestNegativeTimestampBuckets(t *testing.T) {
 	}
 	if groups[1].States[0].N != 2 {
 		t.Fatalf("bucket -60 count = %d, want 2", groups[1].States[0].N)
+	}
+	// A bucket whose true floor lies below math.MinInt64 clamps to it,
+	// sorting before every other bucket instead of wrapping past them.
+	for _, c := range []struct{ ts, width, want int64 }{
+		{math.MinInt64, 60, math.MinInt64},
+		{math.MinInt64 + 1, 60_000_000, math.MinInt64},
+		{math.MinInt64 + 8, 60, math.MinInt64 + 8}, // a multiple of 60
+		{math.MaxInt64, 60, math.MaxInt64 - 7},
+	} {
+		if got := (Spec{BucketWidth: c.width}).BucketStart(c.ts); got != c.want {
+			t.Errorf("BucketStart(%d) at width %d = %d, want %d", c.ts, c.width, got, c.want)
+		}
+	}
+	acc = mustAcc(t, Spec{BucketWidth: 60_000_000, Aggs: []Agg{{Func: Count}}})
+	acc.Add(testRow(1, 1, 1_700_000_000_000_000, 0, 0))
+	acc.Add(testRow(1, 1, math.MinInt64+1, 0, 0))
+	if groups := acc.Groups(); len(groups) != 2 || groups[0].Bucket != math.MinInt64 || groups[1].Bucket != 1_699_999_980_000_000 {
+		t.Fatalf("far-past row's buckets = %+v, want [%d 1699999980000000]", groups, int64(math.MinInt64))
+	}
+}
+
+// TestAddContinuingGroupDoesNotAllocate pins the fold's allocations: a
+// row in the previous row's group folds into it without allocating, and a
+// key-ordered fold of 500 groups allocates its groups from slabs, a few
+// times per doubling, not several times per group.
+func TestAddContinuingGroupDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	acc := mustAcc(t, testSpec())
+	row := testRow(1, 1, 10, 2.5, 100)
+	acc.Add(row)
+	if n := testing.AllocsPerRun(1000, func() { acc.Add(row) }); n != 0 {
+		t.Errorf("a row continuing its group allocates %v times, want 0", n)
+	}
+	spec := testSpec()
+	spec.GroupCols = 2
+	// 53 when this was written: the constructor's 6, 8 slab chunks of 4
+	// slices each for 512 groups, and the group list's doublings.
+	const maxAllocs = 64
+	n := testing.AllocsPerRun(10, func() {
+		acc := mustAcc(t, spec)
+		for g := int64(0); g < 500; g++ {
+			for r := int64(0); r < 6; r++ {
+				acc.Add(testRow(g/50, g%50, r*10, float64(r), g*r))
+			}
+		}
+		if len(acc.Groups()) != 500 {
+			t.Fatalf("%d groups, want 500", acc.NumGroups())
+		}
+	})
+	if n > maxAllocs {
+		t.Errorf("a key-ordered fold of 500 groups allocates %v times, want at most %d", n, maxAllocs)
+	}
+}
+
+// TestGroupIdentityIsKeyBytes: a row continues the previous row's group
+// only if its key bytes are that group's. An Int32 and an Int64 of one
+// number compare equal but encode differently, so they stay two groups,
+// as they are when found through the index.
+func TestGroupIdentityIsKeyBytes(t *testing.T) {
+	acc, err := NewAccumulatorBy(testSchema(), Spec{Aggs: []Agg{{Func: Count}}}, []int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []ltval.Value{ltval.NewInt64(5), ltval.NewInt32(5), ltval.NewInt32(5)} {
+		row := testRow(1, 1, 0, 0, 0)
+		row[4] = v
+		acc.Add(row)
+	}
+	if n := acc.NumGroups(); n != 2 {
+		t.Fatalf("%d groups, want 2: the Int32 rows joined the Int64 row's group", n)
 	}
 }
 

@@ -85,13 +85,17 @@ func BenchmarkMergeLists(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatorAdd builds an accumulator and folds 4,096 rows into
-// 64 (bucket, network) groups through the count, sum, min, max, avg and
-// p95 aggregates, the per-row work every AggQuery, rollup and SQL
-// aggregate does. One op is one constructor plus 4,096 Adds; ns/row
-// divides out the rows.
+// BenchmarkAccumulatorAdd builds an accumulator and folds rows through
+// the count, sum, min, max, avg and p95 aggregates, the per-row work every
+// AggQuery, rollup and SQL aggregate does. One op is one constructor plus
+// every Add; ns/row divides out the rows.
+//
+//   - scattered: 4,096 rows into 64 (bucket, network) groups, each row in
+//     a different group than the row before it;
+//   - key-ordered: agg_fanout's shard fold, 500 (network, device) groups
+//     of 6 rows in one bucket, in key order as a table scan yields them.
 func BenchmarkAccumulatorAdd(b *testing.B) {
-	spec := Spec{BucketWidth: 60, GroupCols: 1, Aggs: []Agg{
+	spec := Spec{BucketWidth: 60, Aggs: []Agg{
 		{Func: Count},
 		{Func: Sum, Col: "bytes"},
 		{Func: Min, Col: "rate"},
@@ -99,25 +103,43 @@ func BenchmarkAccumulatorAdd(b *testing.B) {
 		{Func: Avg, Col: "rate"},
 		{Func: Quantile, Col: "bytes", Q: 0.95},
 	}}
-	const rows = 4096
 	rng := rand.New(rand.NewSource(1))
-	in := make([]schema.Row, rows)
-	for i := range in {
-		in[i] = testRow(int64(i%16), int64(i%7), int64(i/16%4)*60, rng.Float64()*100, rng.Int63n(1_000_000))
+	var scattered, ordered []schema.Row
+	for i := 0; i < 4096; i++ {
+		scattered = append(scattered, testRow(int64(i%16), int64(i%7), int64(i/16%4)*60, rng.Float64()*100, rng.Int63n(1_000_000)))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		acc, err := NewAccumulator(testSchema(), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range in {
-			acc.Add(r)
-		}
-		if acc.NumGroups() != 64 {
-			b.Fatalf("%d groups, want 64", acc.NumGroups())
+	for g := int64(0); g < 500; g++ {
+		for r := int64(0); r < 6; r++ {
+			ordered = append(ordered, testRow(g/50, g%50, r*10, rng.Float64()*100, rng.Int63n(1_000_000)))
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	cases := []struct {
+		name      string
+		groupCols int
+		rows      []schema.Row
+		groups    int
+	}{
+		{"scattered", 1, scattered, 64},
+		{"key-ordered", 2, ordered, 500},
+	}
+	for _, c := range cases {
+		spec := spec
+		spec.GroupCols = c.groupCols
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				acc, err := NewAccumulator(testSchema(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range c.rows {
+					acc.Add(r)
+				}
+				if len(acc.Groups()) != c.groups {
+					b.Fatalf("%d groups, want %d", acc.NumGroups(), c.groups)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.rows)), "ns/row")
+		})
+	}
 }

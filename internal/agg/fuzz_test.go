@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"littletable/internal/schema"
 )
 
 // FuzzAggAccumulator drives the partial-aggregation contract from
@@ -13,7 +15,9 @@ import (
 // NaN-bearing double included, in a fuzz-chosen rotation), folded whole
 // and folded as two split halves merged, and the results must agree —
 // the property the whole distributed read path (shard partials, router
-// merge, rollup replay) is built on. Two aggregates are only
+// merge, rollup replay) is built on. The same rows are also folded with
+// each group's rows together, as a key-ordered scan yields them, which
+// must match the arrival-order fold bit for bit. Two aggregates are only
 // order-dependent by design, so the comparison encodes their real
 // contract rather than bit equality: a saturating int sum is exact
 // until any fold order overflows (then it clamps, and WHERE it clamps
@@ -67,19 +71,59 @@ func FuzzAggAccumulator(f *testing.F) {
 			}
 			return acc
 		}
-		add := func(acc *Accumulator, r [3]int64) {
+		mkRow := func(r [3]int64) schema.Row {
 			rate := float64(r[2]) / 3
 			if r[2]%13 == 0 {
 				rate = math.NaN() // exercise the NaN-skip path
 			}
-			acc.Add(testRow(r[0], r[2]%5, r[1], rate, r[2]))
+			return testRow(r[0], r[2]%5, r[1], rate, r[2])
 		}
+		add := func(acc *Accumulator, r [3]int64) { acc.Add(mkRow(r)) }
 		whole := mk()
 		totalAbs := 0.0
 		for _, r := range rows {
 			add(whole, r)
 			if rate := float64(r[2]) / 3; r[2]%13 != 0 {
 				totalAbs += math.Abs(rate)
+			}
+		}
+		wantGroups := whole.Groups()
+		if !groupsAscend(wantGroups) {
+			t.Fatal("arrival-order Groups() not strictly ascending by CompareGroups")
+		}
+		// The same rows with each group's rows together, in arrival order
+		// within the group. In (bucket, key) order every new group lands
+		// past the last and Groups() skips its sort; in (key, bucket)
+		// order, a key-ordered scan's, a key spanning buckets creates
+		// groups out of order. Each group folds the same rows in the same
+		// order as on arrival, so both must match that fold bit for bit.
+		groupOf := func(r [3]int64) Group {
+			row := mkRow(r)
+			g := Group{Bucket: spec.BucketStart(r[1])}
+			for _, c := range cols {
+				g.Key = append(g.Key, row[c])
+			}
+			return g
+		}
+		for _, keyFirst := range []bool{false, true} {
+			ordered := slices.Clone(rows)
+			slices.SortStableFunc(ordered, func(x, y [3]int64) int {
+				gx, gy := groupOf(x), groupOf(y)
+				if c := schema.CompareKeySlices(gx.Key, gy.Key); keyFirst && c != 0 {
+					return c
+				}
+				return CompareGroups(&gx, &gy)
+			})
+			acc := mk()
+			for _, r := range ordered {
+				add(acc, r)
+			}
+			got := acc.Groups()
+			if !groupsAscend(got) {
+				t.Fatalf("key-first=%v: Groups() not strictly ascending by CompareGroups", keyFirst)
+			}
+			if !sameStates(got, wantGroups) {
+				t.Fatalf("key-first=%v: grouped fold differs from the arrival-order fold", keyFirst)
 			}
 		}
 		split := 0
@@ -97,7 +141,7 @@ func FuzzAggAccumulator(f *testing.F) {
 		// Reassociating an n-term float sum perturbs it by at most
 		// O(n·eps·Σ|vᵢ|); anything past that is a real merge bug.
 		floatTol := float64(len(rows)+1) * 1e-14 * (totalAbs + 1)
-		if !partialsAgree(spec, whole.Groups(), merged, floatTol) {
+		if !partialsAgree(spec, wantGroups, merged, floatTol) {
 			t.Fatalf("split at %d of %d rows: merged partials != whole", split, len(rows))
 		}
 		// Sketch decoding of raw fuzz bytes must error or succeed, never
@@ -153,6 +197,17 @@ func partialsAgree(spec Spec, whole, merged []Group, floatTol float64) bool {
 					return false
 				}
 			}
+		}
+	}
+	return true
+}
+
+// groupsAscend reports whether groups are strictly ascending by
+// CompareGroups, the order Groups() promises.
+func groupsAscend(groups []Group) bool {
+	for i := 1; i < len(groups); i++ {
+		if CompareGroups(&groups[i-1], &groups[i]) >= 0 {
+			return false
 		}
 	}
 	return true

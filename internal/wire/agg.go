@@ -119,20 +119,24 @@ func encodeState(b *Buf, f agg.Func, st *agg.State) {
 
 func decodeGroups(d *Dec, spec agg.Spec) []agg.Group {
 	n := int(d.U32())
-	// A group encodes to ≥ 12 bytes (bucket + key count) plus one state
-	// per aggregate; bound the allocation by the remaining payload.
-	if d.Err != nil || n > len(d.B) {
+	// A group encodes to ≥ 12 bytes (bucket + key count) plus ≥ 8 per
+	// aggregate (its count), so the remaining payload bounds the count —
+	// and with it the groups and the states slab allocated up front.
+	k := len(spec.Aggs)
+	if d.Err != nil || n > (len(d.B)-d.off)/(12+8*k) {
 		d.fail("agg groups count")
 		return nil
 	}
-	var out []agg.Group
+	out := make([]agg.Group, n)
+	states := make([]agg.State, n*k)
 	for i := 0; i < n && d.Err == nil; i++ {
-		g := agg.Group{Bucket: d.I64(), Key: d.Values()}
-		g.States = make([]agg.State, len(spec.Aggs))
+		g := &out[i]
+		g.Bucket = d.I64()
+		g.Key = d.Values()
+		g.States = states[i*k : (i+1)*k : (i+1)*k]
 		for j, a := range spec.Aggs {
 			decodeState(d, a.Func, &g.States[j])
 		}
-		out = append(out, g)
 	}
 	return out
 }

@@ -65,3 +65,29 @@ func TestValuesCountBoundedByPayload(t *testing.T) {
 		t.Errorf("decoding a hostile count allocated %d B, want at most %d (twice the payload)", n, 2*len(p))
 	}
 }
+
+// TestAggGroupsCountBoundedByPayload: an aggregate result's group count
+// cannot make the decoder allocate more than the payload holds, though
+// it presizes its groups and their states from the count. A 64 KiB
+// payload of zeroed groups claims 1<<30 of them, then as many as it has
+// bytes, which a bound of one group per byte let through to decode
+// about 500 groups before the payload ran out.
+func TestAggGroupsCountBoundedByPayload(t *testing.T) {
+	p := (&AggResult{Spec: testAggSpec()}).Encode()
+	at := len(p) - 13 // the merged groups' count, before RowsFolded and Truncated
+	p = append(p[:at:at], make([]byte, 64<<10)...)
+	for _, count := range []uint32{1 << 30, uint32(len(p))} {
+		binary.LittleEndian.PutUint32(p[at:], count)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := DecodeAggResult(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("decoding %d groups from %d B succeeded", count, len(p))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 2*uint64(len(p)) {
+			t.Errorf("decoding a claimed %d groups allocated %d B, want at most %d (twice the payload)", count, n, 2*len(p))
+		}
+	}
+}
