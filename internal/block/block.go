@@ -22,19 +22,24 @@ var ErrCorrupt = errors.New("block: corrupt block")
 // Layout: [row bytes...][u32 row offset ×N][u32 N], all little-endian.
 // Offsets are from the start of the block.
 
-// Writer accumulates rows into one uncompressed block image. In ModeAuto
-// it additionally accumulates per-column vectors and, at Finish, emits the
-// columnar image when trial encoding shows it is smaller than the legacy
-// row-major one. Every buffer it uses — the legacy image, the columnar
-// image, the column accumulators and the encoder's trial buffers — is
-// reused from block to block, so a long-lived Writer allocates only while
-// its buffers grow to the largest block it has seen.
+// Writer accumulates rows into one uncompressed block image. Append only
+// fills per-column vectors; Finish encodes them. In ModeAuto, Finish emits
+// the columnar image when it is smaller than the legacy row-major one,
+// whose size is known without building it; the row-major image is built
+// from the column vectors only in ModeLegacy or when the columnar image
+// loses. Every buffer it uses — the column accumulators, both images and
+// the encoder's trial buffers — is reused from block to block, so a
+// long-lived Writer allocates only while its buffers grow to the largest
+// block it has seen.
 type Writer struct {
 	sc      *schema.Schema
 	mode    Mode
-	buf     []byte
-	offsets []uint32
-	cols    []colAcc   // auto mode only
+	n       int // rows appended since the last Finish
+	size    int // Σ EncodedRowSize of those rows
+	fixed   int // EncodedRowSize of a row's fixed-width cells
+	cols    []colAcc
+	buf     []byte     // reusable row-major image buffer
+	offsets []uint32   // row offsets within buf, while it is built
 	cbuf    []byte     // reusable columnar image buffer
 	enc     encScratch // auto mode only
 	stats   EncodeStats
@@ -47,22 +52,36 @@ func NewWriter(sc *schema.Schema) *Writer { return NewWriterMode(sc, ModeAuto) }
 // NewWriterMode returns a Writer with an explicit encoding mode. ModeLegacy
 // blocks are byte-identical to the pre-columnar format's.
 func NewWriterMode(sc *schema.Schema, mode Mode) *Writer {
-	w := &Writer{sc: sc, mode: mode, buf: make([]byte, 0, TargetSize+1024)}
-	if mode == ModeAuto {
-		w.cols = make([]colAcc, len(sc.Columns))
-		for i := range w.cols {
-			w.cols[i].class = sc.ColumnClass(i)
+	w := &Writer{mode: mode}
+	w.Reset(sc)
+	return w
+}
+
+// Reset empties w, rebinds it to rows of schema sc and zeroes its stats,
+// keeping its buffers and its mode, so one Writer can serve tablets of
+// different tables in turn.
+func (w *Writer) Reset(sc *schema.Schema) {
+	w.sc = sc
+	w.n, w.size = 0, 0
+	w.stats = EncodeStats{}
+	if cap(w.cols) < len(sc.Columns) {
+		w.cols = append(w.cols[:cap(w.cols)], make([]colAcc, len(sc.Columns)-cap(w.cols))...)
+	}
+	w.cols = w.cols[:len(sc.Columns)]
+	w.fixed = 0
+	for i := range w.cols {
+		w.cols[i].class = sc.ColumnClass(i)
+		w.cols[i].reset()
+		if w.cols[i].class != schema.ClassBytes {
+			w.fixed += fixedWidth(sc.Columns[i].Type)
 		}
 	}
-	return w
 }
 
 // Append adds row to the block. Rows must be appended in ascending primary
 // key order; the tablet writer guarantees this. Byte cells are copied into
 // the column accumulators, so the row may alias a reused buffer.
 func (w *Writer) Append(row schema.Row) {
-	w.offsets = append(w.offsets, uint32(len(w.buf)))
-	w.buf = w.sc.AppendRow(w.buf, row)
 	for i := range w.cols {
 		c := &w.cols[i]
 		switch c.class {
@@ -73,55 +92,85 @@ func (w *Writer) Append(row schema.Row) {
 		default:
 			c.flat = append(c.flat, row[i].Bytes...)
 			c.ends = append(c.ends, len(c.flat))
+			w.size += row[i].EncodedSize()
 		}
 	}
+	w.n++
+	w.size += w.fixed
 }
 
 // Count returns the number of rows appended so far.
-func (w *Writer) Count() int { return len(w.offsets) }
+func (w *Writer) Count() int { return w.n }
 
 // SizeBytes returns the current uncompressed legacy size including the
 // directory. Block-split decisions use this in both modes, so auto and
 // legacy tablets get identical block boundaries.
-func (w *Writer) SizeBytes() int { return len(w.buf) + 4*len(w.offsets) + 4 }
+func (w *Writer) SizeBytes() int { return w.size + 4*w.n + 4 }
 
 // Stats returns the encoder statistics accumulated across Finish calls.
 func (w *Writer) Stats() EncodeStats { return w.stats }
 
 // Finish serializes the block, reporting which encoding it chose, and
 // resets the writer for reuse. The returned slice is valid until the
-// writer's next Append or Finish.
+// writer's next Append, Finish or Reset.
 func (w *Writer) Finish() ([]byte, Encoding) {
-	n := len(w.offsets)
-	for _, off := range w.offsets {
-		w.buf = appendU32(w.buf, off)
-	}
-	w.buf = appendU32(w.buf, uint32(n))
-	legacy := w.buf
-	w.buf = w.buf[:0]
-	w.offsets = w.offsets[:0]
-	w.stats.Blocks++
-	w.stats.BytesBefore += int64(len(legacy))
-	if w.mode == ModeLegacy {
-		w.stats.BytesAfter += int64(len(legacy))
-		return legacy, EncLegacy
-	}
-	var colStats EncodeStats
-	img := encodeColumnar(w.cbuf[:0], w.sc, w.cols, n, &colStats, &w.enc)
-	w.cbuf = img[:0]
+	img, enc := w.encode()
+	w.n, w.size = 0, 0
 	for i := range w.cols {
 		w.cols[i].reset()
 	}
-	if len(img) < len(legacy) {
-		// Per-column codec counters only count blocks actually emitted
-		// columnar; a losing trial leaves no trace on disk.
-		w.stats.Add(colStats)
-		w.stats.ColumnarBlocks++
-		w.stats.BytesAfter += int64(len(img))
-		return img, EncColumnar
+	return img, enc
+}
+
+// encode builds the image of the accumulated rows and counts it in the
+// stats.
+func (w *Writer) encode() ([]byte, Encoding) {
+	legacySize := w.SizeBytes()
+	w.stats.Blocks++
+	w.stats.BytesBefore += int64(legacySize)
+	if w.mode == ModeAuto {
+		var colStats EncodeStats
+		img := encodeColumnar(w.cbuf[:0], w.sc, w.cols, w.n, &colStats, &w.enc)
+		w.cbuf = img[:0]
+		if len(img) < legacySize {
+			// Per-column codec counters only count blocks actually emitted
+			// columnar; a losing trial leaves no trace on disk.
+			w.stats.Add(colStats)
+			w.stats.ColumnarBlocks++
+			w.stats.BytesAfter += int64(len(img))
+			return img, EncColumnar
+		}
 	}
-	w.stats.BytesAfter += int64(len(legacy))
-	return legacy, EncLegacy
+	w.stats.BytesAfter += int64(legacySize)
+	w.buf = w.appendRowMajor(w.buf[:0])
+	return w.buf, EncLegacy
+}
+
+// appendRowMajor appends the legacy image of the accumulated rows to dst:
+// each row as schema.AppendRow encodes it, then the offset directory and
+// the row count.
+func (w *Writer) appendRowMajor(dst []byte) []byte {
+	w.offsets = w.offsets[:0]
+	for r := 0; r < w.n; r++ {
+		w.offsets = append(w.offsets, uint32(len(dst)))
+		for i := range w.cols {
+			c := &w.cols[i]
+			v := ltval.Value{Type: w.sc.Columns[i].Type}
+			switch c.class {
+			case schema.ClassInt:
+				v.Int = c.ints[r]
+			case schema.ClassFloat:
+				v.Float = c.floats[r]
+			default:
+				v.Bytes = c.cell(r)
+			}
+			dst = v.Append(dst)
+		}
+	}
+	for _, off := range w.offsets {
+		dst = appendU32(dst, off)
+	}
+	return appendU32(dst, uint32(w.n))
 }
 
 // Block is a parsed, read-only block, in either encoding: legacy blocks

@@ -150,6 +150,8 @@ func FuzzDictStrings(f *testing.F) {
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(3))
 	f.Add([]byte("abcdefgh12345678"), uint16(40))
+	// One row of epoch-sized integers: the columnar trial loses.
+	f.Add([]byte("\x00\x80\x1e\x8d\x0e\x53\x06\x00"), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, nrows uint16) {
 		if len(data) > 1<<16 {
 			return
@@ -181,6 +183,25 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		limg, lenc := legacy.Finish()
 		if lenc != EncLegacy {
 			t.Fatal("legacy writer emitted non-legacy encoding")
+		}
+		// The row-major image is built from the column vectors, never from
+		// the rows: in legacy mode, and in auto mode when the columnar
+		// trial loses, it must be exactly the rows as AppendRow encodes
+		// them, then the offset directory and the row count.
+		var want, dir []byte
+		for _, r := range rows {
+			dir = binary.LittleEndian.AppendUint32(dir, uint32(len(want)))
+			want = sc.AppendRow(want, r)
+		}
+		want = binary.LittleEndian.AppendUint32(append(want, dir...), uint32(len(rows)))
+		if !bytes.Equal(limg, want) {
+			t.Fatalf("legacy image differs from the AppendRow images: %d bytes vs %d", len(limg), len(want))
+		}
+		if aenc == EncLegacy && !bytes.Equal(aimg, want) {
+			t.Fatalf("auto-mode fallback image differs from the AppendRow images: %d bytes vs %d", len(aimg), len(want))
+		}
+		if aenc == EncColumnar && len(aimg) >= len(want) {
+			t.Fatalf("columnar image of %d bytes chosen over a %d-byte row-major one", len(aimg), len(want))
 		}
 		for _, pair := range []struct {
 			img []byte

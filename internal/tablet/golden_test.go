@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"littletable/internal/block"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
@@ -17,16 +18,19 @@ import (
 // The golden fixtures under testdata/ are checked in, never regenerated
 // implicitly. The v1 fixtures were written in the pre-columnar (footer
 // version 1) format, which no writer emits any more, so they cannot be
-// regenerated; v2_auto.tab was written by the columnar writer. They pin
+// regenerated; v2_auto.tab (one block) and v2_blocks.tab (many blocks,
+// one of them row-major) were written by the columnar writer. They pin
 // two compatibility promises:
 //
 //  1. today's reader parses yesterday's tablets, row for row;
-//  2. today's writer still emits yesterday's columnar bytes — every
-//     codec's bit layout (XOR, delta, dictionary) included — so an
-//     encoder optimisation cannot silently change what lands on disk.
+//  2. today's writer still emits yesterday's bytes — every codec's bit
+//     layout (XOR, delta, dictionary), the row-major fallback, and the
+//     order and index entries of a tablet's blocks included — so an
+//     encoder or writer optimisation cannot silently change what lands
+//     on disk.
 //
-// Regenerate v2_auto.tab and the corrupt fixture (only after a deliberate,
-// reader-compatible format change) with:
+// Regenerate the v2 fixtures and the corrupt fixture (only after a
+// deliberate, reader-compatible format change) with:
 // go test ./internal/tablet -run TestGoldenFixtures -regen-golden
 var regenGolden = flag.Bool("regen-golden", false, "rewrite the golden tablet fixtures under testdata/")
 
@@ -35,7 +39,12 @@ const (
 	goldenPlain      = "testdata/v1_plain.tab"
 	goldenCorrupt    = "testdata/v1_corrupt.tab"
 	goldenAuto       = "testdata/v2_auto.tab"
+	goldenBlocks     = "testdata/v2_blocks.tab"
 	goldenRowCount   = 600
+
+	// goldenBlockSize is v2_blocks.tab's block target: small enough that
+	// the fixture's rows fill many blocks.
+	goldenBlockSize = 2048
 )
 
 // goldenSchema exercises every column class the encoder distinguishes:
@@ -72,13 +81,36 @@ func goldenRows() []schema.Row {
 	return rows
 }
 
+// goldenBlockRows is v2_blocks.tab's dataset: goldenRows with
+// incompressible payloads larger than goldenBlockSize in the last two rows
+// of one device. The first ends its block and the second fills a block on
+// its own. That row's timestamp is an epoch-sized one, which delta coding
+// cannot shrink, so its one-row block loses the columnar trial and the
+// fixture pins the row-major fallback between columnar blocks.
+func goldenBlockRows() []schema.Row {
+	rows := goldenRows()
+	rng := rand.New(rand.NewSource(7))
+	for _, i := range []int{318, 319} {
+		big := make([]byte, goldenBlockSize+512)
+		rng.Read(big)
+		rows[i][5] = ltval.NewBlob(big)
+	}
+	rows[319][2].Int += 1_780_000_000_000_000
+	return rows
+}
+
 func writeGoldenTablet(t *testing.T, path string, opts WriterOptions) *Info {
+	t.Helper()
+	return writeGoldenRows(t, path, goldenRows(), opts)
+}
+
+func writeGoldenRows(t *testing.T, path string, rows []schema.Row, opts WriterOptions) *Info {
 	t.Helper()
 	w, err := Create(path, goldenSchema(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range goldenRows() {
+	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +137,7 @@ func TestGoldenFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeGoldenTablet(t, goldenAuto, WriterOptions{})
+		writeGoldenRows(t, goldenBlocks, goldenBlockRows(), WriterOptions{BlockSize: goldenBlockSize})
 		raw, err := os.ReadFile(goldenCompressed)
 		if err != nil {
 			t.Fatal(err)
@@ -179,6 +212,66 @@ func TestGoldenFixtures(t *testing.T) {
 				e.ColsXOR, e.ColsDelta, e.ColsDict)
 		}
 	})
+}
+
+// TestGoldenBlocksFixture pins a many-block tablet: the order blocks land
+// in, their index entries, and a one-row block in the row-major fallback
+// between columnar ones. The fixture must read back row for row and be
+// reproduced byte for byte.
+func TestGoldenBlocksFixture(t *testing.T) {
+	want := goldenBlockRows()
+	tab, err := Open(goldenBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	if n := tab.BlockCount(); n < 8 {
+		t.Fatalf("fixture has %d blocks, want at least 8", n)
+	}
+	var oneRowLegacy, columnar int
+	for _, bm := range tab.ft.blocks {
+		if bm.rowCount == 1 && bm.enc == block.EncLegacy {
+			oneRowLegacy++
+		}
+		if bm.enc == block.EncColumnar {
+			columnar++
+		}
+	}
+	if oneRowLegacy == 0 || columnar == 0 {
+		t.Fatalf("fixture has %d one-row legacy blocks and %d columnar blocks, want both", oneRowLegacy, columnar)
+	}
+	c := tab.Cursor(true)
+	i := 0
+	for ; c.Next(); i++ {
+		if i >= len(want) {
+			t.Fatalf("fixture has more than %d rows", len(want))
+		}
+		for j, v := range c.Row() {
+			if !v.Equal(want[i][j]) {
+				t.Fatalf("row %d col %d: got %v, want %v", i, j, v, want[i][j])
+			}
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("fixture yielded %d rows, want %d", i, len(want))
+	}
+
+	path := filepath.Join(t.TempDir(), "fresh.tab")
+	writeGoldenRows(t, path, want, WriterOptions{BlockSize: goldenBlockSize})
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(goldenBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, golden) {
+		t.Fatalf("writer output drifted from golden fixture %s: %d bytes vs %d", goldenBlocks, len(fresh), len(golden))
+	}
 }
 
 // TestGoldenAutoReencodesFixtureRows proves a merge-shaped rewrite: rows

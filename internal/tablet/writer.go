@@ -2,6 +2,7 @@ package tablet
 
 import (
 	"fmt"
+	"sync"
 
 	"littletable/internal/block"
 	"littletable/internal/bloom"
@@ -73,27 +74,82 @@ type Info struct {
 // crash mid-flush leaves no partial tablet visible (§3.2's descriptor
 // update makes it durable).
 //
-// A Writer owns all of its working memory for the tablet's life: Append
-// copies what it keeps of a row (the key, the block's cells), so the
-// caller may reuse the row's storage as soon as Append returns, and it
-// allocates nothing per row once its buffers have grown.
+// Per-block work runs on a one-block stage: when a block fills, Append
+// hands its block writer to a stage goroutine, which encodes, compresses
+// and writes the block while Append fills the other block writer. At most
+// one block is in flight; the stage starts at the first full block, and
+// Close and Abort join it. The caller's goroutine owns the row count, the
+// time span, the Bloom hashes and the last key; the stage owns the block
+// index, the file offset, the output buffer and the file until it is
+// joined. A stage error is kept and returned by every later Append and by
+// Close.
+//
+// Append copies what it keeps of a row (the key, the block's cells), so
+// the caller may reuse the row's storage as soon as Append returns. The
+// two block writers and the output buffer are borrowed from a package
+// pool until Close or Abort, so a Writer allocates nothing per row once
+// its buffers have grown, and a tablet written after another reuses its
+// buffers.
 type Writer struct {
 	path string
 	f    *vfs.AtomicFile
 	opts WriterOptions
 	sc   *schema.Schema
+	bufs *writerBufs // borrowed from bufPool until Close or Abort
 
-	bw      *block.Writer
-	ft      footer
-	off     int64  // file offset of the next record
-	out     []byte // framed records not yet written to f; see reserve
-	lastKey []ltval.Value
-	keyBuf  []byte // backs lastKey's byte cells
-	keyEnc  []byte // AppendKey encoding of the last row appended
-	blkMin  int64
-	blkMax  int64
-	hashes  []uint64 // h1,h2 pairs for the bloom filter
-	closed  bool
+	// Owned by the caller's goroutine.
+	bw       *block.Writer // the block being filled
+	lastKey  []ltval.Value
+	keyBuf   []byte // backs lastKey's byte cells
+	keyEnc   []byte // AppendKey encoding of the last row appended
+	blkMin   int64
+	blkMax   int64
+	hashes   []uint64 // h1,h2 pairs for the bloom filter
+	closed   bool
+	err      error            // the first stage error; fails every later call
+	jobs     chan stageJob    // nil until the stage starts
+	done     chan stageResult // the stage's block writer back, with its error
+	inFlight bool             // a block is on the stage
+
+	// ft's row count and time span are the caller's; its block index is
+	// the stage's, as are off and out.
+	ft  footer
+	off int64  // file offset of the next record
+	out []byte // framed records not yet written to f; see reserve
+}
+
+// stageJob is one full block handed to the stage, with its index entry
+// less the fields only encoding decides.
+type stageJob struct {
+	bw   *block.Writer
+	meta blockMeta
+}
+
+// stageResult returns a block writer from the stage, emptied, with the
+// error of writing its block.
+type stageResult struct {
+	bw  *block.Writer
+	err error
+}
+
+// writerBufs is a Writer's reusable working memory: its two block writers
+// and its output buffer.
+type writerBufs struct {
+	bw  [2]*block.Writer
+	out []byte
+}
+
+var bufPool = sync.Pool{New: func() any { return new(writerBufs) }}
+
+// reset empties both block writers and binds them to sc.
+func (b *writerBufs) reset(sc *schema.Schema) {
+	for i, bw := range b.bw {
+		if bw == nil {
+			b.bw[i] = block.NewWriter(sc)
+		} else {
+			bw.Reset(sc)
+		}
+	}
 }
 
 // Create opens a tablet writer for rows of schema sc at path.
@@ -102,13 +158,17 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 	if err != nil {
 		return nil, err
 	}
+	bufs := bufPool.Get().(*writerBufs)
+	bufs.reset(sc)
 	w := &Writer{
 		path: path,
 		f:    f,
 		opts: opts,
 		sc:   sc,
-		bw:   block.NewWriter(sc),
+		bufs: bufs,
+		bw:   bufs.bw[0],
 		ft:   footer{sc: sc, version: formatVersion},
+		out:  bufs.out[:0],
 	}
 	if !opts.DisableBloom && opts.RowsHint > 0 {
 		w.hashes = make([]uint64, 0, 2*opts.RowsHint)
@@ -121,6 +181,9 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 func (w *Writer) Append(row schema.Row) error {
 	if w.closed {
 		return ErrClosed
+	}
+	if w.err != nil {
+		return w.err
 	}
 	if w.ft.rowCount > 0 && w.sc.CompareRowToKey(row, w.lastKey) <= 0 {
 		return fmt.Errorf("%w: key %v after %v", ErrOutOfOrder, w.sc.KeyOf(row), w.lastKey)
@@ -157,32 +220,89 @@ func (w *Writer) Append(row schema.Row) error {
 	}
 	w.lastKey, w.keyBuf = w.sc.CopyKey(w.lastKey, w.keyBuf, row)
 	if w.bw.SizeBytes() >= w.opts.blockSize() {
-		return w.flushBlock()
+		return w.handOff()
 	}
 	return nil
 }
 
-func (w *Writer) flushBlock() error {
-	if w.bw.Count() == 0 {
+// blockMeta is the index entry of the block being filled, less what only
+// encoding it decides.
+func (w *Writer) blockMeta() blockMeta {
+	return blockMeta{
+		rowCount: int32(w.bw.Count()),
+		minTs:    w.blkMin,
+		maxTs:    w.blkMax,
+		lastKey:  append([]byte(nil), w.keyEnc...),
+	}
+}
+
+// handOff passes the full block to the stage and takes the stage's other
+// block writer to fill next, first waiting for the block in flight, if
+// there is one. The first call starts the stage.
+func (w *Writer) handOff() error {
+	next := w.join()
+	if w.err != nil {
+		return w.err
+	}
+	if w.jobs == nil {
+		w.jobs = make(chan stageJob, 1)
+		w.done = make(chan stageResult, 1)
+		go w.stage(w.jobs, w.done)
+		next = w.bufs.bw[1]
+	}
+	w.jobs <- stageJob{bw: w.bw, meta: w.blockMeta()}
+	w.inFlight = true
+	w.bw = next
+	return nil
+}
+
+// stage is the stage goroutine: it writes each block it is handed, in
+// order, and hands the block writer back. It returns, closing done, once
+// jobs is closed.
+func (w *Writer) stage(jobs <-chan stageJob, done chan<- stageResult) {
+	defer close(done)
+	for j := range jobs {
+		done <- stageResult{bw: j.bw, err: w.writeBlock(j.bw, j.meta)}
+	}
+}
+
+// join waits for the block in flight, if any, keeps its error, and
+// returns its block writer (nil if none was in flight).
+func (w *Writer) join() *block.Writer {
+	if !w.inFlight {
 		return nil
 	}
-	rowCount := w.bw.Count()
-	img, enc := w.bw.Finish()
-	off := w.off
+	r := <-w.done
+	w.inFlight = false
+	if w.err == nil {
+		w.err = r.err
+	}
+	return r.bw
+}
+
+// stopStage joins the block in flight and waits for the stage goroutine
+// to return. It is a no-op if the stage never started or has stopped.
+func (w *Writer) stopStage() {
+	if w.jobs == nil {
+		return
+	}
+	w.join()
+	close(w.jobs)
+	<-w.done
+	w.jobs = nil
+}
+
+// writeBlock encodes bw's block and appends it to the file, and its index
+// entry m, completed, to the block index.
+func (w *Writer) writeBlock(bw *block.Writer, m blockMeta) error {
+	img, enc := bw.Finish()
+	m.offset, m.rawLen, m.enc = w.off, int32(len(img)), enc
 	diskLen, err := w.writeRecord(img)
 	if err != nil {
 		return err
 	}
-	w.ft.blocks = append(w.ft.blocks, blockMeta{
-		offset:   off,
-		diskLen:  int32(diskLen),
-		rawLen:   int32(len(img)),
-		rowCount: int32(rowCount),
-		enc:      enc,
-		minTs:    w.blkMin,
-		maxTs:    w.blkMax,
-		lastKey:  append([]byte(nil), w.keyEnc...),
-	})
+	m.diskLen = int32(diskLen)
+	w.ft.blocks = append(w.ft.blocks, m)
 	return nil
 }
 
@@ -229,7 +349,20 @@ func (w *Writer) RowCount() int64 { return w.ft.rowCount }
 // Abort discards the partially-written tablet.
 func (w *Writer) Abort() error {
 	w.closed = true
-	return w.f.Abort() // a no-op after Close
+	return w.release()
+}
+
+// release joins the stage, removes the file unless Close committed it,
+// and returns the buffers to the pool. Only the first call returns them.
+func (w *Writer) release() error {
+	w.stopStage()
+	err := w.f.Abort() // a no-op once committed
+	if w.bufs != nil {
+		w.bufs.out = w.out[:0]
+		bufPool.Put(w.bufs)
+		w.bufs, w.bw, w.out = nil, nil, nil
+	}
+	return err
 }
 
 // Close flushes remaining rows, writes the footer and trailer, optionally
@@ -239,9 +372,15 @@ func (w *Writer) Close() (*Info, error) {
 		return nil, ErrClosed
 	}
 	w.closed = true
-	defer w.f.Abort() // a no-op once committed
-	if err := w.flushBlock(); err != nil {
-		return nil, err
+	defer w.release()
+	w.stopStage()
+	if w.err != nil {
+		return nil, w.err
+	}
+	if w.bw.Count() > 0 {
+		if err := w.writeBlock(w.bw, w.blockMeta()); err != nil {
+			return nil, err
+		}
 	}
 	if !w.opts.DisableBloom && len(w.hashes) > 0 {
 		w.ft.filter = bloom.New(len(w.hashes) / 2)
@@ -265,12 +404,14 @@ func (w *Writer) Close() (*Info, error) {
 	if err := w.f.Commit(); err != nil {
 		return nil, err
 	}
+	enc := w.bufs.bw[0].Stats()
+	enc.Add(w.bufs.bw[1].Stats())
 	return &Info{
 		Path:     w.path,
 		RowCount: w.ft.rowCount,
 		MinTs:    w.ft.minTs,
 		MaxTs:    w.ft.maxTs,
 		Bytes:    w.off,
-		Enc:      w.bw.Stats(),
+		Enc:      enc,
 	}, nil
 }
