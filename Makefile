@@ -89,7 +89,7 @@ counterlag:
 # crash runs the crash-at-every-barrier harness once with the default seed;
 # CI's crash-harness job runs it -count=5 across seeds 1..3.
 crash:
-	$(GO) test ./internal/core -run 'CrashAtEveryBarrier'
+	$(GO) test ./internal/core ./internal/apps -run 'CrashAtEveryBarrier'
 
 # tabletset runs the tablet-set enumeration, every interleaving of its
 # actors, at depth 8 (LTSET_DEPTH); tier-1 runs it at depth 6. CI's

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"littletable"
-	"littletable/internal/apps"
 	"littletable/internal/apps/events"
 	"littletable/internal/clock"
 	"littletable/internal/devicesim"
@@ -46,7 +45,7 @@ func main() {
 	}
 	defer tab.Close()
 
-	grabber := events.New(&apps.CoreStore{T: tab}, fleet, clk)
+	grabber := events.New(tab, fleet, clk)
 	grabber.SentinelPeriod = events.DefaultSentinelPeriod
 
 	// Six simulated hours of activity, polled every five minutes.
@@ -81,7 +80,7 @@ func main() {
 	}
 
 	// Recovery path 1 (§4.2): restart with recent rows in the window.
-	g2 := events.New(&apps.CoreStore{T: tab}, fleet, clk)
+	g2 := events.New(tab, fleet, clk)
 	if err := g2.RebuildCache(); err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func main() {
 	dark.SetOnline(false)
 	clk.Advance(30 * clock.Day)
 	dark.SetOnline(true)
-	g3 := events.New(&apps.CoreStore{T: tab}, fleet, clk)
+	g3 := events.New(tab, fleet, clk)
 	if err := g3.RebuildCache(); err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"littletable"
-	"littletable/internal/apps"
 	"littletable/internal/apps/motion"
 	"littletable/internal/clock"
 	"littletable/internal/devicesim"
@@ -42,8 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tab.Close()
-	store := &apps.CoreStore{T: tab}
-	grabber := motion.New(store, fleet, clk)
+	grabber := motion.New(tab, fleet, clk)
 
 	// A simulated day of footage, polled every ten minutes.
 	for p := 0; p < 24*6; p++ {
@@ -60,7 +58,7 @@ func main() {
 	// A security incident: search the doorway — a rectangle in the frame —
 	// backwards over the last 6 hours.
 	x0, y0, x1, y1 := 384, 192, 576, 432
-	matches, err := motion.SearchRect(store, cameraID, x0, y0, x1, y1,
+	matches, err := motion.SearchRect(tab, cameraID, x0, y0, x1, y1,
 		clk.Now()-6*clock.Hour, clk.Now(), 8)
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +71,7 @@ func main() {
 	}
 
 	// The heatmap view: total motion per coarse cell over the whole day.
-	hm, err := motion.Heatmap(store, cameraID, start, clk.Now())
+	hm, err := motion.Heatmap(tab, cameraID, start, clk.Now())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"littletable"
-	"littletable/internal/apps"
 	"littletable/internal/apps/agg"
 	"littletable/internal/apps/usage"
 	"littletable/internal/clock"
@@ -56,8 +55,8 @@ func main() {
 	}
 	defer dst.Close()
 
-	grabber := usage.New(&apps.CoreStore{T: src}, fleet, clk)
-	rollup := agg.NewRollup(&apps.CoreStore{T: src}, &apps.CoreStore{T: dst}, clk, start-clock.Hour)
+	grabber := usage.New(src, fleet, clk)
+	rollup := agg.NewRollup(src, dst, clk, start-clock.Hour)
 
 	// One simulated hour of per-minute polls.
 	poll := func(minutes int) {
@@ -109,7 +108,7 @@ func main() {
 	// Crash the grabber (§4.1.1): a fresh instance rebuilds its (t1, c1)
 	// cache from LittleTable in one range query and resumes cleanly.
 	fmt.Println("\nsimulating grabber crash + recovery...")
-	grabber2 := usage.New(&apps.CoreStore{T: src}, fleet, clk)
+	grabber2 := usage.New(src, fleet, clk)
 	if err := grabber2.RebuildCache(); err != nil {
 		log.Fatal(err)
 	}

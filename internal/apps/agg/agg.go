@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"littletable/internal/apps"
 	"littletable/internal/clock"
 	"littletable/internal/configdb"
 	"littletable/internal/core"
@@ -67,15 +66,10 @@ func HLLSchema() *schema.Schema {
 // source rows into destination rows. Each aggregator supplies only its
 // fold.
 type periodic struct {
-	src apps.Store
-	dst apps.Store
-	clk clock.Clock
+	src, dst *core.Table
+	clk      clock.Clock
+	width    int64 // the aggregation period's length
 
-	// Period is the aggregation bucket length.
-	Period int64
-	// PersistenceLag holds back aggregation of data that may not be on
-	// disk yet.
-	PersistenceLag int64
 	// Horizon bounds how far back the first run looks.
 	Horizon int64
 
@@ -84,8 +78,8 @@ type periodic struct {
 	RowsWritten int64
 }
 
-func newPeriodic(src, dst apps.Store, clk clock.Clock, period, horizon int64) periodic {
-	return periodic{src: src, dst: dst, clk: clk, Period: period, PersistenceLag: DefaultPersistenceLag, Horizon: horizon}
+func newPeriodic(src, dst *core.Table, clk clock.Clock, width, horizon int64) periodic {
+	return periodic{src: src, dst: dst, clk: clk, width: width, Horizon: horizon}
 }
 
 // A fold turns one period's source rows into destination rows: add sees
@@ -101,16 +95,17 @@ type fold struct {
 // resume determines where to resume after a restart or LittleTable crash
 // (§4.1.2): because LittleTable flushes rows in insertion order, finding
 // any row from an aggregation period in the destination means all prior
-// periods completed; re-process from that period forward.
+// periods completed; re-process from that period forward. The probe is
+// core.Watermark, the one RollupStep re-derives its position from.
 func (p *periodic) resume() error {
-	ts, found, err := apps.FindLatestTimestamp(p.dst, p.clk.Now(), p.Horizon)
+	ts, found, err := core.Watermark(p.dst, p.clk.Now())
 	if err != nil {
 		return err
 	}
-	if !found {
+	if !found || ts < p.Horizon {
 		ts = p.Horizon
 	}
-	p.next = floorTo(ts, p.Period)
+	p.next = floorTo(ts, p.width)
 	return nil
 }
 
@@ -123,9 +118,9 @@ func (p *periodic) run(lag int64, what string, newFold func() fold) (int64, erro
 			return 0, err
 		}
 	}
-	limit := floorTo(p.clk.Now()-lag, p.Period)
+	limit := floorTo(p.clk.Now()-lag, p.width)
 	var n int64
-	for ; p.next+p.Period <= limit; p.next += p.Period {
+	for ; p.next+p.width <= limit; p.next += p.width {
 		if err := p.period(p.next, what, newFold()); err != nil {
 			return n, err
 		}
@@ -134,11 +129,12 @@ func (p *periodic) run(lag int64, what string, newFold func() fold) (int64, erro
 	return n, nil
 }
 
-// period folds the source rows of [start, start+Period) and inserts the
-// result.
+// period folds the source rows of [start, start+width) and inserts the
+// result; core.InsertTolerant skips the rows a re-processed period
+// already wrote.
 func (p *periodic) period(start int64, what string, f fold) error {
 	q := core.NewQuery()
-	q.MinTs, q.MaxTs = start, start+p.Period-1
+	q.MinTs, q.MaxTs = start, start+p.width-1
 	it, err := p.src.Query(q)
 	if err != nil {
 		return err
@@ -154,11 +150,11 @@ func (p *periodic) period(start int64, what string, f fold) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	n, err := apps.InsertTolerant(p.dst, rows)
+	n, err := core.InsertTolerant(p.dst, rows)
 	if err != nil {
 		return fmt.Errorf("agg: %s insert for period %d: %w", what, start, err)
 	}
-	p.RowsWritten += int64(n)
+	p.RowsWritten += n
 	return nil
 }
 
@@ -193,8 +189,8 @@ type Rollup struct {
 	periodic
 
 	// UseFlush removes the persistence-lag assumption by issuing the
-	// explicit flush command §4.1.2 proposes before each period (requires
-	// a source store implementing apps.Flusher).
+	// explicit flush command §4.1.2 proposes (Table.FlushBefore) before
+	// each run.
 	UseFlush bool
 
 	PeriodsProcessed int64
@@ -202,7 +198,7 @@ type Rollup struct {
 
 // NewRollup returns a rollup aggregator from src (usage schema) to dst
 // (RollupSchema).
-func NewRollup(src, dst apps.Store, clk clock.Clock, horizon int64) *Rollup {
+func NewRollup(src, dst *core.Table, clk clock.Clock, horizon int64) *Rollup {
 	return &Rollup{periodic: newPeriodic(src, dst, clk, DefaultPeriod, horizon)}
 }
 
@@ -213,14 +209,12 @@ func (r *Rollup) Recover() error { return r.resume() }
 // Run processes all complete periods older than the persistence lag (or
 // every complete period, after an explicit flush, with UseFlush).
 func (r *Rollup) Run() error {
-	lag := r.PersistenceLag
+	lag := DefaultPersistenceLag
 	if r.UseFlush {
-		if f, ok := r.src.(apps.Flusher); ok {
-			if err := f.FlushBefore(floorTo(r.clk.Now(), r.Period)); err != nil {
-				return err
-			}
-			lag = 0
+		if err := r.src.FlushBefore(floorTo(r.clk.Now(), r.width)); err != nil {
+			return err
 		}
+		lag = 0
 	}
 	n, err := r.run(lag, "rollup", r.fold)
 	r.PeriodsProcessed += n
@@ -273,13 +267,13 @@ type TagAggregator struct {
 
 // NewTagAggregator returns a tag aggregator from src (usage schema) to dst
 // (TagSchema).
-func NewTagAggregator(src, dst apps.Store, cfg *configdb.DB, clk clock.Clock, horizon int64) *TagAggregator {
+func NewTagAggregator(src, dst *core.Table, cfg *configdb.DB, clk clock.Clock, horizon int64) *TagAggregator {
 	return &TagAggregator{periodic: newPeriodic(src, dst, clk, DefaultPeriod, horizon), cfg: cfg}
 }
 
 // Run processes all complete periods older than the persistence lag.
 func (t *TagAggregator) Run() error {
-	_, err := t.run(t.PersistenceLag, "tag", t.fold)
+	_, err := t.run(DefaultPersistenceLag, "tag", t.fold)
 	return err
 }
 
@@ -335,18 +329,17 @@ func (t *TagAggregator) fold() fold {
 // info), the fixed-size probabilistic set tracking of §4.1.2.
 type ClientCounter struct {
 	periodic
-	Precision uint8
 }
 
 // NewClientCounter returns an HLL aggregator from src (events schema) to
 // dst (HLLSchema).
-func NewClientCounter(src, dst apps.Store, clk clock.Clock, horizon int64) *ClientCounter {
-	return &ClientCounter{periodic: newPeriodic(src, dst, clk, clock.Hour, horizon), Precision: hll.DefaultPrecision}
+func NewClientCounter(src, dst *core.Table, clk clock.Clock, horizon int64) *ClientCounter {
+	return &ClientCounter{periodic: newPeriodic(src, dst, clk, clock.Hour, horizon)}
 }
 
 // Run processes all complete periods older than the persistence lag.
 func (c *ClientCounter) Run() error {
-	_, err := c.run(c.PersistenceLag, "hll", c.fold)
+	_, err := c.run(DefaultPersistenceLag, "hll", c.fold)
 	return err
 }
 
@@ -358,7 +351,7 @@ func (c *ClientCounter) fold() fold {
 			net := row[0].Int
 			s := sketches[net]
 			if s == nil {
-				s = hll.MustNew(c.Precision)
+				s = hll.MustNew(hll.DefaultPrecision)
 				sketches[net] = s
 			}
 			s.Add(row[5].Bytes) // "client=<mac>"
@@ -380,7 +373,7 @@ func (c *ClientCounter) fold() fold {
 // DistinctClients unions the sketches stored for a network over
 // [minTs, maxTs] and returns the estimated distinct-client count —
 // demonstrating that sketches stored as blobs merge across periods.
-func DistinctClients(dst apps.Store, network int64, minTs, maxTs int64) (uint64, error) {
+func DistinctClients(dst *core.Table, network int64, minTs, maxTs int64) (uint64, error) {
 	q := core.NewQuery()
 	q.Lower = []ltval.Value{ltval.NewInt64(network)}
 	q.Upper = q.Lower

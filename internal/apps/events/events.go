@@ -9,7 +9,6 @@ package events
 import (
 	"fmt"
 
-	"littletable/internal/apps"
 	"littletable/internal/clock"
 	"littletable/internal/core"
 	"littletable/internal/devicesim"
@@ -54,7 +53,7 @@ func Row(network, device, ts, id int64, typ, info string) schema.Row {
 
 // Grabber is the EventsGrabber daemon state.
 type Grabber struct {
-	store apps.Store
+	tab   *core.Table
 	fleet *devicesim.Fleet
 	clk   clock.Clock
 
@@ -69,10 +68,10 @@ type Grabber struct {
 	RowsInserted int64
 }
 
-// New returns a grabber over the given events table store.
-func New(store apps.Store, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
+// New returns a grabber over the given events table.
+func New(tab *core.Table, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
 	return &Grabber{
-		store:          store,
+		tab:            tab,
 		fleet:          fleet,
 		clk:            clk,
 		RecoveryWindow: DefaultRecoveryWindow,
@@ -106,7 +105,7 @@ func (g *Grabber) Poll() error {
 			}
 		}
 		if len(batch) > 0 {
-			if err := g.store.Insert(batch); err != nil {
+			if err := g.tab.Insert(batch); err != nil {
 				return fmt.Errorf("events: insert: %w", err)
 			}
 			g.RowsInserted += int64(len(batch))
@@ -117,7 +116,7 @@ func (g *Grabber) Poll() error {
 			// grabber never searches further back than one sentinel period
 			// (§4.2's improvement).
 			sent := Row(dev.NetworkID, dev.ID, now, afterID, SentinelType, "")
-			if err := g.store.Insert([]schema.Row{sent}); err == nil {
+			if err := g.tab.Insert([]schema.Row{sent}); err == nil {
 				g.lastSentinel[dev.ID] = now
 			}
 		}
@@ -137,7 +136,7 @@ func (g *Grabber) recoverDevice(dev *devicesim.Device) error {
 	q.Upper = q.Lower
 	q.MinTs = now - g.RecoveryWindow
 	q.MaxTs = now
-	it, err := g.store.Query(q)
+	it, err := g.tab.Query(q)
 	if err != nil {
 		return err
 	}
@@ -159,7 +158,7 @@ func (g *Grabber) recoverDevice(dev *devicesim.Device) error {
 	// Nothing recent. The device's oldest retained event bounds how far
 	// back a useful row could be; find the latest stored row for this
 	// (network, device) via the latest-row-for-prefix path (§3.4.5).
-	row, found, err := g.store.Latest([]ltval.Value{
+	row, found, err := g.tab.LatestRow([]ltval.Value{
 		ltval.NewInt64(dev.NetworkID), ltval.NewInt64(dev.ID),
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ package motion
 import (
 	"fmt"
 
-	"littletable/internal/apps"
 	"littletable/internal/clock"
 	"littletable/internal/core"
 	"littletable/internal/devicesim"
@@ -42,7 +41,7 @@ func Row(camera int64, ev devicesim.MotionEvent) schema.Row {
 
 // Grabber is the MotionGrabber daemon state.
 type Grabber struct {
-	store apps.Store
+	tab   *core.Table
 	fleet *devicesim.Fleet
 	clk   clock.Clock
 
@@ -51,9 +50,9 @@ type Grabber struct {
 	RowsInserted int64
 }
 
-// New returns a grabber over the given motion table store.
-func New(store apps.Store, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
-	return &Grabber{store: store, fleet: fleet, clk: clk, cache: make(map[int64]int64)}
+// New returns a grabber over the given motion table.
+func New(tab *core.Table, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
+	return &Grabber{tab: tab, fleet: fleet, clk: clk, cache: make(map[int64]int64)}
 }
 
 // Poll fetches new motion events from every reachable camera.
@@ -76,7 +75,7 @@ func (g *Grabber) Poll() error {
 				afterID = ev.ID
 			}
 		}
-		if err := g.store.Insert(batch); err != nil {
+		if err := g.tab.Insert(batch); err != nil {
 			return fmt.Errorf("motion: insert: %w", err)
 		}
 		g.RowsInserted += int64(len(batch))
@@ -98,7 +97,7 @@ type Match struct {
 // rectangular area of interest ... and search backwards in time for motion
 // events within that area"). With LittleTable returning ~500k rows/second,
 // a week of one camera's video (~51k rows) scans in ~100 ms.
-func SearchRect(store apps.Store, camera int64, x0, y0, x1, y1 int, minTs, maxTs int64, limit int) ([]Match, error) {
+func SearchRect(tab *core.Table, camera int64, x0, y0, x1, y1 int, minTs, maxTs int64, limit int) ([]Match, error) {
 	cells := devicesim.CellsForRect(x0, y0, x1, y1)
 	if len(cells) == 0 {
 		return nil, nil
@@ -108,7 +107,7 @@ func SearchRect(store apps.Store, camera int64, x0, y0, x1, y1 int, minTs, maxTs
 	q.Upper = q.Lower
 	q.MinTs, q.MaxTs = minTs, maxTs
 	q.Descending = true
-	it, err := store.Query(q)
+	it, err := tab.Query(q)
 	if err != nil {
 		return nil, err
 	}
@@ -131,13 +130,13 @@ func SearchRect(store apps.Store, camera int64, x0, y0, x1, y1 int, minTs, maxTs
 // Heatmap accumulates per-coarse-cell motion durations over a time window,
 // the data behind Dashboard's "heatmaps of motion over time" (§4.3).
 // Result indexed [row][col] in milliseconds.
-func Heatmap(store apps.Store, camera int64, minTs, maxTs int64) ([devicesim.CoarseRows][devicesim.CoarseCols]int64, error) {
+func Heatmap(tab *core.Table, camera int64, minTs, maxTs int64) ([devicesim.CoarseRows][devicesim.CoarseCols]int64, error) {
 	var hm [devicesim.CoarseRows][devicesim.CoarseCols]int64
 	q := core.NewQuery()
 	q.Lower = []ltval.Value{ltval.NewInt64(camera)}
 	q.Upper = q.Lower
 	q.MinTs, q.MaxTs = minTs, maxTs
-	it, err := store.Query(q)
+	it, err := tab.Query(q)
 	if err != nil {
 		return hm, err
 	}

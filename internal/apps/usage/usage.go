@@ -8,7 +8,6 @@ package usage
 import (
 	"fmt"
 
-	"littletable/internal/apps"
 	"littletable/internal/clock"
 	"littletable/internal/core"
 	"littletable/internal/devicesim"
@@ -56,7 +55,7 @@ type sample struct {
 
 // Grabber is the UsageGrabber daemon state.
 type Grabber struct {
-	store apps.Store
+	tab   *core.Table
 	fleet *devicesim.Fleet
 	clk   clock.Clock
 
@@ -70,10 +69,10 @@ type Grabber struct {
 	GapsSkipped  int64
 }
 
-// New returns a grabber over the given usage table store.
-func New(store apps.Store, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
+// New returns a grabber over the given usage table.
+func New(tab *core.Table, fleet *devicesim.Fleet, clk clock.Clock) *Grabber {
 	return &Grabber{
-		store:     store,
+		tab:       tab,
 		fleet:     fleet,
 		clk:       clk,
 		Threshold: DefaultThreshold,
@@ -116,7 +115,7 @@ func (g *Grabber) Poll() error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if err := g.store.Insert(batch); err != nil {
+	if err := g.tab.Insert(batch); err != nil {
 		return fmt.Errorf("usage: insert: %w", err)
 	}
 	g.RowsInserted += int64(len(batch))
@@ -143,7 +142,7 @@ func (g *Grabber) RebuildCache() error {
 	q := core.NewQuery()
 	q.MinTs = now - g.Threshold
 	q.MaxTs = now
-	it, err := g.store.Query(q)
+	it, err := g.tab.Query(q)
 	if err != nil {
 		return err
 	}

@@ -158,7 +158,7 @@ func RollupStep(src, dest *Table, rule RollupRule, now int64) (written int64, er
 		return 0, nil // degenerate clock: nothing can be final yet
 	}
 	start := int64(math.MinInt64)
-	wm, ok, err := destWatermark(dest, end-1)
+	wm, ok, err := Watermark(dest, end-1)
 	if err != nil {
 		return 0, err
 	}
@@ -204,7 +204,7 @@ func RollupStep(src, dest *Table, rule RollupRule, now int64) (written int64, er
 		}
 		rows = append(rows, row)
 	}
-	written, err = insertTolerant(dest, rows)
+	written, err = InsertTolerant(dest, rows)
 	if written > 0 {
 		src.stats.RollupRuns.Add(1)
 		src.stats.RollupRowsWritten.Add(written)
@@ -212,12 +212,13 @@ func RollupStep(src, dest *Table, rule RollupRule, now int64) (written int64, er
 	return written, err
 }
 
-// destWatermark finds the latest destination timestamp at or below
-// limit, probing exponentially widening recent windows before falling
-// back to a full scan — on a steadily rolled-up table the newest row is
-// moments below limit, so the first narrow probe usually wins and only
-// touches tablets overlapping the window (§4.1.2's recovery idiom).
-func destWatermark(dest *Table, limit int64) (int64, bool, error) {
+// Watermark finds the latest destination timestamp at or below limit,
+// probing exponentially widening recent windows before falling back to a
+// full scan — on a steadily rolled-up table the newest row is moments
+// below limit, so the first narrow probe usually wins and only touches
+// tablets overlapping the window (§4.1.2's recovery idiom). RollupStep
+// and the external aggregators of internal/apps/agg both resume from it.
+func Watermark(dest *Table, limit int64) (int64, bool, error) {
 	for span := int64(1_000_000); span > 0 && span < 1<<60; span *= 16 { // 1s in µs, widening
 		lo := limit - span
 		if lo > limit { // subtraction wrapped below MinInt64
@@ -250,11 +251,11 @@ func maxTsInRange(dest *Table, min, max int64) (int64, bool, error) {
 	return best, found, it.Err()
 }
 
-// insertTolerant inserts rows in order, skipping rows whose primary key
+// InsertTolerant inserts rows in order, skipping rows whose primary key
 // already exists — the idempotent-replay half of the watermark recovery.
 // The batch path is tried first; on a duplicate it degrades to per-row
 // inserts, preserving order so the prefix-durability argument holds.
-func insertTolerant(dest *Table, rows []schema.Row) (int64, error) {
+func InsertTolerant(dest *Table, rows []schema.Row) (int64, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}

@@ -231,6 +231,32 @@ func TestRollupStepWatermark(t *testing.T) {
 	}
 }
 
+// TestWatermark pins the newest-timestamp probe RollupStep and the
+// internal/apps/agg aggregators resume from: nothing on an empty table,
+// an old row found however far back it lies, and a newer row dominating.
+func TestWatermark(t *testing.T) {
+	clk := clock.NewFake(testStart)
+	tab, err := CreateTable(t.TempDir(), "usage", usageSchema(), 0, Options{Clock: clk, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	now := clk.Now()
+	if _, found, err := Watermark(tab, now); err != nil || found {
+		t.Fatalf("empty table: found %v, err %v", found, err)
+	}
+	old := now - 20*clock.Hour
+	mustInsert(t, tab, usageRow(1, 1, old, 1, 0))
+	if ts, found, err := Watermark(tab, now); err != nil || !found || ts != old {
+		t.Fatalf("found %v ts %d err %v, want %d", found, ts, err, old)
+	}
+	newer := now - 3*clock.Minute
+	mustInsert(t, tab, usageRow(1, 1, newer, 1, 1))
+	if ts, _, err := Watermark(tab, now); err != nil || ts != newer {
+		t.Fatalf("latest = %d (err %v), want %d", ts, err, newer)
+	}
+}
+
 // TestRollupCrashAtEveryBarrier is the kill test for continuous
 // downsampling: a fully populated source rolls up into a destination
 // whose tiny flush size and async workers force durability barriers in

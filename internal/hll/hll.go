@@ -13,10 +13,10 @@ import (
 	"math"
 )
 
-// Precision is the register-count exponent: m = 2^Precision registers.
-// 14 gives a standard error of 1.04/√m ≈ 0.8% in 16 kB... at one byte per
-// register, 16384 bytes. Dashboard-scale per-network sketches use 12
-// (4 kB, ~1.6% error); the default splits the difference.
+// DefaultPrecision is the register-count exponent p of every sketch the
+// aggregators build: m = 2^p registers at one byte each, with standard
+// error 1.04/√m. 12 gives 4 kB and ~1.6% error per per-network sketch,
+// where 14 would cost 16 kB for ~0.8%.
 const DefaultPrecision = 12
 
 // Sketch is a HyperLogLog counter. The zero value is unusable; call New.
@@ -48,12 +48,6 @@ func MustNew(p uint8) *Sketch {
 	}
 	return s
 }
-
-// Precision returns the sketch's precision.
-func (s *Sketch) Precision() uint8 { return s.p }
-
-// SizeBytes returns the register array size.
-func (s *Sketch) SizeBytes() int { return len(s.regs) }
 
 // hash64 is a 64-bit finalizer-mix over FNV-1a, giving well-distributed
 // bits from arbitrary keys.
@@ -142,13 +136,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 		}
 	}
 	return nil
-}
-
-// Clone copies the sketch.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{p: s.p, regs: make([]uint8, len(s.regs))}
-	copy(c.regs, s.regs)
-	return c
 }
 
 // Marshal serializes the sketch: [p][registers...]. Stored in LittleTable

@@ -115,7 +115,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Estimate() != s.Estimate() || g.Precision() != 10 {
+	if g.Estimate() != s.Estimate() || g.p != 10 {
 		t.Errorf("round trip: %d vs %d", g.Estimate(), s.Estimate())
 	}
 }
@@ -125,22 +125,6 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		if _, err := Unmarshal(b); err == nil {
 			t.Errorf("corrupt %v accepted", b)
 		}
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := MustNew(8)
-	s.Add([]byte("x"))
-	c := s.Clone()
-	c.Add([]byte("y"))
-	if s.Estimate() == c.Estimate() {
-		t.Error("clone shares registers")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	if MustNew(12).SizeBytes() != 4096 {
-		t.Error("p=12 should be 4096 registers")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"littletable/internal/apps"
 	"littletable/internal/apps/agg"
 	"littletable/internal/apps/events"
 	"littletable/internal/apps/usage"
@@ -95,9 +94,9 @@ func RunRates(cfg RatesConfig) (*Result, error) {
 	}
 	defer rollupTab.Close()
 
-	ug := usage.New(&apps.CoreStore{T: usageTab}, fleet, clk)
-	eg := events.New(&apps.CoreStore{T: eventsTab}, fleet, clk)
-	rollup := agg.NewRollup(&apps.CoreStore{T: usageTab}, &apps.CoreStore{T: rollupTab}, clk, startTs-clock.Hour)
+	ug := usage.New(usageTab, fleet, clk)
+	eg := events.New(eventsTab, fleet, clk)
+	rollup := agg.NewRollup(usageTab, rollupTab, clk, startTs-clock.Hour)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tabs := []*core.Table{usageTab, eventsTab, rollupTab}
